@@ -115,7 +115,7 @@ fn main() {
             for _ in 0..ROUNDS {
                 for pattern in &bench.patterns {
                     let batch = runtime
-                        .match_batch(pattern, &bench.chunks, &config)
+                        .match_batch_guarded(pattern, &bench.chunks, &config, &Budget::UNLIMITED)
                         .expect("suite compiles");
                     makespan_cycles += batch.workers.iter().map(|w| w.cycles).max().unwrap_or(0);
                 }
@@ -144,19 +144,13 @@ fn main() {
         let total_bytes = ROUNDS * bench.patterns.len() * request_bytes;
         let mut mbps_at_1 = 0.0f64;
         for jobs in WORKERS {
-            let runtime = Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() });
+            let runtime = Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() })
+                .with_backend(Backend::Host);
             let start = Instant::now();
             for _ in 0..ROUNDS {
                 for pattern in &bench.patterns {
                     runtime
-                        .match_batch_guarded_traced_on(
-                            Backend::Host,
-                            pattern,
-                            &bench.chunks,
-                            &config,
-                            &Budget::default(),
-                            None,
-                        )
+                        .match_batch_guarded(pattern, &bench.chunks, &config, &Budget::UNLIMITED)
                         .expect("suite compiles");
                 }
             }

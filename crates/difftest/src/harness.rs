@@ -23,9 +23,10 @@
 //!   queued threads at earlier positions), so *every* simulator cell has
 //!   any-match semantics — the ruling pinned in
 //!   `tests/match_end_semantics.rs`;
-//! * batch level: [`simulate_batch_parallel`] at 1/2/4 workers must be
-//!   byte-identical to the sequential [`simulate_batch`], and the
-//!   [`Runtime`]'s cached path must reproduce the same reports;
+//! * batch level: the serving worker pool
+//!   ([`Runtime::run_batch_guarded`](cicero_runtime::Runtime::run_batch_guarded))
+//!   at 1/2/4 workers must be byte-identical to the sequential
+//!   [`simulate_batch`];
 //! * stream level (chunk-split invariance): the input re-run through the
 //!   resumable matchers — [`cicero_isa::run_chunked`], the host engine's
 //!   [`cicero_hostexec::HostProgram::run_chunked`], and
@@ -39,7 +40,8 @@
 use cicero_core::{CompileError, Compiler, CompilerOptions};
 use cicero_hostexec::HostProgram;
 use cicero_isa::Program;
-use cicero_sim::{simulate, simulate_batch, simulate_batch_parallel, ArchConfig};
+use cicero_runtime::{Budget, MatchOutcome, Runtime, RuntimeOptions};
+use cicero_sim::{simulate, simulate_batch, ArchConfig};
 use regex_oracle::Oracle;
 
 /// Worker counts exercised at batch level.
@@ -327,40 +329,31 @@ fn deterministic_splits(input: &[u8]) -> Vec<Vec<usize>> {
     splits
 }
 
-/// Batch-level determinism: parallel enumeration over the worker pool must
-/// be observationally identical to sequential execution, and the runtime's
-/// cached path must serve byte-identical reports.
+/// Batch-level determinism: parallel enumeration over the worker pool
+/// that serves must be observationally identical to sequential execution.
 pub fn check_batch(put: &PatternUnderTest, inputs: &[Vec<u8>]) -> Outcome {
     if inputs.is_empty() {
         return Outcome::Pass;
     }
     let config = ArchConfig::new_organization(4, 1);
     for (level, program) in &put.programs {
-        let sequential = simulate_batch(program, inputs, &config);
+        let sequential: Vec<MatchOutcome> = simulate_batch(program, inputs, &config)
+            .into_iter()
+            .map(MatchOutcome::Complete)
+            .collect();
         for jobs in PARALLEL_JOBS {
-            let parallel = simulate_batch_parallel(program, inputs, &config, jobs);
-            if parallel != sequential {
-                let detail = first_report_difference(&sequential, &parallel, jobs);
+            let runtime = Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() });
+            let parallel = runtime.run_batch_guarded(program, inputs, &config, &Budget::UNLIMITED);
+            let mut pairs = sequential.iter().zip(&parallel.outcomes).enumerate();
+            if let Some((i, (s, p))) = pairs.find(|(_, (s, p))| s != p) {
+                let detail = format!(
+                    "input {i} differs at {jobs} workers: sequential {s:?}, parallel {p:?}"
+                );
                 return diverged(format!("parallel/{level}/jobs{jobs}"), detail, put, &[]);
             }
         }
     }
     Outcome::Pass
-}
-
-fn first_report_difference(
-    sequential: &[cicero_sim::ExecReport],
-    parallel: &[cicero_sim::ExecReport],
-    jobs: usize,
-) -> String {
-    for (i, (s, p)) in sequential.iter().zip(parallel).enumerate() {
-        if s != p {
-            return format!(
-                "input {i} differs at {jobs} workers: sequential {s:?}, parallel {p:?}"
-            );
-        }
-    }
-    format!("report count differs: {} sequential vs {} parallel", sequential.len(), parallel.len())
 }
 
 /// The full check for one pattern and its input set: every per-input cell,

@@ -1,10 +1,6 @@
-//! Per-request resource budgets and the guarded batch pool.
+//! Per-request resource budgets and the worker pool that enforces them.
 //!
-//! The plain batch path ([`Runtime::match_batch`]) assumes execution
-//! cannot fail: no bound on simulated work beyond the architecture's own
-//! `max_cycles` safety valve, no wall-clock bound, and a panicking worker
-//! tears the whole batch down. That is fine for benchmarks; a serving
-//! runtime needs the opposite defaults. The *guarded* path adds:
+//! There is one way to run a batch, and it has serving defaults:
 //!
 //! * **fuel** — a per-input cap on simulated cycles; exhausting it yields
 //!   [`MatchOutcome::Budget`] with the partial report instead of letting a
@@ -18,14 +14,16 @@
 //!   telemetry counter; a second panic on the same input reports
 //!   [`MatchOutcome::Fault`] and the batch still completes.
 //!
-//! [`Runtime::match_batch`]: crate::Runtime::match_batch
+//! [`Budget::UNLIMITED`] makes the pool compute exactly what sequential
+//! [`simulate_batch`](cicero_sim::simulate_batch) computes, report for
+//! report, for every worker count.
 
 use std::time::{Duration, Instant};
 
 use cicero_core::{Backend, CompileError};
 use cicero_isa::Program;
-use cicero_sim::{ArchConfig, ExecReport, Machine, WorkerStats};
-use cicero_telemetry::{TraceContext, TraceSpan};
+use cicero_sim::{ArchConfig, ExecReport, Machine};
+use cicero_telemetry::TraceContext;
 
 use crate::{host_exec_report, Runtime};
 
@@ -41,7 +39,7 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// No limits (the plain batch path's semantics).
+    /// No limits.
     pub const UNLIMITED: Budget = Budget { fuel: None, deadline: None };
 
     /// Limit each input to `fuel` simulated cycles.
@@ -52,6 +50,16 @@ impl Budget {
     /// Limit the whole request to `deadline` of wall-clock time.
     pub fn with_deadline(deadline: Duration) -> Budget {
         Budget { deadline: Some(deadline), ..Budget::default() }
+    }
+
+    /// This budget with `spent` wall-clock time already charged against
+    /// the deadline (saturating at zero; fuel is per input and unchanged).
+    /// A request that runs several batches charges each one's elapsed
+    /// time, so the deadline bounds the whole request rather than
+    /// restarting per batch.
+    #[must_use]
+    pub fn remaining_after(&self, spent: Duration) -> Budget {
+        Budget { deadline: self.deadline.map(|d| d.saturating_sub(spent)), ..*self }
     }
 
     /// The architecture config actually simulated: `max_cycles` clamped
@@ -120,8 +128,35 @@ impl MatchOutcome {
     }
 }
 
-/// The result of one guarded batch: one outcome per input, plus recovery
-/// and budget accounting.
+/// Per-worker accounting for one batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WorkerStats {
+    /// Worker index within the pool (0-based).
+    pub worker: usize,
+    /// Inputs this worker ran.
+    pub inputs: usize,
+    /// Simulated cycles across those inputs.
+    pub cycles: u64,
+    /// Instructions executed across those inputs.
+    pub instructions: u64,
+    /// Instruction-cache hits across those inputs.
+    pub icache_hits: u64,
+    /// Instruction-cache misses across those inputs.
+    pub icache_misses: u64,
+}
+
+impl WorkerStats {
+    fn absorb(&mut self, report: &ExecReport) {
+        self.inputs += 1;
+        self.cycles += report.cycles;
+        self.instructions += report.instructions;
+        self.icache_hits += report.icache_hits;
+        self.icache_misses += report.icache_misses;
+    }
+}
+
+/// The result of one batch: one outcome per input, plus recovery and
+/// budget accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardedBatch {
     /// One outcome per input, in input order.
@@ -190,54 +225,16 @@ impl Runtime {
         config: &ArchConfig,
         budget: &Budget,
     ) -> Result<GuardedBatch, CompileError> {
-        self.match_batch_guarded_traced(pattern, inputs, config, budget, None)
-    }
-
-    /// [`Runtime::match_batch_guarded`] with request tracing: a `compile`
-    /// child span (per-pass children on a miss) and an `execute` child
-    /// span with one `sim.worker-N` span per pool worker, annotated with
-    /// cycle and i-cache totals.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors only; execution failures are reported per input
-    /// in [`GuardedBatch::outcomes`].
-    pub fn match_batch_guarded_traced(
-        &self,
-        pattern: &str,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        trace: Option<&TraceSpan>,
-    ) -> Result<GuardedBatch, CompileError> {
-        self.match_batch_guarded_traced_on(self.backend(), pattern, inputs, config, budget, trace)
-    }
-
-    /// [`Runtime::match_batch_guarded_traced`] on an explicit backend
-    /// (the per-request override the server's `X-Cicero-Backend` header
-    /// resolves to). The compiled program is identical either way; only
-    /// the execution engine differs.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors only; execution failures are reported per input
-    /// in [`GuardedBatch::outcomes`].
-    pub fn match_batch_guarded_traced_on(
-        &self,
-        backend: Backend,
-        pattern: &str,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        trace: Option<&TraceSpan>,
-    ) -> Result<GuardedBatch, CompileError> {
-        let (program, cache_hit) = self.compile_traced(pattern, trace)?;
-        Ok(self
-            .run_batch_guarded_inner(backend, &program, inputs, config, budget, cache_hit, trace))
+        let (program, cache_hit) = self.compile_with_hit(pattern)?;
+        let batch = self.run_batch_guarded(&program, inputs, config, budget);
+        Ok(GuardedBatch { cache_hit, ..batch })
     }
 
     /// Run an already-compiled program over every input with budgets and
-    /// panic isolation (`cache_hit` is reported as `false`).
+    /// panic isolation (`cache_hit` is reported as `false`), on this
+    /// handle's backend. Under [`Runtime::with_trace`] the batch opens an
+    /// `execute` span with one `{engine}.worker-N` child per pool worker,
+    /// annotated with cycle and i-cache totals.
     pub fn run_batch_guarded(
         &self,
         program: &Program,
@@ -245,66 +242,24 @@ impl Runtime {
         config: &ArchConfig,
         budget: &Budget,
     ) -> GuardedBatch {
-        self.run_batch_guarded_inner(self.backend(), program, inputs, config, budget, false, None)
-    }
-
-    /// [`Runtime::run_batch_guarded`] with request tracing (see
-    /// [`Runtime::match_batch_guarded_traced`]).
-    pub fn run_batch_guarded_traced(
-        &self,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        trace: Option<&TraceSpan>,
-    ) -> GuardedBatch {
-        self.run_batch_guarded_inner(self.backend(), program, inputs, config, budget, false, trace)
-    }
-
-    /// [`Runtime::run_batch_guarded_traced`] on an explicit backend.
-    pub fn run_batch_guarded_traced_on(
-        &self,
-        backend: Backend,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        trace: Option<&TraceSpan>,
-    ) -> GuardedBatch {
-        self.run_batch_guarded_inner(backend, program, inputs, config, budget, false, trace)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch_guarded_inner(
-        &self,
-        backend: Backend,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        budget: &Budget,
-        cache_hit: bool,
-        trace: Option<&TraceSpan>,
-    ) -> GuardedBatch {
         let span = self.telemetry.as_ref().map(|t| {
             let span = t.span("runtime.guarded_batch");
             span.annotate("inputs", inputs.len());
             span.annotate("fuel", budget.fuel.map_or(-1i64, |f| f as i64));
-            span.annotate("backend", backend.to_string());
+            span.annotate("backend", self.backend.to_string());
             span
         });
         // On the host backend every worker shares one immutable lowered
         // engine; the fuel budget becomes a byte budget through the same
         // `max_cycles` clamp the simulator uses.
-        let host_program = (backend == Backend::Host).then(|| self.host.get_or_lower(program));
+        let host_program = (self.backend == Backend::Host).then(|| self.host_program(program));
         let start = Instant::now();
         let deadline_at = budget.deadline.map(|d| start + d);
         let run_config = budget.clamp_config(config);
-        let jobs = self.jobs.clamp(1, inputs.len().max(1));
-        let exec_span = trace.map(|parent| {
-            let span = parent.child("execute");
+        let jobs = self.jobs().clamp(1, inputs.len().max(1));
+        let exec_span = self.trace_child("execute").inspect(|span| {
             span.annotate("inputs", inputs.len());
             span.annotate("jobs", jobs);
-            span
         });
         // (context, execute-span id) pairs worker threads parent under.
         let worker_trace: Option<(TraceContext, u32)> =
@@ -425,7 +380,7 @@ impl Runtime {
             workers,
             jobs,
             worker_restarts: restarts.into_inner(),
-            cache_hit,
+            cache_hit: false,
             wall: start.elapsed(),
         };
         if let Some(telemetry) = &self.telemetry {
@@ -453,6 +408,44 @@ impl Runtime {
         }
         batch
     }
+
+    /// Per-pattern chunk counts for a set scan: how many chunks each set
+    /// member matched in. The first-acceptance run behind `outcomes`
+    /// halts on any member (hardware semantics), so every chunk that
+    /// completed with a match is re-run through an all-matches pass that
+    /// reports each distinct one — the memoized host engine on
+    /// [`Backend::Host`], the functional interpreter on [`Backend::Sim`];
+    /// their id sets are byte-identical. `outcomes` pairs with `chunks`
+    /// in order and the result has one slot per pattern.
+    pub fn count_per_pattern(
+        &self,
+        program: &Program,
+        chunks: &[Vec<u8>],
+        outcomes: &[MatchOutcome],
+        patterns: usize,
+    ) -> Vec<u64> {
+        let mut per_pattern = vec![0u64; patterns];
+        let mut host = None;
+        for (chunk, outcome) in chunks.iter().zip(outcomes) {
+            if !matches!(outcome, MatchOutcome::Complete(report) if report.accepted) {
+                continue;
+            }
+            let ids = match self.backend {
+                Backend::Host => {
+                    host.get_or_insert_with(|| self.host_program(program))
+                        .run_all(chunk)
+                        .matched_ids
+                }
+                Backend::Sim => cicero_isa::run_all(program, chunk).matched_ids,
+            };
+            for id in ids {
+                if let Some(count) = per_pattern.get_mut(usize::from(id)) {
+                    *count += 1;
+                }
+            }
+        }
+        per_pattern
+    }
 }
 
 #[cfg(test)]
@@ -460,6 +453,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    use cicero_sim::simulate_batch;
     use cicero_telemetry::Telemetry;
 
     use super::*;
@@ -478,6 +472,16 @@ mod tests {
         Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() })
     }
 
+    /// The reference every pool result is held to: one machine, inputs in
+    /// order.
+    fn sequential(config: &ArchConfig) -> Vec<MatchOutcome> {
+        let program = cicero_core::compile(PATTERN).unwrap().into_program();
+        simulate_batch(&program, &chunks(), config)
+            .into_iter()
+            .map(MatchOutcome::Complete)
+            .collect()
+    }
+
     /// Suppress the default panic-to-stderr hook for a deliberately
     /// panicking section, so test output stays readable.
     fn quietly<T>(f: impl FnOnce() -> T) -> T {
@@ -491,16 +495,15 @@ mod tests {
     #[test]
     fn unlimited_guarded_batch_equals_the_plain_path() {
         let config = ArchConfig::new_organization(8, 1);
-        let plain = runtime(3).match_batch(PATTERN, &chunks(), &config).unwrap();
-        let guarded = runtime(3)
-            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
-            .unwrap();
-        assert_eq!(guarded.outcomes.len(), plain.reports.len());
-        for (outcome, report) in guarded.outcomes.iter().zip(&plain.reports) {
-            assert_eq!(outcome, &MatchOutcome::Complete(*report));
+        let plain = sequential(&config);
+        for jobs in 1..=5 {
+            let guarded = runtime(jobs)
+                .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
+                .unwrap();
+            assert_eq!(guarded.outcomes, plain, "jobs={jobs}");
+            assert_eq!(guarded.worker_restarts, 0);
+            assert_eq!(guarded.matches(), 2);
         }
-        assert_eq!(guarded.worker_restarts, 0);
-        assert_eq!(guarded.matches(), plain.matches());
     }
 
     #[test]
@@ -526,13 +529,26 @@ mod tests {
     #[test]
     fn ample_fuel_does_not_change_results() {
         let config = ArchConfig::old_organization(1);
-        let plain = runtime(2).match_batch(PATTERN, &chunks(), &config).unwrap();
         let guarded = runtime(2)
             .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::with_fuel(1_000_000))
             .unwrap();
-        for (outcome, report) in guarded.outcomes.iter().zip(&plain.reports) {
-            assert_eq!(outcome, &MatchOutcome::Complete(*report));
-        }
+        assert_eq!(guarded.outcomes, sequential(&config));
+    }
+
+    #[test]
+    fn remaining_after_charges_the_deadline_and_saturates_at_zero() {
+        let budget = Budget { fuel: Some(7), deadline: Some(Duration::from_millis(50)) };
+        let later = budget.remaining_after(Duration::from_millis(20));
+        assert_eq!(later, Budget { fuel: Some(7), deadline: Some(Duration::from_millis(30)) });
+        let spent = budget.remaining_after(Duration::from_secs(1));
+        assert_eq!(spent.deadline, Some(Duration::ZERO), "saturates, never wraps");
+        assert_eq!(spent.fuel, Some(7), "fuel is per input, not charged");
+        assert_eq!(Budget::UNLIMITED.remaining_after(Duration::from_secs(1)), Budget::UNLIMITED);
+        // A fully spent deadline fails every input without running it.
+        let batch = runtime(1)
+            .match_batch_guarded(PATTERN, &chunks(), &ArchConfig::old_organization(1), &spent)
+            .unwrap();
+        assert_eq!(batch.budget_exceeded(), chunks().len());
     }
 
     #[test]
@@ -561,9 +577,8 @@ mod tests {
     fn a_worker_panic_is_recovered_and_the_batch_completes() {
         // The hook panics exactly once, on input 3's first attempt: the
         // worker discards its machine, respawns, retries, and every input
-        // still completes with a report identical to the plain path.
+        // still completes with a report identical to the sequential path.
         let config = ArchConfig::new_organization(8, 1);
-        let plain = runtime(2).match_batch(PATTERN, &chunks(), &config).unwrap();
         let fired = Arc::new(AtomicUsize::new(0));
         let hook = {
             let fired = Arc::clone(&fired);
@@ -579,10 +594,7 @@ mod tests {
             runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap()
         });
         assert!(batch.worker_restarts >= 1);
-        assert_eq!(batch.completed(), chunks().len(), "{:?}", batch.outcomes);
-        for (outcome, report) in batch.outcomes.iter().zip(&plain.reports) {
-            assert_eq!(outcome, &MatchOutcome::Complete(*report));
-        }
+        assert_eq!(batch.outcomes, sequential(&config));
         assert!(telemetry.counter("runtime.worker_restarts") >= 1);
     }
 
@@ -612,6 +624,8 @@ mod tests {
         let batch = runtime(3)
             .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
             .unwrap();
+        assert!(batch.jobs >= 1 && batch.jobs <= 3);
+        assert_eq!(batch.workers.len(), batch.jobs);
         assert_eq!(batch.workers.iter().map(|w| w.inputs).sum::<usize>(), chunks().len());
         let outcome_cycles: u64 =
             batch.outcomes.iter().filter_map(|o| o.report().map(|r| r.cycles)).sum();
@@ -622,8 +636,8 @@ mod tests {
     fn a_set_scan_survives_a_worker_panic_with_correct_per_pattern_counts() {
         // A multi-pattern set on the guarded pool: one injected panic on
         // chunk 2's first attempt exercises the respawn path, and the
-        // exhaustive per-pattern counts (run_all over every completed
-        // chunk) still equal the panic-free run.
+        // exhaustive per-pattern counts still equal the panic-free run —
+        // on either backend's all-matches pass.
         let config = ArchConfig::new_organization(8, 1);
         let patterns = ["abcd", "bcda", "zzz"];
         let chunks = chunks(); // chunk 2 contains "abcd", chunk 5 "bcda"
@@ -631,15 +645,7 @@ mod tests {
         let program = runtime_plain.compile_set(&patterns).unwrap();
 
         let count_per_pattern = |outcomes: &[MatchOutcome], inputs: &[Vec<u8>]| {
-            let mut counts = vec![0usize; patterns.len()];
-            for (outcome, input) in outcomes.iter().zip(inputs) {
-                if outcome.is_complete() {
-                    for id in cicero_isa::run_all(&program, input).matched_ids {
-                        counts[usize::from(id)] += 1;
-                    }
-                }
-            }
-            counts
+            runtime_plain.count_per_pattern(&program, inputs, outcomes, patterns.len())
         };
 
         let plain = runtime_plain.run_batch_guarded(&program, &chunks, &config, &Budget::UNLIMITED);
@@ -663,6 +669,12 @@ mod tests {
         assert!(batch.worker_restarts >= 1, "the injected panic must recycle a worker");
         assert_eq!(batch.completed(), chunks.len(), "{:?}", batch.outcomes);
         assert_eq!(count_per_pattern(&batch.outcomes, &chunks), expected);
+        let on_host = runtime_plain.with_backend(Backend::Host);
+        let host = on_host.run_batch_guarded(&program, &chunks, &config, &Budget::UNLIMITED);
+        assert_eq!(
+            on_host.count_per_pattern(&program, &chunks, &host.outcomes, patterns.len()),
+            expected
+        );
     }
 
     #[test]
@@ -672,13 +684,8 @@ mod tests {
         let ctx = TraceContext::new("trace-batch");
         let root = ctx.root_span("request");
         let batch = runtime(3)
-            .match_batch_guarded_traced(
-                PATTERN,
-                &chunks(),
-                &config,
-                &Budget::UNLIMITED,
-                Some(&root),
-            )
+            .with_trace(&root)
+            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
             .unwrap();
         drop(root);
         let trace = ctx.finish();
@@ -713,26 +720,10 @@ mod tests {
 
         // A second traced run hits the cache: no pass spans this time.
         let ctx2 = TraceContext::new("trace-batch-2");
-        let runtime2 = runtime(2);
         let root2 = ctx2.root_span("request");
-        runtime2
-            .match_batch_guarded_traced(
-                PATTERN,
-                &chunks(),
-                &config,
-                &Budget::UNLIMITED,
-                Some(&root2),
-            )
-            .unwrap();
-        runtime2
-            .match_batch_guarded_traced(
-                PATTERN,
-                &chunks(),
-                &config,
-                &Budget::UNLIMITED,
-                Some(&root2),
-            )
-            .unwrap();
+        let runtime2 = runtime(2).with_trace(&root2);
+        runtime2.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap();
+        runtime2.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap();
         drop(root2);
         let trace2 = ctx2.finish();
         let compiles: Vec<_> = trace2.spans.iter().filter(|s| s.name == "compile").collect();
@@ -795,14 +786,8 @@ mod tests {
         let config = ArchConfig::old_organization(1);
         let sim_runtime = runtime(1);
         let via_host = sim_runtime
-            .match_batch_guarded_traced_on(
-                Backend::Host,
-                PATTERN,
-                &chunks(),
-                &config,
-                &Budget::UNLIMITED,
-                None,
-            )
+            .with_backend(Backend::Host)
+            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
             .unwrap();
         assert_eq!(via_host.matches(), 2);
         // Second call on the other backend hits the same cache entry.
@@ -836,11 +821,16 @@ mod tests {
     }
 
     #[test]
-    fn guarded_batch_handles_empty_input_sets() {
+    fn guarded_batch_handles_degenerate_shapes() {
         let config = ArchConfig::old_organization(1);
         let batch =
             runtime(4).match_batch_guarded(PATTERN, &[], &config, &Budget::UNLIMITED).unwrap();
         assert!(batch.outcomes.is_empty());
         assert_eq!(batch.worker_restarts, 0);
+        // More workers than inputs: the pool shrinks to the batch.
+        let one = runtime(8)
+            .match_batch_guarded(PATTERN, &[b"abcd".to_vec()], &config, &Budget::UNLIMITED)
+            .unwrap();
+        assert_eq!((one.jobs, one.matches()), (1, 1));
     }
 }

@@ -21,17 +21,24 @@
 //! # Example
 //!
 //! ```
-//! use cicero_runtime::{Runtime, RuntimeOptions};
+//! use cicero_core::Backend;
+//! use cicero_runtime::{Budget, Runtime, RuntimeOptions};
 //! use cicero_sim::ArchConfig;
 //!
 //! let runtime = Runtime::new(RuntimeOptions { jobs: 2, ..RuntimeOptions::default() });
+//! let config = ArchConfig::new_organization(8, 1);
 //! let chunks = vec![b"xxabyy".to_vec(), b"nothing".to_vec(), b"ab".to_vec()];
-//! let batch = runtime.match_batch("ab|cd", &chunks, &ArchConfig::new_organization(8, 1))?;
+//! let batch = runtime.match_batch_guarded("ab|cd", &chunks, &config, &Budget::UNLIMITED)?;
 //! assert_eq!(batch.matches(), 2);
 //! assert!(!batch.cache_hit);
-//! let again = runtime.match_batch("ab|cd", &chunks, &ArchConfig::new_organization(8, 1))?;
+//! let again = runtime.match_batch_guarded("ab|cd", &chunks, &config, &Budget::UNLIMITED)?;
 //! assert!(again.cache_hit, "second request skips the pass pipeline");
-//! assert_eq!(again.reports, batch.reports, "reports are deterministic");
+//! assert_eq!(again.outcomes, batch.outcomes, "reports are deterministic");
+//! // Backend (and trace parent) are scoped per request, not passed per call.
+//! let on_host = runtime.with_backend(Backend::Host);
+//! let host = on_host.match_batch_guarded("ab|cd", &chunks, &config, &Budget::UNLIMITED)?;
+//! assert!(host.cache_hit, "both backends share one cache entry");
+//! assert_eq!(host.matches(), 2);
 //! # Ok::<(), cicero_core::CompileError>(())
 //! ```
 
@@ -41,9 +48,8 @@ mod handle;
 mod stream;
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-pub use budget::{Budget, BudgetKind, GuardedBatch, MatchOutcome};
+pub use budget::{Budget, BudgetKind, GuardedBatch, MatchOutcome, WorkerStats};
 pub use cache::{CacheKey, CacheStats, ProgramCache, DEFAULT_SHARDS};
 pub use cicero_hostexec::{
     EngineKind, HostAllOutcome, HostOutcome, HostProgram, HostRun, HostTiers,
@@ -53,8 +59,8 @@ pub use stream::{StreamError, StreamOptions, StreamReport};
 
 use cicero_core::{Backend, CompileError, Compiler, CompilerOptions, PipelineReport};
 use cicero_isa::Program;
-use cicero_sim::{simulate_batch_parallel_stats, ArchConfig, ExecReport, WorkerStats};
-use cicero_telemetry::{Telemetry, TraceSpan, Value};
+use cicero_sim::ExecReport;
+use cicero_telemetry::{Telemetry, TraceContext, TraceSpan, Value};
 
 /// Synthesize an [`ExecReport`] from a host-engine run so the host
 /// backend flows through the same budget classification, batch
@@ -111,7 +117,7 @@ impl HostCache {
 /// Backfill per-pass compile timings under `span` as synthetic child
 /// spans, laid out end-to-end from the span's start (the pass manager
 /// ran them sequentially, so the cumulative layout is faithful).
-pub(crate) fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
+fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
     let mut offset = span.start_offset();
     for pass in &report.passes {
         span.context().record_complete(
@@ -160,72 +166,47 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// The result of one batch served by the runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchReport {
-    /// One report per input, in input order — byte-identical to the
-    /// sequential [`simulate_batch`](cicero_sim::simulate_batch) path for
-    /// every worker count.
-    pub reports: Vec<ExecReport>,
-    /// All reports [`accumulate`](ExecReport::accumulate)d together.
-    pub aggregate: ExecReport,
-    /// Per-worker accounting, in worker order.
-    pub workers: Vec<WorkerStats>,
-    /// Worker threads the batch actually used.
-    pub jobs: usize,
-    /// Whether the program came out of the cache (no compilation).
-    pub cache_hit: bool,
-    /// Host wall-clock time spent executing the batch (excluding
-    /// compilation).
-    pub wall: Duration,
-}
-
-impl BatchReport {
-    /// Number of inputs that matched.
-    pub fn matches(&self) -> usize {
-        self.reports.iter().filter(|r| r.accepted).count()
-    }
-
-    /// Total input bytes per host wall-clock second (0 when the batch
-    /// finished faster than the clock resolution).
-    pub fn throughput_bytes_per_sec(&self, total_bytes: usize) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs > 0.0 {
-            total_bytes as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A pre-run hook invoked with each input index on the worker thread
-/// about to simulate it (guarded path only). Exists so tests can inject
-/// deterministic faults — a panicking hook exercises the worker
-/// panic-isolation path.
+/// about to run it. Exists so tests can inject deterministic faults — a
+/// panicking hook exercises the worker panic-isolation path.
 pub type RunHook = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// A batch-matching runtime: worker pool + compiled-program cache.
-///
-/// Cheap to share behind an [`Arc`]; all interior state (the cache) is
-/// thread-safe, and batches from concurrent front-end threads interleave
-/// freely.
-pub struct Runtime {
+/// What every handle onto one runtime shares.
+struct Shared {
     options: RuntimeOptions,
     jobs: usize,
     cache: ProgramCache,
     host: HostCache,
+}
+
+/// A batch-matching runtime: worker pool + compiled-program cache.
+///
+/// A `Runtime` is a cheap handle: the cache, the host-lowering memo and
+/// the options live behind one [`Arc`], and [`Runtime::with_backend`] /
+/// [`Runtime::with_trace`] return a handle scoped to one request that
+/// shares them. Batches from concurrent front-end threads interleave
+/// freely.
+#[derive(Clone)]
+pub struct Runtime {
+    shared: Arc<Shared>,
     telemetry: Option<Telemetry>,
     run_hook: Option<RunHook>,
+    backend: Backend,
+    /// The request span operations hang their children off, as the
+    /// `(context, span id)` pair worker threads parent under.
+    trace: Option<(TraceContext, u32)>,
 }
 
 impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
-            .field("options", &self.options)
-            .field("jobs", &self.jobs)
-            .field("cache", &self.cache)
+            .field("options", &self.shared.options)
+            .field("jobs", &self.shared.jobs)
+            .field("cache", &self.shared.cache)
             .field("telemetry", &self.telemetry)
             .field("run_hook", &self.run_hook.as_ref().map(|_| "..."))
+            .field("backend", &self.backend)
+            .field("traced", &self.trace.is_some())
             .finish()
     }
 }
@@ -248,57 +229,84 @@ impl Runtime {
         let shards =
             if options.cache_shards == 0 { cache::DEFAULT_SHARDS } else { options.cache_shards };
         Runtime {
-            jobs,
-            cache: ProgramCache::with_shards(options.cache_capacity, shards),
-            host: HostCache::new(options.cache_capacity, options.host_tiers),
-            options,
+            shared: Arc::new(Shared {
+                jobs,
+                cache: ProgramCache::with_shards(options.cache_capacity, shards),
+                host: HostCache::new(options.cache_capacity, options.host_tiers),
+                options,
+            }),
             telemetry: None,
             run_hook: None,
+            backend: options.compiler.backend,
+            trace: None,
         }
     }
 
     /// Attach a telemetry collector: every batch then records `runtime.*`
-    /// counters (batch/input/cache totals, per-worker distributions) and
-    /// folds each run's [`ExecReport`] into the existing `sim.*` metrics.
+    /// counters and folds each run's [`ExecReport`] into the existing
+    /// `sim.*` metrics.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Runtime {
         self.telemetry = Some(telemetry);
         self
     }
 
-    /// Install a pre-run hook for the guarded batch path (see [`RunHook`]).
+    /// Install a pre-run hook for the worker pool (see [`RunHook`]).
     #[must_use]
     pub fn with_run_hook(mut self, hook: RunHook) -> Runtime {
         self.run_hook = Some(hook);
         self
     }
 
+    /// A handle that executes on `backend` (the per-request override the
+    /// server's `X-Cicero-Backend` header resolves to). The compiled
+    /// program is identical either way — both backends share one cache
+    /// entry; only the execution engine differs.
+    #[must_use]
+    pub fn with_backend(&self, backend: Backend) -> Runtime {
+        Runtime { backend, ..self.clone() }
+    }
+
+    /// A handle whose operations trace under `parent`: compiles open a
+    /// `compile` child (per-pass children on a cache miss), batches an
+    /// `execute` child with one `{engine}.worker-N` span per pool worker,
+    /// streaming sessions a `stream.execute` child.
+    #[must_use]
+    pub fn with_trace(&self, parent: &TraceSpan) -> Runtime {
+        Runtime { trace: Some((parent.context().clone(), parent.id())), ..self.clone() }
+    }
+
     /// The resolved worker count.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.shared.jobs
     }
 
     /// The active options (with `jobs` as originally requested).
     pub fn options(&self) -> &RuntimeOptions {
-        &self.options
+        &self.shared.options
     }
 
     /// The compiled-program cache (for statistics and administration).
     pub fn cache(&self) -> &ProgramCache {
-        &self.cache
+        &self.shared.cache
     }
 
-    /// The backend requests run on unless they say otherwise (from
-    /// [`RuntimeOptions::compiler`]).
+    /// The backend this handle runs on: [`RuntimeOptions::compiler`]'s
+    /// unless scoped by [`Runtime::with_backend`].
     pub fn backend(&self) -> Backend {
-        self.options.compiler.backend
+        self.backend
     }
 
     /// The host-engine lowering of `program`, memoized per runtime. Use
     /// this to inspect engine selection or to run host-only entry points
     /// like [`HostProgram::run_all`] directly.
     pub fn host_program(&self, program: &Program) -> Arc<HostProgram> {
-        self.host.get_or_lower(program)
+        self.shared.host.get_or_lower(program)
+    }
+
+    /// Open a child of the scoped request span (`None` when untraced).
+    pub(crate) fn trace_child(&self, name: &str) -> Option<TraceSpan> {
+        self.trace.as_ref().map(|(ctx, parent)| ctx.child_of(Some(*parent), name))
     }
 
     /// Compile `pattern` through the cache.
@@ -307,48 +315,19 @@ impl Runtime {
     ///
     /// See [`CompileError`]; failures are not cached.
     pub fn compile(&self, pattern: &str) -> Result<Arc<Program>, CompileError> {
-        Ok(self.compile_tracked(pattern)?.0)
+        Ok(self.compile_with_hit(pattern)?.0)
     }
 
-    fn compile_tracked(&self, pattern: &str) -> Result<(Arc<Program>, bool), CompileError> {
-        self.compile_traced(pattern, None)
-    }
-
-    /// Compile `pattern` through the cache, attaching a `compile` child
-    /// span (with per-pass children on a cache miss) under `trace`.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompileError`]; failures are not cached.
-    pub fn compile_traced(
+    pub(crate) fn compile_with_hit(
         &self,
         pattern: &str,
-        trace: Option<&TraceSpan>,
     ) -> Result<(Arc<Program>, bool), CompileError> {
-        let span = trace.map(|parent| parent.child("compile"));
-        let mut report: Option<PipelineReport> = None;
-        // Compilation is backend-agnostic, so the backend is normalized
-        // out of the key: sim and host requests share one cache entry.
-        let key = CacheKey::pattern(pattern, self.options.compiler.with_backend(Backend::Sim));
-        let result: Result<(Arc<Program>, bool), CompileError> =
-            self.cache.get_or_insert_with(key, || {
-                let compiled = Compiler::with_options(self.options.compiler).compile(pattern)?;
-                if span.is_some() {
-                    report = Some(compiled.pass_report().clone());
-                }
-                Ok(compiled.into_program())
-            });
-        self.note_lookup(&result);
-        if let Some(span) = &span {
-            if let Ok((_, hit)) = &result {
-                span.annotate("cache_hit", *hit);
-            }
-            if let Some(report) = &report {
-                span.annotate("passes", report.passes.len());
-                record_pass_spans(span, report);
-            }
-        }
-        result
+        let key = CacheKey::pattern(pattern, self.cache_key_options());
+        self.lookup(key, None, |compiler| {
+            let compiled = compiler.compile(pattern)?;
+            let report = compiled.pass_report().clone();
+            Ok((compiled.into_program(), report))
+        })
     }
 
     /// Compile a multi-matching set through the cache (see
@@ -359,140 +338,74 @@ impl Runtime {
     ///
     /// See [`Compiler::compile_set`].
     pub fn compile_set<S: AsRef<str>>(&self, patterns: &[S]) -> Result<Arc<Program>, CompileError> {
-        Ok(self.compile_set_traced(patterns, None)?.0)
+        Ok(self.compile_set_with_hit(patterns)?.0)
     }
 
-    /// Compile a multi-matching set through the cache, attaching a
-    /// `compile` child span (with per-pass children covering every
-    /// pattern's pipeline on a cache miss) under `trace`.
+    /// [`Runtime::compile_set`], also reporting whether the program came
+    /// out of the cache (no compilation).
     ///
     /// # Errors
     ///
     /// See [`Compiler::compile_set`].
-    pub fn compile_set_traced<S: AsRef<str>>(
+    pub fn compile_set_with_hit<S: AsRef<str>>(
         &self,
         patterns: &[S],
-        trace: Option<&TraceSpan>,
     ) -> Result<(Arc<Program>, bool), CompileError> {
-        let span = trace.map(|parent| {
-            let span = parent.child("compile");
-            span.annotate("patterns", patterns.len());
-            span
-        });
+        let key = CacheKey::set(patterns, self.cache_key_options());
+        self.lookup(key, Some(patterns.len()), |compiler| {
+            let set = compiler.compile_set(patterns)?;
+            Ok((set.program().clone(), set.pass_report().clone()))
+        })
+    }
+
+    /// Compilation is backend-agnostic, so the backend is normalized out
+    /// of every cache key: sim and host requests share one entry.
+    fn cache_key_options(&self) -> CompilerOptions {
+        self.shared.options.compiler.with_backend(Backend::Sim)
+    }
+
+    /// One cache lookup under a `compile` trace span; `build` runs the
+    /// pass pipeline on a miss, and its per-pass timings become the
+    /// span's children.
+    fn lookup(
+        &self,
+        key: CacheKey,
+        set_size: Option<usize>,
+        build: impl FnOnce(&Compiler) -> Result<(Program, PipelineReport), CompileError>,
+    ) -> Result<(Arc<Program>, bool), CompileError> {
+        let span = self.trace_child("compile");
+        if let (Some(span), Some(patterns)) = (&span, set_size) {
+            span.annotate("patterns", patterns);
+        }
         let mut report: Option<PipelineReport> = None;
-        let key = CacheKey::set(patterns, self.options.compiler.with_backend(Backend::Sim));
         let result: Result<(Arc<Program>, bool), CompileError> =
-            self.cache.get_or_insert_with(key, || {
-                let set = Compiler::with_options(self.options.compiler).compile_set(patterns)?;
-                if span.is_some() {
-                    report = Some(set.pass_report().clone());
-                }
-                Ok(set.program().clone())
+            self.shared.cache.get_or_insert_with(key, || {
+                let (program, passes) =
+                    build(&Compiler::with_options(self.shared.options.compiler))?;
+                report = Some(passes);
+                Ok(program)
             });
-        self.note_lookup(&result);
-        if let Some(span) = &span {
-            if let Ok((_, hit)) = &result {
+        if let Ok((_, hit)) = &result {
+            if let Some(telemetry) = &self.telemetry {
+                let name = if *hit { "runtime.cache_hits" } else { "runtime.cache_misses" };
+                telemetry.counter_add(name, 1);
+            }
+            if let Some(span) = &span {
                 span.annotate("cache_hit", *hit);
             }
-            if let Some(report) = &report {
-                span.annotate("passes", report.passes.len());
-                record_pass_spans(span, report);
-            }
+        }
+        if let (Some(span), Some(report)) = (&span, &report) {
+            span.annotate("passes", report.passes.len());
+            record_pass_spans(span, report);
         }
         result
-    }
-
-    fn note_lookup<E>(&self, result: &Result<(Arc<Program>, bool), E>) {
-        if let (Some(telemetry), Ok((_, hit))) = (&self.telemetry, result) {
-            let name = if *hit { "runtime.cache_hits" } else { "runtime.cache_misses" };
-            telemetry.counter_add(name, 1);
-        }
-    }
-
-    /// Compile `pattern` (through the cache) and run it over every input
-    /// on the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Compilation errors only; execution itself cannot fail.
-    pub fn match_batch(
-        &self,
-        pattern: &str,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-    ) -> Result<BatchReport, CompileError> {
-        let (program, cache_hit) = self.compile_tracked(pattern)?;
-        Ok(self.run_batch_inner(&program, inputs, config, cache_hit))
-    }
-
-    /// Run an already-compiled program over every input on the worker
-    /// pool (`cache_hit` is reported as `false`).
-    pub fn run_batch(
-        &self,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-    ) -> BatchReport {
-        self.run_batch_inner(program, inputs, config, false)
-    }
-
-    fn run_batch_inner(
-        &self,
-        program: &Program,
-        inputs: &[Vec<u8>],
-        config: &ArchConfig,
-        cache_hit: bool,
-    ) -> BatchReport {
-        let span = self.telemetry.as_ref().map(|t| {
-            let span = t.span("runtime.batch");
-            span.annotate("inputs", inputs.len());
-            span.annotate("jobs", self.jobs.min(inputs.len().max(1)));
-            span.annotate("cache_hit", cache_hit);
-            span
-        });
-        let start = Instant::now();
-        let (reports, workers) = simulate_batch_parallel_stats(program, inputs, config, self.jobs);
-        let wall = start.elapsed();
-        let mut aggregate = ExecReport::default();
-        for report in &reports {
-            aggregate.accumulate(report);
-        }
-        let batch =
-            BatchReport { jobs: workers.len(), aggregate, workers, reports, cache_hit, wall };
-        if let Some(telemetry) = &self.telemetry {
-            self.record_batch(telemetry, &batch);
-            if let Some(span) = span {
-                span.annotate("matches", batch.matches());
-                span.annotate("cycles", batch.aggregate.cycles);
-            }
-        }
-        batch
-    }
-
-    /// Fold one batch into the collector: `runtime.*` counters and
-    /// per-worker distributions, plus every run's report merged into the
-    /// `sim.*` metrics (the same shape `simulate_with_telemetry` emits, so
-    /// dashboards aggregate sequential and parallel traffic uniformly).
-    fn record_batch(&self, telemetry: &Telemetry, batch: &BatchReport) {
-        telemetry.counter_add("runtime.batches", 1);
-        telemetry.counter_add("runtime.inputs", batch.reports.len() as u64);
-        telemetry.counter_add("runtime.matches", batch.matches() as u64);
-        telemetry.gauge_set("runtime.jobs", self.jobs as f64);
-        for worker in &batch.workers {
-            telemetry.counter_add("runtime.worker_runs", worker.inputs as u64);
-            telemetry.observe("runtime.worker_inputs", worker.inputs as f64);
-            telemetry.observe("runtime.worker_cycles", worker.cycles as f64);
-        }
-        for report in &batch.reports {
-            report.record_into(telemetry);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cicero_sim::simulate_batch;
+    use cicero_sim::ArchConfig;
 
     fn chunks() -> Vec<Vec<u8>> {
         let mut inputs: Vec<Vec<u8>> = (0..7).map(|i| vec![b'x'; 30 + i]).collect();
@@ -508,26 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn matches_equal_the_sequential_path_for_every_job_count() {
-        let config = ArchConfig::new_organization(8, 1);
-        let program = cicero_core::compile(PATTERN).unwrap().into_program();
-        let sequential = simulate_batch(&program, &chunks(), &config);
-        for jobs in 1..=5 {
-            let batch = runtime(jobs).match_batch(PATTERN, &chunks(), &config).unwrap();
-            assert_eq!(batch.reports, sequential, "jobs={jobs}");
-            assert_eq!(batch.matches(), 2);
-        }
-    }
-
-    #[test]
     fn cache_serves_repeated_patterns() {
         let runtime = runtime(2);
         let config = ArchConfig::old_organization(1);
-        let first = runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
+        let first =
+            runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap();
         assert!(!first.cache_hit);
-        let second = runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
+        let second =
+            runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap();
         assert!(second.cache_hit);
-        assert_eq!(first.reports, second.reports);
+        assert_eq!(first.outcomes, second.outcomes);
         let stats = runtime.cache().stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
     }
@@ -536,9 +439,10 @@ mod tests {
     fn compile_set_is_cached_too() {
         let runtime = runtime(1);
         let patterns = ["GET /", "POST /"];
-        let a = runtime.compile_set(&patterns).unwrap();
-        let b = runtime.compile_set(&patterns).unwrap();
+        let (a, first_hit) = runtime.compile_set_with_hit(&patterns).unwrap();
+        let (b, second_hit) = runtime.compile_set_with_hit(&patterns).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!((first_hit, second_hit), (false, true));
         assert_eq!(runtime.cache().stats().hits, 1);
     }
 
@@ -563,13 +467,14 @@ mod tests {
     }
 
     #[test]
-    fn worker_accounting_covers_every_input() {
-        let batch = runtime(3)
-            .match_batch(PATTERN, &chunks(), &ArchConfig::new_organization(8, 1))
-            .unwrap();
-        assert_eq!(batch.workers.iter().map(|w| w.inputs).sum::<usize>(), chunks().len());
-        assert_eq!(batch.workers.iter().map(|w| w.cycles).sum::<u64>(), batch.aggregate.cycles);
-        assert!(batch.jobs >= 1 && batch.jobs <= 3);
+    fn scoped_handles_share_the_cache_and_leave_the_parent_untouched() {
+        let runtime = runtime(1);
+        let on_host = runtime.with_backend(Backend::Host);
+        assert_eq!((runtime.backend(), on_host.backend()), (Backend::Sim, Backend::Host));
+        let a = runtime.compile(PATTERN).unwrap();
+        let b = on_host.compile(PATTERN).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "both backends share one cache entry");
+        assert_eq!(on_host.cache().stats().hits, 1);
     }
 
     #[test]
@@ -577,19 +482,18 @@ mod tests {
         let telemetry = Telemetry::new();
         let runtime = runtime(2).with_telemetry(telemetry.clone());
         let config = ArchConfig::old_organization(1);
-        runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
-        runtime.match_batch(PATTERN, &chunks(), &config).unwrap();
-        assert_eq!(telemetry.counter("runtime.batches"), 2);
+        runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap();
+        runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap();
+        assert_eq!(telemetry.counter("runtime.guarded_batches"), 2);
         assert_eq!(telemetry.counter("runtime.inputs"), 14);
+        assert_eq!(telemetry.counter("runtime.matches"), 4);
         assert_eq!(telemetry.counter("runtime.cache_hits"), 1);
         assert_eq!(telemetry.counter("runtime.cache_misses"), 1);
-        assert_eq!(telemetry.counter("runtime.worker_runs"), 14);
         // Every individual run is folded into the existing sim.* metrics.
         assert_eq!(telemetry.counter("sim.runs"), 14);
         assert_eq!(telemetry.histogram("sim.cycles").unwrap().count, 14);
-        assert!(telemetry.histogram("runtime.worker_cycles").unwrap().count >= 2);
         let spans = telemetry.spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "runtime.batch").count(), 2);
+        assert_eq!(spans.iter().filter(|s| s.name == "runtime.guarded_batch").count(), 2);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The streaming scan session: a reader thread feeding a resumable
-//! [`StreamMachine`] through a *bounded* chunk queue.
+//! matcher — the [`StreamMachine`], or the host engine's — through a
+//! *bounded* chunk queue.
 //!
 //! The queue is a [`std::sync::mpsc::sync_channel`] of depth
 //! [`StreamOptions::queue_depth`], so a slow pattern exerts backpressure
@@ -13,13 +14,13 @@
 use std::io::{self, Read};
 use std::time::{Duration, Instant};
 
-use cicero_core::{Backend, CompileError};
+use cicero_core::Backend;
+use cicero_hostexec::HostMatcher;
 use cicero_isa::Program;
-use cicero_sim::{ArchConfig, StreamMachine, StreamStatus};
-use cicero_telemetry::TraceSpan;
+use cicero_sim::{ArchConfig, ExecReport, StreamMachine, StreamStatus};
 
 use crate::budget::{Budget, BudgetKind, MatchOutcome};
-use crate::{host_exec_report, HostRun, Runtime};
+use crate::{host_exec_report, HostOutcome, HostRun, Runtime};
 
 /// Knobs for one streaming session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +43,6 @@ impl Default for StreamOptions {
 /// Why a streaming session could not run.
 #[derive(Debug)]
 pub enum StreamError {
-    /// The pattern failed to compile.
-    Compile(CompileError),
     /// The input source failed mid-stream.
     Io(io::Error),
     /// Rejected options (zero chunk size or queue depth).
@@ -53,7 +52,6 @@ pub enum StreamError {
 impl std::fmt::Display for StreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StreamError::Compile(e) => write!(f, "compiling pattern: {e}"),
             StreamError::Io(e) => write!(f, "reading input: {e}"),
             StreamError::Options(e) => write!(f, "{e}"),
         }
@@ -96,27 +94,85 @@ fn read_chunk<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-impl Runtime {
-    /// Compile `pattern` (through the cache) and scan `reader` streaming.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::Compile`], or see [`Runtime::scan_stream`].
-    pub fn match_stream<R: Read + Send>(
-        &self,
-        pattern: &str,
-        reader: R,
-        config: &ArchConfig,
-        options: &StreamOptions,
-    ) -> Result<StreamReport, StreamError> {
-        let program = self.compile(pattern).map_err(StreamError::Compile)?;
-        self.scan_stream(&program, reader, config, options)
+const NO_MATCH: HostOutcome =
+    HostOutcome { accepted: false, match_position: None, matched_id: None };
+
+/// The resumable engine behind one session. Both variants give a
+/// chunk-split-invariant verdict; they differ in what fuel bounds.
+// One session lives on `scan_stream`'s stack and is never stored or
+// moved, so the variants' size gap costs nothing worth a box.
+#[allow(clippy::large_enum_variant)]
+enum Session<'a> {
+    /// The cycle-level simulator; fuel is already clamped into its
+    /// config's `max_cycles`.
+    Sim(StreamMachine<'a>),
+    /// The host engine, whose matcher state is one machine word (or one
+    /// DFA id). Fuel is a byte budget here (`cycles` = bytes examined in
+    /// the host report convention), so the session stops feeding at
+    /// `byte_cap`.
+    Host { matcher: HostMatcher<'a>, byte_cap: u64, limit_hit: bool, peak_chunk: usize },
+}
+
+impl Session<'_> {
+    /// Feed one chunk: the bytes consumed, and whether the session is over
+    /// (verdict reached, or the byte budget ran out).
+    fn feed(&mut self, chunk: &[u8]) -> (usize, bool) {
+        match self {
+            Session::Sim(stream) => (chunk.len(), stream.feed(chunk) == StreamStatus::Complete),
+            Session::Host { matcher, byte_cap, limit_hit, peak_chunk } => {
+                *peak_chunk = (*peak_chunk).max(chunk.len());
+                let remaining = byte_cap.saturating_sub(matcher.position() as u64);
+                let take = (chunk.len() as u64).min(remaining) as usize;
+                let concluded = matcher.feed(&chunk[..take]).is_some();
+                *limit_hit = !concluded && take < chunk.len();
+                (take, concluded || *limit_hit)
+            }
+        }
     }
 
+    /// End of input (or an early conclusion): the final report.
+    fn finish(&mut self) -> ExecReport {
+        match self {
+            Session::Sim(stream) => stream.finish(),
+            Session::Host { matcher, limit_hit, .. } => host_exec_report(&HostRun {
+                outcome: if *limit_hit { NO_MATCH } else { matcher.finish() },
+                scanned: matcher.position() as u64,
+                hit_byte_limit: *limit_hit,
+            }),
+        }
+    }
+
+    /// Deadline expiry: the progress made so far, with no verdict.
+    fn abandon(&mut self) -> ExecReport {
+        match self {
+            Session::Sim(stream) => stream.abandon(),
+            Session::Host { matcher, .. } => host_exec_report(&HostRun {
+                outcome: NO_MATCH,
+                scanned: matcher.position() as u64,
+                hit_byte_limit: false,
+            }),
+        }
+    }
+
+    /// Memory high-water mark of the session's input buffering.
+    fn peak_buffered(&self) -> usize {
+        match self {
+            Session::Sim(stream) => stream.peak_resident(),
+            Session::Host { peak_chunk, .. } => *peak_chunk,
+        }
+    }
+}
+
+impl Runtime {
     /// Scan `reader` with an already-compiled program, chunk by chunk, in
-    /// bounded memory. The verdict is byte-identical to simulating the
-    /// whole input at once (chunk-split invariance), except that a budget
-    /// may conclude the session early with [`MatchOutcome::Budget`].
+    /// bounded memory, on this handle's backend. The verdict is
+    /// byte-identical to running the whole input at once (chunk-split
+    /// invariance), except that a budget may conclude the session early
+    /// with [`MatchOutcome::Budget`]. On [`Backend::Host`] the fuel budget
+    /// is a byte budget and the reported [`ExecReport`] follows the host
+    /// synthesis convention (`cycles` = bytes examined). Under
+    /// [`Runtime::with_trace`] the session runs in a `stream.execute`
+    /// span annotated with byte, chunk, and suspend totals.
     ///
     /// # Errors
     ///
@@ -125,50 +181,9 @@ impl Runtime {
     pub fn scan_stream<R: Read + Send>(
         &self,
         program: &Program,
-        reader: R,
-        config: &ArchConfig,
-        options: &StreamOptions,
-    ) -> Result<StreamReport, StreamError> {
-        self.scan_stream_traced(program, reader, config, options, None)
-    }
-
-    /// [`Runtime::scan_stream`] with request tracing: the whole session
-    /// runs under a `stream.execute` child span annotated with byte,
-    /// chunk, and suspend totals.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::scan_stream`].
-    pub fn scan_stream_traced<R: Read + Send>(
-        &self,
-        program: &Program,
-        reader: R,
-        config: &ArchConfig,
-        options: &StreamOptions,
-        trace: Option<&TraceSpan>,
-    ) -> Result<StreamReport, StreamError> {
-        self.scan_stream_traced_on(self.backend(), program, reader, config, options, trace)
-    }
-
-    /// [`Runtime::scan_stream_traced`] on an explicit backend. On
-    /// [`Backend::Host`] the session feeds a resumable
-    /// [`HostMatcher`](crate::HostProgram::matcher) instead of the
-    /// [`StreamMachine`]: the verdict is still chunk-split invariant, the
-    /// fuel budget becomes a byte budget, and the reported
-    /// [`ExecReport`] follows the host synthesis convention
-    /// (`cycles` = bytes examined).
-    ///
-    /// # Errors
-    ///
-    /// See [`Runtime::scan_stream`].
-    pub fn scan_stream_traced_on<R: Read + Send>(
-        &self,
-        backend: Backend,
-        program: &Program,
         mut reader: R,
         config: &ArchConfig,
         options: &StreamOptions,
-        trace: Option<&TraceSpan>,
     ) -> Result<StreamReport, StreamError> {
         if options.chunk_size == 0 {
             return Err(StreamError::Options("chunk size must be at least 1 byte".to_owned()));
@@ -180,144 +195,32 @@ impl Runtime {
             let span = t.span("stream.session");
             span.annotate("chunk_size", options.chunk_size);
             span.annotate("queue_depth", options.queue_depth);
-            span.annotate("backend", backend.to_string());
+            span.annotate("backend", self.backend.to_string());
             span
         });
-        let trace_span = trace.map(|parent| {
-            let span = parent.child("stream.execute");
+        let trace_span = self.trace_child("stream.execute").inspect(|span| {
             span.annotate("chunk_size", options.chunk_size);
             span.annotate("queue_depth", options.queue_depth);
-            span.annotate("backend", backend.to_string());
-            span
+            span.annotate("backend", self.backend.to_string());
         });
-        if backend == Backend::Host {
-            return self.scan_stream_host(program, reader, config, options, span, trace_span);
-        }
         let start = Instant::now();
         let deadline_at = options.budget.deadline.map(|d| start + d);
-        let mut stream = StreamMachine::new(program, options.budget.clamp_config(config));
-        if let Some(telemetry) = &self.telemetry {
-            stream.attach_telemetry(telemetry.clone());
-        }
+        let run_config = options.budget.clamp_config(config);
+        let host = (self.backend == Backend::Host).then(|| self.host_program(program));
+        let mut session = match &host {
+            Some(host) => Session::Host {
+                matcher: host.matcher(),
+                byte_cap: run_config.max_cycles,
+                limit_hit: false,
+                peak_chunk: 0,
+            },
+            None => Session::Sim(StreamMachine::new(program, run_config)),
+        };
 
         let chunk_size = options.chunk_size;
-        let mut bytes = 0u64;
+        let (mut bytes, mut chunks, mut suspends) = (0u64, 0u64, 0u64);
         let mut io_error: Option<io::Error> = None;
         let mut deadline_hit = false;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<io::Result<Vec<u8>>>(options.queue_depth);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                loop {
-                    let mut buf = vec![0u8; chunk_size];
-                    match read_chunk(&mut reader, &mut buf) {
-                        Ok(0) => break,
-                        Ok(n) => {
-                            buf.truncate(n);
-                            // A send error means the matcher concluded
-                            // early and dropped the queue.
-                            if tx.send(Ok(buf)).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            break;
-                        }
-                    }
-                }
-            });
-            while let Ok(message) = rx.recv() {
-                match message {
-                    Ok(chunk) => {
-                        if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                            deadline_hit = true;
-                            break;
-                        }
-                        bytes += chunk.len() as u64;
-                        if stream.feed(&chunk) == StreamStatus::Complete {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        io_error = Some(e);
-                        break;
-                    }
-                }
-            }
-            // Dropping the receiver unblocks a reader stuck on a full
-            // queue, so the scope can join.
-            drop(rx);
-        });
-        if let Some(e) = io_error {
-            return Err(StreamError::Io(e));
-        }
-
-        let outcome = if deadline_hit {
-            MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: Some(stream.abandon()) }
-        } else {
-            options.budget.classify(stream.finish(), config)
-        };
-        let report = StreamReport {
-            outcome,
-            bytes,
-            chunks: stream.chunks(),
-            suspends: stream.suspends(),
-            peak_buffered: stream.peak_resident(),
-            wall: start.elapsed(),
-        };
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.counter_add("stream.sessions", 1);
-            telemetry.counter_add("stream.chunks", report.chunks);
-            telemetry.counter_add("stream.bytes", report.bytes);
-            telemetry.counter_add("stream.suspends", report.suspends);
-            telemetry.observe("stream.peak_buffered", report.peak_buffered as f64);
-            if matches!(report.outcome, MatchOutcome::Budget { .. }) {
-                telemetry.counter_add("stream.budget_exceeded", 1);
-            }
-            if let Some(span) = span {
-                span.annotate("bytes", report.bytes);
-                span.annotate("complete", report.outcome.is_complete());
-            }
-        }
-        if let Some(span) = trace_span {
-            span.annotate("bytes", report.bytes);
-            span.annotate("chunks", report.chunks);
-            span.annotate("suspends", report.suspends);
-            span.annotate("complete", report.outcome.is_complete());
-        }
-        Ok(report)
-    }
-
-    /// The host-backend streaming session: the same bounded reader queue,
-    /// feeding a resumable host matcher instead of the stream machine.
-    /// The fuel budget clamps the session's byte count exactly as it
-    /// clamps simulated cycles on the sim path (`cycles` = bytes in the
-    /// host report convention), and the verdict is chunk-split invariant
-    /// because the matcher state is one machine word (or one DFA id).
-    fn scan_stream_host<R: Read + Send>(
-        &self,
-        program: &Program,
-        mut reader: R,
-        config: &ArchConfig,
-        options: &StreamOptions,
-        span: Option<cicero_telemetry::Span>,
-        trace_span: Option<TraceSpan>,
-    ) -> Result<StreamReport, StreamError> {
-        let start = Instant::now();
-        let deadline_at = options.budget.deadline.map(|d| start + d);
-        let byte_cap = options.budget.clamp_config(config).max_cycles;
-        let host = self.host.get_or_lower(program);
-        let mut matcher = host.matcher();
-
-        let chunk_size = options.chunk_size;
-        let mut bytes = 0u64;
-        let mut chunks = 0u64;
-        let mut suspends = 0u64;
-        let mut peak_buffered = 0usize;
-        let mut io_error: Option<io::Error> = None;
-        let mut deadline_hit = false;
-        let mut limit_hit = false;
-        let mut concluded: Option<crate::HostOutcome> = None;
         let (tx, rx) = std::sync::mpsc::sync_channel::<io::Result<Vec<u8>>>(options.queue_depth);
         std::thread::scope(|scope| {
             scope.spawn(move || loop {
@@ -326,6 +229,8 @@ impl Runtime {
                     Ok(0) => break,
                     Ok(n) => {
                         buf.truncate(n);
+                        // A send error means the matcher concluded early
+                        // and dropped the queue.
                         if tx.send(Ok(buf)).is_err() {
                             break;
                         }
@@ -343,17 +248,10 @@ impl Runtime {
                             deadline_hit = true;
                             break;
                         }
-                        peak_buffered = peak_buffered.max(chunk.len());
                         chunks += 1;
-                        let remaining = byte_cap.saturating_sub(matcher.position() as u64);
-                        let take = (chunk.len() as u64).min(remaining) as usize;
-                        bytes += take as u64;
-                        if let Some(outcome) = matcher.feed(&chunk[..take]) {
-                            concluded = Some(outcome);
-                            break;
-                        }
-                        if take < chunk.len() {
-                            limit_hit = true;
+                        let (consumed, over) = session.feed(&chunk);
+                        bytes += consumed as u64;
+                        if over {
                             break;
                         }
                         suspends += 1;
@@ -364,6 +262,8 @@ impl Runtime {
                     }
                 }
             }
+            // Dropping the receiver unblocks a reader stuck on a full
+            // queue, so the scope can join.
             drop(rx);
         });
         if let Some(e) = io_error {
@@ -371,36 +271,18 @@ impl Runtime {
         }
 
         let outcome = if deadline_hit {
-            let partial = HostRun {
-                outcome: crate::HostOutcome {
-                    accepted: false,
-                    match_position: None,
-                    matched_id: None,
-                },
-                scanned: matcher.position() as u64,
-                hit_byte_limit: false,
-            };
-            MatchOutcome::Budget {
-                kind: BudgetKind::Deadline,
-                partial: Some(host_exec_report(&partial)),
-            }
+            MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: Some(session.abandon()) }
         } else {
-            let final_outcome = match concluded {
-                Some(outcome) => outcome,
-                None if limit_hit => {
-                    crate::HostOutcome { accepted: false, match_position: None, matched_id: None }
-                }
-                None => matcher.finish(),
-            };
-            let run = HostRun {
-                outcome: final_outcome,
-                scanned: matcher.position() as u64,
-                hit_byte_limit: limit_hit,
-            };
-            options.budget.classify(host_exec_report(&run), config)
+            options.budget.classify(session.finish(), config)
         };
-        let report =
-            StreamReport { outcome, bytes, chunks, suspends, peak_buffered, wall: start.elapsed() };
+        let report = StreamReport {
+            outcome,
+            bytes,
+            chunks,
+            suspends,
+            peak_buffered: session.peak_buffered(),
+            wall: start.elapsed(),
+        };
         if let Some(telemetry) = &self.telemetry {
             telemetry.counter_add("stream.sessions", 1);
             telemetry.counter_add("stream.chunks", report.chunks);
@@ -410,6 +292,8 @@ impl Runtime {
             if matches!(report.outcome, MatchOutcome::Budget { .. }) {
                 telemetry.counter_add("stream.budget_exceeded", 1);
             }
+            // The concluded run folds into the sim.* series like batch
+            // runs do.
             if let Some(exec) = report.outcome.report() {
                 exec.record_into(telemetry);
             }
@@ -446,6 +330,18 @@ mod tests {
         StreamOptions { chunk_size, ..StreamOptions::default() }
     }
 
+    /// Compile `pattern` through the cache, then stream `reader`.
+    fn stream_pattern<R: Read + Send>(
+        runtime: &Runtime,
+        pattern: &str,
+        reader: R,
+        config: &ArchConfig,
+        options: &StreamOptions,
+    ) -> Result<StreamReport, StreamError> {
+        let program = runtime.compile(pattern).unwrap();
+        runtime.scan_stream(&program, reader, config, options)
+    }
+
     #[test]
     fn streamed_scan_equals_whole_input_simulation() {
         let runtime = runtime();
@@ -469,7 +365,8 @@ mod tests {
         let config = ArchConfig::old_organization(1);
         let mut input = b"xxabxx".to_vec();
         input.extend(vec![b'z'; 1 << 20]);
-        let report = runtime.match_stream("ab", Cursor::new(input), &config, &options(64)).unwrap();
+        let report =
+            stream_pattern(&runtime, "ab", Cursor::new(input), &config, &options(64)).unwrap();
         assert!(report.outcome.is_complete());
         assert!(report.outcome.report().unwrap().accepted);
         assert!(
@@ -486,7 +383,8 @@ mod tests {
         let chunk = 512usize;
         let input = vec![b'q'; 64 * 1024];
         let report =
-            runtime.match_stream("ab|cd", Cursor::new(input), &config, &options(chunk)).unwrap();
+            stream_pattern(&runtime, "ab|cd", Cursor::new(input), &config, &options(chunk))
+                .unwrap();
         assert!(report.outcome.is_complete());
         assert!(
             report.peak_buffered <= chunk + config.window(),
@@ -500,13 +398,11 @@ mod tests {
     fn zero_chunk_size_and_queue_depth_are_rejected() {
         let runtime = runtime();
         let config = ArchConfig::old_organization(1);
-        let err = runtime
-            .match_stream("ab", Cursor::new(b"x".to_vec()), &config, &options(0))
+        let err = stream_pattern(&runtime, "ab", Cursor::new(b"x".to_vec()), &config, &options(0))
             .unwrap_err();
         assert!(matches!(&err, StreamError::Options(m) if m.contains("chunk size")), "{err}");
         let bad_queue = StreamOptions { queue_depth: 0, ..StreamOptions::default() };
-        let err = runtime
-            .match_stream("ab", Cursor::new(b"x".to_vec()), &config, &bad_queue)
+        let err = stream_pattern(&runtime, "ab", Cursor::new(b"x".to_vec()), &config, &bad_queue)
             .unwrap_err();
         assert!(matches!(&err, StreamError::Options(m) if m.contains("queue depth")), "{err}");
     }
@@ -527,8 +423,8 @@ mod tests {
         }
         let runtime = runtime();
         let config = ArchConfig::old_organization(1);
-        let err =
-            runtime.match_stream("ab", FailingReader(2048), &config, &options(256)).unwrap_err();
+        let err = stream_pattern(&runtime, "ab", FailingReader(2048), &config, &options(256))
+            .unwrap_err();
         assert!(matches!(&err, StreamError::Io(e) if e.to_string().contains("disk on fire")));
     }
 
@@ -538,7 +434,8 @@ mod tests {
         let config = ArchConfig::old_organization(1);
         let opts = StreamOptions { budget: Budget::with_fuel(16), ..options(64) };
         let report =
-            runtime.match_stream("ab|cd", Cursor::new(vec![b'x'; 4096]), &config, &opts).unwrap();
+            stream_pattern(&runtime, "ab|cd", Cursor::new(vec![b'x'; 4096]), &config, &opts)
+                .unwrap();
         match report.outcome {
             MatchOutcome::Budget { kind: BudgetKind::Fuel, partial: Some(partial) } => {
                 assert_eq!(partial.cycles, 16);
@@ -553,7 +450,8 @@ mod tests {
         let config = ArchConfig::old_organization(1);
         let opts = StreamOptions { budget: Budget::with_deadline(Duration::ZERO), ..options(64) };
         let report =
-            runtime.match_stream("ab|cd", Cursor::new(vec![b'x'; 4096]), &config, &opts).unwrap();
+            stream_pattern(&runtime, "ab|cd", Cursor::new(vec![b'x'; 4096]), &config, &opts)
+                .unwrap();
         assert!(
             matches!(report.outcome, MatchOutcome::Budget { kind: BudgetKind::Deadline, .. }),
             "{:?}",
@@ -567,9 +465,14 @@ mod tests {
         let runtime = Runtime::new(RuntimeOptions { jobs: 1, ..RuntimeOptions::default() })
             .with_telemetry(telemetry.clone());
         let config = ArchConfig::old_organization(1);
-        let report = runtime
-            .match_stream("ab|cd", Cursor::new(vec![b'x'; 2048]), &config, &options(256))
-            .unwrap();
+        let report = stream_pattern(
+            &runtime,
+            "ab|cd",
+            Cursor::new(vec![b'x'; 2048]),
+            &config,
+            &options(256),
+        )
+        .unwrap();
         assert_eq!(telemetry.counter("stream.sessions"), 1);
         assert_eq!(telemetry.counter("stream.chunks"), report.chunks);
         assert_eq!(telemetry.counter("stream.bytes"), 2048);
@@ -617,7 +520,8 @@ mod tests {
         let config = ArchConfig::old_organization(1);
         let opts = StreamOptions { budget: Budget::with_fuel(16), ..options(64) };
         let report =
-            runtime.match_stream("ab|cd", Cursor::new(vec![b'x'; 4096]), &config, &opts).unwrap();
+            stream_pattern(&runtime, "ab|cd", Cursor::new(vec![b'x'; 4096]), &config, &opts)
+                .unwrap();
         match report.outcome {
             MatchOutcome::Budget { kind: BudgetKind::Fuel, partial: Some(partial) } => {
                 assert_eq!(partial.cycles, 16, "host fuel is a byte budget");
@@ -632,7 +536,8 @@ mod tests {
         let config = ArchConfig::old_organization(1);
         let mut input = b"xxabxx".to_vec();
         input.extend(vec![b'z'; 1 << 20]);
-        let report = runtime.match_stream("ab", Cursor::new(input), &config, &options(64)).unwrap();
+        let report =
+            stream_pattern(&runtime, "ab", Cursor::new(input), &config, &options(64)).unwrap();
         assert!(report.outcome.is_complete());
         assert!(report.outcome.report().unwrap().accepted);
         assert!(report.bytes < 1024, "read {} bytes", report.bytes);

@@ -7,11 +7,13 @@
 //! for a request the server actually read.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cicero_core::Backend;
 use cicero_isa::Program;
-use cicero_runtime::{Budget, BudgetKind, MatchOutcome, PinGuard, StreamError, StreamOptions};
+use cicero_runtime::{
+    Budget, BudgetKind, MatchOutcome, PinGuard, Runtime, StreamError, StreamOptions,
+};
 use cicero_sim::ArchConfig;
 use cicero_telemetry::{render_chrome_trace, JsonObject, TraceSpan};
 
@@ -92,16 +94,22 @@ fn budget_from_headers(request: &Request) -> Result<Budget, Response> {
     Ok(budget)
 }
 
-/// The `X-Cicero-Backend` header (`sim` or `host`); absent, the
-/// runtime's configured default (the server serves host-native unless
-/// started with `--backend sim`).
-fn backend_from_headers(shared: &Shared, request: &Request) -> Result<Backend, Response> {
-    match request.header("x-cicero-backend") {
-        None => Ok(shared.runtime.backend()),
-        Some(value) => value
-            .parse()
-            .map_err(|e: String| error_response(400, &format!("bad X-Cicero-Backend value: {e}"))),
-    }
+/// The runtime handle one request runs on: scoped to the
+/// `X-Cicero-Backend` header (`sim` or `host`; absent, the runtime's
+/// configured default — the server serves host-native unless started
+/// with `--backend sim`) and tracing under the request's root span.
+fn runtime_for_request(
+    shared: &Shared,
+    request: &Request,
+    root: &TraceSpan,
+) -> Result<Runtime, Response> {
+    let backend: Backend = match request.header("x-cicero-backend") {
+        None => shared.runtime.backend(),
+        Some(value) => value.parse().map_err(|e: String| {
+            error_response(400, &format!("bad X-Cicero-Backend value: {e}"))
+        })?,
+    };
+    Ok(shared.runtime.with_backend(backend).with_trace(root))
 }
 
 /// The paper's `NxM` architecture naming, as also used by the CLI's
@@ -260,8 +268,8 @@ fn handle_match(shared: &Shared, request: &Request, root: &TraceSpan) -> Respons
         Ok(budget) => budget,
         Err(response) => return response,
     };
-    let backend = match backend_from_headers(shared, request) {
-        Ok(backend) => backend,
+    let runtime = match runtime_for_request(shared, request, root) {
+        Ok(runtime) => runtime,
         Err(response) => return response,
     };
     let body = match parse_match_body(shared, request) {
@@ -272,15 +280,12 @@ fn handle_match(shared: &Shared, request: &Request, root: &TraceSpan) -> Respons
     let mut rows = Vec::new();
     let mut budget_kind = None;
     let mut faults = 0usize;
+    let start = Instant::now();
     for pattern in &body.patterns {
-        let batch = match shared.runtime.match_batch_guarded_traced_on(
-            backend,
-            pattern,
-            &inputs,
-            &body.config,
-            &budget,
-            Some(root),
-        ) {
+        // The deadline bounds the whole request: each pattern's batch
+        // gets what the ones before it left over.
+        let budget = budget.remaining_after(start.elapsed());
+        let batch = match runtime.match_batch_guarded(pattern, &inputs, &body.config, &budget) {
             Ok(batch) => batch,
             Err(e) => return error_response(400, &format!("pattern {pattern:?}: {e}")),
         };
@@ -353,6 +358,7 @@ impl ScanSource {
 /// ruleset *is* the pattern source.
 fn resolve_scan_source(
     shared: &Shared,
+    runtime: &Runtime,
     request: &Request,
     patterns: Option<Vec<String>>,
     root: &TraceSpan,
@@ -378,9 +384,8 @@ fn resolve_scan_source(
             let patterns = patterns.ok_or_else(|| {
                 error_response(400, "missing \"patterns\" (or \"pattern\") field")
             })?;
-            let (program, _cache_hit) = shared
-                .runtime
-                .compile_set_traced(&patterns, Some(root))
+            let program = runtime
+                .compile_set(&patterns)
                 .map_err(|e| error_response(400, &format!("compiling the pattern set: {e}")))?;
             Ok(ScanSource::Inline { patterns, program })
         }
@@ -401,60 +406,33 @@ fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response
         Ok(budget) => budget,
         Err(response) => return response,
     };
-    let backend = match backend_from_headers(shared, request) {
-        Ok(backend) => backend,
+    let runtime = match runtime_for_request(shared, request, root) {
+        Ok(runtime) => runtime,
         Err(response) => return response,
     };
     let body = match parse_scan_body(shared, request) {
         Ok(body) => body,
         Err(response) => return response,
     };
-    let source = match resolve_scan_source(shared, request, body.patterns, root) {
+    let source = match resolve_scan_source(shared, &runtime, request, body.patterns, root) {
         Ok(source) => source,
         Err(response) => return response,
     };
     let program = Arc::clone(source.program());
     let chunks = chunk_input(&body.input);
-    let batch = shared.runtime.run_batch_guarded_traced_on(
-        backend,
-        &program,
-        &chunks,
-        &body.config,
-        &budget,
-        Some(root),
-    );
+    let batch = runtime.run_batch_guarded(&program, &chunks, &body.config, &budget);
 
-    // Merging the per-chunk outcomes re-runs accepted chunks through the
-    // all-matches interpreter, which is real work worth its own span.
+    // Merging the per-chunk outcomes re-runs accepted chunks through an
+    // all-matches pass, which is real work worth its own span.
     let merge_span = root.child("merge");
-    let mut per_pattern = vec![0u64; source.patterns().len()];
+    let per_pattern =
+        runtime.count_per_pattern(&program, &chunks, &batch.outcomes, source.patterns().len());
     let mut cycles = 0u64;
     let mut budget_kind = None;
     let mut faults = 0usize;
-    for (chunk, outcome) in chunks.iter().zip(&batch.outcomes) {
+    for outcome in &batch.outcomes {
         match outcome {
-            MatchOutcome::Complete(report) => {
-                cycles += report.cycles;
-                if report.accepted {
-                    // The first-acceptance run halts on any set member
-                    // (hardware semantics); the all-matches pass reports
-                    // every distinct one. On the host backend that pass
-                    // is the memoized host engine; on sim it is the
-                    // functional interpreter. Their id sets are
-                    // byte-identical (proptested in cicero-runtime).
-                    let ids = match backend {
-                        Backend::Host => {
-                            shared.runtime.host_program(&program).run_all(chunk).matched_ids
-                        }
-                        Backend::Sim => cicero_isa::run_all(&program, chunk).matched_ids,
-                    };
-                    for id in ids {
-                        if let Some(count) = per_pattern.get_mut(usize::from(id)) {
-                            *count += 1;
-                        }
-                    }
-                }
-            }
+            MatchOutcome::Complete(report) => cycles += report.cycles,
             MatchOutcome::Budget { kind, partial } => {
                 budget_kind = Some(*kind);
                 if let Some(partial) = partial {
@@ -518,8 +496,8 @@ fn handle_scan_stream(shared: &Shared, request: &Request, root: &TraceSpan) -> R
         Ok(budget) => budget,
         Err(response) => return response,
     };
-    let backend = match backend_from_headers(shared, request) {
-        Ok(backend) => backend,
+    let runtime = match runtime_for_request(shared, request, root) {
+        Ok(runtime) => runtime,
         Err(response) => return response,
     };
     let Some(id) = request.query_param("ruleset") else {
@@ -548,14 +526,7 @@ fn handle_scan_stream(shared: &Shared, request: &Request, root: &TraceSpan) -> R
             Err(e) => return error_response(400, &e),
         },
     };
-    let report = match shared.runtime.scan_stream_traced_on(
-        backend,
-        pin.program(),
-        std::io::Cursor::new(request.body.clone()),
-        &config,
-        &options,
-        Some(root),
-    ) {
+    let report = match runtime.scan_stream(pin.program(), &request.body[..], &config, &options) {
         Ok(report) => report,
         Err(e @ StreamError::Options(_)) => return error_response(400, &e.to_string()),
         Err(e) => return error_response(500, &format!("streaming scan failed: {e}")),

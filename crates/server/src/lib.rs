@@ -1259,6 +1259,28 @@ mod tests {
     }
 
     #[test]
+    fn match_deadline_bounds_the_whole_request_not_each_pattern() {
+        let (addr, handle, join) = start(options());
+        // The first pattern's compile plus its simulator pass over 64 KB
+        // takes far longer than 1 ms (a started input always runs to
+        // completion), so by the time the second pattern's batch starts
+        // the request's deadline is spent: it must come back as a budget
+        // row, not get a fresh millisecond of its own.
+        let body =
+            format!(r#"{{"patterns":["(ab|ba)+x","ab"],"input":"{}"}}"#, "abba".repeat(16 * 1024));
+        let (status, body) = roundtrip(
+            addr,
+            &post("/match", &body, "x-cicero-deadline-ms: 1\r\nx-cicero-backend: sim\r\n"),
+        );
+        assert_eq!(status, 429, "{body}");
+        let second = body.split("\"pattern\":\"ab\"").nth(1).expect("a row for the second pattern");
+        assert!(second.starts_with(",\"verdict\":\"budget\""), "{body}");
+        assert!(second.contains("\"kind\":\"deadline\""), "{body}");
+        handle.shutdown();
+        assert!(join.join().unwrap().drained);
+    }
+
+    #[test]
     fn malformed_requests_get_400_class_answers_not_hangs() {
         let (addr, handle, join) = start(options());
         let (status, _) = roundtrip(addr, &post("/match", "{not json", ""));

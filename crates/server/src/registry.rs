@@ -161,7 +161,7 @@ impl RulesetRegistry {
     ) -> Result<PutOutcome, RegistryError> {
         validate_id(id)?;
         let (program, cache_hit) =
-            runtime.compile_set_traced(&patterns, None).map_err(RegistryError::Compile)?;
+            runtime.compile_set_with_hit(&patterns).map_err(RegistryError::Compile)?;
         let artifact = EncodedProgram::from_program(&program).to_bytes();
         let version = content_version(&patterns, &artifact);
         // Persist before the swap: if the disk write fails, the old
@@ -284,7 +284,7 @@ impl RulesetRegistry {
             // Warm the runtime cache so the first scan after a restart
             // hits it (and both backends share the entry), then install
             // the *persisted* program — the artifact is the contract.
-            let _ = runtime.compile_set_traced(&patterns, None);
+            let _ = runtime.compile_set(&patterns);
             let handle = Arc::new(SetHandle::new(version, patterns, Arc::new(program)));
             let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
             if let Some(old) = entries.insert(id.clone(), handle) {

@@ -23,9 +23,9 @@
 //! The simulator is deterministic; [`simulate`] returns an [`ExecReport`]
 //! with cycles, cache statistics, thread movements and the match verdict.
 //! Batch drivers use [`simulate_batch`] (one machine, caches warm across
-//! inputs, canonical per-run prefetch) or [`simulate_batch_parallel`]
-//! (fixed worker pool, one machine per worker, byte-identical reports for
-//! any worker count).
+//! inputs, canonical per-run prefetch); the worker pool that spreads a
+//! batch over threads lives in `cicero-runtime` and is held to this
+//! sequential path report for report.
 //! Analytic [`power`] and [`resources`] models (calibrated against the
 //! paper's published numbers — see DESIGN.md) complete the evaluation
 //! stack for Figures 12–15 and Tables 2/5/6.
@@ -52,10 +52,7 @@ pub mod trace;
 
 pub use cache::CacheCounters;
 pub use config::{ArchConfig, CacheConfig, Organization};
-pub use machine::{
-    simulate, simulate_batch, simulate_batch_parallel, simulate_batch_parallel_stats,
-    simulate_with_telemetry, InputRead, Machine, WorkerStats,
-};
+pub use machine::{simulate, simulate_batch, simulate_with_telemetry, InputRead, Machine};
 pub use power::power_watts;
 pub use resources::{resource_usage, ResourceUsage, XCZU3EG};
 pub use stats::ExecReport;

@@ -70,8 +70,10 @@ pub fn simulate_with_telemetry(
 /// starts from the same canonical warm state. This makes each report a
 /// function of `(program, input, config)` alone — batch results are
 /// independent of input order and of how a batch is partitioned across
-/// workers, which is what lets [`simulate_batch_parallel`] return
-/// byte-identical reports for any worker count.
+/// workers, which is what lets a worker pool (one machine per worker, as
+/// in `cicero-runtime`) return byte-identical reports for any worker
+/// count. This sequential driver is the reference such pools are tested
+/// against.
 pub fn simulate_batch(
     program: &Program,
     inputs: &[Vec<u8>],
@@ -85,112 +87,6 @@ pub fn simulate_batch(
             machine.run(input)
         })
         .collect()
-}
-
-/// Per-worker accounting from one [`simulate_batch_parallel_stats`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerStats {
-    /// Worker index within the pool (0-based).
-    pub worker: usize,
-    /// Inputs this worker simulated.
-    pub inputs: usize,
-    /// Simulated cycles across those inputs.
-    pub cycles: u64,
-    /// Instructions executed across those inputs.
-    pub instructions: u64,
-    /// Instruction-cache hits across those inputs.
-    pub icache_hits: u64,
-    /// Instruction-cache misses across those inputs.
-    pub icache_misses: u64,
-}
-
-impl WorkerStats {
-    /// Fold one finished run into this worker's totals.
-    pub fn absorb(&mut self, report: &ExecReport) {
-        self.inputs += 1;
-        self.cycles += report.cycles;
-        self.instructions += report.instructions;
-        self.icache_hits += report.icache_hits;
-        self.icache_misses += report.icache_misses;
-    }
-}
-
-/// Like [`simulate_batch`], but spreading the inputs over a fixed pool of
-/// `jobs` OS threads. Each worker owns its own [`Machine`] (its caches
-/// stay warm across the inputs it serves, as on hardware where each board
-/// streams its share of the traffic) and pulls the next input index from a
-/// shared work queue, so a slow chunk never idles the other workers.
-///
-/// The merged reports come back in input order and are byte-identical to
-/// [`simulate_batch`]'s for every `jobs` value: per-run prefetch makes
-/// each report depend only on `(program, input, config)`, never on which
-/// worker ran it or what that worker ran before.
-///
-/// `jobs` is clamped to `1..=inputs.len()`; `jobs <= 1` runs inline
-/// without spawning.
-pub fn simulate_batch_parallel(
-    program: &Program,
-    inputs: &[Vec<u8>],
-    config: &ArchConfig,
-    jobs: usize,
-) -> Vec<ExecReport> {
-    simulate_batch_parallel_stats(program, inputs, config, jobs).0
-}
-
-/// [`simulate_batch_parallel`] plus per-worker statistics (one
-/// [`WorkerStats`] per pool thread, in worker order), for the runtime's
-/// `runtime.*` telemetry counters.
-pub fn simulate_batch_parallel_stats(
-    program: &Program,
-    inputs: &[Vec<u8>],
-    config: &ArchConfig,
-    jobs: usize,
-) -> (Vec<ExecReport>, Vec<WorkerStats>) {
-    let jobs = jobs.clamp(1, inputs.len().max(1));
-    if jobs <= 1 {
-        let mut stats = WorkerStats::default();
-        let reports = simulate_batch(program, inputs, config);
-        for report in &reports {
-            stats.absorb(report);
-        }
-        return (reports, vec![stats]);
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut per_worker: Vec<(Vec<(usize, ExecReport)>, WorkerStats)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..jobs)
-                .map(|worker| {
-                    let next = &next;
-                    let config = config.clone();
-                    scope.spawn(move || {
-                        let mut machine = Machine::new(program, config);
-                        let mut out = Vec::new();
-                        let mut stats = WorkerStats { worker, ..WorkerStats::default() };
-                        loop {
-                            let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(input) = inputs.get(index) else { break };
-                            machine.prefetch_icache();
-                            let report = machine.run(input);
-                            stats.absorb(&report);
-                            out.push((index, report));
-                        }
-                        (out, stats)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-    // Deterministic merge: reports go back to their input slots; worker
-    // stats stay in worker order.
-    let mut reports = vec![ExecReport::default(); inputs.len()];
-    let mut stats = Vec::with_capacity(jobs);
-    for (chunk, worker_stats) in per_worker.drain(..) {
-        for (index, report) in chunk {
-            reports[index] = report;
-        }
-        stats.push(worker_stats);
-    }
-    (reports, stats)
 }
 
 /// Source of input bytes for the machine: a whole in-memory slice, or the
@@ -1239,36 +1135,6 @@ mod tests {
             backward.reverse();
             assert_eq!(forward, backward, "{}", config.name());
         }
-    }
-
-    #[test]
-    fn parallel_batch_is_byte_identical_to_sequential_for_every_job_count() {
-        let p = heavy_program();
-        let inputs: Vec<Vec<u8>> = (0..9)
-            .map(|i| if i % 3 == 0 { b"xxabcdxx".to_vec() } else { vec![b'x'; 40 + i] })
-            .collect();
-        for config in [ArchConfig::old_organization(1), ArchConfig::new_organization(8, 1)] {
-            let sequential = simulate_batch(&p, &inputs, &config);
-            for jobs in 1..=6 {
-                let (parallel, stats) = simulate_batch_parallel_stats(&p, &inputs, &config, jobs);
-                assert_eq!(parallel, sequential, "jobs={jobs} on {}", config.name());
-                assert_eq!(stats.iter().map(|s| s.inputs).sum::<usize>(), inputs.len());
-                assert_eq!(
-                    stats.iter().map(|s| s.cycles).sum::<u64>(),
-                    sequential.iter().map(|r| r.cycles).sum::<u64>()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_batch_handles_degenerate_shapes() {
-        let p = ab_or_cd();
-        let config = ArchConfig::old_organization(1);
-        assert!(simulate_batch_parallel(&p, &[], &config, 4).is_empty());
-        let one = simulate_batch_parallel(&p, &[b"ab".to_vec()], &config, 8);
-        assert_eq!(one.len(), 1);
-        assert!(one[0].accepted);
     }
 
     #[test]

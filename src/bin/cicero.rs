@@ -651,9 +651,8 @@ fn run_host_mode(
     write_metrics(flags, &telemetry)
 }
 
-/// `run --jobs N`: chunk the input and match it on the parallel runtime
-/// (the simulator worker pool, or the host engine under
-/// `--backend host`).
+/// `run --jobs N`: chunk the input and match it on the runtime's worker
+/// pool — the simulator, or the host engine under `--backend host`.
 fn run_batch_mode(
     pattern: &str,
     input: &[u8],
@@ -666,28 +665,35 @@ fn run_batch_mode(
     let telemetry = Telemetry::new();
     let chunks = chunk_input(input);
     let o0 = flags.has("O0");
-    let compiler = compiler_base(tuned, o0);
     let runtime = Runtime::new(RuntimeOptions {
         jobs,
-        compiler,
+        compiler: compiler_base(tuned, o0),
         cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
         host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
         ..RuntimeOptions::default()
     })
-    .with_telemetry(telemetry.clone());
-    if backend == Backend::Host {
-        return run_batch_host(pattern, input, &chunks, config, &runtime, flags, &telemetry);
-    }
+    .with_telemetry(telemetry.clone())
+    .with_backend(backend);
     let batch = if flags.has("old") {
         // The legacy compiler is outside the runtime's cache; compile once
         // here and hand the program straight to the pool.
         let program = LegacyCompiler::new(!o0).compile(pattern).map_err(|e| e.to_string())?;
-        runtime.run_batch(&program, &chunks, config)
+        runtime.run_batch_guarded(&program, &chunks, config, &Budget::UNLIMITED)
     } else {
-        runtime.match_batch(pattern, &chunks, config).map_err(|e| e.to_string())?
+        runtime
+            .match_batch_guarded(pattern, &chunks, config, &Budget::UNLIMITED)
+            .map_err(|e| e.to_string())?
     };
+    let mut aggregate = cicero::sim::ExecReport::default();
+    for report in batch.outcomes.iter().filter_map(MatchOutcome::report) {
+        aggregate.accumulate(report);
+    }
+    let bytes_per_sec = input.len() as f64 / batch.wall.as_secs_f64().max(1e-9);
     println!("pattern    : {pattern}");
-    println!("config     : {} @ {} MHz", config.name(), config.clock_mhz());
+    match backend {
+        Backend::Sim => println!("config     : {} @ {} MHz", config.name(), config.clock_mhz()),
+        Backend::Host => println!("backend    : host"),
+    }
     println!(
         "batch      : {} chunk(s) of <= {} B on {} worker(s)",
         chunks.len(),
@@ -698,80 +704,26 @@ fn run_batch_mode(
         0 => println!("verdict    : no match"),
         n => println!("verdict    : MATCH in {n}/{} chunk(s)", chunks.len()),
     }
-    println!("cycles     : {}", batch.aggregate.cycles);
-    println!("time       : {:.3} us", batch.aggregate.time_us(config.clock_mhz()));
-    println!("instructions: {}", batch.aggregate.instructions);
-    println!("icache      : {:.1}% hits", batch.aggregate.icache_hit_rate() * 100.0);
-    println!(
-        "host wall  : {:.3} ms ({:.1} KB/s)",
-        batch.wall.as_secs_f64() * 1e3,
-        batch.throughput_bytes_per_sec(input.len()) / 1e3
-    );
+    let wall_ms = batch.wall.as_secs_f64() * 1e3;
+    match backend {
+        Backend::Sim => {
+            println!("cycles     : {}", aggregate.cycles);
+            println!("time       : {:.3} us", aggregate.time_us(config.clock_mhz()));
+            println!("instructions: {}", aggregate.instructions);
+            println!("icache      : {:.1}% hits", aggregate.icache_hit_rate() * 100.0);
+            println!("host wall  : {wall_ms:.3} ms ({:.1} KB/s)", bytes_per_sec / 1e3);
+        }
+        // The host engine has no cycle model: bytes and wall-clock only.
+        Backend::Host => {
+            println!("bytes      : {}", input.len());
+            println!("host wall  : {wall_ms:.3} ms ({:.1} MB/s)", bytes_per_sec / 1e6);
+        }
+    }
     if flags.has("pass-timing") {
         println!();
         println!("per-pass timing: n/a in --jobs batch mode (use a sequential run)");
     }
     write_metrics(flags, &telemetry)
-}
-
-/// `run --jobs N --backend host`: the same chunked batch, dispatched to
-/// the host engine through the runtime's guarded path (per-worker
-/// panic isolation, shared program cache).
-fn run_batch_host(
-    pattern: &str,
-    input: &[u8],
-    chunks: &[Vec<u8>],
-    config: &ArchConfig,
-    runtime: &Runtime,
-    flags: &Flags,
-    telemetry: &Telemetry,
-) -> Result<(), String> {
-    let batch = if flags.has("old") {
-        let program =
-            LegacyCompiler::new(!flags.has("O0")).compile(pattern).map_err(|e| e.to_string())?;
-        runtime.run_batch_guarded_traced_on(
-            Backend::Host,
-            &program,
-            chunks,
-            config,
-            &Budget::default(),
-            None,
-        )
-    } else {
-        runtime
-            .match_batch_guarded_traced_on(
-                Backend::Host,
-                pattern,
-                chunks,
-                config,
-                &Budget::default(),
-                None,
-            )
-            .map_err(|e| e.to_string())?
-    };
-    println!("pattern    : {pattern}");
-    println!("backend    : host");
-    println!(
-        "batch      : {} chunk(s) of <= {} B on {} worker(s)",
-        chunks.len(),
-        workloads::CHUNK_BYTES,
-        batch.jobs
-    );
-    match batch.matches() {
-        0 => println!("verdict    : no match"),
-        n => println!("verdict    : MATCH in {n}/{} chunk(s)", chunks.len()),
-    }
-    println!("bytes      : {}", input.len());
-    println!(
-        "host wall  : {:.3} ms ({:.1} MB/s)",
-        batch.wall.as_secs_f64() * 1e3,
-        input.len() as f64 / batch.wall.as_secs_f64().max(1e-9) / 1e6
-    );
-    if flags.has("pass-timing") {
-        println!();
-        println!("per-pass timing: n/a in --jobs batch mode (use a sequential run)");
-    }
-    write_metrics(flags, telemetry)
 }
 
 fn cmd_scan(args: &[String]) -> Result<(), String> {
@@ -873,7 +825,8 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
 }
 
 /// `scan --jobs N`: match the multi-pattern set chunk-by-chunk on the
-/// parallel runtime and summarise per-pattern hits.
+/// runtime's worker pool and summarise per-pattern hits — the same
+/// accounting as the server's `POST /scan`.
 fn scan_batch_mode(
     patterns: &[String],
     input: &[u8],
@@ -889,85 +842,27 @@ fn scan_batch_mode(
         cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
         host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
         ..RuntimeOptions::default()
-    });
+    })
+    .with_backend(backend);
     let program = runtime.compile_set(patterns).map_err(|e| e.to_string())?;
-    if backend == Backend::Host {
-        return scan_batch_host(patterns, &chunks, config, &runtime, &program);
-    }
-    let batch = runtime.run_batch(&program, &chunks, config);
+    let batch = runtime.run_batch_guarded(&program, &chunks, config, &Budget::UNLIMITED);
+    let summary = match backend {
+        Backend::Sim => {
+            let cycles: u64 =
+                batch.outcomes.iter().filter_map(MatchOutcome::report).map(|r| r.cycles).sum();
+            format!(", {cycles} cycles total")
+        }
+        Backend::Host => {
+            format!(" [host backend, {:.3} ms]", batch.wall.as_secs_f64() * 1e3)
+        }
+    };
     println!(
-        "{} chunk(s) of <= {} B on {} worker(s), {} cycles total",
+        "{} chunk(s) of <= {} B on {} worker(s){summary}",
         chunks.len(),
         workloads::CHUNK_BYTES,
         batch.jobs,
-        batch.aggregate.cycles
     );
-    // Per-chunk all-matches accounting: the cycle-level report halts at
-    // the first acceptance, so a chunk matching several set members would
-    // otherwise count only one of them. Re-running accepted chunks
-    // through the functional all-matches interpreter recovers every
-    // distinct id — the same accounting the server's `POST /scan` uses.
-    let mut per_pattern = vec![0usize; patterns.len()];
-    for (chunk, report) in chunks.iter().zip(&batch.reports) {
-        if report.accepted {
-            for id in cicero::isa::run_all(&program, chunk).matched_ids {
-                if let Some(count) = per_pattern.get_mut(usize::from(id)) {
-                    *count += 1;
-                }
-            }
-        }
-    }
-    if batch.matches() == 0 {
-        println!("no match");
-    } else {
-        for (id, count) in per_pattern.iter().enumerate() {
-            if *count > 0 {
-                println!("MATCH: pattern {} ({:?}) in {} chunk(s)", id, patterns[id], count);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `scan --jobs N --backend host`: the chunked set scan on the host
-/// engine through the guarded path, with per-pattern counts from the
-/// host `run_all` — the same accounting as the server's host `/scan`.
-fn scan_batch_host(
-    patterns: &[String],
-    chunks: &[Vec<u8>],
-    config: &ArchConfig,
-    runtime: &Runtime,
-    program: &Program,
-) -> Result<(), String> {
-    use cicero::runtime::MatchOutcome;
-    let batch = runtime.run_batch_guarded_traced_on(
-        Backend::Host,
-        program,
-        chunks,
-        config,
-        &Budget::default(),
-        None,
-    );
-    println!(
-        "{} chunk(s) of <= {} B on {} worker(s) [host backend, {:.3} ms]",
-        chunks.len(),
-        workloads::CHUNK_BYTES,
-        batch.jobs,
-        batch.wall.as_secs_f64() * 1e3
-    );
-    let host = runtime.host_program(program);
-    let mut per_pattern = vec![0usize; patterns.len()];
-    for (chunk, outcome) in chunks.iter().zip(&batch.outcomes) {
-        if let MatchOutcome::Complete(report) = outcome {
-            if report.accepted {
-                for id in host.run_all(chunk).matched_ids {
-                    if let Some(count) = per_pattern.get_mut(usize::from(id)) {
-                        *count += 1;
-                    }
-                }
-            }
-        }
-    }
+    let per_pattern = runtime.count_per_pattern(&program, &chunks, &batch.outcomes, patterns.len());
     if batch.matches() == 0 {
         println!("no match");
     } else {
@@ -1409,11 +1304,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         root.annotate("patterns", flags.positional.len());
         root.annotate("input_bytes", input.len());
         root.annotate("config", config.name());
-        let (program, _cache_hit) = runtime
-            .compile_set_traced(&flags.positional, Some(&root))
-            .map_err(|e| e.to_string())?;
-        let batch =
-            runtime.run_batch_guarded_traced(&program, &chunks, &config, &budget, Some(&root));
+        let runtime = runtime.with_trace(&root);
+        let program = runtime.compile_set(&flags.positional).map_err(|e| e.to_string())?;
+        let batch = runtime.run_batch_guarded(&program, &chunks, &config, &budget);
         root.annotate("completed", batch.completed());
     }
     let trace = ctx.finish();

@@ -79,9 +79,7 @@ pub mod prelude {
         StreamReport,
     };
     pub use cicero_server::{DrainReport, Server, ServerHandle, ServerOptions};
-    pub use cicero_sim::{
-        simulate, simulate_batch, simulate_batch_parallel, simulate_with_telemetry, ArchConfig,
-    };
+    pub use cicero_sim::{simulate, simulate_batch, simulate_with_telemetry, ArchConfig};
     pub use cicero_telemetry::Telemetry;
     pub use regex_oracle::Oracle;
 }
