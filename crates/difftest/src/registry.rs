@@ -129,10 +129,15 @@ pub fn check_registry_case(
     Outcome::Pass
 }
 
-/// A scratch directory for one registry case, unique per process and
-/// case name.
+/// A scratch directory for one registry case, unique per call: replays
+/// of one case may run concurrently in one process (`cargo test` runs a
+/// file's tests on parallel threads), and one clearing the directory
+/// under another reads as a lost artifact.
 pub fn case_dir(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cicero-difftest-registry-{}-{name}", std::process::id()))
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    std::env::temp_dir()
+        .join(format!("cicero-difftest-registry-{}-{call}-{name}", std::process::id()))
 }
 
 /// Corpus encoding for a pattern *set*: members are newline-joined in

@@ -15,10 +15,10 @@
 //!    `compile_set` programs into one spine.
 //! 3. **Engine selection**: ≤ 64 states run bit-parallel in a `u64`
 //!    (shift-or style, chunked follow tables, byte-class compressed);
-//!    ≤ 128 states in a `u128`; larger automata fall back to a
-//!    byte-class-compressed lazy DFA. A pathological program that blows
-//!    the lowering budget falls back to the reference interpreter —
-//!    slower, never wrong.
+//!    ≤ 128 states in a `u128`; larger automata — any realistic
+//!    `compile_set` ruleset — run the same step over a multi-word mask
+//!    ([`wide`]). A pathological program that blows the lowering budget
+//!    falls back to the reference interpreter — slower, never wrong.
 //! 4. **Prefilter** ([`prefilter`]): a memchr-style skip loop extracted
 //!    from the steady scan state, exact by construction.
 //!
@@ -32,19 +32,20 @@
 //!
 //! The resumable [`HostMatcher`] extends the chunk-split-invariance
 //! contract of [`cicero_isa::StreamMatcher`] to the native path: state is
-//! one machine word (or one DFA id), so feeding any split of an input is
-//! byte-for-byte equivalent to the whole-input run.
+//! one state mask (one to a few machine words), so feeding any split of
+//! an input is byte-for-byte equivalent to the whole-input run.
 
 mod bytes;
-mod dfa;
 mod engine;
 mod nfa;
 mod prefilter;
+mod wide;
 
 pub use bytes::ByteSet;
 
 use cicero_isa::Program;
 use engine::{BitEngine, BitMatcher};
+use wide::{WideEngine, WideMatcher};
 
 /// Result of a host-engine run (the native analogue of
 /// [`cicero_isa::ExecOutcome`], minus the work metric — wall-clock *is*
@@ -80,8 +81,8 @@ pub enum EngineKind {
     Bit64,
     /// Bit-parallel, one `u128` state mask (65–128 states).
     Bit128,
-    /// Byte-class-compressed lazy DFA (> 128 states).
-    LazyDfa,
+    /// Bit-parallel, multi-word state mask (> 128 states).
+    BitWide,
     /// Reference-interpreter fallback (lowering budget exceeded).
     Interp,
 }
@@ -91,7 +92,7 @@ impl std::fmt::Display for EngineKind {
         f.write_str(match self {
             EngineKind::Bit64 => "bit64",
             EngineKind::Bit128 => "bit128",
-            EngineKind::LazyDfa => "lazy-dfa",
+            EngineKind::BitWide => "bit-wide",
             EngineKind::Interp => "interp",
         })
     }
@@ -100,15 +101,16 @@ impl std::fmt::Display for EngineKind {
 enum Repr {
     W64(BitEngine<u64>),
     W128(BitEngine<u128>),
-    Dfa(dfa::SparseNfa),
+    Wide(WideEngine),
     Interp(Program),
 }
 
 /// Engine-tier selection thresholds: the largest automaton (in states)
-/// each bit-parallel width accepts before compilation falls through to
-/// the next tier. Exposed as autotuner knobs — a workload whose automata
-/// hover just above a width boundary can trade the wider engine's extra
-/// per-byte cost against the lazy DFA's construction overhead.
+/// each one-word width accepts before compilation falls through to the
+/// next tier; anything above `bit128_max` runs on the multi-word engine.
+/// Exposed as autotuner knobs — a workload whose automata hover just
+/// above a width boundary can trade the narrower engine's table-driven
+/// step against the wider one's smaller tables.
 ///
 /// Values are clamped to the representation's hard capacity (64 / 128
 /// states), and `bit128_max` is clamped up to `bit64_max` so the tiers
@@ -175,7 +177,7 @@ impl HostProgram {
                 } else if states <= tiers.bit128_max {
                     Repr::W128(BitEngine::build(&nfa))
                 } else {
-                    Repr::Dfa(dfa::SparseNfa::build(&nfa))
+                    Repr::Wide(WideEngine::build(&nfa))
                 }
             }
         };
@@ -187,7 +189,7 @@ impl HostProgram {
         match &self.repr {
             Repr::W64(_) => EngineKind::Bit64,
             Repr::W128(_) => EngineKind::Bit128,
-            Repr::Dfa(_) => EngineKind::LazyDfa,
+            Repr::Wide(_) => EngineKind::BitWide,
             Repr::Interp(_) => EngineKind::Interp,
         }
     }
@@ -197,7 +199,7 @@ impl HostProgram {
         match &self.repr {
             Repr::W64(e) => e.n_states,
             Repr::W128(e) => e.n_states,
-            Repr::Dfa(n) => n.n_states,
+            Repr::Wide(e) => e.n_states,
             Repr::Interp(_) => 0,
         }
     }
@@ -208,7 +210,7 @@ impl HostProgram {
         match &self.repr {
             Repr::W64(e) => e.classes.count,
             Repr::W128(e) => e.classes.count,
-            Repr::Dfa(n) => n.classes.count,
+            Repr::Wide(e) => e.classes.count,
             Repr::Interp(_) => 0,
         }
     }
@@ -219,7 +221,7 @@ impl HostProgram {
         match &self.repr {
             Repr::W64(e) => e.prefilter.as_ref().map(|p| p.stop_bytes()),
             Repr::W128(e) => e.prefilter.as_ref().map(|p| p.stop_bytes()),
-            Repr::Dfa(_) | Repr::Interp(_) => None,
+            Repr::Wide(_) | Repr::Interp(_) => None,
         }
     }
 
@@ -239,7 +241,7 @@ impl HostProgram {
         match &self.repr {
             Repr::W64(e) => e.run_all(input),
             Repr::W128(e) => e.run_all(input),
-            Repr::Dfa(n) => dfa::run_all(n, input),
+            Repr::Wide(e) => e.run_all(input),
             Repr::Interp(p) => {
                 let out = cicero_isa::run_all(p, input);
                 HostAllOutcome {
@@ -279,7 +281,7 @@ impl HostProgram {
         let inner = match &self.repr {
             Repr::W64(e) => MatcherRepr::W64 { engine: e, matcher: BitMatcher::new(e) },
             Repr::W128(e) => MatcherRepr::W128 { engine: e, matcher: BitMatcher::new(e) },
-            Repr::Dfa(n) => MatcherRepr::Dfa(dfa::DfaMatcher::new(n)),
+            Repr::Wide(e) => MatcherRepr::Wide { engine: e, matcher: WideMatcher::new(e) },
             Repr::Interp(p) => MatcherRepr::Interp(cicero_isa::StreamMatcher::new(p)),
         };
         HostMatcher { inner, position: 0, done: None }
@@ -300,7 +302,7 @@ pub struct HostRun {
 enum MatcherRepr<'p> {
     W64 { engine: &'p BitEngine<u64>, matcher: BitMatcher<u64> },
     W128 { engine: &'p BitEngine<u128>, matcher: BitMatcher<u128> },
-    Dfa(dfa::DfaMatcher<'p>),
+    Wide { engine: &'p WideEngine, matcher: WideMatcher },
     Interp(cicero_isa::StreamMatcher<'p>),
 }
 
@@ -328,7 +330,9 @@ impl HostMatcher<'_> {
             MatcherRepr::W128 { engine, matcher } => {
                 matcher.feed(engine, chunk, &mut self.position)
             }
-            MatcherRepr::Dfa(matcher) => matcher.feed(chunk, &mut self.position),
+            MatcherRepr::Wide { engine, matcher } => {
+                matcher.feed(engine, chunk, &mut self.position)
+            }
             MatcherRepr::Interp(matcher) => {
                 let out = matcher.feed(chunk).map(from_exec);
                 self.position = matcher.position();
@@ -347,7 +351,7 @@ impl HostMatcher<'_> {
         let outcome = match &mut self.inner {
             MatcherRepr::W64 { engine, matcher } => matcher.finish(engine, self.position),
             MatcherRepr::W128 { engine, matcher } => matcher.finish(engine, self.position),
-            MatcherRepr::Dfa(matcher) => matcher.finish(self.position),
+            MatcherRepr::Wide { engine, matcher } => matcher.finish(engine, self.position),
             MatcherRepr::Interp(matcher) => from_exec(matcher.finish()),
         };
         self.done = Some(outcome);
@@ -616,19 +620,20 @@ mod tests {
     fn tier_thresholds_steer_engine_selection_without_changing_results() {
         // A ~4-state pattern lands on Bit64 by default; lowering the
         // bit64 ceiling pushes it to Bit128, lowering both pushes it to
-        // the lazy DFA — same answers everywhere.
+        // the multi-word engine (one word wide here) — same answers
+        // everywhere.
         let p = cicero_core::compile("ab+c").unwrap().into_program();
         let default = HostProgram::compile(&p);
         assert_eq!(default.engine_kind(), EngineKind::Bit64);
         let w128 = HostProgram::compile_with_tiers(&p, HostTiers { bit64_max: 0, bit128_max: 128 });
         assert_eq!(w128.engine_kind(), EngineKind::Bit128);
-        let dfa = HostProgram::compile_with_tiers(&p, HostTiers { bit64_max: 0, bit128_max: 0 });
-        assert_eq!(dfa.engine_kind(), EngineKind::LazyDfa);
+        let wide = HostProgram::compile_with_tiers(&p, HostTiers { bit64_max: 0, bit128_max: 0 });
+        assert_eq!(wide.engine_kind(), EngineKind::BitWide);
         for input in inputs() {
             let expected = from_exec(run(&p, &input));
             assert_eq!(default.run(&input), expected, "{input:?}");
             assert_eq!(w128.run(&input), expected, "{input:?}");
-            assert_eq!(dfa.run(&input), expected, "{input:?}");
+            assert_eq!(wide.run(&input), expected, "{input:?}");
         }
     }
 
@@ -647,27 +652,104 @@ mod tests {
     }
 
     #[test]
-    fn huge_pattern_selects_lazy_dfa() {
+    fn huge_pattern_selects_the_multi_word_engine() {
         let pattern = "a".repeat(140);
         let p = cicero_core::compile(&pattern).unwrap().into_program();
         let host = HostProgram::compile(&p);
-        assert_eq!(host.engine_kind(), EngineKind::LazyDfa, "{} states", host.state_count());
+        assert_eq!(host.engine_kind(), EngineKind::BitWide, "{} states", host.state_count());
         let mut input = vec![b'b'; 30];
         input.extend(vec![b'a'; 200]);
         assert_agrees(&p, &input);
     }
 
     #[test]
-    fn lazy_dfa_survives_memo_churn() {
-        // Alternation over many literals forces distinct subset states.
+    fn multi_word_engine_survives_frontier_churn() {
+        // Alternation over many literals keeps the frontier moving across
+        // mask words on a haystack that cycles through every byte.
         let branches: Vec<String> =
             (0..40).map(|i| format!("x{:02}{}", i, "y".repeat(4))).collect();
         let pattern = branches.join("|");
         let p = cicero_core::compile(&pattern).unwrap().into_program();
         let host = HostProgram::compile(&p);
+        assert_eq!(host.engine_kind(), EngineKind::BitWide, "{} states", host.state_count());
         let input: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
         assert_agrees(&p, &input);
-        let _ = host; // engine kind is whatever the state count dictates
+        let mut late = input.clone();
+        late.extend_from_slice(b"x17yyyy");
+        assert_agrees(&p, &late);
+    }
+
+    #[test]
+    fn multi_word_engine_agrees_across_word_boundaries() {
+        // `a{n}` lowers to n + 2 states (start, scan loop, n positions):
+        // sweep the mask-word boundaries from both sides, and well past
+        // 512 states.
+        for states in [129usize, 192, 193, 256, 257, 320, 321, 600] {
+            let n = states - 2;
+            let p = cicero_core::compile(&format!("a{{{n}}}")).unwrap().into_program();
+            let host = HostProgram::compile(&p);
+            assert_eq!(host.engine_kind(), EngineKind::BitWide);
+            assert_eq!(host.state_count(), states, "a{{{n}}}");
+            let mut hit = vec![b'b'; 7];
+            hit.extend(vec![b'a'; n]);
+            let mut near_miss = vec![b'a'; n - 1];
+            near_miss.push(b'b');
+            near_miss.extend(vec![b'a'; n - 1]);
+            for input in [hit, near_miss, vec![b'a'; n + 70], Vec::new()] {
+                assert_agrees(&p, &input);
+            }
+        }
+        // Sets: every member's identifier sits in a different mask word.
+        for (members, len) in [(5usize, 30usize), (9, 40), (16, 45)] {
+            let patterns: Vec<String> = (0..members)
+                .map(|m| format!("{}{}", char::from(b'a' + m as u8), "z".repeat(len)))
+                .collect();
+            let set = cicero_core::Compiler::new().compile_set(&patterns).unwrap();
+            let host = HostProgram::compile(set.program());
+            assert_eq!(host.engine_kind(), EngineKind::BitWide, "{} states", host.state_count());
+            assert!(host.state_count() > members * len);
+            let mut all = Vec::new();
+            for m in (0..members).rev() {
+                all.push(b'a' + m as u8);
+                all.extend(vec![b'z'; len]);
+                all.push(b'-');
+            }
+            let last_only = all[..len + 1].to_vec();
+            let none = vec![b'z'; 3 * len];
+            for input in [all, last_only, none, Vec::new()] {
+                assert_agrees(set.program(), &input);
+            }
+        }
+    }
+
+    #[test]
+    fn multi_word_engine_agrees_on_a_bounded_gap_signature_set() {
+        // The shape that served sets take: each `.{m,n}` keeps a window
+        // of gap states live and the members' windows overlap, so the
+        // frontier is a few states spread over every mask word.
+        let set = cicero_core::Compiler::new()
+            .compile_set(&[
+                "C.{2,4}C.{3}[LIVMFYWC].{8}H.{3,5}H",
+                "[AG].{4}GK[ST]",
+                "R.{3,9}[DE].{6,12}Y",
+                "W.{9,11}[VFY][FYW].{6,7}[GSTNE]",
+                "N[^P][ST][^P].{2,5}Q",
+                "G[DE].{6,9}[LIVMF].{5,8}[KR][KR]",
+            ])
+            .unwrap();
+        let host = HostProgram::compile(set.program());
+        assert_eq!(host.engine_kind(), EngineKind::BitWide, "{} states", host.state_count());
+        let mut late = b"MKV".repeat(40);
+        late.extend_from_slice(b"CAACLLLLAAAAAAAAHAAAH");
+        for input in [
+            b"AMKLAGKSNASAEEQLLLLL".to_vec(),
+            late,
+            b"CACAAALAAAAAAAAHAAHAMKLGKSRAADAAAAAYNPSAWAAAAAAAAVFGDAAAAALAAAAKR".to_vec(),
+            b"WAAAAAAAAAVFAAAAAAGRAAADAAAAAAY".to_vec(),
+            b"GEAAAAAALAAAAAKKAGAAAAGKT".to_vec(),
+        ] {
+            assert_agrees(set.program(), &input);
+        }
     }
 
     #[test]

@@ -242,13 +242,6 @@ impl Runtime {
         config: &ArchConfig,
         budget: &Budget,
     ) -> GuardedBatch {
-        let span = self.telemetry.as_ref().map(|t| {
-            let span = t.span("runtime.guarded_batch");
-            span.annotate("inputs", inputs.len());
-            span.annotate("fuel", budget.fuel.map_or(-1i64, |f| f as i64));
-            span.annotate("backend", self.backend.to_string());
-            span
-        });
         // On the host backend every worker shares one immutable lowered
         // engine; the fuel budget becomes a byte budget through the same
         // `max_cycles` clamp the simulator uses.
@@ -394,10 +387,6 @@ impl Runtime {
                 if let Some(report) = outcome.report() {
                     report.record_into(telemetry);
                 }
-            }
-            if let Some(span) = span {
-                span.annotate("completed", batch.completed());
-                span.annotate("worker_restarts", batch.worker_restarts);
             }
         }
         if let Some(span) = exec_span {

@@ -492,8 +492,26 @@ mod tests {
         // Every individual run is folded into the existing sim.* metrics.
         assert_eq!(telemetry.counter("sim.runs"), 14);
         assert_eq!(telemetry.histogram("sim.cycles").unwrap().count, 14);
-        let spans = telemetry.spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "runtime.guarded_batch").count(), 2);
+    }
+
+    #[test]
+    fn served_batches_leave_the_span_log_empty() {
+        // A long-lived server runs every request through here with the
+        // process-wide collector attached: what a batch records must not
+        // grow with the number of batches (the per-request detail lives in
+        // the request trace's `execute` span, which its owner drops).
+        let telemetry = Telemetry::new();
+        let runtime = runtime(2).with_telemetry(telemetry.clone());
+        let config = ArchConfig::old_organization(1);
+        let program = runtime.compile(PATTERN).unwrap();
+        for backend in [Backend::Sim, Backend::Host] {
+            let handle = runtime.with_backend(backend);
+            for _ in 0..50 {
+                handle.run_batch_guarded(&program, &chunks(), &config, &Budget::UNLIMITED);
+            }
+        }
+        assert_eq!(telemetry.counter("runtime.guarded_batches"), 100);
+        assert!(telemetry.spans().is_empty(), "{} spans logged", telemetry.spans().len());
     }
 
     #[test]

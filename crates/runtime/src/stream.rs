@@ -106,10 +106,10 @@ enum Session<'a> {
     /// The cycle-level simulator; fuel is already clamped into its
     /// config's `max_cycles`.
     Sim(StreamMachine<'a>),
-    /// The host engine, whose matcher state is one machine word (or one
-    /// DFA id). Fuel is a byte budget here (`cycles` = bytes examined in
-    /// the host report convention), so the session stops feeding at
-    /// `byte_cap`.
+    /// The host engine, whose matcher state is one state mask (one to a
+    /// few machine words). Fuel is a byte budget here (`cycles` = bytes
+    /// examined in the host report convention), so the session stops
+    /// feeding at `byte_cap`.
     Host { matcher: HostMatcher<'a>, byte_cap: u64, limit_hit: bool, peak_chunk: usize },
 }
 
@@ -191,13 +191,6 @@ impl Runtime {
         if options.queue_depth == 0 {
             return Err(StreamError::Options("queue depth must be at least 1 chunk".to_owned()));
         }
-        let span = self.telemetry.as_ref().map(|t| {
-            let span = t.span("stream.session");
-            span.annotate("chunk_size", options.chunk_size);
-            span.annotate("queue_depth", options.queue_depth);
-            span.annotate("backend", self.backend.to_string());
-            span
-        });
         let trace_span = self.trace_child("stream.execute").inspect(|span| {
             span.annotate("chunk_size", options.chunk_size);
             span.annotate("queue_depth", options.queue_depth);
@@ -296,10 +289,6 @@ impl Runtime {
             // runs do.
             if let Some(exec) = report.outcome.report() {
                 exec.record_into(telemetry);
-            }
-            if let Some(span) = span {
-                span.annotate("bytes", report.bytes);
-                span.annotate("complete", report.outcome.is_complete());
             }
         }
         if let Some(span) = trace_span {
@@ -479,8 +468,9 @@ mod tests {
         assert!(telemetry.histogram("stream.peak_buffered").is_some());
         // The concluded run folds into the sim.* series like batch runs do.
         assert_eq!(telemetry.counter("sim.runs"), 1);
-        let spans = telemetry.spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "stream.session").count(), 1);
+        // Counters and histograms only: a session leaves nothing behind
+        // that grows with the number of sessions served.
+        assert!(telemetry.spans().is_empty());
     }
 
     fn host_runtime() -> Runtime {

@@ -64,7 +64,7 @@ impl Json {
 ///
 /// A human-readable message with the byte offset of the problem.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), at: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), at: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -77,6 +77,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes, for single-byte peeks.
     bytes: &'a [u8],
     at: usize,
 }
@@ -191,16 +193,20 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the body came in as &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| "non-UTF-8 string content".to_owned())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("unescaped control character at byte {}", self.at));
+                    // Copy the whole plain run at once. It ends on a stop
+                    // byte or the end of the text; the stop bytes are
+                    // ASCII, so both ends are char boundaries of `text`.
+                    let start = self.at;
+                    while let Some(&b) = self.bytes.get(self.at) {
+                        if b == b'"' || b == b'\\' {
+                            break;
+                        }
+                        if b < 0x20 {
+                            return Err(format!("unescaped control character at byte {}", self.at));
+                        }
+                        self.at += 1;
                     }
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    out.push_str(&self.text[start..self.at]);
                 }
             }
         }
@@ -334,5 +340,29 @@ mod tests {
     #[test]
     fn rejects_unescaped_control_characters() {
         assert!(parse("\"a\u{1}b\"").is_err());
+        // Mid-run, after multi-byte scalars: the offset is the control
+        // byte's own (quote + 2-byte é + 4-byte 😀 + `x` = byte 8).
+        assert_eq!(parse("\"é😀x\u{1f}y\"").unwrap_err(), "unescaped control character at byte 8");
+        assert!(parse("\"tab\there\"").unwrap_err().ends_with("at byte 4"));
+    }
+
+    #[test]
+    fn plain_runs_keep_multibyte_scalars_around_escapes_and_quotes() {
+        assert_eq!(parse(r#""é\n😀""#).unwrap(), Json::Str("é\n😀".to_owned()));
+        assert_eq!(parse(r#""😀éé\\ß""#).unwrap(), Json::Str("😀éé\\ß".to_owned()));
+        assert_eq!(parse(r#"["aé", "ß"]"#).unwrap().as_arr().unwrap().len(), 2);
+        // Every rejection inside a string survives the run copy.
+        assert!(parse(r#""é\x""#).unwrap_err().contains("bad escape"));
+        assert!(parse(r#""é\ud800é""#).unwrap_err().contains("invalid \\u escape"));
+        assert_eq!(parse("\"é😀").unwrap_err(), "unterminated string");
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        // Re-validating the rest of the body per character was quadratic:
+        // minutes for this body in a debug build.
+        let body = format!("{{\"input\": \"{}é\"}}", "x".repeat(1 << 20));
+        let doc = parse(&body).unwrap();
+        assert_eq!(doc.get("input").unwrap().as_str().unwrap().len(), (1 << 20) + 2);
     }
 }

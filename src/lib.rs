@@ -17,8 +17,9 @@
 //! * [`legacy`] — the old single-IR compiler with Code Restructuring;
 //! * [`isa`] — the Cicero ISA, encoding, interpreter, `D_offset` metric;
 //! * [`hostexec`] — the host-native backend: lowering from the ISA to a
-//!   bit-parallel NFA engine (with a lazy-DFA tier and a literal
-//!   prefilter) that executes on the host CPU instead of the simulator;
+//!   bit-parallel NFA engine (one-, two- and multi-word state masks,
+//!   with a literal prefilter) that executes on the host CPU instead of
+//!   the simulator;
 //! * [`sim`] — the cycle-level DSA simulator with power/resource models;
 //! * [`runtime`] — the parallel batch-matching runtime: worker pool over
 //!   the simulator fronted by an LRU compiled-program cache;

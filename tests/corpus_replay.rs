@@ -73,21 +73,36 @@ fn the_registry_corpus_cases_round_trip_the_persist_format() {
 /// The host-backend satellite cases must stay committed, and they must
 /// actually select the engine tiers they claim to pin: an empty
 /// alternative, a prefilter-defeating dot pattern, a u128-tier NFA, a
-/// lazy-DFA blowup, and a shared-prefix set.
+/// counted alternation past both one-word tiers, a shared-prefix set,
+/// and a bounded-gap signature set on the multi-word engine.
 #[test]
 fn the_host_backend_corpus_cases_cover_every_engine_tier() {
     use cicero::hostexec::{EngineKind, HostProgram};
     let replayed = replay_all();
+    // A newline-joined `pattern` is a set (the registry axis' encoding):
+    // its tier is that of its one `compile_set` program.
     let tier = |pattern: &str| {
-        let program = cicero::compiler::compile(pattern).unwrap().into_program();
+        let members = difftest::split_set(pattern);
+        let program = match members.as_slice() {
+            [single] => cicero::compiler::compile(single).unwrap().into_program(),
+            _ => cicero::compiler::Compiler::new().compile_set(&members).unwrap().program().clone(),
+        };
         HostProgram::compile(&program).engine_kind()
     };
+    // The set case carries six members; take its pattern from the file.
+    let bounded_gap_set = replayed
+        .iter()
+        .find(|(case, _)| case.name == "host-bit-wide-bounded-gap-set")
+        .map(|(case, _)| case.pattern.as_str())
+        .expect("missing the bounded-gap set corpus case");
+    assert!(bounded_gap_set.matches('\n').count() >= 3, "the bounded-gap case must be a set");
     for (pattern, want) in [
         ("c(a|)t", EngineKind::Bit64),
         ("....", EngineKind::Bit64),
         ("a{70}b", EngineKind::Bit128),
-        ("(ab|cd|ef){1,40}x", EngineKind::LazyDfa),
+        ("(ab|cd|ef){1,40}x", EngineKind::BitWide),
         ("abcd|abce|abcf", EngineKind::Bit64),
+        (bounded_gap_set, EngineKind::BitWide),
     ] {
         assert!(
             replayed.iter().any(|(case, _)| case.pattern == pattern),

@@ -274,7 +274,7 @@ proptest! {
     /// The host-native backend gives the Pike-VM oracle's verdict *and*
     /// earliest match end over the full supported grammar, at both
     /// optimization levels — whichever engine tier (bit64 / bit128 /
-    /// lazy-DFA) the program selects. The host engine is held to the
+    /// bit-wide) the program selects. The host engine is held to the
     /// oracle's single answer, not just any-match agreement.
     #[test]
     fn host_engine_matches_oracle(pattern in pattern_strategy(), input in input_strategy()) {
