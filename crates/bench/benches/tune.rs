@@ -3,37 +3,28 @@
 //! `BENCH_tune.json`.
 //!
 //! For each suite the bench scores the built-in default configuration
-//! under the tuner's sim cost model (cycles + icache-miss penalty), then
-//! runs `cicero_tune::tune` over the full compiler × architecture space
-//! and scores the winner. Two properties are *asserted*, not just
-//! measured:
+//! under the tuner's cost function (cycles + icache-miss penalty), then
+//! sweeps the full compiler × architecture space with `cicero_tune::tune`
+//! — the same exhaustive search `cicero tune` runs with no `--budget` —
+//! and scores the winner. *Asserted*, not just measured: **no
+//! regressions** — the tuned config's cost is never above the default's
+//! on any suite (the searcher evaluates the default as candidate zero and
+//! only replaces it on strictly lower cost, so a regression here means
+//! the search engine itself is broken).
 //!
-//! * **no regressions** — the tuned config's cost is never above the
-//!   default's on any suite (the searcher evaluates the default as
-//!   candidate zero and only replaces it on strictly lower cost, so a
-//!   regression here means the search engine itself is broken);
-//! * **determinism** — a second run with the same seed and budget picks
-//!   the identical winning config.
-//!
-//! Search budget follows `CICERO_BENCH_SCALE`: `quick` 10 evaluations,
-//! default 24, `full` 96. Output path via `CICERO_BENCH_TUNE` (empty to
-//! disable, default `BENCH_tune.json`).
+//! The sweep is 288 evaluations per suite at every `CICERO_BENCH_SCALE`
+//! (seconds), in index order, so the rows do not depend on a seed.
+//! Output path via `CICERO_BENCH_TUNE` (empty to disable, default
+//! `BENCH_tune.json`).
 
 use std::fmt::Write as _;
 
 use cicero_bench::{banner, Scale, Table};
-use cicero_tune::{tune, Budget, CostReport, SearchSpace, SimCostModel, TuneConfig, Workload};
+use cicero_tune::{tune, Budget, CostReport, SearchSpace, TuneConfig, Workload};
 
-/// Same seed the CI smoke job and EXPERIMENTS.md runs use.
+/// Recorded in the export for parity with `tune.toml`; an exhaustive
+/// sweep never draws from it.
 const SEED: u64 = 42;
-
-fn eval_budget(scale: Scale) -> usize {
-    match scale.patterns {
-        8 => 10,   // quick
-        200 => 96, // full
-        _ => 24,
-    }
-}
 
 /// The registry-style suite: the shared member plus version-specific
 /// patterns that `benches/registry.rs` hot-swaps under load.
@@ -43,6 +34,18 @@ fn registry_workload() -> Workload {
     let mut workload = Workload::from_patterns(&patterns).expect("registry ruleset workload");
     workload.name = "registry".to_owned();
     workload
+}
+
+/// All four searched axes of a config, in one cell.
+fn describe(config: &TuneConfig) -> String {
+    format!(
+        "{} / icache {}x{} / {} / leading {}",
+        config.arch.name(),
+        config.arch.cache_lines,
+        config.arch.cache_line_size,
+        config.compiler.pass_order.to_token_string(),
+        if config.compiler.shortest_match_leading { "on" } else { "off" }
+    )
 }
 
 struct Row {
@@ -57,9 +60,9 @@ struct Row {
 fn main() {
     let scale = Scale::from_env();
     banner("tune", "autotuned vs default configuration", scale);
-    let budget = eval_budget(scale);
     let space = SearchSpace::full();
-    println!("  searching {} points with a {budget}-eval budget, seed {SEED}\n", space.size());
+    let budget = space.size();
+    println!("  sweeping all {budget} points per suite\n");
 
     let workloads = vec![
         Workload::pack("protomata").unwrap(),
@@ -69,13 +72,9 @@ fn main() {
 
     let mut rows = Vec::new();
     for workload in &workloads {
-        let outcome = tune(workload, &space, &SimCostModel, Budget::Evals(budget), SEED, None)
+        let outcome = tune(workload, &space, Budget::Evals(budget), SEED, None)
             .expect("tuning must succeed on the committed suites");
-        // Determinism: the same seed and budget must land on the same
-        // winner (the issue's acceptance criterion, asserted per suite).
-        let replay = tune(workload, &space, &SimCostModel, Budget::Evals(budget), SEED, None)
-            .expect("replay run");
-        assert_eq!(outcome.best, replay.best, "seed {SEED} must be reproducible");
+        assert_eq!(outcome.strategy, "exhaustive");
         assert!(
             outcome.best_report.cost <= outcome.default_report.cost,
             "tuned must beat or match default on {}",
@@ -100,7 +99,7 @@ fn main() {
             row.default_report.cycles.to_string(),
             format!("{:.2}", row.default_report.throughput_mbps),
             row.default_report.d_offset.to_string(),
-            "16x1 / canonicalize,factorize,shortest-match".to_owned(),
+            describe(&TuneConfig::default()),
         ]);
         table.row(vec![
             row.suite.clone(),
@@ -108,11 +107,7 @@ fn main() {
             row.tuned_report.cycles.to_string(),
             format!("{:.2}", row.tuned_report.throughput_mbps),
             row.tuned_report.d_offset.to_string(),
-            format!(
-                "{} / {}",
-                row.tuned.arch.name(),
-                row.tuned.compiler.pass_order.to_token_string()
-            ),
+            describe(&row.tuned),
         ]);
     }
     table.print();
@@ -131,11 +126,12 @@ fn main() {
     let _ = writeln!(json, "  \"budget_evals\": {budget},");
     let _ = writeln!(json, "  \"space_points\": {},", space.size());
     json.push_str(
-        "  \"notes\": \"tuned-vs-default under the sim cost model (cycles + 1e-3 per icache \
-         miss) on the protomata/brill packs and the registry ruleset; each suite row pair \
-         shares a workload; asserted: tuned cost <= default cost on every suite and the same \
-         seed + budget reproduces the same winner; cycles/throughput are simulated at the \
-         row's architecture, D_offset is the paper's speculation-depth metric\",\n",
+        "  \"notes\": \"tuned-vs-default under the tuner's cost function (cycles + 1e-3 per \
+         icache miss) on the protomata/brill packs and the registry ruleset; each suite row \
+         pair shares a workload; the search is the exhaustive index-order sweep of all \
+         space_points, so winners are optima and do not depend on the seed; asserted: tuned \
+         cost <= default cost on every suite; cycles/throughput are simulated at the row's \
+         architecture, D_offset is the paper's speculation-depth metric\",\n",
     );
     json.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -146,7 +142,7 @@ fn main() {
              \"throughput_mbps\": {:.3}, \"d_offset\": {}}},\n    \
              {{\"suite\": \"{}\", \"config_source\": \"tune.toml\", \"cycles\": {}, \
              \"throughput_mbps\": {:.3}, \"d_offset\": {}, \"evals\": {}, \
-             \"strategy\": \"{}\", \"winner\": \"{} / {}\", \"beats_or_matches_default\": {}}}",
+             \"strategy\": \"{}\", \"winner\": \"{}\", \"beats_or_matches_default\": {}}}",
             row.suite,
             row.default_report.cycles,
             row.default_report.throughput_mbps,
@@ -157,8 +153,7 @@ fn main() {
             row.tuned_report.d_offset,
             row.evals,
             row.strategy,
-            row.tuned.arch.name(),
-            row.tuned.compiler.pass_order.to_token_string(),
+            describe(&row.tuned),
             beats,
         );
         json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });

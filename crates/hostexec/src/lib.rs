@@ -105,38 +105,6 @@ enum Repr {
     Interp(Program),
 }
 
-/// Engine-tier selection thresholds: the largest automaton (in states)
-/// each one-word width accepts before compilation falls through to the
-/// next tier; anything above `bit128_max` runs on the multi-word engine.
-/// Exposed as autotuner knobs — a workload whose automata hover just
-/// above a width boundary can trade the narrower engine's table-driven
-/// step against the wider one's smaller tables.
-///
-/// Values are clamped to the representation's hard capacity (64 / 128
-/// states), and `bit128_max` is clamped up to `bit64_max` so the tiers
-/// stay ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct HostTiers {
-    /// Max states handled by the one-`u64`-mask engine (≤ 64).
-    pub bit64_max: usize,
-    /// Max states handled by the one-`u128`-mask engine (≤ 128).
-    pub bit128_max: usize,
-}
-
-impl Default for HostTiers {
-    fn default() -> HostTiers {
-        HostTiers { bit64_max: 64, bit128_max: 128 }
-    }
-}
-
-impl HostTiers {
-    fn clamped(self) -> HostTiers {
-        let bit64_max = self.bit64_max.min(64);
-        let bit128_max = self.bit128_max.min(128).max(bit64_max);
-        HostTiers { bit64_max, bit128_max }
-    }
-}
-
 /// A `cicero` program lowered to a host-native engine. Immutable and
 /// `Sync`: share one behind an `Arc` across worker threads; per-run
 /// mutable state lives in [`HostMatcher`].
@@ -159,22 +127,22 @@ impl HostProgram {
     /// program the lowering cannot handle within budget degrades to the
     /// reference interpreter rather than failing.
     pub fn compile(program: &Program) -> HostProgram {
-        HostProgram::compile_with_tiers(program, HostTiers::default())
+        HostProgram::compile_capped(program, 64, 128)
     }
 
-    /// [`compile`](HostProgram::compile) with explicit engine-tier
-    /// thresholds (see [`HostTiers`]); out-of-range thresholds are
-    /// clamped, never an error.
-    pub fn compile_with_tiers(program: &Program, tiers: HostTiers) -> HostProgram {
-        let tiers = tiers.clamped();
+    /// [`compile`](HostProgram::compile) with the one-word engines capped
+    /// below their mask widths, so the unit tests can put one small
+    /// automaton on every engine and hold them to each other.
+    fn compile_capped(program: &Program, bit64_max: usize, bit128_max: usize) -> HostProgram {
+        debug_assert!(bit64_max <= 64 && bit128_max <= 128, "caps above the mask widths");
         let repr = match nfa::lower(program) {
             None => Repr::Interp(program.clone()),
             Some(mut nfa) => {
                 nfa::factor(&mut nfa);
                 let states = nfa.preds.len();
-                if states <= tiers.bit64_max {
+                if states <= bit64_max {
                     Repr::W64(BitEngine::build(&nfa))
-                } else if states <= tiers.bit128_max {
+                } else if states <= bit128_max {
                     Repr::W128(BitEngine::build(&nfa))
                 } else {
                     Repr::Wide(WideEngine::build(&nfa))
@@ -409,7 +377,11 @@ mod tests {
     /// Assert host/interpreter agreement on verdict, match end, and the
     /// `run_all` view, on every deterministic split of the input.
     fn assert_agrees(p: &Program, input: &[u8]) {
-        let host = HostProgram::compile(p);
+        assert_host_agrees(&HostProgram::compile(p), p, input);
+    }
+
+    /// [`assert_agrees`] for an already-lowered `host` of `p`.
+    fn assert_host_agrees(host: &HostProgram, p: &Program, input: &[u8]) {
         let reference = run(p, input);
         let got = host.run(input);
         assert_eq!(got.accepted, reference.accepted, "verdict on {input:?}");
@@ -423,10 +395,10 @@ mod tests {
             "first end on {input:?}"
         );
         // Chunk-split invariance: 1-byte chunks and a middle split.
-        let streamed = run_chunked(&host, input.chunks(1));
+        let streamed = run_chunked(host, input.chunks(1));
         assert_eq!(streamed, got, "1-byte chunks on {input:?}");
         let mid = input.len() / 2;
-        let streamed = run_chunked(&host, [&input[..mid], &input[mid..]]);
+        let streamed = run_chunked(host, [&input[..mid], &input[mid..]]);
         assert_eq!(streamed, got, "middle split on {input:?}");
     }
 
@@ -617,38 +589,27 @@ mod tests {
     }
 
     #[test]
-    fn tier_thresholds_steer_engine_selection_without_changing_results() {
-        // A ~4-state pattern lands on Bit64 by default; lowering the
-        // bit64 ceiling pushes it to Bit128, lowering both pushes it to
-        // the multi-word engine (one word wide here) — same answers
-        // everywhere.
-        let p = cicero_core::compile("ab+c").unwrap().into_program();
-        let default = HostProgram::compile(&p);
-        assert_eq!(default.engine_kind(), EngineKind::Bit64);
-        let w128 = HostProgram::compile_with_tiers(&p, HostTiers { bit64_max: 0, bit128_max: 128 });
-        assert_eq!(w128.engine_kind(), EngineKind::Bit128);
-        let wide = HostProgram::compile_with_tiers(&p, HostTiers { bit64_max: 0, bit128_max: 0 });
-        assert_eq!(wide.engine_kind(), EngineKind::BitWide);
-        for input in inputs() {
-            let expected = from_exec(run(&p, &input));
-            assert_eq!(default.run(&input), expected, "{input:?}");
-            assert_eq!(w128.run(&input), expected, "{input:?}");
-            assert_eq!(wide.run(&input), expected, "{input:?}");
+    fn every_engine_agrees_on_one_small_program() {
+        // One automaton that fits a `u64` mask, lowered onto each
+        // bit-parallel engine in turn (the multi-word one is a single
+        // word wide here): all three are held to the interpreter whole,
+        // in 1-byte chunks and split mid-input. `difftest` only ever
+        // sees the engine `compile` picks for a program's size.
+        let set = cicero_core::Compiler::new().compile_set(&["ab+c", "th(is|at)", "b"]).unwrap();
+        let p = set.program();
+        let engines = [
+            (HostProgram::compile(p), EngineKind::Bit64),
+            (HostProgram::compile_capped(p, 0, 128), EngineKind::Bit128),
+            (HostProgram::compile_capped(p, 0, 0), EngineKind::BitWide),
+        ];
+        let mut inputs = inputs();
+        inputs.push(b"xx this abbbc that".to_vec());
+        for (host, kind) in &engines {
+            assert_eq!(host.engine_kind(), *kind, "{} states", host.state_count());
+            for input in &inputs {
+                assert_host_agrees(host, p, input);
+            }
         }
-    }
-
-    #[test]
-    fn tier_thresholds_clamp_to_hard_capacity() {
-        // Requesting more than the mask width is clamped, not honored:
-        // a 70-state automaton cannot ride a u64 mask.
-        let pattern = "a".repeat(70);
-        let p = cicero_core::compile(&pattern).unwrap().into_program();
-        let host =
-            HostProgram::compile_with_tiers(&p, HostTiers { bit64_max: 999, bit128_max: 999 });
-        assert_eq!(host.engine_kind(), EngineKind::Bit128, "{} states", host.state_count());
-        // And an inverted pair (bit128 < bit64) is reordered.
-        let tiers = HostTiers { bit64_max: 64, bit128_max: 0 }.clamped();
-        assert_eq!(tiers, HostTiers { bit64_max: 64, bit128_max: 64 });
     }
 
     #[test]

@@ -51,9 +51,7 @@ use std::sync::Arc;
 
 pub use budget::{Budget, BudgetKind, GuardedBatch, MatchOutcome, WorkerStats};
 pub use cache::{CacheKey, CacheStats, ProgramCache, DEFAULT_SHARDS};
-pub use cicero_hostexec::{
-    EngineKind, HostAllOutcome, HostOutcome, HostProgram, HostRun, HostTiers,
-};
+pub use cicero_hostexec::{EngineKind, HostAllOutcome, HostOutcome, HostProgram, HostRun};
 pub use handle::{PinGuard, SetHandle};
 pub use stream::{StreamError, StreamOptions, StreamReport};
 
@@ -89,15 +87,13 @@ pub(crate) fn host_exec_report(run: &HostRun) -> ExecReport {
 struct HostCache {
     map: std::sync::Mutex<std::collections::HashMap<Program, Arc<HostProgram>>>,
     capacity: usize,
-    tiers: HostTiers,
 }
 
 impl HostCache {
-    fn new(capacity: usize, tiers: HostTiers) -> HostCache {
+    fn new(capacity: usize) -> HostCache {
         HostCache {
             map: std::sync::Mutex::new(std::collections::HashMap::new()),
             capacity: capacity.max(1),
-            tiers,
         }
     }
 
@@ -105,7 +101,7 @@ impl HostCache {
         if let Some(hit) = self.map.lock().unwrap_or_else(|p| p.into_inner()).get(program) {
             return Arc::clone(hit);
         }
-        let lowered = Arc::new(HostProgram::compile_with_tiers(program, self.tiers));
+        let lowered = Arc::new(HostProgram::compile(program));
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
         if map.len() >= self.capacity {
             map.clear();
@@ -142,13 +138,6 @@ pub struct RuntimeOptions {
     pub jobs: usize,
     /// Maximum entries in the compiled-program cache.
     pub cache_capacity: usize,
-    /// Lock stripes in the compiled-program cache; `0` resolves to the
-    /// cache's built-in default ([`cache::DEFAULT_SHARDS`]). An autotuner
-    /// knob: more stripes cut contention, fewer keep LRU order closer to
-    /// global.
-    pub cache_shards: usize,
-    /// Host-backend engine-tier thresholds (see [`HostTiers`]).
-    pub host_tiers: HostTiers,
     /// Compiler configuration used for every compilation (and part of
     /// every cache key).
     pub compiler: CompilerOptions,
@@ -156,13 +145,7 @@ pub struct RuntimeOptions {
 
 impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
-        RuntimeOptions {
-            jobs: 0,
-            cache_capacity: 128,
-            cache_shards: 0,
-            host_tiers: HostTiers::default(),
-            compiler: CompilerOptions::optimized(),
-        }
+        RuntimeOptions { jobs: 0, cache_capacity: 128, compiler: CompilerOptions::optimized() }
     }
 }
 
@@ -226,13 +209,11 @@ impl Runtime {
         } else {
             options.jobs
         };
-        let shards =
-            if options.cache_shards == 0 { cache::DEFAULT_SHARDS } else { options.cache_shards };
         Runtime {
             shared: Arc::new(Shared {
                 jobs,
-                cache: ProgramCache::with_shards(options.cache_capacity, shards),
-                host: HostCache::new(options.cache_capacity, options.host_tiers),
+                cache: ProgramCache::new(options.cache_capacity),
+                host: HostCache::new(options.cache_capacity),
                 options,
             }),
             telemetry: None,

@@ -2,14 +2,12 @@
 //!
 //! [`TuneConfig`] bundles every knob the tuner may move. It is `Copy +
 //! Hash + Eq` end to end so the searcher can memoize evaluations keyed by
-//! `(workload fingerprint, config)` with no serialization step — which is
-//! also why the simulated-architecture axis is expressed as the hashable
-//! [`ArchParams`] rather than `cicero_sim::ArchConfig` (whose `lb_*` and
-//! safety-valve fields are not part of the search and are re-derived on
-//! conversion).
+//! the config itself with no serialization step — which is also why the
+//! simulated-architecture axis is expressed as the hashable [`ArchParams`]
+//! rather than `cicero_sim::ArchConfig` (whose `lb_*` and safety-valve
+//! fields are not part of the search and are re-derived on conversion).
 
 use cicero_core::CompilerOptions;
-use cicero_hostexec::HostTiers;
 use cicero_sim::{ArchConfig, CacheConfig, Organization};
 
 /// The architectural organization axis, mirroring
@@ -112,8 +110,8 @@ impl ArchParams {
     }
 }
 
-/// Everything the tuner may decide: compiler toggles + pass order, the
-/// simulated machine, host-backend engine tiers, and runtime knobs.
+/// Everything the tuner may decide — and nothing the cost function does
+/// not read: compiler toggles + pass order, and the simulated machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TuneConfig {
     /// Compiler configuration (includes [`pass_order`]).
@@ -122,25 +120,13 @@ pub struct TuneConfig {
     pub compiler: CompilerOptions,
     /// Simulated-architecture parameters.
     pub arch: ArchParams,
-    /// Host-backend engine-tier thresholds.
-    pub host: HostTiers,
-    /// Runtime worker threads (0 = all host cores).
-    pub jobs: usize,
-    /// Program-cache lock stripes (0 = the runtime default).
-    pub cache_shards: usize,
 }
 
 impl Default for TuneConfig {
     /// The built-in defaults every other layer uses — the baseline every
     /// tuning run must beat or match.
     fn default() -> TuneConfig {
-        TuneConfig {
-            compiler: CompilerOptions::optimized(),
-            arch: ArchParams::default(),
-            host: HostTiers::default(),
-            jobs: 0,
-            cache_shards: 0,
-        }
+        TuneConfig { compiler: CompilerOptions::optimized(), arch: ArchParams::default() }
     }
 }
 
@@ -165,7 +151,6 @@ mod tests {
         let config = TuneConfig::default();
         assert_eq!(config.compiler, CompilerOptions::optimized());
         assert_eq!(config.arch.name(), "NEW 16x1 CORES");
-        assert_eq!(config.host, HostTiers::default());
     }
 
     #[test]

@@ -1,9 +1,6 @@
-//! Pluggable cost models: how a candidate config is scored on a workload.
-
-use std::time::Instant;
+//! The cost function: how a candidate config is scored on a workload.
 
 use cicero_core::Compiler;
-use cicero_hostexec::HostProgram;
 use cicero_sim::simulate;
 
 use crate::config::TuneConfig;
@@ -14,17 +11,15 @@ use crate::TuneError;
 /// minimizes; the rest is reporting (benches, `tune.toml` score section).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
-    /// The minimized scalar. Simulated cycles (with icache misses as a
-    /// deterministic tie-breaker) for [`SimCostModel`]; wall-clock
-    /// nanoseconds for [`HostCostModel`].
+    /// The minimized scalar: simulated cycles, with icache misses as a
+    /// deterministic tie-breaker.
     pub cost: f64,
-    /// Total simulated cycles across every (pattern × chunk) pair (0 for
-    /// the host model — it has no cycle notion).
+    /// Total simulated cycles across every (pattern × chunk) pair.
     pub cycles: u64,
-    /// Total simulated icache misses (0 for the host model).
+    /// Total simulated icache misses.
     pub icache_misses: u64,
     /// Estimated scan time in microseconds (from cycles and the derated
-    /// clock for sim; measured for host).
+    /// clock).
     pub time_us: f64,
     /// Workload bytes per second, in MB/s, implied by `time_us`.
     pub throughput_mbps: f64,
@@ -35,143 +30,54 @@ pub struct CostReport {
     pub code_size: usize,
 }
 
-/// A way to score one candidate on one workload. Implementations must be
-/// pure functions of `(workload, config)` to be memoizable; the host
-/// model bends this (wall-clock noise) and is documented accordingly.
-pub trait CostModel {
-    /// Short name recorded in `tune.toml` (`sim`, `host`).
-    fn name(&self) -> &'static str;
-
-    /// Score `config` on `workload`.
-    ///
-    /// # Errors
-    ///
-    /// [`TuneError::Compile`] when a workload pattern fails to compile
-    /// under the candidate's compiler options.
-    fn evaluate(&self, workload: &Workload, config: &TuneConfig) -> Result<CostReport, TuneError>;
-}
-
 /// Cost a candidate pays when the simulator trips its cycle safety
 /// valve: effectively infinite, but finite so comparisons stay total.
 const CYCLE_LIMIT_COST: f64 = 1e30;
 
-/// The default, deterministic model: compile every pattern under the
+/// Score `config` on `workload`: compile every pattern under the
 /// candidate's compiler options, simulate it over every chunk on the
-/// candidate's machine, and sum cycles. Identical inputs give identical
-/// scores on every host, which is what makes `--seed` reproducible.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimCostModel;
-
-impl CostModel for SimCostModel {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    fn evaluate(&self, workload: &Workload, config: &TuneConfig) -> Result<CostReport, TuneError> {
-        let arch = config.arch.to_arch_config();
-        let compiler = Compiler::with_options(config.compiler);
-        let mut cycles = 0u64;
-        let mut icache_misses = 0u64;
-        let mut d_offset = 0u64;
-        let mut code_size = 0usize;
-        let mut hit_limit = false;
-        for pattern in &workload.patterns {
-            let compiled = compiler
-                .compile(pattern)
-                .map_err(|e| TuneError::Compile(format!("`{pattern}`: {e}")))?;
-            d_offset += compiled.d_offset();
-            code_size += compiled.code_size();
-            let program = compiled.into_program();
-            for chunk in &workload.chunks {
-                let report = simulate(&program, chunk, &arch);
-                cycles += report.cycles;
-                icache_misses += report.icache_misses;
-                hit_limit |= report.hit_cycle_limit;
-            }
-        }
-        let time_us = cycles as f64 / arch.clock_mhz();
-        let total_bytes = workload.total_bytes() as f64;
-        let throughput_mbps = if time_us > 0.0 { total_bytes / time_us } else { 0.0 };
-        let cost = if hit_limit {
-            CYCLE_LIMIT_COST
-        } else {
-            // Misses break cycle ties deterministically without ever
-            // outweighing a single cycle of difference.
-            cycles as f64 + icache_misses as f64 * 1e-3
-        };
-        Ok(CostReport {
-            cost,
-            cycles,
-            icache_misses,
-            time_us,
-            throughput_mbps,
-            d_offset,
-            code_size,
-        })
-    }
-}
-
-/// Wall-clock model for the host-native backend: lower every pattern to
-/// the host engine under the candidate's tier thresholds and time real
-/// scans.
+/// candidate's machine, and sum cycles. A pure function of its inputs —
+/// identical on every host — which is what makes the search memoizable
+/// and `cicero tune` reproducible. It reads every field of [`TuneConfig`];
+/// a knob it cannot see does not belong in the search space.
 ///
-/// **Nondeterministic by nature** — scheduler noise moves the numbers —
-/// so the searcher accepts it but `tune.toml` records only the candidate
-/// *decision*, never host-measured scores, and `--seed` reproducibility
-/// is only promised for the sim model.
-#[derive(Debug, Clone, Copy)]
-pub struct HostCostModel {
-    /// Timed repetitions per (pattern × chunk) pair; more reps, less
-    /// noise, slower search.
-    pub reps: u32,
-}
-
-impl Default for HostCostModel {
-    fn default() -> HostCostModel {
-        HostCostModel { reps: 3 }
-    }
-}
-
-impl CostModel for HostCostModel {
-    fn name(&self) -> &'static str {
-        "host"
-    }
-
-    fn evaluate(&self, workload: &Workload, config: &TuneConfig) -> Result<CostReport, TuneError> {
-        let compiler = Compiler::with_options(config.compiler);
-        let mut d_offset = 0u64;
-        let mut code_size = 0usize;
-        let mut programs = Vec::new();
-        for pattern in &workload.patterns {
-            let compiled = compiler
-                .compile(pattern)
-                .map_err(|e| TuneError::Compile(format!("`{pattern}`: {e}")))?;
-            d_offset += compiled.d_offset();
-            code_size += compiled.code_size();
-            programs.push(HostProgram::compile_with_tiers(&compiled.into_program(), config.host));
+/// # Errors
+///
+/// [`TuneError::Compile`] when a workload pattern fails to compile under
+/// the candidate's compiler options.
+pub fn evaluate(workload: &Workload, config: &TuneConfig) -> Result<CostReport, TuneError> {
+    let arch = config.arch.to_arch_config();
+    let compiler = Compiler::with_options(config.compiler);
+    let mut cycles = 0u64;
+    let mut icache_misses = 0u64;
+    let mut d_offset = 0u64;
+    let mut code_size = 0usize;
+    let mut hit_limit = false;
+    for pattern in &workload.patterns {
+        let compiled = compiler
+            .compile(pattern)
+            .map_err(|e| TuneError::Compile(format!("`{pattern}`: {e}")))?;
+        d_offset += compiled.d_offset();
+        code_size += compiled.code_size();
+        let program = compiled.into_program();
+        for chunk in &workload.chunks {
+            let report = simulate(&program, chunk, &arch);
+            cycles += report.cycles;
+            icache_misses += report.icache_misses;
+            hit_limit |= report.hit_cycle_limit;
         }
-        let start = Instant::now();
-        for _ in 0..self.reps.max(1) {
-            for program in &programs {
-                for chunk in &workload.chunks {
-                    std::hint::black_box(program.run(chunk));
-                }
-            }
-        }
-        let elapsed = start.elapsed();
-        let time_us = elapsed.as_secs_f64() * 1e6 / f64::from(self.reps.max(1));
-        let total_bytes = workload.total_bytes() as f64;
-        let throughput_mbps = if time_us > 0.0 { total_bytes / time_us } else { 0.0 };
-        Ok(CostReport {
-            cost: elapsed.as_nanos() as f64,
-            cycles: 0,
-            icache_misses: 0,
-            time_us,
-            throughput_mbps,
-            d_offset,
-            code_size,
-        })
     }
+    let time_us = cycles as f64 / arch.clock_mhz();
+    let total_bytes = workload.total_bytes() as f64;
+    let throughput_mbps = if time_us > 0.0 { total_bytes / time_us } else { 0.0 };
+    let cost = if hit_limit {
+        CYCLE_LIMIT_COST
+    } else {
+        // Misses break cycle ties deterministically without ever
+        // outweighing a single cycle of difference.
+        cycles as f64 + icache_misses as f64 * 1e-3
+    };
+    Ok(CostReport { cost, cycles, icache_misses, time_us, throughput_mbps, d_offset, code_size })
 }
 
 #[cfg(test)]
@@ -183,11 +89,11 @@ mod tests {
     }
 
     #[test]
-    fn sim_model_is_deterministic() {
+    fn evaluation_is_deterministic() {
         let workload = tiny_workload();
         let config = TuneConfig::default();
-        let a = SimCostModel.evaluate(&workload, &config).unwrap();
-        let b = SimCostModel.evaluate(&workload, &config).unwrap();
+        let a = evaluate(&workload, &config).unwrap();
+        let b = evaluate(&workload, &config).unwrap();
         assert_eq!(a, b);
         assert!(a.cycles > 0);
         assert!(a.cost > 0.0);
@@ -195,24 +101,15 @@ mod tests {
     }
 
     #[test]
-    fn sim_model_sees_config_differences() {
+    fn evaluation_sees_config_differences() {
         let workload = tiny_workload();
-        let default = SimCostModel.evaluate(&workload, &TuneConfig::default()).unwrap();
+        let default = evaluate(&workload, &TuneConfig::default()).unwrap();
         let mut small = TuneConfig::default();
         small.arch.cache_lines = 1;
         small.arch.cache_line_size = 1;
-        let starved = SimCostModel.evaluate(&workload, &small).unwrap();
+        let starved = evaluate(&workload, &small).unwrap();
         // A one-line icache cannot beat the default geometry.
         assert!(starved.icache_misses >= default.icache_misses);
-    }
-
-    #[test]
-    fn host_model_runs_and_reports_locality() {
-        let workload = tiny_workload();
-        let report = HostCostModel { reps: 1 }.evaluate(&workload, &TuneConfig::default()).unwrap();
-        assert!(report.cost > 0.0);
-        assert!(report.code_size > 0);
-        assert_eq!(report.cycles, 0, "host model has no cycle notion");
     }
 
     #[test]
@@ -222,7 +119,7 @@ mod tests {
             patterns: vec!["(".to_owned()],
             chunks: vec![b"abc".to_vec()],
         };
-        let err = SimCostModel.evaluate(&workload, &TuneConfig::default()).unwrap_err();
+        let err = evaluate(&workload, &TuneConfig::default()).unwrap_err();
         assert!(matches!(err, TuneError::Compile(ref msg) if msg.contains('(')), "{err}");
     }
 }

@@ -11,7 +11,6 @@
 use std::path::Path;
 
 use cicero_core::CompilerOptions;
-use cicero_hostexec::HostTiers;
 use cicero_sim::ArchConfig;
 use regex_dialect::transforms::PassOrder;
 
@@ -21,7 +20,7 @@ use crate::workload::Workload;
 use crate::TuneError;
 
 /// The format version this build writes and the only one it accepts.
-pub const TUNE_FILE_VERSION: u64 = 1;
+pub const TUNE_FILE_VERSION: u64 = 2;
 
 /// A parsed (or about-to-be-written) `tune.toml`.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,13 +33,11 @@ pub struct TuneFile {
     pub seed: u64,
     /// `exhaustive` or `random-mutation`.
     pub strategy: String,
-    /// Cost model name (`sim`, `host`).
-    pub cost_model: String,
-    /// Cost-model evaluations spent.
+    /// Cost evaluations spent.
     pub evals: u64,
-    /// Baseline simulated cycles (0 when tuned by the host model).
+    /// Baseline simulated cycles.
     pub default_cycles: u64,
-    /// Winner simulated cycles (0 when tuned by the host model).
+    /// Winner simulated cycles.
     pub tuned_cycles: u64,
     /// Baseline summed `D_offset`.
     pub default_d_offset: u64,
@@ -52,18 +49,12 @@ pub struct TuneFile {
 
 impl TuneFile {
     /// Package a search result for persistence.
-    pub fn from_outcome(
-        workload: &Workload,
-        outcome: &TuneOutcome,
-        cost_model: &str,
-        seed: u64,
-    ) -> TuneFile {
+    pub fn from_outcome(workload: &Workload, outcome: &TuneOutcome, seed: u64) -> TuneFile {
         TuneFile {
             workload: workload.name.clone(),
             fingerprint: workload.fingerprint(),
             seed,
             strategy: outcome.strategy.to_owned(),
-            cost_model: cost_model.to_owned(),
             evals: outcome.evals as u64,
             default_cycles: outcome.default_report.cycles,
             tuned_cycles: outcome.best_report.cycles,
@@ -83,11 +74,6 @@ impl TuneFile {
         self.config.arch.to_arch_config()
     }
 
-    /// The winner's host-backend tier thresholds.
-    pub fn host_tiers(&self) -> HostTiers {
-        self.config.host
-    }
-
     /// Render to the canonical byte-deterministic text form.
     pub fn render(&self) -> String {
         let c = &self.config.compiler;
@@ -101,7 +87,6 @@ impl TuneFile {
              fingerprint = \"{fingerprint:016x}\"\n\
              seed = {seed}\n\
              strategy = \"{strategy}\"\n\
-             cost_model = \"{cost_model}\"\n\
              evals = {evals}\n\
              \n\
              [score]\n\
@@ -125,21 +110,12 @@ impl TuneFile {
              cc_id_bits = {cc_id_bits}\n\
              cache_lines = {cache_lines}\n\
              cache_line_size = {cache_line_size}\n\
-             cache_miss_penalty = {cache_miss_penalty}\n\
-             \n\
-             [host]\n\
-             bit64_max = {bit64_max}\n\
-             bit128_max = {bit128_max}\n\
-             \n\
-             [runtime]\n\
-             jobs = {jobs}\n\
-             cache_shards = {cache_shards}\n",
+             cache_miss_penalty = {cache_miss_penalty}\n",
             version = TUNE_FILE_VERSION,
             workload = self.workload,
             fingerprint = self.fingerprint,
             seed = self.seed,
             strategy = self.strategy,
-            cost_model = self.cost_model,
             evals = self.evals,
             default_cycles = self.default_cycles,
             tuned_cycles = self.tuned_cycles,
@@ -158,10 +134,6 @@ impl TuneFile {
             cache_lines = a.cache_lines,
             cache_line_size = a.cache_line_size,
             cache_miss_penalty = a.cache_miss_penalty,
-            bit64_max = self.config.host.bit64_max,
-            bit128_max = self.config.host.bit128_max,
-            jobs = self.config.jobs,
-            cache_shards = self.config.cache_shards,
         )
     }
 
@@ -202,6 +174,14 @@ impl TuneFile {
             let value = value.trim();
             let qualified =
                 if section.is_empty() { key.to_owned() } else { format!("{section}.{key}") };
+            if qualified == "version" && value != TUNE_FILE_VERSION.to_string() {
+                // Checked the moment it is read: what an older file calls
+                // its retired sections must not be the error it dies on.
+                return Err(fail(format!(
+                    "unsupported tune.toml version {value} (this build reads \
+                     v{TUNE_FILE_VERSION}); regenerate with `cicero tune`"
+                )));
+            }
             if !KEYS.contains(&qualified.as_str()) {
                 return Err(fail(format!("unknown key `{qualified}`")));
             }
@@ -240,13 +220,7 @@ impl TuneFile {
                 .ok_or_else(|| TuneError::Parse(format!("key `{key}` is not a quoted string")))
         };
 
-        let version = get_u64("version")?;
-        if version != TUNE_FILE_VERSION {
-            return Err(TuneError::Parse(format!(
-                "unsupported tune.toml version {version} (this build reads v{TUNE_FILE_VERSION}); \
-                 re-run `cicero tune` to regenerate"
-            )));
-        }
+        get("version")?; // present; its value was checked as it was read
 
         let fingerprint_hex = get_str("meta.fingerprint")?;
         let fingerprint = u64::from_str_radix(&fingerprint_hex, 16).map_err(|_| {
@@ -285,22 +259,12 @@ impl TuneFile {
             fingerprint,
             seed: get_u64("meta.seed")?,
             strategy: get_str("meta.strategy")?,
-            cost_model: get_str("meta.cost_model")?,
             evals: get_u64("meta.evals")?,
             default_cycles: get_u64("score.default_cycles")?,
             tuned_cycles: get_u64("score.tuned_cycles")?,
             default_d_offset: get_u64("score.default_d_offset")?,
             tuned_d_offset: get_u64("score.tuned_d_offset")?,
-            config: TuneConfig {
-                compiler,
-                arch,
-                host: HostTiers {
-                    bit64_max: get_u64("host.bit64_max")? as usize,
-                    bit128_max: get_u64("host.bit128_max")? as usize,
-                },
-                jobs: get_u64("runtime.jobs")? as usize,
-                cache_shards: get_u64("runtime.cache_shards")? as usize,
-            },
+            config: TuneConfig { compiler, arch },
         })
     }
 
@@ -337,15 +301,14 @@ impl TuneFile {
     }
 }
 
-const SECTIONS: [&str; 6] = ["meta", "score", "compiler", "arch", "host", "runtime"];
+const SECTIONS: [&str; 4] = ["meta", "score", "compiler", "arch"];
 
-const KEYS: [&str; 28] = [
+const KEYS: [&str; 23] = [
     "version",
     "meta.workload",
     "meta.fingerprint",
     "meta.seed",
     "meta.strategy",
-    "meta.cost_model",
     "meta.evals",
     "score.default_cycles",
     "score.tuned_cycles",
@@ -364,10 +327,6 @@ const KEYS: [&str; 28] = [
     "arch.cache_lines",
     "arch.cache_line_size",
     "arch.cache_miss_penalty",
-    "host.bit64_max",
-    "host.bit128_max",
-    "runtime.jobs",
-    "runtime.cache_shards",
 ];
 
 /// Reject machine shapes the simulator's constructors would panic on —
@@ -407,7 +366,6 @@ mod tests {
             fingerprint: 0x0123_4567_89ab_cdef,
             seed: 42,
             strategy: "exhaustive".to_owned(),
-            cost_model: "sim".to_owned(),
             evals: 12,
             default_cycles: 1000,
             tuned_cycles: 900,
@@ -429,10 +387,22 @@ mod tests {
     }
 
     #[test]
-    fn future_versions_fail_loudly() {
-        let text = sample().render().replace("version = 1", "version = 2");
+    fn other_versions_fail_loudly() {
+        let text = sample().render().replace("version = 2", "version = 3");
         let err = TuneFile::parse(&text).unwrap_err();
         assert!(matches!(err, TuneError::Parse(ref m) if m.contains("unsupported")), "{err}");
+        // A v1 file dies on its version, not on the `[host]`/`[runtime]`
+        // sections this build no longer knows.
+        let v1 = format!(
+            "{}\n[host]\nbit64_max = 64\nbit128_max = 128\n\n[runtime]\njobs = 4\n",
+            sample().render().replace("version = 2", "version = 1")
+        );
+        let err = TuneFile::parse(&v1).unwrap_err();
+        assert!(
+            matches!(err, TuneError::Parse(ref m) if m.contains("unsupported tune.toml version 1")
+                && m.contains("regenerate with `cicero tune`")),
+            "{err}"
+        );
     }
 
     #[test]
@@ -501,10 +471,8 @@ mod tests {
         assert_eq!(file.render(), text, "parse → render must reproduce the golden bytes");
         assert_eq!(file.workload, "protomata");
         assert_eq!(file.seed, 42);
-        assert_eq!(file.config.arch.engines, 8);
-        assert_eq!(
-            file.config.compiler.pass_order.to_token_string(),
-            "shortest-match,canonicalize,factorize"
-        );
+        assert_eq!(file.strategy, "exhaustive");
+        assert_eq!(file.config.arch.name(), "OLD 1x8 CORES");
+        assert_eq!(file.config.compiler, CompilerOptions::optimized());
     }
 }

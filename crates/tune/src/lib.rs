@@ -4,25 +4,24 @@
 //! `regex`/`cicero` dialects *exposes* optimization decisions — pass
 //! ordering, CC_ID window, engine count, cache geometry — that a fixed
 //! pipeline leaves on the table. This crate closes the loop: it searches
-//! that space per workload, driven by a measured cost model, and persists
+//! that space per workload, driven by a measured cost, and persists
 //! winners to a versioned `tune.toml` the CLI, runtime, and server load.
 //!
 //! The moving parts:
 //!
 //! * [`TuneConfig`] — one point in the search space: compiler toggles +
-//!   pass order, simulated architecture parameters, host-backend engine
-//!   tiers, and runtime knobs. `Copy + Hash + Eq`, so it keys the
-//!   memoization table directly.
+//!   pass order and simulated architecture parameters. `Copy + Hash +
+//!   Eq`, so it keys the memoization table directly.
 //! * [`SearchSpace`] — the axes and their candidate values, enumerable by
 //!   index (mixed-radix), so exhaustive sweeps and seeded sampling draw
 //!   from the same deterministic ordering.
-//! * [`CostModel`] — pluggable evaluation: [`SimCostModel`] scores by
-//!   simulated cycles (+ icache misses, deterministic, the default),
-//!   [`HostCostModel`] by wall-clock microbenchmark (honest but noisy —
-//!   its numbers never go into `tune.toml`).
-//! * [`tune`] — the searcher: exhaustive over small spaces, seeded
-//!   random + greedy mutation over large ones, memoized by
-//!   `(workload fingerprint, config)`. Deterministic given a seed: the
+//! * [`cost::evaluate`] — the one cost function: simulated cycles (+
+//!   icache misses as the tie-breaker), a pure function of `(workload,
+//!   config)` that reads every field of the config. A knob it cannot
+//!   see is not an axis.
+//! * [`tune`] — the searcher: exhaustive when the budget covers the
+//!   space (the default), seeded random + greedy mutation under a
+//!   tighter cap, memoized by config. Deterministic given a seed: the
 //!   RNG is a [`rng::SplitMix64`] and the default config is always
 //!   candidate zero, so the winner never loses to the baseline.
 //! * [`TuneFile`] — the versioned `tune.toml` serialization: strict
@@ -41,7 +40,7 @@ pub mod space;
 pub mod workload;
 
 pub use config::{ArchParams, OrganizationKind, TuneConfig};
-pub use cost::{CostModel, CostReport, HostCostModel, SimCostModel};
+pub use cost::CostReport;
 pub use file::TuneFile;
 pub use search::{tune, Budget, TuneOutcome};
 pub use space::SearchSpace;

@@ -1,5 +1,5 @@
-//! The searcher: exhaustive over small spaces, seeded random + greedy
-//! mutation over large ones, memoized by `(workload fingerprint, config)`.
+//! The searcher: exhaustive when the budget covers the space, seeded
+//! random + greedy mutation under a tighter cap, memoized by config.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -7,7 +7,7 @@ use std::time::Instant;
 use cicero_telemetry::Telemetry;
 
 use crate::config::TuneConfig;
-use crate::cost::{CostModel, CostReport};
+use crate::cost::{evaluate, CostReport};
 use crate::rng::SplitMix64;
 use crate::space::SearchSpace;
 use crate::workload::Workload;
@@ -16,7 +16,7 @@ use crate::TuneError;
 /// How much searching to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Budget {
-    /// At most this many cost-model evaluations (memo hits are free).
+    /// At most this many cost evaluations (memo hits are free).
     /// This is the deterministic budget: identical seed + workload +
     /// budget visit identical candidates.
     Evals(usize),
@@ -29,17 +29,17 @@ pub enum Budget {
 /// What a tuning run concluded.
 #[derive(Debug, Clone)]
 pub struct TuneOutcome {
-    /// The winning config. Never worse than [`TuneConfig::default`] under
-    /// the run's cost model: the default is always candidate zero and the
-    /// incumbent only changes on strictly lower cost.
+    /// The winning config. Never worse than [`TuneConfig::default`]: the
+    /// default is always candidate zero and the incumbent only changes on
+    /// strictly lower cost.
     pub best: TuneConfig,
     /// The winner's evaluation.
     pub best_report: CostReport,
     /// The baseline's evaluation (for tuned-vs-default reporting).
     pub default_report: CostReport,
-    /// Cost-model invocations actually performed.
+    /// Cost evaluations actually performed.
     pub evals: usize,
-    /// Proposals answered from the memo table instead of the model.
+    /// Proposals answered from the memo table instead of re-evaluated.
     pub memo_hits: usize,
     /// `exhaustive` or `random-mutation`.
     pub strategy: &'static str,
@@ -48,7 +48,8 @@ pub struct TuneOutcome {
 /// Search `space` for the lowest-cost config on `workload`.
 ///
 /// Strategy selection: if an eval budget covers the whole space the sweep
-/// is exhaustive (in index order, so deterministic regardless of seed);
+/// is exhaustive (in index order, so deterministic regardless of seed, and
+/// ties resolve to the lowest index — the most-default config);
 /// otherwise seeded random sampling interleaved with greedy single-axis
 /// mutations of the incumbent. Either way the default config is evaluated
 /// first and ties never dethrone it.
@@ -64,7 +65,6 @@ pub struct TuneOutcome {
 pub fn tune(
     workload: &Workload,
     space: &SearchSpace,
-    model: &dyn CostModel,
     budget: Budget,
     seed: u64,
     telemetry: Option<&Telemetry>,
@@ -79,32 +79,31 @@ pub fn tune(
         Budget::Evals(_) | Budget::TimeMs(_) => {}
     }
     let _span = telemetry.map(|t| t.span("tune.search"));
-    let fingerprint = workload.fingerprint();
     let started = Instant::now();
-    let mut memo: HashMap<(u64, TuneConfig), CostReport> = HashMap::new();
-    let mut evals = 0usize;
+    // The baseline is always candidate zero — and its failure is the
+    // run's failure: a tuner that cannot score the default has nothing
+    // sound to compare against.
+    let default_config = TuneConfig::default();
+    let default_report = evaluate(workload, &default_config)?;
+    let mut memo: HashMap<TuneConfig, CostReport> =
+        HashMap::from([(default_config, default_report)]);
+    let mut evals = 1usize;
     let mut memo_hits = 0usize;
 
     // One evaluation, through the memo table. `None` = candidate failed
     // to compile (disqualified, budget still charged).
-    let mut evaluate = |config: &TuneConfig,
-                        evals: &mut usize,
-                        memo_hits: &mut usize|
+    let mut score = |config: &TuneConfig,
+                     evals: &mut usize,
+                     memo_hits: &mut usize|
      -> Result<Option<CostReport>, TuneError> {
-        if let Some(report) = memo.get(&(fingerprint, *config)) {
+        if let Some(report) = memo.get(config) {
             *memo_hits += 1;
-            if let Some(t) = telemetry {
-                t.counter_add("tune.memo_hits", 1);
-            }
             return Ok(Some(*report));
         }
         *evals += 1;
-        if let Some(t) = telemetry {
-            t.counter_add("tune.evals", 1);
-        }
-        match model.evaluate(workload, config) {
+        match evaluate(workload, config) {
             Ok(report) => {
-                memo.insert((fingerprint, *config), report);
+                memo.insert(*config, report);
                 Ok(Some(report))
             }
             Err(TuneError::Compile(_)) => Ok(None),
@@ -117,19 +116,6 @@ pub fn tune(
         Budget::TimeMs(ms) => started.elapsed().as_millis() >= u128::from(ms),
     };
 
-    // The baseline is always candidate zero — and its failure is the
-    // run's failure: a tuner that cannot score the default has nothing
-    // sound to compare against.
-    let default_config = TuneConfig::default();
-    let default_report = match evaluate(&default_config, &mut evals, &mut memo_hits)? {
-        Some(report) => report,
-        None => {
-            return Err(model
-                .evaluate(workload, &default_config)
-                .err()
-                .unwrap_or_else(|| TuneError::Invalid("default evaluation failed".to_owned())))
-        }
-    };
     let mut best = default_config;
     let mut best_report = default_report;
     let mut best_indices: Vec<usize> = vec![0; space.axis_sizes().len()];
@@ -144,7 +130,7 @@ pub fn tune(
                 break;
             }
             let config = space.config_at(index);
-            if let Some(report) = evaluate(&config, &mut evals, &mut memo_hits)? {
+            if let Some(report) = score(&config, &mut evals, &mut memo_hits)? {
                 if report.cost < best_report.cost {
                     best = config;
                     best_report = report;
@@ -180,7 +166,7 @@ pub fn tune(
                 indices
             };
             let config = space.config_from_indices(&indices);
-            if let Some(report) = evaluate(&config, &mut evals, &mut memo_hits)? {
+            if let Some(report) = score(&config, &mut evals, &mut memo_hits)? {
                 if report.cost < best_report.cost {
                     best = config;
                     best_report = report;
@@ -191,6 +177,8 @@ pub fn tune(
     }
 
     if let Some(t) = telemetry {
+        t.counter_add("tune.evals", evals as u64);
+        t.counter_add("tune.memo_hits", memo_hits as u64);
         t.gauge_set("tune.best_cost", best_report.cost);
         t.gauge_set("tune.default_cost", default_report.cost);
     }
@@ -201,7 +189,6 @@ pub fn tune(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::SimCostModel;
 
     fn workload() -> Workload {
         Workload::from_patterns(&["ab+c".to_owned(), "th(is|at)".to_owned()]).unwrap()
@@ -211,7 +198,7 @@ mod tests {
     fn small_space_goes_exhaustive_and_beats_or_matches_default() {
         let workload = workload();
         let space = SearchSpace::compiler_only();
-        let outcome = tune(&workload, &space, &SimCostModel, Budget::Evals(100), 42, None).unwrap();
+        let outcome = tune(&workload, &space, Budget::Evals(100), 42, None).unwrap();
         assert_eq!(outcome.strategy, "exhaustive");
         assert!(outcome.evals <= space.size());
         assert!(outcome.best_report.cost <= outcome.default_report.cost);
@@ -221,8 +208,8 @@ mod tests {
     fn large_space_uses_seeded_search_deterministically() {
         let workload = workload();
         let space = SearchSpace::full();
-        let a = tune(&workload, &space, &SimCostModel, Budget::Evals(12), 42, None).unwrap();
-        let b = tune(&workload, &space, &SimCostModel, Budget::Evals(12), 42, None).unwrap();
+        let a = tune(&workload, &space, Budget::Evals(12), 42, None).unwrap();
+        let b = tune(&workload, &space, Budget::Evals(12), 42, None).unwrap();
         assert_eq!(a.strategy, "random-mutation");
         assert_eq!(a.best, b.best, "same seed, same winner");
         assert_eq!(a.evals, b.evals);
@@ -234,8 +221,7 @@ mod tests {
         let workload = workload();
         let space = SearchSpace::full();
         for seed in [1u64, 7, 99] {
-            let outcome =
-                tune(&workload, &space, &SimCostModel, Budget::Evals(8), seed, None).unwrap();
+            let outcome = tune(&workload, &space, Budget::Evals(8), seed, None).unwrap();
             assert!(outcome.best_report.cost <= outcome.default_report.cost, "seed {seed}");
         }
     }
@@ -247,8 +233,8 @@ mod tests {
         // with no repeats; force the sampling path instead, where the
         // proposal stream revisits configs.
         let space = SearchSpace::full();
-        let outcome = tune(&workload, &space, &SimCostModel, Budget::Evals(40), 3, None).unwrap();
-        // 40 evals over ~7k points rarely collide, but mutation
+        let outcome = tune(&workload, &space, Budget::Evals(40), 3, None).unwrap();
+        // 40 evals over 288 points rarely collide, but mutation
         // re-proposes neighbors of the incumbent constantly; at least
         // one memo hit is effectively guaranteed. If this ever flakes,
         // the seed is pinned, so it cannot: the run is deterministic.
@@ -261,7 +247,7 @@ mod tests {
         let workload = workload();
         let telemetry = Telemetry::new();
         let space = SearchSpace::compiler_only();
-        tune(&workload, &space, &SimCostModel, Budget::Evals(20), 1, Some(&telemetry)).unwrap();
+        tune(&workload, &space, Budget::Evals(20), 1, Some(&telemetry)).unwrap();
         let summary = telemetry.render_summary();
         assert!(summary.contains("tune.evals"), "{summary}");
         assert!(summary.contains("tune.best_cost"), "{summary}");
@@ -271,12 +257,12 @@ mod tests {
     fn zero_budget_and_empty_workloads_are_rejected() {
         let space = SearchSpace::compiler_only();
         assert!(matches!(
-            tune(&workload(), &space, &SimCostModel, Budget::Evals(0), 1, None),
+            tune(&workload(), &space, Budget::Evals(0), 1, None),
             Err(TuneError::Invalid(_))
         ));
         let empty = Workload { name: "empty".to_owned(), patterns: vec![], chunks: vec![] };
         assert!(matches!(
-            tune(&empty, &space, &SimCostModel, Budget::Evals(5), 1, None),
+            tune(&empty, &space, Budget::Evals(5), 1, None),
             Err(TuneError::Invalid(_))
         ));
     }
@@ -285,7 +271,7 @@ mod tests {
     fn time_budget_terminates() {
         let workload = workload();
         let space = SearchSpace::full();
-        let outcome = tune(&workload, &space, &SimCostModel, Budget::TimeMs(50), 5, None).unwrap();
+        let outcome = tune(&workload, &space, Budget::TimeMs(50), 5, None).unwrap();
         assert!(outcome.evals >= 1, "at least the default is evaluated");
     }
 }

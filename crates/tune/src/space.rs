@@ -5,7 +5,6 @@
 //! always cover the baseline, and the searcher's "default is candidate
 //! zero" guarantee falls out of the layout rather than a special case.
 
-use cicero_hostexec::HostTiers;
 use regex_dialect::transforms::PassOrder;
 
 use crate::config::{ArchParams, OrganizationKind, TuneConfig};
@@ -24,18 +23,16 @@ struct ArchShape {
 
 /// The axes of the compiler × architecture space.
 ///
-/// [`SearchSpace::full`] is the standard space (~7k points): pass order
-/// (6) × leading reduction (2) × machine shape (6) × icache geometry (4)
-/// × host tiers (3) × worker count (2) × cache stripes (2).
+/// [`SearchSpace::full`] is the standard space (288 points): pass order
+/// (6) × leading reduction (2) × machine shape (6) × icache geometry (4).
+/// Every axis is one `cost::evaluate` reads; `tests/tune_axes.rs` fails
+/// when one is added that it does not.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     pass_orders: Vec<PassOrder>,
     leading: Vec<bool>,
     shapes: Vec<ArchShape>,
     caches: Vec<(usize, usize, u64)>,
-    tiers: Vec<HostTiers>,
-    jobs: Vec<usize>,
-    shards: Vec<usize>,
 }
 
 impl Default for SearchSpace {
@@ -91,13 +88,6 @@ impl SearchSpace {
                 },
             ],
             caches: vec![(8, 4, 4), (4, 4, 4), (16, 4, 4), (8, 8, 4)],
-            tiers: vec![
-                HostTiers { bit64_max: 64, bit128_max: 128 },
-                HostTiers { bit64_max: 32, bit128_max: 128 },
-                HostTiers { bit64_max: 48, bit128_max: 96 },
-            ],
-            jobs: vec![0, 4],
-            shards: vec![0, 16],
         }
     }
 
@@ -108,23 +98,12 @@ impl SearchSpace {
         let mut space = SearchSpace::full();
         space.shapes.truncate(1);
         space.caches.truncate(1);
-        space.tiers.truncate(1);
-        space.jobs.truncate(1);
-        space.shards.truncate(1);
         space
     }
 
     /// Candidate counts per axis, in index-decomposition order.
     pub fn axis_sizes(&self) -> Vec<usize> {
-        vec![
-            self.pass_orders.len(),
-            self.leading.len(),
-            self.shapes.len(),
-            self.caches.len(),
-            self.tiers.len(),
-            self.jobs.len(),
-            self.shards.len(),
-        ]
+        vec![self.pass_orders.len(), self.leading.len(), self.shapes.len(), self.caches.len()]
     }
 
     /// Total number of points.
@@ -165,9 +144,6 @@ impl SearchSpace {
             cache_line_size: line_size,
             cache_miss_penalty: miss_penalty,
         };
-        config.host = self.tiers[indices[4]];
-        config.jobs = self.jobs[indices[5]];
-        config.cache_shards = self.shards[indices[6]];
         config
     }
 }
@@ -184,21 +160,20 @@ mod tests {
 
     #[test]
     fn size_matches_axis_product_and_every_index_is_reachable() {
-        let space = SearchSpace::compiler_only();
-        assert_eq!(space.size(), 12);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..space.size() {
-            seen.insert(space.config_at(i));
+        for (space, points) in [(SearchSpace::compiler_only(), 12), (SearchSpace::full(), 288)] {
+            assert_eq!(space.size(), points);
+            let seen: std::collections::HashSet<_> =
+                (0..space.size()).map(|i| space.config_at(i)).collect();
+            assert_eq!(seen.len(), points, "every index yields a distinct config");
         }
-        assert_eq!(seen.len(), 12, "every index yields a distinct config");
     }
 
     #[test]
     fn full_space_expands_to_valid_machines() {
         let space = SearchSpace::full();
-        // Spot-check a spread of indices: every expansion must satisfy
-        // the simulator's constructor invariants (power-of-two cores…).
-        for i in (0..space.size()).step_by(97) {
+        // Every expansion must satisfy the simulator's constructor
+        // invariants (power-of-two cores…).
+        for i in 0..space.size() {
             let config = space.config_at(i);
             let arch = config.arch.to_arch_config();
             assert!(arch.engines >= 1);

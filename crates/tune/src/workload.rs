@@ -1,5 +1,5 @@
 //! What the tuner optimizes *for*: a named set of patterns plus
-//! representative input chunks, fingerprinted for memoization.
+//! representative input chunks, fingerprinted for `tune.toml`.
 
 use workloads::{witness_for, Benchmark, CHUNK_BYTES};
 
@@ -85,9 +85,9 @@ impl Workload {
         self.patterns.len() * self.chunks.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Identity fingerprint over patterns and chunks (FNV-1a 64). Keys
-    /// the memo table and is recorded in `tune.toml`, so a stale file is
-    /// detectable when the workload generators change.
+    /// Identity fingerprint over patterns and chunks (FNV-1a 64).
+    /// Recorded in `tune.toml`, so a stale file is detectable when the
+    /// workload generators change.
     pub fn fingerprint(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {

@@ -18,7 +18,7 @@
 //! cicero trace   <pattern>... (--text STR | --input FILE) [--config NxM] [--jobs N]
 //!                [--export tree|json|chrome] [-o FILE] [--request-id ID]
 //! cicero tune    (--workload PACK | <pattern>...) [--budget N|Nms] [--seed N]
-//!                [--out FILE] [--cost sim|host] [--space full|compiler]
+//!                [--out FILE] [--space full|compiler]
 //! cicero explain <pattern>
 //! cicero configs
 //! cicero difftest [--seed N] [--iters K] [--jobs J] [--corpus DIR] [--save]
@@ -66,8 +66,8 @@
 //! --ruleset ID` ships the input to the server (`POST /scan/stream`) so
 //! the CLI matches against exactly the version the server is serving.
 //!
-//! `tune` searches pass orderings × architecture/runtime parameters for
-//! the lowest-cost configuration on a workload (docs/TUNING.md) and
+//! `tune` searches pass orderings × architecture parameters for the
+//! lowest-cost configuration on a workload (docs/TUNING.md) and
 //! writes the winner to a strictly-validated `tune.toml`; `run`, `scan`,
 //! and `serve` load one via `--tuned-config` (explicit flags still win,
 //! and a file that fails validation aborts the command — `serve`
@@ -145,7 +145,7 @@ USAGE:
                    [--jobs N] [--export tree|json|chrome] [-o|--output FILE]
                    [--request-id ID] [--fuel N] [--deadline-ms N]
     cicero tune    (--workload PACK | <p1> <p2> ...) [--budget N|Nms] [--seed N]
-                   [--out FILE] [--cost sim|host] [--space full|compiler]
+                   [--out FILE] [--space full|compiler]
                    [--metrics PATH] [--metrics-format FORMAT]
     cicero explain <pattern>
     cicero configs
@@ -227,23 +227,21 @@ OPTIONS:
     --workload PACK   tune: a named workload pack (protomata, brill,
                       protomata4, brill4); positional patterns build a custom
                       workload with synthesized inputs instead
-    --budget SPEC     tune: `N` caps cost-model evaluations (deterministic,
-                      default 24); `Nms` caps wall-clock milliseconds
-                      (machine-dependent)
+    --budget SPEC     tune: `N` caps cost evaluations (deterministic); `Nms`
+                      caps wall-clock milliseconds (machine-dependent);
+                      default: the size of the space, i.e. an exhaustive sweep
     --out FILE        tune: where the winning config is written
                       (default tune.toml)
-    --cost KIND       tune: `sim` scores by simulated cycles + icache misses
-                      (default, reproducible); `host` scores by host
-                      wall-clock (nondeterministic)
-    --space KIND      tune: `full` searches pass orders x machines x cache
-                      geometries x host tiers x runtime knobs (default);
-                      `compiler` restricts to pass orderings only
+    --space KIND      tune: `full` searches pass orders x leading reduction x
+                      machine shapes x icache geometries, 288 points, scored
+                      by simulated cycles (default); `compiler` restricts to
+                      the 12 pass-pipeline points
     --tuned-config FILE
                       run/scan/serve: load a `cicero tune` result and use its
-                      compiler, architecture, and runtime settings as the
-                      defaults; explicit flags (--config, --jobs, --backend,
-                      -O0) still win, and a file that fails validation aborts
-                      the command (serve refuses to start)
+                      compiler and architecture settings as the defaults;
+                      explicit flags (--config, -O0) still win, and a file
+                      that fails validation aborts the command (serve refuses
+                      to start)
     --seed N          difftest: base seed (default 42); the run is reproducible
                       for a fixed (seed, iters, jobs)
     --iters K         difftest: number of generated patterns (default 1000)
@@ -622,8 +620,7 @@ fn run_host_mode(
     let base = compiler_base(tuned, flags.has("O0"));
     let (program, pass_report) =
         compile_one(pattern, flags.has("old"), flags.has("O0"), base, Some(&telemetry))?;
-    let tiers = tuned.map(|t| t.host_tiers()).unwrap_or_default();
-    let host = HostProgram::compile_with_tiers(&program, tiers);
+    let host = HostProgram::compile(&program);
     let start = std::time::Instant::now();
     let outcome = host.run(input);
     let wall = start.elapsed();
@@ -668,8 +665,6 @@ fn run_batch_mode(
     let runtime = Runtime::new(RuntimeOptions {
         jobs,
         compiler: compiler_base(tuned, o0),
-        cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
-        host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
         ..RuntimeOptions::default()
     })
     .with_telemetry(telemetry.clone())
@@ -792,8 +787,7 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
         // One all-matches pass on the host engine: every set member that
         // fires is reported, like the sim path below, minus the cycle
         // count (the host engine has no cycle model).
-        let tiers = tuned.as_ref().map(|t| t.host_tiers()).unwrap_or_default();
-        let host = HostProgram::compile_with_tiers(set.program(), tiers);
+        let host = HostProgram::compile(set.program());
         let all = host.run_all(&input);
         if all.matched_ids.is_empty() {
             println!("no match in {} bytes", input.len());
@@ -839,8 +833,6 @@ fn scan_batch_mode(
     let runtime = Runtime::new(RuntimeOptions {
         jobs,
         compiler: compiler_base(tuned, false),
-        cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
-        host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
         ..RuntimeOptions::default()
     })
     .with_backend(backend);
@@ -921,8 +913,6 @@ fn scan_stream_mode(
     };
     let runtime = Runtime::new(RuntimeOptions {
         compiler: base.with_backend(backend),
-        cache_shards: tuned.map_or(0, |t| t.config.cache_shards),
-        host_tiers: tuned.map(|t| t.host_tiers()).unwrap_or_default(),
         ..RuntimeOptions::default()
     });
     let report =
@@ -1167,9 +1157,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         // (host) unless `--backend` says otherwise below.
         let backend = options.runtime.compiler.backend;
         options.runtime.compiler = tuned.compiler_options().with_backend(backend);
-        options.runtime.jobs = tuned.config.jobs;
-        options.runtime.cache_shards = tuned.config.cache_shards;
-        options.runtime.host_tiers = tuned.host_tiers();
     }
     if let Some(addr) = flags.value("addr") {
         options.addr = addr.to_owned();
@@ -1336,17 +1323,15 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// lowest-cost configuration on a workload and persist the winner to a
 /// `tune.toml` that `run`/`scan`/`serve` load via `--tuned-config`.
 ///
-/// With `--budget N` (an eval count) the run is deterministic: the same
-/// seed, workload, and budget produce a byte-identical `tune.toml`.
+/// Without `--budget` the sweep is exhaustive and the result depends on
+/// the workload alone; with `--budget N` (an eval count) the same seed,
+/// workload, and budget produce a byte-identical `tune.toml`.
 fn cmd_tune(args: &[String]) -> Result<(), String> {
-    use cicero::tune::{
-        tune, Budget as TuneBudget, CostModel, HostCostModel, SearchSpace, SimCostModel, TuneFile,
-        Workload,
-    };
+    use cicero::tune::{tune, Budget as TuneBudget, SearchSpace, TuneFile, Workload};
 
     let flags = parse_flags(
         args,
-        &["workload", "budget", "seed", "out", "cost", "space", "metrics", "metrics-format"],
+        &["workload", "budget", "seed", "out", "space", "metrics", "metrics-format"],
         &[],
     )?;
     let workload = if !flags.positional.is_empty() {
@@ -1363,15 +1348,6 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
                 .to_owned(),
         );
     };
-    let spec = flags.value("budget").unwrap_or("24");
-    let budget = match spec.strip_suffix("ms") {
-        Some(ms) => TuneBudget::TimeMs(
-            ms.parse().map_err(|_| format!("--budget `{spec}` is not `N` evals or `Nms`"))?,
-        ),
-        None => TuneBudget::Evals(
-            spec.parse().map_err(|_| format!("--budget `{spec}` is not `N` evals or `Nms`"))?,
-        ),
-    };
     let seed: u64 = match flags.value("seed") {
         Some(v) => v.parse().map_err(|_| format!("--seed `{v}` is not a number"))?,
         None => 42,
@@ -1382,18 +1358,23 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         "compiler" => SearchSpace::compiler_only(),
         other => return Err(format!("unknown search space `{other}` (use full or compiler)")),
     };
-    let sim = SimCostModel;
-    let host = HostCostModel::default();
-    let (model, model_name): (&dyn CostModel, &str) = match flags.value("cost").unwrap_or("sim") {
-        "sim" => (&sim, "sim"),
-        "host" => (&host, "host"),
-        other => return Err(format!("unknown cost model `{other}` (use sim or host)")),
+    // No `--budget` covers the space: 288 points sweep in seconds, and
+    // only the exhaustive winner is an optimum.
+    let budget = match flags.value("budget") {
+        None => TuneBudget::Evals(space.size()),
+        Some(spec) => {
+            let bad = || format!("--budget `{spec}` is not `N` evals or `Nms`");
+            match spec.strip_suffix("ms") {
+                Some(ms) => TuneBudget::TimeMs(ms.parse().map_err(|_| bad())?),
+                None => TuneBudget::Evals(spec.parse().map_err(|_| bad())?),
+            }
+        }
     };
 
     let telemetry = Telemetry::new();
-    let outcome = tune(&workload, &space, model, budget, seed, Some(&telemetry))
-        .map_err(|e| e.to_string())?;
-    let file = TuneFile::from_outcome(&workload, &outcome, model_name, seed);
+    let outcome =
+        tune(&workload, &space, budget, seed, Some(&telemetry)).map_err(|e| e.to_string())?;
+    let file = TuneFile::from_outcome(&workload, &outcome, seed);
 
     println!(
         "workload   : {} ({} pattern(s), {} B)",
@@ -1420,14 +1401,16 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     } else {
         println!("improvement: none — the default configuration is already the winner");
     }
-    println!("pass order : {}", file.config.compiler.pass_order.to_token_string());
-    println!("machine    : {}", file.config.arch.name());
     println!(
-        "host tiers : bit64<= {}, bit128<= {}; jobs {}, cache shards {}",
-        file.config.host.bit64_max,
-        file.config.host.bit128_max,
-        file.config.jobs,
-        file.config.cache_shards
+        "pass order : {} (leading reduction {})",
+        file.config.compiler.pass_order.to_token_string(),
+        if file.config.compiler.shortest_match_leading { "on" } else { "off" }
+    );
+    println!(
+        "machine    : {}, icache {} line(s) x {}",
+        file.config.arch.name(),
+        file.config.arch.cache_lines,
+        file.config.arch.cache_line_size
     );
     file.save(out).map_err(|e| e.to_string())?;
     println!("wrote      : {out}");

@@ -28,7 +28,7 @@
 //! * [`telemetry`] — spans, metrics, and summary/JSON-lines sinks shared
 //!   by the compiler, simulator, CLI, and benchmark drivers;
 //! * [`tune`] — the autotuner: seeded search over pass orderings and
-//!   architecture/runtime parameters, persisting winners to `tune.toml`;
+//!   architecture parameters, persisting winners to `tune.toml`;
 //! * [`oracle`] — the reference Pike-VM matcher (ground truth);
 //! * [`difftest`] — the differential fuzzing subsystem: oracle-vs-compiler
 //!   equivalence over a configuration matrix, divergence minimization, and

