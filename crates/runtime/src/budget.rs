@@ -259,6 +259,11 @@ impl Runtime {
             exec_span.as_ref().map(|span| (span.context().clone(), span.id()));
         let next = std::sync::atomic::AtomicUsize::new(0);
         let restarts = std::sync::atomic::AtomicU64::new(0);
+        // Host nanoseconds the workers spent inside `Machine::run`. Summed
+        // here and observed by this thread after the join: a collector
+        // keeps a shard per thread that ever touched it, and the workers
+        // live for one batch.
+        let sim_host_ns = std::sync::atomic::AtomicU64::new(0);
         let hook = self.run_hook.clone();
 
         let per_worker: Vec<(Vec<(usize, MatchOutcome)>, WorkerStats)> =
@@ -267,6 +272,7 @@ impl Runtime {
                     .map(|worker| {
                         let next = &next;
                         let restarts = &restarts;
+                        let sim_host_ns = &sim_host_ns;
                         let run_config = run_config.clone();
                         let hook = hook.clone();
                         let worker_trace = worker_trace.clone();
@@ -321,7 +327,13 @@ impl Runtime {
                                                     hook(index);
                                                 }
                                                 m.prefetch_icache();
-                                                m.run(input)
+                                                let started = Instant::now();
+                                                let report = m.run(input);
+                                                sim_host_ns.fetch_add(
+                                                    started.elapsed().as_nanos() as u64,
+                                                    std::sync::atomic::Ordering::Relaxed,
+                                                );
+                                                report
                                             },
                                         ))
                                     };
@@ -387,6 +399,11 @@ impl Runtime {
                 if let Some(report) = outcome.report() {
                     report.record_into(telemetry);
                 }
+            }
+            let sim_host = Duration::from_nanos(sim_host_ns.into_inner());
+            if !sim_host.is_zero() {
+                let cycles = batch.workers.iter().map(|w| w.cycles).sum();
+                cicero_sim::stats::record_host_time(telemetry, cycles, sim_host);
             }
         }
         if let Some(span) = exec_span {

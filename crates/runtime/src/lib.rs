@@ -473,6 +473,8 @@ mod tests {
         // Every individual run is folded into the existing sim.* metrics.
         assert_eq!(telemetry.counter("sim.runs"), 14);
         assert_eq!(telemetry.histogram("sim.cycles").unwrap().count, 14);
+        // ...and what each batch's cycles cost the host.
+        assert_eq!(telemetry.histogram("sim.host_ns_per_cycle").unwrap().count, 2);
     }
 
     #[test]

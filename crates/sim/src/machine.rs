@@ -33,8 +33,16 @@
 //! successors move to the adjacent FIFO ("a thread coming from FIFO N …
 //! can only end up in FIFO N or N+1"), and only the last core may offload
 //! to the ring.
+//!
+//! **State layout**: because every live position lies in `[base, base +
+//! window)`, `pos & (window - 1)` names a position without collisions.
+//! FIFOs, the duplicate filter and the live-thread counts are therefore
+//! flat rings of `window` slots, and scheduled deliveries a ring of
+//! `lb_latency + 1` buckets; all are sized in [`Machine::new`] and reused
+//! across cycles and runs, so a warmed-up machine allocates nothing.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::time::Instant;
 
 use cicero_isa::{Instruction, Program};
 
@@ -116,18 +124,12 @@ struct Thread {
     pos: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    pc: u16,
-    pos: usize,
-}
-
 #[derive(Debug)]
 struct Core {
     icache: ICache,
-    s1: Option<Slot>,
-    s2: Option<Slot>,
-    s3: Option<Slot>,
+    s1: Option<Thread>,
+    s2: Option<Thread>,
+    s3: Option<Thread>,
     stall_until: u64,
 }
 
@@ -136,28 +138,69 @@ impl Core {
         Core { icache: ICache::new(&config.cache), s1: None, s2: None, s3: None, stall_until: 0 }
     }
 
-    fn idle(&self) -> bool {
-        self.s1.is_none() && self.s2.is_none() && self.s3.is_none()
+    /// Threads in flight in the pipeline.
+    fn occupancy(&self) -> usize {
+        usize::from(self.s1.is_some())
+            + usize::from(self.s2.is_some())
+            + usize::from(self.s3.is_some())
+    }
+}
+
+/// Thompson duplicate filter of one engine: a PC bitset per window slot.
+#[derive(Debug)]
+struct Filter {
+    /// `words` bitset words per slot, slot-major.
+    bits: Vec<u64>,
+    /// The position each slot's bitset currently describes. A slot is
+    /// zeroed when a new position claims it; the position it held is by
+    /// then below the window base (it is congruent to, and cannot exceed,
+    /// a position inside the window), so nothing can ask about it again.
+    tags: Vec<usize>,
+    words: usize,
+}
+
+impl Filter {
+    /// No position ever equals this tag, so the first use of a slot zeroes it.
+    const VACANT: usize = usize::MAX;
+
+    /// Record `(pc, pos)`; `false` if it was already in the set.
+    fn admit(&mut self, pc: u16, pos: usize) -> bool {
+        let slot = pos & (self.tags.len() - 1);
+        let bits = &mut self.bits[slot * self.words..(slot + 1) * self.words];
+        if self.tags[slot] != pos {
+            self.tags[slot] = pos;
+            bits.fill(0);
+        }
+        let word = &mut bits[usize::from(pc) / 64];
+        let bit = 1u64 << (pc % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 }
 
 #[derive(Debug)]
 struct Engine {
     cores: Vec<Core>,
-    /// Per-position thread queues (the FIFOs, keyed by absolute position).
-    queues: BTreeMap<usize, VecDeque<u16>>,
-    /// Thompson duplicate filter: per position, a PC bitset.
-    seen: HashMap<usize, Vec<u64>>,
+    /// The FIFOs: one queue of PCs per window slot (`pos & mask`).
+    queues: Vec<VecDeque<u16>>,
+    filter: Filter,
     /// Total queued threads (the balancer's load metric).
     queued: usize,
 }
 
 impl Engine {
-    fn new(config: &ArchConfig) -> Engine {
+    fn new(config: &ArchConfig, program_len: usize) -> Engine {
+        let window = config.window();
+        let words = program_len.div_ceil(64);
         Engine {
             cores: (0..config.cores_per_engine).map(|_| Core::new(config)).collect(),
-            queues: BTreeMap::new(),
-            seen: HashMap::new(),
+            queues: (0..window).map(|_| VecDeque::new()).collect(),
+            filter: Filter {
+                bits: vec![0; window * words],
+                tags: vec![Filter::VACANT; window],
+                words,
+            },
             queued: 0,
         }
     }
@@ -179,17 +222,25 @@ enum PushKind {
 pub struct Machine<'p> {
     program: &'p Program,
     config: ArchConfig,
+    /// `window - 1`: `pos & mask` is a position's ring slot.
+    mask: usize,
     engines: Vec<Engine>,
-    /// Scheduled deliveries: cycle → (engine, thread).
-    pending: BTreeMap<u64, Vec<(usize, Thread)>>,
-    /// Live threads per position (global, drives the window base).
-    counts: BTreeMap<usize, usize>,
+    /// Scheduled deliveries `(engine, thread)`, bucketed by `ready_at %
+    /// len`. `len = lb_latency + 1` exceeds every scheduling distance, and
+    /// each cycle drains its own bucket, so a bucket holds one cycle's
+    /// deliveries in push order.
+    pending: Vec<Vec<(usize, Thread)>>,
+    /// Live threads per window slot (global, drives the window base).
+    counts: Vec<usize>,
+    /// The oldest live position while `live > 0`.
+    base: usize,
     live: usize,
     cycle: u64,
     report: ExecReport,
     accepted: Option<usize>,
     matched_id: Option<u16>,
-    /// Load snapshot taken at the start of each cycle.
+    /// Per-engine load snapshot taken at the start of each cycle (only
+    /// the ring balancer reads it, so only multi-engine machines fill it).
     loads: Vec<usize>,
     /// Pipeline trace, when enabled via [`Machine::run_traced`].
     trace: Option<Vec<TraceEvent>>,
@@ -212,13 +263,22 @@ impl<'p> Machine<'p> {
             "cc_id_bits must be >= 1: a window of one character cannot accept a consuming \
              successor, so the FIFO window deadlocks"
         );
-        let engines = (0..config.engines).map(|_| Engine::new(&config)).collect();
+        // A free ring hop would be faster than a local FIFO push (which
+        // takes a cycle); the paper's ring needs at least 2.
+        assert!(
+            config.lb_latency >= 1,
+            "lb_latency must be >= 1: a cross-engine transfer cannot be faster than a local push"
+        );
+        let engines = (0..config.engines).map(|_| Engine::new(&config, program.len())).collect();
+        let pending = (0..=config.lb_latency).map(|_| Vec::new()).collect();
         Machine {
             program,
+            mask: config.window() - 1,
+            counts: vec![0; config.window()],
             config,
             engines,
-            pending: BTreeMap::new(),
-            counts: BTreeMap::new(),
+            pending,
+            base: 0,
             live: 0,
             cycle: 0,
             report: ExecReport::default(),
@@ -232,8 +292,9 @@ impl<'p> Machine<'p> {
     }
 
     /// Attach a telemetry collector: each subsequent [`Machine::run`]
-    /// emits a `sim.run` span and folds its [`ExecReport`] into the
-    /// collector's `sim.*` histograms and counters.
+    /// emits a `sim.run` span, folds its [`ExecReport`] into the
+    /// collector's `sim.*` histograms and counters, and observes the
+    /// host time the run cost per simulated cycle (`sim.host_ns_per_cycle`).
     pub fn attach_telemetry(&mut self, telemetry: cicero_telemetry::Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -269,22 +330,22 @@ impl<'p> Machine<'p> {
     }
 
     /// Reset all dynamic state (threads, queues, filters, pipelines) while
-    /// keeping instruction-cache contents warm.
+    /// keeping instruction-cache contents warm and every buffer's capacity.
     fn reset(&mut self) {
-        self.pending.clear();
-        self.counts.clear();
+        self.pending.iter_mut().for_each(Vec::clear);
+        self.counts.fill(0);
+        self.base = 0;
         self.live = 0;
         self.cycle = 0;
         self.report = ExecReport::default();
         self.accepted = None;
         self.matched_id = None;
-        self.loads.clear();
         if let Some(trace) = self.trace.as_mut() {
             trace.clear();
         }
         for engine in &mut self.engines {
-            engine.queues.clear();
-            engine.seen.clear();
+            engine.queues.iter_mut().for_each(VecDeque::clear);
+            engine.filter.tags.fill(Filter::VACANT);
             engine.queued = 0;
             for core in &mut engine.cores {
                 core.s1 = None;
@@ -316,8 +377,13 @@ impl<'p> Machine<'p> {
             span
         });
         self.begin();
+        let started = Instant::now();
         self.drive(input, None);
+        let host_time = started.elapsed();
         let report = self.finalize();
+        if let Some(telemetry) = &self.telemetry {
+            crate::stats::record_host_time(telemetry, report.cycles, host_time);
+        }
         if let Some(span) = run_span {
             span.annotate("cycles", report.cycles);
             span.annotate("accepted", report.accepted);
@@ -365,33 +431,20 @@ impl<'p> Machine<'p> {
             if self.live == 0 {
                 return true;
             }
-            if let Some(available) = pause_before {
-                let frontier = self.counts.keys().next_back().copied();
-                if frontier.is_some_and(|pos| pos >= available) {
-                    return false;
-                }
+            if pause_before.is_some_and(|available| self.frontier() >= available) {
+                return false;
             }
-            // Load = queued + in-flight work; counting pipeline occupancy
-            // lets the balancer see a busy neighbour before its FIFOs
-            // back up, which is what pushes distribution past the first
-            // ring hop.
-            self.loads = self
-                .engines
-                .iter()
-                .map(|e| {
-                    e.queued
-                        + e.cores
-                            .iter()
-                            .map(|c| {
-                                usize::from(c.s1.is_some())
-                                    + usize::from(c.s2.is_some())
-                                    + usize::from(c.s3.is_some())
-                            })
-                            .sum::<usize>()
-                })
-                .collect();
-            let engines = self.engines.len();
-            'cores: for e in 0..engines {
+            if self.engines.len() > 1 {
+                // Load = queued + in-flight work; counting pipeline
+                // occupancy lets the balancer see a busy neighbour before
+                // its FIFOs back up, which is what pushes distribution
+                // past the first ring hop.
+                self.loads.clear();
+                self.loads.extend(self.engines.iter().map(|engine| {
+                    engine.queued + engine.cores.iter().map(Core::occupancy).sum::<usize>()
+                }));
+            }
+            'cores: for e in 0..self.engines.len() {
                 for c in 0..self.engines[e].cores.len() {
                     self.step_core(e, c, input);
                     if self.accepted.is_some() {
@@ -403,7 +456,6 @@ impl<'p> Machine<'p> {
             if self.accepted.is_some() {
                 return true;
             }
-            self.collect_garbage();
         }
     }
 
@@ -429,50 +481,65 @@ impl<'p> Machine<'p> {
     /// again — positions only increase — so a streaming buffer may drop
     /// them.
     pub(crate) fn window_base(&self) -> Option<usize> {
-        self.counts.keys().next().copied()
+        (self.live > 0).then_some(self.base)
     }
 
-    /// Move due deliveries into engine queues.
+    /// The newest live position. Only meaningful while `live > 0`.
+    fn frontier(&self) -> usize {
+        (self.base..=self.base + self.mask)
+            .rev()
+            .find(|pos| self.counts[pos & self.mask] > 0)
+            .expect("a live thread sits inside the window")
+    }
+
+    /// Move this cycle's deliveries into engine queues.
     fn deliver(&mut self) {
-        let due: Vec<u64> = self.pending.range(..=self.cycle).map(|(k, _)| *k).collect();
-        for key in due {
-            for (engine_index, thread) in self.pending.remove(&key).expect("key present") {
-                let engine = &mut self.engines[engine_index];
-                engine.queues.entry(thread.pos).or_default().push_back(thread.pc);
-                engine.queued += 1;
-            }
+        let bucket = (self.cycle % self.pending.len() as u64) as usize;
+        for (engine_index, thread) in self.pending[bucket].drain(..) {
+            let engine = &mut self.engines[engine_index];
+            engine.queues[thread.pos & self.mask].push_back(thread.pc);
+            engine.queued += 1;
         }
     }
 
     /// Advance one core by one cycle.
     fn step_core<I: InputRead + ?Sized>(&mut self, e: usize, c: usize, input: &I) {
-        let window = self.config.window();
-        let base = match self.counts.keys().next() {
-            Some(b) => *b,
-            None => return,
-        };
+        // The last live thread may have retired earlier this cycle; the
+        // run is over and the remaining cores no longer count stalls.
+        if self.live == 0 {
+            return;
+        }
+        let (base, mask, cycle) = (self.base, self.mask, self.cycle);
+        let old = self.config.organization == Organization::Old;
 
         // Split-borrow the engine so the core and the queues are
         // independently mutable.
-        let engine = &mut self.engines[e];
-        let Engine { cores, queues, seen, queued } = engine;
+        let Engine { cores, queues, filter, queued } = &mut self.engines[e];
         let core = &mut cores[c];
 
-        if self.cycle < core.stall_until {
+        if cycle < core.stall_until {
             self.report.memory_stall_cycles += 1;
             return;
         }
+        // The time-multiplexed old core serves every FIFO of its engine;
+        // new core `c` serves slot `c` only.
+        let poppable = if old { *queued > 0 } else { queues.get(c).is_some_and(|q| !q.is_empty()) };
+        if !poppable && core.occupancy() == 0 {
+            return;
+        }
 
-        // Local effect buffers (applied after the borrows end).
-        let mut pushes: Vec<(Thread, PushKind)> = Vec::new();
-        let mut retires: Vec<usize> = Vec::new();
-        let mut accepted: Option<usize> = None;
-        let mut accepted_id: Option<u16> = None;
-        let tracing = self.trace.is_some();
-        let mut events: Vec<TraceEvent> = Vec::new();
-        let cycle = self.cycle;
-        let mut record = |stage: u8, pc: u16, pos: usize, note: TraceNote| {
-            events.push(TraceEvent { cycle, engine: e, core: c, stage, pc, pos, note });
+        // Effects on machine-wide state, applied after the borrows end:
+        // at most the split's second target plus one S2 successor, and
+        // one finished thread per stage.
+        let mut pushes: [Option<(Thread, PushKind)>; 2] = [None; 2];
+        let mut retires: [Option<usize>; 2] = [None; 2];
+        let mut accepted: Option<(usize, Option<u16>)> = None;
+        let trace = &mut self.trace;
+        let mut record = |stage: u8, thread: Thread, note: TraceNote| {
+            if let Some(events) = trace.as_mut() {
+                let Thread { pc, pos } = thread;
+                events.push(TraceEvent { cycle, engine: e, core: c, stage, pc, pos, note });
+            }
         };
         // S2 → S1 forwarding: a thread's first successor re-enters this
         // core's pipeline directly (Figure 4 shows dependent instructions
@@ -485,11 +552,9 @@ impl<'p> Machine<'p> {
         if let Some(slot) = core.s3.take() {
             match self.program.get(slot.pc) {
                 Some(Instruction::Split(target)) => {
-                    if tracing {
-                        record(3, slot.pc, slot.pos, TraceNote::SecondTarget(target));
-                    }
-                    pushes.push((Thread { pc: target, pos: slot.pos }, PushKind::Control));
-                    retires.push(slot.pos);
+                    record(3, slot, TraceNote::SecondTarget(target));
+                    pushes[0] = Some((Thread { pc: target, pos: slot.pos }, PushKind::Control));
+                    retires[0] = Some(slot.pos);
                 }
                 other => unreachable!("S3 holds a split, found {other:?}"),
             }
@@ -502,283 +567,189 @@ impl<'p> Machine<'p> {
         }
 
         // S2: execute.
-        if let Some(slot) = core.s2 {
+        if let Some(slot) = core.s2.take() {
             let ins = self.program.get(slot.pc).expect("validated program");
             let ch = input.byte_at(slot.pos);
             self.report.instructions += 1;
+            // Every outcome but a split and a window-blocked match ends
+            // this thread.
+            retires[1] = Some(slot.pos);
             match ins {
                 Instruction::Split(target) => {
-                    if tracing {
-                        record(2, slot.pc, slot.pos, TraceNote::SplitTo(target));
-                    }
+                    record(2, slot, TraceNote::SplitTo(target));
                     forward = Some((Thread { pc: slot.pc + 1, pos: slot.pos }, PushKind::Control));
                     core.s3 = Some(slot);
+                    retires[1] = None;
                 }
                 Instruction::Jump(target) => {
-                    if tracing {
-                        record(2, slot.pc, slot.pos, TraceNote::Jumped(target));
-                    }
+                    record(2, slot, TraceNote::Jumped(target));
                     forward = Some((Thread { pc: target, pos: slot.pos }, PushKind::Control));
-                    retires.push(slot.pos);
                 }
                 Instruction::Match(_) | Instruction::MatchAny => {
                     let matched = match ins {
                         Instruction::Match(expected) => ch == Some(expected),
                         _ => ch.is_some(),
                     };
-                    if matched {
-                        if slot.pos + 1 >= base + window {
-                            // FIFO-slot backpressure: retry until the
-                            // window slides.
-                            if tracing {
-                                record(2, slot.pc, slot.pos, TraceNote::Requeued);
-                            }
-                            self.report.window_stall_cycles += 1;
-                            self.report.instructions -= 1; // not executed
-                            pushes.push((Thread { pc: slot.pc, pos: slot.pos }, PushKind::Requeue));
-                        } else {
-                            if tracing {
-                                record(2, slot.pc, slot.pos, TraceNote::Matched);
-                            }
-                            forward = Some((
-                                Thread { pc: slot.pc + 1, pos: slot.pos + 1 },
-                                PushKind::Consume,
-                            ));
-                            retires.push(slot.pos);
-                        }
+                    if !matched {
+                        record(2, slot, TraceNote::Killed);
+                    } else if slot.pos + 1 > base + mask {
+                        // FIFO-slot backpressure: retry until the window
+                        // slides.
+                        record(2, slot, TraceNote::Requeued);
+                        self.report.window_stall_cycles += 1;
+                        self.report.instructions -= 1; // not executed
+                        pushes[1] = Some((slot, PushKind::Requeue));
+                        retires[1] = None;
                     } else {
-                        if tracing {
-                            record(2, slot.pc, slot.pos, TraceNote::Killed);
-                        }
-                        retires.push(slot.pos); // thread killed
+                        record(2, slot, TraceNote::Matched);
+                        forward = Some((
+                            Thread { pc: slot.pc + 1, pos: slot.pos + 1 },
+                            PushKind::Consume,
+                        ));
                     }
                 }
                 Instruction::NotMatch(unexpected) => {
                     let pass = ch.is_some() && ch != Some(unexpected);
-                    if tracing {
-                        record(
-                            2,
-                            slot.pc,
-                            slot.pos,
-                            if pass { TraceNote::Matched } else { TraceNote::Killed },
-                        );
-                    }
+                    record(2, slot, if pass { TraceNote::Matched } else { TraceNote::Killed });
                     if pass {
                         forward =
                             Some((Thread { pc: slot.pc + 1, pos: slot.pos }, PushKind::Control));
                     }
-                    retires.push(slot.pos);
                 }
                 Instruction::Accept => {
                     if ch.is_none() {
-                        accepted = Some(slot.pos);
+                        accepted = Some((slot.pos, None));
                     }
-                    if tracing {
-                        let note =
-                            if ch.is_none() { TraceNote::Accepted } else { TraceNote::Killed };
-                        record(2, slot.pc, slot.pos, note);
-                    }
-                    retires.push(slot.pos);
+                    let note = if ch.is_none() { TraceNote::Accepted } else { TraceNote::Killed };
+                    record(2, slot, note);
                 }
                 Instruction::AcceptPartial => {
-                    if tracing {
-                        record(2, slot.pc, slot.pos, TraceNote::Accepted);
-                    }
-                    accepted = Some(slot.pos);
-                    retires.push(slot.pos);
+                    record(2, slot, TraceNote::Accepted);
+                    accepted = Some((slot.pos, None));
                 }
                 Instruction::AcceptPartialId(id) => {
-                    if tracing {
-                        record(2, slot.pc, slot.pos, TraceNote::Accepted);
-                    }
-                    accepted = Some(slot.pos);
-                    accepted_id = Some(id);
-                    retires.push(slot.pos);
+                    record(2, slot, TraceNote::Accepted);
+                    accepted = Some((slot.pos, Some(id)));
                 }
             }
-            core.s2 = None;
         }
 
         // Fill: a forwarded successor goes straight back into S2 (its
         // fetch overlapped with execution — Figure 4 shows dependent
         // instructions in back-to-back S2 slots); popped threads fetch
         // through S1.
-        if let Some((thread, kind)) = forward.take() {
-            let eligible = match self.config.organization {
-                // The time-multiplexed core owns every FIFO: any single
-                // successor can re-enter the pipeline directly.
-                Organization::Old => true,
-                // A consuming successor belongs to the adjacent core.
-                Organization::New => kind == PushKind::Control,
-            };
+        if let Some((thread, kind)) = forward {
+            // The time-multiplexed old core owns every FIFO, so any single
+            // successor can re-enter its pipeline; a new core's consuming
+            // successor belongs to the adjacent core.
+            let eligible = old || kind == PushKind::Control;
             // Forward only into an idle pipeline: if S1 holds a fetched
             // thread, bypassing it every cycle would starve the FIFOs (the
             // hardware interleaves FIFO pops with in-flight successors, as
             // Figure 4's old-engine rows show).
-            if !eligible || core.s2.is_some() || core.s1.is_some() {
-                pushes.push((thread, kind));
-            } else {
+            if !eligible || core.s1.is_some() {
+                pushes[1] = Some((thread, kind));
+            } else if self.config.dedup && !filter.admit(thread.pc, thread.pos) {
                 // The duplicate filter still applies: the forwarded thread
                 // is part of the engine's Thompson set.
-                let admitted = if self.config.dedup {
-                    let bits = seen
-                        .entry(thread.pos)
-                        .or_insert_with(|| vec![0u64; self.program.len().div_ceil(64)]);
-                    let word = usize::from(thread.pc) / 64;
-                    let bit = 1u64 << (thread.pc % 64);
-                    if bits[word] & bit != 0 {
-                        self.report.deduplicated += 1;
-                        false
-                    } else {
-                        bits[word] |= bit;
-                        true
-                    }
-                } else {
-                    true
-                };
-                if admitted {
-                    *self.counts.entry(thread.pos).or_insert(0) += 1;
-                    self.live += 1;
-                    self.report.peak_threads = self.report.peak_threads.max(self.live);
-                    if !core.icache.access(thread.pc) {
-                        core.stall_until = self.cycle + 1 + self.config.cache.miss_penalty;
-                    }
-                    core.s2 = Some(Slot { pc: thread.pc, pos: thread.pos });
+                self.report.deduplicated += 1;
+            } else {
+                self.counts[thread.pos & mask] += 1;
+                self.live += 1;
+                self.report.peak_threads = self.report.peak_threads.max(self.live);
+                if !core.icache.access(thread.pc) {
+                    core.stall_until = cycle + 1 + self.config.cache.miss_penalty;
                 }
+                core.s2 = Some(thread);
             }
         }
-        if core.s1.is_none() {
-            let position = match self.config.organization {
-                Organization::Old => queues.iter().find(|(_, q)| !q.is_empty()).map(|(p, _)| *p),
-                Organization::New => {
-                    queues.iter().find(|(p, q)| *p % window == c && !q.is_empty()).map(|(p, _)| *p)
-                }
+        if poppable && core.s1.is_none() {
+            // Every queued thread is live, so each slot holds one position
+            // of `[base, base + window)`: the old core takes the oldest
+            // non-empty one, new core `c` the one congruent to `c`.
+            let pos = if old {
+                (base..=base + mask)
+                    .find(|pos| !queues[pos & mask].is_empty())
+                    .expect("queued threads sit inside the window")
+            } else {
+                base + (c.wrapping_sub(base) & mask)
             };
-            if let Some(pos) = position {
-                let queue = queues.get_mut(&pos).expect("position found");
-                let pc = queue.pop_front().expect("non-empty");
-                if queue.is_empty() {
-                    queues.remove(&pos);
-                }
-                *queued -= 1;
-                if !core.icache.access(pc) {
-                    core.stall_until = self.cycle + 1 + self.config.cache.miss_penalty;
-                }
-                if tracing {
-                    record(1, pc, pos, TraceNote::Fetched);
-                }
-                core.s1 = Some(Slot { pc, pos });
+            let pc = queues[pos & mask].pop_front().expect("non-empty");
+            *queued -= 1;
+            if !core.icache.access(pc) {
+                core.stall_until = cycle + 1 + self.config.cache.miss_penalty;
             }
+            let fetched = Thread { pc, pos };
+            record(1, fetched, TraceNote::Fetched);
+            core.s1 = Some(fetched);
         }
 
-        // Apply buffered effects.
-        let origin_core = c;
-        for (thread, kind) in pushes {
-            self.route_and_push(e, origin_core, thread, kind);
+        for (thread, kind) in pushes.into_iter().flatten() {
+            self.route_and_push(e, c, thread, kind);
         }
-        for pos in retires {
+        for pos in retires.into_iter().flatten() {
             self.retire(pos);
         }
-        if let Some(pos) = accepted {
+        if let Some((pos, id)) = accepted {
             self.accepted = Some(pos);
-            self.matched_id = accepted_id;
-        }
-        if let Some(trace) = self.trace.as_mut() {
-            trace.extend(events);
+            self.matched_id = id;
         }
     }
 
     /// Decide the destination engine and schedule the push.
     fn route_and_push(&mut self, e: usize, origin_core: usize, thread: Thread, kind: PushKind) {
         let next_engine = (e + 1) % self.engines.len();
-        let (dest, latency) = match self.config.organization {
-            Organization::Old => {
-                // Every novel PC is offered to the distributed balancer.
-                let offload = kind != PushKind::Requeue
-                    && self.engines.len() > 1
-                    && self.loads.get(e).copied().unwrap_or(0)
-                        > self.loads.get(next_engine).copied().unwrap_or(0)
-                            + self.config.lb_threshold;
-                if offload {
-                    (next_engine, self.config.lb_latency)
-                } else {
-                    (e, 1)
-                }
-            }
+        let offered = match self.config.organization {
+            // Every novel PC is offered to the distributed balancer.
+            Organization::Old => kind != PushKind::Requeue,
+            // Only the last core's consuming successors reach the ring.
             Organization::New => {
-                // Only the last core's consuming successors reach the ring.
-                let is_last_core = origin_core == self.config.cores_per_engine - 1;
-                let offload = kind == PushKind::Consume
-                    && is_last_core
-                    && self.engines.len() > 1
-                    && self.loads.get(e).copied().unwrap_or(0)
-                        > self.loads.get(next_engine).copied().unwrap_or(0)
-                            + self.config.lb_threshold;
-                if offload {
-                    (next_engine, self.config.lb_latency)
-                } else {
-                    (e, 1)
-                }
+                kind == PushKind::Consume && origin_core == self.config.cores_per_engine - 1
             }
         };
-        if dest != e {
+        let offload = offered
+            && self.engines.len() > 1
+            && self.loads[e] > self.loads[next_engine] + self.config.lb_threshold;
+        if offload {
             self.report.cross_engine_transfers += 1;
+            self.push(next_engine, thread, kind, self.cycle + self.config.lb_latency);
+        } else {
+            self.push(e, thread, kind, self.cycle + 1);
         }
-        self.push(dest, thread, kind, self.cycle + latency);
     }
 
     /// Apply the duplicate filter, account the thread, and schedule its
     /// delivery.
     fn push(&mut self, engine_index: usize, thread: Thread, kind: PushKind, ready_at: u64) {
-        if self.config.dedup && kind != PushKind::Requeue {
-            let seen = self.engines[engine_index]
-                .seen
-                .entry(thread.pos)
-                .or_insert_with(|| vec![0u64; self.program.len().div_ceil(64)]);
-            let word = usize::from(thread.pc) / 64;
-            let bit = 1u64 << (thread.pc % 64);
-            if seen[word] & bit != 0 {
+        if kind != PushKind::Requeue {
+            let filter = &mut self.engines[engine_index].filter;
+            if self.config.dedup && !filter.admit(thread.pc, thread.pos) {
                 self.report.deduplicated += 1;
                 return;
             }
-            seen[word] |= bit;
-        }
-        if kind != PushKind::Requeue {
-            *self.counts.entry(thread.pos).or_insert(0) += 1;
+            self.counts[thread.pos & self.mask] += 1;
             self.live += 1;
             self.report.peak_threads = self.report.peak_threads.max(self.live);
         }
-        self.pending.entry(ready_at).or_default().push((engine_index, thread));
+        let bucket = (ready_at % self.pending.len() as u64) as usize;
+        self.pending[bucket].push((engine_index, thread));
     }
 
     /// A thread finished (killed, jumped away, or consumed a character).
     fn retire(&mut self, pos: usize) {
-        let count = self.counts.get_mut(&pos).expect("retiring unknown position");
-        *count -= 1;
-        if *count == 0 {
-            self.counts.remove(&pos);
-        }
+        debug_assert!(self.counts[pos & self.mask] > 0, "retiring unknown position {pos}");
+        self.counts[pos & self.mask] -= 1;
         self.live -= 1;
-    }
-
-    /// Drop duplicate-filter state for positions the window slid past.
-    fn collect_garbage(&mut self) {
-        let Some(base) = self.counts.keys().next().copied() else {
-            for engine in &mut self.engines {
-                engine.seen.clear();
-            }
-            return;
-        };
-        for engine in &mut self.engines {
-            if engine.seen.len() > 2 * self.config.window() {
-                engine.seen.retain(|pos, _| *pos >= base);
-            }
+        // The window slides once the oldest position drains. The scan ends
+        // within one window: that is where the remaining live threads are.
+        while self.live > 0 && self.counts[self.base & self.mask] == 0 {
+            self.base += 1;
         }
     }
 
     /// Whether any core holds in-flight work (used by tests).
     pub fn pipelines_empty(&self) -> bool {
-        self.engines.iter().all(|e| e.cores.iter().all(Core::idle))
+        self.engines.iter().all(|e| e.cores.iter().all(|core| core.occupancy() == 0))
     }
 }
 
@@ -874,6 +845,17 @@ mod tests {
         // successor in a one-slot window), so construction fails loudly.
         let mut config = ArchConfig::old_organization(1);
         config.cc_id_bits = 0;
+        let _ = simulate(&ab_or_cd(), b"ab", &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "lb_latency must be >= 1")]
+    fn a_free_ring_hop_is_rejected() {
+        // Zero latency used to mean "delivered next cycle, ahead of every
+        // local push": a ring hop faster than a FIFO hop, which no
+        // hardware ring is.
+        let mut config = ArchConfig::old_organization(4);
+        config.lb_latency = 0;
         let _ = simulate(&ab_or_cd(), b"ab", &config);
     }
 
@@ -1069,6 +1051,9 @@ mod tests {
         assert_eq!(cycles.count, 2);
         assert!(cycles.min >= first.cycles.min(1) as f64);
         assert!(telemetry.histogram("sim.icache_hit_rate").unwrap().count == 2);
+        let host_cost = telemetry.histogram("sim.host_ns_per_cycle").unwrap();
+        assert_eq!(host_cost.count, 2);
+        assert!(host_cost.min > 0.0);
         let spans = telemetry.spans();
         assert_eq!(spans.iter().filter(|s| s.name == "sim.run").count(), 2);
         let run = spans.iter().find(|s| s.name == "sim.run").unwrap();

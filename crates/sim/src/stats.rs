@@ -1,5 +1,17 @@
 //! Execution reports.
 
+/// Observe what `cycles` simulated cycles cost the host
+/// (`sim.host_ns_per_cycle`), given the wall time they took. Host time is
+/// a property of the host, not of the simulated machine, so it is never a
+/// field of [`ExecReport`]: reports stay reproducible byte for byte.
+pub fn record_host_time(
+    telemetry: &cicero_telemetry::Telemetry,
+    cycles: u64,
+    host_time: std::time::Duration,
+) {
+    telemetry.observe("sim.host_ns_per_cycle", host_time.as_nanos() as f64 / cycles as f64);
+}
+
 /// The result of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ExecReport {
