@@ -18,22 +18,20 @@
 //! unit (500-byte chunks) and its bytes counted once — `run` (first
 //! acceptance; only the bytes it examined count) and `run_all`.
 //!
-//! The run **fails (nonzero exit) if PROTOMATA or BRILL falls below the
-//! floor** (default 100 MB/s, override via `CICERO_HOST_MBPS_FLOOR`) —
-//! the acceptance bar of the host-backend issue — or if a set row falls
-//! below [`SET_FLOOR_MBPS`]. The alternate suites (PROTOMATA4/BRILL4)
-//! are reported but not gated: their 4-way alternations select wider
-//! engines whose throughput is a different trade-off, tracked by the
-//! JSON rather than asserted.
+//! The run **fails (nonzero exit) if PROTOMATA or BRILL falls below
+//! [`FLOOR_MBPS`]** — the acceptance bar of the host-backend issue — or
+//! if a set row falls below [`SET_FLOOR_MBPS`]. The alternate suites
+//! (PROTOMATA4/BRILL4) are reported but not gated: their 4-way
+//! alternations select wider engines whose throughput is a different
+//! trade-off, tracked by the JSON rather than asserted.
 //!
-//! Scale via `CICERO_BENCH_SCALE` (quick/default/full); output path via
-//! `CICERO_BENCH_HOST` (empty to disable, default `BENCH_host.json`).
+//! Scale via `CICERO_BENCH_SCALE` (quick/default/full).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use cicero_bench::{banner, f2, suites, Scale, Table};
+use cicero_bench::{banner, f2, rounded, suites, Envelope, Scale, Table};
 use cicero_runtime::HostProgram;
+use cicero_telemetry::JsonObject;
 use workloads::CHUNK_BYTES;
 
 /// Haystack size per suite: the suite's chunks are concatenated and
@@ -44,26 +42,17 @@ const HAYSTACK_BYTES: usize = 1 << 19; // 512 KiB
 /// Suites whose throughput is gated by the floor.
 const GATED: &[&str] = &["PROTOMATA", "BRILL"];
 
+/// Floor for the gated suites' single-thread per-pattern MB/s.
+const FLOOR_MBPS: f64 = 100.0;
+
 /// Floor for the set rows' haystack MB/s (`run` and `run_all` alike):
 /// the slowest committed set figure (BRILL `run_all`, 17 MB/s) under the
 /// same ~5.5x safety factor the 100 MB/s per-pattern floor keeps to its
 /// measured 534-576 MB/s.
 const SET_FLOOR_MBPS: f64 = 3.0;
 
-struct Row {
-    suite: &'static str,
-    patterns: usize,
-    mbps: f64,
-    matched: usize,
-    engines: String,
-    prefiltered: usize,
-    gated: bool,
-}
-
 /// One suite as serving runs it: one `compile_set` program, one engine.
 struct SetRow {
-    suite: &'static str,
-    patterns: usize,
     engine: String,
     states: usize,
     run_mbps: f64,
@@ -99,8 +88,6 @@ fn set_row(bench: &workloads::Benchmark, input: &[u8]) -> Option<SetRow> {
     let run_all_mbps = input.len() as f64 / start.elapsed().as_secs_f64() / 1e6;
 
     Some(SetRow {
-        suite: bench.name,
-        patterns: bench.patterns.len(),
         engine: host.engine_kind().to_string(),
         states: host.state_count(),
         run_mbps,
@@ -128,11 +115,20 @@ fn haystack(chunks: &[Vec<u8>]) -> Vec<u8> {
 fn main() {
     let scale = Scale::from_env();
     banner("Host", "bit-parallel host engine single-thread throughput", scale);
-    let floor_mbps: f64 =
-        std::env::var("CICERO_HOST_MBPS_FLOOR").ok().and_then(|v| v.parse().ok()).unwrap_or(100.0);
 
-    let mut rows: Vec<Row> = Vec::new();
-    let mut set_rows: Vec<SetRow> = Vec::new();
+    let mut table =
+        Table::new(vec!["Suite", "Patterns", "MB/s", "Matched", "Prefiltered", "Engines"]);
+    let mut set_table = Table::new(vec![
+        "Set",
+        "Patterns",
+        "Engine",
+        "States",
+        "run MB/s",
+        "run_all MB/s",
+        "Chunks accepted",
+        "Ids matched",
+    ]);
+    let (mut rows, mut set_rows, mut failures) = (Vec::new(), Vec::new(), Vec::new());
     for bench in suites(scale) {
         let input = haystack(&bench.chunks);
         // Compile + lower outside the timed region: serving reuses both
@@ -177,147 +173,96 @@ fn main() {
         let engines =
             tiers.iter().map(|(kind, n)| format!("{n}x {kind}")).collect::<Vec<_>>().join(", ");
 
-        rows.push(Row {
-            suite: bench.name,
-            patterns: hosts.len(),
-            mbps,
-            matched,
-            engines,
-            prefiltered,
-            gated: GATED.contains(&bench.name),
-        });
-        if GATED.contains(&bench.name) {
-            match set_row(&bench, &input) {
-                Some(row) => set_rows.push(row),
-                None => println!("  {}: the set does not fit one program; no set row", bench.name),
-            }
+        let gated = GATED.contains(&bench.name);
+        table.row(vec![
+            bench.name.to_owned(),
+            hosts.len().to_string(),
+            f2(mbps),
+            matched.to_string(),
+            prefiltered.to_string(),
+            engines.clone(),
+        ]);
+        rows.push(
+            JsonObject::new()
+                .field("suite", bench.name)
+                .field("patterns", hosts.len())
+                .field("throughput_mbps", rounded(mbps, 3))
+                .field("matched_patterns", matched)
+                .field("prefiltered_patterns", prefiltered)
+                .field("engines", engines)
+                .field("gated", gated),
+        );
+        if gated && mbps < FLOOR_MBPS {
+            failures.push(format!(
+                "{} at {mbps:.2} MB/s is below the {FLOOR_MBPS} MB/s single-thread floor",
+                bench.name
+            ));
         }
-    }
-
-    let mut table =
-        Table::new(vec!["Suite", "Patterns", "MB/s", "Matched", "Prefiltered", "Engines"]);
-    for row in &rows {
-        table.row(vec![
-            row.suite.to_owned(),
-            row.patterns.to_string(),
-            f2(row.mbps),
-            row.matched.to_string(),
-            row.prefiltered.to_string(),
-            row.engines.clone(),
+        if !gated {
+            continue;
+        }
+        let Some(set) = set_row(&bench, &input) else {
+            println!("  {}: the set does not fit one program; no set row", bench.name);
+            continue;
+        };
+        set_table.row(vec![
+            bench.name.to_owned(),
+            bench.patterns.len().to_string(),
+            set.engine.clone(),
+            set.states.to_string(),
+            f2(set.run_mbps),
+            f2(set.run_all_mbps),
+            set.chunks_accepted.to_string(),
+            set.ids_matched.to_string(),
         ]);
+        if set.run_mbps.min(set.run_all_mbps) < SET_FLOOR_MBPS {
+            failures.push(format!(
+                "the {} set at {:.2} (run) / {:.2} (run_all) MB/s of haystack is below the \
+                 {SET_FLOOR_MBPS} MB/s floor",
+                bench.name, set.run_mbps, set.run_all_mbps
+            ));
+        }
+        set_rows.push(
+            JsonObject::new()
+                .field("suite", bench.name)
+                .field("patterns", bench.patterns.len())
+                .field("engine", set.engine)
+                .field("states", set.states)
+                .field("run_haystack_mbps", rounded(set.run_mbps, 3))
+                .field("run_all_haystack_mbps", rounded(set.run_all_mbps, 3))
+                .field("chunks_accepted", set.chunks_accepted)
+                .field("ids_matched", set.ids_matched),
+        );
     }
-    table.print();
-    println!(
-        "\n  floor      : {} MB/s single-thread on {} (CICERO_HOST_MBPS_FLOOR)",
-        f2(floor_mbps),
-        GATED.join(", ")
-    );
 
+    table.print();
+    println!("\n  floor      : {} MB/s single-thread on {}", f2(FLOOR_MBPS), GATED.join(", "));
     println!("\n  one compile_set program per suite, haystack bytes counted once:");
-    let mut table = Table::new(vec![
-        "Set",
-        "Patterns",
-        "Engine",
-        "States",
-        "run MB/s",
-        "run_all MB/s",
-        "Chunks accepted",
-        "Ids matched",
-    ]);
-    for row in &set_rows {
-        table.row(vec![
-            row.suite.to_owned(),
-            row.patterns.to_string(),
-            row.engine.clone(),
-            row.states.to_string(),
-            f2(row.run_mbps),
-            f2(row.run_all_mbps),
-            row.chunks_accepted.to_string(),
-            row.ids_matched.to_string(),
-        ]);
-    }
-    table.print();
+    set_table.print();
     println!("\n  set floor  : {} MB/s of haystack, run and run_all", f2(SET_FLOOR_MBPS));
 
-    let path = std::env::var("CICERO_BENCH_HOST").unwrap_or_else(|_| "BENCH_host.json".to_owned());
-    if !path.is_empty() {
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"bench\": \"host_backend\",\n");
-        let _ = writeln!(json, "  \"haystack_bytes\": {HAYSTACK_BYTES},");
-        json.push_str(
-            "  \"notes\": \"single-thread whole-haystack run_all throughput of the bit-parallel \
-             host engine, per suite; compile and lowering are outside the timed region (the \
-             runtime caches both); set_rows compile each gated suite with compile_set into one \
-             program and one engine and scan the haystack in 500-byte chunks, bytes counted once \
-             (run: bytes examined up to the first acceptance); the run exits nonzero when a \
-             gated suite falls below floor_mbps or a set row below set_floor_mbps\",\n",
-        );
-        let _ = writeln!(json, "  \"floor_mbps\": {floor_mbps:.1},");
-        let _ = writeln!(json, "  \"set_floor_mbps\": {SET_FLOOR_MBPS:.1},");
-        json.push_str("  \"rows\": [\n");
-        for (i, row) in rows.iter().enumerate() {
-            let _ = write!(
-                json,
-                "    {{\"suite\": \"{}\", \"patterns\": {}, \"throughput_mbps\": {:.3}, \
-                 \"matched_patterns\": {}, \"prefiltered_patterns\": {}, \"engines\": \"{}\", \
-                 \"gated\": {}}}",
-                row.suite,
-                row.patterns,
-                row.mbps,
-                row.matched,
-                row.prefiltered,
-                row.engines,
-                row.gated,
-            );
-            json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("  ],\n  \"set_rows\": [\n");
-        for (i, row) in set_rows.iter().enumerate() {
-            let _ = write!(
-                json,
-                "    {{\"suite\": \"{}\", \"patterns\": {}, \"engine\": \"{}\", \"states\": {}, \
-                 \"run_haystack_mbps\": {:.3}, \"run_all_haystack_mbps\": {:.3}, \
-                 \"chunks_accepted\": {}, \"ids_matched\": {}}}",
-                row.suite,
-                row.patterns,
-                row.engine,
-                row.states,
-                row.run_mbps,
-                row.run_all_mbps,
-                row.chunks_accepted,
-                row.ids_matched,
-            );
-            json.push_str(if i + 1 < set_rows.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("  ]\n}\n");
-        match std::fs::write(&path, json) {
-            Ok(()) => println!("\n  results written to {path}"),
-            Err(e) => eprintln!("  warning: could not write {path}: {e}"),
-        }
-    }
+    Envelope::new(
+        "host_backend",
+        "host",
+        scale,
+        "single-thread whole-haystack run_all throughput of the bit-parallel host engine, per \
+         suite; compile and lowering are outside the timed region (the runtime caches both); \
+         set_rows compile each gated suite with compile_set into one program and one engine and \
+         scan the haystack in 500-byte chunks, bytes counted once (run: bytes examined up to the \
+         first acceptance); the run exits nonzero when a gated suite falls below floor_mbps or a \
+         set row below set_floor_mbps",
+    )
+    .field("haystack_bytes", HAYSTACK_BYTES)
+    .field("floor_mbps", FLOOR_MBPS)
+    .field("set_floor_mbps", SET_FLOOR_MBPS)
+    .rows("rows", rows)
+    .rows("set_rows", set_rows)
+    .write();
 
-    let mut failed = false;
-    for row in rows.iter().filter(|r| r.gated) {
-        if row.mbps < floor_mbps {
-            eprintln!(
-                "  FAIL: {} at {:.2} MB/s is below the {floor_mbps} MB/s single-thread floor",
-                row.suite, row.mbps
-            );
-            failed = true;
-        }
+    for failure in &failures {
+        eprintln!("  FAIL: {failure}");
     }
-    for row in &set_rows {
-        if row.run_mbps.min(row.run_all_mbps) < SET_FLOOR_MBPS {
-            eprintln!(
-                "  FAIL: the {} set at {:.2} (run) / {:.2} (run_all) MB/s of haystack is below \
-                 the {SET_FLOOR_MBPS} MB/s floor",
-                row.suite, row.run_mbps, row.run_all_mbps
-            );
-            failed = true;
-        }
-    }
-    if failed {
+    if !failures.is_empty() {
         std::process::exit(1);
     }
     println!("  floor      : PASS");

@@ -18,16 +18,13 @@
 //! `BEFORE` total** — a speed-up that changes what is simulated is not
 //! one. It also fails when a NEW 16x1 row costs more than
 //! [`CEILING_NS_PER_CYCLE`], a tripwire at twice the measured figure.
-//!
-//! Output path via `CICERO_BENCH_SIM` (empty to disable, default
-//! `BENCH_sim.json`).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use cicero_bench::{banner, Scale, Table};
+use cicero_bench::{banner, rounded, Envelope, Scale, Table};
 use cicero_core::Compiler;
 use cicero_sim::{ArchConfig, Machine};
+use cicero_telemetry::JsonObject;
 use workloads::Benchmark;
 
 const SEED: u64 = 7;
@@ -62,14 +59,8 @@ fn shapes() -> Vec<ArchConfig> {
     ]
 }
 
-struct Row {
-    suite: &'static str,
-    shape: String,
-    cycles: u64,
-    ns_per_cycle: f64,
-}
-
-fn measure(bench: &Benchmark, config: &ArchConfig) -> Row {
+/// `(total cycles, median host ns per cycle)` of one suite on one shape.
+fn measure(bench: &Benchmark, config: &ArchConfig) -> (u64, f64) {
     let set = Compiler::default().compile_set(&bench.patterns).expect("suite compiles");
     let mut machine = Machine::new(set.program(), config.clone());
     let pass = |machine: &mut Machine| -> u64 {
@@ -93,99 +84,77 @@ fn measure(bench: &Benchmark, config: &ArchConfig) -> Row {
         })
         .collect();
     samples.sort_by(f64::total_cmp);
-    Row { suite: bench.name, shape: config.name(), cycles, ns_per_cycle: samples[PASSES / 2] }
+    (cycles, samples[PASSES / 2])
 }
 
 fn main() {
-    banner("Sim", "host ns per simulated cycle", Scale::from_env());
-    let host_cpus =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+    let scale = Scale::from_env();
+    banner("Sim", "host ns per simulated cycle", scale);
     println!(
         "  fixed workload: {PATTERNS} patterns x {CHUNKS} chunks, seed {SEED}, \
          median of {PASSES} passes\n"
     );
 
-    let mut rows = Vec::new();
+    let cell = |suite: &str, shape: &str, cycles: u64, ns: f64| {
+        JsonObject::new()
+            .field("suite", suite)
+            .field("shape", shape)
+            .field("cycles", cycles)
+            .field("host_ns_per_cycle", rounded(ns, 1))
+    };
+    let mut table = Table::new(vec!["suite", "shape", "cycles", "before ns/cycle", "ns/cycle"]);
+    let mut after = Vec::new();
     for bench in
         [Benchmark::protomata(SEED, PATTERNS, CHUNKS), Benchmark::brill(SEED, PATTERNS, CHUNKS)]
     {
         for config in shapes() {
-            rows.push(measure(&bench, &config));
-        }
-    }
-
-    let mut table = Table::new(vec!["suite", "shape", "cycles", "before ns/cycle", "ns/cycle"]);
-    for row in &rows {
-        let (.., before_cycles, before_ns) = BEFORE
-            .iter()
-            .find(|(suite, shape, ..)| *suite == row.suite && *shape == row.shape)
-            .expect("every cell has a BEFORE row");
-        table.row(vec![
-            row.suite.to_owned(),
-            row.shape.clone(),
-            row.cycles.to_string(),
-            format!("{before_ns:.1}"),
-            format!("{:.1}", row.ns_per_cycle),
-        ]);
-        assert_eq!(
-            row.cycles, *before_cycles,
-            "{} on {}: cycle total moved; the simulator's results changed",
-            row.suite, row.shape
-        );
-        if row.shape == ArchConfig::new_organization(16, 1).name() {
-            assert!(
-                row.ns_per_cycle <= CEILING_NS_PER_CYCLE,
-                "{} on {}: {:.1} ns/cycle is above the {CEILING_NS_PER_CYCLE} ceiling",
-                row.suite,
-                row.shape,
-                row.ns_per_cycle
+            let (suite, shape) = (bench.name, config.name());
+            let (cycles, ns_per_cycle) = measure(&bench, &config);
+            let (.., before_cycles, before_ns) = BEFORE
+                .iter()
+                .find(|(s, shape_name, ..)| *s == suite && *shape_name == shape)
+                .expect("every cell has a BEFORE row");
+            table.row(vec![
+                suite.to_owned(),
+                shape.clone(),
+                cycles.to_string(),
+                format!("{before_ns:.1}"),
+                format!("{ns_per_cycle:.1}"),
+            ]);
+            assert_eq!(
+                cycles, *before_cycles,
+                "{suite} on {shape}: cycle total moved; the simulator's results changed"
             );
+            if config == ArchConfig::new_organization(16, 1) {
+                assert!(
+                    ns_per_cycle <= CEILING_NS_PER_CYCLE,
+                    "{suite} on {shape}: {ns_per_cycle:.1} ns/cycle is above the \
+                     {CEILING_NS_PER_CYCLE} ceiling"
+                );
+            }
+            after.push(cell(suite, &shape, cycles, ns_per_cycle));
         }
     }
     table.print();
 
-    let path = std::env::var("CICERO_BENCH_SIM").unwrap_or_else(|_| "BENCH_sim.json".to_owned());
-    if path.is_empty() {
-        return;
-    }
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"sim_speed\",\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"patterns\": {PATTERNS},");
-    let _ = writeln!(json, "  \"chunks\": {CHUNKS},");
-    let _ = writeln!(json, "  \"passes\": {PASSES},");
-    let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
-    let _ = writeln!(json, "  \"ceiling_ns_per_cycle\": {CEILING_NS_PER_CYCLE:.1},");
-    json.push_str(
-        "  \"notes\": \"host wall ns per simulated cycle, timed from outside Machine over \
-         prefetch_icache + run on every chunk of the set, one warm machine per cell, median of \
-         the timed passes; before rows were measured by this bench at the parent commit \
-         (BTreeMap/HashMap thread state) on the same host, after rows by this run; cycles are \
-         exact and asserted equal between the two; the run exits nonzero when a NEW 16x1 row \
-         exceeds ceiling_ns_per_cycle\",\n",
-    );
-    let render = |json: &mut String, key: &str, cells: Vec<(&str, &str, u64, f64)>| {
-        let _ = writeln!(json, "  \"{key}\": [");
-        for (i, (suite, shape, cycles, ns)) in cells.iter().enumerate() {
-            let _ = write!(
-                json,
-                "    {{\"suite\": \"{suite}\", \"shape\": \"{shape}\", \"cycles\": {cycles}, \
-                 \"host_ns_per_cycle\": {ns:.1}}}"
-            );
-            json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("  ],\n");
-    };
-    render(&mut json, "before", BEFORE.to_vec());
-    render(
-        &mut json,
-        "after",
-        rows.iter().map(|r| (r.suite, r.shape.as_str(), r.cycles, r.ns_per_cycle)).collect(),
-    );
-    json.push_str("  \"cycles_equal\": true\n}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("\n  results written to {path}"),
-        Err(e) => eprintln!("  warning: could not write {path}: {e}"),
-    }
+    Envelope::new(
+        "sim_speed",
+        "sim",
+        scale,
+        "host wall ns per simulated cycle, timed from outside Machine over prefetch_icache + run \
+         on every chunk of the set, one warm machine per cell, median of the timed passes; the \
+         workload is fixed, whatever the scale; before rows were measured by this bench at the \
+         commit before the ring refactor (BTreeMap/HashMap thread state) on a 2-vCPU host, after \
+         rows by this run; cycles are exact and asserted equal between the two; the run exits \
+         nonzero when a NEW 16x1 row exceeds ceiling_ns_per_cycle",
+    )
+    .field("seed", SEED)
+    .field("patterns", PATTERNS)
+    .field("chunks", CHUNKS)
+    .field("passes", PASSES)
+    .field("ceiling_ns_per_cycle", CEILING_NS_PER_CYCLE)
+    .rows("before", BEFORE.iter().map(|&(suite, shape, cycles, ns)| cell(suite, shape, cycles, ns)))
+    .rows("after", after)
+    .field("cycles_equal", true)
+    .write();
 }

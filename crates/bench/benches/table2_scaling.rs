@@ -9,7 +9,7 @@
 //!
 //! Besides the printed table, the driver exports the full telemetry —
 //! per-run `sim.*` histograms plus one event per table row — as JSON
-//! lines to `BENCH_telemetry.json` (override with
+//! lines to `BENCH_telemetry.jsonl` (override with
 //! `CICERO_BENCH_TELEMETRY`, `-` for stdout, empty to disable).
 
 use cicero_bench::{
@@ -61,7 +61,7 @@ fn main() {
 
     table.record_into(&telemetry, "table2");
     let path = std::env::var("CICERO_BENCH_TELEMETRY")
-        .unwrap_or_else(|_| "BENCH_telemetry.json".to_owned());
+        .unwrap_or_else(|_| "BENCH_telemetry.jsonl".to_owned());
     if !path.is_empty() {
         match telemetry.write_jsonl_path(&path) {
             Ok(()) => println!("\n  telemetry (JSON lines) written to {path}"),

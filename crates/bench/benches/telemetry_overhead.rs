@@ -12,26 +12,26 @@
 //! shipping.
 //!
 //! Each iteration is one `counter_add` plus one bounded `observe`
-//! (two metric ops). The bound is deliberately generous (default
-//! 2000 ns/iteration, override via `CICERO_TELEM_OVERHEAD_BOUND_NS`):
+//! (two metric ops). The bound ([`BOUND_NS`]) is deliberately generous:
 //! it is a tripwire for contention collapse, not a microarchitectural
-//! budget. Iteration count follows `CICERO_BENCH_SCALE`; output path
-//! via `CICERO_BENCH_OBS` (empty to disable, default `BENCH_obs.json`).
+//! budget. Iteration count follows `CICERO_BENCH_SCALE`.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use cicero_bench::{banner, f2, Scale};
+use cicero_bench::{banner, f2, rounded, Envelope, Scale};
 use cicero_telemetry::Telemetry;
 
 const BOUNDS: &[f64] = &[1.0, 10.0, 100.0, 1000.0];
 const THREADS: usize = 4;
 
+/// Ceiling on the per-iteration overhead, single-threaded and contended.
+const BOUND_NS: f64 = 2000.0;
+
 fn iterations(scale: Scale) -> u64 {
-    match scale.patterns {
-        8 => 200_000,     // quick
-        200 => 2_000_000, // full
+    match scale {
+        Scale::QUICK => 200_000,
+        Scale::FULL => 2_000_000,
         _ => 1_000_000,
     }
 }
@@ -103,44 +103,31 @@ fn main() {
     );
     println!("  merge read : {:.3} ms for {} ops", merge.as_secs_f64() * 1e3, total_ops);
 
-    let bound_ns: f64 = std::env::var("CICERO_TELEM_OVERHEAD_BOUND_NS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000.0);
+    Envelope::new(
+        "telemetry_overhead",
+        "obs",
+        scale,
+        "per-iteration cost of one counter_add + one bounded observe on the sharded collector, \
+         against a relaxed-atomic no-op loop; the contended row hammers the same metric names \
+         from all threads; the run exits nonzero when overhead exceeds bound_ns",
+    )
+    .field("iterations_per_thread", iters)
+    .field("threads_contended", THREADS)
+    .field("baseline_ns_per_iter", rounded(baseline_ns, 1))
+    .field("single_ns_per_iter", rounded(single_ns, 1))
+    .field("contended_ns_per_iter", rounded(contended_ns, 1))
+    .field("single_overhead_ns", rounded(single_overhead, 1))
+    .field("contended_overhead_ns", rounded(contended_overhead, 1))
+    .field("merge_read_ms", rounded(merge.as_secs_f64() * 1e3, 3))
+    .field("bound_ns", BOUND_NS)
+    .write();
 
-    let path = std::env::var("CICERO_BENCH_OBS").unwrap_or_else(|_| "BENCH_obs.json".to_owned());
-    if !path.is_empty() {
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"bench\": \"telemetry_overhead\",\n");
-        let _ = writeln!(json, "  \"iterations_per_thread\": {iters},");
-        let _ = writeln!(json, "  \"threads_contended\": {THREADS},");
-        json.push_str(
-            "  \"notes\": \"per-iteration cost of one counter_add + one bounded observe on the \
-             sharded collector, against a relaxed-atomic no-op loop; the contended row hammers \
-             the same metric names from all threads; the run exits nonzero when overhead \
-             exceeds bound_ns\",\n",
-        );
-        let _ = writeln!(json, "  \"baseline_ns_per_iter\": {baseline_ns:.1},");
-        let _ = writeln!(json, "  \"single_ns_per_iter\": {single_ns:.1},");
-        let _ = writeln!(json, "  \"contended_ns_per_iter\": {contended_ns:.1},");
-        let _ = writeln!(json, "  \"single_overhead_ns\": {single_overhead:.1},");
-        let _ = writeln!(json, "  \"contended_overhead_ns\": {contended_overhead:.1},");
-        let _ = writeln!(json, "  \"merge_read_ms\": {:.3},", merge.as_secs_f64() * 1e3);
-        let _ = writeln!(json, "  \"bound_ns\": {bound_ns:.1}");
-        json.push_str("}\n");
-        match std::fs::write(&path, json) {
-            Ok(()) => println!("\n  results written to {path}"),
-            Err(e) => eprintln!("  warning: could not write {path}: {e}"),
-        }
-    }
-
-    if single_overhead > bound_ns || contended_overhead > bound_ns {
+    if single_overhead > BOUND_NS || contended_overhead > BOUND_NS {
         eprintln!(
-            "  FAIL: telemetry overhead exceeds the {bound_ns} ns/iter bound \
+            "  FAIL: telemetry overhead exceeds the {BOUND_NS} ns/iter bound \
              (single {single_overhead:.1} ns, contended {contended_overhead:.1} ns)"
         );
         std::process::exit(1);
     }
-    println!("  bound      : PASS (<= {bound_ns} ns/iter)");
+    println!("  bound      : PASS (<= {BOUND_NS} ns/iter)");
 }

@@ -14,20 +14,17 @@
 //!
 //! The sweep is 288 evaluations per suite at every `CICERO_BENCH_SCALE`
 //! (seconds), in index order, so the rows do not depend on a seed.
-//! Output path via `CICERO_BENCH_TUNE` (empty to disable, default
-//! `BENCH_tune.json`).
 
-use std::fmt::Write as _;
-
-use cicero_bench::{banner, Scale, Table};
-use cicero_tune::{tune, Budget, CostReport, SearchSpace, TuneConfig, Workload};
+use cicero_bench::{banner, rounded, Envelope, Scale, Table};
+use cicero_telemetry::JsonObject;
+use cicero_tune::{tune, Budget, SearchSpace, TuneConfig, Workload};
 
 /// Recorded in the export for parity with `tune.toml`; an exhaustive
 /// sweep never draws from it.
 const SEED: u64 = 42;
 
-/// The registry-style suite: the shared member plus version-specific
-/// patterns that `benches/registry.rs` hot-swaps under load.
+/// The registry-style suite: a shared member plus version-specific
+/// patterns, the shape of a ruleset that is hot-swapped under load.
 fn registry_workload() -> Workload {
     let patterns: Vec<String> =
         vec!["ab|cd".to_owned(), "v0x+y".to_owned(), "v1x+y".to_owned(), "gh+i".to_owned()];
@@ -48,15 +45,6 @@ fn describe(config: &TuneConfig) -> String {
     )
 }
 
-struct Row {
-    suite: String,
-    default_report: CostReport,
-    tuned_report: CostReport,
-    tuned: TuneConfig,
-    evals: usize,
-    strategy: &'static str,
-}
-
 fn main() {
     let scale = Scale::from_env();
     banner("tune", "autotuned vs default configuration", scale);
@@ -70,99 +58,64 @@ fn main() {
         registry_workload(),
     ];
 
+    let mut table =
+        Table::new(vec!["suite", "source", "cycles", "throughput MB/s", "D_offset", "winner"]);
     let mut rows = Vec::new();
+    let mut regressions = 0usize;
     for workload in &workloads {
         let outcome = tune(workload, &space, Budget::Evals(budget), SEED, None)
             .expect("tuning must succeed on the committed suites");
         assert_eq!(outcome.strategy, "exhaustive");
-        assert!(
-            outcome.best_report.cost <= outcome.default_report.cost,
-            "tuned must beat or match default on {}",
-            workload.name
-        );
-        rows.push(Row {
-            suite: workload.name.to_uppercase(),
-            default_report: outcome.default_report,
-            tuned_report: outcome.best_report,
-            tuned: outcome.best,
-            evals: outcome.evals,
-            strategy: outcome.strategy,
-        });
-    }
-
-    let mut table =
-        Table::new(vec!["suite", "source", "cycles", "throughput MB/s", "D_offset", "winner"]);
-    for row in &rows {
-        table.row(vec![
-            row.suite.clone(),
-            "default".to_owned(),
-            row.default_report.cycles.to_string(),
-            format!("{:.2}", row.default_report.throughput_mbps),
-            row.default_report.d_offset.to_string(),
-            describe(&TuneConfig::default()),
-        ]);
-        table.row(vec![
-            row.suite.clone(),
-            "tune.toml".to_owned(),
-            row.tuned_report.cycles.to_string(),
-            format!("{:.2}", row.tuned_report.throughput_mbps),
-            row.tuned_report.d_offset.to_string(),
-            describe(&row.tuned),
-        ]);
+        let suite = workload.name.to_uppercase();
+        let beats = outcome.best_report.cost <= outcome.default_report.cost;
+        regressions += usize::from(!beats);
+        for (source, report, config, tuned) in [
+            ("default", &outcome.default_report, &TuneConfig::default(), false),
+            ("tune.toml", &outcome.best_report, &outcome.best, true),
+        ] {
+            let winner = describe(config);
+            table.row(vec![
+                suite.clone(),
+                source.to_owned(),
+                report.cycles.to_string(),
+                format!("{:.2}", report.throughput_mbps),
+                report.d_offset.to_string(),
+                winner.clone(),
+            ]);
+            let row = JsonObject::new()
+                .field("suite", suite.as_str())
+                .field("config_source", source)
+                .field("cycles", report.cycles)
+                .field("throughput_mbps", rounded(report.throughput_mbps, 3))
+                .field("d_offset", report.d_offset);
+            rows.push(if tuned {
+                row.field("evals", outcome.evals)
+                    .field("strategy", outcome.strategy)
+                    .field("winner", winner)
+                    .field("beats_or_matches_default", beats)
+            } else {
+                row
+            });
+        }
     }
     table.print();
+    assert_eq!(regressions, 0, "tuned cost must never exceed default cost on any suite");
 
-    let regressions = rows.iter().filter(|r| r.tuned_report.cost > r.default_report.cost).count();
-    assert_eq!(regressions, 0, "the searcher never dethrones the default on a tie");
-
-    let path = std::env::var("CICERO_BENCH_TUNE").unwrap_or_else(|_| "BENCH_tune.json".to_owned());
-    if path.is_empty() {
-        return;
-    }
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"tune\",\n");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"budget_evals\": {budget},");
-    let _ = writeln!(json, "  \"space_points\": {},", space.size());
-    json.push_str(
-        "  \"notes\": \"tuned-vs-default under the tuner's cost function (cycles + 1e-3 per \
-         icache miss) on the protomata/brill packs and the registry ruleset; each suite row \
-         pair shares a workload; the search is the exhaustive index-order sweep of all \
-         space_points, so winners are optima and do not depend on the seed; asserted: tuned \
-         cost <= default cost on every suite; cycles/throughput are simulated at the row's \
-         architecture, D_offset is the paper's speculation-depth metric\",\n",
-    );
-    json.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let beats = row.tuned_report.cost <= row.default_report.cost;
-        let _ = write!(
-            json,
-            "    {{\"suite\": \"{}\", \"config_source\": \"default\", \"cycles\": {}, \
-             \"throughput_mbps\": {:.3}, \"d_offset\": {}}},\n    \
-             {{\"suite\": \"{}\", \"config_source\": \"tune.toml\", \"cycles\": {}, \
-             \"throughput_mbps\": {:.3}, \"d_offset\": {}, \"evals\": {}, \
-             \"strategy\": \"{}\", \"winner\": \"{}\", \"beats_or_matches_default\": {}}}",
-            row.suite,
-            row.default_report.cycles,
-            row.default_report.throughput_mbps,
-            row.default_report.d_offset,
-            row.suite,
-            row.tuned_report.cycles,
-            row.tuned_report.throughput_mbps,
-            row.tuned_report.d_offset,
-            row.evals,
-            row.strategy,
-            describe(&row.tuned),
-            beats,
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"regressions\": {regressions}");
-    json.push_str("}\n");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("\n  results written to {path}"),
-        Err(e) => eprintln!("  warning: could not write {path}: {e}"),
-    }
+    Envelope::new(
+        "tune",
+        "tune",
+        scale,
+        "tuned-vs-default under the tuner's cost function (cycles + 1e-3 per icache miss) on the \
+         protomata/brill packs and the registry ruleset; each suite row pair shares a workload; \
+         the search is the exhaustive index-order sweep of all space_points, so winners are \
+         optima and do not depend on the seed; asserted: tuned cost <= default cost on every \
+         suite; cycles/throughput are simulated at the row's architecture, D_offset is the \
+         paper's speculation-depth metric",
+    )
+    .field("seed", SEED)
+    .field("budget_evals", budget)
+    .field("space_points", space.size())
+    .rows("rows", rows)
+    .field("regressions", regressions)
+    .write();
 }

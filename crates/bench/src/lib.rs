@@ -12,11 +12,11 @@
 //! impractical, so the harness scales with the `CICERO_BENCH_SCALE`
 //! environment variable:
 //!
-//! | value     | patterns per suite | chunks (500 B each) |
-//! |-----------|--------------------|---------------------|
-//! | `quick`   | 8                  | 2                   |
-//! | *default* | 16                 | 4                   |
-//! | `full`    | 200                | 48                  |
+//! | value                | patterns per suite | chunks (500 B each) |
+//! |----------------------|--------------------|---------------------|
+//! | `quick`              | 8                  | 2                   |
+//! | `default` (or unset) | 16                 | 4                   |
+//! | `full`               | 200                | 48                  |
 //!
 //! Relative results (who wins, by what factor) are stable across scales;
 //! EXPERIMENTS.md records a default-scale run.
@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use cicero_isa::Program;
 use cicero_sim::{simulate_batch, ArchConfig};
-use cicero_telemetry::Telemetry;
+use cicero_telemetry::{JsonObject, Telemetry, Value};
 use workloads::Benchmark;
 
 /// Deterministic seed shared by every bench target, so figures compose.
@@ -34,6 +34,8 @@ pub const SEED: u64 = 0xC1CE_2025;
 /// Benchmark scale (patterns per suite, input chunks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
+    /// The name `CICERO_BENCH_SCALE` spells and [`Envelope`] records.
+    pub name: &'static str,
     /// Patterns per suite.
     pub patterns: usize,
     /// 500-byte chunks per suite.
@@ -41,14 +43,89 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Read the scale from `CICERO_BENCH_SCALE` (see crate docs).
+    /// A smoke run.
+    pub const QUICK: Scale = Scale { name: "quick", patterns: 8, chunks: 2 };
+    /// What EXPERIMENTS.md records.
+    pub const DEFAULT: Scale = Scale { name: "default", patterns: 16, chunks: 4 };
+    /// The paper's pattern count.
+    pub const FULL: Scale = Scale { name: "full", patterns: 200, chunks: 48 };
+
+    /// Read the scale from `CICERO_BENCH_SCALE` (see crate docs). A value
+    /// that is none of the three names ends the process: a typo must not
+    /// pass a default-scale figure off as a full-scale one.
     pub fn from_env() -> Scale {
-        match std::env::var("CICERO_BENCH_SCALE").as_deref() {
-            Ok("quick") => Scale { patterns: 8, chunks: 2 },
-            Ok("full") => Scale { patterns: 200, chunks: 48 },
-            _ => Scale { patterns: 16, chunks: 4 },
-        }
+        let Some(value) = std::env::var_os("CICERO_BENCH_SCALE") else {
+            return Scale::DEFAULT;
+        };
+        Scale::named(&value.to_string_lossy()).unwrap_or_else(|| {
+            eprintln!("CICERO_BENCH_SCALE={value:?} is not one of: quick, default, full");
+            std::process::exit(2);
+        })
     }
+
+    fn named(name: &str) -> Option<Scale> {
+        [Scale::QUICK, Scale::DEFAULT, Scale::FULL].into_iter().find(|scale| scale.name == name)
+    }
+}
+
+/// The one writer of `crates/bench/BENCH_<stem>.json`: a JSON object with
+/// one top-level `"key": value` per line (CI greps those lines), opened by
+/// the four fields every artifact carries — `bench`, `host_cpus`, `scale`,
+/// `notes`. The path is derived, and a `quick`-scale run writes the
+/// git-ignored `BENCH_<stem>_quick.json`, so a smoke run cannot overwrite
+/// a committed artifact.
+#[derive(Debug)]
+pub struct Envelope {
+    path: String,
+    lines: Vec<String>,
+}
+
+impl Envelope {
+    /// Start the artifact of bench target `bench` (its `[[bench]]` name).
+    pub fn new(bench: &str, stem: &str, scale: Scale, notes: &str) -> Envelope {
+        let suffix = if scale == Scale::QUICK { "_quick" } else { "" };
+        let path = format!("{}/BENCH_{stem}{suffix}.json", env!("CARGO_MANIFEST_DIR"));
+        let host_cpus =
+            std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+        Envelope { path, lines: Vec::new() }
+            .field("bench", bench)
+            .field("host_cpus", host_cpus)
+            .field("scale", scale.name)
+            .field("notes", notes)
+    }
+
+    /// Add a top-level scalar.
+    pub fn field(mut self, key: &str, value: impl Into<Value>) -> Envelope {
+        let mut line = format!("\"{key}\": ");
+        value.into().write_to(&mut line);
+        self.lines.push(line);
+        self
+    }
+
+    /// Add a top-level array of objects, one row per line.
+    pub fn rows(mut self, key: &str, rows: impl IntoIterator<Item = JsonObject>) -> Envelope {
+        let rows: Vec<String> =
+            rows.into_iter().map(|row| format!("    {}", row.finish())).collect();
+        self.lines.push(format!("\"{key}\": [\n{}\n  ]", rows.join(",\n")));
+        self
+    }
+
+    fn render(&self) -> String {
+        format!("{{\n  {}\n}}\n", self.lines.join(",\n  "))
+    }
+
+    /// Write the artifact to its derived path.
+    pub fn write(self) {
+        let path = &self.path;
+        std::fs::write(path, self.render()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("\n  results written to {path}");
+    }
+}
+
+/// Round to `places` decimals, so exported floats stay readable.
+pub fn rounded(x: f64, places: i32) -> f64 {
+    let unit = 10f64.powi(places);
+    (x * unit).round() / unit
 }
 
 /// The four suites at the configured scale.
@@ -338,11 +415,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_parses_env_values() {
-        // Not setting the env var in-process (tests run in parallel);
-        // just exercise the default path.
-        let s = Scale::from_env();
-        assert!(s.patterns > 0 && s.chunks > 0);
+    fn scale_accepts_exactly_its_three_names() {
+        assert_eq!(Scale::named("quick"), Some(Scale::QUICK));
+        assert_eq!(Scale::named("default"), Some(Scale::DEFAULT));
+        assert_eq!(Scale::named("full"), Some(Scale::FULL));
+        assert_eq!(["fulll", "Quick", "", " full"].map(Scale::named), [None; 4]);
+    }
+
+    #[test]
+    fn envelope_stamps_its_header_and_keeps_one_top_level_key_per_line() {
+        let envelope = Envelope::new("tune", "tune", Scale::QUICK, "say \"why\"")
+            .field("space_points", 288usize)
+            .rows("rows", [JsonObject::new().field("suite", "BRILL").field("mbps", 1.5)])
+            .field("regressions", 0usize);
+        let text = envelope.render();
+        let host_cpus = text.lines().nth(2).expect("third line");
+        assert!(host_cpus.starts_with("  \"host_cpus\": "), "{text}");
+        let expected = [
+            "{",
+            "  \"bench\": \"tune\",",
+            host_cpus,
+            "  \"scale\": \"quick\",",
+            "  \"notes\": \"say \\\"why\\\"\",",
+            "  \"space_points\": 288,",
+            "  \"rows\": [",
+            "    {\"suite\":\"BRILL\",\"mbps\":1.5}",
+            "  ],",
+            "  \"regressions\": 0",
+            "}",
+        ];
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected);
+        assert!(envelope.path.ends_with("crates/bench/BENCH_tune_quick.json"));
+        let committed = Envelope::new("sim_speed", "sim", Scale::DEFAULT, "");
+        assert!(committed.path.ends_with("crates/bench/BENCH_sim.json"));
     }
 
     #[test]

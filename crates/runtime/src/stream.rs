@@ -3,9 +3,9 @@
 //! *bounded* chunk queue.
 //!
 //! The queue is a [`std::sync::mpsc::sync_channel`] of depth
-//! [`StreamOptions::queue_depth`], so a slow pattern exerts backpressure
-//! on the reader instead of letting chunks pile up in memory: total
-//! resident input is `O(chunk_size × queue_depth + window)` no matter how
+//! `QUEUE_DEPTH` (4), so a slow pattern exerts backpressure on the
+//! reader instead of letting chunks pile up in memory: total resident
+//! input is `O(chunk_size × QUEUE_DEPTH + window)` no matter how
 //! large the input or how pathological the pattern. Budgets from
 //! [`Budget`] apply per session — fuel bounds simulated cycles, the
 //! deadline bounds wall-clock time — and both conclude the session with a
@@ -22,21 +22,22 @@ use cicero_sim::{ArchConfig, ExecReport, StreamMachine, StreamStatus};
 use crate::budget::{Budget, BudgetKind, MatchOutcome};
 use crate::{host_exec_report, HostOutcome, HostRun, Runtime};
 
+/// Chunks the reader may buffer ahead of the matcher: the backpressure
+/// bound.
+const QUEUE_DEPTH: usize = 4;
+
 /// Knobs for one streaming session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamOptions {
     /// Bytes per chunk read from the source (must be ≥ 1).
     pub chunk_size: usize,
-    /// Chunks the reader may buffer ahead of the matcher (must be ≥ 1);
-    /// this is the backpressure bound.
-    pub queue_depth: usize,
     /// Resource budget for the session.
     pub budget: Budget,
 }
 
 impl Default for StreamOptions {
     fn default() -> StreamOptions {
-        StreamOptions { chunk_size: 64 * 1024, queue_depth: 4, budget: Budget::UNLIMITED }
+        StreamOptions { chunk_size: 64 * 1024, budget: Budget::UNLIMITED }
     }
 }
 
@@ -45,7 +46,7 @@ impl Default for StreamOptions {
 pub enum StreamError {
     /// The input source failed mid-stream.
     Io(io::Error),
-    /// Rejected options (zero chunk size or queue depth).
+    /// Rejected options (zero chunk size).
     Options(String),
 }
 
@@ -176,7 +177,7 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`StreamError::Options`] for a zero chunk size or queue depth;
+    /// [`StreamError::Options`] for a zero chunk size;
     /// [`StreamError::Io`] when the source fails mid-stream.
     pub fn scan_stream<R: Read + Send>(
         &self,
@@ -188,12 +189,9 @@ impl Runtime {
         if options.chunk_size == 0 {
             return Err(StreamError::Options("chunk size must be at least 1 byte".to_owned()));
         }
-        if options.queue_depth == 0 {
-            return Err(StreamError::Options("queue depth must be at least 1 chunk".to_owned()));
-        }
         let trace_span = self.trace_child("stream.execute").inspect(|span| {
             span.annotate("chunk_size", options.chunk_size);
-            span.annotate("queue_depth", options.queue_depth);
+            span.annotate("queue_depth", QUEUE_DEPTH);
             span.annotate("backend", self.backend.to_string());
         });
         let start = Instant::now();
@@ -214,7 +212,7 @@ impl Runtime {
         let (mut bytes, mut chunks, mut suspends) = (0u64, 0u64, 0u64);
         let mut io_error: Option<io::Error> = None;
         let mut deadline_hit = false;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<io::Result<Vec<u8>>>(options.queue_depth);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<io::Result<Vec<u8>>>(QUEUE_DEPTH);
         std::thread::scope(|scope| {
             scope.spawn(move || loop {
                 let mut buf = vec![0u8; chunk_size];
@@ -384,16 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_chunk_size_and_queue_depth_are_rejected() {
+    fn zero_chunk_size_is_rejected() {
         let runtime = runtime();
         let config = ArchConfig::old_organization(1);
         let err = stream_pattern(&runtime, "ab", Cursor::new(b"x".to_vec()), &config, &options(0))
             .unwrap_err();
         assert!(matches!(&err, StreamError::Options(m) if m.contains("chunk size")), "{err}");
-        let bad_queue = StreamOptions { queue_depth: 0, ..StreamOptions::default() };
-        let err = stream_pattern(&runtime, "ab", Cursor::new(b"x".to_vec()), &config, &bad_queue)
-            .unwrap_err();
-        assert!(matches!(&err, StreamError::Options(m) if m.contains("queue depth")), "{err}");
     }
 
     #[test]

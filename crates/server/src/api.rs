@@ -112,22 +112,6 @@ fn runtime_for_request(
     Ok(shared.runtime.with_backend(backend).with_trace(root))
 }
 
-/// The paper's `NxM` architecture naming, as also used by the CLI's
-/// `--config` flag.
-fn parse_arch_config(spec: &str) -> Result<ArchConfig, String> {
-    let (n, m) =
-        spec.split_once('x').ok_or_else(|| format!("config {spec:?} is not of the form NxM"))?;
-    let n: usize = n.parse().map_err(|_| format!("bad core count in {spec:?}"))?;
-    let m: usize = m.parse().map_err(|_| format!("bad engine count in {spec:?}"))?;
-    if n == 1 {
-        Ok(ArchConfig::old_organization(m))
-    } else if n.is_power_of_two() {
-        Ok(ArchConfig::new_organization(n, m))
-    } else {
-        Err(format!("core count {n} must be 1 (old organization) or a power of two"))
-    }
-}
-
 /// The body shape shared by `/match` and `/scan`.
 struct MatchBody {
     patterns: Vec<String>,
@@ -179,7 +163,7 @@ fn parse_input_and_config(shared: &Shared, doc: &Json) -> Result<(Vec<u8>, ArchC
         .to_vec();
     let config = match doc.get("config") {
         None => shared.config.clone(),
-        Some(Json::Str(spec)) => parse_arch_config(spec).map_err(|e| error_response(400, &e))?,
+        Some(Json::Str(spec)) => spec.parse().map_err(|e: String| error_response(400, &e))?,
         Some(_) => return Err(error_response(400, "\"config\" must be a string like \"16x1\"")),
     };
     Ok((input, config))
@@ -521,7 +505,7 @@ fn handle_scan_stream(shared: &Shared, request: &Request, root: &TraceSpan) -> R
     }
     let config = match request.header("x-cicero-config") {
         None => shared.config.clone(),
-        Some(spec) => match parse_arch_config(spec) {
+        Some(spec) => match spec.parse::<ArchConfig>() {
             Ok(config) => config,
             Err(e) => return error_response(400, &e),
         },

@@ -1,6 +1,7 @@
 //! Architecture configurations (the paper's `NxM CORES` naming).
 
 use std::fmt;
+use std::str::FromStr;
 
 /// Architectural organization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -135,6 +136,46 @@ impl fmt::Display for ArchConfig {
     }
 }
 
+/// Largest `cores × engines` product a parsed spec may name. The biggest
+/// shape the paper evaluates is `32x9` (288 cores); a spec arrives from the
+/// command line or the network and the simulator allocates per core, so
+/// the product is bounded before anything is built.
+const MAX_TOTAL_CORES: usize = 512;
+
+/// The paper's `NxM` naming as the CLI's `--config` and the server's
+/// `"config"` / `X-Cicero-Config` spell it: `1xM` is the old organization
+/// with `M` engines, `NxM` with `N` a power of two ≥ 2 the new one; at
+/// least one engine, at most 512 cores in total.
+impl FromStr for ArchConfig {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<ArchConfig, String> {
+        let (n, m) = spec
+            .split_once('x')
+            .ok_or_else(|| format!("config {spec:?} is not of the form NxM"))?;
+        let cores: usize = n.parse().map_err(|_| format!("bad core count in {spec:?}"))?;
+        let engines: usize = m.parse().map_err(|_| format!("bad engine count in {spec:?}"))?;
+        if !cores.is_power_of_two() {
+            return Err(format!(
+                "core count {cores} must be 1 (old organization) or a power of two"
+            ));
+        }
+        if engines == 0 {
+            return Err(format!("config {spec:?} needs at least one engine"));
+        }
+        if engines > MAX_TOTAL_CORES / cores {
+            return Err(format!(
+                "config {spec:?} has more than {MAX_TOTAL_CORES} cores (cores x engines)"
+            ));
+        }
+        Ok(if cores == 1 {
+            ArchConfig::old_organization(engines)
+        } else {
+            ArchConfig::new_organization(cores, engines)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,6 +193,19 @@ mod tests {
         assert_eq!(new.cc_id_bits, 4);
         assert_eq!(new.window(), 16);
         assert_eq!(new.total_fifos(), 16);
+    }
+
+    #[test]
+    fn specs_parse_to_the_presets_and_reject_what_the_constructors_would_panic_on() {
+        assert_eq!("1x9".parse(), Ok(ArchConfig::old_organization(9)));
+        assert_eq!("16x1".parse(), Ok(ArchConfig::new_organization(16, 1)));
+        assert_eq!("32x9".parse(), Ok(ArchConfig::new_organization(32, 9)));
+        assert_eq!("1x512".parse(), Ok(ArchConfig::old_organization(MAX_TOTAL_CORES)));
+        let bad = "16 x ax1 8x 8x-1 8x0 1x0 0x1 0x0 3x1 9x1 1x513 32x17 1x1000000 1024x1 \
+                   2x18446744073709551615";
+        for bad in bad.split(' ').chain([""]) {
+            assert!(bad.parse::<ArchConfig>().is_err(), "{bad:?} must be rejected");
+        }
     }
 
     #[test]

@@ -329,19 +329,8 @@ impl Flags {
     }
 }
 
-fn parse_config(spec: Option<&str>) -> Result<ArchConfig, String> {
-    let spec = spec.unwrap_or("16x1");
-    let (n, m) =
-        spec.split_once('x').ok_or_else(|| format!("config `{spec}` is not of the form NxM"))?;
-    let n: usize = n.parse().map_err(|_| format!("bad core count in `{spec}`"))?;
-    let m: usize = m.parse().map_err(|_| format!("bad engine count in `{spec}`"))?;
-    if n == 1 {
-        Ok(ArchConfig::old_organization(m))
-    } else if n.is_power_of_two() {
-        Ok(ArchConfig::new_organization(n, m))
-    } else {
-        Err(format!("core count {n} must be 1 (old organization) or a power of two"))
-    }
+fn arch_config(spec: Option<&str>) -> Result<ArchConfig, String> {
+    spec.unwrap_or("16x1").parse()
 }
 
 fn read_input(flags: &Flags) -> Result<Vec<u8>, String> {
@@ -380,7 +369,7 @@ fn resolve_config(
 ) -> Result<ArchConfig, String> {
     match (flags.value("config"), tuned) {
         (None, Some(t)) => Ok(t.arch_config()),
-        (spec, _) => parse_config(spec),
+        (spec, _) => arch_config(spec),
     }
 }
 
@@ -1144,7 +1133,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("serve takes no positional arguments".to_owned());
     }
     let mut options =
-        ServerOptions { config: parse_config(flags.value("config"))?, ..ServerOptions::default() };
+        ServerOptions { config: arch_config(flags.value("config"))?, ..ServerOptions::default() };
     // `--tuned-config` is validated and applied before any explicit flag,
     // so flags below still win — and an invalid file returns here, long
     // before the listener binds: the server refuses to start on a config
@@ -1266,7 +1255,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     if flags.positional.is_empty() {
         return Err("trace takes one or more patterns".to_owned());
     }
-    let config = parse_config(flags.value("config"))?;
+    let config = arch_config(flags.value("config"))?;
     let input = read_input(&flags)?;
     let jobs = match flags.value("jobs") {
         Some(value) => parse_jobs(value)?,

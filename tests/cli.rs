@@ -482,6 +482,20 @@ fn backend_flag_rejects_unknown_values() {
     }
 }
 
+/// `--config` shapes the simulator cannot build are a one-line error, not
+/// a panic: zero engines, a non-power-of-two core count, a shape beyond
+/// the total-core bound.
+#[test]
+fn config_flag_rejects_unbuildable_shapes_without_a_backtrace() {
+    for spec in ["8x0", "1x0", "3x1", "1x1000000", "16"] {
+        let output = cicero(&["run", "ab", "--text", "ab", "--config", spec]);
+        assert!(!output.status.success(), "--config {spec} must fail");
+        let stderr = stderr(&output);
+        assert!(stderr.starts_with("error: "), "--config {spec}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--config {spec}: {stderr}");
+    }
+}
+
 /// The registry-client flags validate before any socket is touched:
 /// `--addr` is meaningless without `--ruleset`, patterns cannot be mixed
 /// with `--ruleset`, and the `ruleset` subcommand rejects unknown verbs.

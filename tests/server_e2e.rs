@@ -189,6 +189,43 @@ fn serve_reports_tripped_budgets_as_429() {
     server.shutdown_and_wait();
 }
 
+/// An architecture spec arrives from the network, so a shape the
+/// simulator's constructors would panic on (zero engines) or allocate
+/// without bound for (a million engines) must be a `400` — never a dead
+/// handler thread. Five bad requests outnumber the four default workers:
+/// if any of them took its thread down, the follow-ups would hang.
+#[test]
+fn malformed_arch_configs_answer_400_and_leave_the_server_serving() {
+    let server = ServeProcess::start(&[]);
+    let (status, _, body) = server.request("PUT", "/rulesets/web", r#"{"patterns":["ab"]}"#, &[]);
+    assert_eq!(status, 201, "{body}");
+
+    let with_config =
+        |spec: &str| format!(r#"{{"patterns":["ab"],"input":"ab","config":"{spec}"}}"#);
+    let mut answers = Vec::new();
+    for path in ["/match", "/scan", "/match", "/scan", "/match"] {
+        answers.push(server.request("POST", path, &with_config("8x0"), &[]));
+    }
+    answers.push(server.request("POST", "/match", &with_config("1x1000000"), &[]));
+    answers.push(server.request(
+        "POST",
+        "/scan/stream?ruleset=web",
+        "ab",
+        &[("X-Cicero-Config", "4x0")],
+    ));
+    for (status, _, body) in &answers {
+        assert_eq!(*status, 400, "{body}");
+        let doc = json::parse(body).expect("error response is JSON");
+        assert!(doc.get("error").and_then(Json::as_str).is_some(), "{body}");
+    }
+
+    let (status, _, body) = server.request("GET", "/healthz", "", &[]);
+    assert_eq!(status, 200, "{body}");
+    let (status, _, body) = server.request("POST", "/match", &with_config("8x1"), &[]);
+    assert_eq!(status, 200, "{body}");
+    server.shutdown_and_wait();
+}
+
 /// The served `POST /scan` and the `cicero scan --jobs` CLI must agree
 /// byte-for-byte on per-pattern match counts for the same seeded
 /// workload — same chunking, same set compilation, same all-matches
