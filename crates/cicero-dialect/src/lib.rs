@@ -72,8 +72,9 @@ impl Default for LowLevelOptions {
 ///
 /// The dialect's single registration point, mirroring
 /// `regex_dialect::transforms::build_pipeline`: drivers build the
-/// low-level pipeline here so instrumentation attached to the pass
-/// manager observes every back-end transform.
+/// low-level pipeline here, for single patterns and sets alike, so every
+/// back-end transform runs under the pass manager and lands in its
+/// per-pass report.
 pub fn build_pipeline(pm: &mut mlir_lite::PassManager, options: &LowLevelOptions) {
     if options.jump_simplification {
         pm.add_pass(Box::new(JumpSimplificationPass));

@@ -35,55 +35,32 @@ use std::time::{Duration, Instant};
 
 use cicero_dialect::CodegenError;
 use cicero_isa::Program;
-use cicero_telemetry::Telemetry;
-use mlir_lite::{Context, Operation, PassError, PassInstrumentation};
+use cicero_telemetry::{Telemetry, TraceSpan, Value};
+use mlir_lite::{Context, Operation, PassError};
 // Re-exported so downstream crates (runtime, server) can consume per-pass
 // reports without depending on mlir-lite directly.
 pub use mlir_lite::{PassReport, PipelineReport};
 use regex_frontend::ParseRegexError;
 
-/// Pass instrumentation bridging the pass manager to a [`Telemetry`]
-/// collector: one `pass:<name>` span per executed pass, annotated with
-/// the op-count delta (and the error message on failure).
-///
-/// Passes run sequentially, so open spans form a stack; the `Mutex` only
-/// provides the interior mutability `PassInstrumentation`'s `&self` hooks
-/// require.
-struct TelemetrySpans {
-    telemetry: Telemetry,
-    open: std::sync::Mutex<Vec<cicero_telemetry::Span>>,
-}
-
-impl TelemetrySpans {
-    fn new(telemetry: Telemetry) -> TelemetrySpans {
-        TelemetrySpans { telemetry, open: std::sync::Mutex::new(Vec::new()) }
-    }
-
-    fn pop(&self) -> Option<cicero_telemetry::Span> {
-        self.open.lock().unwrap_or_else(|p| p.into_inner()).pop()
-    }
-}
-
-impl PassInstrumentation for TelemetrySpans {
-    fn run_before_pass(&self, pass_name: &'static str, _root: &Operation) {
-        let span = self.telemetry.span(format!("pass:{pass_name}"));
-        self.open.lock().unwrap_or_else(|p| p.into_inner()).push(span);
-    }
-
-    fn run_after_pass(&self, _pass_name: &'static str, _root: &Operation, report: &PassReport) {
-        if let Some(span) = self.pop() {
-            span.annotate("ops_before", report.ops_before);
-            span.annotate("ops_after", report.ops_after);
-            span.annotate("ops_delta", report.ops_delta());
-        }
-        self.telemetry.counter_add("compiler.passes_run", 1);
-    }
-
-    fn run_after_pass_failed(&self, _pass_name: &'static str, error: &PassError) {
-        if let Some(span) = self.pop() {
-            span.annotate("error", error.to_string());
-        }
-        self.telemetry.counter_add("compiler.passes_failed", 1);
+/// Render a compilation's pass report under `span` as one finished
+/// `pass:<name>` child per pass, annotated with the op counts, laid out
+/// end to end from the span's start (the pass manager ran them
+/// sequentially, so the cumulative layout is faithful). The one place a
+/// [`PipelineReport`] becomes trace spans.
+pub fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
+    let mut offset = span.start_offset();
+    for pass in &report.passes {
+        span.context().record_complete(
+            Some(span.id()),
+            format!("pass:{}", pass.name),
+            offset,
+            pass.duration,
+            vec![
+                ("ops_before".to_owned(), Value::from(pass.ops_before)),
+                ("ops_after".to_owned(), Value::from(pass.ops_after)),
+            ],
+        );
+        offset += pass.duration;
     }
 }
 
@@ -373,10 +350,11 @@ impl Compiler {
         Compiler { options, ctx, telemetry: None }
     }
 
-    /// Attach a telemetry collector: every compilation then emits a
-    /// `compile` span with nested per-stage spans and one `pass:<name>`
-    /// span per executed pass (annotated with op-count deltas), plus
-    /// `compiler.*` counters and gauges.
+    /// Attach a telemetry collector: every compilation then records the
+    /// `compiler.*` counters and gauges (compilations, passes run or
+    /// failed, the program's code size and `D_offset`). Per-pass timings
+    /// stay in the [`PipelineReport`]; [`record_pass_spans`] renders one
+    /// into a trace.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Compiler {
         self.telemetry = Some(telemetry);
@@ -411,98 +389,108 @@ impl Compiler {
         &self,
         pattern: &str,
     ) -> Result<CompilationArtifacts, CompileError> {
+        let artifacts = self.build_artifacts(pattern);
+        self.record(artifacts.as_ref().map(|a| &a.compiled.program));
+        artifacts
+    }
+
+    fn build_artifacts(&self, pattern: &str) -> Result<CompilationArtifacts, CompileError> {
         let mut stats = CompileStats::default();
-        let telemetry = self.telemetry.clone();
-        let stage = |name: &str| telemetry.as_ref().map(|t| t.span(format!("stage:{name}")));
-        let compile_span = telemetry.as_ref().map(|t| {
-            t.counter_add("compiler.compilations", 1);
-            let span = t.span("compile");
-            span.annotate("pattern", pattern);
-            span
-        });
         let mut pass_report = PipelineReport::default();
 
-        let span = stage("parse");
         let start = Instant::now();
         let ast = regex_frontend::parse(pattern)?;
         stats.parse = start.elapsed();
-        drop(span);
 
-        let span = stage("convert");
         let start = Instant::now();
-        let mut regex_ir = regex_dialect::ast_to_ir(&ast);
+        let regex_ir_initial = regex_dialect::ast_to_ir(&ast);
         stats.convert = start.elapsed();
-        drop(span);
-        let regex_ir_initial = regex_ir.clone();
 
-        let span = stage("high-level");
+        let mut regex_ir = regex_ir_initial.clone();
         let start = Instant::now();
-        let mut high = mlir_lite::PassManager::new();
-        high.verify_each(self.options.verify_each);
-        regex_dialect::transforms::build_pipeline(&mut high, &self.high_level_options());
-        if let Some(t) = &telemetry {
-            high.add_instrumentation(Box::new(TelemetrySpans::new(t.clone())));
-        }
-        pass_report.extend(&high.run(&mut regex_ir, &self.ctx)?);
+        self.high_level(&mut regex_ir, &mut pass_report)?;
         stats.high_level = start.elapsed();
-        drop(span);
-        let regex_ir_optimized = regex_ir.clone();
 
-        let span = stage("lowering");
         let start = Instant::now();
-        let mut cicero_ir = cicero_dialect::lower_to_cicero(&regex_ir);
+        let cicero_ir_initial = cicero_dialect::lower_to_cicero(&regex_ir);
         stats.lowering = start.elapsed();
-        drop(span);
-        let cicero_ir_initial = cicero_ir.clone();
 
-        let span = stage("low-level");
+        let mut cicero_ir = cicero_ir_initial.clone();
         let start = Instant::now();
-        let mut low = mlir_lite::PassManager::new();
-        low.verify_each(self.options.verify_each);
-        cicero_dialect::build_pipeline(&mut low, &self.low_level_options());
-        if let Some(t) = &telemetry {
-            low.add_instrumentation(Box::new(TelemetrySpans::new(t.clone())));
-        }
-        pass_report.extend(&low.run(&mut cicero_ir, &self.ctx)?);
+        self.low_level(&mut cicero_ir, &mut pass_report)?;
         stats.low_level = start.elapsed();
-        drop(span);
-        let cicero_ir_optimized = cicero_ir.clone();
 
-        let span = stage("codegen");
         let start = Instant::now();
         let program = cicero_dialect::codegen(&cicero_ir)?;
         stats.codegen = start.elapsed();
-        drop(span);
-
-        if let (Some(t), Some(span)) = (&telemetry, &compile_span) {
-            span.annotate("code_size", program.len());
-            span.annotate("d_offset", program.total_jump_offset());
-            t.gauge_set("compiler.code_size", program.len() as f64);
-            t.gauge_set("compiler.d_offset", program.total_jump_offset() as f64);
-        }
 
         Ok(CompilationArtifacts {
             canonical_pattern: ast.to_pattern(),
             regex_ir_initial,
-            regex_ir_optimized,
+            regex_ir_optimized: regex_ir,
             cicero_ir_initial,
-            cicero_ir_optimized,
+            cicero_ir_optimized: cicero_ir,
             compiled: CompiledRegex { program, stats, pass_report },
         })
     }
 
-    fn high_level_options(&self) -> regex_dialect::transforms::HighLevelOptions {
-        regex_dialect::transforms::HighLevelOptions {
+    /// The front half's optimizer, once per pattern: the high-level
+    /// pipeline on the converted `regex` IR, in place.
+    fn high_level(&self, ir: &mut Operation, report: &mut PipelineReport) -> Result<(), PassError> {
+        let options = regex_dialect::transforms::HighLevelOptions {
             canonicalize: self.options.canonicalize,
             factorize: self.options.factorize,
             shortest_match: self.options.shortest_match,
             shortest_match_leading: self.options.shortest_match_leading,
             order: self.options.pass_order,
-        }
+        };
+        let mut pm = mlir_lite::PassManager::new();
+        regex_dialect::transforms::build_pipeline(&mut pm, &options);
+        self.run_pipeline(&mut pm, ir, report)
     }
 
-    fn low_level_options(&self) -> cicero_dialect::LowLevelOptions {
-        cicero_dialect::LowLevelOptions { jump_simplification: self.options.jump_simplification }
+    /// The back half's optimizer, once per program (one pattern or a whole
+    /// set): the low-level pipeline that `cicero_dialect::build_pipeline`
+    /// assembles, on the lowered `cicero` IR, in place.
+    fn low_level(&self, ir: &mut Operation, report: &mut PipelineReport) -> Result<(), PassError> {
+        let options = cicero_dialect::LowLevelOptions {
+            jump_simplification: self.options.jump_simplification,
+        };
+        let mut pm = mlir_lite::PassManager::new();
+        cicero_dialect::build_pipeline(&mut pm, &options);
+        self.run_pipeline(&mut pm, ir, report)
+    }
+
+    /// Run `pm` on `ir`, append its passes to `report`, and count them in
+    /// `compiler.passes_run` (or the failed run in
+    /// `compiler.passes_failed`).
+    fn run_pipeline(
+        &self,
+        pm: &mut mlir_lite::PassManager,
+        ir: &mut Operation,
+        report: &mut PipelineReport,
+    ) -> Result<(), PassError> {
+        pm.verify_each(self.options.verify_each);
+        let run = pm.run(ir, &self.ctx);
+        if let Some(t) = &self.telemetry {
+            match &run {
+                Ok(run) => t.counter_add("compiler.passes_run", run.passes.len() as u64),
+                Err(_) => t.counter_add("compiler.passes_failed", 1),
+            }
+        }
+        report.extend(&run?);
+        Ok(())
+    }
+
+    /// Count one finished compilation and, if it produced a program, set
+    /// the code-size and `D_offset` gauges from it.
+    fn record(&self, program: Result<&Program, &CompileError>) {
+        let Some(t) = &self.telemetry else { return };
+        t.counter_add("compiler.compilations", 1);
+        if let Ok(program) = program {
+            t.gauge_set("compiler.code_size", program.len() as f64);
+            t.gauge_set("compiler.d_offset", program.total_jump_offset() as f64);
+        }
     }
 }
 
@@ -522,8 +510,8 @@ impl CompiledSet {
         &self.program
     }
 
-    /// Per-pass timing and op-count report, accumulated across every
-    /// pattern's high-level pipeline run.
+    /// Per-pass timing and op-count report: every member's high-level
+    /// passes, in member order, then the set's one low-level pipeline.
     pub fn pass_report(&self) -> &PipelineReport {
         &self.pass_report
     }
@@ -548,9 +536,11 @@ impl CompiledSet {
 impl Compiler {
     /// Compile a set of patterns into one multi-matching program.
     ///
-    /// Each pattern gets the full high-level optimization pipeline, then
-    /// all are lowered together around a single shared scan loop with
-    /// identified acceptances.
+    /// Each pattern goes through the front half (parse, convert, the
+    /// high-level pipeline); then the set is lowered together around a
+    /// single shared scan loop with identified acceptances, and that one
+    /// program goes through the back half (the low-level pipeline and
+    /// codegen) once.
     ///
     /// # Errors
     ///
@@ -561,18 +551,22 @@ impl Compiler {
         if patterns.is_empty() {
             return Err(CompileError::EmptySet);
         }
-        let mut optimized_irs = Vec::with_capacity(patterns.len());
+        let set = self.build_set(patterns);
+        self.record(set.as_ref().map(|s| &s.program));
+        set
+    }
+
+    fn build_set<S: AsRef<str>>(&self, patterns: &[S]) -> Result<CompiledSet, CompileError> {
         let mut pass_report = PipelineReport::default();
+        let mut optimized = Vec::with_capacity(patterns.len());
         for pattern in patterns {
-            let artifacts = self.compile_with_artifacts(pattern.as_ref())?;
-            pass_report.extend(artifacts.compiled.pass_report());
-            optimized_irs.push(artifacts.regex_ir_optimized);
+            let mut ir = regex_dialect::ast_to_ir(&regex_frontend::parse(pattern.as_ref())?);
+            self.high_level(&mut ir, &mut pass_report)?;
+            optimized.push(ir);
         }
-        let refs: Vec<&Operation> = optimized_irs.iter().collect();
-        let mut cicero_ir = cicero_dialect::lower_multi(&refs).map_err(PassError::new)?;
-        if self.options.jump_simplification {
-            cicero_dialect::jump_simplify(&mut cicero_ir);
-        }
+        let members: Vec<&Operation> = optimized.iter().collect();
+        let mut cicero_ir = cicero_dialect::lower_multi(&members).map_err(PassError::new)?;
+        self.low_level(&mut cicero_ir, &mut pass_report)?;
         let program = cicero_dialect::codegen(&cicero_ir)?;
         Ok(CompiledSet {
             program,
@@ -680,30 +674,32 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_records_spans_and_metrics() {
+    fn telemetry_records_compiler_counters_and_gauges() {
         let telemetry = Telemetry::new();
         let compiler = Compiler::new().with_telemetry(telemetry.clone());
         let compiled = compiler.compile("ab|cd").unwrap();
-        let spans = telemetry.spans();
-        let compile_span = spans.iter().find(|s| s.name == "compile").unwrap();
-        assert!(compile_span.attrs.iter().any(|(k, _)| k == "code_size"));
-        assert!(compile_span.attrs.iter().any(|(k, _)| k == "d_offset"));
-        for stage in ["parse", "convert", "high-level", "lowering", "low-level", "codegen"] {
-            assert!(
-                spans.iter().any(|s| s.name == format!("stage:{stage}")),
-                "missing stage:{stage}"
-            );
-        }
-        let pass_spans: Vec<_> = spans.iter().filter(|s| s.name.starts_with("pass:")).collect();
-        assert_eq!(pass_spans.len(), compiled.pass_report().passes.len());
-        for span in &pass_spans {
-            assert!(span.depth >= 2, "pass span should nest under compile/stage");
-            assert!(span.attrs.iter().any(|(k, _)| k == "ops_delta"), "{:?}", span.attrs);
-        }
-        assert_eq!(telemetry.counter("compiler.compilations"), 1);
-        assert_eq!(telemetry.counter("compiler.passes_run") as usize, pass_spans.len());
+        assert!(compiler.compile("(").is_err());
+        assert_eq!(telemetry.counter("compiler.compilations"), 2);
+        assert_eq!(
+            telemetry.counter("compiler.passes_run") as usize,
+            compiled.pass_report().passes.len()
+        );
+        assert_eq!(telemetry.counter("compiler.passes_failed"), 0);
         assert_eq!(telemetry.gauge("compiler.code_size"), Some(compiled.code_size() as f64));
         assert_eq!(telemetry.gauge("compiler.d_offset"), Some(compiled.d_offset() as f64));
+    }
+
+    #[test]
+    fn a_rejected_set_counts_its_member_passes_and_no_failed_pass() {
+        // Every pass of a single compile but the one low-level pass.
+        let high = compile("xyz").unwrap().pass_report().passes.len() - 1;
+        let telemetry = Telemetry::new();
+        let compiler = Compiler::new().with_telemetry(telemetry.clone());
+        assert!(compiler.compile_set(&["^abc", "xyz"]).is_err());
+        assert_eq!(telemetry.counter("compiler.compilations"), 1);
+        assert_eq!(telemetry.counter("compiler.passes_run") as usize, 2 * high);
+        assert_eq!(telemetry.counter("compiler.passes_failed"), 0);
+        assert_eq!(telemetry.gauge("compiler.code_size"), None);
     }
 
     #[test]
@@ -825,6 +821,23 @@ mod compile_set_tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_set_runs_the_front_end_per_member_and_the_back_end_once() {
+        let patterns = ["GET /", "POST /", "ab+c", "x[yz]"];
+        let set = Compiler::new().compile_set(&patterns).unwrap();
+        let single = compile("ab+c").unwrap();
+        let runs = |report: &PipelineReport, name: &str| {
+            report.passes.iter().filter(|p| p.name == name).count()
+        };
+        for pass in &single.pass_report().passes {
+            // High-level passes run once per member, low-level ones once.
+            let copies = if pass.name.starts_with("regex-") { patterns.len() } else { 1 };
+            let expected = copies * runs(single.pass_report(), pass.name);
+            assert_eq!(runs(set.pass_report(), pass.name), expected, "{}", pass.name);
+        }
+        assert_eq!(runs(set.pass_report(), "cicero-jump-simplification"), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   [`simulate_batch`];
 //! * stream level (chunk-split invariance): the input re-run through the
 //!   resumable matchers — [`cicero_isa::run_chunked`], the host engine's
-//!   [`cicero_hostexec::HostProgram::run_chunked`], and
+//!   [`cicero_hostexec::run_chunked`], and
 //!   [`cicero_sim::simulate_streaming`] over every simulator
 //!   configuration — split at chunk boundaries, must be *byte-identical*
 //!   to the whole-input cells. Every case gets the two deterministic

@@ -10,7 +10,7 @@
 //!   programs at `O0`/`O2` × interpreter × cycle-level simulator over
 //!   `CC_ID` 1–3 organizations × parallel batch execution at 1/2/4
 //!   workers;
-//! * [`shrink`] — greedy delta debugging that reduces a failing
+//! * [`mod@shrink`] — greedy delta debugging that reduces a failing
 //!   `(pattern, inputs)` pair to a minimal reproducer;
 //! * [`corpus`] — the committed TOML regression corpus, replayed as a
 //!   normal `cargo test` (see `tests/corpus_replay.rs`);

@@ -6,7 +6,7 @@
 //! this CPU can produce it" — by lowering the same validated [`Program`]
 //! one step further, onto the host:
 //!
-//! 1. **Epsilon elimination** ([`nfa`]): `Split`/`Jump`/`NotMatch` paths
+//! 1. **Epsilon elimination** (`nfa.rs`): `Split`/`Jump`/`NotMatch` paths
 //!    are folded away into a byte-predicate NFA whose states are
 //!    `(pc, predicate)` pairs, restoring the Glushkov property (every
 //!    entry into a state agrees on its byte predicate).
@@ -17,9 +17,9 @@
 //!    (shift-or style, chunked follow tables, byte-class compressed);
 //!    ≤ 128 states in a `u128`; larger automata — any realistic
 //!    `compile_set` ruleset — run the same step over a multi-word mask
-//!    ([`wide`]). A pathological program that blows the lowering budget
+//!    (`wide.rs`). A pathological program that blows the lowering budget
 //!    falls back to the reference interpreter — slower, never wrong.
-//! 4. **Prefilter** ([`prefilter`]): a memchr-style skip loop extracted
+//! 4. **Prefilter** (`prefilter.rs`): a memchr-style skip loop extracted
 //!    from the steady scan state, exact by construction.
 //!
 //! Semantics match [`cicero_isa::run`] / [`cicero_isa::run_all`]

@@ -56,7 +56,5 @@ pub use attribute::Attribute;
 pub use dialect::{AttrKind, AttrSpec, Context, Dialect, OpDefinition, RegionCount, VerifyError};
 pub use op::{OpName, Operation, Region};
 pub use parser::{parse, ParseError};
-pub use pass::{
-    Pass, PassError, PassInstrumentation, PassManager, PassRegistry, PassReport, PipelineReport,
-};
+pub use pass::{Pass, PassError, PassManager, PassRegistry, PassReport, PipelineReport};
 pub use rewrite::{apply_patterns_greedily, Rewrite, RewriteConfig, RewritePattern, RewriteStats};

@@ -48,25 +48,6 @@ impl fmt::Display for PassError {
 
 impl std::error::Error for PassError {}
 
-/// Observation hooks around each pass execution.
-///
-/// Mirrors `mlir::PassInstrumentation`: the pass manager calls
-/// [`PassInstrumentation::run_before_pass`] with the IR as it enters the
-/// pass and [`PassInstrumentation::run_after_pass`] with the finished
-/// [`PassReport`] (duration plus op-count delta). Instrumentations observe
-/// the IR but never mutate it, so they can be layered freely — timing,
-/// statistics, IR dumping — without affecting pipeline semantics.
-pub trait PassInstrumentation {
-    /// Called immediately before a pass runs.
-    fn run_before_pass(&self, _pass_name: &'static str, _root: &Operation) {}
-
-    /// Called after a pass (and any inter-pass verification) succeeds.
-    fn run_after_pass(&self, _pass_name: &'static str, _root: &Operation, _report: &PassReport) {}
-
-    /// Called when a pass or its post-verification fails.
-    fn run_after_pass_failed(&self, _pass_name: &'static str, _error: &PassError) {}
-}
-
 /// Timing and structural data for one executed pass.
 #[derive(Debug, Clone)]
 pub struct PassReport {
@@ -227,7 +208,6 @@ impl PassRegistry {
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
     verify_each: bool,
-    instrumentations: Vec<Box<dyn PassInstrumentation>>,
 }
 
 impl fmt::Debug for PassManager {
@@ -235,7 +215,6 @@ impl fmt::Debug for PassManager {
         f.debug_struct("PassManager")
             .field("passes", &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>())
             .field("verify_each", &self.verify_each)
-            .field("instrumentations", &self.instrumentations.len())
             .finish()
     }
 }
@@ -249,19 +228,12 @@ impl Default for PassManager {
 impl PassManager {
     /// An empty pipeline with inter-pass verification enabled.
     pub fn new() -> PassManager {
-        PassManager { passes: Vec::new(), verify_each: true, instrumentations: Vec::new() }
+        PassManager { passes: Vec::new(), verify_each: true }
     }
 
     /// Append a pass.
     pub fn add_pass(&mut self, pass: Box<dyn Pass>) -> &mut Self {
         self.passes.push(pass);
-        self
-    }
-
-    /// Attach an observation hook fired around every pass. Multiple
-    /// instrumentations run in registration order.
-    pub fn add_instrumentation(&mut self, instr: Box<dyn PassInstrumentation>) -> &mut Self {
-        self.instrumentations.push(instr);
         self
     }
 
@@ -290,9 +262,6 @@ impl PassManager {
     pub fn run(&self, root: &mut Operation, ctx: &Context) -> Result<PipelineReport, PassError> {
         let mut report = PipelineReport::default();
         for pass in &self.passes {
-            for instr in &self.instrumentations {
-                instr.run_before_pass(pass.name(), root);
-            }
             let ops_before = root.subtree_size();
             let start = Instant::now();
             let run_result = pass.run(root, ctx).map_err(|mut e| {
@@ -302,7 +271,7 @@ impl PassManager {
                 e
             });
             let duration = start.elapsed();
-            let verified = run_result.and_then(|()| {
+            run_result.and_then(|()| {
                 if self.verify_each {
                     ctx.verify(root).map_err(|e| PassError {
                         pass: pass.name().to_owned(),
@@ -311,23 +280,13 @@ impl PassManager {
                 } else {
                     Ok(())
                 }
-            });
-            if let Err(error) = verified {
-                for instr in &self.instrumentations {
-                    instr.run_after_pass_failed(pass.name(), &error);
-                }
-                return Err(error);
-            }
-            let pass_report = PassReport {
+            })?;
+            report.passes.push(PassReport {
                 name: pass.name(),
                 duration,
                 ops_before,
                 ops_after: root.subtree_size(),
-            };
-            for instr in &self.instrumentations {
-                instr.run_after_pass(pass.name(), root, &pass_report);
-            }
-            report.passes.push(pass_report);
+            });
         }
         Ok(report)
     }
@@ -450,55 +409,6 @@ mod tests {
         assert!(lines[1].contains("+1"), "delta column missing: {text}");
     }
 
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[derive(Default)]
-    struct CountingInstr {
-        before: AtomicUsize,
-        after: AtomicUsize,
-        failed: AtomicUsize,
-        delta_sum: AtomicUsize,
-    }
-
-    impl PassInstrumentation for Arc<CountingInstr> {
-        fn run_before_pass(&self, _pass: &'static str, _root: &Operation) {
-            self.before.fetch_add(1, Ordering::SeqCst);
-        }
-        fn run_after_pass(&self, _pass: &'static str, _root: &Operation, report: &PassReport) {
-            self.after.fetch_add(1, Ordering::SeqCst);
-            self.delta_sum.fetch_add(report.ops_delta().unsigned_abs() as usize, Ordering::SeqCst);
-        }
-        fn run_after_pass_failed(&self, _pass: &'static str, _error: &PassError) {
-            self.failed.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn instrumentation_sees_every_pass() {
-        let instr = Arc::new(CountingInstr::default());
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(AppendLeaf)).add_pass(Box::new(AppendLeaf));
-        pm.add_instrumentation(Box::new(Arc::clone(&instr)));
-        pm.run(&mut module(), &ctx()).unwrap();
-        assert_eq!(instr.before.load(Ordering::SeqCst), 2);
-        assert_eq!(instr.after.load(Ordering::SeqCst), 2);
-        assert_eq!(instr.failed.load(Ordering::SeqCst), 0);
-        assert_eq!(instr.delta_sum.load(Ordering::SeqCst), 2); // +1 op per pass
-    }
-
-    #[test]
-    fn instrumentation_observes_failures() {
-        let instr = Arc::new(CountingInstr::default());
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(AppendLeaf)).add_pass(Box::new(Fail));
-        pm.add_instrumentation(Box::new(Arc::clone(&instr)));
-        pm.run(&mut module(), &ctx()).unwrap_err();
-        assert_eq!(instr.before.load(Ordering::SeqCst), 2);
-        assert_eq!(instr.after.load(Ordering::SeqCst), 1);
-        assert_eq!(instr.failed.load(Ordering::SeqCst), 1);
-    }
-
     #[test]
     fn registry_builds_pipelines_in_the_requested_order() {
         let mut registry = PassRegistry::new();
@@ -530,15 +440,5 @@ mod tests {
         registry.register("p", || Box::new(AppendLeaf));
         assert_eq!(registry.names(), vec!["p"]);
         assert_eq!(registry.create("p").unwrap().name(), "append-leaf");
-    }
-
-    #[test]
-    fn verification_failure_reaches_instrumentation() {
-        let instr = Arc::new(CountingInstr::default());
-        let mut pm = PassManager::new();
-        pm.add_pass(Box::new(Corrupt));
-        pm.add_instrumentation(Box::new(Arc::clone(&instr)));
-        pm.run(&mut module(), &ctx()).unwrap_err();
-        assert_eq!(instr.failed.load(Ordering::SeqCst), 1);
     }
 }

@@ -231,7 +231,7 @@ pub fn pipeline_names(options: &HighLevelOptions) -> Vec<&'static str> {
 /// This is the dialect's single registration point: every driver —
 /// compiler, CLI, benchmarks, the autotuner — builds its high-level
 /// pipeline here (through the name-keyed [`pass_registry`]), so pass
-/// order and instrumentation hooks stay consistent.
+/// order and the per-pass report stay consistent.
 pub fn build_pipeline(pm: &mut PassManager, options: &HighLevelOptions) {
     pass_registry()
         .build(pm, &pipeline_names(options))

@@ -55,10 +55,12 @@ pub use cicero_hostexec::{EngineKind, HostAllOutcome, HostOutcome, HostProgram, 
 pub use handle::{PinGuard, SetHandle};
 pub use stream::{StreamError, StreamOptions, StreamReport};
 
-use cicero_core::{Backend, CompileError, Compiler, CompilerOptions, PipelineReport};
+use cicero_core::{
+    record_pass_spans, Backend, CompileError, Compiler, CompilerOptions, PipelineReport,
+};
 use cicero_isa::Program;
 use cicero_sim::ExecReport;
-use cicero_telemetry::{Telemetry, TraceContext, TraceSpan, Value};
+use cicero_telemetry::{Telemetry, TraceContext, TraceSpan};
 
 /// Synthesize an [`ExecReport`] from a host-engine run so the host
 /// backend flows through the same budget classification, batch
@@ -107,26 +109,6 @@ impl HostCache {
             map.clear();
         }
         map.entry(program.clone()).or_insert_with(|| Arc::clone(&lowered)).clone()
-    }
-}
-
-/// Backfill per-pass compile timings under `span` as synthetic child
-/// spans, laid out end-to-end from the span's start (the pass manager
-/// ran them sequentially, so the cumulative layout is faithful).
-fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
-    let mut offset = span.start_offset();
-    for pass in &report.passes {
-        span.context().record_complete(
-            Some(span.id()),
-            format!("pass:{}", pass.name),
-            offset,
-            pass.duration,
-            vec![
-                ("ops_before".to_owned(), Value::from(pass.ops_before)),
-                ("ops_after".to_owned(), Value::from(pass.ops_after)),
-            ],
-        );
-        offset += pass.duration;
     }
 }
 
@@ -475,26 +457,6 @@ mod tests {
         assert_eq!(telemetry.histogram("sim.cycles").unwrap().count, 14);
         // ...and what each batch's cycles cost the host.
         assert_eq!(telemetry.histogram("sim.host_ns_per_cycle").unwrap().count, 2);
-    }
-
-    #[test]
-    fn served_batches_leave_the_span_log_empty() {
-        // A long-lived server runs every request through here with the
-        // process-wide collector attached: what a batch records must not
-        // grow with the number of batches (the per-request detail lives in
-        // the request trace's `execute` span, which its owner drops).
-        let telemetry = Telemetry::new();
-        let runtime = runtime(2).with_telemetry(telemetry.clone());
-        let config = ArchConfig::old_organization(1);
-        let program = runtime.compile(PATTERN).unwrap();
-        for backend in [Backend::Sim, Backend::Host] {
-            let handle = runtime.with_backend(backend);
-            for _ in 0..50 {
-                handle.run_batch_guarded(&program, &chunks(), &config, &Budget::UNLIMITED);
-            }
-        }
-        assert_eq!(telemetry.counter("runtime.guarded_batches"), 100);
-        assert!(telemetry.spans().is_empty(), "{} spans logged", telemetry.spans().len());
     }
 
     #[test]

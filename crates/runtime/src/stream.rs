@@ -462,9 +462,6 @@ mod tests {
         assert!(telemetry.histogram("stream.peak_buffered").is_some());
         // The concluded run folds into the sim.* series like batch runs do.
         assert_eq!(telemetry.counter("sim.runs"), 1);
-        // Counters and histograms only: a session leaves nothing behind
-        // that grows with the number of sessions served.
-        assert!(telemetry.spans().is_empty());
     }
 
     fn host_runtime() -> Runtime {

@@ -13,9 +13,9 @@
 //!   are dispatched to the worker pool, so connection count decouples
 //!   from handler-thread count: a thousand idle keep-alive clients cost
 //!   one poller, not a thousand blocked workers. After a response, a
-//!   worker waits [`KEEPALIVE_GRACE`] for a pipelined follow-up (the
+//!   worker waits `KEEPALIVE_GRACE` (5 ms) for a pipelined follow-up (the
 //!   closed-loop fast path) and hands the connection back to the poller
-//!   when none arrives — or after [`KEEPALIVE_BURST`] requests, so one
+//!   when none arrives — or after `KEEPALIVE_BURST` (32) requests, so one
 //!   fast client cannot monopolize a worker.
 //! * **Admission control** — ready connections flow through a *bounded*
 //!   dispatch queue ([`ServerOptions::queue_depth`]); total open

@@ -6,7 +6,7 @@
 //! the server, these protect tenants from each other. A denied request
 //! is a `429` whose `Retry-After` comes from the same p50-scaled clamp
 //! helper as every other backpressure answer
-//! ([`crate::retry_after_secs`]) — one function, every path.
+//! (`retry_after_secs` in the crate root) — one function, every path.
 //!
 //! The token bucket is the classic shape: each tenant accrues
 //! `rate_per_sec` tokens up to `burst`; a request spends one token or is

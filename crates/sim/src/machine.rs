@@ -292,9 +292,9 @@ impl<'p> Machine<'p> {
     }
 
     /// Attach a telemetry collector: each subsequent [`Machine::run`]
-    /// emits a `sim.run` span, folds its [`ExecReport`] into the
-    /// collector's `sim.*` histograms and counters, and observes the
-    /// host time the run cost per simulated cycle (`sim.host_ns_per_cycle`).
+    /// folds its [`ExecReport`] into the collector's `sim.*` histograms
+    /// and counters, and observes the host time the run cost per simulated
+    /// cycle (`sim.host_ns_per_cycle`).
     pub fn attach_telemetry(&mut self, telemetry: cicero_telemetry::Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -370,12 +370,6 @@ impl<'p> Machine<'p> {
     /// position 0) in engine 0. Can be called repeatedly; instruction
     /// caches stay warm across calls.
     pub fn run(&mut self, input: &[u8]) -> ExecReport {
-        let run_span = self.telemetry.as_ref().map(|t| {
-            let span = t.span("sim.run");
-            span.annotate("input_len", input.len());
-            span.annotate("config", self.config.name());
-            span
-        });
         self.begin();
         let started = Instant::now();
         self.drive(input, None);
@@ -383,10 +377,6 @@ impl<'p> Machine<'p> {
         let report = self.finalize();
         if let Some(telemetry) = &self.telemetry {
             crate::stats::record_host_time(telemetry, report.cycles, host_time);
-        }
-        if let Some(span) = run_span {
-            span.annotate("cycles", report.cycles);
-            span.annotate("accepted", report.accepted);
         }
         report
     }
@@ -1054,10 +1044,6 @@ mod tests {
         let host_cost = telemetry.histogram("sim.host_ns_per_cycle").unwrap();
         assert_eq!(host_cost.count, 2);
         assert!(host_cost.min > 0.0);
-        let spans = telemetry.spans();
-        assert_eq!(spans.iter().filter(|s| s.name == "sim.run").count(), 2);
-        let run = spans.iter().find(|s| s.name == "sim.run").unwrap();
-        assert!(run.attrs.iter().any(|(k, _)| k == "cycles"));
     }
 
     #[test]

@@ -10,29 +10,31 @@
 //!
 //! Three pieces, pure `std`:
 //!
-//! * **Spans** ([`Telemetry::span`]): nested wall-clock regions with
-//!   arbitrary key/value annotations. The compiler opens one span per
-//!   pipeline stage and one child span per pass.
 //! * **Metrics** ([`Telemetry::counter_add`], [`Telemetry::gauge_set`],
 //!   [`Telemetry::observe`]): a registry of counters, gauges, and
-//!   fixed-bucket histograms. The simulator folds every run's
-//!   [`ExecReport`-shaped counters](https://docs.rs) into it.
+//!   fixed-bucket histograms, plus instantaneous named events
+//!   ([`Telemetry::event`]). The simulator folds every run's report into
+//!   it.
+//! * **Traces** ([`TraceContext`]): the one span API. A context is a tree
+//!   of timed, annotated spans that may be opened on any thread; a server
+//!   request and the `cicero trace`, `run` and `tune` commands each own
+//!   one.
 //! * **Sinks** ([`Telemetry::render_summary`],
-//!   [`Telemetry::render_jsonl`], [`Telemetry::write_jsonl_path`]): a
-//!   human-readable summary and a JSON-lines exporter (hand-rolled
-//!   serializer — no external dependencies) writable to a file or
-//!   stdout.
+//!   [`Telemetry::render_jsonl`], [`Telemetry::render_prometheus`], and
+//!   the [`RequestTrace`] renderers): hand-rolled text, JSON-lines and
+//!   Chrome-trace serializers, no external dependencies.
 //!
-//! A [`Telemetry`] value is a cheap clonable handle (`Arc<Mutex<..>>`
-//! inside), so one collector can be threaded through compiler, simulator,
-//! CLI, and benchmark drivers simultaneously.
+//! A [`Telemetry`] value is a cheap clonable handle, so one collector can
+//! be threaded through compiler, simulator, runtime, server and CLI at
+//! once.
 //!
 //! # Metric namespaces
 //!
 //! Series names are dot-separated, with the first segment identifying the
 //! emitting layer:
 //!
-//! * `compile.*` — compiler pass pipeline (spans per stage/pass);
+//! * `compiler.*` — compilations, passes run or failed, and the last
+//!   program's code size and `D_offset`;
 //! * `sim.*` — one fold per simulated run: cycles, instructions, icache
 //!   hit rate, stalls, verdicts;
 //! * `runtime.*` — batch serving: batches, inputs, cache hits/misses,
@@ -51,23 +53,23 @@
 //! # Example
 //!
 //! ```
-//! use cicero_telemetry::Telemetry;
+//! use cicero_telemetry::{Telemetry, TraceContext};
 //!
 //! let telemetry = Telemetry::new();
-//! {
-//!     let span = telemetry.span("compile");
-//!     span.annotate("pattern", "ab|cd");
-//!     {
-//!         let pass = telemetry.span("pass:canonicalize");
-//!         pass.annotate("ops_before", 10u64);
-//!         pass.annotate("ops_after", 8u64);
-//!     } // pass span closes here
-//! }
 //! telemetry.counter_add("sim.runs", 1);
 //! telemetry.observe("sim.cycles", 1234.0);
 //! let jsonl = telemetry.render_jsonl();
-//! assert!(jsonl.lines().count() >= 3);
-//! assert!(jsonl.contains("\"type\":\"span\""));
+//! assert!(jsonl.contains("\"type\":\"counter\""));
+//! assert!(jsonl.contains("\"type\":\"histogram\""));
+//!
+//! let ctx = TraceContext::new("example");
+//! {
+//!     let compile = ctx.root_span("compile");
+//!     let pass = compile.child("pass:canonicalize");
+//!     pass.annotate("ops_before", 10u64);
+//!     pass.annotate("ops_after", 8u64);
+//! } // both spans close here
+//! assert!(ctx.finish().render_tree().contains("ops_after=8"));
 //! ```
 
 pub mod json;
@@ -75,32 +77,23 @@ pub mod metrics;
 pub mod recorder;
 pub(crate) mod shard;
 pub mod sink;
-pub mod span;
 pub mod trace;
 
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
 
 pub use json::{escape_json, JsonObject, Value};
 pub use metrics::{Exemplar, HistogramSnapshot, Metric, MetricsRegistry};
 pub use recorder::{FlightRecorder, FlightRecorderOptions};
-pub use span::{Span, SpanRecord};
 pub use trace::{render_chrome_trace, RequestTrace, TraceContext, TraceSpan, TraceSpanRecord};
 
-pub(crate) struct Inner {
-    pub(crate) epoch: Instant,
-    pub(crate) spans: Vec<SpanRecord>,
-    /// Indices of currently open spans, innermost last.
-    pub(crate) open: Vec<usize>,
-    /// Instantaneous named records (benchmark rows, one-off facts).
-    pub(crate) events: Vec<(String, Vec<(String, Value)>)>,
-}
+/// Instantaneous named records (benchmark rows, one-off facts).
+pub(crate) type Events = Vec<(String, Vec<(String, Value)>)>;
 
 /// A clonable handle to one telemetry collector.
 #[derive(Clone)]
 pub struct Telemetry {
-    /// Spans and events: low-rate, mutex-backed.
-    inner: Arc<Mutex<Inner>>,
+    /// Events: low-rate, mutex-backed.
+    events: Arc<Mutex<Events>>,
     /// Counters / gauges / histograms: per-thread shards, lock-free on
     /// the hot path, merged on read (see [`mod@shard`]).
     metrics: Arc<shard::ShardedMetrics>,
@@ -114,53 +107,26 @@ impl Default for Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (spans, events) = {
-            let inner = self.lock();
-            (inner.spans.len(), inner.events.len())
-        };
         f.debug_struct("Telemetry")
-            .field("spans", &spans)
             .field("metrics", &self.merged_metrics().len())
-            .field("events", &events)
+            .field("events", &self.lock_events().len())
             .finish()
     }
 }
 
 impl Telemetry {
-    /// A fresh, empty collector; span timestamps are relative to this
-    /// call.
+    /// A fresh, empty collector.
     pub fn new() -> Telemetry {
-        Telemetry {
-            inner: Arc::new(Mutex::new(Inner {
-                epoch: Instant::now(),
-                spans: Vec::new(),
-                open: Vec::new(),
-                events: Vec::new(),
-            })),
-            metrics: shard::ShardedMetrics::new(),
-        }
+        Telemetry { events: Arc::default(), metrics: shard::ShardedMetrics::new() }
     }
 
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    // -- spans -------------------------------------------------------------
-
-    /// Open a nested span; it records its duration when dropped (or via
-    /// [`Span::close`]).
-    pub fn span(&self, name: impl Into<String>) -> Span {
-        span::enter(self.clone(), name.into())
+    pub(crate) fn lock_events(&self) -> MutexGuard<'_, Events> {
+        self.events.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Record an instantaneous named event with attributes.
     pub fn event(&self, name: impl Into<String>, attrs: Vec<(String, Value)>) {
-        self.lock().events.push((name.into(), attrs));
-    }
-
-    /// Snapshot of all finished spans, in open order.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.lock().spans.iter().filter(|s| s.closed).cloned().collect()
+        self.lock_events().push((name.into(), attrs));
     }
 
     // -- metrics -----------------------------------------------------------
@@ -223,7 +189,7 @@ impl Telemetry {
 
     // -- sinks -------------------------------------------------------------
 
-    /// Human-readable report: span tree then metrics table.
+    /// Human-readable report: metrics table then events.
     pub fn render_summary(&self) -> String {
         sink::render_summary(self)
     }
@@ -267,35 +233,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_nest_and_annotate() {
-        let t = Telemetry::new();
-        {
-            let outer = t.span("outer");
-            outer.annotate("k", "v");
-            {
-                let inner = t.span("inner");
-                inner.annotate("n", 3u64);
-            }
-        }
-        let spans = t.spans();
-        assert_eq!(spans.len(), 2);
-        let outer = spans.iter().find(|s| s.name == "outer").unwrap();
-        let inner = spans.iter().find(|s| s.name == "inner").unwrap();
-        assert_eq!(outer.depth, 0);
-        assert_eq!(inner.depth, 1);
-        assert!(outer.duration >= inner.duration);
-        assert_eq!(outer.attrs[0].0, "k");
-    }
-
-    #[test]
-    fn explicit_close_is_idempotent_with_drop() {
-        let t = Telemetry::new();
-        let span = t.span("s");
-        span.close();
-        assert_eq!(t.spans().len(), 1);
-    }
-
-    #[test]
     fn counters_accumulate_and_gauges_overwrite() {
         let t = Telemetry::new();
         t.counter_add("c", 2);
@@ -331,17 +268,12 @@ mod tests {
     #[test]
     fn jsonl_contains_every_record_kind() {
         let t = Telemetry::new();
-        {
-            let s = t.span("compile");
-            s.annotate("pattern", "a|b");
-        }
         t.counter_add("c", 1);
         t.gauge_set("g", 2.0);
         t.observe("h", 3.0);
         t.event("row", vec![("suite".to_owned(), Value::from("PROTOMATA"))]);
         let jsonl = t.render_jsonl();
         for kind in [
-            "\"type\":\"span\"",
             "\"type\":\"counter\"",
             "\"type\":\"gauge\"",
             "\"type\":\"histogram\"",
@@ -356,14 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_spans_and_metrics() {
+    fn summary_mentions_metrics_and_events() {
         let t = Telemetry::new();
-        {
-            let _s = t.span("stage");
-        }
         t.counter_add("runs", 3);
+        t.event("stage", Vec::new());
         let summary = t.render_summary();
-        assert!(summary.contains("stage"), "{summary}");
         assert!(summary.contains("runs"), "{summary}");
+        assert!(summary.contains("stage"), "{summary}");
     }
 }

@@ -7,35 +7,12 @@ use crate::json::JsonObject;
 use crate::metrics::{Metric, MetricsRegistry};
 use crate::Telemetry;
 
-pub(crate) fn micros(d: std::time::Duration) -> f64 {
-    // Round to nanosecond granularity so exported floats stay compact.
-    (d.as_secs_f64() * 1e9).round() / 1e3
-}
-
-/// Render a human-readable report: indented span tree, then metrics,
-/// then events.
+/// Render a human-readable report: metrics, then events.
 pub fn render_summary(telemetry: &Telemetry) -> String {
-    // Merge the shards before taking the span/event lock.
+    // Merge the shards before taking the event lock.
     let metrics = telemetry.merged_metrics();
-    let inner = telemetry.lock();
+    let events = telemetry.lock_events();
     let mut out = String::new();
-
-    if !inner.spans.is_empty() {
-        out.push_str("spans:\n");
-        let name_width = inner.spans.iter().map(|s| s.name.len() + 2 * s.depth).max().unwrap_or(0);
-        for span in &inner.spans {
-            let indent = "  ".repeat(span.depth);
-            let label = format!("{indent}{}", span.name);
-            let _ = write!(out, "  {label:<name_width$}  {:>10.1} us", micros(span.duration));
-            if !span.closed {
-                out.push_str("  (open)");
-            }
-            for (key, value) in &span.attrs {
-                let _ = write!(out, "  {key}={value}");
-            }
-            out.push('\n');
-        }
-    }
 
     if !metrics.is_empty() {
         out.push_str("metrics:\n");
@@ -64,9 +41,9 @@ pub fn render_summary(telemetry: &Telemetry) -> String {
         }
     }
 
-    if !inner.events.is_empty() {
+    if !events.is_empty() {
         out.push_str("events:\n");
-        for (name, attrs) in &inner.events {
+        for (name, attrs) in events.iter() {
             let _ = write!(out, "  {name}");
             for (key, value) in attrs {
                 let _ = write!(out, "  {key}={value}");
@@ -82,28 +59,11 @@ pub fn render_summary(telemetry: &Telemetry) -> String {
 }
 
 /// Render the JSON-lines export: one self-describing object per line, in
-/// the order spans → counters/gauges/histograms → events.
+/// the order counters/gauges/histograms → events.
 pub fn render_jsonl(telemetry: &Telemetry) -> String {
     let metrics = telemetry.merged_metrics();
-    let inner = telemetry.lock();
+    let events = telemetry.lock_events();
     let mut out = String::new();
-
-    for span in &inner.spans {
-        let mut obj = JsonObject::new()
-            .field("type", "span")
-            .field("name", span.name.as_str())
-            .field("start_us", micros(span.start))
-            .field("duration_us", micros(span.duration))
-            .field("depth", span.depth);
-        if !span.closed {
-            obj = obj.field("open", true);
-        }
-        if !span.attrs.is_empty() {
-            obj = obj.field_object("attrs", &span.attrs);
-        }
-        out.push_str(&obj.finish());
-        out.push('\n');
-    }
 
     for (name, metric) in metrics.iter() {
         let line = match metric {
@@ -171,7 +131,7 @@ pub fn render_jsonl(telemetry: &Telemetry) -> String {
         out.push('\n');
     }
 
-    for (name, attrs) in &inner.events {
+    for (name, attrs) in events.iter() {
         let mut obj = JsonObject::new().field("type", "event").field("name", name.as_str());
         if !attrs.is_empty() {
             obj = obj.field_object("attrs", attrs);
@@ -261,14 +221,6 @@ mod tests {
         let jsonl = t.render_jsonl();
         assert!(jsonl.contains(r#""le":"+inf""#), "{jsonl}");
         assert!(jsonl.contains(r#""le":1.0"#), "{jsonl}");
-    }
-
-    #[test]
-    fn summary_marks_open_spans() {
-        let t = Telemetry::new();
-        let _open = t.span("still-running");
-        let summary = t.render_summary();
-        assert!(summary.contains("(open)"), "{summary}");
     }
 
     #[test]

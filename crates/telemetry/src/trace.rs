@@ -1,17 +1,15 @@
-//! Request-scoped tracing: span trees that cross threads.
+//! Tracing: span trees that cross threads.
 //!
-//! The global [`Telemetry::span`](crate::Telemetry::span) stack models
-//! nesting by depth on one logical timeline, which breaks down the
-//! moment a request fans out across pooled workers. A [`TraceContext`]
-//! instead carries an explicit parent/child graph keyed by span ids, so
-//! a `/scan` request reconstructs as one connected tree: admission wait
-//! → compile (per-pass children) → per-worker sim execution → merge →
+//! A [`TraceContext`] carries an explicit parent/child graph keyed by
+//! span ids, so work that fans out across pooled workers still
+//! reconstructs as one connected tree — a `/scan` request as admission
+//! wait → compile (per-pass children) → per-worker execution → merge →
 //! response write.
 //!
-//! * [`TraceContext`] — cheap clonable handle, one per request, minted
-//!   with the request id (client-supplied `X-Cicero-Request-Id` or
-//!   server-generated). The epoch can be pinned to the accept instant so
-//!   queue wait is visible at offset zero.
+//! * [`TraceContext`] — cheap clonable handle, one per request (or per
+//!   CLI command), minted with the request id (client-supplied
+//!   `X-Cicero-Request-Id` or server-generated). The epoch can be pinned
+//!   to the accept instant so queue wait is visible at offset zero.
 //! * [`TraceSpan`] — an open span; `child()` nests, `annotate()`
 //!   attaches key/values, drop closes. Sendable across scoped threads.
 //! * [`RequestTrace`] — the finished, immutable tree with JSON / text
@@ -145,10 +143,9 @@ impl TraceContext {
         self.open(parent, name.into(), Instant::now())
     }
 
-    /// Record an already-finished span, e.g. per-pass compile timings
-    /// reconstructed from a [`PipelineReport`]-shaped report, or the
-    /// admission wait measured before the trace existed. Returns the new
-    /// span's id.
+    /// Record an already-finished span, e.g. a per-pass timing taken from
+    /// the compiler's pass report, or the admission wait measured before
+    /// the trace existed. Returns the new span's id.
     pub fn record_complete(
         &self,
         parent: Option<u32>,
@@ -295,6 +292,12 @@ impl RequestTrace {
             .field("slow", slow)
             .field_raw("spans", &spans)
             .finish()
+    }
+
+    /// The trace as one JSON-lines record: the
+    /// [`RequestTrace::render_json`] object with `"type":"trace"` first.
+    pub fn render_jsonl_record(&self) -> String {
+        format!("{{\"type\":\"trace\",{}", &self.render_json(false)[1..])
     }
 
     /// Indented text rendering of the span tree (children ordered by
@@ -479,6 +482,7 @@ mod tests {
         assert!(json.contains("\"request_id\":\"req-3\""), "{json}");
         assert!(json.contains("\"name\":\"compile\""), "{json}");
         assert!(json.contains("\"parent\":0"), "{json}");
+        assert_eq!(trace.render_jsonl_record(), format!("{{\"type\":\"trace\",{}", &json[1..]));
         let tree = trace.render_tree();
         assert!(tree.contains("compile"), "{tree}");
         assert!(tree.contains("cache_hit=false"), "{tree}");

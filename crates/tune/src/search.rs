@@ -54,8 +54,8 @@ pub struct TuneOutcome {
 /// mutations of the incumbent. Either way the default config is evaluated
 /// first and ties never dethrone it.
 ///
-/// Telemetry (when given): a `tune.search` span plus `tune.evals` /
-/// `tune.memo_hits` counters and a `tune.best_cost` gauge.
+/// Telemetry (when given): `tune.evals` / `tune.memo_hits` counters and
+/// a `tune.best_cost` gauge.
 ///
 /// # Errors
 ///
@@ -78,7 +78,6 @@ pub fn tune(
         }
         Budget::Evals(_) | Budget::TimeMs(_) => {}
     }
-    let _span = telemetry.map(|t| t.span("tune.search"));
     let started = Instant::now();
     // The baseline is always candidate zero — and its failure is the
     // run's failure: a tuner that cannot score the default has nothing

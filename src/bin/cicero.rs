@@ -79,13 +79,15 @@
 //!
 //! Observability: `--pass-timing` prints the per-pass timing table, and
 //! `--metrics PATH` (with `--metrics-format summary|jsonl`) exports the
-//! unified telemetry — compiler pass spans plus simulator histograms — to
-//! a file, or to stdout when PATH is `-`.
+//! command's telemetry — the span trace of `run` and `tune`, then the
+//! metrics — to a file, or to stdout when PATH is `-`.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
+use cicero::compiler::record_pass_spans;
 use cicero::prelude::*;
+use cicero::telemetry::{RequestTrace, TraceContext, TraceSpan};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -253,10 +255,11 @@ OPTIONS:
     --save            difftest: write each minimized divergence into the corpus
     --no-replay       difftest: skip the corpus replay before fuzzing
     --pass-timing     print the per-pass timing table (time, %, op-count delta)
-    --metrics PATH    export telemetry (pass spans + simulator histograms +
-                      runtime counters) to PATH, or to stdout when PATH is `-`
-    --metrics-format  `summary` (human-readable, default) or `jsonl` (one JSON
-                      object per line)
+    --metrics PATH    export telemetry (run/tune: the command's span trace; then
+                      counters, gauges and histograms) to PATH, or to stdout
+                      when PATH is `-`
+    --metrics-format  `summary` (span tree and metrics table, default) or
+                      `jsonl` (one JSON object per line)
 ";
 
 /// Minimal flag scanner: returns (positional args, flag lookup).
@@ -374,7 +377,8 @@ fn resolve_config(
 }
 
 /// Compile with either compiler. The multi-dialect compiler also returns
-/// its per-pass report (and streams spans into `telemetry` when given);
+/// its per-pass report (and records `compiler.*` metrics into `telemetry`
+/// when given);
 /// the legacy single-IR compiler has no pass pipeline, so it returns
 /// `None`. `options` is the multi-dialect baseline (usually
 /// [`compiler_base`]); `--old`/`-O0` still take precedence.
@@ -407,26 +411,35 @@ fn pass_timing_text(report: Option<&cicero::mlir::PipelineReport>) -> String {
     }
 }
 
-/// Export the collected telemetry per `--metrics` / `--metrics-format`.
-fn write_metrics(flags: &Flags, telemetry: &Telemetry) -> Result<(), String> {
+/// Export the command's trace (if it keeps one) and its metrics per
+/// `--metrics` / `--metrics-format`: the span tree then the metrics table,
+/// or one `trace` JSON-lines record then the metric and event records.
+fn write_metrics(
+    flags: &Flags,
+    telemetry: &Telemetry,
+    trace: Option<&RequestTrace>,
+) -> Result<(), String> {
     let Some(path) = flags.value("metrics") else {
         if flags.value("metrics-format").is_some() {
             return Err("--metrics-format requires --metrics PATH".to_owned());
         }
         return Ok(());
     };
-    match flags.value("metrics-format").unwrap_or("summary") {
-        "jsonl" => telemetry.write_jsonl_path(path).map_err(|e| format!("writing {path}: {e}")),
-        "summary" => {
-            let text = telemetry.render_summary();
-            if path == "-" {
-                print!("{text}");
-                Ok(())
-            } else {
-                std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
-            }
+    let text = match flags.value("metrics-format").unwrap_or("summary") {
+        "jsonl" => {
+            trace.map(|t| t.render_jsonl_record() + "\n").unwrap_or_default()
+                + &telemetry.render_jsonl()
         }
-        other => Err(format!("unknown metrics format `{other}` (use summary or jsonl)")),
+        "summary" => {
+            trace.map(RequestTrace::render_tree).unwrap_or_default() + &telemetry.render_summary()
+        }
+        other => return Err(format!("unknown metrics format `{other}` (use summary or jsonl)")),
+    };
+    if path == "-" {
+        print!("{text}");
+        Ok(())
+    } else {
+        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))
     }
 }
 
@@ -566,14 +579,47 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             &flags,
         );
     }
-    if backend == Backend::Host {
-        return run_host_mode(pattern, &input, tuned.as_ref(), &flags);
-    }
+    // One local trace: `run` → {`compile` → `pass:*`, `execute`}.
     let telemetry = Telemetry::new();
-    let base = compiler_base(tuned.as_ref(), flags.has("O0"));
-    let (program, pass_report) =
-        compile_one(pattern, flags.has("old"), flags.has("O0"), base, Some(&telemetry))?;
-    let report = simulate_with_telemetry(&program, &input, &config, &telemetry);
+    let ctx = TraceContext::new("cli-run");
+    let pass_report = {
+        let root = ctx.root_span("run");
+        let compile = root.child("compile");
+        let base = compiler_base(tuned.as_ref(), flags.has("O0"));
+        let (program, pass_report) =
+            compile_one(pattern, flags.has("old"), flags.has("O0"), base, Some(&telemetry))?;
+        if let Some(report) = &pass_report {
+            record_pass_spans(&compile, report);
+        }
+        drop(compile);
+        let execute = root.child("execute");
+        execute.annotate("input_len", input.len());
+        match backend {
+            Backend::Sim => run_sim_mode(pattern, &program, &input, &config, &telemetry, &execute),
+            Backend::Host => run_host_mode(pattern, &program, &input, &execute),
+        }
+        pass_report
+    };
+    if flags.has("pass-timing") {
+        println!();
+        println!("{}", pass_timing_text(pass_report.as_ref()));
+    }
+    write_metrics(&flags, &telemetry, Some(&ctx.finish()))
+}
+
+/// `run` on the simulator: the paper's cycle-level report.
+fn run_sim_mode(
+    pattern: &str,
+    program: &Program,
+    input: &[u8],
+    config: &ArchConfig,
+    telemetry: &Telemetry,
+    execute: &TraceSpan,
+) {
+    let report = simulate_with_telemetry(program, input, config, telemetry);
+    execute.annotate("config", config.name());
+    execute.annotate("cycles", report.cycles);
+    execute.annotate("accepted", report.accepted);
     println!("pattern    : {pattern}");
     println!("config     : {} @ {} MHz", config.name(), config.clock_mhz());
     println!("verdict    : {}", if report.accepted { "MATCH" } else { "no match" });
@@ -584,35 +630,23 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     println!("time       : {:.3} us", report.time_us(config.clock_mhz()));
     println!(
         "energy     : {:.3} W·µs",
-        report.energy_wus(config.clock_mhz(), cicero::sim::power_watts(&config))
+        report.energy_wus(config.clock_mhz(), cicero::sim::power_watts(config))
     );
     println!("instructions: {}", report.instructions);
     println!("icache      : {:.1}% hits", report.icache_hit_rate() * 100.0);
-    if flags.has("pass-timing") {
-        println!();
-        println!("{}", pass_timing_text(pass_report.as_ref()));
-    }
-    write_metrics(&flags, &telemetry)
 }
 
 /// `run --backend host` (sequential): one pass over the whole input on
 /// the host-native engine — same verdict and match position as the
 /// simulator, but no cycle model, so the summary reports wall-clock
 /// throughput and which engine tier the lowering picked.
-fn run_host_mode(
-    pattern: &str,
-    input: &[u8],
-    tuned: Option<&cicero::tune::TuneFile>,
-    flags: &Flags,
-) -> Result<(), String> {
-    let telemetry = Telemetry::new();
-    let base = compiler_base(tuned, flags.has("O0"));
-    let (program, pass_report) =
-        compile_one(pattern, flags.has("old"), flags.has("O0"), base, Some(&telemetry))?;
-    let host = HostProgram::compile(&program);
+fn run_host_mode(pattern: &str, program: &Program, input: &[u8], execute: &TraceSpan) {
+    let host = HostProgram::compile(program);
     let start = std::time::Instant::now();
     let outcome = host.run(input);
     let wall = start.elapsed();
+    execute.annotate("engine", host.engine_kind().to_string());
+    execute.annotate("accepted", outcome.accepted);
     println!("pattern    : {pattern}");
     println!(
         "backend    : host ({}, {} state(s), {} byte class(es))",
@@ -630,11 +664,6 @@ fn run_host_mode(
         wall.as_secs_f64() * 1e3,
         input.len() as f64 / wall.as_secs_f64().max(1e-9) / 1e6
     );
-    if flags.has("pass-timing") {
-        println!();
-        println!("{}", pass_timing_text(pass_report.as_ref()));
-    }
-    write_metrics(flags, &telemetry)
 }
 
 /// `run --jobs N`: chunk the input and match it on the runtime's worker
@@ -707,7 +736,7 @@ fn run_batch_mode(
         println!();
         println!("per-pass timing: n/a in --jobs batch mode (use a sequential run)");
     }
-    write_metrics(flags, &telemetry)
+    write_metrics(flags, &telemetry, None)
 }
 
 fn cmd_scan(args: &[String]) -> Result<(), String> {
@@ -1223,7 +1252,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     println!("requests   : {}", report.requests);
     println!("rejected   : {}", report.rejected);
     println!("drain wall : {:.3} ms", report.wall.as_secs_f64() * 1e3);
-    write_metrics(&flags, &telemetry)?;
+    write_metrics(&flags, &telemetry, None)?;
     if report.drained {
         Ok(())
     } else {
@@ -1235,7 +1264,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// and render the resulting span tree — the CLI twin of the server's
 /// `GET /debug/traces/{id}` (same span names, same schema).
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    use cicero::telemetry::{render_chrome_trace, TraceContext};
+    use cicero::telemetry::render_chrome_trace;
 
     let flags = parse_flags(
         args,
@@ -1361,8 +1390,15 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     };
 
     let telemetry = Telemetry::new();
-    let outcome =
-        tune(&workload, &space, budget, seed, Some(&telemetry)).map_err(|e| e.to_string())?;
+    let ctx = TraceContext::new("cli-tune");
+    let outcome = {
+        let search = ctx.root_span("tune.search");
+        let outcome =
+            tune(&workload, &space, budget, seed, Some(&telemetry)).map_err(|e| e.to_string())?;
+        search.annotate("strategy", outcome.strategy);
+        search.annotate("evals", outcome.evals);
+        outcome
+    };
     let file = TuneFile::from_outcome(&workload, &outcome, seed);
 
     println!(
@@ -1403,7 +1439,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     );
     file.save(out).map_err(|e| e.to_string())?;
     println!("wrote      : {out}");
-    write_metrics(&flags, &telemetry)
+    write_metrics(&flags, &telemetry, Some(&ctx.finish()))
 }
 
 fn cmd_explain(args: &[String]) -> Result<(), String> {
@@ -1519,7 +1555,7 @@ fn cmd_difftest(args: &[String]) -> Result<(), String> {
         }
     }
     failures += report.divergences.len();
-    write_metrics(&flags, &telemetry)?;
+    write_metrics(&flags, &telemetry, None)?;
     if failures > 0 {
         return Err(format!("{failures} divergence(s); the compiler and oracle disagree"));
     }

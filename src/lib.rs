@@ -25,8 +25,8 @@
 //!   the simulator fronted by an LRU compiled-program cache;
 //! * [`server`] — the std-only HTTP/1.1 match-serving subsystem over the
 //!   runtime: admission control, per-request budgets, graceful draining;
-//! * [`telemetry`] — spans, metrics, and summary/JSON-lines sinks shared
-//!   by the compiler, simulator, CLI, and benchmark drivers;
+//! * [`telemetry`] — metrics, span traces, and summary/JSON-lines sinks
+//!   shared by the compiler, simulator, CLI, and benchmark drivers;
 //! * [`tune`] — the autotuner: seeded search over pass orderings and
 //!   architecture parameters, persisting winners to `tune.toml`;
 //! * [`oracle`] — the reference Pike-VM matcher (ground truth);

@@ -389,6 +389,63 @@ fn trace_renders_a_span_tree_with_passes_and_workers() {
     }
 }
 
+/// `run --metrics PATH --metrics-format jsonl` writes the run's trace as
+/// one `trace` record — `run` → {`compile` → `pass:*`, `execute`} — then
+/// the `compiler.*` and `sim.*` metric records; `--metrics -` prints the
+/// same trace as a span tree ahead of the metrics table.
+#[test]
+fn run_metrics_carry_the_run_trace_then_the_metrics() {
+    use cicero::server::json::{parse, Json};
+
+    let path = temp_file("run-metrics.jsonl");
+    let output = cicero(&[
+        "ab|cd",
+        "--text",
+        "xxabyy",
+        "--metrics",
+        path.to_str().unwrap(),
+        "--metrics-format",
+        "jsonl",
+    ]);
+    assert!(output.status.success(), "stderr: {}", stderr(&output));
+    let jsonl = std::fs::read_to_string(&path).expect("metrics file written");
+    std::fs::remove_file(&path).ok();
+    let records: Vec<Json> = jsonl.lines().map(|line| parse(line).unwrap()).collect();
+    let kind = |record: &Json| record.get("type").and_then(Json::as_str).unwrap().to_owned();
+    let traces: Vec<&Json> = records.iter().filter(|r| kind(r) == "trace").collect();
+    assert_eq!(traces.len(), 1, "{jsonl}");
+    let spans = traces[0].get("spans").and_then(Json::as_arr).unwrap();
+    let named = |name: &str| {
+        spans.iter().find(|s| s.get("name").and_then(Json::as_str) == Some(name)).unwrap()
+    };
+    let attr = |span: &Json, key: &str| span.get("attrs").and_then(|a| a.get(key)).cloned();
+    let compile_id = named("compile").get("id").and_then(Json::as_u64);
+    let passes: Vec<&Json> = spans
+        .iter()
+        .filter(|s| s.get("name").and_then(Json::as_str).unwrap().starts_with("pass:"))
+        .collect();
+    assert!(!passes.is_empty(), "{jsonl}");
+    for pass in passes {
+        assert_eq!(pass.get("parent").and_then(Json::as_u64), compile_id, "{jsonl}");
+        assert!(attr(pass, "ops_before").is_some() && attr(pass, "ops_after").is_some());
+    }
+    assert_eq!(attr(named("execute"), "cycles").and_then(|c| c.as_u64()), Some(43), "{jsonl}");
+    let names: Vec<&str> =
+        records.iter().filter_map(|r| r.get("name").and_then(Json::as_str)).collect();
+    for metric in ["sim.runs", "sim.cycles", "compiler.compilations", "compiler.passes_run"] {
+        assert!(names.contains(&metric), "missing {metric}: {jsonl}");
+    }
+
+    let output = cicero(&["ab|cd", "--text", "xxabyy", "--metrics", "-"]);
+    assert!(output.status.success(), "stderr: {}", stderr(&output));
+    let text = stdout(&output);
+    let tree = &text[text.find("trace cli-run").expect("span tree printed")..];
+    for expect in ["run", "compile", "pass:cicero-jump-simplification", "execute", "cycles=43"] {
+        assert!(tree.contains(expect), "missing {expect} in:\n{tree}");
+    }
+    assert!(tree.find("execute").unwrap() < tree.find("metrics:").unwrap(), "{tree}");
+}
+
 /// `--export chrome -o FILE` writes a Perfetto-loadable trace_event
 /// document; `--export json` emits the span-tree JSON schema.
 #[test]
