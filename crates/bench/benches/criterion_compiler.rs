@@ -1,7 +1,13 @@
 //! Criterion micro-benchmarks of the compiler pipelines (statistical
 //! backing for the Figure 9 comparisons).
 
+use cicero_core::{Compiler, CompilerOptions};
+use cicero_isa::Program;
+use cicero_legacy::LegacyCompiler;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+
+/// One compiler setting, as a pattern-to-program function.
+type Compile = Box<dyn Fn(&str) -> Program>;
 
 fn representative_patterns() -> Vec<String> {
     workloads::Benchmark::all(cicero_bench::SEED, 4, 1)
@@ -14,56 +20,33 @@ fn bench_compilers(c: &mut Criterion) {
     let patterns = representative_patterns();
     let mut group = c.benchmark_group("compile_16_patterns");
     group.sample_size(20);
-
-    group.bench_function("new_optimized", |b| {
-        let compiler = cicero_core::Compiler::new();
-        b.iter_batched(
-            || patterns.clone(),
-            |patterns| {
-                for p in &patterns {
-                    std::hint::black_box(compiler.compile(p).unwrap());
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("new_unoptimized", |b| {
-        let compiler =
-            cicero_core::Compiler::with_options(cicero_core::CompilerOptions::unoptimized());
-        b.iter_batched(
-            || patterns.clone(),
-            |patterns| {
-                for p in &patterns {
-                    std::hint::black_box(compiler.compile(p).unwrap());
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("old_optimized", |b| {
-        let compiler = cicero_legacy::LegacyCompiler::new(true);
-        b.iter_batched(
-            || patterns.clone(),
-            |patterns| {
-                for p in &patterns {
-                    std::hint::black_box(compiler.compile(p).unwrap());
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("old_unoptimized", |b| {
-        let compiler = cicero_legacy::LegacyCompiler::new(false);
-        b.iter_batched(
-            || patterns.clone(),
-            |patterns| {
-                for p in &patterns {
-                    std::hint::black_box(compiler.compile(p).unwrap());
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
+    let new = |options| {
+        let compiler = Compiler::with_options(options);
+        move |p: &str| compiler.compile(p).unwrap().into_program()
+    };
+    let old = |optimize| {
+        let compiler = LegacyCompiler::new(optimize);
+        move |p: &str| compiler.compile(p).unwrap()
+    };
+    let compilers: [(&str, Compile); 4] = [
+        ("new_optimized", Box::new(new(CompilerOptions::optimized()))),
+        ("new_unoptimized", Box::new(new(CompilerOptions::unoptimized()))),
+        ("old_optimized", Box::new(old(true))),
+        ("old_unoptimized", Box::new(old(false))),
+    ];
+    for (name, compile) in compilers {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || patterns.clone(),
+                |patterns| {
+                    for p in &patterns {
+                        std::hint::black_box(compile(p));
+                    }
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
     group.finish();
 }
 

@@ -1,14 +1,16 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Every table and figure of the paper's evaluation (§6) has a
-//! corresponding bench target in `benches/` (see DESIGN.md's experiment
-//! index). Each target prints the regenerated rows next to the paper's
-//! published values where the paper gives them numerically.
+//! Every table and figure of the paper's evaluation (§6) is rendered by
+//! the one `paper` bench target from one measured [`Grid`], next to the
+//! paper's published values where the paper gives them numerically; the
+//! paper's verdicts are the named predicates of [`claims`], which the bench
+//! and `tests/paper_claims.rs` both gate on (see DESIGN.md's experiment
+//! index).
 //!
 //! # Scale
 //!
 //! The paper runs 200 REs over 10 MB of input per suite (≈ 48 h of
-//! wall-clock on their FPGA flow). Simulating that per bench target is
+//! wall-clock on their FPGA flow). Simulating that on every run is
 //! impractical, so the harness scales with the `CICERO_BENCH_SCALE`
 //! environment variable:
 //!
@@ -25,8 +27,14 @@ use std::time::Instant;
 
 use cicero_isa::Program;
 use cicero_sim::{simulate_batch, ArchConfig};
-use cicero_telemetry::{JsonObject, Telemetry, Value};
+use cicero_telemetry::{JsonObject, Value};
 use workloads::Benchmark;
+
+mod claims;
+pub mod grid;
+
+pub use claims::{claims, Claim};
+pub use grid::{Compiler, Grid, ENERGY, TIME};
 
 /// Deterministic seed shared by every bench target, so figures compose.
 pub const SEED: u64 = 0xC1CE_2025;
@@ -133,7 +141,7 @@ pub fn suites(scale: Scale) -> Vec<Benchmark> {
     Benchmark::all(SEED, scale.patterns, scale.chunks)
 }
 
-/// One suite compiled four ways, with compile times.
+/// One suite compiled every way the paper compares, with compile times.
 #[derive(Debug)]
 pub struct CompiledSuite {
     /// Suite name.
@@ -150,54 +158,39 @@ pub struct CompiledSuite {
     pub old_unopt: Vec<Program>,
     /// Total wall-clock compile seconds, same order as the fields above.
     pub compile_seconds: [f64; 4],
+    /// The new compiler's one `compile_set` program for the whole suite
+    /// (untimed); `None` when the set does not fit one program, as at
+    /// `full` scale, where it overflows the ISA's 13-bit operands.
+    pub set: Option<Program>,
 }
 
 impl CompiledSuite {
-    /// Compile one suite with both compilers, both optimization settings.
+    /// Compile one suite with both compilers, both optimization settings,
+    /// and as one set.
     pub fn build(bench: &Benchmark) -> CompiledSuite {
-        let new_opt_compiler = cicero_core::Compiler::new();
-        let new_unopt_compiler =
+        let new_opt = cicero_core::Compiler::new();
+        let new_unopt =
             cicero_core::Compiler::with_options(cicero_core::CompilerOptions::unoptimized());
-        let old_opt_compiler = cicero_legacy::LegacyCompiler::new(true);
-        let old_unopt_compiler = cicero_legacy::LegacyCompiler::new(false);
-
-        let time = |f: &mut dyn FnMut() -> Vec<Program>| {
+        let [old_opt, old_unopt] = [true, false].map(cicero_legacy::LegacyCompiler::new);
+        let mut compile_seconds = [0.0; 4];
+        let mut timed = |k: usize, compile: &dyn Fn(&str) -> Program| {
             let start = Instant::now();
-            let programs = f();
-            (programs, start.elapsed().as_secs_f64())
+            let programs = bench.patterns.iter().map(|p| compile(p)).collect();
+            compile_seconds[k] = start.elapsed().as_secs_f64();
+            programs
         };
-        let (new_opt, t0) = time(&mut || {
-            bench
-                .patterns
-                .iter()
-                .map(|p| new_opt_compiler.compile(p).expect("suite compiles").into_program())
-                .collect()
-        });
-        let (new_unopt, t1) = time(&mut || {
-            bench
-                .patterns
-                .iter()
-                .map(|p| new_unopt_compiler.compile(p).expect("suite compiles").into_program())
-                .collect()
-        });
-        let (old_opt, t2) = time(&mut || {
-            bench.patterns.iter().map(|p| old_opt_compiler.compile(p).expect("compiles")).collect()
-        });
-        let (old_unopt, t3) = time(&mut || {
-            bench
-                .patterns
-                .iter()
-                .map(|p| old_unopt_compiler.compile(p).expect("compiles"))
-                .collect()
-        });
+        let new = |compiler: &cicero_core::Compiler, p: &str| {
+            compiler.compile(p).expect("suite compiles").into_program()
+        };
         CompiledSuite {
             name: bench.name,
             chunks: bench.chunks.clone(),
-            new_opt,
-            new_unopt,
-            old_opt,
-            old_unopt,
-            compile_seconds: [t0, t1, t2, t3],
+            new_opt: timed(0, &|p| new(&new_opt, p)),
+            new_unopt: timed(1, &|p| new(&new_unopt, p)),
+            old_opt: timed(2, &|p| old_opt.compile(p).expect("suite compiles")),
+            old_unopt: timed(3, &|p| old_unopt.compile(p).expect("suite compiles")),
+            compile_seconds,
+            set: new_opt.compile_set(&bench.patterns).ok().map(|set| set.program().clone()),
         }
     }
 }
@@ -213,6 +206,12 @@ pub struct Measurement {
     pub avg_cycles: f64,
     /// Aggregate instruction-cache hit rate.
     pub icache_hit_rate: f64,
+    /// Total cycles over every (program, chunk) run.
+    pub cycles: u64,
+    /// Total instructions executed over every run.
+    pub instructions: u64,
+    /// Runs that accepted.
+    pub accepted: usize,
 }
 
 /// Run every program over every chunk on `config` and average per RE.
@@ -222,39 +221,15 @@ pub struct Measurement {
 /// number of REs executed", then divide by the clock and multiply by total
 /// on-chip power for energy.
 pub fn measure(programs: &[Program], chunks: &[Vec<u8>], config: &ArchConfig) -> Measurement {
-    measure_impl(programs, chunks, config, None)
-}
-
-/// Like [`measure`], but additionally folding every individual run into
-/// `telemetry` (`sim.*` histograms and counters), so bench drivers get
-/// per-run distributions alongside the averaged table cells.
-pub fn measure_with_telemetry(
-    programs: &[Program],
-    chunks: &[Vec<u8>],
-    config: &ArchConfig,
-    telemetry: &Telemetry,
-) -> Measurement {
-    measure_impl(programs, chunks, config, Some(telemetry))
-}
-
-fn measure_impl(
-    programs: &[Program],
-    chunks: &[Vec<u8>],
-    config: &ArchConfig,
-    telemetry: Option<&Telemetry>,
-) -> Measurement {
     let clock = config.clock_mhz();
     let watts = cicero_sim::power_watts(config);
-    let mut cycles = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
+    let (mut cycles, mut instructions, mut accepted, mut hits, mut misses) = (0, 0, 0, 0, 0);
     for program in programs {
         for report in simulate_batch(program, chunks, config) {
             assert!(!report.hit_cycle_limit, "benchmark run hit the cycle cap");
-            if let Some(telemetry) = telemetry {
-                report.record_into(telemetry);
-            }
             cycles += report.cycles;
+            instructions += report.instructions;
+            accepted += usize::from(report.accepted);
             hits += report.icache_hits;
             misses += report.icache_misses;
         }
@@ -271,6 +246,9 @@ fn measure_impl(
         } else {
             hits as f64 / (hits + misses) as f64
         },
+        cycles,
+        instructions,
+        accepted,
     }
 }
 
@@ -295,39 +273,25 @@ impl Table {
         self
     }
 
-    /// Render with aligned columns.
+    /// Print as an aligned GitHub-markdown table, so a committed run's
+    /// output pastes into the docs as is.
     pub fn print(&self) {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        let mut widths: Vec<usize> =
+            self.headers.iter().map(|h| h.chars().count().max(3)).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
+                *w = (*w).max(cell.chars().count());
             }
         }
         let line = |cells: &[String]| {
             let cols: Vec<String> =
-                cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}", w = w)).collect();
-            println!("  {}", cols.join("  "));
+                cells.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
+            println!("| {} |", cols.join(" | "));
         };
         line(&self.headers);
-        let total: usize = widths.iter().sum::<usize>() + 2 * widths.len();
-        println!("  {}", "-".repeat(total));
+        line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
         for row in &self.rows {
             line(row);
-        }
-    }
-
-    /// Record every row as a telemetry event named `<name>.row`, one
-    /// attribute per column header, so table drivers reuse the JSON-lines
-    /// sink for machine-readable output.
-    pub fn record_into(&self, telemetry: &Telemetry, name: &str) {
-        for row in &self.rows {
-            let attrs = self
-                .headers
-                .iter()
-                .zip(row)
-                .map(|(header, cell)| (header.clone(), cicero_telemetry::Value::from(cell.clone())))
-                .collect();
-            telemetry.event(format!("{name}.row"), attrs);
         }
     }
 }
@@ -345,42 +309,31 @@ pub fn banner(id: &str, title: &str, scale: Scale) {
     println!();
 }
 
-/// The architecture configurations of the paper's final evaluation
-/// (§6.2's restricted set after micro-bench pre-filtering).
-pub fn selected_configs() -> Vec<ArchConfig> {
-    vec![
-        ArchConfig::old_organization(9),
-        ArchConfig::old_organization(16),
-        ArchConfig::new_organization(8, 1),
-        ArchConfig::new_organization(16, 1),
-        ArchConfig::new_organization(32, 1),
-    ]
-}
-
 /// Paper-published reference values, for side-by-side printing.
 pub mod paper {
     /// Table 2 / Table 5 energy per RE (W·µs): rows are
     /// `OLD 1x{1,4,9,16,32}`, columns PROTOMATA, BRILL, PROTOMATA4,
     /// BRILL4.
-    pub const TABLE2: [(&str, [f64; 4]); 5] = [
-        ("OLD 1x1 CORES", [39.08, 72.30, 147.74, 102.33]),
-        ("OLD 1x4 CORES", [24.62, 72.24, 49.52, 125.19]),
-        ("OLD 1x9 CORES", [24.94, 68.72, 40.27, 94.16]),
-        ("OLD 1x16 CORES", [27.23, 73.25, 43.58, 91.73]),
-        ("OLD 1x32 CORES", [39.20, 105.05, 61.66, 110.42]),
+    pub const TABLE2: [[f64; 4]; 5] = [
+        [39.08, 72.30, 147.74, 102.33],
+        [24.62, 72.24, 49.52, 125.19],
+        [24.94, 68.72, 40.27, 94.16],
+        [27.23, 73.25, 43.58, 91.73],
+        [39.20, 105.05, 61.66, 110.42],
     ];
 
-    /// Table 5's NEW-organization rows (energy per RE, W·µs).
-    pub const TABLE5_NEW: [(&str, [f64; 4]); 9] = [
-        ("NEW 8x1 CORES", [22.65, 61.03, 35.35, 76.86]),
-        ("NEW 8x4 CORES", [26.03, 69.70, 39.23, 85.04]),
-        ("NEW 8x9 CORES", [30.84, 82.60, 45.52, 100.75]),
-        ("NEW 8x16 CORES", [38.14, 102.24, 55.22, 124.47]),
-        ("NEW 16x1 CORES", [24.54, 64.40, 28.54, 73.94]),
-        ("NEW 16x4 CORES", [32.96, 86.34, 37.39, 97.52]),
-        ("NEW 16x9 CORES", [54.47, 142.68, 60.32, 160.65]),
-        ("NEW 32x1 CORES", [31.90, 80.40, 34.54, 86.56]),
-        ("NEW 32x4 CORES", [57.98, 146.07, 61.83, 156.81]),
+    /// Table 5's NEW-organization rows (energy per RE, W·µs), in
+    /// [`NEW_SHAPES`](crate::grid::NEW_SHAPES) order.
+    pub const TABLE5_NEW: [[f64; 4]; 9] = [
+        [22.65, 61.03, 35.35, 76.86],
+        [26.03, 69.70, 39.23, 85.04],
+        [30.84, 82.60, 45.52, 100.75],
+        [38.14, 102.24, 55.22, 124.47],
+        [24.54, 64.40, 28.54, 73.94],
+        [32.96, 86.34, 37.39, 97.52],
+        [54.47, 142.68, 60.32, 160.65],
+        [31.90, 80.40, 34.54, 86.56],
+        [57.98, 146.07, 61.83, 156.81],
     ];
 
     /// Figure 9 ratios the text quotes: old-compiler slowdown with
@@ -479,38 +432,5 @@ mod tests {
         let mut t = Table::new(vec!["a", "value"]);
         t.row(vec!["x", "1.00"]);
         t.print(); // smoke: no panic
-    }
-
-    #[test]
-    fn table_rows_export_as_jsonl_events() {
-        let mut t = Table::new(vec!["suite", "energy"]);
-        t.row(vec!["PROTOMATA", "24.62"]);
-        t.row(vec!["BRILL", "72.24"]);
-        let telemetry = Telemetry::new();
-        t.record_into(&telemetry, "table2");
-        let jsonl = telemetry.render_jsonl();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains(r#""name":"table2.row""#), "{jsonl}");
-        assert!(jsonl.contains(r#""suite":"PROTOMATA""#), "{jsonl}");
-    }
-
-    #[test]
-    fn measure_with_telemetry_folds_every_run() {
-        let bench = Benchmark::protomata(SEED, 2, 2);
-        let programs: Vec<Program> = bench
-            .patterns
-            .iter()
-            .map(|p| cicero_core::compile(p).unwrap().into_program())
-            .collect();
-        let telemetry = Telemetry::new();
-        let m = measure_with_telemetry(
-            &programs,
-            &bench.chunks,
-            &ArchConfig::old_organization(1),
-            &telemetry,
-        );
-        assert!(m.avg_cycles > 0.0);
-        assert_eq!(telemetry.counter("sim.runs"), 4); // 2 programs x 2 chunks
-        assert_eq!(telemetry.histogram("sim.cycles").unwrap().count, 4);
     }
 }

@@ -361,11 +361,6 @@ impl Compiler {
         self
     }
 
-    /// The attached telemetry collector, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
     /// The active options.
     pub fn options(&self) -> &CompilerOptions {
         &self.options
@@ -704,9 +699,10 @@ mod tests {
 
     #[test]
     fn telemetry_is_optional_and_absent_by_default() {
-        let compiler = Compiler::new();
-        assert!(compiler.telemetry().is_none());
-        compiler.compile("ab").unwrap();
+        let telemetry = Telemetry::new();
+        Compiler::new().compile("ab").unwrap();
+        Compiler::new().with_telemetry(telemetry.clone()).compile("ab").unwrap();
+        assert_eq!(telemetry.counter("compiler.compilations"), 1);
     }
 
     #[test]

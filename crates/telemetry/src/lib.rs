@@ -11,10 +11,8 @@
 //! Three pieces, pure `std`:
 //!
 //! * **Metrics** ([`Telemetry::counter_add`], [`Telemetry::gauge_set`],
-//!   [`Telemetry::observe`]): a registry of counters, gauges, and
-//!   fixed-bucket histograms, plus instantaneous named events
-//!   ([`Telemetry::event`]). The simulator folds every run's report into
-//!   it.
+//!   [`Telemetry::observe`]): counters, gauges, and fixed-bucket
+//!   histograms. The simulator folds every run's report into them.
 //! * **Traces** ([`TraceContext`]): the one span API. A context is a tree
 //!   of timed, annotated spans that may be opened on any thread; a server
 //!   request and the `cicero trace`, `run` and `tune` commands each own
@@ -79,21 +77,16 @@ pub(crate) mod shard;
 pub mod sink;
 pub mod trace;
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 pub use json::{escape_json, JsonObject, Value};
 pub use metrics::{Exemplar, HistogramSnapshot, Metric, MetricsRegistry};
 pub use recorder::{FlightRecorder, FlightRecorderOptions};
 pub use trace::{render_chrome_trace, RequestTrace, TraceContext, TraceSpan, TraceSpanRecord};
 
-/// Instantaneous named records (benchmark rows, one-off facts).
-pub(crate) type Events = Vec<(String, Vec<(String, Value)>)>;
-
 /// A clonable handle to one telemetry collector.
 #[derive(Clone)]
 pub struct Telemetry {
-    /// Events: low-rate, mutex-backed.
-    events: Arc<Mutex<Events>>,
     /// Counters / gauges / histograms: per-thread shards, lock-free on
     /// the hot path, merged on read (see [`mod@shard`]).
     metrics: Arc<shard::ShardedMetrics>,
@@ -107,26 +100,14 @@ impl Default for Telemetry {
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("metrics", &self.merged_metrics().len())
-            .field("events", &self.lock_events().len())
-            .finish()
+        f.debug_struct("Telemetry").field("metrics", &self.merged_metrics().len()).finish()
     }
 }
 
 impl Telemetry {
     /// A fresh, empty collector.
     pub fn new() -> Telemetry {
-        Telemetry { events: Arc::default(), metrics: shard::ShardedMetrics::new() }
-    }
-
-    pub(crate) fn lock_events(&self) -> MutexGuard<'_, Events> {
-        self.events.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Record an instantaneous named event with attributes.
-    pub fn event(&self, name: impl Into<String>, attrs: Vec<(String, Value)>) {
-        self.lock_events().push((name.into(), attrs));
+        Telemetry { metrics: shard::ShardedMetrics::new() }
     }
 
     // -- metrics -----------------------------------------------------------
@@ -189,7 +170,7 @@ impl Telemetry {
 
     // -- sinks -------------------------------------------------------------
 
-    /// Human-readable report: metrics table then events.
+    /// Human-readable report: the metrics table.
     pub fn render_summary(&self) -> String {
         sink::render_summary(self)
     }
@@ -202,29 +183,6 @@ impl Telemetry {
     /// Prometheus text exposition of the merged metrics.
     pub fn render_prometheus(&self) -> String {
         sink::render_prometheus(&self.merged_metrics())
-    }
-
-    /// Write the JSON-lines export to any writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_jsonl<W: std::io::Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        writer.write_all(self.render_jsonl().as_bytes())
-    }
-
-    /// Write the JSON-lines export to a file path, or to stdout when the
-    /// path is `-`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation and write errors.
-    pub fn write_jsonl_path(&self, path: &str) -> std::io::Result<()> {
-        if path == "-" {
-            self.write_jsonl(&mut std::io::stdout().lock())
-        } else {
-            std::fs::write(path, self.render_jsonl())
-        }
     }
 }
 
@@ -271,14 +229,8 @@ mod tests {
         t.counter_add("c", 1);
         t.gauge_set("g", 2.0);
         t.observe("h", 3.0);
-        t.event("row", vec![("suite".to_owned(), Value::from("PROTOMATA"))]);
         let jsonl = t.render_jsonl();
-        for kind in [
-            "\"type\":\"counter\"",
-            "\"type\":\"gauge\"",
-            "\"type\":\"histogram\"",
-            "\"type\":\"event\"",
-        ] {
+        for kind in ["\"type\":\"counter\"", "\"type\":\"gauge\"", "\"type\":\"histogram\""] {
             assert!(jsonl.contains(kind), "missing {kind} in {jsonl}");
         }
         // Every line must be a standalone JSON object.
@@ -288,12 +240,37 @@ mod tests {
     }
 
     #[test]
-    fn summary_mentions_metrics_and_events() {
+    fn summary_mentions_metrics() {
         let t = Telemetry::new();
         t.counter_add("runs", 3);
-        t.event("stage", Vec::new());
         let summary = t.render_summary();
         assert!(summary.contains("runs"), "{summary}");
-        assert!(summary.contains("stage"), "{summary}");
+    }
+
+    #[test]
+    fn non_finite_observations_are_dropped_and_an_empty_histogram_is_zeroed() {
+        let t = Telemetry::new();
+        t.observe_with("h", f64::NAN, &[1.0]);
+        t.observe_with("h", f64::INFINITY, &[1.0]);
+        let empty = t.histogram("h").unwrap();
+        assert_eq!((empty.count, empty.min, empty.max, empty.mean()), (0, 0.0, 0.0, 0.0));
+        t.observe_with("h", 0.5, &[1.0]);
+        let h = t.histogram("h").unwrap();
+        assert_eq!((h.count, h.sum), (1, 0.5));
+    }
+
+    #[test]
+    fn overflow_bucket_catches_large_values() {
+        let t = Telemetry::new();
+        t.observe_with("h", 99.0, &[1.0, 10.0]);
+        assert_eq!(t.histogram("h").unwrap().bucket_counts, vec![0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a counter")]
+    fn kind_mismatch_panics() {
+        let t = Telemetry::new();
+        t.gauge_set("m", 1.0);
+        t.counter_add("m", 1);
     }
 }

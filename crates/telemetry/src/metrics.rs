@@ -45,19 +45,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(bounds: &[f64]) -> Histogram {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must ascend");
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            exemplars: vec![None; bounds.len() + 1],
-        }
-    }
-
     /// Reassemble a histogram from merged shard state.
     pub(crate) fn from_parts(
         bounds: Vec<f64>,
@@ -69,27 +56,6 @@ impl Histogram {
         exemplars: Vec<Option<Exemplar>>,
     ) -> Histogram {
         Histogram { bounds, counts, count, sum, min, max, exemplars }
-    }
-
-    fn record(&mut self, value: f64) {
-        if !value.is_finite() {
-            return; // never let NaN/inf poison exported metrics
-        }
-        let index = self.bounds.iter().position(|b| value <= *b).unwrap_or(self.bounds.len());
-        self.counts[index] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    fn record_with_exemplar(&mut self, value: f64, label: &str) {
-        if !value.is_finite() {
-            return;
-        }
-        self.record(value);
-        let index = self.bounds.iter().position(|b| value <= *b).unwrap_or(self.bounds.len());
-        self.exemplars[index] = Some(Exemplar { value, label: label.to_owned() });
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -136,7 +102,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// Name-keyed store of all metrics (deterministic iteration order).
+/// A collector's metrics merged into one name-keyed view (deterministic
+/// iteration order); [`Telemetry::merged_metrics`](crate::Telemetry::merged_metrics)
+/// builds one, the sinks render it.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: BTreeMap<String, Metric>,
@@ -156,63 +124,6 @@ impl MetricsRegistry {
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.metrics.is_empty()
-    }
-
-    /// Add to a counter, registering it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
-        match self.metrics.entry(name.to_owned()).or_insert(Metric::Counter(0)) {
-            Metric::Counter(total) => *total += delta,
-            other => panic!("metric `{name}` is not a counter: {other:?}"),
-        }
-    }
-
-    /// Set a gauge, registering it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
-        match self.metrics.entry(name.to_owned()).or_insert(Metric::Gauge(value)) {
-            Metric::Gauge(current) => *current = value,
-            other => panic!("metric `{name}` is not a gauge: {other:?}"),
-        }
-    }
-
-    /// Record into a histogram; `bounds` apply on first registration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn observe(&mut self, name: &str, value: f64, bounds: &[f64]) {
-        match self
-            .metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
-        {
-            Metric::Histogram(histogram) => histogram.record(value),
-            other => panic!("metric `{name}` is not a histogram: {other:?}"),
-        }
-    }
-
-    /// Record into a histogram and pin `label` as the latest exemplar of
-    /// the bucket the value lands in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn observe_with_exemplar(&mut self, name: &str, value: f64, bounds: &[f64], label: &str) {
-        match self
-            .metrics
-            .entry(name.to_owned())
-            .or_insert_with(|| Metric::Histogram(Histogram::new(bounds)))
-        {
-            Metric::Histogram(histogram) => histogram.record_with_exemplar(value, label),
-            other => panic!("metric `{name}` is not a histogram: {other:?}"),
-        }
     }
 
     /// Install a fully-merged counter (shard merge path).
@@ -257,47 +168,5 @@ impl MetricsRegistry {
     /// Iterate all metrics in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
         self.metrics.iter().map(|(name, metric)| (name.as_str(), metric))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn non_finite_observations_are_dropped() {
-        let mut registry = MetricsRegistry::new();
-        registry.observe("h", f64::NAN, &[1.0]);
-        registry.observe("h", f64::INFINITY, &[1.0]);
-        registry.observe("h", 0.5, &[1.0]);
-        let snapshot = registry.histogram("h").unwrap();
-        assert_eq!(snapshot.count, 1);
-        assert_eq!(snapshot.sum, 0.5);
-    }
-
-    #[test]
-    fn overflow_bucket_catches_large_values() {
-        let mut registry = MetricsRegistry::new();
-        registry.observe("h", 99.0, &[1.0, 10.0]);
-        let snapshot = registry.histogram("h").unwrap();
-        assert_eq!(snapshot.bucket_counts, vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn empty_histogram_snapshot_is_zeroed() {
-        let mut registry = MetricsRegistry::new();
-        registry.observe("h", f64::NAN, &[1.0]);
-        let snapshot = registry.histogram("h").unwrap();
-        assert_eq!(snapshot.min, 0.0);
-        assert_eq!(snapshot.max, 0.0);
-        assert_eq!(snapshot.mean(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a counter")]
-    fn kind_mismatch_panics() {
-        let mut registry = MetricsRegistry::new();
-        registry.gauge_set("m", 1.0);
-        registry.counter_add("m", 1);
     }
 }

@@ -7,11 +7,9 @@ use crate::json::JsonObject;
 use crate::metrics::{Metric, MetricsRegistry};
 use crate::Telemetry;
 
-/// Render a human-readable report: metrics, then events.
+/// Render a human-readable report of the metrics.
 pub fn render_summary(telemetry: &Telemetry) -> String {
-    // Merge the shards before taking the event lock.
     let metrics = telemetry.merged_metrics();
-    let events = telemetry.lock_events();
     let mut out = String::new();
 
     if !metrics.is_empty() {
@@ -41,28 +39,16 @@ pub fn render_summary(telemetry: &Telemetry) -> String {
         }
     }
 
-    if !events.is_empty() {
-        out.push_str("events:\n");
-        for (name, attrs) in events.iter() {
-            let _ = write!(out, "  {name}");
-            for (key, value) in attrs {
-                let _ = write!(out, "  {key}={value}");
-            }
-            out.push('\n');
-        }
-    }
-
     if out.is_empty() {
         out.push_str("(no telemetry recorded)\n");
     }
     out
 }
 
-/// Render the JSON-lines export: one self-describing object per line, in
-/// the order counters/gauges/histograms → events.
+/// Render the JSON-lines export: one self-describing object per metric
+/// and line, in name order.
 pub fn render_jsonl(telemetry: &Telemetry) -> String {
     let metrics = telemetry.merged_metrics();
-    let events = telemetry.lock_events();
     let mut out = String::new();
 
     for (name, metric) in metrics.iter() {
@@ -128,15 +114,6 @@ pub fn render_jsonl(telemetry: &Telemetry) -> String {
             }
         };
         out.push_str(&line);
-        out.push('\n');
-    }
-
-    for (name, attrs) in events.iter() {
-        let mut obj = JsonObject::new().field("type", "event").field("name", name.as_str());
-        if !attrs.is_empty() {
-            obj = obj.field_object("attrs", attrs);
-        }
-        out.push_str(&obj.finish());
         out.push('\n');
     }
 

@@ -413,7 +413,7 @@ fn pass_timing_text(report: Option<&cicero::mlir::PipelineReport>) -> String {
 
 /// Export the command's trace (if it keeps one) and its metrics per
 /// `--metrics` / `--metrics-format`: the span tree then the metrics table,
-/// or one `trace` JSON-lines record then the metric and event records.
+/// or one `trace` JSON-lines record then the metric records.
 fn write_metrics(
     flags: &Flags,
     telemetry: &Telemetry,

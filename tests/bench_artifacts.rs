@@ -34,5 +34,5 @@ fn every_bench_artifact_is_stamped_and_names_a_live_bench_target() {
         assert_eq!(name.ends_with("_quick.json"), scale == Some("quick"), "{name}: {scale:?}");
         assert!(doc.get("notes").and_then(Json::as_str).is_some(), "{name}: notes");
     }
-    assert!(seen >= 4, "expected the four committed artifacts, found {seen}");
+    assert!(seen >= 5, "expected the five committed artifacts, found {seen}");
 }
