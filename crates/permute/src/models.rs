@@ -1,25 +1,22 @@
-//! Models of the repo's three load-bearing concurrency protocols, in
-//! the shape the [`crate::Explorer`] can exhaust.
+//! Models of the repo's load-bearing concurrency protocols, in the
+//! shape the [`crate::Explorer`] can exhaust.
 //!
 //! Each model mirrors one real protocol step-for-step at the
 //! granularity of its atomic operations (one lock-protected region,
 //! channel op, or atomic RMW per [`crate::Model::step`]):
 //!
-//! * [`AdmissionModel`] — the server's bounded admission queue
-//!   (`cicero-server`): acceptor increments the `queued` gauge, then
-//!   `try_send`s; on a full queue it decrements and rejects with a 503.
-//!   Workers `recv`, decrement the gauge, and serve. The
-//!   `gauge_after_send` flag re-creates the tempting-but-wrong ordering
-//!   (send first, count after) whose gauge goes negative when a worker
-//!   dequeues between the two steps.
-//! * [`DrainModel`] — the readiness-loop drain protocol: a poller owns
-//!   parked keep-alive connections, dispatches readable ones to a
-//!   bounded ready queue, and on drain must *sweep* — dispatch parked
-//!   connections that already have bytes waiting, closing only the truly
-//!   idle ones — before dropping the dispatch channel. The
-//!   `close_parked_on_drain` flag re-creates the shortcut of closing
-//!   every parked connection at drain, which silently drops requests
-//!   that had already arrived.
+//! * [`ConnectionModel`] — the server's thread per admitted connection
+//!   (`cicero-server`): the acceptor counts a connection in `open`
+//!   before spawning its thread (or answers 503 at the cap); the
+//!   connection thread reads requests, holding one of `workers` permits
+//!   only while it handles and answers one; a drain trigger sets the
+//!   flag; `run` waits for `open == 0` and reports drained. A connection
+//!   closes on drain only after a read that began after it saw the flag
+//!   times out idle. The `count_in_thread` flag re-creates counting the
+//!   connection inside its own thread (the drain wait can see 0 while a
+//!   request is still served); `close_on_current_flag` re-creates
+//!   closing on the flag after a read that began before it (a written
+//!   request is dropped).
 //! * [`RespawnModel`] — the guarded set-scan from `cicero-runtime`'s
 //!   budget module: workers pull input indices off a shared atomic
 //!   counter, run them on a per-worker machine, and on a panic respawn
@@ -36,427 +33,263 @@
 //!   retire time, which is a use-after-release for any scan still
 //!   pinned to it.
 
-use std::collections::VecDeque;
-
 use crate::{Model, Step};
 
 // ---------------------------------------------------------------------------
-// Admission: bounded queue + gauge + drain.
+// Connection: a thread per admitted connection, work permits, drain.
 // ---------------------------------------------------------------------------
 
-/// See module docs. Thread 0 is the acceptor; threads `1..=workers` are
-/// queue workers.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionModel {
-    /// Connections the acceptor admits or rejects, in order.
-    pub connections: usize,
-    /// Bounded queue depth (`sync_channel` capacity).
-    pub queue_depth: usize,
-    /// Worker threads draining the queue.
+/// See module docs. Thread 0 is the acceptor; threads `1..=n` are the
+/// connection threads of the `n` arriving connections (one that is
+/// turned away never runs, and retires in one no-op step); thread
+/// `n + 1` is the drain trigger and thread `n + 2` is `run`'s drain wait.
+#[derive(Debug, Clone)]
+pub struct ConnectionModel {
+    /// Arriving connections, in accept order; `true` means its client
+    /// writes a request before the drain begins.
+    pub requests: Vec<bool>,
+    /// Work permits.
     pub workers: usize,
-    /// Re-create the historical bug: count into the gauge *after* a
-    /// successful send instead of before.
-    pub gauge_after_send: bool,
+    /// Open-connection cap (`workers + queue_depth`).
+    pub capacity: usize,
+    /// Idle read timeouts each connection may take before the drain flag
+    /// is set. Bounds the exploration; once the flag is set, timeouts
+    /// are free.
+    pub idle_ticks: usize,
+    /// Buggy variant: the connection thread counts itself in `open`, as
+    /// its first step, instead of the acceptor counting it before the
+    /// spawn.
+    pub count_in_thread: bool,
+    /// Buggy variant: on an idle timeout, close if the flag is set *now*,
+    /// instead of only if it was set when the read began.
+    pub close_on_current_flag: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AcceptorPc {
-    /// Correct path: bump the gauge before attempting the send.
-    GaugeUp,
-    /// Attempt `try_send` of the current connection.
-    Send,
-    /// Send failed (queue full): undo the gauge bump, reject.
-    GaugeDownReject,
-    /// Buggy path: send succeeded, *now* bump the gauge.
-    LateGaugeUp,
-    /// All connections handled: drop the sender so workers exit.
-    DropTx,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueueWorkerPc {
-    /// Blocked on `recv` until the queue is non-empty or the sender is
-    /// dropped.
-    Recv,
-    /// Decrement the gauge for the dequeued connection.
-    GaugeDown,
-    /// Serve the dequeued connection.
+enum ConnPc {
+    /// Not spawned (yet, or ever: see `turned_away`).
+    Unspawned,
+    /// Buggy variant: count this connection in `open`.
+    Count,
+    /// Snapshot the drain flag; a read begins.
+    ReadBegin,
+    /// The read ends: with the written request, or in an idle timeout.
+    Read { saw_flag: bool },
+    /// Buggy variant: after an idle timeout, look at the flag as it is now.
+    CheckFlag,
+    /// Wait for a work permit.
+    Acquire,
+    /// Handle and answer the request, then return the permit.
     Serve,
 }
 
-/// Shared state of the admission protocol.
+/// Shared state of the connection protocol.
 #[derive(Debug)]
-pub struct AdmissionState {
-    queue: VecDeque<usize>,
-    /// The `queued` gauge; `i64` so the underflow bug is visible rather
-    /// than a wrap.
-    gauge: i64,
-    tx_dropped: bool,
-    next_conn: usize,
-    acceptor_pc: AcceptorPc,
-    workers: Vec<(QueueWorkerPc, Option<usize>)>,
-    served: Vec<usize>,
-    rejected: Vec<usize>,
+pub struct ConnectionState {
+    /// The `open` count; `i64` so an underflow is visible.
+    open: i64,
+    free_permits: usize,
+    in_flight: usize,
+    draining: bool,
+    drained: bool,
+    /// The next connection the acceptor takes.
+    next: usize,
+    acceptor_done: bool,
+    written: Vec<bool>,
+    read: Vec<bool>,
+    answered: Vec<u32>,
+    /// Answered `503`, or never accepted because the drain closed the
+    /// listener.
+    turned_away: Vec<bool>,
+    /// Per connection thread: where it is, and its idle timeouts left.
+    conns: Vec<(ConnPc, usize)>,
 }
 
-impl Model for AdmissionModel {
-    type State = AdmissionState;
+impl ConnectionModel {
+    fn trigger(&self) -> usize {
+        self.requests.len() + 1
+    }
+}
+
+impl Model for ConnectionModel {
+    type State = ConnectionState;
 
     fn name(&self) -> &'static str {
-        "admission"
+        "connection"
     }
 
     fn threads(&self) -> usize {
-        1 + self.workers
+        self.requests.len() + 3
     }
 
-    fn init(&self) -> AdmissionState {
-        AdmissionState {
-            queue: VecDeque::new(),
-            gauge: 0,
-            tx_dropped: false,
-            next_conn: 0,
-            acceptor_pc: if self.connections == 0 {
-                AcceptorPc::DropTx
-            } else if self.gauge_after_send {
-                AcceptorPc::Send
-            } else {
-                AcceptorPc::GaugeUp
-            },
-            workers: vec![(QueueWorkerPc::Recv, None); self.workers],
-            served: Vec::new(),
-            rejected: Vec::new(),
+    fn init(&self) -> ConnectionState {
+        let n = self.requests.len();
+        ConnectionState {
+            open: 0,
+            free_permits: self.workers,
+            in_flight: 0,
+            draining: false,
+            drained: false,
+            next: 0,
+            acceptor_done: false,
+            written: vec![false; n],
+            read: vec![false; n],
+            answered: vec![0; n],
+            turned_away: vec![false; n],
+            conns: vec![(ConnPc::Unspawned, self.idle_ticks); n],
         }
     }
 
-    fn enabled(&self, state: &AdmissionState, tid: usize) -> bool {
+    fn enabled(&self, state: &ConnectionState, tid: usize) -> bool {
+        let n = self.requests.len();
         if tid == 0 {
-            return !state.tx_dropped;
+            // Blocked in `accept` once every client has connected, until
+            // the drain's wake connection arrives.
+            return state.next < n || state.draining;
         }
-        let (pc, _) = state.workers[tid - 1];
+        if tid == self.trigger() {
+            return true;
+        }
+        if tid == self.trigger() + 1 {
+            return state.acceptor_done && state.open == 0;
+        }
+        let (i, (pc, ticks)) = (tid - 1, state.conns[tid - 1]);
         match pc {
-            QueueWorkerPc::Recv => !state.queue.is_empty() || state.tx_dropped,
+            ConnPc::Unspawned => state.turned_away[i],
+            ConnPc::Read { .. } => {
+                (state.written[i] && !state.read[i]) || state.draining || ticks > 0
+            }
+            ConnPc::Acquire => state.free_permits > 0,
             _ => true,
         }
     }
 
-    fn step(&self, state: &mut AdmissionState, tid: usize) -> Step {
+    fn step(&self, state: &mut ConnectionState, tid: usize) -> Step {
+        let n = self.requests.len();
         if tid == 0 {
-            let first_pc =
-                if self.gauge_after_send { AcceptorPc::Send } else { AcceptorPc::GaugeUp };
-            match state.acceptor_pc {
-                AcceptorPc::GaugeUp => {
-                    state.gauge += 1;
-                    state.acceptor_pc = AcceptorPc::Send;
+            if state.draining {
+                // The wake connection: stop accepting, close the listener.
+                for i in state.next..n {
+                    state.turned_away[i] = true;
                 }
-                AcceptorPc::Send => {
-                    if state.queue.len() < self.queue_depth {
-                        state.queue.push_back(state.next_conn);
-                        state.next_conn += 1;
-                        state.acceptor_pc = if self.gauge_after_send {
-                            AcceptorPc::LateGaugeUp
-                        } else if state.next_conn == self.connections {
-                            AcceptorPc::DropTx
-                        } else {
-                            first_pc
-                        };
-                    } else if self.gauge_after_send {
-                        // Buggy variant never touched the gauge, so a
-                        // rejection is a single step.
-                        state.rejected.push(state.next_conn);
-                        state.next_conn += 1;
-                        if state.next_conn == self.connections {
-                            state.acceptor_pc = AcceptorPc::DropTx;
-                        }
-                    } else {
-                        state.acceptor_pc = AcceptorPc::GaugeDownReject;
-                    }
-                }
-                AcceptorPc::GaugeDownReject => {
-                    state.gauge -= 1;
-                    state.rejected.push(state.next_conn);
-                    state.next_conn += 1;
-                    state.acceptor_pc = if state.next_conn == self.connections {
-                        AcceptorPc::DropTx
-                    } else {
-                        first_pc
-                    };
-                }
-                AcceptorPc::LateGaugeUp => {
-                    state.gauge += 1;
-                    state.acceptor_pc = if state.next_conn == self.connections {
-                        AcceptorPc::DropTx
-                    } else {
-                        first_pc
-                    };
-                }
-                AcceptorPc::DropTx => {
-                    state.tx_dropped = true;
-                    return Step::Done;
-                }
+                state.acceptor_done = true;
+                return Step::Done;
+            }
+            let i = state.next;
+            state.next += 1;
+            if state.open >= self.capacity as i64 {
+                state.turned_away[i] = true;
+            } else if self.count_in_thread {
+                state.conns[i].0 = ConnPc::Count;
+            } else {
+                state.open += 1;
+                state.conns[i].0 = ConnPc::ReadBegin;
             }
             return Step::Progress;
         }
-
-        let widx = tid - 1;
-        match state.workers[widx].0 {
-            QueueWorkerPc::Recv => match state.queue.pop_front() {
-                Some(conn) => {
-                    state.workers[widx] = (QueueWorkerPc::GaugeDown, Some(conn));
-                }
-                None => {
-                    debug_assert!(state.tx_dropped);
-                    return Step::Done;
-                }
-            },
-            QueueWorkerPc::GaugeDown => {
-                state.gauge -= 1;
-                state.workers[widx].0 = QueueWorkerPc::Serve;
-            }
-            QueueWorkerPc::Serve => {
-                let conn = state.workers[widx].1.take().expect("serving without a connection");
-                state.served.push(conn);
-                state.workers[widx].0 = QueueWorkerPc::Recv;
-            }
-        }
-        Step::Progress
-    }
-
-    fn invariant(&self, state: &AdmissionState) -> Result<(), String> {
-        if state.gauge < 0 {
-            return Err(format!("queued gauge underflowed to {}", state.gauge));
-        }
-        if state.queue.len() > self.queue_depth {
-            return Err(format!(
-                "queue holds {} entries, depth is {}",
-                state.queue.len(),
-                self.queue_depth
-            ));
-        }
-        Ok(())
-    }
-
-    fn check(&self, state: &AdmissionState) -> Result<(), String> {
-        let mut seen = vec![0u32; self.connections];
-        for &conn in state.served.iter().chain(&state.rejected) {
-            seen[conn] += 1;
-        }
-        if let Some(conn) = seen.iter().position(|&n| n != 1) {
-            return Err(format!(
-                "connection {conn} finished {} times (served {:?}, rejected {:?})",
-                seen[conn], state.served, state.rejected
-            ));
-        }
-        if !state.queue.is_empty() {
-            return Err(format!("{} connections stranded in the queue", state.queue.len()));
-        }
-        if state.gauge != 0 {
-            return Err(format!("queued gauge settled at {} != 0", state.gauge));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Drain: readiness loop shutdown vs in-flight requests.
-// ---------------------------------------------------------------------------
-
-/// See module docs. Thread 0 triggers the drain, thread 1 is the
-/// poller, threads `2..2 + workers` serve dispatched connections.
-#[derive(Debug, Clone)]
-pub struct DrainModel {
-    /// Parked keep-alive connections; `true` means a request has already
-    /// arrived on it (readable) when the model starts.
-    pub parked: Vec<bool>,
-    /// Bounded ready-queue depth between poller and workers.
-    pub queue_depth: usize,
-    /// Worker threads.
-    pub workers: usize,
-    /// Re-create the shortcut bug: on drain, close every parked
-    /// connection instead of sweeping readable ones into the queue.
-    pub close_parked_on_drain: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PollerPc {
-    /// Normal operation: dispatch readable parked connections.
-    Poll,
-    /// Draining: walk the remaining parked list once.
-    Sweep,
-    /// Sweep finished: drop the dispatch channel.
-    DropTx,
-}
-
-/// Shared state of the drain protocol.
-#[derive(Debug)]
-pub struct DrainState {
-    /// Still-parked connections: `(conn id, readable)`.
-    parked: Vec<(usize, bool)>,
-    ready: VecDeque<usize>,
-    tx_dropped: bool,
-    draining: bool,
-    poller_pc: PollerPc,
-    workers: Vec<Option<usize>>,
-    served: Vec<usize>,
-    closed_idle: Vec<usize>,
-    dropped_ready: Vec<usize>,
-}
-
-impl DrainModel {
-    fn first_readable(state: &DrainState) -> Option<usize> {
-        state.parked.iter().position(|&(_, readable)| readable)
-    }
-}
-
-impl Model for DrainModel {
-    type State = DrainState;
-
-    fn name(&self) -> &'static str {
-        "drain"
-    }
-
-    fn threads(&self) -> usize {
-        2 + self.workers
-    }
-
-    fn init(&self) -> DrainState {
-        DrainState {
-            parked: self.parked.iter().copied().enumerate().collect(),
-            ready: VecDeque::new(),
-            tx_dropped: false,
-            draining: false,
-            poller_pc: PollerPc::Poll,
-            workers: vec![None; self.workers],
-            served: Vec::new(),
-            closed_idle: Vec::new(),
-            dropped_ready: Vec::new(),
-        }
-    }
-
-    fn enabled(&self, state: &DrainState, tid: usize) -> bool {
-        match tid {
-            // Drain trigger: a shutdown request can land at any moment.
-            0 => true,
-            1 => match state.poller_pc {
-                // Polling blocks when nothing is readable (the real loop
-                // sleeps) and backpressures when the queue is full; the
-                // drain flag always wakes it.
-                PollerPc::Poll => {
-                    state.draining
-                        || (Self::first_readable(state).is_some()
-                            && state.ready.len() < self.queue_depth)
-                }
-                PollerPc::Sweep => match state.parked.first() {
-                    // Dispatching a readable connection is a blocking
-                    // send: wait for queue room. Closing an idle one
-                    // never blocks.
-                    Some(&(_, readable)) => {
-                        self.close_parked_on_drain
-                            || !readable
-                            || state.ready.len() < self.queue_depth
-                    }
-                    None => true,
-                },
-                PollerPc::DropTx => true,
-            },
-            _ => {
-                let widx = tid - 2;
-                state.workers[widx].is_some() || !state.ready.is_empty() || state.tx_dropped
-            }
-        }
-    }
-
-    fn step(&self, state: &mut DrainState, tid: usize) -> Step {
-        match tid {
-            0 => {
+        if tid == self.trigger() {
+            // The clients write their requests in one step (writes to
+            // different connections commute); the drain begins after.
+            if state.written.iter().any(|&w| w) || !self.requests.contains(&true) {
                 state.draining = true;
                 return Step::Done;
             }
-            1 => match state.poller_pc {
-                PollerPc::Poll => {
-                    if state.draining {
-                        state.poller_pc = PollerPc::Sweep;
-                    } else {
-                        let slot = Self::first_readable(state)
-                            .expect("poll stepped with nothing readable");
-                        let (conn, _) = state.parked.remove(slot);
-                        state.ready.push_back(conn);
-                    }
+            state.written.copy_from_slice(&self.requests);
+            return Step::Progress;
+        }
+        if tid == self.trigger() + 1 {
+            state.drained = true;
+            return Step::Done;
+        }
+
+        let i = tid - 1;
+        let close = |state: &mut ConnectionState| {
+            state.open -= 1;
+            Step::Done
+        };
+        let (pc, ticks) = state.conns[i];
+        state.conns[i].0 = match pc {
+            ConnPc::Unspawned => return Step::Done,
+            ConnPc::Count => {
+                state.open += 1;
+                ConnPc::ReadBegin
+            }
+            ConnPc::ReadBegin => ConnPc::Read { saw_flag: state.draining },
+            ConnPc::Read { .. } if state.written[i] && !state.read[i] => {
+                state.read[i] = true;
+                ConnPc::Acquire
+            }
+            ConnPc::Read { saw_flag } => {
+                if !state.draining {
+                    state.conns[i].1 = ticks - 1;
                 }
-                PollerPc::Sweep => match state.parked.first().copied() {
-                    Some((conn, readable)) => {
-                        state.parked.remove(0);
-                        if self.close_parked_on_drain {
-                            if readable {
-                                state.dropped_ready.push(conn);
-                            } else {
-                                state.closed_idle.push(conn);
-                            }
-                        } else if readable {
-                            state.ready.push_back(conn);
-                        } else {
-                            state.closed_idle.push(conn);
-                        }
-                    }
-                    None => state.poller_pc = PollerPc::DropTx,
-                },
-                PollerPc::DropTx => {
-                    state.tx_dropped = true;
-                    return Step::Done;
-                }
-            },
-            _ => {
-                let widx = tid - 2;
-                if let Some(conn) = state.workers[widx].take() {
-                    state.served.push(conn);
+                if self.close_on_current_flag {
+                    ConnPc::CheckFlag
+                } else if saw_flag {
+                    return close(state);
                 } else {
-                    match state.ready.pop_front() {
-                        Some(conn) => state.workers[widx] = Some(conn),
-                        None => {
-                            debug_assert!(state.tx_dropped);
-                            return Step::Done;
-                        }
-                    }
+                    // The next read begins at once (its snapshot commutes
+                    // with every step but the flag's).
+                    ConnPc::Read { saw_flag: state.draining }
                 }
             }
-        }
+            ConnPc::CheckFlag if state.draining => return close(state),
+            ConnPc::CheckFlag => ConnPc::ReadBegin,
+            ConnPc::Acquire => {
+                state.free_permits -= 1;
+                state.in_flight += 1;
+                ConnPc::Serve
+            }
+            ConnPc::Serve => {
+                state.answered[i] += 1;
+                state.in_flight -= 1;
+                state.free_permits += 1;
+                // A response written while draining says close.
+                if state.draining {
+                    return close(state);
+                }
+                // The next read begins before the flag.
+                ConnPc::Read { saw_flag: false }
+            }
+        };
         Step::Progress
     }
 
-    fn invariant(&self, state: &DrainState) -> Result<(), String> {
-        if state.ready.len() > self.queue_depth {
+    fn invariant(&self, state: &ConnectionState) -> Result<(), String> {
+        if state.in_flight > self.workers {
             return Err(format!(
-                "ready queue holds {} entries, depth is {}",
-                state.ready.len(),
-                self.queue_depth
+                "{} requests in flight, {} workers",
+                state.in_flight, self.workers
+            ));
+        }
+        if state.open < 0 || state.open > self.capacity as i64 {
+            return Err(format!("open is {}, capacity {}", state.open, self.capacity));
+        }
+        if state.drained && (state.open > 0 || state.in_flight > 0) {
+            return Err(format!(
+                "drained reported with {} connections open and {} requests in flight",
+                state.open, state.in_flight
             ));
         }
         Ok(())
     }
 
-    fn check(&self, state: &DrainState) -> Result<(), String> {
-        if !state.dropped_ready.is_empty() {
+    fn check(&self, state: &ConnectionState) -> Result<(), String> {
+        for (i, &request) in self.requests.iter().enumerate() {
+            let expected = u32::from(request && !state.turned_away[i]);
+            if state.answered[i] != expected {
+                return Err(format!(
+                    "connection {i}: request written {request}, turned away {}, answered {} \
+                     times (a written request was dropped)",
+                    state.turned_away[i], state.answered[i]
+                ));
+            }
+        }
+        if !state.drained || state.free_permits != self.workers {
             return Err(format!(
-                "connections {:?} had requests waiting but were closed unserved",
-                state.dropped_ready
+                "settled with drained {} and {} of {} permits free",
+                state.drained, state.free_permits, self.workers
             ));
-        }
-        for (conn, readable) in self.parked.iter().copied().enumerate() {
-            if readable && !state.served.contains(&conn) {
-                return Err(format!(
-                    "readable connection {conn} never served (served {:?})",
-                    state.served
-                ));
-            }
-            if !readable && !state.closed_idle.contains(&conn) {
-                return Err(format!(
-                    "idle connection {conn} never closed (closed {:?})",
-                    state.closed_idle
-                ));
-            }
-        }
-        if !state.ready.is_empty() {
-            return Err(format!("{} dispatches stranded in the ready queue", state.ready.len()));
         }
         Ok(())
     }

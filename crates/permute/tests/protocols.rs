@@ -1,81 +1,62 @@
-//! Exhaustive interleaving exploration of the three serving-path
-//! protocols, plus proof that the explorer catches each protocol's
-//! historical bug when it is deliberately re-introduced.
+//! Exhaustive interleaving exploration of the serving-path protocols,
+//! plus proof that the explorer catches each protocol's bug when it is
+//! deliberately re-introduced.
 
-use cicero_permute::models::{AdmissionModel, DrainModel, RespawnModel, SwapModel};
+use cicero_permute::models::{ConnectionModel, RespawnModel, SwapModel};
 use cicero_permute::{replay, Explorer, ViolationKind};
 
 fn explorer() -> Explorer {
     Explorer::default()
 }
 
-// --- admission: bounded queue full/drain race ------------------------------
+// --- connection: a thread per admitted connection, permits, drain --------
+
+fn connection(requests: Vec<bool>, workers: usize, capacity: usize) -> ConnectionModel {
+    ConnectionModel {
+        requests,
+        workers,
+        capacity,
+        idle_ticks: 1,
+        count_in_thread: false,
+        close_on_current_flag: false,
+    }
+}
 
 #[test]
-fn admission_protocol_passes_every_interleaving() {
-    let model =
-        AdmissionModel { connections: 3, queue_depth: 1, workers: 2, gauge_after_send: false };
-    let report = explorer().explore(&model).unwrap_or_else(|v| panic!("{v}"));
+fn connection_protocol_passes_every_interleaving() {
+    // Two requests contend for one permit, each read may time out idle
+    // once before the drain.
+    let report =
+        explorer().explore(&connection(vec![true, true], 1, 2)).unwrap_or_else(|v| panic!("{v}"));
     assert!(report.schedules > 100, "suspiciously small space: {report:?}");
 }
 
 #[test]
-fn admission_single_worker_deep_queue_passes() {
-    let model =
-        AdmissionModel { connections: 4, queue_depth: 2, workers: 1, gauge_after_send: false };
+fn connection_protocol_at_the_cap_and_with_two_permits_passes() {
+    // The second connection is answered 503 (or refused by the drain).
+    explorer().explore(&connection(vec![true, false], 1, 1)).unwrap_or_else(|v| panic!("{v}"));
+    let model = ConnectionModel { idle_ticks: 0, ..connection(vec![true, true], 2, 3) };
     explorer().explore(&model).unwrap_or_else(|v| panic!("{v}"));
 }
 
 #[test]
-fn counting_after_send_underflows_the_gauge() {
-    let model =
-        AdmissionModel { connections: 2, queue_depth: 1, workers: 1, gauge_after_send: true };
+fn counting_the_connection_in_its_own_thread_reports_drained_while_serving() {
+    let model = ConnectionModel { count_in_thread: true, ..connection(vec![true], 1, 2) };
     let violation = explorer().explore(&model).unwrap_err();
     assert_eq!(violation.kind, ViolationKind::Invariant, "{violation}");
-    assert!(violation.message.contains("underflow"), "{violation}");
-    // The reported schedule is a genuine repro, not an artifact.
+    assert!(violation.message.contains("drained reported"), "{violation}");
     let (_, verdict) = replay(&model, &violation.schedule);
-    assert!(verdict.unwrap_err().contains("underflow"));
-}
-
-// --- drain: shutdown vs in-flight and parked-but-readable ------------------
-
-#[test]
-fn drain_protocol_passes_every_interleaving() {
-    let model = DrainModel {
-        parked: vec![true, true, false],
-        queue_depth: 1,
-        workers: 2,
-        close_parked_on_drain: false,
-    };
-    let report = explorer().explore(&model).unwrap_or_else(|v| panic!("{v}"));
-    assert!(report.schedules > 100, "suspiciously small space: {report:?}");
+    assert!(verdict.unwrap_err().contains("drained reported"));
 }
 
 #[test]
-fn drain_with_every_connection_readable_passes() {
-    let model = DrainModel {
-        parked: vec![true, true],
-        queue_depth: 1,
-        workers: 1,
-        close_parked_on_drain: false,
-    };
-    explorer().explore(&model).unwrap_or_else(|v| panic!("{v}"));
-}
-
-#[test]
-fn closing_parked_connections_on_drain_drops_requests() {
-    let model = DrainModel {
-        parked: vec![true, false],
-        queue_depth: 1,
-        workers: 1,
-        close_parked_on_drain: true,
-    };
+fn closing_on_a_flag_set_after_the_read_began_drops_a_written_request() {
+    let model = ConnectionModel { close_on_current_flag: true, ..connection(vec![true], 1, 2) };
     let violation = explorer().explore(&model).unwrap_err();
     assert_eq!(violation.kind, ViolationKind::Postcondition, "{violation}");
-    assert!(violation.message.contains("closed unserved"), "{violation}");
+    assert!(violation.message.contains("dropped"), "{violation}");
     let (_, verdict) = replay(&model, &violation.schedule);
-    assert!(verdict.unwrap_err().contains("closed unserved"));
+    assert!(verdict.unwrap_err().contains("dropped"));
 }
 
 // --- respawn: worker panic/respawn during a set scan -----------------------

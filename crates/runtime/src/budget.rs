@@ -261,8 +261,8 @@ impl Runtime {
         let restarts = std::sync::atomic::AtomicU64::new(0);
         // Host nanoseconds the workers spent inside `Machine::run`. Summed
         // here and observed by this thread after the join: a collector
-        // keeps a shard per thread that ever touched it, and the workers
-        // live for one batch.
+        // keeps a shard per thread that touched it (reused only once that
+        // thread exits), and the workers live for one batch.
         let sim_host_ns = std::sync::atomic::AtomicU64::new(0);
         let hook = self.run_hook.clone();
 

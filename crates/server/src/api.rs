@@ -716,10 +716,10 @@ fn handle_healthz(shared: &Shared) -> Response {
 }
 
 /// `POST /shutdown`: begin draining. The acceptor stops taking
-/// connections; queued and in-flight requests (including this one)
-/// complete.
+/// connections; requests already written (including this one) are
+/// answered.
 fn handle_shutdown(shared: &Shared) -> Response {
-    shared.shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    shared.begin_drain();
     shared.telemetry.counter_add("server.shutdown_requests", 1);
     Response::json(200, JsonObject::new().field("status", "draining").finish())
 }

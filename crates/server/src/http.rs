@@ -95,8 +95,9 @@ fn is_timeout(e: &io::Error) -> bool {
 pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, ReadError> {
     let mut head = Vec::with_capacity(512);
     let mut byte = [0u8; 1];
-    // Byte-at-a-time until CRLFCRLF: request heads are small, and this
-    // never over-reads into the next pipelined request.
+    // Byte-at-a-time until CRLFCRLF, so this never over-reads into the
+    // next pipelined request; the server passes a `BufReader` that lives
+    // as long as the connection, so a byte costs no syscall.
     loop {
         match stream.read(&mut byte) {
             Ok(0) => {
@@ -331,16 +332,23 @@ impl Response {
     ///
     /// Propagates transport errors.
     pub fn write_to<W: Write>(&self, stream: &mut W, close: bool) -> io::Result<()> {
-        let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, self.reason());
-        head.push_str(&format!("content-type: {}\r\n", self.content_type));
-        head.push_str(&format!("content-length: {}\r\n", self.body.len()));
-        head.push_str(if close { "connection: close\r\n" } else { "connection: keep-alive\r\n" });
+        // One buffer, one write: on a `TCP_NODELAY` socket, a head and a
+        // body written apart would be two segments.
+        let mut wire = Vec::with_capacity(256 + self.body.len());
+        write!(wire, "HTTP/1.1 {} {}\r\n", self.status, self.reason())?;
+        write!(wire, "content-type: {}\r\n", self.content_type)?;
+        write!(wire, "content-length: {}\r\n", self.body.len())?;
+        wire.extend_from_slice(if close {
+            b"connection: close\r\n"
+        } else {
+            b"connection: keep-alive\r\n"
+        });
         for (name, value) in &self.headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
+            write!(wire, "{name}: {value}\r\n")?;
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }

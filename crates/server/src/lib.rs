@@ -7,24 +7,20 @@
 //! [`Runtime`] (worker pool + sharded LRU compiled-program cache), built
 //! from `std::net` only:
 //!
-//! * **Readiness loop** — the accept thread owns every idle keep-alive
-//!   connection in a *parked* set and polls it (nonblocking `peek`) for
-//!   readability. Only connections with request bytes actually waiting
-//!   are dispatched to the worker pool, so connection count decouples
-//!   from handler-thread count: a thousand idle keep-alive clients cost
-//!   one poller, not a thousand blocked workers. After a response, a
-//!   worker waits `KEEPALIVE_GRACE` (5 ms) for a pipelined follow-up (the
-//!   closed-loop fast path) and hands the connection back to the poller
-//!   when none arrives — or after `KEEPALIVE_BURST` (32) requests, so one
-//!   fast client cannot monopolize a worker.
-//! * **Admission control** — ready connections flow through a *bounded*
-//!   dispatch queue ([`ServerOptions::queue_depth`]); total open
-//!   connections are capped at `workers + queue_depth`. Beyond the cap a
-//!   new connection is answered `503` and closed immediately, with a
-//!   `Retry-After` hint scaled from the observed `server.queue_wait_ms`
-//!   p50: overload sheds load at the front door instead of piling up
-//!   latency, and a rejected client always gets a response, never a
-//!   hang.
+//! * **A thread per admitted connection** — the acceptor blocks in
+//!   `accept` and spawns one thread per admitted connection. That thread
+//!   reads the connection through one `BufReader` for its whole life (so
+//!   pipelined requests are never lost), and handles each request under
+//!   one of `workers` work permits. A read never holds a permit, so an
+//!   idle or slow client costs only its own thread.
+//! * **Admission control** — open connections, idle ones included, are
+//!   capped at `workers + queue_depth` ([`ServerOptions::queue_depth`]),
+//!   so at most `queue_depth` connection threads wait beyond the permit
+//!   holders. Beyond the cap a new connection is answered `503` and
+//!   closed immediately, with a `Retry-After` hint scaled from the
+//!   observed `server.queue_wait_ms` p50: overload sheds load at the
+//!   front door instead of piling up latency, and a rejected client
+//!   always gets a response, never a hang.
 //! * **Endpoints** — `POST /match` (per-pattern verdicts over one input),
 //!   `POST /scan` (multi-pattern set over 500-byte chunks, with
 //!   all-matches per-pattern counts via [`cicero_isa::run_all`]),
@@ -40,13 +36,13 @@
 //!   explicitly). The two backends share one compiled-program cache
 //!   entry per pattern.
 //! * **Graceful drain** — shutdown (via [`ServerHandle::shutdown`] or
-//!   `POST /shutdown`) stops accepting, closes the listener, and sweeps
-//!   the parked set: connections with a request already waiting are
-//!   dispatched and served, truly idle ones are closed, and in-flight
-//!   requests finish under [`ServerOptions::drain_timeout`]. The sweep
-//!   ordering (dispatch-readable-before-close) is model-checked by the
-//!   `cicero-permute` drain protocol; the [`DrainReport`] says whether
-//!   the drain completed.
+//!   `POST /shutdown`) sets a flag and wakes the acceptor, which closes
+//!   the listener. A connection closes only once a read that began after
+//!   it saw the flag times out idle, so a request already written is
+//!   answered; [`Server::run`] waits for every connection to close under
+//!   [`ServerOptions::drain_timeout`]. The protocol is model-checked by
+//!   `cicero-permute`'s `ConnectionModel`; the [`DrainReport`] says
+//!   whether the drain completed.
 //! * **Telemetry** — `server.*` metrics (requests by endpoint and status,
 //!   queue-depth and open-connection gauges, latency histogram, admission
 //!   rejections) join the existing `runtime.*` / `sim.*` namespaces on
@@ -66,11 +62,10 @@ pub mod json;
 pub mod registry;
 pub mod tenants;
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Write as _};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cicero_core::{Backend, CompilerOptions};
@@ -80,26 +75,10 @@ use cicero_telemetry::{FlightRecorder, FlightRecorderOptions, Telemetry, TraceCo
 
 pub use cicero_runtime::Budget;
 
-/// How long the poller sleeps when an iteration made no progress (no
-/// accepts, no reclaimed connections, nothing readable).
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Socket read timeout for a dispatched connection: its request bytes
-/// are already waiting (the poller saw them), so this only bounds how
-/// long a client may stall mid-request before the worker gives up.
+/// Socket read timeout on every connection. It bounds a stall inside a
+/// request (the connection is then closed), and it is the idle tick on
+/// which a connection thread checks the drain flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// After writing a response, how long a worker waits for the next
-/// request before re-parking the connection. Closed-loop clients send
-/// their follow-up within this window, keeping the hot path free of
-/// poller round-trips; anything slower costs one readiness-loop cycle.
-const KEEPALIVE_GRACE: Duration = Duration::from_millis(5);
-
-/// Fairness bound: after this many grace-window requests on one
-/// dispatch, the connection goes back to the poller even if more are
-/// pipelined, so one fast closed-loop client cannot monopolize a worker
-/// while ready connections sit parked.
-const KEEPALIVE_BURST: usize = 32;
 
 /// Ceiling on the scaled `Retry-After` admission hint, in seconds.
 const MAX_RETRY_AFTER_SECS: u64 = 30;
@@ -114,15 +93,15 @@ pub struct ServerOptions {
     /// Listen address; port `0` binds an ephemeral port (see
     /// [`Server::local_addr`]).
     pub addr: String,
-    /// Handler threads serving dispatched (readable) connections. Idle
-    /// keep-alive connections are parked on the poller and cost no
-    /// worker.
+    /// Work permits: how many requests are handled at once. Reading a
+    /// request holds no permit, so idle connections cost none.
     pub workers: usize,
-    /// Bound on ready-but-unserved dispatches. Total open connections
-    /// are capped at `workers + queue_depth`; beyond that, new
-    /// connections are rejected with `503`.
+    /// Open connections beyond `workers`. Total open connections, idle
+    /// ones included, are capped at `workers + queue_depth`; beyond
+    /// that, new connections are rejected with `503`.
     pub queue_depth: usize,
-    /// How long shutdown waits for queued + in-flight requests to finish.
+    /// How long shutdown waits for written requests to be answered and
+    /// every connection to close.
     pub drain_timeout: Duration,
     /// Options for the inner matching [`Runtime`]. The default serves
     /// with the host-native backend ([`Backend::Host`]); a request can
@@ -167,8 +146,8 @@ impl Default for ServerOptions {
 /// What happened during shutdown.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Whether every worker finished (queued + in-flight requests all
-    /// served) before [`ServerOptions::drain_timeout`].
+    /// Whether every connection closed (written requests all answered)
+    /// before [`ServerOptions::drain_timeout`].
     pub drained: bool,
     /// Wall-clock time the drain took.
     pub wall: Duration,
@@ -178,7 +157,8 @@ pub struct DrainReport {
     pub rejected: u64,
 }
 
-/// State shared between the poller, the workers, and handles.
+/// State shared between the acceptor, the connection threads, and
+/// handles.
 pub(crate) struct Shared {
     pub(crate) runtime: Runtime,
     pub(crate) telemetry: Telemetry,
@@ -186,18 +166,47 @@ pub(crate) struct Shared {
     pub(crate) registry: registry::RulesetRegistry,
     pub(crate) tenants: tenants::TenantGovernor,
     pub(crate) config: ArchConfig,
-    pub(crate) shutdown: AtomicBool,
-    pub(crate) queued: AtomicUsize,
-    pub(crate) open: AtomicUsize,
-    pub(crate) in_flight: AtomicUsize,
+    shutdown: AtomicBool,
+    /// Where a drain connects to wake the acceptor out of `accept`.
+    wake_addr: SocketAddr,
+    /// Free work permits, out of `workers`.
+    permits: Mutex<usize>,
+    permit_freed: Condvar,
+    /// Requests waiting for a work permit.
+    queued: AtomicUsize,
+    open: AtomicUsize,
+    in_flight: AtomicUsize,
     pub(crate) requests: AtomicU64,
-    pub(crate) rejected: AtomicU64,
-    pub(crate) next_request_id: AtomicU64,
+    rejected: AtomicU64,
+    next_request_id: AtomicU64,
 }
 
 impl Shared {
     pub(crate) fn is_draining(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Begin draining: set the flag, then wake the acceptor out of
+    /// `accept` with one connection of our own, which it neither counts
+    /// nor serves. Idempotent.
+    pub(crate) fn begin_drain(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
+    /// Wait for a work permit. The wait counts in the `queued` gauge.
+    fn acquire_permit(&self) -> Permit<'_> {
+        self.queued.fetch_add(1, Ordering::SeqCst);
+        let free = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut free = self
+            .permit_freed
+            .wait_while(free, |free| *free == 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *free -= 1;
+        drop(free);
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        Permit(self)
     }
 
     /// The request id a response is tagged with: the client-supplied
@@ -222,10 +231,36 @@ impl Shared {
             self.telemetry.gauge_set("server.cache_hit_ratio", stats.hits as f64 / lookups as f64);
         }
     }
+}
 
-    /// A connection is gone (closed by us or by the peer).
-    fn release_connection(&self) {
-        self.open.fetch_sub(1, Ordering::SeqCst);
+/// One admitted connection's count in `open`. The acceptor takes it
+/// before spawning the connection's thread, so the drain wait can never
+/// see zero while that thread serves; dropping it (when the thread ends,
+/// when a spawn fails and drops its closure, or on unwind) releases it.
+struct Slot(Arc<Shared>);
+
+impl Slot {
+    fn take(shared: &Arc<Shared>) -> Slot {
+        shared.open.fetch_add(1, Ordering::SeqCst);
+        Slot(Arc::clone(shared))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.open.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A held work permit, counted in `in_flight`. Dropping it (also on
+/// unwind) returns the permit and wakes one waiter.
+struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.in_flight.fetch_sub(1, Ordering::SeqCst);
+        *self.0.permits.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.0.permit_freed.notify_one();
     }
 }
 
@@ -236,11 +271,11 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Begin draining: the poller stops taking connections and
-    /// [`Server::run`] returns once queued + in-flight requests finish
-    /// (or the drain timeout passes). Idempotent.
+    /// Begin draining: the acceptor stops taking connections and
+    /// [`Server::run`] returns once every connection has closed (or the
+    /// drain timeout passes). Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_drain();
     }
 
     /// Whether shutdown has been requested.
@@ -252,15 +287,6 @@ impl ServerHandle {
     pub fn requests(&self) -> u64 {
         self.shared.requests.load(Ordering::SeqCst)
     }
-}
-
-/// A connection owned by the serving tier: parked on the poller between
-/// requests, moved to a worker while one is being served.
-struct Conn {
-    stream: TcpStream,
-    /// When the poller first saw request bytes waiting (cleared on every
-    /// dispatch): the epoch for the admission-queue wait.
-    ready_at: Option<Instant>,
 }
 
 /// A bound-but-not-yet-running server.
@@ -297,6 +323,13 @@ impl Server {
             registry::RulesetRegistry::new(options.ruleset_dir.clone(), telemetry.clone());
         registry.load_dir(&runtime).map_err(std::io::Error::other)?;
         let tenants = tenants::TenantGovernor::new(options.tenants, telemetry.clone());
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shared = Arc::new(Shared {
             runtime,
             telemetry,
@@ -305,6 +338,9 @@ impl Server {
             tenants,
             config: options.config.clone(),
             shutdown: AtomicBool::new(false),
+            wake_addr,
+            permits: Mutex::new(options.workers.max(1)),
+            permit_freed: Condvar::new(),
             queued: AtomicUsize::new(0),
             open: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
@@ -343,142 +379,68 @@ impl Server {
 
     /// Accept and serve until shutdown is requested, then drain.
     ///
-    /// Blocks the calling thread for the server's whole lifetime; the
-    /// readiness loop runs here (accept, park, poll for readability,
-    /// dispatch) while `workers` handler threads serve ready
-    /// connections from the bounded dispatch queue.
+    /// Blocks the calling thread for the server's whole lifetime: the
+    /// acceptor runs here, spawning one thread per admitted connection,
+    /// and then the drain wait.
     ///
     /// # Errors
     ///
     /// Fatal listener errors only; per-connection failures are handled
     /// (and counted) without stopping the server.
     pub fn run(self) -> std::io::Result<DrainReport> {
-        self.listener.set_nonblocking(true)?;
-        let workers = self.options.workers.max(1);
-        let depth = self.options.queue_depth.max(1);
-        // Past this many open connections, admission rejects: every
-        // worker busy and the dispatch queue full, with nothing parked.
-        let capacity = workers + depth;
-        let (tx, rx) = mpsc::sync_channel::<Conn>(depth);
-        let rx = Arc::new(Mutex::new(rx));
-        // Workers hand idle keep-alive connections back through here.
-        let (park_tx, park_rx) = mpsc::channel::<Conn>();
-        let live = Arc::new(AtomicUsize::new(0));
-        let mut joins = Vec::new();
-        for worker in 0..workers {
-            let shared = Arc::clone(&self.shared);
-            let rx = Arc::clone(&rx);
-            let park_tx = park_tx.clone();
-            let live = Arc::clone(&live);
-            live.fetch_add(1, Ordering::SeqCst);
-            joins.push(std::thread::Builder::new().name(format!("cicero-serve-{worker}")).spawn(
-                move || {
-                    loop {
-                        // Hold the lock only for the dequeue, not
-                        // while serving.
-                        let next = {
-                            let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                            guard.recv()
-                        };
-                        let Ok(conn) = next else {
-                            break; // queue closed and fully drained
-                        };
-                        shared.queued.fetch_sub(1, Ordering::SeqCst);
-                        match serve_dispatch(&shared, conn) {
-                            Some(conn) => {
-                                // Idle again: back to the poller. If the
-                                // poller is gone (post-drain), close.
-                                if conn.stream.set_nonblocking(true).is_err()
-                                    || park_tx.send(conn).is_err()
-                                {
-                                    shared.release_connection();
-                                }
-                            }
-                            None => shared.release_connection(),
-                        }
-                    }
-                    live.fetch_sub(1, Ordering::SeqCst);
-                },
-            )?);
-        }
-        drop(park_tx);
-
-        let mut parked: Vec<Conn> = Vec::new();
-        while !self.shared.is_draining() {
-            let mut progressed = false;
-            // Accept everything waiting, up to the connection cap.
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        progressed = true;
-                        self.shared.telemetry.counter_add("server.connections", 1);
-                        if self.shared.open.load(Ordering::SeqCst) >= capacity {
-                            reject_at_admission(&self.shared, stream);
-                        } else {
-                            self.shared.open.fetch_add(1, Ordering::SeqCst);
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_ok() {
-                                parked.push(Conn { stream, ready_at: None });
-                            } else {
-                                self.shared.release_connection();
-                            }
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
-                }
+        // Past this many open connections, idle ones included, admission
+        // rejects.
+        let capacity = self.options.workers.max(1) + self.options.queue_depth.max(1);
+        // Live connection threads, at most `capacity`: joined once the
+        // drain has closed them, so their resources are gone by the time
+        // `run` returns.
+        let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            // The drain's wake connection, or one that arrived with it.
+            if self.shared.is_draining() {
+                break;
             }
-            // Reclaim connections workers finished with.
-            while let Ok(conn) = park_rx.try_recv() {
-                parked.push(conn);
-                progressed = true;
+            self.shared.telemetry.counter_add("server.connections", 1);
+            if self.shared.open.load(Ordering::SeqCst) >= capacity {
+                reject_at_admission(&self.shared, stream);
+                continue;
             }
-            // Dispatch whatever became readable.
-            progressed |= poll_parked(&self.shared, &mut parked, &tx, false);
-            if !progressed {
-                std::thread::sleep(ACCEPT_POLL);
+            let slot = Slot::take(&self.shared);
+            threads.retain(|thread| !thread.is_finished());
+            // A failed spawn drops the closure, and with it the slot.
+            if let Ok(thread) = std::thread::Builder::new()
+                .name("cicero-conn".to_owned())
+                .spawn(move || serve_connection(&slot, stream))
+            {
+                threads.push(thread);
             }
         }
 
-        // Drain: close the front door, then sweep the parked set —
-        // connections with a request already waiting are dispatched and
-        // served, truly idle ones are closed. (The sweep ordering is
-        // model-checked by cicero-permute's DrainModel: closing parked
-        // connections indiscriminately drops requests.) Dropping `tx`
-        // afterwards makes `recv` fail once the queue empties, so each
-        // worker exits after its current connection.
+        // Drain: close the front door, then wait for every connection
+        // thread to answer what was written and close.
         drop(self.listener);
         let drain_start = Instant::now();
         let deadline = drain_start + self.options.drain_timeout;
         while self.shared.open.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            while let Ok(conn) = park_rx.try_recv() {
-                parked.push(conn);
-            }
-            poll_parked(&self.shared, &mut parked, &tx, true);
-            if self.shared.open.load(Ordering::SeqCst) == 0 {
-                break;
-            }
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Anything still parked at the deadline is abandoned.
-        for conn in parked.drain(..) {
-            drop(conn);
-            self.shared.release_connection();
-        }
-        drop(tx);
-        while live.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let drained = live.load(Ordering::SeqCst) == 0;
+        // Connection threads that missed the deadline are detached; their
+        // sockets have read timeouts, so they exit shortly after — but
+        // the drain is reported as incomplete. A thread that panicked
+        // cost only its connection (the guards released its slot and
+        // permit, the panic hook reported it), so its join error is
+        // dropped.
+        let drained = self.shared.open.load(Ordering::SeqCst) == 0;
         if drained {
-            for join in joins {
-                let _ = join.join();
+            for thread in threads {
+                let _ = thread.join();
             }
         }
-        // Workers that missed the deadline are detached; their sockets
-        // have read timeouts, so they exit shortly after — but the drain
-        // is reported as incomplete.
         let wall = drain_start.elapsed();
         self.shared.telemetry.counter_add("server.drains", 1);
         self.shared.telemetry.gauge_set("server.drain_ms", wall.as_secs_f64() * 1e3);
@@ -496,84 +458,6 @@ impl Server {
             rejected: self.shared.rejected.load(Ordering::SeqCst),
         })
     }
-}
-
-/// One readiness pass over the parked set: dispatch connections with
-/// request bytes waiting, close ones the peer hung up on. When
-/// `draining`, idle connections are closed instead of staying parked.
-/// Returns whether anything happened.
-fn poll_parked(
-    shared: &Shared,
-    parked: &mut Vec<Conn>,
-    tx: &SyncSender<Conn>,
-    draining: bool,
-) -> bool {
-    let mut progressed = false;
-    let mut keep = Vec::with_capacity(parked.len());
-    for mut conn in parked.drain(..) {
-        let mut probe = [0u8; 1];
-        match conn.stream.peek(&mut probe) {
-            // Peer closed while parked.
-            Ok(0) => {
-                shared.release_connection();
-                progressed = true;
-            }
-            // Request bytes waiting: hand to a worker. The dispatch gets
-            // blocking reads back; the gauge counts it as queued from
-            // before the send so a fast worker's decrement cannot
-            // underflow (ordering model-checked by AdmissionModel).
-            Ok(_) => {
-                if conn.ready_at.is_none() {
-                    conn.ready_at = Some(Instant::now());
-                }
-                if conn.stream.set_nonblocking(false).is_err()
-                    || conn.stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
-                {
-                    shared.release_connection();
-                    progressed = true;
-                    continue;
-                }
-                shared.queued.fetch_add(1, Ordering::SeqCst);
-                match tx.try_send(conn) {
-                    Ok(()) => progressed = true,
-                    // Queue full: back to the parked set (ready_at keeps
-                    // accruing the wait) and retry next pass.
-                    Err(TrySendError::Full(conn)) => {
-                        shared.queued.fetch_sub(1, Ordering::SeqCst);
-                        if conn.stream.set_nonblocking(true).is_ok() {
-                            keep.push(conn);
-                        } else {
-                            shared.release_connection();
-                        }
-                    }
-                    Err(TrySendError::Disconnected(conn)) => {
-                        shared.queued.fetch_sub(1, Ordering::SeqCst);
-                        drop(conn);
-                        shared.release_connection();
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if draining {
-                    shared.release_connection();
-                    progressed = true;
-                } else {
-                    keep.push(conn);
-                }
-            }
-            Err(_) => {
-                shared.release_connection();
-                progressed = true;
-            }
-        }
-    }
-    *parked = keep;
-    progressed
 }
 
 /// The `Retry-After` hint on every backpressure answer — admission
@@ -604,7 +488,7 @@ pub(crate) fn retry_after_secs(telemetry: &Telemetry) -> u64 {
     ((p50_ms / 1e3).ceil() as u64).clamp(1, MAX_RETRY_AFTER_SECS)
 }
 
-/// At capacity: answer `503` with a retry hint on the poller thread and
+/// At capacity: answer `503` with a retry hint on the acceptor thread and
 /// close. The write gets a short timeout so a slow-reading client cannot
 /// stall admission for everyone else. The rejection never read the
 /// request head, so the echoed request id is always server-minted.
@@ -646,123 +530,111 @@ fn tenant_governed(path: &str) -> bool {
     matches!(path, "/match" | "/scan" | "/scan/stream")
 }
 
-/// Serve one dispatched (readable) connection: the waiting request, plus
-/// any follow-ups that arrive within [`KEEPALIVE_GRACE`] of a response.
-///
-/// Returns `Some(conn)` to re-park the still-open idle connection (the
-/// caller routes it back to the poller), `None` when it was closed (the
-/// caller releases the open-connection slot).
-///
-/// The first request's latency epoch is the instant the poller saw its
-/// bytes arrive, so the dispatch-queue wait (observed into
-/// `server.queue_wait_ms` and visible as the `admission.queue_wait`
-/// span) counts against it; grace-window follow-ups start their clock
-/// when their head finishes reading.
-fn serve_dispatch(shared: &Shared, mut conn: Conn) -> Option<Conn> {
-    let ready_at = conn.ready_at.take().unwrap_or_else(Instant::now);
-    let queue_wait = ready_at.elapsed();
+/// One admitted connection's thread: read each request through one
+/// `BufReader` that lives as long as the connection (so pipelined bytes
+/// are never lost), then handle and answer it. Ends when the peer
+/// closes, a request stalls or is malformed, a response says close, or
+/// the drain finds the connection idle; `slot` is released by the
+/// caller's drop, however the thread ends.
+fn serve_connection(slot: &Slot, stream: TcpStream) {
+    let shared = &*slot.0;
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+        return;
+    }
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
+    loop {
+        // An idle timeout closes the connection only if the drain flag
+        // was already set when the read began, so a request written
+        // before the flag is still read and answered.
+        let draining = shared.is_draining();
+        let keep_open = match http::read_request(&mut reader) {
+            Ok(request) => serve_request(shared, reader.get_ref(), &request),
+            Err(http::ReadError::IdleTimeout) => !draining,
+            Err(error @ http::ReadError::Malformed(_)) => {
+                answer_read_error(shared, reader.get_ref(), 400, &error);
+                false
+            }
+            Err(error @ http::ReadError::TooLarge(_)) => {
+                answer_read_error(shared, reader.get_ref(), 413, &error);
+                false
+            }
+            Err(http::ReadError::Eof | http::ReadError::Io(_)) => false,
+        };
+        if !keep_open {
+            return;
+        }
+    }
+}
+
+/// Handle and answer one request under a work permit. Its latency starts
+/// when its read finished, so the wait for a permit (observed into
+/// `server.queue_wait_ms` and recorded as the `admission.queue_wait`
+/// span) counts against it. Returns whether the connection stays open.
+fn serve_request(shared: &Shared, mut stream: &TcpStream, request: &http::Request) -> bool {
+    let epoch = Instant::now();
+    let permit = shared.acquire_permit();
+    let queue_wait = epoch.elapsed();
     shared.telemetry.observe_with(
         "server.queue_wait_ms",
         queue_wait.as_secs_f64() * 1e3,
         LATENCY_BUCKETS_MS,
     );
-    let mut first_request = Some((ready_at, queue_wait));
-    let mut served_this_dispatch = 0usize;
-    loop {
-        match http::read_request(&mut conn.stream) {
-            Ok(request) => {
-                shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                let (epoch, queue_wait) = match first_request.take() {
-                    Some((ready_at, wait)) => (ready_at, Some(wait)),
-                    None => (Instant::now(), None),
-                };
-                let request_id = shared.request_id_for(&request);
-                let ctx = TraceContext::with_epoch(&request_id, epoch);
-                let root = ctx.root_span("request");
-                root.annotate("method", request.method.as_str());
-                root.annotate("path", request.path.as_str());
-                root.annotate("queue_depth", shared.queued.load(Ordering::SeqCst));
-                if let Some(wait) = queue_wait {
-                    ctx.record_complete(
-                        Some(root.id()),
-                        "admission.queue_wait",
-                        Duration::ZERO,
-                        wait,
-                        Vec::new(),
-                    );
-                }
+    let request_id = shared.request_id_for(request);
+    let ctx = TraceContext::with_epoch(&request_id, epoch);
+    let root = ctx.root_span("request");
+    root.annotate("method", request.method.as_str());
+    root.annotate("path", request.path.as_str());
+    root.annotate("queue_depth", shared.queued.load(Ordering::SeqCst));
+    ctx.record_complete(
+        Some(root.id()),
+        "admission.queue_wait",
+        Duration::ZERO,
+        queue_wait,
+        Vec::new(),
+    );
 
-                // Per-tenant admission happens after the head is read
-                // (the tenant is a header) but before any work; the
-                // permit is held for the duration of the handler so the
-                // in-flight quota reflects real concurrency.
-                let response = match admit_tenant(shared, &request) {
-                    Ok(_permit) => api::handle(shared, &request, &root),
-                    Err(denied) => denied,
-                }
-                .with_header("x-cicero-request-id", request_id.clone());
-                let status = response.status;
-                // Draining closes after the response: the client gets its
-                // answer, the worker gets free to exit.
-                let close = request.wants_close() || shared.is_draining();
-                let write_result = {
-                    let span = root.child("response.write");
-                    span.annotate("bytes", response.body.len());
-                    response.write_to(&mut conn.stream, close)
-                };
-                let latency_ms = epoch.elapsed().as_secs_f64() * 1e3;
-                root.annotate("status", u64::from(status));
-                root.annotate("latency_ms", latency_ms);
-                drop(root);
-
-                let slow = shared.recorder.record(ctx.finish());
-                shared.telemetry.counter_add("trace.requests", 1);
-                if slow {
-                    shared.telemetry.counter_add("trace.slow", 1);
-                }
-                shared.telemetry.counter_add("server.requests", 1);
-                shared.telemetry.counter_add(
-                    &format!("server.requests.{}.{}", endpoint_label(&request.path), status),
-                    1,
-                );
-                shared.telemetry.observe_with_exemplar(
-                    "server.latency_ms",
-                    latency_ms,
-                    LATENCY_BUCKETS_MS,
-                    &request_id,
-                );
-                shared.requests.fetch_add(1, Ordering::SeqCst);
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                if write_result.is_err() || close {
-                    return None;
-                }
-                served_this_dispatch += 1;
-                if served_this_dispatch >= KEEPALIVE_BURST {
-                    return Some(conn); // fairness: let parked peers in
-                }
-                // Pipelined follow-up fast path: wait briefly before
-                // giving the connection back to the poller.
-                if conn.stream.set_read_timeout(Some(KEEPALIVE_GRACE)).is_err() {
-                    return None;
-                }
-            }
-            Err(http::ReadError::Eof) => return None,
-            Err(http::ReadError::IdleTimeout) => {
-                // Idle again. During a drain the poller would just close
-                // it, so do that here.
-                return if shared.is_draining() { None } else { Some(conn) };
-            }
-            Err(http::ReadError::Io(_)) => return None,
-            Err(error @ http::ReadError::Malformed(_)) => {
-                answer_read_error(shared, &mut conn.stream, 400, &error);
-                return None;
-            }
-            Err(error @ http::ReadError::TooLarge(_)) => {
-                answer_read_error(shared, &mut conn.stream, 413, &error);
-                return None;
-            }
-        }
+    // Per-tenant admission happens after the head is read (the tenant is
+    // a header) but before any work; the tenant permit is held for the
+    // duration of the handler so the in-flight quota reflects real
+    // concurrency.
+    let response = match admit_tenant(shared, request) {
+        Ok(_permit) => api::handle(shared, request, &root),
+        Err(denied) => denied,
     }
+    .with_header("x-cicero-request-id", request_id.clone());
+    let status = response.status;
+    // Draining closes after the response: the client gets its answer,
+    // the connection thread gets free to exit.
+    let close = request.wants_close() || shared.is_draining();
+    let write_result = {
+        let span = root.child("response.write");
+        span.annotate("bytes", response.body.len());
+        response.write_to(&mut stream, close)
+    };
+    let latency_ms = epoch.elapsed().as_secs_f64() * 1e3;
+    root.annotate("status", u64::from(status));
+    root.annotate("latency_ms", latency_ms);
+    drop(root);
+
+    let slow = shared.recorder.record(ctx.finish());
+    shared.telemetry.counter_add("trace.requests", 1);
+    if slow {
+        shared.telemetry.counter_add("trace.slow", 1);
+    }
+    shared.telemetry.counter_add("server.requests", 1);
+    shared
+        .telemetry
+        .counter_add(&format!("server.requests.{}.{}", endpoint_label(&request.path), status), 1);
+    shared.telemetry.observe_with_exemplar(
+        "server.latency_ms",
+        latency_ms,
+        LATENCY_BUCKETS_MS,
+        &request_id,
+    );
+    shared.requests.fetch_add(1, Ordering::SeqCst);
+    drop(permit);
+    write_result.is_ok() && !close
 }
 
 /// Per-tenant admission for the work endpoints: `Ok` carries the permit
@@ -797,14 +669,14 @@ fn admit_tenant(
 
 fn answer_read_error(
     shared: &Shared,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     status: u16,
     error: &http::ReadError,
 ) {
     shared.telemetry.counter_add("server.requests", 1);
     shared.telemetry.counter_add(&format!("server.requests.other.{status}"), 1);
     let body = cicero_telemetry::JsonObject::new().field("error", error.to_string()).finish();
-    let _ = http::Response::json(status, body).write_to(stream, true);
+    let _ = http::Response::json(status, body).write_to(&mut stream, true);
 }
 
 #[cfg(test)]
@@ -1303,8 +1175,8 @@ mod tests {
     fn full_queue_rejects_with_503_and_a_retry_hint() {
         let (addr, handle, join) = start(ServerOptions { workers: 1, queue_depth: 1, ..options() });
         // Two silent connections fill the open-connection budget
-        // (workers + queue_depth = 2); they park on the poller without
-        // costing a worker.
+        // (workers + queue_depth = 2); each holds a connection thread but
+        // no work permit.
         let idle = TcpStream::connect(addr).unwrap();
         std::thread::sleep(Duration::from_millis(100));
         let queued = TcpStream::connect(addr).unwrap();
@@ -1316,8 +1188,8 @@ mod tests {
         stream.read_to_string(&mut raw).unwrap();
         let (status, body) = parse_response(&raw);
         assert_eq!(status, 503, "{raw}");
-        // Nothing has waited in the dispatch queue yet, so the scaled
-        // hint sits at its floor.
+        // No request has waited for a permit yet, so the scaled hint
+        // sits at its floor.
         assert!(raw.contains("retry-after: 1"), "{raw}");
         assert!(body.contains("capacity"), "{body}");
         // Free the connection slots, then drain.
@@ -1331,9 +1203,9 @@ mod tests {
 
     #[test]
     fn idle_connections_do_not_occupy_workers() {
-        // One worker, but a pile of parked idle connections: a live
-        // request must still be served promptly because idle keep-alive
-        // connections wait on the poller, not on the worker pool.
+        // One work permit, but a pile of idle connections: a live
+        // request must still be served promptly because an idle
+        // connection's thread waits in a read, which holds no permit.
         let (addr, handle, join) = start(ServerOptions { workers: 1, queue_depth: 8, ..options() });
         let idlers: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
         std::thread::sleep(Duration::from_millis(100));
@@ -1348,11 +1220,11 @@ mod tests {
 
     #[test]
     fn requests_in_flight_at_shutdown_are_answered_not_dropped() {
-        // A parked connection with a request already written must be
-        // swept into the dispatch queue on drain, not closed: this is
-        // the DrainModel contract, end to end.
+        // An idle keep-alive connection with a request written as the
+        // drain begins must be read and answered, not closed: this is
+        // the ConnectionModel contract, end to end.
         let (addr, handle, join) = start(ServerOptions { workers: 1, ..options() });
-        // Prime: one served request so the connection is parked idle.
+        // Prime: one served request so the connection is idle.
         let mut stream = TcpStream::connect(addr).unwrap();
         let body = r#"{"patterns":["ab"],"input":"xaby"}"#;
         let request =
@@ -1360,15 +1232,14 @@ mod tests {
         stream.write_all(request.as_bytes()).unwrap();
         let raw = read_one_response(&mut stream).unwrap_or_else(|e| panic!("{e}"));
         assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
-        // Park it (outlive the grace window), then race a request
-        // against shutdown.
+        // Let it go idle, then race a request against shutdown.
         std::thread::sleep(Duration::from_millis(50));
         stream.write_all(request.as_bytes()).unwrap();
         handle.shutdown();
         stream.set_read_timeout(Some(Duration::from_millis(2000))).unwrap();
         let raw = read_one_response(&mut stream).unwrap_or_else(|e| panic!("{e}"));
-        // Answered (maybe before the flag landed, maybe via the drain
-        // sweep) — never silently closed.
+        // Answered (the read saw it before or after the flag landed) —
+        // never silently closed.
         assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
         let report = join.join().unwrap();
         assert!(report.drained, "{report:?}");
@@ -1684,5 +1555,62 @@ mod tests {
         drop(stream);
         handle.shutdown();
         assert!(join.join().unwrap().drained);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        // Both requests arrive in one segment, so the first read buffers
+        // the second: the buffer must outlive the first request.
+        let (addr, handle, join) = start(options());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_millis(2000))).unwrap();
+        let first = "GET /healthz HTTP/1.1\r\nx-cicero-request-id: pipe-1\r\n\r\n";
+        let second =
+            "GET /healthz HTTP/1.1\r\nx-cicero-request-id: pipe-2\r\nconnection: close\r\n\r\n";
+        stream.write_all(format!("{first}{second}").as_bytes()).unwrap();
+        for id in ["pipe-1", "pipe-2"] {
+            let raw = read_one_response(&mut stream).unwrap_or_else(|e| panic!("{id}: {e}"));
+            assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+            assert!(raw.contains(&format!("x-cicero-request-id: {id}")), "{raw}");
+        }
+        handle.shutdown();
+        assert!(join.join().unwrap().drained);
+    }
+
+    #[test]
+    fn a_stalled_client_does_not_hold_the_only_worker() {
+        // One work permit, and a client that stops halfway through its
+        // request head: its read holds no permit, so another client's
+        // request is answered at once, not after the read timeout.
+        let (addr, handle, join) = start(ServerOptions { workers: 1, ..options() });
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(b"GET /healthz HTTP/1.1\r\nhost: x").unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        let (status, body) = roundtrip(addr, &get("/healthz"));
+        let elapsed = started.elapsed();
+        assert_eq!(status, 200, "{body}");
+        assert!(elapsed < Duration::from_millis(100), "answered after {elapsed:?}");
+        drop(stalled);
+        handle.shutdown();
+        assert!(join.join().unwrap().drained);
+    }
+
+    #[test]
+    fn a_panic_while_serving_releases_the_slot_the_permit_and_in_flight() {
+        let server = Server::bind(options()).unwrap();
+        let shared = &server.shared;
+        let held = || {
+            let free = *shared.permits.lock().unwrap();
+            (shared.open.load(Ordering::SeqCst), shared.in_flight.load(Ordering::SeqCst), free)
+        };
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = Slot::take(shared);
+            let _permit = shared.acquire_permit();
+            assert_eq!(held(), (1, 1, 1));
+            std::panic::resume_unwind(Box::new("a handler panicked"));
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(held(), (0, 0, 2), "(open, in_flight, free permits) after the unwind");
     }
 }

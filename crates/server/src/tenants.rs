@@ -2,7 +2,7 @@
 //! limits keyed on the `X-Cicero-Tenant` header.
 //!
 //! This layers *fairness* on top of the existing capacity admission
-//! (bounded dispatch queue + connection cap): the global limits protect
+//! (work permits + connection cap): the global limits protect
 //! the server, these protect tenants from each other. A denied request
 //! is a `429` whose `Retry-After` comes from the same p50-scaled clamp
 //! helper as every other backpressure answer

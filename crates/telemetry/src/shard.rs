@@ -189,6 +189,16 @@ struct LocalShard {
     histograms: HashMap<String, Arc<HistCell>>,
 }
 
+impl Drop for LocalShard {
+    /// The thread is exiting: hand its shard, totals and all, to the next
+    /// thread that touches the collector.
+    fn drop(&mut self) {
+        if let Some(registry) = self.registry.upgrade() {
+            lock_recover(&registry.free).push(Arc::clone(&self.shard));
+        }
+    }
+}
+
 thread_local! {
     static LOCAL_SHARDS: RefCell<HashMap<u64, LocalShard>> = RefCell::new(HashMap::new());
 }
@@ -200,6 +210,11 @@ pub(crate) struct ShardedMetrics {
     id: u64,
     /// Every shard ever registered, in first-touch order.
     shards: Mutex<Vec<Arc<Shard>>>,
+    /// Shards whose thread has exited, reused before a new one is
+    /// registered: a server with a thread per connection keeps as many
+    /// shards as it ever had threads alive at once, not one per
+    /// connection it ever served.
+    free: Mutex<Vec<Arc<Shard>>>,
     /// Histogram bounds registry: first registration wins, later
     /// observes on any thread reuse the registered bounds (mirrors the
     /// old single-registry semantics).
@@ -213,6 +228,7 @@ impl ShardedMetrics {
         Arc::new(ShardedMetrics {
             id: NEXT_COLLECTOR_ID.fetch_add(1, Ordering::Relaxed),
             shards: Mutex::new(Vec::new()),
+            free: Mutex::new(Vec::new()),
             bounds: Mutex::new(HashMap::new()),
             stamp: AtomicU64::new(0),
         })
@@ -236,8 +252,12 @@ impl ShardedMetrics {
                 // Sweep entries whose collector has been dropped so
                 // long-lived threads don't accumulate dead shards.
                 cache.retain(|_, local| local.registry.strong_count() > 0);
-                let shard = Arc::new(Shard::default());
-                lock_recover(&self.shards).push(Arc::clone(&shard));
+                let reused = lock_recover(&self.free).pop();
+                let shard = reused.unwrap_or_else(|| {
+                    let shard = Arc::new(Shard::default());
+                    lock_recover(&self.shards).push(Arc::clone(&shard));
+                    shard
+                });
                 cache.insert(
                     self.id,
                     LocalShard {
@@ -431,5 +451,21 @@ impl ShardedMetrics {
             }
         }
         registry
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_exited_threads_shard_is_reused_with_its_totals() {
+        let metrics = ShardedMetrics::new();
+        for _ in 0..4 {
+            let metrics = Arc::clone(&metrics);
+            std::thread::spawn(move || metrics.counter_add("hits", 1)).join().unwrap();
+        }
+        assert_eq!(lock_recover(&metrics.shards).len(), 1);
+        assert_eq!(metrics.merged().counter("hits"), 4);
     }
 }

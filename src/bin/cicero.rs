@@ -207,12 +207,14 @@ OPTIONS:
     --tenant-burst B  serve: token-bucket capacity — how large a burst a
                       freshly idle tenant may send (clamped to >= 1 when
                       --tenant-rate is on)
-    --workers N       serve: connection-handler threads (default 4)
-    --queue-depth N   serve: bound on accepted-but-unserved connections; beyond
-                      it new connections get 503 + Retry-After (default 64)
+    --workers N       serve: requests handled at once (default 4); each open
+                      connection has its own thread, and reads hold no worker
+    --queue-depth N   serve: open connections allowed beyond --workers, idle
+                      ones included; beyond workers + N new connections get
+                      503 + Retry-After (default 64)
     --drain-timeout-ms N
-                      serve: how long shutdown waits for queued + in-flight
-                      requests before giving up (default 5000)
+                      serve: how long shutdown waits for written requests to
+                      be answered and connections to close (default 5000)
     --trace-dump PATH serve: on graceful drain, dump the flight recorder's
                       retained request traces to PATH as Chrome trace_event
                       JSON (loadable in Perfetto / chrome://tracing)
