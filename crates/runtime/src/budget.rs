@@ -1,6 +1,10 @@
 //! Per-request resource budgets and the worker pool that enforces them.
 //!
-//! There is one way to run a batch, and it has serving defaults:
+//! There is one worker loop, [`Runtime::run_batch_guarded`]'s. A batch
+//! with one job (one input, or a one-worker runtime) runs it on the
+//! calling thread and spawns nothing; a batch with more jobs runs it on
+//! one scoped thread per worker while the caller waits in `join`. Every
+//! batch gets the same serving defaults:
 //!
 //! * **fuel** — a per-input cap on simulated cycles; exhausting it yields
 //!   [`MatchOutcome::Budget`] with the partial report instead of letting a
@@ -19,12 +23,12 @@
 //! [`simulate_batch`](cicero_sim::simulate_batch) computes, report for
 //! report, for every worker count.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cicero_core::{Backend, CompileError};
 use cicero_isa::Program;
 use cicero_sim::{ArchConfig, ExecReport};
-use cicero_telemetry::TraceContext;
 
 use crate::session::Session;
 use crate::Runtime;
@@ -133,7 +137,8 @@ impl MatchOutcome {
 /// Per-worker accounting for one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStats {
-    /// Worker index within the pool (0-based).
+    /// Worker index within the batch (0-based). Worker 0 of a one-job
+    /// batch is the calling thread.
     pub worker: usize,
     /// Inputs this worker ran.
     pub inputs: usize,
@@ -166,7 +171,9 @@ pub struct GuardedBatch {
     /// Per-worker accounting, in worker order (completed and partial runs
     /// both count).
     pub workers: Vec<WorkerStats>,
-    /// Worker threads the batch actually used.
+    /// Workers the batch actually used: `min(jobs, inputs)`, at least 1.
+    /// One job runs on the calling thread; more run one spawned thread
+    /// each.
     pub jobs: usize,
     /// Workers respawned after a panic (also exported as the
     /// `runtime.worker_restarts` counter).
@@ -234,9 +241,11 @@ impl Runtime {
 
     /// Run an already-compiled program over every input with budgets and
     /// panic isolation (`cache_hit` is reported as `false`), on this
-    /// handle's backend. Under [`Runtime::with_trace`] the batch opens an
-    /// `execute` span with one `{engine}.worker-N` child per pool worker,
-    /// annotated with cycle and i-cache totals.
+    /// handle's backend. A one-job batch runs on the calling thread;
+    /// otherwise each worker gets a scoped thread. Under
+    /// [`Runtime::with_trace`] the batch opens an `execute` span with one
+    /// `{engine}.worker-N` child per worker, annotated with cycle and
+    /// i-cache totals.
     pub fn run_batch_guarded(
         &self,
         program: &Program,
@@ -257,110 +266,92 @@ impl Runtime {
             span.annotate("inputs", inputs.len());
             span.annotate("jobs", jobs);
         });
-        // (context, execute-span id) pairs worker threads parent under.
-        let worker_trace: Option<(TraceContext, u32)> =
-            exec_span.as_ref().map(|span| (span.context().clone(), span.id()));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let restarts = std::sync::atomic::AtomicU64::new(0);
-        // Host nanoseconds the workers spent running inputs. Summed here
-        // and observed by this thread after the join: a collector keeps a
-        // shard per thread that touched it (reused only once that thread
-        // exits), and the workers live for one batch.
-        let run_ns = std::sync::atomic::AtomicU64::new(0);
-        let hook = self.run_hook.clone();
+        let hook = self.run_hook.as_ref();
         let backend = self.backend;
+        let next = AtomicUsize::new(0);
+        let restarts = AtomicU64::new(0);
+        // Host nanoseconds the workers spent running inputs. Summed here
+        // and observed by this thread once the batch is done: a collector
+        // keeps a shard per thread that touched it (reused only once that
+        // thread exits), and spawned workers live for one batch.
+        let run_ns = AtomicU64::new(0);
 
-        let per_worker: Vec<(Vec<(usize, MatchOutcome)>, WorkerStats)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..jobs)
-                    .map(|worker| {
-                        let next = &next;
-                        let restarts = &restarts;
-                        let run_ns = &run_ns;
-                        let run_config = run_config.clone();
-                        let hook = hook.clone();
-                        let worker_trace = worker_trace.clone();
-                        let host_program = host_program.clone();
-                        scope.spawn(move || {
-                            let worker_span = worker_trace.as_ref().map(|(ctx, parent)| {
-                                ctx.child_of(Some(*parent), format!("{backend}.worker-{worker}"))
-                            });
-                            // `None` after a panic poisons the session; the
-                            // next input respawns a fresh one.
-                            let mut session = None;
-                            let mut out = Vec::new();
-                            let mut stats = WorkerStats { worker, ..WorkerStats::default() };
-                            loop {
-                                let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                let Some(input) = inputs.get(index) else { break };
-                                if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                                    out.push((
-                                        index,
-                                        MatchOutcome::Budget {
-                                            kind: BudgetKind::Deadline,
-                                            partial: None,
-                                        },
-                                    ));
-                                    continue;
-                                }
-                                let mut attempts = 0u32;
-                                let outcome = loop {
-                                    let s = session.get_or_insert_with(|| {
-                                        Session::new(
-                                            program,
-                                            host_program.as_deref(),
-                                            run_config.clone(),
-                                        )
-                                    });
-                                    let result = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(|| {
-                                            if let Some(hook) = &hook {
-                                                hook(index);
-                                            }
-                                            let started = Instant::now();
-                                            let report = s.run(input);
-                                            run_ns.fetch_add(
-                                                started.elapsed().as_nanos() as u64,
-                                                std::sync::atomic::Ordering::Relaxed,
-                                            );
-                                            report
-                                        }),
-                                    );
-                                    match result {
-                                        Ok(report) => break budget.classify(report, config),
-                                        Err(payload) => {
-                                            session = None;
-                                            restarts
-                                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                            attempts += 1;
-                                            if attempts >= 2 {
-                                                break MatchOutcome::Fault(panic_message(
-                                                    payload.as_ref(),
-                                                ));
-                                            }
-                                        }
-                                    }
-                                };
-                                if let Some(report) = outcome.report() {
-                                    stats.absorb(report);
-                                }
-                                out.push((index, outcome));
-                            }
-                            if let Some(span) = worker_span {
-                                span.annotate("inputs", stats.inputs);
-                                span.annotate("cycles", stats.cycles);
-                                span.annotate("instructions", stats.instructions);
-                                span.annotate("icache_hits", stats.icache_hits);
-                                span.annotate("icache_misses", stats.icache_misses);
-                            }
-                            (out, stats)
-                        })
-                    })
-                    .collect();
-                // Each input's run is unwind-guarded above, so a worker
-                // thread unwinds only on a bug in this loop itself.
-                handles.into_iter().map(|h| h.join().expect("guarded worker panicked")).collect()
+        // One worker: claim inputs until none is left, each under
+        // `catch_unwind` on one `Session`.
+        let work = |worker: usize| {
+            let worker_span = exec_span.as_ref().map(|span| {
+                span.context().child_of(Some(span.id()), format!("{backend}.worker-{worker}"))
             });
+            // `None` after a panic poisons the session; the next input
+            // respawns a fresh one.
+            let mut session = None;
+            let mut out = Vec::new();
+            let mut stats = WorkerStats { worker, ..WorkerStats::default() };
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                let Some(input) = inputs.get(index) else { break };
+                if deadline_at.is_some_and(|at| Instant::now() >= at) {
+                    out.push((
+                        index,
+                        MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: None },
+                    ));
+                    continue;
+                }
+                let mut attempts = 0u32;
+                let outcome = loop {
+                    let s = session.get_or_insert_with(|| {
+                        Session::new(program, host_program.as_deref(), run_config.clone())
+                    });
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if let Some(hook) = hook {
+                            hook(index);
+                        }
+                        let started = Instant::now();
+                        let report = s.run(input);
+                        run_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        report
+                    }));
+                    match result {
+                        Ok(report) => break budget.classify(report, config),
+                        Err(payload) => {
+                            session = None;
+                            restarts.fetch_add(1, Ordering::Relaxed);
+                            attempts += 1;
+                            if attempts >= 2 {
+                                break MatchOutcome::Fault(panic_message(payload.as_ref()));
+                            }
+                        }
+                    }
+                };
+                if let Some(report) = outcome.report() {
+                    stats.absorb(report);
+                }
+                out.push((index, outcome));
+            }
+            if let Some(span) = worker_span {
+                span.annotate("inputs", stats.inputs);
+                span.annotate("cycles", stats.cycles);
+                span.annotate("instructions", stats.instructions);
+                span.annotate("icache_hits", stats.icache_hits);
+                span.annotate("icache_misses", stats.icache_misses);
+            }
+            (out, stats)
+        };
+        // One job runs on the calling thread: a scoped spawn plus join
+        // costs tens of microseconds, many times a one-chunk scan. More
+        // jobs each get a thread, and the caller waits in `join`.
+        let per_worker: Vec<(Vec<(usize, MatchOutcome)>, WorkerStats)> = if jobs == 1 {
+            vec![work(0)]
+        } else {
+            std::thread::scope(|scope| {
+                let work = &work;
+                let handles: Vec<_> =
+                    (0..jobs).map(|worker| scope.spawn(move || work(worker))).collect();
+                // Each input's run is unwind-guarded in `work`, so a worker
+                // thread unwinds only on a bug in that loop itself.
+                handles.into_iter().map(|h| h.join().expect("guarded worker panicked")).collect()
+            })
+        };
 
         let mut outcomes =
             vec![MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: None }; inputs.len()];
@@ -454,7 +445,7 @@ mod tests {
     use cicero_telemetry::Telemetry;
 
     use super::*;
-    use crate::RuntimeOptions;
+    use crate::{RunHook, RuntimeOptions};
 
     const PATTERN: &str = "(abcd|bcda|cdab|dabc)";
 
@@ -613,6 +604,89 @@ mod tests {
         assert!(matches!(&batch.outcomes[3], MatchOutcome::Fault(m) if m.contains("input 3")));
         assert_eq!(batch.completed(), chunks().len() - 1);
         assert_eq!(batch.worker_restarts, 2);
+    }
+
+    /// A hook that records the thread each input runs on. It holds each
+    /// input for 2 ms, so one worker cannot drain a small batch before
+    /// another has claimed an input.
+    fn thread_recorder() -> (RunHook, Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>) {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let hook: RunHook = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |_| {
+                seen.lock().unwrap().push(std::thread::current().id());
+                std::thread::sleep(Duration::from_millis(2));
+            })
+        };
+        (hook, seen)
+    }
+
+    #[test]
+    fn a_one_job_batch_runs_on_the_calling_thread() {
+        let config = ArchConfig::old_organization(1);
+        let caller = std::thread::current().id();
+        // One input on a four-worker runtime, then a whole batch on a
+        // one-worker runtime: both are one-job batches.
+        for (jobs, inputs) in [(4, vec![b"xxabcd".to_vec()]), (1, chunks())] {
+            let (hook, seen) = thread_recorder();
+            let batch = runtime(jobs)
+                .with_run_hook(hook)
+                .match_batch_guarded(PATTERN, &inputs, &config, &Budget::UNLIMITED)
+                .unwrap();
+            assert_eq!(batch.jobs, 1);
+            assert_eq!(batch.completed(), inputs.len());
+            assert_eq!(*seen.lock().unwrap(), vec![caller; inputs.len()], "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn a_multi_job_batch_runs_only_on_spawned_threads() {
+        // Making the caller worker 0 of a multi-input batch was measured
+        // slower; the caller waits in `join` instead.
+        let (hook, seen) = thread_recorder();
+        let inputs = chunks()[..4].to_vec();
+        let batch = runtime(2)
+            .with_run_hook(hook)
+            .match_batch_guarded(
+                PATTERN,
+                &inputs,
+                &ArchConfig::old_organization(1),
+                &Budget::UNLIMITED,
+            )
+            .unwrap();
+        assert_eq!(batch.jobs, 2);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 4);
+        assert!(!seen.contains(&std::thread::current().id()), "{seen:?}");
+    }
+
+    #[test]
+    fn a_faulting_one_job_batch_leaves_the_calling_thread_serving() {
+        // The first two attempts panic: the one input of the first batch
+        // faults after its retry, on the calling thread, and the same
+        // runtime's next batch on this thread completes.
+        let config = ArchConfig::old_organization(1);
+        let fired = Arc::new(AtomicUsize::new(0));
+        let hook = {
+            let fired = Arc::clone(&fired);
+            Arc::new(move |_| {
+                if fired.fetch_add(1, Ordering::SeqCst) < 2 {
+                    panic!("injected fault");
+                }
+            })
+        };
+        let telemetry = Telemetry::new();
+        let runtime = runtime(1).with_telemetry(telemetry.clone()).with_run_hook(hook);
+        let inputs = vec![b"xxabcd".to_vec()];
+        let batch = quietly(|| {
+            runtime.match_batch_guarded(PATTERN, &inputs, &config, &Budget::UNLIMITED).unwrap()
+        });
+        assert!(matches!(&batch.outcomes[0], MatchOutcome::Fault(m) if m == "injected fault"));
+        assert_eq!(batch.worker_restarts, 2);
+        assert_eq!(telemetry.counter("runtime.worker_restarts"), 2);
+        let next =
+            runtime.match_batch_guarded(PATTERN, &inputs, &config, &Budget::UNLIMITED).unwrap();
+        assert_eq!((next.completed(), next.matches(), next.worker_restarts), (1, 1, 0));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! data does not), pulling input chunks from a shared work queue and
 //! merging per-worker [`ExecReport`](cicero_sim::ExecReport)s
 //! deterministically — the merged reports are byte-identical for every
-//! worker count.
+//! worker count. A batch that needs only one worker (one input, or a
+//! one-worker runtime) runs on the calling thread; a larger one spawns a
+//! scoped thread per worker.
 //!
 //! In front of the pool sits an LRU [`ProgramCache`] keyed by
 //! `(pattern, CompilerOptions)`: repeated patterns — the common case for
@@ -112,9 +114,10 @@ impl Default for RuntimeOptions {
     }
 }
 
-/// A pre-run hook invoked with each input index on the worker thread
-/// about to run it. Exists so tests can inject deterministic faults — a
-/// panicking hook exercises the worker panic-isolation path.
+/// A pre-run hook invoked with each input index on the thread about to
+/// run it (the calling thread for a one-job batch). Exists so tests can
+/// inject deterministic faults — a panicking hook exercises the worker
+/// panic-isolation path — and see where work runs.
 pub type RunHook = Arc<dyn Fn(usize) + Send + Sync>;
 
 /// What every handle onto one runtime shares.
@@ -138,8 +141,8 @@ pub struct Runtime {
     telemetry: Option<Telemetry>,
     run_hook: Option<RunHook>,
     backend: Backend,
-    /// The request span operations hang their children off, as the
-    /// `(context, span id)` pair worker threads parent under.
+    /// The request span operations hang their children off, as a
+    /// `(context, span id)` pair.
     trace: Option<(TraceContext, u32)>,
 }
 

@@ -1,12 +1,12 @@
-//! The streaming scan: a reader thread feeding one session — the
-//! simulator's [`Machine`](cicero_sim::Machine), or the host engine's
-//! matcher — through a *bounded* chunk queue.
+//! The streaming scan: one loop on the calling thread that reads a chunk
+//! from the source and feeds it to one session — the simulator's
+//! [`Machine`](cicero_sim::Machine), or the host engine's matcher.
 //!
-//! The queue is a [`std::sync::mpsc::sync_channel`] of depth
-//! `QUEUE_DEPTH` (4), so a slow pattern exerts backpressure on the
-//! reader instead of letting chunks pile up in memory: total resident
-//! input is `O(chunk_size × QUEUE_DEPTH + window)` no matter how
-//! large the input or how pathological the pattern. Budgets from
+//! No thread is spawned and nothing is read ahead: the next chunk is read
+//! only once the session has taken the last one, so a slow pattern slows
+//! the reads instead of letting chunks pile up in memory. Total resident
+//! input is `O(chunk_size + window)` no matter how large the input or how
+//! pathological the pattern. Budgets from
 //! [`Budget`] apply per session — fuel bounds simulated cycles, the
 //! deadline bounds wall-clock time — and both conclude the session with a
 //! clean [`MatchOutcome::Budget`] instead of a hang.
@@ -21,10 +21,6 @@ use cicero_sim::ArchConfig;
 use crate::budget::{Budget, BudgetKind, MatchOutcome};
 use crate::session::Session;
 use crate::Runtime;
-
-/// Chunks the reader may buffer ahead of the matcher: the backpressure
-/// bound.
-const QUEUE_DEPTH: usize = 4;
 
 /// Knobs for one streaming session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,13 +87,15 @@ impl Runtime {
     /// [`ExecReport`](cicero_sim::ExecReport) follows the host
     /// synthesis convention (`cycles` = bytes examined). Under
     /// [`Runtime::with_trace`] the session runs in a `stream.execute`
-    /// span annotated with byte, chunk, and suspend totals.
+    /// span annotated with byte, chunk, and suspend totals. The source is
+    /// read on the calling thread, one chunk at a time, and no further
+    /// once the session concludes.
     ///
     /// # Errors
     ///
     /// [`StreamError::Options`] for a zero chunk size;
     /// [`StreamError::Io`] when the source fails mid-stream.
-    pub fn scan_stream<R: Read + Send>(
+    pub fn scan_stream<R: Read>(
         &self,
         program: &Program,
         mut reader: R,
@@ -109,7 +107,6 @@ impl Runtime {
         }
         let trace_span = self.trace_child("stream.execute").inspect(|span| {
             span.annotate("chunk_size", options.chunk_size);
-            span.annotate("queue_depth", QUEUE_DEPTH);
             span.annotate("backend", self.backend.to_string());
         });
         let start = Instant::now();
@@ -118,59 +115,30 @@ impl Runtime {
         let host = (self.backend == Backend::Host).then(|| self.host_program(program));
         let mut session = Session::new(program, host.as_deref(), run_config);
 
-        let chunk_size = options.chunk_size;
         let (mut bytes, mut chunks, mut suspends) = (0u64, 0u64, 0u64);
-        let mut io_error: Option<io::Error> = None;
         let mut deadline_hit = false;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<io::Result<Vec<u8>>>(QUEUE_DEPTH);
-        std::thread::scope(|scope| {
-            scope.spawn(move || loop {
-                // Through `take`, the buffer grows with the bytes actually
-                // read, so a huge chunk size over a short source costs no
-                // more memory than the source.
-                let mut buf = Vec::new();
-                match (&mut reader).take(chunk_size as u64).read_to_end(&mut buf) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        // A send error means the matcher concluded early
-                        // and dropped the queue.
-                        if tx.send(Ok(buf)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        break;
-                    }
-                }
-            });
-            while let Ok(message) = rx.recv() {
-                match message {
-                    Ok(chunk) => {
-                        if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                            deadline_hit = true;
-                            break;
-                        }
-                        chunks += 1;
-                        let (consumed, over) = session.feed(&chunk);
-                        bytes += consumed as u64;
-                        if over {
-                            break;
-                        }
-                        suspends += 1;
-                    }
-                    Err(e) => {
-                        io_error = Some(e);
-                        break;
-                    }
-                }
+        let mut chunk = Vec::new();
+        loop {
+            // Through `take`, the buffer grows with the bytes actually
+            // read, so a huge chunk size over a short source costs no more
+            // memory than the source.
+            chunk.clear();
+            match (&mut reader).take(options.chunk_size as u64).read_to_end(&mut chunk) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => return Err(StreamError::Io(e)),
             }
-            // Dropping the receiver unblocks a reader stuck on a full
-            // queue, so the scope can join.
-            drop(rx);
-        });
-        if let Some(e) = io_error {
-            return Err(StreamError::Io(e));
+            if deadline_at.is_some_and(|at| Instant::now() >= at) {
+                deadline_hit = true;
+                break;
+            }
+            chunks += 1;
+            let (consumed, over) = session.feed(&chunk);
+            bytes += consumed as u64;
+            if over {
+                break;
+            }
+            suspends += 1;
         }
 
         let outcome = if deadline_hit {
@@ -336,6 +304,25 @@ mod tests {
         let err = stream_pattern(&runtime, "ab", FailingReader(2048), &config, &options(256))
             .unwrap_err();
         assert!(matches!(&err, StreamError::Io(e) if e.to_string().contains("disk on fire")));
+    }
+
+    #[test]
+    fn the_source_is_read_on_the_calling_thread() {
+        struct ThreadRecorder<R>(R, Vec<std::thread::ThreadId>);
+        impl<R: Read> Read for ThreadRecorder<R> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.1.push(std::thread::current().id());
+                self.0.read(buf)
+            }
+        }
+        let runtime = runtime();
+        let config = ArchConfig::old_organization(1);
+        let program = runtime.compile("ab|cd").unwrap();
+        let mut source = ThreadRecorder(Cursor::new(vec![b'x'; 1000]), Vec::new());
+        let report = runtime.scan_stream(&program, &mut source, &config, &options(64)).unwrap();
+        assert_eq!(report.chunks, 16);
+        assert!(!source.1.is_empty());
+        assert!(source.1.iter().all(|&id| id == std::thread::current().id()), "{:?}", source.1);
     }
 
     #[test]
