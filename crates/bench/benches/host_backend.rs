@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use cicero_bench::{banner, f2, rounded, suites, Envelope, Scale, Table};
+use cicero_bench::{banner, f2, rounded, scale_from_env, suites, Envelope, Table};
 use cicero_runtime::HostProgram;
 use cicero_telemetry::JsonObject;
 use workloads::CHUNK_BYTES;
@@ -114,7 +114,7 @@ fn haystack(chunks: &[Vec<u8>]) -> Vec<u8> {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     banner("Host", "bit-parallel host engine single-thread throughput", scale);
 
     let mut table =

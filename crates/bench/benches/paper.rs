@@ -11,13 +11,14 @@
 use cicero_bench::grid::{grid_configs, icache_config, no_dedup_config, selected_configs};
 use cicero_bench::grid::{table5_configs, table6_configs, ICACHE_LINES, ICACHE_SUITE, OLD_ENGINES};
 use cicero_bench::{
-    banner, claims, f2, paper, rounded, Compiler, Envelope, Grid, Scale, Table, ENERGY, TIME,
+    banner, claims, f2, paper, rounded, scale_from_env, Compiler, Envelope, Grid, Table, ENERGY,
+    TIME,
 };
 use cicero_sim::{power_watts, resource_usage, ArchConfig, Organization};
 use cicero_telemetry::JsonObject;
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     banner("Paper", "every table and figure of §6 from one measured grid", scale);
     let grid = &Grid::measure(scale);
     let suites = || grid.suites.iter().enumerate();

@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use cicero_bench::{banner, rounded, Envelope, Scale, Table};
+use cicero_bench::{banner, rounded, scale_from_env, Envelope, Table};
 use cicero_core::Compiler;
 use cicero_sim::{ArchConfig, Machine};
 use cicero_telemetry::JsonObject;
@@ -60,7 +60,7 @@ fn shapes() -> Vec<ArchConfig> {
 }
 
 /// `(total cycles, median host ns per cycle)` of one suite on one shape.
-fn measure(bench: &Benchmark, config: &ArchConfig) -> (u64, f64) {
+fn time_suite(bench: &Benchmark, config: &ArchConfig) -> (u64, f64) {
     let set = Compiler::default().compile_set(&bench.patterns).expect("suite compiles");
     let mut machine = Machine::new(set.program(), config.clone());
     let pass = |machine: &mut Machine| -> u64 {
@@ -88,7 +88,7 @@ fn measure(bench: &Benchmark, config: &ArchConfig) -> (u64, f64) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     banner("Sim", "host ns per simulated cycle", scale);
     println!(
         "  fixed workload: {PATTERNS} patterns x {CHUNKS} chunks, seed {SEED}, \
@@ -109,7 +109,7 @@ fn main() {
     {
         for config in shapes() {
             let (suite, shape) = (bench.name, config.name());
-            let (cycles, ns_per_cycle) = measure(&bench, &config);
+            let (cycles, ns_per_cycle) = time_suite(&bench, &config);
             let (.., before_cycles, before_ns) = BEFORE
                 .iter()
                 .find(|(s, shape_name, ..)| *s == suite && *shape_name == shape)

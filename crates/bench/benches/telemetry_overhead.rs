@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use cicero_bench::{banner, f2, rounded, Envelope, Scale};
+use cicero_bench::{banner, f2, rounded, scale_from_env, Envelope, Scale};
 use cicero_telemetry::Telemetry;
 
 const BOUNDS: &[f64] = &[1.0, 10.0, 100.0, 1000.0];
@@ -49,7 +49,7 @@ fn hot_loop(telemetry: &Telemetry, iters: u64) {
 }
 
 fn main() {
-    let scale = Scale::from_env();
+    let scale = scale_from_env();
     banner("Telemetry", "sharded-collector hot-path overhead vs a no-op loop", scale);
     let iters = iterations(scale);
 

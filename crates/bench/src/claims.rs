@@ -3,11 +3,11 @@
 //! The `paper` bench exits nonzero and `tests/paper_claims.rs` fails when a
 //! gated claim stops holding.
 
-use cicero_sim::{resource_usage, ArchConfig, Organization};
+use cicero_sim::{resource_usage, ArchConfig, Measurement, Organization};
 
 use crate::grid::{grid_configs, icache_config, no_dedup_config, selected_configs, table5_configs};
 use crate::grid::{table6_configs, ICACHE_LINES, ICACHE_SUITE, NEW_SHAPES, OLD_ENGINES};
-use crate::{Compiler, Grid, Measurement, ENERGY, TIME};
+use crate::{Compiler, Grid, ENERGY, TIME};
 
 /// One claim of the paper, evaluated on a grid.
 #[derive(Debug, Clone)]

@@ -13,9 +13,9 @@
 use std::collections::BTreeMap;
 
 use cicero_isa::Program;
-use cicero_sim::{ArchConfig, Organization};
+use cicero_sim::{measure, ArchConfig, Measurement, Organization};
 
-use crate::{measure, suites, CompiledSuite, Measurement, Scale};
+use crate::{suites, CompiledSuite, Scale};
 
 /// Table 2's engine counts (OLD 1xM).
 pub const OLD_ENGINES: [usize; 5] = [1, 4, 9, 16, 32];
@@ -122,9 +122,11 @@ impl Grid {
                 }
             }
             for (compiler, config) in runs {
-                grid.cells
-                    .entry((s, compiler, format!("{config:?}")))
-                    .or_insert_with(|| measure(suite.programs(compiler), &suite.chunks, &config));
+                grid.cells.entry((s, compiler, format!("{config:?}"))).or_insert_with(|| {
+                    let cell = measure(suite.programs(compiler), &suite.chunks, &config);
+                    assert!(!cell.hit_cycle_limit, "benchmark run hit the cycle cap");
+                    cell
+                });
             }
             grid.suites.push(suite);
         }

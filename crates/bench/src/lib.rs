@@ -21,12 +21,14 @@
 //! | `full`               | 200                | 48                  |
 //!
 //! Relative results (who wins, by what factor) are stable across scales;
-//! EXPERIMENTS.md records a default-scale run.
+//! EXPERIMENTS.md records a default-scale run. The scales and the suites
+//! live in `workloads` ([`Scale`], [`suites`]) and cells are scored by
+//! [`cicero_sim::measure`], so `cicero tune`'s packs are the default-scale
+//! suites, scored the same way.
 
 use std::time::Instant;
 
 use cicero_isa::Program;
-use cicero_sim::{simulate_batch, ArchConfig};
 use cicero_telemetry::{JsonObject, Value};
 use workloads::Benchmark;
 
@@ -35,45 +37,23 @@ pub mod grid;
 
 pub use claims::{claims, Claim};
 pub use grid::{Compiler, Grid, ENERGY, TIME};
+pub use workloads::{suites, Scale, SEED};
 
-/// Deterministic seed shared by every bench target, so figures compose.
-pub const SEED: u64 = 0xC1CE_2025;
-
-/// Benchmark scale (patterns per suite, input chunks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scale {
-    /// The name `CICERO_BENCH_SCALE` spells and [`Envelope`] records.
-    pub name: &'static str,
-    /// Patterns per suite.
-    pub patterns: usize,
-    /// 500-byte chunks per suite.
-    pub chunks: usize,
+/// Read the scale from `CICERO_BENCH_SCALE` (see crate docs). A value that
+/// is none of the three names ends the process: a typo must not pass a
+/// default-scale figure off as a full-scale one.
+pub fn scale_from_env() -> Scale {
+    let Some(value) = std::env::var_os("CICERO_BENCH_SCALE") else {
+        return Scale::DEFAULT;
+    };
+    scale_named(&value.to_string_lossy()).unwrap_or_else(|| {
+        eprintln!("CICERO_BENCH_SCALE={value:?} is not one of: quick, default, full");
+        std::process::exit(2);
+    })
 }
 
-impl Scale {
-    /// A smoke run.
-    pub const QUICK: Scale = Scale { name: "quick", patterns: 8, chunks: 2 };
-    /// What EXPERIMENTS.md records.
-    pub const DEFAULT: Scale = Scale { name: "default", patterns: 16, chunks: 4 };
-    /// The paper's pattern count.
-    pub const FULL: Scale = Scale { name: "full", patterns: 200, chunks: 48 };
-
-    /// Read the scale from `CICERO_BENCH_SCALE` (see crate docs). A value
-    /// that is none of the three names ends the process: a typo must not
-    /// pass a default-scale figure off as a full-scale one.
-    pub fn from_env() -> Scale {
-        let Some(value) = std::env::var_os("CICERO_BENCH_SCALE") else {
-            return Scale::DEFAULT;
-        };
-        Scale::named(&value.to_string_lossy()).unwrap_or_else(|| {
-            eprintln!("CICERO_BENCH_SCALE={value:?} is not one of: quick, default, full");
-            std::process::exit(2);
-        })
-    }
-
-    fn named(name: &str) -> Option<Scale> {
-        [Scale::QUICK, Scale::DEFAULT, Scale::FULL].into_iter().find(|scale| scale.name == name)
-    }
+fn scale_named(name: &str) -> Option<Scale> {
+    [Scale::QUICK, Scale::DEFAULT, Scale::FULL].into_iter().find(|scale| scale.name == name)
 }
 
 /// The one writer of `crates/bench/BENCH_<stem>.json`: a JSON object with
@@ -136,11 +116,6 @@ pub fn rounded(x: f64, places: i32) -> f64 {
     (x * unit).round() / unit
 }
 
-/// The four suites at the configured scale.
-pub fn suites(scale: Scale) -> Vec<Benchmark> {
-    Benchmark::all(SEED, scale.patterns, scale.chunks)
-}
-
 /// One suite compiled every way the paper compares, with compile times.
 #[derive(Debug)]
 pub struct CompiledSuite {
@@ -192,63 +167,6 @@ impl CompiledSuite {
             compile_seconds,
             set: new_opt.compile_set(&bench.patterns).ok().map(|set| set.program().clone()),
         }
-    }
-}
-
-/// Aggregate measurement of one (program set, architecture) pair.
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Average execution time per RE (per chunk) in µs.
-    pub avg_time_us: f64,
-    /// Average energy per RE in W·µs.
-    pub avg_energy_wus: f64,
-    /// Average cycles per RE.
-    pub avg_cycles: f64,
-    /// Aggregate instruction-cache hit rate.
-    pub icache_hit_rate: f64,
-    /// Total cycles over every (program, chunk) run.
-    pub cycles: u64,
-    /// Total instructions executed over every run.
-    pub instructions: u64,
-    /// Runs that accepted.
-    pub accepted: usize,
-}
-
-/// Run every program over every chunk on `config` and average per RE.
-///
-/// Matches the paper's measurement: "we first count the cycles required to
-/// complete the execution of a complete benchmark and then divide by the
-/// number of REs executed", then divide by the clock and multiply by total
-/// on-chip power for energy.
-pub fn measure(programs: &[Program], chunks: &[Vec<u8>], config: &ArchConfig) -> Measurement {
-    let clock = config.clock_mhz();
-    let watts = cicero_sim::power_watts(config);
-    let (mut cycles, mut instructions, mut accepted, mut hits, mut misses) = (0, 0, 0, 0, 0);
-    for program in programs {
-        for report in simulate_batch(program, chunks, config) {
-            assert!(!report.hit_cycle_limit, "benchmark run hit the cycle cap");
-            cycles += report.cycles;
-            instructions += report.instructions;
-            accepted += usize::from(report.accepted);
-            hits += report.icache_hits;
-            misses += report.icache_misses;
-        }
-    }
-    let runs = (programs.len() * chunks.len()) as f64;
-    let avg_cycles = cycles as f64 / runs;
-    let avg_time_us = avg_cycles / clock;
-    Measurement {
-        avg_time_us,
-        avg_energy_wus: avg_time_us * watts,
-        avg_cycles,
-        icache_hit_rate: if hits + misses == 0 {
-            1.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        },
-        cycles,
-        instructions,
-        accepted,
     }
 }
 
@@ -369,10 +287,10 @@ mod tests {
 
     #[test]
     fn scale_accepts_exactly_its_three_names() {
-        assert_eq!(Scale::named("quick"), Some(Scale::QUICK));
-        assert_eq!(Scale::named("default"), Some(Scale::DEFAULT));
-        assert_eq!(Scale::named("full"), Some(Scale::FULL));
-        assert_eq!(["fulll", "Quick", "", " full"].map(Scale::named), [None; 4]);
+        assert_eq!(scale_named("quick"), Some(Scale::QUICK));
+        assert_eq!(scale_named("default"), Some(Scale::DEFAULT));
+        assert_eq!(scale_named("full"), Some(Scale::FULL));
+        assert_eq!(["fulll", "Quick", "", " full"].map(scale_named), [None; 4]);
     }
 
     #[test]
@@ -401,21 +319,6 @@ mod tests {
         assert!(envelope.path.ends_with("crates/bench/BENCH_tune_quick.json"));
         let committed = Envelope::new("sim_speed", "sim", Scale::DEFAULT, "");
         assert!(committed.path.ends_with("crates/bench/BENCH_sim.json"));
-    }
-
-    #[test]
-    fn measure_end_to_end_smoke() {
-        let bench = Benchmark::protomata(SEED, 3, 2);
-        let programs: Vec<Program> = bench
-            .patterns
-            .iter()
-            .map(|p| cicero_core::compile(p).unwrap().into_program())
-            .collect();
-        let m = measure(&programs, &bench.chunks, &ArchConfig::old_organization(1));
-        assert!(m.avg_cycles > 0.0);
-        assert!(m.avg_time_us > 0.0);
-        assert!(m.avg_energy_wus > m.avg_time_us, "power is > 1 W");
-        assert!(m.icache_hit_rate > 0.0 && m.icache_hit_rate <= 1.0);
     }
 
     #[test]

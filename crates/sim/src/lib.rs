@@ -30,7 +30,8 @@
 //! memory, with reports byte-identical to the whole-input run.
 //! Analytic [`power`] and [`resources`] models (calibrated against the
 //! paper's published numbers — see DESIGN.md) complete the evaluation
-//! stack for Figures 12–15 and Tables 2/5/6.
+//! stack for Figures 12–15 and Tables 2/5/6; [`measure`] averages a batch
+//! into the per-RE time and energy those tables and `cicero tune` read.
 //!
 //! # Example
 //!
@@ -54,7 +55,7 @@ pub mod trace;
 pub use cache::CacheCounters;
 pub use config::{ArchConfig, CacheConfig, Organization};
 pub use machine::{simulate, simulate_batch, simulate_streaming, simulate_with_telemetry, Machine};
-pub use power::power_watts;
+pub use power::{measure, power_watts, Measurement};
 pub use resources::{resource_usage, ResourceUsage, XCZU3EG};
 pub use stats::ExecReport;
 pub use trace::{render_trace, TraceEvent, TraceNote};

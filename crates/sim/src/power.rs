@@ -9,8 +9,16 @@
 //! replication is what makes the old organization expensive), and a small
 //! per-engine interconnect/balancer term. Derated (100 MHz) configurations
 //! scale their dynamic component by the clock ratio.
+//!
+//! [`measure`] turns simulated cycles into the paper's two per-RE figures,
+//! time at the configuration's clock and energy at [`power_watts`]. It is
+//! the one measure of a simulated (program set, configuration) cell: the
+//! paper's tables and `cicero tune`'s cost both read it.
+
+use cicero_isa::Program;
 
 use crate::config::ArchConfig;
+use crate::machine::simulate_batch;
 use crate::resources::{clock_mhz, resource_usage};
 
 /// Static + processing-system baseline, in watts.
@@ -51,9 +59,91 @@ pub fn platform_figures(config: &ArchConfig) -> PlatformFigures {
     }
 }
 
+/// Aggregate measurement of one (program set, architecture) pair.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Measurement {
+    /// Average execution time per RE (per chunk) in µs.
+    pub avg_time_us: f64,
+    /// Average energy per RE in W·µs.
+    pub avg_energy_wus: f64,
+    /// Average cycles per RE.
+    pub avg_cycles: f64,
+    /// Aggregate instruction-cache hit rate.
+    pub icache_hit_rate: f64,
+    /// Total cycles over every (program, chunk) run.
+    pub cycles: u64,
+    /// Total instructions executed over every run.
+    pub instructions: u64,
+    /// Runs that accepted.
+    pub accepted: usize,
+    /// Some run stopped at the configuration's cycle cap, so the figures
+    /// above undercount it.
+    pub hit_cycle_limit: bool,
+}
+
+/// Run every program over every chunk on `config` and average per RE.
+///
+/// Matches the paper's measurement: "we first count the cycles required to
+/// complete the execution of a complete benchmark and then divide by the
+/// number of REs executed", then divide by the clock and multiply by total
+/// on-chip power for energy.
+pub fn measure(programs: &[Program], chunks: &[Vec<u8>], config: &ArchConfig) -> Measurement {
+    let clock = config.clock_mhz();
+    let watts = power_watts(config);
+    let (mut cycles, mut instructions, mut accepted, mut hits, mut misses) = (0, 0, 0, 0, 0);
+    let mut hit_cycle_limit = false;
+    for program in programs {
+        for report in simulate_batch(program, chunks, config) {
+            hit_cycle_limit |= report.hit_cycle_limit;
+            cycles += report.cycles;
+            instructions += report.instructions;
+            accepted += usize::from(report.accepted);
+            hits += report.icache_hits;
+            misses += report.icache_misses;
+        }
+    }
+    let runs = (programs.len() * chunks.len()) as f64;
+    let avg_cycles = cycles as f64 / runs;
+    let avg_time_us = avg_cycles / clock;
+    Measurement {
+        avg_time_us,
+        avg_energy_wus: avg_time_us * watts,
+        avg_cycles,
+        icache_hit_rate: if hits + misses == 0 {
+            1.0
+        } else {
+            hits as f64 / (hits + misses) as f64
+        },
+        cycles,
+        instructions,
+        accepted,
+        hit_cycle_limit,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use workloads::{Benchmark, SEED};
+
+    #[test]
+    fn measure_end_to_end_smoke() {
+        let bench = Benchmark::protomata(SEED, 3, 2);
+        let programs: Vec<Program> = bench
+            .patterns
+            .iter()
+            .map(|p| cicero_core::compile(p).unwrap().into_program())
+            .collect();
+        let m = measure(&programs, &bench.chunks, &ArchConfig::old_organization(1));
+        assert!(m.avg_cycles > 0.0);
+        assert!(m.avg_time_us > 0.0);
+        assert!(m.avg_energy_wus > m.avg_time_us, "power is > 1 W");
+        assert!(m.icache_hit_rate > 0.0 && m.icache_hit_rate <= 1.0);
+        assert!(!m.hit_cycle_limit);
+        let mut capped = ArchConfig::old_organization(1);
+        capped.max_cycles = 10;
+        assert!(measure(&programs, &bench.chunks, &capped).hit_cycle_limit);
+    }
 
     fn close(actual: f64, expected: f64, tolerance: f64) -> bool {
         (actual - expected).abs() <= tolerance

@@ -13,10 +13,10 @@ use std::path::Path;
 use cicero_core::CompilerOptions;
 use cicero_sim::ArchConfig;
 use regex_dialect::transforms::PassOrder;
+use workloads::Benchmark;
 
 use crate::config::{ArchParams, OrganizationKind, TuneConfig};
 use crate::search::TuneOutcome;
-use crate::workload::Workload;
 use crate::TuneError;
 
 /// The format version this build writes and the only one it accepts.
@@ -35,9 +35,9 @@ pub struct TuneFile {
     pub strategy: String,
     /// Cost evaluations spent.
     pub evals: u64,
-    /// Baseline simulated cycles.
+    /// Baseline simulated cycles ([`cicero_sim::Measurement::cycles`]).
     pub default_cycles: u64,
-    /// Winner simulated cycles.
+    /// Winner simulated cycles ([`cicero_sim::Measurement::cycles`]).
     pub tuned_cycles: u64,
     /// Baseline summed `D_offset`.
     pub default_d_offset: u64,
@@ -49,15 +49,15 @@ pub struct TuneFile {
 
 impl TuneFile {
     /// Package a search result for persistence.
-    pub fn from_outcome(workload: &Workload, outcome: &TuneOutcome, seed: u64) -> TuneFile {
+    pub fn from_outcome(workload: &Benchmark, outcome: &TuneOutcome, seed: u64) -> TuneFile {
         TuneFile {
-            workload: workload.name.clone(),
-            fingerprint: workload.fingerprint(),
+            workload: workload.name.to_lowercase(),
+            fingerprint: fingerprint(workload),
             seed,
             strategy: outcome.strategy.to_owned(),
             evals: outcome.evals as u64,
-            default_cycles: outcome.default_report.cycles,
-            tuned_cycles: outcome.best_report.cycles,
+            default_cycles: outcome.default_report.measurement.cycles,
+            tuned_cycles: outcome.best_report.measurement.cycles,
             default_d_offset: outcome.default_report.d_offset,
             tuned_d_offset: outcome.best_report.d_offset,
             config: outcome.best,
@@ -301,6 +301,28 @@ impl TuneFile {
     }
 }
 
+/// Identity fingerprint over a workload's patterns and chunks (FNV-1a 64).
+/// Recorded in `tune.toml`, so a stale file is detectable when the
+/// workload generators change.
+pub fn fingerprint(workload: &Benchmark) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    for pattern in &workload.patterns {
+        eat(pattern.as_bytes());
+        eat(&[0xFF]); // separator: ("ab","c") != ("a","bc")
+    }
+    for chunk in &workload.chunks {
+        eat(chunk);
+        eat(&[0xFE]);
+    }
+    hash
+}
+
 const SECTIONS: [&str; 4] = ["meta", "score", "compiler", "arch"];
 
 const KEYS: [&str; 23] = [
@@ -373,6 +395,13 @@ mod tests {
             tuned_d_offset: 64,
             config: TuneConfig::default(),
         }
+    }
+
+    #[test]
+    fn fingerprint_separates_pattern_boundaries() {
+        let a = Benchmark::from_patterns(&["ab".to_owned(), "c".to_owned()]);
+        let b = Benchmark::from_patterns(&["a".to_owned(), "bc".to_owned()]);
+        assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! * [`SearchSpace`] — the axes and their candidate values, enumerable by
 //!   index (mixed-radix), so exhaustive sweeps and seeded sampling draw
 //!   from the same deterministic ordering.
-//! * [`cost::evaluate`] — the one cost function: simulated cycles (+
-//!   icache misses as the tie-breaker), a pure function of `(workload,
-//!   config)` that reads every field of the config. A knob it cannot
-//!   see is not an axis.
+//! * [`cost::evaluate`] — the one cost function: average µs per RE from
+//!   [`cicero_sim::measure`], the measure the paper's tables read, so the
+//!   tuner's winner is the figures' fastest cell. A pure function of
+//!   `(workload, config)` that reads every field of the config. A knob it
+//!   cannot see is not an axis.
+//! * [`pack`] — the built-in workloads: the paper bench's default-scale
+//!   suites, the same generator call, so a pack is what the figures run.
 //! * [`tune`] — the searcher: exhaustive when the budget covers the
 //!   space (the default), seeded random + greedy mutation under a
 //!   tighter cap, memoized by config. Deterministic given a seed: the
@@ -37,14 +40,33 @@ pub mod file;
 pub mod rng;
 pub mod search;
 pub mod space;
-pub mod workload;
 
 pub use config::{ArchParams, OrganizationKind, TuneConfig};
 pub use cost::CostReport;
 pub use file::TuneFile;
 pub use search::{tune, Budget, TuneOutcome};
 pub use space::SearchSpace;
-pub use workload::Workload;
+
+use workloads::{suites, Benchmark, Scale};
+
+/// A built-in workload pack: `protomata`, `brill`, `protomata4`, or
+/// `brill4` — that suite of `workloads::suites(Scale::DEFAULT)`, exactly
+/// what the paper bench's default-scale figures run.
+///
+/// # Errors
+///
+/// [`TuneError::Invalid`] for any other name.
+pub fn pack(name: &str) -> Result<Benchmark, TuneError> {
+    let unknown = || {
+        TuneError::Invalid(format!(
+            "unknown workload pack `{name}` (expected protomata, brill, protomata4, or brill4)"
+        ))
+    };
+    suites(Scale::DEFAULT)
+        .into_iter()
+        .find(|suite| suite.name.to_lowercase() == name)
+        .ok_or_else(unknown)
+}
 
 /// Errors surfaced by tuning, evaluation, or `tune.toml` handling.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,3 +94,27 @@ impl std::fmt::Display for TuneError {
 }
 
 impl std::error::Error for TuneError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::file::fingerprint;
+
+    #[test]
+    fn packs_are_deterministic_and_named() {
+        let a = pack("protomata").unwrap();
+        let b = pack("protomata").unwrap();
+        assert_eq!(a.patterns, b.patterns);
+        assert_eq!(a.chunks, b.chunks);
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+        assert_eq!(a.name, "PROTOMATA");
+        assert!(pack("nonesuch").is_err());
+    }
+
+    #[test]
+    fn distinct_packs_have_distinct_fingerprints() {
+        let protomata = pack("protomata").unwrap();
+        let brill = pack("brill").unwrap();
+        assert_ne!(fingerprint(&protomata), fingerprint(&brill));
+    }
+}

@@ -5,12 +5,12 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use cicero_telemetry::Telemetry;
+use workloads::Benchmark;
 
 use crate::config::TuneConfig;
 use crate::cost::{evaluate, CostReport};
 use crate::rng::SplitMix64;
 use crate::space::SearchSpace;
-use crate::workload::Workload;
 use crate::TuneError;
 
 /// How much searching to do.
@@ -59,11 +59,12 @@ pub struct TuneOutcome {
 ///
 /// # Errors
 ///
-/// [`TuneError::Invalid`] for an empty workload or zero budget;
+/// [`TuneError::Invalid`] for a workload with no patterns or no chunks
+/// (nothing to average over), or a zero budget;
 /// [`TuneError::Compile`] if the *default* config cannot compile the
 /// workload (candidate compile failures just disqualify the candidate).
 pub fn tune(
-    workload: &Workload,
+    workload: &Benchmark,
     space: &SearchSpace,
     budget: Budget,
     seed: u64,
@@ -71,6 +72,9 @@ pub fn tune(
 ) -> Result<TuneOutcome, TuneError> {
     if workload.patterns.is_empty() {
         return Err(TuneError::Invalid("workload has no patterns".to_owned()));
+    }
+    if workload.chunks.is_empty() {
+        return Err(TuneError::Invalid("workload has no input chunks".to_owned()));
     }
     match budget {
         Budget::Evals(0) => {
@@ -189,8 +193,8 @@ pub fn tune(
 mod tests {
     use super::*;
 
-    fn workload() -> Workload {
-        Workload::from_patterns(&["ab+c".to_owned(), "th(is|at)".to_owned()]).unwrap()
+    fn workload() -> Benchmark {
+        Benchmark::from_patterns(&["ab+c".to_owned(), "th(is|at)".to_owned()])
     }
 
     #[test]
@@ -259,11 +263,19 @@ mod tests {
             tune(&workload(), &space, Budget::Evals(0), 1, None),
             Err(TuneError::Invalid(_))
         ));
-        let empty = Workload { name: "empty".to_owned(), patterns: vec![], chunks: vec![] };
+        let empty = Benchmark { name: "EMPTY", patterns: vec![], chunks: vec![] };
         assert!(matches!(
             tune(&empty, &space, Budget::Evals(5), 1, None),
             Err(TuneError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn a_workload_without_chunks_is_rejected() {
+        let no_input =
+            Benchmark { name: "NO-INPUT", patterns: vec!["ab".to_owned()], chunks: vec![] };
+        let err = tune(&no_input, &SearchSpace::compiler_only(), Budget::Evals(5), 1, None);
+        assert!(matches!(err, Err(TuneError::Invalid(ref m)) if m.contains("chunks")), "{err:?}");
     }
 
     #[test]

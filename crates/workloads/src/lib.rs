@@ -50,6 +50,35 @@ pub const CHUNK_BYTES: usize = 500;
 /// chosen pattern, so some executions accept early.
 const PLANT_FRACTION: f64 = 0.3;
 
+/// Seed every standard suite is generated from, so the paper's figures and
+/// the tuner's packs are the same inputs.
+pub const SEED: u64 = 0xC1CE_2025;
+
+/// Suite scale (patterns per suite, input chunks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scale {
+    /// The name `CICERO_BENCH_SCALE` spells and bench artifacts record.
+    pub name: &'static str,
+    /// Patterns per suite.
+    pub patterns: usize,
+    /// 500-byte chunks per suite.
+    pub chunks: usize,
+}
+
+impl Scale {
+    /// A smoke run.
+    pub const QUICK: Scale = Scale { name: "quick", patterns: 8, chunks: 2 };
+    /// What EXPERIMENTS.md records, and what `cicero tune`'s packs are.
+    pub const DEFAULT: Scale = Scale { name: "default", patterns: 16, chunks: 4 };
+    /// The paper's pattern count.
+    pub const FULL: Scale = Scale { name: "full", patterns: 200, chunks: 48 };
+}
+
+/// The four standard suites at `scale`, generated from [`SEED`].
+pub fn suites(scale: Scale) -> Vec<Benchmark> {
+    Benchmark::all(SEED, scale.patterns, scale.chunks)
+}
+
 /// A generated benchmark: patterns plus input chunks.
 #[derive(Debug, Clone)]
 pub struct Benchmark {
@@ -104,6 +133,29 @@ impl Benchmark {
             Benchmark::protomata4(seed, patterns, chunks),
             Benchmark::brill4(seed, patterns, chunks),
         ]
+    }
+
+    /// A `CUSTOM` suite for raw patterns. Inputs are synthesized: one chunk
+    /// of low-entropy filler per pattern with that pattern's witness planted
+    /// mid-chunk (when one can be derived), so both the scan-through and the
+    /// halt-on-accept paths are exercised.
+    pub fn from_patterns(patterns: &[String]) -> Benchmark {
+        let chunks = patterns
+            .iter()
+            .enumerate()
+            .map(|(i, pattern)| {
+                let mut chunk: Vec<u8> =
+                    (0..CHUNK_BYTES).map(|j| b'a' + ((i + j) % 17) as u8).collect();
+                if let Some(witness) = witness_for(pattern) {
+                    if witness.len() < chunk.len() {
+                        let at = (chunk.len() - witness.len()) / 2;
+                        chunk[at..at + witness.len()].copy_from_slice(&witness);
+                    }
+                }
+                chunk
+            })
+            .collect();
+        Benchmark { name: "CUSTOM", patterns: patterns.to_vec(), chunks }
     }
 }
 
@@ -301,6 +353,15 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn custom_suites_plant_witnesses() {
+        let custom = Benchmark::from_patterns(&["needle".to_owned()]);
+        assert_eq!(custom.chunks.len(), 1);
+        let hay = &custom.chunks[0];
+        assert!(hay.windows(6).any(|win| win == b"needle"), "witness must be planted");
+        assert!(Benchmark::from_patterns(&[]).chunks.is_empty());
     }
 
     #[test]

@@ -1347,7 +1347,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// the workload alone; with `--budget N` (an eval count) the same seed,
 /// workload, and budget produce a byte-identical `tune.toml`.
 fn cmd_tune(args: &[String]) -> Result<(), String> {
-    use cicero::tune::{tune, Budget as TuneBudget, SearchSpace, TuneFile, Workload};
+    use cicero::tune::{pack, tune, Budget as TuneBudget, SearchSpace, TuneFile};
 
     let flags = parse_flags(
         args,
@@ -1358,9 +1358,9 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         if flags.value("workload").is_some() {
             return Err("give either --workload PACK or positional patterns, not both".to_owned());
         }
-        Workload::from_patterns(&flags.positional).map_err(|e| e.to_string())?
+        workloads::Benchmark::from_patterns(&flags.positional)
     } else if let Some(name) = flags.value("workload") {
-        Workload::pack(name).map_err(|e| e.to_string())?
+        pack(name).map_err(|e| e.to_string())?
     } else {
         return Err(
             "tune needs a workload: --workload protomata|brill|protomata4|brill4, or one or \
@@ -1404,21 +1404,20 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     let file = TuneFile::from_outcome(&workload, &outcome, seed);
 
     println!(
-        "workload   : {} ({} pattern(s), {} B)",
-        workload.name,
+        "workload   : {} ({} pattern(s) x {} chunk(s))",
+        file.workload,
         workload.patterns.len(),
-        workload.total_bytes()
+        workload.chunks.len()
     );
     println!("space      : {} point(s), strategy {}", space.size(), outcome.strategy);
     println!("evals      : {} ({} memo hit(s))", outcome.evals, outcome.memo_hits);
-    println!(
-        "default    : cost {:.3} ({} cycles, D_offset {})",
-        outcome.default_report.cost, outcome.default_report.cycles, outcome.default_report.d_offset
-    );
-    println!(
-        "tuned      : cost {:.3} ({} cycles, D_offset {})",
-        outcome.best_report.cost, outcome.best_report.cycles, outcome.best_report.d_offset
-    );
+    for (label, report) in [("default", &outcome.default_report), ("tuned", &outcome.best_report)] {
+        let m = &report.measurement;
+        println!(
+            "{label:<11}: cost {:.3} µs/RE, {:.3} W·µs/RE ({} cycles, D_offset {})",
+            report.cost, m.avg_energy_wus, m.cycles, report.d_offset
+        );
+    }
     let default_cost = outcome.default_report.cost;
     if outcome.best_report.cost < default_cost && default_cost > 0.0 {
         println!(

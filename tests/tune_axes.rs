@@ -5,14 +5,14 @@
 //! noise that `--tuned-config` then installs.
 
 use cicero::tune::cost::evaluate;
-use cicero::tune::{SearchSpace, Workload};
+use cicero::tune::{pack, SearchSpace};
 
 /// On the `brill4` pack, each axis of `SearchSpace::full()` has a
 /// non-default value that changes the cost with all other axes at their
 /// defaults.
 #[test]
 fn every_axis_of_the_full_space_moves_the_cost_on_its_own() {
-    let workload = Workload::pack("brill4").unwrap();
+    let workload = pack("brill4").unwrap();
     let space = SearchSpace::full();
     let sizes = space.axis_sizes();
     let origin = vec![0; sizes.len()];
