@@ -176,8 +176,11 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
         }
         // The host-native engine implements the interpreter's exact
         // earliest-match-end semantics, so it is held to the oracle's
-        // single answer, not the any-match set the simulators get.
-        let host_out = host.run(input);
+        // single answer, not the any-match set the simulators get. The
+        // run goes through the matcher, whose position is the bytes
+        // examined.
+        let mut matcher = host.matcher();
+        let host_out = matcher.feed(input).unwrap_or_else(|| matcher.finish());
         if host_out.accepted != want {
             return diverged(
                 format!("host/{level}/{}", host.engine_kind()),
@@ -194,16 +197,29 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
                 input,
             );
         }
+        // `run_all` answers both questions in one scan: its id set is held
+        // to the interpreter's, and its first stop to `run`'s.
         let host_all = host.run_all(input);
         let interp_all = cicero_isa::run_all(program, input);
-        if host_all.matched_ids != interp_all.matched_ids
-            || host_all.accepted != interp_all.accepted
-        {
+        if host_all.matched_ids != interp_all.matched_ids {
             return diverged(
                 format!("host-all/{level}/{}", host.engine_kind()),
                 format!(
                     "run_all ids = {:?}, interpreter says {:?}",
                     host_all.matched_ids, interp_all.matched_ids
+                ),
+                put,
+                input,
+            );
+        }
+        if host_all.first != host_out || host_all.examined != matcher.position() {
+            return diverged(
+                format!("host-all/{level}/{}", host.engine_kind()),
+                format!(
+                    "run_all first stop = {:?} after {} bytes, run says {host_out:?} after {}",
+                    host_all.first,
+                    host_all.examined,
+                    matcher.position()
                 ),
                 put,
                 input,

@@ -2,13 +2,14 @@
 //! pool and the streaming scan drive.
 //!
 //! A pool worker keeps one session for a batch and [`Session::run`]s
-//! each input on it as one chunk; a streaming scan feeds one session chunk
+//! each whole input on it, getting the report and the input's set
+//! identifiers back together; a streaming scan feeds one session chunk
 //! by chunk. Budgets reach the engines the same way on both
 //! paths: fuel is already clamped into the simulator's `max_cycles`, and
 //! the host engine reads the same clamp as a byte cap.
 
 use cicero_hostexec::{HostMatcher, HostOutcome, HostProgram};
-use cicero_isa::Program;
+use cicero_isa::{Instruction, Program};
 use cicero_sim::{ArchConfig, ExecReport, Machine};
 
 /// The resumable engine behind one session. Both variants give a
@@ -19,12 +20,14 @@ use cicero_sim::{ArchConfig, ExecReport, Machine};
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Session<'a> {
     /// The cycle-level simulator; fuel is already clamped into its
-    /// config's `max_cycles`.
-    Sim(Machine<'a>),
+    /// config's `max_cycles`. `id_program` is the program when it carries
+    /// identifiers (`AcceptPartialId`), for the all-matches pass.
+    Sim { machine: Machine<'a>, id_program: Option<&'a Program> },
     /// The host engine, whose matcher state is one state mask (one to a
     /// few machine words). Fuel is a byte budget here (`cycles` = bytes
     /// examined in the host report convention), so the session stops
-    /// feeding at `byte_cap`.
+    /// feeding at `byte_cap`, and a whole-input run stops its first scan
+    /// there.
     Host {
         host: &'a HostProgram,
         matcher: HostMatcher<'a>,
@@ -53,27 +56,47 @@ impl<'a> Session<'a> {
                 limit_hit: false,
                 peak_chunk: 0,
             },
-            None => Session::Sim(Machine::new(program, run_config)),
+            None => Session::Sim {
+                machine: Machine::new(program, run_config),
+                id_program: program
+                    .instructions()
+                    .iter()
+                    .any(|insn| matches!(insn, Instruction::AcceptPartialId(_)))
+                    .then_some(program),
+            },
         }
     }
 
-    /// Run one whole input as this session's next run: the one-chunk case
-    /// of [`Session::feed`] and [`Session::finish`]. The simulator's
-    /// instruction caches are first refreshed to the canonical warm state
-    /// ([`Machine::prefetch_icache`]), so each report is a function of the
-    /// input alone, whatever the worker ran before.
-    pub(crate) fn run(&mut self, input: &[u8]) -> ExecReport {
+    /// Run one whole input as this session's next run: its report, and
+    /// when it accepted, every distinct set identifier that fires anywhere
+    /// in the input, ascending (empty for a program without identifiers).
+    ///
+    /// The host engine answers both with one [`HostProgram::run_all_within`]
+    /// scan, whose first stop is the first-acceptance run's; a first stop
+    /// past the byte cap is a limit hit at the cap, with no ids. The
+    /// simulator's instruction caches are first refreshed to the canonical
+    /// warm state ([`Machine::prefetch_icache`]), so each report is a
+    /// function of the input alone, whatever the worker ran before; an
+    /// accepting run is followed by [`cicero_isa::run_all`] for the ids.
+    pub(crate) fn run(&mut self, input: &[u8]) -> (ExecReport, Vec<u16>) {
         match self {
-            Session::Sim(machine) => {
+            Session::Sim { machine, id_program } => {
                 machine.prefetch_icache();
-                machine.run(input)
+                let report = machine.run(input);
+                let ids = match id_program {
+                    Some(program) if report.accepted => {
+                        cicero_isa::run_all(program, input).matched_ids
+                    }
+                    _ => Vec::new(),
+                };
+                (report, ids)
             }
-            Session::Host { host, matcher, limit_hit, peak_chunk, .. } => {
-                *matcher = host.matcher();
-                *limit_hit = false;
-                *peak_chunk = 0;
-                self.feed(input);
-                self.finish()
+            Session::Host { host, byte_cap, .. } => {
+                let cap = usize::try_from(*byte_cap).unwrap_or(usize::MAX);
+                match host.run_all_within(input, cap) {
+                    Some(all) => (host_report(all.first, all.examined, false), all.matched_ids),
+                    None => (host_report(NO_MATCH, cap, true), Vec::new()),
+                }
             }
         }
     }
@@ -82,7 +105,7 @@ impl<'a> Session<'a> {
     /// (verdict reached, or the byte budget ran out).
     pub(crate) fn feed(&mut self, chunk: &[u8]) -> (usize, bool) {
         match self {
-            Session::Sim(machine) => (chunk.len(), machine.feed(chunk).is_some()),
+            Session::Sim { machine, .. } => (chunk.len(), machine.feed(chunk).is_some()),
             Session::Host { matcher, byte_cap, limit_hit, peak_chunk, .. } => {
                 *peak_chunk = (*peak_chunk).max(chunk.len());
                 let remaining = byte_cap.saturating_sub(matcher.position() as u64);
@@ -97,7 +120,7 @@ impl<'a> Session<'a> {
     /// End of input (or an early conclusion): the final report.
     pub(crate) fn finish(&mut self) -> ExecReport {
         match self {
-            Session::Sim(machine) => machine.finish(),
+            Session::Sim { machine, .. } => machine.finish(),
             Session::Host { matcher, limit_hit, .. } => {
                 let outcome = if *limit_hit { NO_MATCH } else { matcher.finish() };
                 host_report(outcome, matcher.position(), *limit_hit)
@@ -108,7 +131,7 @@ impl<'a> Session<'a> {
     /// Deadline expiry: the progress made so far, with no verdict.
     pub(crate) fn abandon(&mut self) -> ExecReport {
         match self {
-            Session::Sim(machine) => machine.abandon(),
+            Session::Sim { machine, .. } => machine.abandon(),
             Session::Host { matcher, .. } => host_report(NO_MATCH, matcher.position(), false),
         }
     }
@@ -116,7 +139,7 @@ impl<'a> Session<'a> {
     /// Memory high-water mark of the session's input buffering.
     pub(crate) fn peak_buffered(&self) -> usize {
         match self {
-            Session::Sim(machine) => machine.peak_resident(),
+            Session::Sim { machine, .. } => machine.peak_resident(),
             Session::Host { peak_chunk, .. } => *peak_chunk,
         }
     }

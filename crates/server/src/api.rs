@@ -377,11 +377,14 @@ fn resolve_scan_source(
 }
 
 /// `POST /scan`: the patterns compile as one multi-matching set (through
-/// the LRU cache), the input is scanned in 500-byte chunks on the worker
-/// pool, and per-pattern chunk counts come from an all-matches pass
-/// (host engine `run_all`, or [`cicero_isa::run_all`] under
-/// `X-Cicero-Backend: sim`) so overlapping set members are all
-/// reported — the same accounting as `cicero scan --jobs N`. With
+/// the LRU cache), and the input is scanned in 500-byte chunks on the
+/// worker pool. Each worker answers both questions per chunk: the
+/// first-acceptance report, and every set member that matches in it
+/// ([`GuardedBatch::matched_ids`](cicero_runtime::GuardedBatch::matched_ids):
+/// one host-engine `run_all` scan, or the simulator run then
+/// [`cicero_isa::run_all`] under `X-Cicero-Backend: sim`), so overlapping
+/// set members are all reported — the same accounting as
+/// `cicero scan --jobs N`. With
 /// `?ruleset={id}`, the pattern set comes from the registry instead of
 /// the body: the scan pins the version current at admission and the
 /// response is tagged with it (`x-cicero-ruleset-version`).
@@ -402,15 +405,13 @@ fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response
         Ok(source) => source,
         Err(response) => return response,
     };
-    let program = Arc::clone(source.program());
     let chunks = chunk_input(&body.input);
-    let batch = runtime.run_batch_guarded(&program, &chunks, &body.config, &budget);
+    let batch = runtime.run_batch_guarded(source.program(), &chunks, &body.config, &budget);
 
-    // Merging the per-chunk outcomes re-runs accepted chunks through an
-    // all-matches pass, which is real work worth its own span.
+    // The workers already matched every chunk against every member: the
+    // merge is a fold over the batch.
     let merge_span = root.child("merge");
-    let per_pattern =
-        runtime.count_per_pattern(&program, &chunks, &batch.outcomes, source.patterns().len());
+    let per_pattern = batch.per_pattern(source.patterns().len());
     let mut cycles = 0u64;
     let mut budget_kind = None;
     let mut faults = 0usize;

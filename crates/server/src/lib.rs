@@ -23,7 +23,9 @@
 //!   always gets a response, never a hang.
 //! * **Endpoints** — `POST /match` (per-pattern verdicts over one input),
 //!   `POST /scan` (multi-pattern set over 500-byte chunks, with
-//!   all-matches per-pattern counts via [`cicero_isa::run_all`]),
+//!   all-matches per-pattern counts that the pool workers compute beside
+//!   each chunk's outcome,
+//!   [`GuardedBatch::per_pattern`](cicero_runtime::GuardedBatch::per_pattern)),
 //!   `GET /metrics` (the unified telemetry in summary or JSONL form),
 //!   `GET /healthz`, and `POST /shutdown` (begin draining).
 //! * **Per-request budgets** — `X-Cicero-Fuel` and `X-Cicero-Deadline-Ms`

@@ -874,11 +874,10 @@ fn scan_batch_mode(
         workloads::CHUNK_BYTES,
         batch.jobs,
     );
-    let per_pattern = runtime.count_per_pattern(&program, &chunks, &batch.outcomes, patterns.len());
     if batch.matches() == 0 {
         println!("no match");
     } else {
-        for (id, count) in per_pattern.iter().enumerate() {
+        for (id, count) in batch.per_pattern(patterns.len()).iter().enumerate() {
             if *count > 0 {
                 println!("MATCH: pattern {} ({:?}) in {} chunk(s)", id, patterns[id], count);
             }

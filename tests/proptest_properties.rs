@@ -327,7 +327,7 @@ proptest! {
         let host = cicero::hostexec::HostProgram::compile(program);
         let got = host.run_all(&input);
         prop_assert_eq!(
-            got.accepted,
+            got.first.accepted,
             want.accepted,
             "set verdict diverged on {:?} / {:?} ({})",
             &patterns,
