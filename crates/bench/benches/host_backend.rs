@@ -16,7 +16,9 @@
 //! takes: the gated suites compiled with `compile_set` into *one*
 //! program, lowered to *one* engine, the haystack scanned in the served
 //! unit (500-byte chunks) and its bytes counted once — `run` (first
-//! acceptance; only the bytes it examined count) and `run_all`.
+//! acceptance; only the bytes it examined count) and `run_all`. They also
+//! time what a cache miss costs that path: `compile_set` and the host
+//! lowering, each the median of repeated calls.
 //!
 //! The run **fails (nonzero exit) if PROTOMATA or BRILL falls below
 //! [`FLOOR_MBPS`]** — the acceptance bar of the host-backend issue — or
@@ -51,10 +53,17 @@ const FLOOR_MBPS: f64 = 100.0;
 /// measured 534-576 MB/s.
 const SET_FLOOR_MBPS: f64 = 3.0;
 
+/// Timed calls per set for the compile and lowering medians.
+const BUILD_REPEATS: usize = 15;
+
 /// One suite as serving runs it: one `compile_set` program, one engine.
 struct SetRow {
     engine: String,
     states: usize,
+    /// Median wall time of one `compile_set` call (a program-cache miss).
+    compile_set_us: f64,
+    /// Median wall time of one `HostProgram::compile` (a lowering-memo miss).
+    lower_us: f64,
     run_mbps: f64,
     run_all_mbps: f64,
     chunks_accepted: usize,
@@ -64,8 +73,11 @@ struct SetRow {
 /// Scan `input` in served-size chunks through the suite's one-program
 /// lowering; `None` when the set does not fit one program.
 fn set_row(bench: &workloads::Benchmark, input: &[u8]) -> Option<SetRow> {
-    let set = cicero_core::Compiler::new().compile_set(&bench.patterns).ok()?;
+    let compiler = cicero_core::Compiler::new();
+    let set = compiler.compile_set(&bench.patterns).ok()?;
     let host = HostProgram::compile(set.program());
+    let compile_set_us = median_us(|| compiler.compile_set(&bench.patterns));
+    let lower_us = median_us(|| HostProgram::compile(set.program()));
     for chunk in input.chunks(CHUNK_BYTES) {
         std::hint::black_box((host.run(chunk), host.run_all(chunk)));
     }
@@ -91,11 +103,26 @@ fn set_row(bench: &workloads::Benchmark, input: &[u8]) -> Option<SetRow> {
     Some(SetRow {
         engine: host.engine_kind().to_string(),
         states: host.state_count(),
+        compile_set_us,
+        lower_us,
         run_mbps,
         run_all_mbps,
         chunks_accepted,
         ids_matched,
     })
+}
+
+/// Median microseconds of [`BUILD_REPEATS`] calls of `build`.
+fn median_us<T>(build: impl Fn() -> T) -> f64 {
+    let mut us: Vec<f64> = (0..BUILD_REPEATS)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(build());
+            start.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    us.sort_by(f64::total_cmp);
+    us[BUILD_REPEATS / 2]
 }
 
 /// Tile the suite's chunks into one long haystack.
@@ -124,6 +151,8 @@ fn main() {
         "Patterns",
         "Engine",
         "States",
+        "compile_set us",
+        "lower us",
         "run MB/s",
         "run_all MB/s",
         "Chunks accepted",
@@ -211,6 +240,8 @@ fn main() {
             bench.patterns.len().to_string(),
             set.engine.clone(),
             set.states.to_string(),
+            f2(set.compile_set_us),
+            f2(set.lower_us),
             f2(set.run_mbps),
             f2(set.run_all_mbps),
             set.chunks_accepted.to_string(),
@@ -229,6 +260,8 @@ fn main() {
                 .field("patterns", bench.patterns.len())
                 .field("engine", set.engine)
                 .field("states", set.states)
+                .field("compile_set_us", rounded(set.compile_set_us, 1))
+                .field("lower_us", rounded(set.lower_us, 1))
                 .field("run_haystack_mbps", rounded(set.run_mbps, 3))
                 .field("run_all_haystack_mbps", rounded(set.run_all_mbps, 3))
                 .field("chunks_accepted", set.chunks_accepted)
@@ -250,7 +283,8 @@ fn main() {
          suite; compile and lowering are outside the timed region (the runtime caches both); \
          set_rows compile each gated suite with compile_set into one program and one engine and \
          scan the haystack in 500-byte chunks, bytes counted once (run: bytes examined up to the \
-         first acceptance); the run exits nonzero when a gated suite falls below floor_mbps or a \
+         first acceptance), and time compile_set and the host lowering as the median of \
+         repeated calls (compile_set_us, lower_us: what a program-cache miss costs); the run exits nonzero when a gated suite falls below floor_mbps or a \
          set row below set_floor_mbps",
     )
     .field("haystack_bytes", HAYSTACK_BYTES)
