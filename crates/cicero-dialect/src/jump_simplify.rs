@@ -20,9 +20,10 @@
 //!
 //! Because control flow is still symbolic at this level, none of these
 //! rewrites re-patch addresses — the optimization the old compiler could
-//! not express cheaply after its premature lowering (§2.1).
+//! not express cheaply after its premature lowering (§2.1). The rules
+//! read branch targets as op indices, resolved from the symbols once.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use mlir_lite::{Attribute, Context, Operation, Pass, PassError};
 
@@ -36,12 +37,13 @@ use crate::ops::{self, attrs, names};
 /// symbols, foreign ops).
 pub fn jump_simplify(program: &mut Operation) {
     assert!(program.is(names::PROGRAM), "expected cicero.program, got {}", program.name());
+    let body = &mut program.only_region_mut().ops;
+    let mut targets = branch_targets(body);
     loop {
-        let mut changed = false;
-        changed |= thread_jump_chains(program);
-        changed |= duplicate_acceptances(program);
-        changed |= remove_jumps_to_next(program);
-        changed |= remove_unreachable(program);
+        let mut changed = thread_jump_chains(body, &mut targets);
+        changed |= duplicate_acceptances(body, &mut targets);
+        changed |= remove_jumps_to_next(body, &mut targets);
+        changed |= remove_unreachable(body, &mut targets);
         if !changed {
             break;
         }
@@ -66,74 +68,63 @@ impl Pass for JumpSimplificationPass {
     }
 }
 
-/// Map symbol → defining index.
-fn symbol_table(body: &[Operation]) -> BTreeMap<String, usize> {
-    body.iter()
-        .enumerate()
-        .filter_map(|(i, op)| ops::sym_name(op).map(|s| (s.to_owned(), i)))
-        .collect()
+/// Per op, the index of the op its branch target names (`None` for ops
+/// that do not branch).
+fn branch_targets(body: &[Operation]) -> Vec<Option<usize>> {
+    let symbols: HashMap<&str, usize> =
+        body.iter().enumerate().filter_map(|(i, op)| ops::sym_name(op).map(|s| (s, i))).collect();
+    body.iter().map(|op| ops::branch_target(op).and_then(|t| symbols.get(t).copied())).collect()
 }
 
 /// Rule 3 (+ split extension): follow chains of unconditional jumps.
-fn thread_jump_chains(program: &mut Operation) -> bool {
-    let body = &mut program.only_region_mut().ops;
-    let symbols = symbol_table(body);
-    let resolve_final = |start: &str| -> Option<String> {
-        let mut current = start.to_owned();
+fn thread_jump_chains(body: &mut [Operation], targets: &mut [Option<usize>]) -> bool {
+    let final_destination = |start: usize| -> Option<usize> {
+        let mut current = start;
         // Bounded walk: cycles of jumps (degenerate but representable)
         // terminate at the bound and are left alone.
         for _ in 0..body.len() {
-            let index = *symbols.get(&current)?;
-            let target_op = &body[index];
-            if !target_op.is(names::JUMP) {
+            if !body[current].is(names::JUMP) {
                 break;
             }
-            current = ops::branch_target(target_op)?.to_owned();
+            current = targets[current]?;
         }
         Some(current)
     };
-    let mut updates = Vec::new();
-    for (i, op) in body.iter().enumerate() {
-        if let Some(target) = ops::branch_target(op) {
-            if let Some(final_target) = resolve_final(target) {
-                if final_target != target {
-                    updates.push((i, final_target));
-                }
-            }
-        }
+    let updates: Vec<(usize, usize)> = (0..body.len())
+        .filter_map(|i| {
+            let target = targets[i]?;
+            let destination = final_destination(target)?;
+            (destination != target).then_some((i, destination))
+        })
+        .collect();
+    for &(i, destination) in &updates {
+        let symbol = ops::sym_name(&body[destination]).expect("branch targets are labeled");
+        body[i].set_attr(attrs::TARGET, Attribute::Symbol(symbol.to_owned()));
+        targets[i] = Some(destination);
     }
-    let changed = !updates.is_empty();
-    for (i, target) in updates {
-        body[i].set_attr(attrs::TARGET, Attribute::Symbol(target));
-    }
-    changed
+    !updates.is_empty()
 }
 
 /// Rule 2: replace jumps to acceptance ops with the acceptance itself.
-fn duplicate_acceptances(program: &mut Operation) -> bool {
-    let body = &mut program.only_region_mut().ops;
-    let symbols = symbol_table(body);
+fn duplicate_acceptances(body: &mut [Operation], targets: &mut [Option<usize>]) -> bool {
     let mut replacements = Vec::new();
     for (i, op) in body.iter().enumerate() {
-        if !op.is(names::JUMP) {
-            continue;
-        }
-        let target = ops::branch_target(op).expect("verified jump");
-        let Some(&target_index) = symbols.get(target) else { continue };
-        if ops::is_acceptance(&body[target_index]) {
+        let Some(target) = targets[i] else { continue };
+        if op.is(names::JUMP) && ops::is_acceptance(&body[target]) {
             // Clone the acceptance wholesale: `accept_partial_id` carries
             // the RE identifier that the duplicate must preserve.
-            let mut clone = body[target_index].clone();
+            let mut clone = body[target].clone();
             clone.take_attr(attrs::SYM_NAME);
             replacements.push((i, clone));
         }
     }
     let changed = !replacements.is_empty();
     for (i, mut replacement) in replacements {
-        if let Some(sym) = ops::sym_name(&body[i]) {
-            replacement.set_attr(attrs::SYM_NAME, Attribute::Str(sym.to_owned()));
+        if let Some(sym) = body[i].take_attr(attrs::SYM_NAME) {
+            replacement.set_attr(attrs::SYM_NAME, sym);
         }
         body[i] = replacement;
+        targets[i] = None;
     }
     changed
 }
@@ -143,72 +134,37 @@ fn duplicate_acceptances(program: &mut Operation) -> bool {
 /// All removable jumps are collected in one scan and removed in one
 /// rebuild — the scan-per-removal alternative would make this pass
 /// quadratic on the alternation-heavy suites.
-fn remove_jumps_to_next(program: &mut Operation) -> bool {
-    let body = &mut program.only_region_mut().ops;
-    let symbols = symbol_table(body);
-    let removable: Vec<usize> = body
-        .iter()
-        .enumerate()
-        .filter(|(index, op)| {
-            op.is(names::JUMP)
-                && ops::branch_target(op)
-                    .and_then(|t| symbols.get(t))
-                    .is_some_and(|&t| t == index + 1)
-        })
-        .map(|(index, _)| index)
-        .collect();
-    if removable.is_empty() {
+fn remove_jumps_to_next(body: &mut Vec<Operation>, targets: &mut Vec<Option<usize>>) -> bool {
+    let removable: Vec<bool> =
+        (0..body.len()).map(|i| body[i].is(names::JUMP) && targets[i] == Some(i + 1)).collect();
+    if !removable.contains(&true) {
         return false;
     }
-    // Symbols on removed jumps migrate to the next kept op: either adopt
-    // the symbol, or fold it into the op's existing one.
-    let mut folds: Vec<(String, String)> = Vec::new(); // (from, into)
-    for &index in removable.iter().rev() {
-        let Some(sym) = ops::sym_name(&body[index]).map(str::to_owned) else { continue };
-        // `index + 1` exists: the jump targets it.
-        match ops::sym_name(&body[index + 1]).map(str::to_owned) {
-            Some(existing) => folds.push((sym, existing)),
-            None => {
-                let owned = sym.clone();
-                body[index + 1].set_attr(attrs::SYM_NAME, Attribute::Str(owned));
-            }
-        }
+    // A branch to a removed jump lands on the first kept op after it,
+    // which is labeled: the removed jump before it targets it.
+    let mut landing: Vec<usize> = (0..body.len()).collect();
+    for index in (0..body.len()).rev().filter(|&index| removable[index]) {
+        landing[index] = landing[index + 1];
     }
-    let mut keep = (0..body.len()).map(|i| !removable.contains(&i));
-    body.retain(|_| keep.next().expect("one flag per op"));
-    if !folds.is_empty() {
-        // Resolve fold chains (a folded-into symbol may itself be folded).
-        let resolve = |start: &str| -> String {
-            let mut current = start.to_owned();
-            for _ in 0..folds.len() + 1 {
-                match folds.iter().find(|(from, _)| *from == current) {
-                    Some((_, into)) => current = into.clone(),
-                    None => break,
-                }
-            }
-            current
-        };
-        for op in body.iter_mut() {
-            if let Some(target) = ops::branch_target(op).map(str::to_owned) {
-                let resolved = resolve(&target);
-                if resolved != target {
-                    op.set_attr(attrs::TARGET, Attribute::Symbol(resolved));
-                }
-            }
-        }
+    for i in 0..body.len() {
+        let Some(target) = targets[i].filter(|&target| removable[target]) else { continue };
+        let symbol = ops::sym_name(&body[landing[target]]).expect("a jump target is labeled");
+        let symbol = Attribute::Symbol(symbol.to_owned());
+        body[i].set_attr(attrs::TARGET, symbol);
+        targets[i] = Some(landing[target]);
     }
+    let keep: Vec<bool> = removable.iter().map(|removed| !removed).collect();
+    retain(body, targets, &keep);
     true
 }
 
 /// Remove operations unreachable from the entry (index 0): acceptance and
 /// jump ops do not fall through, so code after them is dead unless
 /// branched to.
-fn remove_unreachable(program: &mut Operation) -> bool {
-    let body = &mut program.only_region_mut().ops;
+fn remove_unreachable(body: &mut Vec<Operation>, targets: &mut Vec<Option<usize>>) -> bool {
     if body.is_empty() {
         return false;
     }
-    let symbols = symbol_table(body);
     let mut reachable = vec![false; body.len()];
     let mut worklist = vec![0usize];
     while let Some(index) = worklist.pop() {
@@ -216,22 +172,34 @@ fn remove_unreachable(program: &mut Operation) -> bool {
             continue;
         }
         reachable[index] = true;
-        let op = &body[index];
-        if ops::falls_through(op) {
+        if ops::falls_through(&body[index]) {
             worklist.push(index + 1);
         }
-        if let Some(target) = ops::branch_target(op) {
-            if let Some(&t) = symbols.get(target) {
-                worklist.push(t);
-            }
-        }
+        worklist.extend(targets[index]);
     }
     if reachable.iter().all(|r| *r) {
         return false;
     }
-    let mut keep = reachable.iter();
-    body.retain(|_| *keep.next().expect("one flag per op"));
+    retain(body, targets, &reachable);
     true
+}
+
+/// Keep the ops flagged in `keep`, renumbering `targets`; every kept op
+/// must branch to a kept op.
+fn retain(body: &mut Vec<Operation>, targets: &mut Vec<Option<usize>>, keep: &[bool]) {
+    let mut renumbered = Vec::with_capacity(keep.len());
+    let mut kept = 0;
+    for &is_kept in keep {
+        renumbered.push(kept);
+        kept += usize::from(is_kept);
+    }
+    let mut flags = keep.iter();
+    body.retain(|_| *flags.next().expect("one flag per op"));
+    let mut flags = keep.iter();
+    targets.retain(|_| *flags.next().expect("one flag per op"));
+    for target in targets.iter_mut().flatten() {
+        *target = renumbered[*target];
+    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! stay distinct states or the bit-parallel step would over-approximate.
 
 /// A set of byte values, stored as four 64-bit words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ByteSet([u64; 4]);
 
 impl ByteSet {

@@ -109,16 +109,18 @@ pub(crate) fn derive<M: Mask>(engine: &BitEngine<M>) -> Option<Prefilter<M>> {
         }
     }
 
+    let mut class_sizes = vec![0usize; engine.classes.count];
+    for &class in &engine.classes.of {
+        class_sizes[usize::from(class)] += 1;
+    }
     let mut best: Option<(M, Vec<usize>, usize)> = None;
     for state in candidates {
         let mut skip_classes: Vec<usize> = Vec::new();
         let mut skip_bytes = 0usize;
-        for class in 0..engine.classes.count {
+        for (class, &size) in class_sizes.iter().enumerate() {
             if engine.step(state, class) == state && !engine.accepts_on(state, class) {
                 skip_classes.push(class);
-                skip_bytes += (0u16..256)
-                    .filter(|&b| usize::from(engine.classes.of[usize::from(b as u8)]) == class)
-                    .count();
+                skip_bytes += size;
             }
         }
         if skip_bytes >= MIN_SKIP_BYTES

@@ -804,6 +804,49 @@ mod tests {
     }
 
     #[test]
+    fn a_traced_lowering_miss_opens_a_span_and_a_hit_none() {
+        use crate::StreamOptions;
+        use cicero_telemetry::{TraceContext, TraceSpanRecord};
+        let config = ArchConfig::new_organization(8, 1);
+        let runtime = host_runtime(1);
+        // The `hostexec.lower` spans of one traced request.
+        let lower_spans = |request: &dyn Fn(&Runtime)| -> Vec<TraceSpanRecord> {
+            let ctx = TraceContext::new("trace-lower");
+            let root = ctx.root_span("request");
+            request(&runtime.with_trace(&root));
+            drop(root);
+            let trace = ctx.finish();
+            trace.spans.into_iter().filter(|span| span.name == "hostexec.lower").collect()
+        };
+
+        let batched = runtime.compile_set(&["abcd", "zzz"]).unwrap();
+        let batch = |traced: &Runtime| {
+            traced.run_batch_guarded(&batched, &chunks(), &config, &Budget::UNLIMITED);
+        };
+        let miss = lower_spans(&batch);
+        assert_eq!(miss.len(), 1, "a batch's lowering miss opens one span");
+        assert_eq!(miss[0].parent, Some(0), "under the request span");
+        let lowered = runtime.host_program(&batched);
+        for (key, want) in [
+            ("host.tier", lowered.engine_kind().to_string()),
+            ("host.states", lowered.state_count().to_string()),
+            ("host.byte_classes", lowered.byte_class_count().to_string()),
+        ] {
+            let got = miss[0].attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.to_string());
+            assert_eq!(got, Some(want), "{key}");
+        }
+        assert!(lower_spans(&batch).is_empty(), "a memo hit opens no span");
+
+        let streamed = runtime.compile_set(&["xyz", "abc"]).unwrap();
+        let stream = |traced: &Runtime| {
+            let input = &b"..abc..xyz.."[..];
+            traced.scan_stream(&streamed, input, &config, &StreamOptions::default()).unwrap();
+        };
+        assert_eq!(lower_spans(&stream).len(), 1, "a stream's lowering miss opens one span");
+        assert!(lower_spans(&stream).is_empty(), "a memo hit opens no span");
+    }
+
+    #[test]
     fn a_traced_host_batch_names_its_engine_tier_and_states() {
         use cicero_telemetry::TraceContext;
         let config = ArchConfig::new_organization(8, 1);

@@ -105,6 +105,9 @@ impl Runtime {
         if options.chunk_size == 0 {
             return Err(StreamError::Options("chunk size must be at least 1 byte".to_owned()));
         }
+        // A lowering miss is its own `hostexec.lower` span, before the
+        // scan's, as it is before a batch's `execute`.
+        let host = (self.backend == Backend::Host).then(|| self.host_program(program));
         let trace_span = self.trace_child("stream.execute").inspect(|span| {
             span.annotate("chunk_size", options.chunk_size);
             span.annotate("backend", self.backend.to_string());
@@ -112,7 +115,6 @@ impl Runtime {
         let start = Instant::now();
         let deadline_at = options.budget.deadline.map(|d| start + d);
         let run_config = options.budget.clamp_config(config);
-        let host = (self.backend == Backend::Host).then(|| self.host_program(program));
         let mut session = Session::new(program, host.as_deref(), run_config);
 
         let (mut bytes, mut chunks, mut suspends) = (0u64, 0u64, 0u64);
