@@ -23,15 +23,6 @@
 //!   the machine and retry the same input once before recording a
 //!   fault. The `lose_input_on_panic` flag re-creates the pre-guard
 //!   behaviour where a panic abandoned the in-flight input entirely.
-//! * [`SwapModel`] — the ruleset registry's hot-swap/drain protocol
-//!   (`cicero-server::registry` over `cicero_runtime::SetHandle`):
-//!   scanners pin the current version *and* read it in one
-//!   lock-protected step, swaps install a new version then retire the
-//!   old one, and a reaper releases a retired version only once its pin
-//!   count has drained to zero. The `free_old_while_pinned` flag
-//!   re-creates the tempting shortcut of releasing the old version at
-//!   retire time, which is a use-after-release for any scan still
-//!   pinned to it.
 
 use crate::{Model, Step};
 
@@ -479,228 +470,6 @@ impl Model for RespawnModel {
             return Err(format!(
                 "{} machine restarts recorded, expected {expected_restarts}",
                 state.restarts
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Swap: ruleset hot reload vs in-flight scans vs drain.
-// ---------------------------------------------------------------------------
-
-/// See module docs. Threads `0..scanners` are scanners, thread
-/// `scanners` is the swapper, thread `scanners + 1` is the reaper that
-/// releases drained versions.
-#[derive(Debug, Clone, Copy)]
-pub struct SwapModel {
-    /// Concurrent scan requests, each pinning whatever version is
-    /// current when it is admitted.
-    pub scanners: usize,
-    /// Hot swaps the swapper performs (each installs a fresh version and
-    /// retires the previous one).
-    pub swaps: usize,
-    /// Re-create the use-after-release bug: release the old version at
-    /// retire time instead of waiting for its pins to drain.
-    pub free_old_while_pinned: bool,
-}
-
-/// One compiled ruleset version's lifecycle counters.
-#[derive(Debug, Clone, Copy)]
-struct VersionState {
-    pins: usize,
-    retired: bool,
-    freed: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScannerPc {
-    /// Atomically read the current version and pin it (the registry does
-    /// both under the entries lock, which is exactly why a concurrent
-    /// swap cannot slip between lookup and pin).
-    Pin,
-    /// Run the scan against the pinned program.
-    Scan,
-    /// Drop the pin guard.
-    Unpin,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SwapperPc {
-    /// Compile + persist + install the new version as current.
-    Install,
-    /// Retire the previous version (new pins can no longer land on it).
-    Retire,
-}
-
-/// Shared state of the swap/drain protocol.
-#[derive(Debug)]
-pub struct SwapState {
-    versions: Vec<VersionState>,
-    current: usize,
-    scanners: Vec<(ScannerPc, Option<usize>)>,
-    scanners_done: usize,
-    swapper_pc: SwapperPc,
-    swapper_old: usize,
-    swaps_done: usize,
-    swapper_done: bool,
-}
-
-impl SwapModel {
-    fn drained_unfreed(state: &SwapState) -> Option<usize> {
-        state.versions.iter().position(|v| v.retired && !v.freed && v.pins == 0)
-    }
-
-    fn all_retired_freed(state: &SwapState) -> bool {
-        state.versions.iter().all(|v| !v.retired || v.freed)
-    }
-}
-
-impl Model for SwapModel {
-    type State = SwapState;
-
-    fn name(&self) -> &'static str {
-        "swap"
-    }
-
-    fn threads(&self) -> usize {
-        self.scanners + 2
-    }
-
-    fn init(&self) -> SwapState {
-        SwapState {
-            versions: vec![VersionState { pins: 0, retired: false, freed: false }],
-            current: 0,
-            scanners: vec![(ScannerPc::Pin, None); self.scanners],
-            scanners_done: 0,
-            swapper_pc: SwapperPc::Install,
-            swapper_old: 0,
-            swaps_done: 0,
-            swapper_done: false,
-        }
-    }
-
-    fn enabled(&self, state: &SwapState, tid: usize) -> bool {
-        if tid < self.scanners {
-            return true;
-        }
-        if tid == self.scanners {
-            return !state.swapper_done;
-        }
-        // The reaper blocks until a retired version has drained; its
-        // final step runs once everything else is finished and released.
-        Self::drained_unfreed(state).is_some()
-            || (state.swapper_done
-                && state.scanners_done == self.scanners
-                && Self::all_retired_freed(state))
-    }
-
-    fn step(&self, state: &mut SwapState, tid: usize) -> Step {
-        if tid < self.scanners {
-            let (pc, pinned) = state.scanners[tid];
-            match pc {
-                ScannerPc::Pin => {
-                    let version = state.current;
-                    state.versions[version].pins += 1;
-                    state.scanners[tid] = (ScannerPc::Scan, Some(version));
-                }
-                ScannerPc::Scan => {
-                    state.scanners[tid].0 = ScannerPc::Unpin;
-                }
-                ScannerPc::Unpin => {
-                    let version = pinned.expect("unpin without a pinned version");
-                    state.versions[version].pins -= 1;
-                    state.scanners[tid] = (ScannerPc::Pin, None);
-                    state.scanners_done += 1;
-                    return Step::Done;
-                }
-            }
-            return Step::Progress;
-        }
-
-        if tid == self.scanners {
-            match state.swapper_pc {
-                SwapperPc::Install => {
-                    state.swapper_old = state.current;
-                    state.versions.push(VersionState { pins: 0, retired: false, freed: false });
-                    state.current = state.versions.len() - 1;
-                    state.swapper_pc = SwapperPc::Retire;
-                }
-                SwapperPc::Retire => {
-                    let old = state.swapper_old;
-                    state.versions[old].retired = true;
-                    if self.free_old_while_pinned {
-                        // Buggy: release right here, pins or not.
-                        state.versions[old].freed = true;
-                    }
-                    state.swaps_done += 1;
-                    if state.swaps_done == self.swaps {
-                        state.swapper_done = true;
-                        return Step::Done;
-                    }
-                    state.swapper_pc = SwapperPc::Install;
-                }
-            }
-            return Step::Progress;
-        }
-
-        match Self::drained_unfreed(state) {
-            Some(version) => {
-                state.versions[version].freed = true;
-                Step::Progress
-            }
-            None => Step::Done,
-        }
-    }
-
-    fn invariant(&self, state: &SwapState) -> Result<(), String> {
-        for (version, v) in state.versions.iter().enumerate() {
-            if v.freed && !v.retired {
-                return Err(format!("version {version} freed without being retired"));
-            }
-            if v.freed && v.pins > 0 {
-                return Err(format!(
-                    "version {version} freed with {} live pins (use-after-release)",
-                    v.pins
-                ));
-            }
-        }
-        for (tid, &(_, pinned)) in state.scanners.iter().enumerate() {
-            if let Some(version) = pinned {
-                if state.versions[version].freed {
-                    return Err(format!(
-                        "scanner {tid} holds a pin on freed version {version} (use-after-release)"
-                    ));
-                }
-            }
-        }
-        if state.versions[state.current].freed {
-            return Err(format!("current version {} is freed", state.current));
-        }
-        Ok(())
-    }
-
-    fn check(&self, state: &SwapState) -> Result<(), String> {
-        for (version, v) in state.versions.iter().enumerate() {
-            if v.pins != 0 {
-                return Err(format!("version {version} settled with {} pins", v.pins));
-            }
-            if version == state.current {
-                if v.retired || v.freed {
-                    return Err(format!("current version {version} retired or freed"));
-                }
-            } else if !(v.retired && v.freed) {
-                return Err(format!(
-                    "superseded version {version} never released (retired {}, freed {})",
-                    v.retired, v.freed
-                ));
-            }
-        }
-        if state.versions.len() != self.swaps + 1 {
-            return Err(format!(
-                "{} versions exist after {} swaps",
-                state.versions.len(),
-                self.swaps
             ));
         }
         Ok(())

@@ -2,7 +2,7 @@
 //! plus proof that the explorer catches each protocol's bug when it is
 //! deliberately re-introduced.
 
-use cicero_permute::models::{ConnectionModel, RespawnModel, SwapModel};
+use cicero_permute::models::{ConnectionModel, RespawnModel};
 use cicero_permute::{replay, Explorer, ViolationKind};
 
 fn explorer() -> Explorer {
@@ -82,31 +82,4 @@ fn abandoning_inputs_on_panic_loses_matches() {
     assert!(violation.message.contains("never scanned"), "{violation}");
     let (_, verdict) = replay(&model, &violation.schedule);
     assert!(verdict.unwrap_err().contains("never scanned"));
-}
-
-// --- swap: ruleset hot reload vs in-flight scans vs drain ------------------
-
-#[test]
-fn swap_protocol_passes_every_interleaving() {
-    let model = SwapModel { scanners: 2, swaps: 1, free_old_while_pinned: false };
-    let report = explorer().explore(&model).unwrap_or_else(|v| panic!("{v}"));
-    assert!(report.schedules > 100, "suspiciously small space: {report:?}");
-}
-
-#[test]
-fn swap_protocol_survives_back_to_back_swaps() {
-    // A scanner admitted before the first swap can stay pinned to v0
-    // across *both* swaps; the reaper must wait it out before releasing.
-    let model = SwapModel { scanners: 1, swaps: 2, free_old_while_pinned: false };
-    explorer().explore(&model).unwrap_or_else(|v| panic!("{v}"));
-}
-
-#[test]
-fn freeing_the_old_version_at_retire_is_a_use_after_release() {
-    let model = SwapModel { scanners: 1, swaps: 1, free_old_while_pinned: true };
-    let violation = explorer().explore(&model).unwrap_err();
-    assert_eq!(violation.kind, ViolationKind::Invariant, "{violation}");
-    assert!(violation.message.contains("use-after-release"), "{violation}");
-    let (_, verdict) = replay(&model, &violation.schedule);
-    assert!(verdict.unwrap_err().contains("use-after-release"));
 }

@@ -1,4 +1,4 @@
-//! Sharded LRU cache of compiled programs with miss coalescing.
+//! LRU cache of compiled programs with miss coalescing.
 //!
 //! Serving traffic repeats patterns: deep-packet rules are applied to
 //! every packet, log-scan expressions to every shard. Compilation walks
@@ -9,32 +9,22 @@
 //! part of the key because every transformation toggle changes the emitted
 //! code (that is the point of the paper's per-transformation flags).
 //!
-//! Two properties matter once the server actually runs on multiple cores:
-//!
-//! * **Lock striping** — the cache is split into N shards, each guarding
-//!   its own LRU with its own mutex, keyed by the hash of the cache key.
-//!   Front-end threads looking up *different* patterns never contend on
-//!   one global lock (the pre-sharding design serialized every lookup).
-//! * **Miss coalescing** — two threads missing on the *same* key used to
-//!   both run the full pass pipeline, with the loser's artifact discarded
-//!   at insert. Now the first miss registers an in-flight ticket; racers
-//!   wait on its condvar and receive the winner's [`Arc<Program>`], so
-//!   each key is compiled exactly once no matter how many threads ask for
-//!   it concurrently. A failed compile wakes all waiters, the first of
-//!   which retries as the new leader — errors are per-caller and never
-//!   cached.
+//! One mutex guards one map. Each entry carries the stamp of its last
+//! use; a hit bumps the stamp and an insert at capacity evicts the
+//! smallest, so eviction follows exact least-recently-used order over
+//! the whole cache. Compilation runs outside the lock, and two threads
+//! missing on the *same* key coalesce: the first miss registers an
+//! in-flight ticket, racers wait on its condvar and receive the winner's
+//! [`Arc<Program>`], so each key is compiled once no matter how many
+//! threads ask for it concurrently. A failed compile wakes all waiters,
+//! the first of which retries as the new leader — errors are per-caller
+//! and never cached.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use cicero_core::CompilerOptions;
 use cicero_isa::Program;
-
-/// Default shard count for [`ProgramCache::new`]. Fixed (rather than
-/// derived from host parallelism) so cache behavior is identical on every
-/// machine; 8 stripes are plenty for the worker counts the server runs.
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// Cache key: what was asked to be compiled, plus how.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -67,7 +57,7 @@ impl CacheKey {
     }
 }
 
-/// Point-in-time cache statistics (aggregated over every shard).
+/// Point-in-time cache statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served from the cache.
@@ -81,7 +71,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
-    /// Maximum resident entries (summed shard capacities).
+    /// Maximum resident entries.
     pub capacity: usize,
 }
 
@@ -147,10 +137,11 @@ impl InFlight {
 
 struct Inner {
     capacity: usize,
-    entries: HashMap<CacheKey, Arc<Program>>,
-    /// Keys in least-recently-used-first order.
-    order: Vec<CacheKey>,
-    /// Compilations currently running for keys in this shard.
+    /// Each resident program with the stamp of its last use.
+    entries: HashMap<CacheKey, (Arc<Program>, u64)>,
+    /// The last use stamp handed out; stamps only grow.
+    clock: u64,
+    /// Compilations currently running.
     in_flight: HashMap<CacheKey, Arc<InFlight>>,
     hits: u64,
     misses: u64,
@@ -158,17 +149,47 @@ struct Inner {
     evictions: u64,
 }
 
-struct Shard {
+/// What one lookup resolved to.
+enum Lookup {
+    /// Resident entry, recency refreshed.
+    Hit(Arc<Program>),
+    /// No entry and no in-flight compile; the caller is now the leader
+    /// for this key and must compile and publish on the returned ticket.
+    Lead(Arc<InFlight>),
+    /// Another thread is compiling this key; wait on the ticket.
+    Join(Arc<InFlight>),
+}
+
+/// A thread-safe LRU cache of compiled programs.
+///
+/// Shared by every worker and every front-end thread of a
+/// [`Runtime`](crate::Runtime). Lookups take one short mutex hold;
+/// compilation runs outside the lock, and concurrent misses on the same
+/// key coalesce onto a single compile.
+pub struct ProgramCache {
     inner: Mutex<Inner>,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Shard {
-        Shard {
+impl std::fmt::Debug for ProgramCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let stats = self.stats();
+        f.debug_struct("ProgramCache")
+            .field("entries", &stats.entries)
+            .field("capacity", &stats.capacity)
+            .field("hits", &stats.hits)
+            .field("misses", &stats.misses)
+            .finish()
+    }
+}
+
+impl ProgramCache {
+    /// An empty cache holding at most `capacity` programs (minimum 1).
+    pub fn new(capacity: usize) -> ProgramCache {
+        ProgramCache {
             inner: Mutex::new(Inner {
-                capacity,
+                capacity: capacity.max(1),
                 entries: HashMap::new(),
-                order: Vec::new(),
+                clock: 0,
                 in_flight: HashMap::new(),
                 hits: 0,
                 misses: 0,
@@ -181,86 +202,16 @@ impl Shard {
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
-}
 
-/// What one shard lookup resolved to.
-enum Lookup {
-    /// Resident entry, recency refreshed.
-    Hit(Arc<Program>),
-    /// No entry and no in-flight compile; the caller is now the leader
-    /// for this key and must compile and publish on the returned ticket.
-    Lead(Arc<InFlight>),
-    /// Another thread is compiling this key; wait on the ticket.
-    Join(Arc<InFlight>),
-}
-
-/// A thread-safe, lock-striped LRU cache of compiled programs.
-///
-/// Shared by every worker and every front-end thread of a
-/// [`Runtime`](crate::Runtime). Lookups take one short mutex hold on the
-/// key's shard; compilation runs outside every lock, and concurrent
-/// misses on the same key coalesce onto a single compile.
-pub struct ProgramCache {
-    shards: Vec<Shard>,
-}
-
-impl std::fmt::Debug for ProgramCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("ProgramCache")
-            .field("shards", &self.shards.len())
-            .field("entries", &stats.entries)
-            .field("capacity", &stats.capacity)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .finish()
-    }
-}
-
-impl ProgramCache {
-    /// An empty cache holding at most `capacity` programs (minimum 1),
-    /// striped over [`DEFAULT_SHARDS`] shards (fewer when the capacity is
-    /// smaller, so every shard can hold at least one entry).
-    pub fn new(capacity: usize) -> ProgramCache {
-        ProgramCache::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// An empty cache striped over exactly `shards` shards (clamped to
-    /// `[1, capacity]` so each shard holds at least one entry). A
-    /// single-shard cache behaves as one global LRU — exact global
-    /// eviction order is only guaranteed with `shards == 1`, since a
-    /// striped cache evicts per shard.
-    pub fn with_shards(capacity: usize, shards: usize) -> ProgramCache {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, capacity);
-        // Distribute the capacity as evenly as possible; the first
-        // `capacity % shards` shards take the remainder.
-        let base = capacity / shards;
-        let extra = capacity % shards;
-        ProgramCache {
-            shards: (0..shards).map(|i| Shard::new(base + usize::from(i < extra))).collect(),
-        }
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, key: &CacheKey) -> &Shard {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
-    }
-
-    /// One locked probe of the key's shard: hit, lead, or join.
-    fn probe(&self, shard: &Shard, key: &CacheKey) -> Lookup {
-        let mut inner = shard.lock();
-        if let Some(program) = inner.entries.get(key).cloned() {
+    /// One locked probe: hit, lead, or join.
+    fn probe(&self, key: &CacheKey) -> Lookup {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let now = inner.clock;
+        if let Some((program, last_use)) = inner.entries.get_mut(key) {
+            *last_use = now;
+            let program = Arc::clone(program);
             inner.hits += 1;
-            // Refresh recency: move the key to most-recent.
-            inner.order.retain(|k| k != key);
-            inner.order.push(key.clone());
             return Lookup::Hit(program);
         }
         if let Some(flight) = inner.in_flight.get(key).map(Arc::clone) {
@@ -290,10 +241,9 @@ impl ProgramCache {
         key: CacheKey,
         build: impl FnOnce() -> Result<Program, E>,
     ) -> Result<(Arc<Program>, bool), E> {
-        let shard = self.shard_for(&key);
         let mut build = Some(build);
         loop {
-            match self.probe(shard, &key) {
+            match self.probe(&key) {
                 Lookup::Hit(program) => return Ok((program, true)),
                 Lookup::Join(flight) => match flight.wait() {
                     FlightOutcome::Ready(program) => return Ok((program, true)),
@@ -302,22 +252,28 @@ impl ProgramCache {
                     FlightOutcome::Failed => {}
                 },
                 Lookup::Lead(flight) => {
-                    // Compile outside every lock: patterns can take a
-                    // while and other shards (and other keys on this
-                    // shard) must not serialize behind them.
+                    // Compile outside the lock: patterns can take a
+                    // while and other keys must not serialize behind them.
                     let built = (build.take().expect("leader builds at most once"))();
-                    let mut inner = shard.lock();
+                    let mut inner = self.lock();
                     inner.in_flight.remove(&key);
                     match built {
                         Ok(program) => {
                             let program = Arc::new(program);
-                            while inner.entries.len() >= inner.capacity {
-                                let oldest = inner.order.remove(0);
-                                inner.entries.remove(&oldest);
-                                inner.evictions += 1;
+                            if inner.entries.len() >= inner.capacity {
+                                let oldest = inner
+                                    .entries
+                                    .iter()
+                                    .min_by_key(|(_, (_, last_use))| *last_use)
+                                    .map(|(key, _)| key.clone());
+                                if let Some(oldest) = oldest {
+                                    inner.entries.remove(&oldest);
+                                    inner.evictions += 1;
+                                }
                             }
-                            inner.entries.insert(key.clone(), Arc::clone(&program));
-                            inner.order.push(key.clone());
+                            inner.clock += 1;
+                            let now = inner.clock;
+                            inner.entries.insert(key, (Arc::clone(&program), now));
                             drop(inner);
                             flight.publish(FlightOutcome::Ready(Arc::clone(&program)));
                             return Ok((program, false));
@@ -333,29 +289,23 @@ impl ProgramCache {
         }
     }
 
-    /// Current statistics, aggregated over every shard.
+    /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in &self.shards {
-            let inner = shard.lock();
-            stats.hits += inner.hits;
-            stats.misses += inner.misses;
-            stats.coalesced += inner.coalesced;
-            stats.evictions += inner.evictions;
-            stats.entries += inner.entries.len();
-            stats.capacity += inner.capacity;
+        let inner = self.lock();
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            coalesced: inner.coalesced,
+            evictions: inner.evictions,
+            entries: inner.entries.len(),
+            capacity: inner.capacity,
         }
-        stats
     }
 
     /// Drop every resident entry (counters are kept; in-flight compiles
     /// are unaffected and will still publish to their waiters).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut inner = shard.lock();
-            inner.entries.clear();
-            inner.order.clear();
-        }
+        self.lock().entries.clear();
     }
 }
 
@@ -405,41 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_tracks_capacity_and_request() {
-        assert_eq!(ProgramCache::new(128).shard_count(), DEFAULT_SHARDS);
-        assert_eq!(ProgramCache::new(3).shard_count(), 3, "no shard may have zero capacity");
-        assert_eq!(ProgramCache::new(1).shard_count(), 1);
-        assert_eq!(ProgramCache::with_shards(16, 4).shard_count(), 4);
-        assert_eq!(ProgramCache::with_shards(16, 0).shard_count(), 1);
-        // Total capacity is preserved exactly, however it divides.
-        assert_eq!(ProgramCache::with_shards(10, 4).stats().capacity, 10);
-        assert_eq!(ProgramCache::new(0).stats().capacity, 1, "capacity clamps to >= 1");
-    }
-
-    #[test]
-    fn striped_lookups_still_hit_regardless_of_shard() {
-        let cache = ProgramCache::with_shards(64, 8);
-        // Enough distinct keys that every shard very likely sees traffic.
-        for i in 0..32u8 {
-            let pattern = format!("p{i}");
-            cache
-                .get_or_insert_with::<()>(key(&pattern), || Ok(tiny_program(b'a' + (i % 26))))
-                .unwrap();
-        }
-        for i in 0..32u8 {
-            let pattern = format!("p{i}");
-            let (_, hit) =
-                cache.get_or_insert_with::<()>(key(&pattern), || panic!("cached")).unwrap();
-            assert!(hit, "{pattern} must be resident");
-        }
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (32, 32, 32));
-        assert_eq!(stats.evictions, 0);
-    }
-
-    #[test]
     fn evicts_least_recently_used() {
-        let cache = ProgramCache::with_shards(2, 1);
+        let cache = ProgramCache::new(2);
         cache.get_or_insert_with::<()>(key("a"), || Ok(tiny_program(b'a'))).unwrap();
         cache.get_or_insert_with::<()>(key("b"), || Ok(tiny_program(b'b'))).unwrap();
         // Touch "a" so "b" becomes the LRU entry.
@@ -481,11 +398,10 @@ mod tests {
 
     /// Evictions happen strictly in least-recently-*used* order — a hit
     /// refreshes recency, an insert counts as a use, and untouched entries
-    /// leave in insertion order. (Single-shard: exact global LRU order is
-    /// a per-shard property of the striped cache.)
+    /// leave in insertion order.
     #[test]
     fn eviction_follows_exact_lru_order() {
-        let cache = ProgramCache::with_shards(3, 1);
+        let cache = ProgramCache::new(3);
         for pattern in ["a", "b", "c"] {
             cache
                 .get_or_insert_with::<()>(key(pattern), || Ok(tiny_program(pattern.as_bytes()[0])))

@@ -1,49 +1,35 @@
-//! Versioned handles for compiled pattern sets, with pin/drain
-//! accounting for zero-downtime hot reload.
+//! Versioned handles for compiled pattern sets, for zero-downtime hot
+//! reload.
 //!
 //! A [`SetHandle`] couples one compiled [`Program`] with the pattern
 //! list it came from and a content-hash version string. The serving
 //! layer keeps the *current* handle behind a swap point; every request
 //! [`pin`](SetHandle::pin)s the handle it was admitted against and holds
 //! the [`PinGuard`] for the duration of the scan, so a swap installs a
-//! new current version without disturbing in-flight work: old versions
-//! are [`retire`](SetHandle::retire)d at swap time and counted as
-//! drained only once their last pin drops.
+//! new current version without disturbing in-flight work.
 //!
-//! The accounting is deliberately explicit (rather than leaning on
-//! `Arc`'s refcount) so the swap/drain protocol can be model-checked in
-//! `cicero-permute` and observed in telemetry: `pins()` is the in-flight
-//! count, `is_retired()` marks a superseded version, and `is_drained()`
-//! is the release condition the registry sweeps on.
+//! A pin is a clone of the handle's [`Arc`], so the `Arc`'s reference
+//! count is the drain accounting: a superseded version stays alive
+//! exactly as long as some scan still holds it, and the registry counts
+//! it released once its [`Weak`](std::sync::Weak) reference is dead.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cicero_isa::Program;
 
-/// One immutable compiled version of a ruleset.
-///
-/// Cheap to share behind an [`Arc`]; all mutability is the pin/retire
-/// accounting, which is atomic.
+/// One immutable compiled version of a ruleset. Share it behind an
+/// [`Arc`]; every holder of that `Arc` keeps the version alive.
 #[derive(Debug)]
 pub struct SetHandle {
     version: String,
     patterns: Vec<String>,
     program: Arc<Program>,
-    /// In-flight scans pinned to this version.
-    pins: AtomicU64,
-    /// Set once, at swap/delete time, when a newer version (or nothing)
-    /// replaces this one. Bit 0 of the packed state word.
-    state: AtomicU64,
 }
-
-const RETIRED_BIT: u64 = 1;
-const PIN_ONE: u64 = 2;
 
 impl SetHandle {
     /// Wrap a compiled program with its source patterns and version tag.
     pub fn new(version: String, patterns: Vec<String>, program: Arc<Program>) -> SetHandle {
-        SetHandle { version, patterns, program, pins: AtomicU64::new(0), state: AtomicU64::new(0) }
+        SetHandle { version, patterns, program }
     }
 
     /// The content-hash version tag.
@@ -62,46 +48,15 @@ impl SetHandle {
         &self.program
     }
 
-    /// Pin this version for one in-flight scan; the returned guard
-    /// releases the pin on drop.
+    /// Pin this version for one in-flight scan: the guard holds the
+    /// version alive until it drops.
     pub fn pin(self: &Arc<SetHandle>) -> PinGuard {
-        self.state.fetch_add(PIN_ONE, Ordering::AcqRel);
-        self.pins.fetch_add(1, Ordering::Relaxed);
         PinGuard { handle: Arc::clone(self) }
-    }
-
-    /// In-flight scans currently pinned to this version.
-    pub fn pins(&self) -> u64 {
-        self.state.load(Ordering::Acquire) / PIN_ONE
-    }
-
-    /// Mark this version as superseded. Idempotent. New requests must
-    /// no longer pin it (the swap point has already moved); existing
-    /// pins drain naturally.
-    pub fn retire(&self) {
-        self.state.fetch_or(RETIRED_BIT, Ordering::AcqRel);
-    }
-
-    /// Whether this version has been superseded by a swap or delete.
-    pub fn is_retired(&self) -> bool {
-        self.state.load(Ordering::Acquire) & RETIRED_BIT != 0
-    }
-
-    /// The release condition: retired with no remaining pins. The
-    /// registry sweeps retired versions on this predicate and drops its
-    /// last reference, releasing the compiled artifact.
-    pub fn is_drained(&self) -> bool {
-        self.state.load(Ordering::Acquire) == RETIRED_BIT
-    }
-
-    /// Total pins ever taken (monotonic; for telemetry and tests).
-    pub fn total_pins(&self) -> u64 {
-        self.pins.load(Ordering::Relaxed)
     }
 }
 
-/// An RAII pin on a [`SetHandle`]: holds the version alive (in the
-/// accounting sense) for the duration of one scan.
+/// A pin on a [`SetHandle`]: one reference to the version, held for the
+/// duration of one scan.
 #[derive(Debug)]
 pub struct PinGuard {
     handle: Arc<SetHandle>,
@@ -121,75 +76,5 @@ impl PinGuard {
     /// The pinned compiled program.
     pub fn program(&self) -> &Arc<Program> {
         self.handle.program()
-    }
-}
-
-impl Drop for PinGuard {
-    fn drop(&mut self) {
-        self.handle.state.fetch_sub(PIN_ONE, Ordering::AcqRel);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn handle() -> Arc<SetHandle> {
-        let program = Arc::new(cicero_core::compile("ab|cd").unwrap().into_program());
-        Arc::new(SetHandle::new("v1".to_owned(), vec!["ab|cd".to_owned()], program))
-    }
-
-    #[test]
-    fn pins_track_guard_lifetimes() {
-        let handle = handle();
-        assert_eq!(handle.pins(), 0);
-        let a = handle.pin();
-        let b = handle.pin();
-        assert_eq!(handle.pins(), 2);
-        assert_eq!(a.version(), "v1");
-        drop(a);
-        assert_eq!(handle.pins(), 1);
-        drop(b);
-        assert_eq!(handle.pins(), 0);
-        assert_eq!(handle.total_pins(), 2);
-    }
-
-    #[test]
-    fn retired_versions_drain_only_after_the_last_pin_drops() {
-        let handle = handle();
-        let guard = handle.pin();
-        handle.retire();
-        assert!(handle.is_retired());
-        assert!(!handle.is_drained(), "still pinned");
-        drop(guard);
-        assert!(handle.is_drained());
-        // Retire is idempotent and an unretired handle never drains.
-        handle.retire();
-        assert!(handle.is_drained());
-        let fresh = self::handle();
-        assert!(!fresh.is_drained());
-    }
-
-    #[test]
-    fn concurrent_pins_balance_out() {
-        let handle = handle();
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let handle = Arc::clone(&handle);
-                std::thread::spawn(move || {
-                    for _ in 0..500 {
-                        let guard = handle.pin();
-                        std::hint::black_box(guard.program());
-                    }
-                })
-            })
-            .collect();
-        handle.retire();
-        for thread in threads {
-            thread.join().unwrap();
-        }
-        assert_eq!(handle.pins(), 0);
-        assert!(handle.is_drained());
-        assert_eq!(handle.total_pins(), 2000);
     }
 }

@@ -54,7 +54,7 @@ mod stream;
 use std::sync::Arc;
 
 pub use budget::{Budget, BudgetKind, GuardedBatch, MatchOutcome, WorkerStats};
-pub use cache::{CacheKey, CacheStats, ProgramCache, DEFAULT_SHARDS};
+pub use cache::{CacheKey, CacheStats, ProgramCache};
 pub use cicero_hostexec::{EngineKind, HostAllOutcome, HostOutcome, HostProgram};
 pub use handle::{PinGuard, SetHandle};
 pub use stream::{StreamError, StreamOptions, StreamReport};
@@ -65,14 +65,16 @@ use cicero_core::{
 use cicero_isa::Program;
 use cicero_telemetry::{Telemetry, TraceContext, TraceSpan};
 
-/// Bounded memoization of host-engine lowerings, keyed by the program
-/// itself. Lowering runs outside the lock (a racing duplicate is merely
-/// wasted work); at capacity the map is flushed wholesale — a rebuild
-/// costs about 0.25 ms for a four-rule BRILL set and 0.4 ms for a
-/// 350-state PROTOMATA set (2-vCPU Xeon), and the working set of
-/// distinct programs is small.
+/// Bounded memoization of host-engine lowerings, keyed by the program's
+/// address so a hit compares instructions instead of hashing them all.
+/// A freed program's address can be reused, so a hit also checks that
+/// the stored clone equals `program`. Lowering runs outside the lock (a
+/// racing duplicate is merely wasted work); at capacity the map is
+/// flushed wholesale — a rebuild costs about 0.25 ms for a four-rule
+/// BRILL set and 0.4 ms for a 350-state PROTOMATA set (2-vCPU Xeon), and
+/// the working set of distinct programs is small.
 struct HostCache {
-    map: std::sync::Mutex<std::collections::HashMap<Program, Arc<HostProgram>>>,
+    map: std::sync::Mutex<std::collections::HashMap<usize, (Program, Arc<HostProgram>)>>,
     capacity: usize,
 }
 
@@ -91,9 +93,14 @@ impl HostCache {
         program: &Program,
         span: impl FnOnce() -> Option<TraceSpan>,
     ) -> Arc<HostProgram> {
-        if let Some(hit) = self.map.lock().unwrap_or_else(|p| p.into_inner()).get(program) {
-            return Arc::clone(hit);
+        let address = std::ptr::from_ref(program) as usize;
+        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((stored, hit)) = map.get(&address) {
+            if stored == program {
+                return Arc::clone(hit);
+            }
         }
+        drop(map);
         let span = span();
         let lowered = Arc::new(HostProgram::compile(program));
         if let Some(span) = span {
@@ -105,7 +112,8 @@ impl HostCache {
         if map.len() >= self.capacity {
             map.clear();
         }
-        map.entry(program.clone()).or_insert_with(|| Arc::clone(&lowered)).clone()
+        map.insert(address, (program.clone(), Arc::clone(&lowered)));
+        lowered
     }
 }
 
@@ -408,6 +416,30 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((first_hit, second_hit), (false, true));
         assert_eq!(runtime.cache().stats().hits, 1);
+    }
+
+    /// The host memo is keyed by a program's address: programs dropped
+    /// and re-created in a loop land on reused addresses, and every
+    /// lookup must still return the lowering of the program it was given.
+    #[test]
+    fn host_memo_lowers_the_program_at_a_reused_address() {
+        let runtime = runtime(1);
+        let patterns = ["ab", "a[bc]d+", "(abcd|bcda|cdab|dabc)", "x{2,5}y|z", "q"];
+        let inputs: [&[u8]; 4] = [b"xxabyy", b"zacddq", b"xxxy", b"bcdab"];
+        let mut addresses = std::collections::HashSet::new();
+        for round in 0..40 {
+            let pattern = patterns[round % patterns.len()];
+            let program = Box::new(cicero_core::compile(pattern).unwrap().into_program());
+            addresses.insert(std::ptr::from_ref::<Program>(&program) as usize);
+            let memo = runtime.host_program(&program);
+            let fresh = HostProgram::compile(&program);
+            assert_eq!(memo.engine_kind(), fresh.engine_kind(), "{pattern}");
+            assert_eq!(memo.state_count(), fresh.state_count(), "{pattern}");
+            for input in inputs {
+                assert_eq!(memo.run_all(input), fresh.run_all(input), "{pattern} on {input:?}");
+            }
+        }
+        assert!(addresses.len() < 40, "the allocator reused no address; the test proves nothing");
     }
 
     #[test]

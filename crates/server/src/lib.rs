@@ -4,7 +4,7 @@
 //! accelerator sitting behind deep-packet-inspection and log-scanning
 //! services (§1). This crate is the host-side serving tier for that
 //! story — a dependency-free HTTP front door over the existing
-//! [`Runtime`] (worker pool + sharded LRU compiled-program cache), built
+//! [`Runtime`] (worker pool + LRU compiled-program cache), built
 //! from `std::net` only:
 //!
 //! * **A thread per admitted connection** — the acceptor blocks in

@@ -14,16 +14,15 @@
 //!   atomically, under the registry lock.
 //! * **`pin`** is how a scan acquires the ruleset: the lookup and the
 //!   pin happen under the same lock a swap takes, so a request observes
-//!   either the old or the new version, never a retired-and-released
-//!   one. The returned [`PinGuard`] keeps the version's drain
-//!   accounting alive for the duration of the scan.
-//! * **Swap/drain**: a replaced (or deleted) version is
-//!   [`retire`](SetHandle::retire)d and parked on a retired list;
-//!   in-flight scans drain on it, and a sweep releases it (drops the
-//!   registry's reference and counts `registry.versions_released`) once
-//!   its last pin drops. The protocol — including the bug where the old
-//!   version is freed while still pinned — is model-checked by
-//!   `cicero-permute`'s `SwapModel`.
+//!   either the old or the new version, never a released one. The
+//!   returned [`PinGuard`] is a clone of the version's `Arc` and keeps
+//!   it alive for the duration of the scan.
+//! * **Swap/drain**: a replaced (or deleted) version is parked on a
+//!   retired list as a `Weak`; in-flight scans drain on it, and a sweep
+//!   counts it released (`registry.versions_released`) once its last pin
+//!   drops and the `Weak` is dead. `tests/registry_swap_under_load.rs`
+//!   checks that no request is dropped or served a wrong version under
+//!   live swaps.
 //! * **Persistence**: with a persist directory configured, each put
 //!   writes `{id}.ruleset` — a text envelope over the hex-encoded
 //!   pattern list and the [`EncodedProgram`] byte artifact (the paper's
@@ -35,7 +34,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use cicero_core::CompileError;
 use cicero_isa::{EncodedProgram, Program};
@@ -112,14 +111,14 @@ pub struct RulesetInfo {
     pub pins: u64,
 }
 
-/// Named → current-version map plus the drain accounting for retired
-/// versions. Construction-time cheap; share behind the server's `Shared`.
+/// Named → current-version map plus the retired versions still
+/// draining. Construction-time cheap; share behind the server's `Shared`.
 pub struct RulesetRegistry {
     entries: Mutex<HashMap<String, Arc<SetHandle>>>,
-    /// Superseded versions still pinned by in-flight scans. Swept on
-    /// every mutation (and by `sweep`); a drained entry is dropped and
-    /// counted as released.
-    retired: Mutex<Vec<Arc<SetHandle>>>,
+    /// Superseded versions, possibly still pinned by in-flight scans.
+    /// Swept on every mutation (and by `sweep`); a dead entry is dropped
+    /// and counted as released.
+    retired: Mutex<Vec<Weak<SetHandle>>>,
     persist_dir: Option<PathBuf>,
     telemetry: Telemetry,
 }
@@ -207,7 +206,7 @@ impl RulesetRegistry {
             id: id.to_owned(),
             version: handle.version().to_owned(),
             patterns: handle.patterns().to_vec(),
-            pins: handle.pins(),
+            pins: pins(handle),
         })
     }
 
@@ -220,7 +219,7 @@ impl RulesetRegistry {
                 id: id.clone(),
                 version: handle.version().to_owned(),
                 patterns: handle.patterns().to_vec(),
-                pins: handle.pins(),
+                pins: pins(handle),
             })
             .collect();
         drop(entries);
@@ -298,14 +297,14 @@ impl RulesetRegistry {
         Ok(loaded)
     }
 
-    /// Release retired versions whose last pin has dropped, refreshing
+    /// Count retired versions whose last pin has dropped, refreshing
     /// the `registry.*` gauges. Called on every mutation; also safe to
     /// call periodically.
     pub fn sweep(&self) {
         let released = {
             let mut retired = self.retired.lock().unwrap_or_else(|p| p.into_inner());
             let before = retired.len();
-            retired.retain(|handle| !handle.is_drained());
+            retired.retain(|handle| handle.strong_count() > 0);
             let after = retired.len();
             self.telemetry.gauge_set("registry.versions_retired", after as f64);
             before - after
@@ -324,9 +323,14 @@ impl RulesetRegistry {
     }
 
     fn park_retired(&self, handle: Arc<SetHandle>) {
-        handle.retire();
-        self.retired.lock().unwrap_or_else(|p| p.into_inner()).push(handle);
+        self.retired.lock().unwrap_or_else(|p| p.into_inner()).push(Arc::downgrade(&handle));
     }
+}
+
+/// In-flight scans pinned to a current version: every reference but the
+/// registry's own. Read under the entries lock, so no swap races it.
+fn pins(handle: &Arc<SetHandle>) -> u64 {
+    Arc::strong_count(handle) as u64 - 1
 }
 
 /// Ids become file stems, so the alphabet is conservative.
@@ -518,6 +522,31 @@ mod tests {
         assert_eq!(registry.retired_len(), 0);
         assert_eq!(telemetry.counter("registry.versions_released"), 1);
         assert_eq!(telemetry.counter("registry.swaps"), 1);
+    }
+
+    #[test]
+    fn pin_counts_follow_live_guards_and_a_swapped_version_drains_on_its_last() {
+        let telemetry = Telemetry::new();
+        let registry = RulesetRegistry::new(None, telemetry.clone());
+        let runtime = runtime();
+        registry.put(&runtime, "r", vec!["aa".to_owned()]).unwrap();
+        let first = registry.pin("r").unwrap();
+        let second = registry.pin("r").unwrap();
+        assert_eq!(registry.get("r").unwrap().pins, 2);
+        assert_eq!(registry.list()[0].pins, 2);
+        drop(first);
+        assert_eq!(registry.get("r").unwrap().pins, 1);
+        assert_eq!(registry.list()[0].pins, 1);
+
+        registry.put(&runtime, "r", vec!["bb".to_owned()]).unwrap();
+        assert_eq!(registry.get("r").unwrap().pins, 0, "the new version starts unpinned");
+        registry.sweep();
+        assert_eq!(registry.retired_len(), 1, "the old version is still pinned");
+        assert_eq!(telemetry.counter("registry.versions_released"), 0);
+        drop(second);
+        registry.sweep();
+        assert_eq!(registry.retired_len(), 0);
+        assert_eq!(telemetry.counter("registry.versions_released"), 1);
     }
 
     #[test]

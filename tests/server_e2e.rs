@@ -145,7 +145,7 @@ fn raw_roundtrip(addr: &str, method: &str, path: &str, body: &str) -> u16 {
 
 /// The multi-core smoke contract (CI runs this binary with
 /// `--workers 4`): four concurrent clients hammering `/match` with
-/// distinct patterns — concurrent compiles through the sharded program
+/// distinct patterns — concurrent compiles through the shared program
 /// cache — must all be answered `200`, and the server must still drain
 /// cleanly afterwards.
 #[test]
