@@ -54,6 +54,7 @@ fn benchmark_sets_compile_to_pinned_programs() {
 fn corpus_sets_compile_to_pinned_programs() {
     let pinned = [
         ("host-bit-wide-bounded-gap-set", [0x3176_20b4_1a95_aae9, 0x3cb2_86f2_777f_91d1]),
+        ("host-bit-wide-bulk-scan-signatures", [0xd2ff_08e9_7cac_3e77, 0x6c16_e9a3_65c2_ebdb]),
         ("registry-high-byte-artifact", [0xd07a_b4c3_3ae3_5676, 0xe19a_5603_be7a_8e17]),
         ("registry-shared-cache-set", [0xadde_1bce_6dcf_bab2, 0xdc67_feed_591b_4202]),
     ];
