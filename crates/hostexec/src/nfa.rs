@@ -16,6 +16,11 @@
 //! byte predicate, so one shared table `enter[class]` can gate the whole
 //! next-state set with a single AND.
 //!
+//! States are numbered in program order (by PC; the start state, PC 0,
+//! stays state 0), so a pattern's atoms sit on consecutive ids: the
+//! multi-word engine steps the resulting chains and gap windows by shift
+//! and carry instead of per-state rows.
+//!
 //! The closure is memoized per PC (the constraint always restarts at the
 //! full alphabet after a byte is consumed) and budgeted: a pathological
 //! `NotMatch` lattice that would explode the `(pc, constraint)` space
@@ -29,7 +34,7 @@ use cicero_isa::{Instruction, Program};
 use crate::bytes::ByteSet;
 
 /// One byte-conditional acceptance attached to a state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct AcceptArm {
     /// `AcceptPartialId` identifier; `None` for `Accept`/`AcceptPartial`.
     pub id: Option<u16>,
@@ -42,7 +47,8 @@ pub(crate) struct AcceptArm {
 
 /// The epsilon-free automaton. State 0 is the start configuration (active
 /// only at position 0, entry predicate empty so it is never re-entered);
-/// every other state is one `(pc, predicate)` group.
+/// every other state is one `(pc, predicate)` group, numbered in program
+/// order.
 #[derive(Debug, Clone)]
 pub(crate) struct Nfa {
     /// Entry byte predicate per state.
@@ -82,8 +88,30 @@ pub(crate) fn lower(program: &Program) -> Option<Nfa> {
         builder.close(state)?;
         state += 1;
     }
-    let preds = builder.groups.into_iter().map(|(_, pred)| pred).collect();
-    Some(Nfa { preds, follow: builder.follow, arms: builder.arms })
+    // Renumber in program order (groups at one PC in discovery order).
+    // The start is the only group at PC 0 (every other group is the PC
+    // after a consuming instruction), so it stays state 0.
+    let n = builder.groups.len();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by_key(|&state| (builder.groups[state as usize].0, state));
+    let mut renumber = vec![0u32; n];
+    for (new, &old) in order.iter().enumerate() {
+        renumber[old as usize] = new as u32;
+    }
+    for follows in &mut builder.follow {
+        for target in follows.iter_mut() {
+            *target = renumber[*target as usize];
+        }
+        follows.sort_unstable();
+    }
+    Some(Nfa {
+        preds: order.iter().map(|&old| builder.groups[old as usize].1).collect(),
+        follow: order
+            .iter()
+            .map(|&old| std::mem::take(&mut builder.follow[old as usize]))
+            .collect(),
+        arms: order.iter().map(|&old| std::mem::take(&mut builder.arms[old as usize])).collect(),
+    })
 }
 
 struct Builder<'p> {
@@ -222,7 +250,8 @@ fn merge_arms(arms: Vec<AcceptArm>) -> Vec<AcceptArm> {
     merged
 }
 
-/// Prefix factoring: merge states that are provably *co-active*.
+/// Prefix factoring: merge states that are provably *co-active*, and
+/// *siblings*.
 ///
 /// Two states with the same entry predicate and the same incoming source
 /// set are activated under exactly the same conditions (induction over
@@ -231,9 +260,21 @@ fn merge_arms(arms: Vec<AcceptArm>) -> Vec<AcceptArm> {
 /// `compile_set` programs this folds the duplicated per-member scan loops
 /// and shared literal prefixes (`abcd|abce|…`) into one spine, shrinking
 /// the automaton — often below the 64-state line that selects the fastest
-/// engine. Unreachable states are pruned on the way. Runs to fixpoint:
-/// each round either merges/prunes something (state count strictly
-/// drops) or stops.
+/// engine.
+///
+/// Siblings are states with the same incoming sources, the same follow
+/// set and the same arms: the members of a character class, which the
+/// ISA spells as a `Split` chain of `Match`es (`[LIVM]` comes back as four
+/// states). One state whose predicate is the union of theirs is active
+/// exactly when one of them would be (induction again), and each of them
+/// contributes the same successors and arms. A state a co-active merge
+/// touches sits out the round's sibling merges: a representative that
+/// absorbed both would hand its sibling's bytes the other state's
+/// successors.
+///
+/// Unreachable states are pruned on the way. Runs to fixpoint: each round
+/// either merges/prunes something (state count strictly drops) or stops.
+/// Kept states keep their relative order, so program order survives.
 pub(crate) fn factor(nfa: &mut Nfa) {
     loop {
         let n = nfa.preds.len();
@@ -257,79 +298,112 @@ pub(crate) fn factor(nfa: &mut Nfa) {
             }
         }
 
+        let sources = |state: usize| &incoming[start[state]..start[state + 1]];
+        // Merged states have equal sources, so equal first sources: a
+        // state alone with its first source has no partner.
+        let mut sharing = vec![0u32; n];
+        for state in 1..n {
+            if let Some(&first) = sources(state).first() {
+                sharing[first as usize] += 1;
+            }
+        }
         // alias[s] = the representative s collapses into (itself if kept);
         // u32::MAX marks an unreachable state scheduled for pruning.
         let mut alias: Vec<u32> = (0..n as u32).collect();
-        let mut repr: HashMap<(ByteSet, &[u32]), u32> = HashMap::new();
-        let mut changed = false;
-        for state in 1..n {
-            let sources = &incoming[start[state]..start[state + 1]];
-            if sources.is_empty() {
-                alias[state] = u32::MAX;
-                changed = true;
-                continue;
-            }
-            match repr.entry((nfa.preds[state], sources)) {
-                std::collections::hash_map::Entry::Occupied(entry) => {
-                    alias[state] = *entry.get();
-                    changed = true;
-                }
-                std::collections::hash_map::Entry::Vacant(entry) => {
-                    entry.insert(state as u32);
-                }
+        let mut candidates = Vec::new();
+        for (state, target) in alias.iter_mut().enumerate().skip(1) {
+            match sources(state).first() {
+                None => *target = u32::MAX,
+                Some(&first) if sharing[first as usize] > 1 => candidates.push(state),
+                Some(_) => {}
             }
         }
+        // States a co-active merge touched this round (representatives
+        // and merged alike) sit out the sibling merges.
+        let mut coactive = vec![false; n];
+        for (repr, state) in equal_runs(&mut candidates, |s| (sources(s), nfa.preds[s])) {
+            alias[state] = repr as u32;
+            coactive[repr] = true;
+            coactive[state] = true;
+        }
+        candidates.retain(|&state| !coactive[state]);
+        for (repr, state) in
+            equal_runs(&mut candidates, |s| (sources(s), &nfa.follow[s], &nfa.arms[s]))
+        {
+            alias[state] = repr as u32;
+        }
+        let changed = alias.iter().enumerate().any(|(state, &target)| target != state as u32);
         if !changed {
             return;
         }
 
-        // Fold merged states into their representatives.
+        // Fold merged states into their representatives: a co-active one
+        // takes the union of the follow sets and arms, a sibling one the
+        // union of the predicates (its follow set and arms are the
+        // representative's already).
         for (state, &target) in alias.iter().enumerate().take(n).skip(1) {
             if target == state as u32 || target == u32::MAX {
                 continue;
             }
+            let target = target as usize;
+            if !coactive[state] {
+                nfa.preds[target] = nfa.preds[target].union(nfa.preds[state]);
+                continue;
+            }
             let follows = std::mem::take(&mut nfa.follow[state]);
-            nfa.follow[target as usize].extend(follows);
+            nfa.follow[target].extend(follows);
             let arms = std::mem::take(&mut nfa.arms[state]);
-            let mut merged = std::mem::take(&mut nfa.arms[target as usize]);
+            let mut merged = std::mem::take(&mut nfa.arms[target]);
             merged.extend(arms);
-            nfa.arms[target as usize] = merge_arms(merged);
+            nfa.arms[target] = merge_arms(merged);
         }
 
         // Renumber the kept states and rewrite every follow edge through
         // the alias map.
+        // Kept states move down in place, in order, so no list is
+        // reallocated.
         let mut renumber: Vec<u32> = vec![u32::MAX; n];
-        let mut kept = 0u32;
-        for state in 0..n {
-            if alias[state] == state as u32 {
-                renumber[state] = kept;
+        let mut kept = 0;
+        for (state, &target) in alias.iter().enumerate() {
+            if target == state as u32 {
+                renumber[state] = kept as u32;
+                nfa.preds.swap(kept, state);
+                nfa.follow.swap(kept, state);
+                nfa.arms.swap(kept, state);
                 kept += 1;
             }
         }
-        let mut next = Nfa {
-            preds: Vec::with_capacity(kept as usize),
-            follow: Vec::with_capacity(kept as usize),
-            arms: Vec::with_capacity(kept as usize),
-        };
-        for state in 0..n {
-            if alias[state] != state as u32 {
-                continue;
+        nfa.preds.truncate(kept);
+        nfa.follow.truncate(kept);
+        nfa.arms.truncate(kept);
+        for follows in &mut nfa.follow {
+            for target in follows.iter_mut() {
+                let repr = alias[*target as usize];
+                *target = if repr == u32::MAX { u32::MAX } else { renumber[repr as usize] };
             }
-            let mut follows: Vec<u32> = nfa.follow[state]
-                .iter()
-                .filter_map(|&t| {
-                    let target = alias[t as usize];
-                    (target != u32::MAX).then(|| renumber[target as usize])
-                })
-                .collect();
+            follows.retain(|&target| target != u32::MAX);
             follows.sort_unstable();
             follows.dedup();
-            next.preds.push(nfa.preds[state]);
-            next.follow.push(follows);
-            next.arms.push(std::mem::take(&mut nfa.arms[state]));
         }
-        *nfa = next;
     }
+}
+
+/// Sort `states` by `key` and pair each state with the first (lowest)
+/// state of its run of equal keys: `(representative, state)` for every
+/// state that is not one. Sorting rather than hashing keeps the cost
+/// `n log n` comparisons whatever the program.
+fn equal_runs<K: Ord>(states: &mut [usize], key: impl Fn(usize) -> K) -> Vec<(usize, usize)> {
+    states.sort_unstable_by_key(|&state| (key(state), state));
+    let mut pairs = Vec::new();
+    let mut repr = 0;
+    for next in 1..states.len() {
+        if key(states[next]) == key(states[repr]) {
+            pairs.push((states[repr], states[next]));
+        } else {
+            repr = next;
+        }
+    }
+    pairs
 }
 
 #[cfg(test)]
@@ -408,6 +482,116 @@ mod tests {
         // Exactly one state is entered on `a`.
         let a_states = nfa.preds.iter().filter(|p| p.contains(b'a') && p.len() == 1).count();
         assert_eq!(a_states, 1);
+    }
+
+    /// The states entered on exactly the bytes of `bytes`.
+    fn entered_on(nfa: &Nfa, bytes: &[u8]) -> Vec<usize> {
+        let mut want = ByteSet::EMPTY;
+        for &b in bytes {
+            want.insert(b);
+        }
+        (0..nfa.preds.len()).filter(|&s| nfa.preds[s] == want).collect()
+    }
+
+    #[test]
+    fn factoring_merges_a_class_into_one_state() {
+        // `x[abc]y`: the ISA's class is a `Split` chain of `Match`es, one
+        // state per member, all entered from `x` and all leading to `y`.
+        let mut nfa = lowered(vec![
+            Match(b'x'),
+            Split(4),
+            Match(b'a'),
+            Jump(8),
+            Split(7),
+            Match(b'b'),
+            Jump(8),
+            Match(b'c'),
+            Match(b'y'),
+            Accept,
+        ]);
+        assert_eq!(nfa.preds.len(), 6);
+        factor(&mut nfa);
+        assert_eq!(nfa.preds.len(), 4, "start, x, [abc], y");
+        let (x, class, y) =
+            (entered_on(&nfa, b"x"), entered_on(&nfa, b"abc"), entered_on(&nfa, b"y"));
+        assert_eq!((x.len(), class.len(), y.len()), (1, 1, 1));
+        assert_eq!(nfa.follow[x[0]], vec![class[0] as u32]);
+        assert_eq!(nfa.follow[class[0]], vec![y[0] as u32]);
+        // Program order: start, x, the class, y.
+        assert_eq!((x[0], class[0], y[0]), (1, 2, 3));
+    }
+
+    #[test]
+    fn factoring_keeps_siblings_of_different_sources_apart() {
+        // `(a|xb)c`: `a` and `b` both lead to `c` but are entered from
+        // different states, so a `b` without the `x` must not count.
+        let mut nfa = lowered(vec![
+            Split(3),
+            Match(b'a'),
+            Jump(5),
+            Match(b'x'),
+            Match(b'b'),
+            Match(b'c'),
+            Accept,
+        ]);
+        factor(&mut nfa);
+        assert_eq!(entered_on(&nfa, b"a").len(), 1);
+        assert_eq!(entered_on(&nfa, b"b").len(), 1);
+        assert!(entered_on(&nfa, b"ab").is_empty());
+        // Nor do `a` and `x`: same source, different successors.
+        assert!(entered_on(&nfa, b"ax").is_empty());
+    }
+
+    #[test]
+    fn factoring_merges_self_looping_siblings() {
+        // `[ab]*c`: each member's state loops to both and leads to `c`;
+        // its sources include both members. The merged state loops to
+        // itself.
+        let mut nfa = lowered(vec![
+            Split(6),
+            Split(4),
+            Match(b'a'),
+            Jump(0),
+            Match(b'b'),
+            Jump(0),
+            Match(b'c'),
+            Accept,
+        ]);
+        factor(&mut nfa);
+        assert_eq!(nfa.preds.len(), 3, "start, [ab], c");
+        let (class, c) = (entered_on(&nfa, b"ab"), entered_on(&nfa, b"c"));
+        assert_eq!((class.len(), c.len()), (1, 1));
+        assert_eq!(nfa.follow[0], vec![class[0] as u32, c[0] as u32]);
+        assert_eq!(nfa.follow[class[0]], vec![class[0] as u32, c[0] as u32]);
+    }
+
+    #[test]
+    fn a_coactive_representative_sits_out_sibling_merges() {
+        // `x(a1|b1|a2)`: the two `a` states are co-active, and the first
+        // is also a sibling of `b` (both lead to `1`). Merging all three
+        // would let `xb2` through.
+        let mut nfa = lowered(vec![
+            Match(b'x'),
+            Split(4),
+            Match(b'a'),
+            Jump(10),
+            Split(7),
+            Match(b'b'),
+            Jump(10),
+            Match(b'a'),
+            Match(b'2'),
+            Jump(12),
+            Match(b'1'),
+            Jump(12),
+            Accept,
+        ]);
+        factor(&mut nfa);
+        let (a, b) = (entered_on(&nfa, b"a"), entered_on(&nfa, b"b"));
+        assert_eq!((a.len(), b.len()), (1, 1));
+        let one = entered_on(&nfa, b"1")[0] as u32;
+        let two = entered_on(&nfa, b"2")[0] as u32;
+        assert_eq!(nfa.follow[a[0]], vec![one.min(two), one.max(two)]);
+        assert_eq!(nfa.follow[b[0]], vec![one]);
     }
 
     #[test]

@@ -7,17 +7,33 @@
 //! D' = (⋃ follow[s] for s in D)  ∩  enter[class(byte)]
 //! ```
 //!
-//! over a state mask of `ceil(states / 64)` `u64` words. The follow
-//! union walks the set bits of the non-zero words of `D` and ORs one
-//! row per active state. `BitEngine`'s byte-chunked follow tables cannot
-//! simply be instantiated wider: they are 4·n² bytes (490 KB at 350
-//! states, 268 MB at the ISA's 8,192-instruction ceiling). Per-state
-//! rows are n²/8 bytes dense, and they are mostly zero — a state has a
-//! handful of successors — so a row keeps only its non-zero words, as
-//! `(word index, mask)` pairs: 16 bytes per pair, one or two pairs for
-//! most states however wide the automaton is (6.6 KB of rows for a
-//! 350-state, 16-signature protein set; n²/4 bytes if every row were
-//! full).
+//! over a state mask of `ceil(states / 64)` `u64` words. `BitEngine`'s
+//! byte-chunked follow tables cannot simply be instantiated wider: they
+//! are 4·n² bytes (165 KB at 203 states, 268 MB at the ISA's
+//! 8,192-instruction ceiling). Instead the follow union is split, at
+//! build time, into three parts that partition every state's follow set
+//! (Navarro & Raffinot's bit-parallel treatment of bounded gaps):
+//!
+//! - **Chain edges** `s → s + 1`. States are numbered in program order,
+//!   so a pattern's consecutive atoms are consecutive bits, and the part
+//!   is one shift across words: `(D & chain) << 1`.
+//! - **Gap runs**: a run `[a..b]` of states that all have an edge to
+//!   `b + 1`, as the states of a `.{m,n}` window do. With `G` the runs'
+//!   bits and `Y` their targets' bits, the part is `((D & G) + G) & Y`:
+//!   any active state of a run carries out of it into its target. The
+//!   add carries across words; runs are kept only while their spans
+//!   `[a..b + 1]` are pairwise disjoint, so no carry reaches another run.
+//! - **Residual edges**, everything else (scan loops, back edges, a
+//!   member's first atoms): per-state rows of `(word index, mask)` pairs
+//!   holding only the non-zero words of the state's remaining follow
+//!   mask, ORed for the active states of `D & residual` alone.
+//!
+//! The shift and the carry cost a few word operations per mask word,
+//! whatever is active; the row walk touches the handful of active
+//! residual sources. Memory is `4 × words` words of step masks, `16`
+//! bytes per residual row pair, and `2 × classes × words` words of entry
+//! and acceptance masks (on the 203-state, 16-signature protein set:
+//! 13 residual sources, 26 row pairs).
 //!
 //! Acceptance is checked before the byte is consumed and once more at
 //! end of input, a dead frontier ends the run, identifiers resolve to
@@ -51,14 +67,29 @@ struct WideArm {
     sites: Vec<(u32, ByteSet, bool)>,
 }
 
+/// One `u64` word of the step's masks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StepWord {
+    /// States with the chain edge `s → s + 1`.
+    chain: u64,
+    /// States of the gap runs.
+    gap: u64,
+    /// The gap runs' targets (`b + 1` of each run `[a..b]`).
+    gap_to: u64,
+    /// States with residual rows.
+    residual: u64,
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct WideEngine {
     pub classes: Classes,
     pub n_states: usize,
     /// `u64` words per state mask.
     words: usize,
-    /// The non-zero words of every state's follow mask, as `(word index,
-    /// mask)`; state `s` owns `rows[row_start[s]..row_start[s + 1]]`.
+    /// Chain, gap and residual masks, one entry per mask word.
+    step: Vec<StepWord>,
+    /// The non-zero words of every state's residual follow mask, as
+    /// `(word index, mask)`; state `s` owns `rows[row_start[s]..row_start[s + 1]]`.
     rows: Vec<(u32, u64)>,
     row_start: Vec<u32>,
     /// `enter[class * words..][..words]`: states enterable on the class.
@@ -95,21 +126,7 @@ impl WideEngine {
             nfa.preds.iter().copied().chain(nfa.arms.iter().flatten().map(|arm| arm.bytes)),
         );
 
-        let mut rows: Vec<(u32, u64)> = Vec::new();
-        let mut row_start = Vec::with_capacity(n + 1);
-        for follows in &nfa.follow {
-            row_start.push(rows.len() as u32);
-            let first = rows.len();
-            for &t in follows {
-                let word = t / 64;
-                let bit = 1u64 << (t % 64);
-                match rows[first..].last_mut() {
-                    Some((w, mask)) if *w == word => *mask |= bit,
-                    _ => rows.push((word, bit)),
-                }
-            }
-        }
-        row_start.push(rows.len() as u32);
+        let (step, rows, row_start) = split_follow(&nfa.follow);
 
         let mut enter = vec![0u64; classes.count * words];
         for (class, &byte) in classes.repr.iter().enumerate() {
@@ -138,6 +155,7 @@ impl WideEngine {
             classes,
             n_states: n,
             words,
+            step,
             rows,
             row_start,
             enter,
@@ -182,9 +200,36 @@ impl WideEngine {
         d
     }
 
+    /// The follow union of `cur`, into `nxt`: chain shift, gap carries,
+    /// then the residual rows of the active residual sources.
+    #[inline]
+    fn follow(&self, cur: &[u64], nxt: &mut [u64]) {
+        let mut shifted_out = 0u64;
+        let mut carry = false;
+        for ((to, &active), masks) in nxt.iter_mut().zip(cur).zip(&self.step) {
+            let chain = active & masks.chain;
+            let (sum, over) = (active & masks.gap).overflowing_add(masks.gap);
+            let (sum, carried) = sum.overflowing_add(u64::from(carry));
+            carry = over | carried;
+            *to = (chain << 1) | shifted_out | (sum & masks.gap_to);
+            shifted_out = chain >> 63;
+        }
+        for (word, (&active, masks)) in cur.iter().zip(&self.step).enumerate() {
+            let mut bits = active & masks.residual;
+            while bits != 0 {
+                let state = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let row = self.row_start[state] as usize..self.row_start[state + 1] as usize;
+                for &(to, mask) in &self.rows[row] {
+                    nxt[to as usize] |= mask;
+                }
+            }
+        }
+    }
+
     /// Step `d` over `input[from..]` until it dies, the input ends, or a
     /// state in `any` (per-class acceptance masks) is about to consume a
-    /// byte. `next` is scratch: all zero on entry and on exit.
+    /// byte. `next` is scratch.
     fn scan(
         &self,
         any: &[u64],
@@ -203,19 +248,7 @@ impl WideEngine {
                 stop = Stop::Accept(pos);
                 break;
             }
-            // Taking each word of `cur` as it is read leaves it zeroed:
-            // it is the next step's scratch.
-            for (word, active) in cur.iter_mut().enumerate() {
-                let mut bits = std::mem::take(active);
-                while bits != 0 {
-                    let state = word * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let row = self.row_start[state] as usize..self.row_start[state + 1] as usize;
-                    for &(to, mask) in &self.rows[row] {
-                        nxt[to as usize] |= mask;
-                    }
-                }
-            }
+            self.follow(cur, nxt);
             let mut alive = 0u64;
             for (to, &gate) in nxt.iter_mut().zip(&self.enter[class * words..][..words]) {
                 *to &= gate;
@@ -324,6 +357,92 @@ impl WideEngine {
     }
 }
 
+/// Split every state's follow set into chain edges, gap runs and
+/// residual rows (see the module docs). States are in program order.
+fn split_follow(follow: &[Vec<u32>]) -> (Vec<StepWord>, Vec<(u32, u64)>, Vec<u32>) {
+    let n = follow.len();
+    let has_edge = |from: usize, to: usize| follow[from].binary_search(&(to as u32)).is_ok();
+    // run_to[s]: the target of the gap run holding `s`. Targets ascend, so
+    // a run ending before `target` may start no earlier than one past
+    // the previous run's target, which keeps the spans disjoint; a run
+    // of one state is a chain edge.
+    let mut run_to = vec![usize::MAX; n];
+    let mut free_from = 0;
+    for target in 1..n {
+        let mut first = target;
+        while first > free_from && has_edge(first - 1, target) {
+            first -= 1;
+        }
+        if target - first >= 2 {
+            run_to[first..target].fill(target);
+            free_from = target + 1;
+        }
+    }
+
+    let mut step = vec![StepWord::default(); n.div_ceil(64)];
+    let mut rows: Vec<(u32, u64)> = Vec::new();
+    let mut row_start = Vec::with_capacity(n + 1);
+    for (state, follows) in follow.iter().enumerate() {
+        let (word, bit) = (state / 64, 1u64 << (state % 64));
+        if run_to[state] != usize::MAX {
+            step[word].gap |= bit;
+            step[run_to[state] / 64].gap_to |= 1u64 << (run_to[state] % 64);
+        }
+        row_start.push(rows.len() as u32);
+        let first = rows.len();
+        for &t in follows {
+            let t = t as usize;
+            if t == run_to[state] {
+                continue;
+            }
+            if t == state + 1 {
+                step[word].chain |= bit;
+                continue;
+            }
+            step[word].residual |= bit;
+            let (to, mask) = ((t / 64) as u32, 1u64 << (t % 64));
+            match rows[first..].last_mut() {
+                Some((w, m)) if *w == to => *m |= mask,
+                _ => rows.push((to, mask)),
+            }
+        }
+    }
+    row_start.push(rows.len() as u32);
+    debug_assert!(
+        (0..n).all(|state| rejoined(&step, &rows, &row_start, state) == follow[state]),
+        "chain, gap and residual edges must partition every follow set"
+    );
+    (step, rows, row_start)
+}
+
+/// `state`'s follow set put back together from the step masks and rows:
+/// its chain edge, the target its gap run carries into (the first clear
+/// bit of `gap` above it, which `gap_to` must hold) and its residual
+/// rows, each edge once per part it is in.
+fn rejoined(step: &[StepWord], rows: &[(u32, u64)], row_start: &[u32], state: usize) -> Vec<u32> {
+    let has = |mask: fn(&StepWord) -> u64, s: usize| {
+        step.get(s / 64).is_some_and(|word| mask(word) & (1u64 << (s % 64)) != 0)
+    };
+    let mut follows = Vec::new();
+    if has(|word| word.chain, state) {
+        follows.push(state as u32 + 1);
+    }
+    if has(|word| word.gap, state) {
+        let target = (state..).find(|&s| !has(|word| word.gap, s)).expect("a clear bit");
+        assert!(has(|word| word.gap_to, target), "gap run into {target} has no target bit");
+        follows.push(target as u32);
+    }
+    for &(word, mask) in &rows[row_start[state] as usize..row_start[state + 1] as usize] {
+        let mut bits = mask;
+        while bits != 0 {
+            follows.push(word * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    follows.sort_unstable();
+    follows
+}
+
 /// Resumable matcher state over a [`WideEngine`]: the live mask and a
 /// scratch mask for the step.
 #[derive(Debug, Clone)]
@@ -367,6 +486,158 @@ impl WideMatcher {
             accepted_at(position, engine.resolve_id(&self.d, None))
         } else {
             REJECTED
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// A random follow relation over `n` program-ordered states, built
+    /// from the shapes a lowering yields: literal chains, gap windows
+    /// into the next atom (mostly one to six states, now and then one
+    /// over a whole mask word; adjacent ones included), pattern ends with
+    /// no edge onward, and stray edges anywhere (back, self, far
+    /// forward). Windows straddle bits 63/64 and 127/128.
+    fn relation(rng: &mut StdRng, n: usize) -> Vec<Vec<u32>> {
+        let mut follow = vec![Vec::new(); n];
+        let mut state = 0;
+        while state + 1 < n {
+            match rng.random_range(0..8) {
+                0..=2 => {
+                    follow[state].push(state as u32 + 1);
+                    state += 1;
+                }
+                3..=5 => {
+                    let width = match rng.random_range(0..8) {
+                        0 => rng.random_range(60..=140),
+                        _ => rng.random_range(1..=6),
+                    };
+                    let target = (state + width).min(n - 1);
+                    for (s, follows) in follow.iter_mut().enumerate().take(target).skip(state) {
+                        follows.push(target as u32);
+                        if s + 1 < target && rng.random_range(0..3) != 0 {
+                            follows.push(s as u32 + 1);
+                        }
+                    }
+                    state = target;
+                }
+                6 => state += 1,
+                _ => follow[state].push(rng.random_range(0..n) as u32),
+            }
+        }
+        for boundary in [64, 128] {
+            if boundary + 2 < n {
+                for follows in &mut follow[boundary - 3..boundary + 2] {
+                    follows.push(boundary as u32 + 2);
+                }
+            }
+        }
+        for follows in &mut follow {
+            follows.sort_unstable();
+            follows.dedup();
+        }
+        follow
+    }
+
+    /// The plain step: one follow row ORed per active state.
+    fn row_union(follow: &[Vec<u32>], d: &[u64]) -> Vec<u64> {
+        let mut next = vec![0u64; d.len()];
+        for (state, follows) in follow.iter().enumerate() {
+            if has_bit(d, state) {
+                for &t in follows {
+                    set_bit(&mut next, t as usize);
+                }
+            }
+        }
+        next
+    }
+
+    #[test]
+    fn shift_carry_and_residual_rows_equal_the_row_union() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_CA22);
+        let mut gaps = 0;
+        for n in [1usize, 2, 3, 63, 64, 65, 66, 127, 128, 129, 130, 131, 200, 257, 300] {
+            for _ in 0..40 {
+                let follow = relation(&mut rng, n);
+                let nfa = Nfa {
+                    preds: vec![ByteSet::FULL; n],
+                    follow: follow.clone(),
+                    arms: vec![Vec::new(); n],
+                };
+                let engine = WideEngine::build(&nfa);
+                gaps += engine.step.iter().filter(|word| word.gap != 0).count();
+                let words = n.div_ceil(64);
+                let mut masks = vec![vec![u64::MAX; words], vec![0; words]];
+                for state in 0..n {
+                    let mut single = vec![0; words];
+                    set_bit(&mut single, state);
+                    masks.push(single);
+                }
+                for density in [2, 8, 32] {
+                    for _ in 0..16 {
+                        let mut d = vec![0; words];
+                        for state in 0..n {
+                            if rng.random_range(0..density) == 0 {
+                                set_bit(&mut d, state);
+                            }
+                        }
+                        masks.push(d);
+                    }
+                }
+                for d in &mut masks {
+                    if n % 64 != 0 {
+                        d[words - 1] &= (1u64 << (n % 64)) - 1;
+                    }
+                    let mut next = vec![0; words];
+                    engine.follow(d, &mut next);
+                    assert_eq!(next, row_union(&follow, d), "n {n}, d {d:x?}, follow {follow:?}");
+                }
+            }
+        }
+        assert!(gaps > 100, "the relations must exercise gap runs: {gaps} gap words");
+    }
+
+    #[test]
+    fn gap_runs_carry_across_mask_words() {
+        // A window of states 61..=66, all into 67, straddles bits 63/64.
+        // Windows 118..=123 into 124 and 124..=129 into 130 share state
+        // 124: the second run starts one past the first's target, so it
+        // still straddles bits 127/128, and 124 → 130 is a residual row.
+        let n = 140;
+        let mut follow = vec![Vec::new(); n];
+        for (window, target) in [(61..67, 67), (118..124, 124), (124..130, 130)] {
+            for s in window {
+                follow[s].push(target);
+            }
+        }
+        let nfa = Nfa { preds: vec![ByteSet::FULL; n], follow, arms: vec![Vec::new(); n] };
+        let engine = WideEngine::build(&nfa);
+        let mask = |states: &mut dyn Iterator<Item = usize>| {
+            let mut mask = vec![0u64; 3];
+            states.for_each(|s| set_bit(&mut mask, s));
+            mask
+        };
+        let gap: Vec<u64> = engine.step.iter().map(|word| word.gap).collect();
+        assert_eq!(gap, mask(&mut (61..67).chain(118..124).chain(125..130)));
+        let residual: Vec<u64> = engine.step.iter().map(|word| word.residual).collect();
+        assert_eq!(residual, mask(&mut [124].into_iter()));
+        assert!(engine.step.iter().all(|word| word.chain == 0));
+        for (sources, targets) in [
+            (vec![61], vec![67]),
+            (vec![63, 64], vec![67]),
+            (vec![66], vec![67]),
+            (vec![123], vec![124]),
+            (vec![124], vec![130]),
+            (vec![127, 128], vec![130]),
+            (vec![66, 118, 129], vec![67, 124, 130]),
+        ] {
+            let mut next = vec![0u64; 3];
+            engine.follow(&mask(&mut sources.iter().copied()), &mut next);
+            assert_eq!(next, mask(&mut targets.iter().copied()), "{sources:?}");
         }
     }
 }
