@@ -2,9 +2,11 @@
 //!
 //! The generator covers the **full supported grammar** — nested groups,
 //! negated classes, bounded repeats, anchors, multi-way alternation —
-//! where `tests/proptest_properties.rs` deliberately stays tiny. Every
-//! emitted pattern is round-tripped through the real front-end parser, so
-//! the harness never wastes a case on syntax the workspace rejects.
+//! and is the one pattern source of every randomized test: the fuzzer
+//! and the seeded property loops of `tests/proptest_properties.rs`.
+//! Every emitted pattern is round-tripped through the real front-end
+//! parser, so the harness never wastes a case on syntax the workspace
+//! rejects.
 //!
 //! Inputs are built per pattern: a *witness* (a string constructed by
 //! walking the AST, so matches actually occur), the witness embedded in

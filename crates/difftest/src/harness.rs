@@ -9,11 +9,14 @@
 //! * the functional ISA interpreter over the compiled program at `O0`
 //!   (all optimizations off) and `O2` (all on) — must reproduce both the
 //!   verdict and the earliest end exactly;
-//! * the host-native engine ([`cicero_hostexec::HostProgram`]) lowered
-//!   from each program — must reproduce the verdict and the earliest end
-//!   exactly (it implements the same earliest-match-end rule as the
-//!   interpreter), and its all-matches `run_all` must report the same id
-//!   set as [`cicero_isa::run_all`];
+//! * the host-native engines ([`cicero_hostexec::HostProgram`]) — each
+//!   program lowered onto every engine it fits
+//!   ([`HostProgram::every_engine`]), so `bit64`, `bit128`, `bit-wide`
+//!   and the interpreter fallback each see every program their mask
+//!   holds — must reproduce the verdict and the earliest end exactly
+//!   (they implement the interpreter's earliest-match-end rule), and
+//!   their all-matches `run_all` must report the same id set as
+//!   [`cicero_isa::run_all`];
 //! * the cycle-level simulator over both programs on every configuration
 //!   in [`sim_matrix`] (the single-core reference at `CC_ID` 3, the
 //!   two-engine ring, plus multi-core organizations at `CC_ID` 1 and 2) —
@@ -28,8 +31,8 @@
 //!   at 1/2/4 workers must be byte-identical to the sequential
 //!   [`simulate_batch`];
 //! * stream level (chunk-split invariance): the input re-run through the
-//!   resumable matchers — [`cicero_isa::run_chunked`], the host engine's
-//!   [`cicero_hostexec::run_chunked`], and
+//!   resumable matchers — [`cicero_isa::run_chunked`], every host
+//!   engine's [`cicero_hostexec::run_chunked`], and
 //!   [`cicero_sim::simulate_streaming`] over every simulator
 //!   configuration — split at chunk boundaries, must be *byte-identical*
 //!   to the whole-input cells. Every case gets the two deterministic
@@ -110,9 +113,10 @@ pub struct PatternUnderTest {
     pub oracle: Oracle,
     /// `("O0"|"O2", program)` pairs.
     pub programs: Vec<(&'static str, Program)>,
-    /// The host-native lowering of each program, in the same order
-    /// (compiled once per pattern, reused across every input and split).
-    pub hosts: Vec<HostProgram>,
+    /// Each program lowered onto every host engine it fits, in the same
+    /// order (lowered once per pattern, reused across every input and
+    /// split).
+    pub hosts: Vec<Vec<HostProgram>>,
 }
 
 impl PatternUnderTest {
@@ -145,7 +149,8 @@ impl PatternUnderTest {
                 }
             }
         }
-        let hosts = programs.iter().map(|(_, program)| HostProgram::compile(program)).collect();
+        let hosts =
+            programs.iter().map(|(_, program)| HostProgram::every_engine(program)).collect();
         Ok(PatternUnderTest { pattern: pattern.to_owned(), oracle, programs, hosts })
     }
 }
@@ -156,7 +161,7 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
     let want_end = put.oracle.match_end(input);
     let valid_ends = put.oracle.match_ends(input);
 
-    for ((level, program), host) in put.programs.iter().zip(&put.hosts) {
+    for ((level, program), hosts) in put.programs.iter().zip(&put.hosts) {
         let out = cicero_isa::run(program, input);
         if out.accepted != want {
             return diverged(
@@ -174,56 +179,58 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
                 input,
             );
         }
-        // The host-native engine implements the interpreter's exact
-        // earliest-match-end semantics, so it is held to the oracle's
+        // Every host engine implements the interpreter's exact
+        // earliest-match-end semantics, so each is held to the oracle's
         // single answer, not the any-match set the simulators get. The
         // run goes through the matcher, whose position is the bytes
         // examined.
-        let mut matcher = host.matcher();
-        let host_out = matcher.feed(input).unwrap_or_else(|| matcher.finish());
-        if host_out.accepted != want {
-            return diverged(
-                format!("host/{level}/{}", host.engine_kind()),
-                format!("is_match = {}, oracle says {want}", host_out.accepted),
-                put,
-                input,
-            );
-        }
-        if host_out.match_position != want_end {
-            return diverged(
-                format!("host/{level}/{}", host.engine_kind()),
-                format!("match_end = {:?}, oracle says {want_end:?}", host_out.match_position),
-                put,
-                input,
-            );
-        }
-        // `run_all` answers both questions in one scan: its id set is held
-        // to the interpreter's, and its first stop to `run`'s.
-        let host_all = host.run_all(input);
         let interp_all = cicero_isa::run_all(program, input);
-        if host_all.matched_ids != interp_all.matched_ids {
-            return diverged(
-                format!("host-all/{level}/{}", host.engine_kind()),
-                format!(
-                    "run_all ids = {:?}, interpreter says {:?}",
-                    host_all.matched_ids, interp_all.matched_ids
-                ),
-                put,
-                input,
-            );
-        }
-        if host_all.first != host_out || host_all.examined != matcher.position() {
-            return diverged(
-                format!("host-all/{level}/{}", host.engine_kind()),
-                format!(
-                    "run_all first stop = {:?} after {} bytes, run says {host_out:?} after {}",
-                    host_all.first,
-                    host_all.examined,
-                    matcher.position()
-                ),
-                put,
-                input,
-            );
+        for host in hosts {
+            let mut matcher = host.matcher();
+            let host_out = matcher.feed(input).unwrap_or_else(|| matcher.finish());
+            if host_out.accepted != want {
+                return diverged(
+                    format!("host/{level}/{}", host.engine_kind()),
+                    format!("is_match = {}, oracle says {want}", host_out.accepted),
+                    put,
+                    input,
+                );
+            }
+            if host_out.match_position != want_end {
+                return diverged(
+                    format!("host/{level}/{}", host.engine_kind()),
+                    format!("match_end = {:?}, oracle says {want_end:?}", host_out.match_position),
+                    put,
+                    input,
+                );
+            }
+            // `run_all` answers both questions in one scan: its id set is held
+            // to the interpreter's, and its first stop to `run`'s.
+            let host_all = host.run_all(input);
+            if host_all.matched_ids != interp_all.matched_ids {
+                return diverged(
+                    format!("host-all/{level}/{}", host.engine_kind()),
+                    format!(
+                        "run_all ids = {:?}, interpreter says {:?}",
+                        host_all.matched_ids, interp_all.matched_ids
+                    ),
+                    put,
+                    input,
+                );
+            }
+            if host_all.first != host_out || host_all.examined != matcher.position() {
+                return diverged(
+                    format!("host-all/{level}/{}", host.engine_kind()),
+                    format!(
+                        "run_all first stop = {:?} after {} bytes, run says {host_out:?} after {}",
+                        host_all.first,
+                        host_all.examined,
+                        matcher.position()
+                    ),
+                    put,
+                    input,
+                );
+            }
         }
         for config in sim_matrix() {
             let report = simulate(program, input, &config);
@@ -293,7 +300,7 @@ pub fn apply_splits(input: &[u8], splits: &[usize]) -> Vec<Vec<u8>> {
 pub fn check_stream_case(put: &PatternUnderTest, input: &[u8], splits: &[usize]) -> Outcome {
     let chunks = apply_splits(input, splits);
     let borrowed = || chunks.iter().map(Vec::as_slice);
-    for ((level, program), host) in put.programs.iter().zip(&put.hosts) {
+    for ((level, program), hosts) in put.programs.iter().zip(&put.hosts) {
         let whole = cicero_isa::run(program, input);
         let streamed = cicero_isa::run_chunked(program, borrowed());
         if streamed != whole {
@@ -304,17 +311,19 @@ pub fn check_stream_case(put: &PatternUnderTest, input: &[u8], splits: &[usize])
                 input,
             );
         }
-        let host_whole = host.run(input);
-        let host_streamed = cicero_hostexec::run_chunked(host, borrowed());
-        if host_streamed != host_whole {
-            return diverged(
-                format!("stream/host/{level}/{}", host.engine_kind()),
-                format!(
-                    "streamed at {splits:?} gives {host_streamed:?}, whole input gives {host_whole:?}"
-                ),
-                put,
-                input,
-            );
+        for host in hosts {
+            let host_whole = host.run(input);
+            let host_streamed = cicero_hostexec::run_chunked(host, borrowed());
+            if host_streamed != host_whole {
+                return diverged(
+                    format!("stream/host/{level}/{}", host.engine_kind()),
+                    format!(
+                        "streamed at {splits:?} gives {host_streamed:?}, whole input gives {host_whole:?}"
+                    ),
+                    put,
+                    input,
+                );
+            }
         }
         for config in sim_matrix() {
             let whole = simulate(program, input, &config);
@@ -489,7 +498,7 @@ mod tests {
         let put = PatternUnderTest {
             pattern: "ab".to_owned(),
             oracle: Oracle::new("ab").unwrap(),
-            hosts: vec![HostProgram::compile(&program)],
+            hosts: vec![HostProgram::every_engine(&program)],
             programs: vec![("O2", program)],
         };
         let outcome = check_case(&put, b"zzabzz");
@@ -510,7 +519,7 @@ mod tests {
             pattern: "ab".to_owned(),
             oracle: Oracle::new("ab").unwrap(),
             programs: vec![("O2", good)],
-            hosts: vec![HostProgram::compile(&bad)],
+            hosts: vec![HostProgram::every_engine(&bad)],
         };
         let outcome = check_case(&put, b"zzabzz");
         match outcome {

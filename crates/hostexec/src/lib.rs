@@ -152,29 +152,33 @@ impl HostProgram {
     /// program the lowering cannot handle within budget degrades to the
     /// reference interpreter rather than failing.
     pub fn compile(program: &Program) -> HostProgram {
-        HostProgram::compile_capped(program, 64, 128)
-    }
-
-    /// [`compile`](HostProgram::compile) with the one-word engines capped
-    /// below their mask widths, so the unit tests can put one small
-    /// automaton on every engine and hold them to each other.
-    fn compile_capped(program: &Program, bit64_max: usize, bit128_max: usize) -> HostProgram {
-        debug_assert!(bit64_max <= 64 && bit128_max <= 128, "caps above the mask widths");
-        let repr = match nfa::lower(program) {
+        let repr = match lower(program) {
             None => Repr::Interp(program.clone()),
-            Some(mut nfa) => {
-                nfa::factor(&mut nfa);
-                let states = nfa.preds.len();
-                if states <= bit64_max {
-                    Repr::W64(BitEngine::build(&nfa))
-                } else if states <= bit128_max {
-                    Repr::W128(BitEngine::build(&nfa))
-                } else {
-                    Repr::Wide(WideEngine::build(&nfa))
-                }
-            }
+            Some(nfa) if nfa.preds.len() <= 64 => Repr::W64(BitEngine::build(&nfa)),
+            Some(nfa) if nfa.preds.len() <= 128 => Repr::W128(BitEngine::build(&nfa)),
+            Some(nfa) => Repr::Wide(WideEngine::build(&nfa)),
         };
         HostProgram { repr }
+    }
+
+    /// `program` lowered onto every engine whose mask it fits, narrowest
+    /// first, then the interpreter fallback: the candidates
+    /// [`compile`](HostProgram::compile) picks one of, so tests and the
+    /// differential fuzzer can hold each engine to the others whatever
+    /// size the program is.
+    pub fn every_engine(program: &Program) -> Vec<HostProgram> {
+        let mut reprs = Vec::with_capacity(4);
+        if let Some(nfa) = lower(program) {
+            if nfa.preds.len() <= 64 {
+                reprs.push(Repr::W64(BitEngine::build(&nfa)));
+            }
+            if nfa.preds.len() <= 128 {
+                reprs.push(Repr::W128(BitEngine::build(&nfa)));
+            }
+            reprs.push(Repr::Wide(WideEngine::build(&nfa)));
+        }
+        reprs.push(Repr::Interp(program.clone()));
+        reprs.into_iter().map(|repr| HostProgram { repr }).collect()
     }
 
     /// The selected execution strategy.
@@ -275,6 +279,14 @@ impl HostProgram {
         };
         HostMatcher { inner, position: 0, done: None }
     }
+}
+
+/// The factored automaton of `program`, or `None` when the lowering
+/// budget trips.
+fn lower(program: &Program) -> Option<nfa::Nfa> {
+    let mut nfa = nfa::lower(program)?;
+    nfa::factor(&mut nfa);
+    Some(nfa)
 }
 
 enum MatcherRepr<'p> {
@@ -385,9 +397,12 @@ mod tests {
     }
 
     /// Assert host/interpreter agreement on verdict, match end, and the
-    /// `run_all` view, on every deterministic split of the input.
+    /// `run_all` view, on every engine and every deterministic split of
+    /// the input.
     fn assert_agrees(p: &Program, input: &[u8]) {
-        assert_host_agrees(&HostProgram::compile(p), p, input);
+        for host in HostProgram::every_engine(p) {
+            assert_host_agrees(&host, p, input);
+        }
     }
 
     /// [`assert_agrees`] for an already-lowered `host` of `p`.
@@ -428,23 +443,6 @@ mod tests {
             }
         }
         examined
-    }
-
-    /// `p` on every tier it fits: each bit-parallel engine through the
-    /// caps, and the interpreter fallback. `p` must fit a `u128` mask.
-    fn every_tier(p: &Program) -> Vec<HostProgram> {
-        let mut tiers: Vec<HostProgram> = [(64, 128), (0, 128), (0, 0)]
-            .into_iter()
-            .map(|(bit64_max, bit128_max)| HostProgram::compile_capped(p, bit64_max, bit128_max))
-            .collect();
-        tiers.dedup_by_key(|host| host.engine_kind());
-        tiers.push(HostProgram { repr: Repr::Interp(p.clone()) });
-        let kinds: Vec<EngineKind> = tiers.iter().map(HostProgram::engine_kind).collect();
-        assert!(
-            kinds.ends_with(&[EngineKind::Bit128, EngineKind::BitWide, EngineKind::Interp]),
-            "{kinds:?}"
-        );
-        tiers
     }
 
     fn scan_loop(body: Vec<Instruction>) -> Vec<Instruction> {
@@ -574,7 +572,7 @@ mod tests {
     fn first_stop_on_a_dead_frontier() {
         // Anchored `ab`: the frontier dies consuming the `x` at 1.
         let p = program(vec![Match(b'a'), Match(b'b'), Accept]);
-        for host in every_tier(&p) {
+        for host in HostProgram::every_engine(&p) {
             let out = host.run_all(b"axab");
             assert!(!out.first.accepted && out.matched_ids.is_empty(), "{}", host.engine_kind());
             let examined = assert_first_stop_is_runs(&host, b"axab");
@@ -592,7 +590,7 @@ mod tests {
         // `xy` and `y` both fire at the end of `aaxy`, and nowhere before
         // it: the lowest id is the first stop's.
         let set = cicero_core::Compiler::new().compile_set(&["xy", "y"]).unwrap();
-        for host in every_tier(set.program()) {
+        for host in HostProgram::every_engine(set.program()) {
             let kind = host.engine_kind();
             let out = host.run_all(b"aaxy");
             assert_eq!(out.matched_ids, [0, 1], "{kind}");
@@ -615,7 +613,7 @@ mod tests {
         let set = cicero_core::Compiler::new().compile_set(&["this", "that"]).unwrap();
         let mut input = vec![b'x'; 1000];
         input.extend_from_slice(b"that this");
-        for host in every_tier(set.program()) {
+        for host in HostProgram::every_engine(set.program()) {
             let kind = host.engine_kind();
             if matches!(kind, EngineKind::Bit64 | EngineKind::Bit128) {
                 assert!(host.prefilter_stop_bytes().is_some(), "{kind}");
@@ -638,7 +636,7 @@ mod tests {
         let anchored = program(vec![Match(b'a'), Jump(0)]);
         for (p, input, dies_at) in [(unanchored, &b"xxaaxx"[..], None), (anchored, b"aab", Some(2))]
         {
-            for host in every_tier(&p) {
+            for host in HostProgram::every_engine(&p) {
                 let kind = host.engine_kind();
                 let out = host.run_all(input);
                 assert!(!out.first.accepted && out.matched_ids.is_empty(), "{kind}");
@@ -721,16 +719,19 @@ mod tests {
         // One automaton that fits a `u64` mask, lowered onto each tier in
         // turn (the multi-word one is a single word wide here): all are
         // held to the interpreter whole, in 1-byte chunks and split
-        // mid-input. `difftest` only ever sees the engine `compile` picks
-        // for a program's size.
+        // mid-input.
         let set = cicero_core::Compiler::new().compile_set(&["ab+c", "th(is|at)", "b"]).unwrap();
         let p = set.program();
         let mut inputs = inputs();
         inputs.push(b"xx this abbbc that".to_vec());
-        for host in every_tier(p) {
-            for input in &inputs {
-                assert_host_agrees(&host, p, input);
-            }
+        let kinds: Vec<EngineKind> =
+            HostProgram::every_engine(p).iter().map(HostProgram::engine_kind).collect();
+        assert_eq!(
+            kinds,
+            [EngineKind::Bit64, EngineKind::Bit128, EngineKind::BitWide, EngineKind::Interp]
+        );
+        for input in &inputs {
+            assert_agrees(p, input);
         }
     }
 
@@ -781,10 +782,8 @@ mod tests {
             inputs.push(input.as_bytes().to_vec());
         }
         for p in &programs {
-            for host in every_tier(p) {
-                for input in &inputs {
-                    assert_host_agrees(&host, p, input);
-                }
+            for input in &inputs {
+                assert_agrees(p, input);
             }
         }
     }
@@ -795,6 +794,9 @@ mod tests {
         let p = cicero_core::compile(&pattern).unwrap().into_program();
         let host = HostProgram::compile(&p);
         assert_eq!(host.engine_kind(), EngineKind::BitWide, "{} states", host.state_count());
+        let kinds: Vec<EngineKind> =
+            HostProgram::every_engine(&p).iter().map(HostProgram::engine_kind).collect();
+        assert_eq!(kinds, [EngineKind::BitWide, EngineKind::Interp]);
         let mut input = vec![b'b'; 30];
         input.extend(vec![b'a'; 200]);
         assert_agrees(&p, &input);
@@ -866,7 +868,7 @@ mod tests {
         // of gap states live and the members' windows overlap, so the
         // frontier is a few states spread over every mask word. With a
         // class's members merged into one state the set fits a `u128`;
-        // the caps hold the multi-word engine to it too.
+        // `every_engine` holds the multi-word engine to it too.
         let set = cicero_core::Compiler::new()
             .compile_set(&[
                 "C.{2,4}C.{3}[LIVMFYWC].{8}H.{3,5}H",
@@ -877,7 +879,6 @@ mod tests {
                 "G[DE].{6,9}[LIVMF].{5,8}[KR][KR]",
             ])
             .unwrap();
-        let tiers = every_tier(set.program());
         let mut late = b"MKV".repeat(40);
         late.extend_from_slice(b"CAACLLLLAAAAAAAAHAAAH");
         for input in [
@@ -887,9 +888,7 @@ mod tests {
             b"WAAAAAAAAAVFAAAAAAGRAAADAAAAAAY".to_vec(),
             b"GEAAAAAALAAAAAKKAGAAAAGKT".to_vec(),
         ] {
-            for host in &tiers {
-                assert_host_agrees(host, set.program(), &input);
-            }
+            assert_agrees(set.program(), &input);
         }
     }
 
@@ -926,7 +925,7 @@ mod tests {
         let patterns = ["ab|cd", "[^x]*q", "a{3}b{2}", "(ab)*c", "th(e|at)", "^start", "end$"];
         for pattern in patterns {
             let p = cicero_core::compile(pattern).unwrap().into_program();
-            let host = HostProgram::compile(&p);
+            let engines = HostProgram::every_engine(&p);
             for _ in 0..50 {
                 let len = rng.random_range(0..200);
                 let input: Vec<u8> = (0..len)
@@ -936,9 +935,13 @@ mod tests {
                     })
                     .collect();
                 let reference = run(&p, &input);
-                let got = host.run(&input);
-                assert_eq!(got.accepted, reference.accepted, "{pattern} on {input:?}");
-                assert_eq!(got.match_position, reference.match_position, "{pattern} on {input:?}");
+                for host in &engines {
+                    let got = host.run(&input);
+                    let kind = host.engine_kind();
+                    assert_eq!(got.accepted, reference.accepted, "{kind}: {pattern} on {input:?}");
+                    let end = got.match_position;
+                    assert_eq!(end, reference.match_position, "{kind}: {pattern} on {input:?}");
+                }
             }
         }
     }

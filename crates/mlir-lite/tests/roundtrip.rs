@@ -1,77 +1,98 @@
-//! Property tests: the printer and parser are exact inverses over the
-//! whole attribute and region space.
+//! Seeded random round-trip tests: the printer and parser are exact
+//! inverses over the whole attribute and region space.
 
 use mlir_lite::{Attribute, Operation, Region};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, RngExt, SeedableRng};
 
-fn attr_strategy() -> impl Strategy<Value = Attribute> {
-    prop_oneof![
-        any::<bool>().prop_map(Attribute::Bool),
-        any::<i64>().prop_map(Attribute::Int),
-        any::<u8>().prop_map(Attribute::Char),
-        // Printable-ish strings including characters that need escaping.
-        prop::collection::vec(
-            prop_oneof![prop::char::range(' ', '~'), Just('"'), Just('\\'), Just('\n'),],
-            0..12
-        )
-        .prop_map(|cs| Attribute::Str(cs.into_iter().collect())),
-        "[a-z][a-z0-9_]{0,8}".prop_map(Attribute::Symbol),
-        prop::collection::vec(any::<bool>(), 0..64).prop_map(Attribute::BoolArray),
-    ]
+const SEED: u64 = 42;
+const CASES: usize = 128;
+
+/// `[a-z][a-z0-9_]{0,max_tail}`.
+fn ident(rng: &mut StdRng, max_tail: usize) -> String {
+    const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+    let mut name = String::from(char::from(b'a' + rng.random_range(0..26u8)));
+    for _ in 0..rng.random_range(0..=max_tail) {
+        name.push(char::from(TAIL[rng.random_range(0..TAIL.len())]));
+    }
+    name
 }
 
-fn ident_strategy() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,6}"
+fn attr(rng: &mut StdRng) -> Attribute {
+    match rng.random_range(0..6u8) {
+        0 => Attribute::Bool(rng.random_bool(0.5)),
+        1 => Attribute::Int(rng.next_u64() as i64),
+        2 => Attribute::Char(rng.next_u64() as u8),
+        // Printable ASCII plus the characters that need escaping.
+        3 => Attribute::Str(
+            (0..rng.random_range(0..12))
+                .map(|_| match rng.random_range(0..8u8) {
+                    0 => '"',
+                    1 => '\\',
+                    2 => '\n',
+                    _ => char::from(rng.random_range(b' '..=b'~')),
+                })
+                .collect(),
+        ),
+        4 => Attribute::Symbol(ident(rng, 8)),
+        _ => Attribute::BoolArray(
+            (0..rng.random_range(0..64)).map(|_| rng.random_bool(0.5)).collect(),
+        ),
+    }
 }
 
-fn op_strategy() -> impl Strategy<Value = Operation> {
-    let leaf = (ident_strategy(), prop::collection::vec((ident_strategy(), attr_strategy()), 0..4))
-        .prop_map(|(name, attrs)| {
-            let mut op = Operation::new(format!("t.{name}"));
-            for (key, value) in attrs {
-                op.set_attr(key, value);
-            }
-            op
-        });
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        (
-            ident_strategy(),
-            prop::collection::vec((ident_strategy(), attr_strategy()), 0..3),
-            prop::collection::vec(prop::collection::vec(inner, 0..3), 0..3),
-        )
-            .prop_map(|(name, attrs, regions)| {
-                let mut op = Operation::new(format!("t.{name}"));
-                for (key, value) in attrs {
-                    op.set_attr(key, value);
-                }
-                for ops in regions {
-                    op.push_region(Region::with_ops(ops));
-                }
-                op
-            })
+/// A random op nested at most `depth` regions deep: up to three
+/// attributes (four on a leaf) and, above the leaves, up to two regions
+/// of up to two ops each, every child at a random smaller depth.
+fn op(rng: &mut StdRng, depth: u32) -> Operation {
+    let mut op = Operation::new(format!("t.{}", ident(rng, 6)));
+    let max_attrs = if depth == 0 { 3 } else { 2 };
+    for _ in 0..rng.random_range(0..=max_attrs) {
+        op.set_attr(ident(rng, 6), attr(rng));
+    }
+    if depth > 0 {
+        for _ in 0..rng.random_range(0..3) {
+            let ops = (0..rng.random_range(0..3)).map(|_| {
+                let child_depth = rng.random_range(0..depth);
+                self::op(rng, child_depth)
+            });
+            op.push_region(Region::with_ops(ops.collect()));
+        }
+    }
+    op
+}
+
+/// `CASES` seeded ops, nested up to three regions deep.
+fn ops() -> impl Iterator<Item = Operation> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    (0..CASES).map(move |_| {
+        let depth = rng.random_range(0..=3);
+        op(&mut rng, depth)
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
-
-    #[test]
-    fn print_parse_roundtrip(op in op_strategy()) {
+#[test]
+fn print_parse_roundtrip() {
+    for (case, op) in ops().enumerate() {
         let text = op.to_text();
         let parsed = mlir_lite::parse(&text)
-            .unwrap_or_else(|e| panic!("unparsable output {text:?}: {e}"));
-        prop_assert_eq!(parsed, op);
+            .unwrap_or_else(|e| panic!("seed {SEED} case {case}: unparsable output {text:?}: {e}"));
+        assert_eq!(parsed, op, "seed {SEED} case {case}");
     }
+}
 
-    #[test]
-    fn printing_is_deterministic(op in op_strategy()) {
-        prop_assert_eq!(op.to_text(), op.clone().to_text());
+#[test]
+fn printing_is_deterministic() {
+    for (case, op) in ops().enumerate() {
+        assert_eq!(op.to_text(), op.clone().to_text(), "seed {SEED} case {case}");
     }
+}
 
-    #[test]
-    fn subtree_size_consistent_with_walk(op in op_strategy()) {
+#[test]
+fn subtree_size_consistent_with_walk() {
+    for (case, op) in ops().enumerate() {
         let mut visited = 0usize;
         op.walk(&mut |_| visited += 1);
-        prop_assert_eq!(visited, op.subtree_size());
+        assert_eq!(visited, op.subtree_size(), "seed {SEED} case {case}");
     }
 }

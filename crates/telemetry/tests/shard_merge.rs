@@ -10,9 +10,9 @@
 //! order-independent; gauges are owned by a single thread each (a
 //! last-write-wins race between threads has no sequential analogue).
 
-use proptest::prelude::*;
-
 use cicero_telemetry::Telemetry;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// One metric operation, tagged with the thread that owns it.
 #[derive(Debug, Clone)]
@@ -49,26 +49,25 @@ fn apply(telemetry: &Telemetry, thread: usize, op: &Op) {
     }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0usize..4, 0u64..100).prop_map(|(name, delta)| Op::CounterAdd { name, delta }),
-        (0usize..3, -50i32..50).prop_map(|(name, value)| Op::GaugeSet { name, value }),
-        (0usize..3, 0u32..5000).prop_map(|(name, value)| Op::Observe { name, value }),
-    ]
+fn random_op(rng: &mut StdRng) -> Op {
+    match rng.random_range(0..3u8) {
+        0 => Op::CounterAdd { name: rng.random_range(0..4), delta: rng.random_range(0..100) },
+        1 => Op::GaugeSet { name: rng.random_range(0..3), value: rng.random_range(-50..50) },
+        _ => Op::Observe { name: rng.random_range(0..3), value: rng.random_range(0..5000) },
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// K concurrent writer threads vs. the same ops applied on one
-    /// thread: merged summary and JSONL must be byte-identical.
-    #[test]
-    fn concurrent_merge_is_byte_identical_to_sequential(
-        per_thread in prop::collection::vec(
-            prop::collection::vec(op_strategy(), 0..40),
-            2..5,
-        )
-    ) {
+/// K concurrent writer threads vs. the same ops applied on one thread:
+/// merged summary and JSONL must be byte-identical. 48 seeded cases of
+/// two to four threads with up to 39 ops each.
+#[test]
+fn concurrent_merge_is_byte_identical_to_sequential() {
+    const SEED: u64 = 42;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for case in 0..48 {
+        let per_thread: Vec<Vec<Op>> = (0..rng.random_range(2..5))
+            .map(|_| (0..rng.random_range(0..40)).map(|_| random_op(&mut rng)).collect())
+            .collect();
         let concurrent = Telemetry::new();
         std::thread::scope(|scope| {
             for (thread, ops) in per_thread.iter().enumerate() {
@@ -88,8 +87,9 @@ proptest! {
             }
         }
 
-        prop_assert_eq!(concurrent.render_summary(), sequential.render_summary());
-        prop_assert_eq!(concurrent.render_jsonl(), sequential.render_jsonl());
+        let at = format!("seed {SEED} case {case}: {per_thread:?}");
+        assert_eq!(concurrent.render_summary(), sequential.render_summary(), "{at}");
+        assert_eq!(concurrent.render_jsonl(), sequential.render_jsonl(), "{at}");
     }
 }
 

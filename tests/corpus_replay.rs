@@ -24,16 +24,18 @@ fn every_corpus_case_passes_the_full_matrix() {
     }
 }
 
-/// The corpus carries the proptest regression seed (satellite of the
-/// differential-fuzzing issue): the stored shrink from
-/// `tests/proptest_properties.proptest-regressions` must be present.
+/// The corpus keeps the empty-path alternation seed `x(a?|a*)y`, an
+/// old shrink of the pattern-level properties: the case is present by
+/// name and pattern, and passes the full matrix.
 #[test]
-fn the_proptest_regression_seed_is_committed() {
-    let replayed = difftest::replay_corpus(&difftest::default_corpus_dir()).expect("corpus loads");
-    assert!(
-        replayed.iter().any(|(case, _)| case.pattern == "x(a?|a*)y"),
-        "missing the proptest-regressions seed x(a?|a*)y"
-    );
+fn the_empty_path_alternation_seed_is_committed() {
+    let replayed = replay_all();
+    let (case, outcome) = replayed
+        .iter()
+        .find(|(case, _)| case.name == "seed-proptest-empty-path-alternation")
+        .expect("missing the corpus case seed-proptest-empty-path-alternation");
+    assert_eq!(case.pattern, "x(a?|a*)y");
+    assert_eq!(*outcome, difftest::Outcome::Pass);
 }
 
 /// Corpus files are exactly reproducible through the TOML writer: loading

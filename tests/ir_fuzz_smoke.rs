@@ -9,7 +9,7 @@
 //!    functional interpreter on verdict and earliest match end over
 //!    random inputs.
 //!
-//! Unlike the grammar-level proptests (which fuzz *patterns*), this
+//! Unlike the pattern-level property loops (which fuzz *patterns*), this
 //! generator builds IR directly, so it reaches module shapes the regex
 //! front-end never emits — jump chains into splits, `not_match` runs,
 //! interleaved `accept_partial_id` islands — exactly the shapes a later
