@@ -18,11 +18,13 @@
 //! unit (500-byte chunks) and its bytes counted once — `run` (first
 //! acceptance; only the bytes it examined count) and `run_all`. They also
 //! time what a cache miss costs that path: `compile_set` and the host
-//! lowering, each the median of repeated calls.
+//! lowering, each the median of repeated calls. Synthetic PROTOMATA sets
+//! of [`SWEEP_MEMBERS`] members add set rows past the suites' size, on
+//! wider masks; they are reported, not gated.
 //!
 //! The run **fails (nonzero exit) if PROTOMATA or BRILL falls below
 //! [`FLOOR_MBPS`]** — the acceptance bar of the host-backend issue — or
-//! if a set row falls below [`SET_FLOOR_MBPS`]. The alternate suites
+//! if a gated suite's set row falls below [`SET_FLOOR_MBPS`]. The alternate suites
 //! (PROTOMATA4/BRILL4) are reported but not gated: their 4-way
 //! alternations select wider engines whose throughput is a different
 //! trade-off, tracked by the JSON rather than asserted.
@@ -31,7 +33,7 @@
 
 use std::time::Instant;
 
-use cicero_bench::{banner, f2, rounded, scale_from_env, suites, Envelope, Table};
+use cicero_bench::{banner, f2, rounded, scale_from_env, suites, Envelope, Table, SEED};
 use cicero_runtime::HostProgram;
 use cicero_telemetry::JsonObject;
 use workloads::CHUNK_BYTES;
@@ -47,12 +49,17 @@ const GATED: &[&str] = &["PROTOMATA", "BRILL"];
 /// Floor for the gated suites' single-thread per-pattern MB/s.
 const FLOOR_MBPS: f64 = 100.0;
 
-/// Floor for the set rows' haystack MB/s (`run` and `run_all` alike):
-/// half the slowest set figure measured once a class's members merged
-/// into one host state and the multi-word engine stepped by shift and
-/// carry (BRILL `run_all`, 12.9 MB/s on a busy 2-vCPU Xeon; 22.8-26.8 on
-/// a quiet one).
-const SET_FLOOR_MBPS: f64 = 6.0;
+/// Floor for the gated set rows' haystack MB/s (`run` and `run_all`
+/// alike): half the slowest set figure measured once the multi-word step
+/// was generic over its width with dense residual rows (BRILL `run_all`,
+/// 23.3 MB/s in the slowest of five runs on a busy 2-vCPU Xeon; 29-36 in
+/// the others).
+const SET_FLOOR_MBPS: f64 = 11.0;
+
+/// Members of the synthetic PROTOMATA sets swept past the suites' 16
+/// (372, 788 and 1,619 states: 6, 16 and 28 mask words as the step is
+/// instantiated); 256 members do not fit one program.
+const SWEEP_MEMBERS: [usize; 3] = [32, 64, 128];
 
 /// Timed calls per set for the compile and lowering medians.
 const BUILD_REPEATS: usize = 15;
@@ -160,6 +167,8 @@ fn main() {
         "Ids matched",
     ]);
     let (mut rows, mut set_rows, mut failures) = (Vec::new(), Vec::new(), Vec::new());
+    // The gated suites and the member sweep, as one program each.
+    let mut sets = Vec::new();
     for bench in suites(scale) {
         let input = haystack(&bench.chunks);
         // Compile + lower outside the timed region: serving reuses both
@@ -229,15 +238,26 @@ fn main() {
                 bench.name
             ));
         }
-        if !gated {
-            continue;
+        if gated {
+            sets.push((bench, input, true));
         }
+    }
+    for members in SWEEP_MEMBERS {
+        let bench = workloads::Benchmark::protomata(SEED, members, scale.chunks);
+        let input = haystack(&bench.chunks);
+        sets.push((bench, input, false));
+    }
+    for (bench, input, gated) in sets {
+        let name = match gated {
+            true => bench.name.to_owned(),
+            false => format!("{}-{}", bench.name, bench.patterns.len()),
+        };
         let Some(set) = set_row(&bench, &input) else {
-            println!("  {}: the set does not fit one program; no set row", bench.name);
+            println!("  {name}: the set does not fit one program; no set row");
             continue;
         };
         set_table.row(vec![
-            bench.name.to_owned(),
+            name.clone(),
             bench.patterns.len().to_string(),
             set.engine.clone(),
             set.states.to_string(),
@@ -248,16 +268,16 @@ fn main() {
             set.chunks_accepted.to_string(),
             set.ids_matched.to_string(),
         ]);
-        if set.run_mbps.min(set.run_all_mbps) < SET_FLOOR_MBPS {
+        if gated && set.run_mbps.min(set.run_all_mbps) < SET_FLOOR_MBPS {
             failures.push(format!(
-                "the {} set at {:.2} (run) / {:.2} (run_all) MB/s of haystack is below the \
+                "the {name} set at {:.2} (run) / {:.2} (run_all) MB/s of haystack is below the \
                  {SET_FLOOR_MBPS} MB/s floor",
-                bench.name, set.run_mbps, set.run_all_mbps
+                set.run_mbps, set.run_all_mbps
             ));
         }
         set_rows.push(
             JsonObject::new()
-                .field("suite", bench.name)
+                .field("suite", name)
                 .field("patterns", bench.patterns.len())
                 .field("engine", set.engine)
                 .field("states", set.states)
@@ -266,7 +286,8 @@ fn main() {
                 .field("run_haystack_mbps", rounded(set.run_mbps, 3))
                 .field("run_all_haystack_mbps", rounded(set.run_all_mbps, 3))
                 .field("chunks_accepted", set.chunks_accepted)
-                .field("ids_matched", set.ids_matched),
+                .field("ids_matched", set.ids_matched)
+                .field("gated", gated),
         );
     }
 
@@ -282,10 +303,11 @@ fn main() {
         scale,
         "single-thread whole-haystack run_all throughput of the bit-parallel host engine, per \
          suite; compile and lowering are outside the timed region (the runtime caches both); \
-         set_rows compile each gated suite with compile_set into one program and one engine and \
+         set_rows compile each gated suite, and synthetic PROTOMATA sets of 32, 64 and 128 \
+         members (gated false), with compile_set into one program and one engine and \
          scan the haystack in 500-byte chunks, bytes counted once (run: bytes examined up to the \
          first acceptance), and time compile_set and the host lowering as the median of \
-         repeated calls (compile_set_us, lower_us: what a program-cache miss costs); the run exits nonzero when a gated suite falls below floor_mbps or a \
+         repeated calls (compile_set_us, lower_us: what a program-cache miss costs); the run exits nonzero when a gated suite falls below floor_mbps or a gated \
          set row below set_floor_mbps",
     )
     .field("haystack_bytes", HAYSTACK_BYTES)

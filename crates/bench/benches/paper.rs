@@ -8,6 +8,7 @@
 //! Every table prints as GitHub markdown, so EXPERIMENTS.md pastes it from
 //! the committed default-scale run.
 
+use cicero_bench::grid::COMPILE_BUILDS;
 use cicero_bench::grid::{grid_configs, icache_config, no_dedup_config, selected_configs};
 use cicero_bench::grid::{table5_configs, table6_configs, ICACHE_LINES, ICACHE_SUITE, OLD_ENGINES};
 use cicero_bench::{
@@ -50,20 +51,37 @@ fn main() {
         }),
     );
 
+    // Each timing is the median build's and each ratio the medians';
+    // beside them, the builds' min–max (of the per-build ratios, for a
+    // ratio).
+    let ranged = |value: f64, builds: &[[f64; 4]], f: &dyn Fn(&[f64; 4]) -> f64, digits: usize| {
+        let (min, max) = builds
+            .iter()
+            .map(f)
+            .fold((f64::INFINITY, 0.0f64), |(lo, hi), v| (lo.min(v), hi.max(v)));
+        format!("{value:.digits$} ({min:.digits$}–{max:.digits$})")
+    };
     table(
-        "Figure 9: compile time per suite (s, faster of two builds; wall clock, never gated)",
+        &format!(
+            "Figure 9: compile time per suite (s, median of {COMPILE_BUILDS} builds, their \
+             min–max in parentheses; wall clock, never gated)"
+        ),
         "suite|new w/o [s]|new w/ [s]|old w/o [s]|old w/ [s]|old slowdown|(paper)\
          |new overhead|(paper)|new w/o speedup|(paper)",
         suites().map(|(i, suite)| {
             let [new_opt, new_unopt, old_opt, old_unopt] = suite.compile_seconds;
+            let builds = &suite.compile_builds;
             let mut cells = vec![suite.name.to_owned()];
-            cells.extend([new_unopt, new_opt, old_unopt, old_opt].map(|t| format!("{t:.4}")));
             cells.extend([
-                f2(old_opt / old_unopt),
+                ranged(new_unopt, builds, &|t| t[1], 4),
+                ranged(new_opt, builds, &|t| t[0], 4),
+                ranged(old_unopt, builds, &|t| t[3], 4),
+                ranged(old_opt, builds, &|t| t[2], 4),
+                ranged(old_opt / old_unopt, builds, &|t| t[2] / t[3], 2),
                 published(paper::OLD_OPT_SLOWDOWN[i]),
-                f2(new_opt / new_unopt),
+                ranged(new_opt / new_unopt, builds, &|t| t[0] / t[1], 2),
                 published(paper::NEW_OPT_OVERHEAD[i]),
-                f2(old_unopt / new_unopt),
+                ranged(old_unopt / new_unopt, builds, &|t| t[3] / t[1], 2),
                 published(paper::NEW_UNOPT_SPEEDUP[i]),
             ]);
             cells

@@ -131,8 +131,12 @@ pub struct CompiledSuite {
     pub old_opt: Vec<Program>,
     /// Old compiler, optimizations off.
     pub old_unopt: Vec<Program>,
-    /// Total wall-clock compile seconds, same order as the fields above.
+    /// Total wall-clock compile seconds, same order as the fields above
+    /// (the median over `compile_builds`).
     pub compile_seconds: [f64; 4],
+    /// Every timed build's `compile_seconds`: one per
+    /// [`CompiledSuite::build`], more after [`Grid::measure`](crate::Grid::measure).
+    pub compile_builds: Vec<[f64; 4]>,
     /// The new compiler's one `compile_set` program for the whole suite
     /// (untimed); `None` when the set does not fit one program, as at
     /// `full` scale, where it overflows the ISA's 13-bit operands.
@@ -165,6 +169,7 @@ impl CompiledSuite {
             old_opt: timed(2, &|p| old_opt.compile(p).expect("suite compiles")),
             old_unopt: timed(3, &|p| old_unopt.compile(p).expect("suite compiles")),
             compile_seconds,
+            compile_builds: vec![compile_seconds],
             set: new_opt.compile_set(&bench.patterns).ok().map(|set| set.program().clone()),
         }
     }

@@ -240,6 +240,18 @@ impl<M: Mask> BitEngine<M> {
         engine
     }
 
+    /// Heap bytes of the engine's tables.
+    pub(crate) fn table_bytes(&self) -> usize {
+        let arms: usize = self.arms.iter().map(|arm| size_of_val(&arm.by_class[..])).sum();
+        size_of_val(&self.classes.repr[..])
+            + size_of_val(&self.chunk_follow[..])
+            + size_of_val(&self.enter[..])
+            + size_of_val(&self.accept_any[..])
+            + size_of_val(&self.arms[..])
+            + arms
+            + self.prefilter.as_ref().map_or(0, Prefilter::heap_bytes)
+    }
+
     #[inline]
     pub(crate) fn step(&self, d: M, class: usize) -> M {
         let mut union = M::ZERO;

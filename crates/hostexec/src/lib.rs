@@ -21,9 +21,10 @@
 //!    ≤ 128 states in a `u128`; larger automata — any realistic
 //!    `compile_set` ruleset — run the same step over a multi-word mask
 //!    (`wide.rs`), as a shift for chain edges, a carry for gap runs and
-//!    sparse rows for the rest. A pathological program that blows the
-//!    lowering budget falls back to the reference interpreter — slower,
-//!    never wrong.
+//!    dense rows for the rest, generic over the mask's word count. A
+//!    pathological program that blows the lowering budget, or lowers to
+//!    more than the multi-word cap of 8,192 states, falls back to the
+//!    reference interpreter — slower, never wrong.
 //! 4. **Prefilter** (`prefilter.rs`): a memchr-style skip loop extracted
 //!    from the steady scan state, exact by construction.
 //!
@@ -58,6 +59,16 @@ pub use bytes::ByteSet;
 use cicero_isa::Program;
 use engine::{BitEngine, BitMatcher};
 use wide::{WideEngine, WideMatcher};
+
+/// The most states the multi-word engine steps (128 mask words, the
+/// ISA's 8,192-instruction address space); [`HostProgram::compile`]
+/// lowers a larger automaton to the interpreter fallback.
+pub const MAX_WIDE_STATES: usize = wide::MAX_STATES;
+
+/// The mask widths, in `u64` words, the multi-word engine's step is
+/// compiled for; [`HostProgram::mask_words`] of a `bit-wide` engine is one
+/// of them.
+pub const WIDE_MASK_WORDS: &[usize] = &wide::WIDTHS;
 
 /// Result of a host-engine run (the native analogue of
 /// [`cicero_isa::ExecOutcome`], minus the work metric — wall-clock *is*
@@ -106,9 +117,11 @@ pub enum EngineKind {
     Bit64,
     /// Bit-parallel, one `u128` state mask (65–128 states).
     Bit128,
-    /// Bit-parallel, multi-word state mask (> 128 states).
+    /// Bit-parallel, multi-word state mask (> 128 states, at most
+    /// [`MAX_WIDE_STATES`]).
     BitWide,
-    /// Reference-interpreter fallback (lowering budget exceeded).
+    /// Reference-interpreter fallback (lowering budget or state cap
+    /// exceeded).
     Interp,
 }
 
@@ -149,14 +162,15 @@ impl std::fmt::Debug for HostProgram {
 
 impl HostProgram {
     /// Lower `program` to the best-fitting host engine. Infallible: a
-    /// program the lowering cannot handle within budget degrades to the
-    /// reference interpreter rather than failing.
+    /// program the lowering cannot handle within budget, or whose
+    /// automaton is over [`MAX_WIDE_STATES`], degrades to the reference
+    /// interpreter rather than failing.
     pub fn compile(program: &Program) -> HostProgram {
         let repr = match lower(program) {
-            None => Repr::Interp(program.clone()),
             Some(nfa) if nfa.preds.len() <= 64 => Repr::W64(BitEngine::build(&nfa)),
             Some(nfa) if nfa.preds.len() <= 128 => Repr::W128(BitEngine::build(&nfa)),
-            Some(nfa) => Repr::Wide(WideEngine::build(&nfa)),
+            Some(nfa) if nfa.preds.len() <= MAX_WIDE_STATES => Repr::Wide(WideEngine::build(&nfa)),
+            _ => Repr::Interp(program.clone()),
         };
         HostProgram { repr }
     }
@@ -175,7 +189,9 @@ impl HostProgram {
             if nfa.preds.len() <= 128 {
                 reprs.push(Repr::W128(BitEngine::build(&nfa)));
             }
-            reprs.push(Repr::Wide(WideEngine::build(&nfa)));
+            if nfa.preds.len() <= MAX_WIDE_STATES {
+                reprs.push(Repr::Wide(WideEngine::build(&nfa)));
+            }
         }
         reprs.push(Repr::Interp(program.clone()));
         reprs.into_iter().map(|repr| HostProgram { repr }).collect()
@@ -209,6 +225,30 @@ impl HostProgram {
             Repr::W128(e) => e.classes.count,
             Repr::Wide(e) => e.classes.count,
             Repr::Interp(_) => 0,
+        }
+    }
+
+    /// `u64` words per state mask the engine steps: 1 for `bit64`, 2 for
+    /// `bit128`, the instantiated width for `bit-wide` (its states
+    /// rounded up to whole words, then to the next width the step is
+    /// compiled for), 0 for the interpreter fallback.
+    pub fn mask_words(&self) -> usize {
+        match &self.repr {
+            Repr::W64(_) => 1,
+            Repr::W128(_) => 2,
+            Repr::Wide(e) => e.words,
+            Repr::Interp(_) => 0,
+        }
+    }
+
+    /// Heap bytes of the lowered engine's tables (the interpreter
+    /// fallback: of its copy of the program).
+    pub fn table_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::W64(e) => e.table_bytes(),
+            Repr::W128(e) => e.table_bytes(),
+            Repr::Wide(e) => e.table_bytes(),
+            Repr::Interp(p) => std::mem::size_of_val(p.instructions()),
         }
     }
 

@@ -56,6 +56,14 @@ impl<M: Mask> Prefilter<M> {
         }
     }
 
+    /// Heap bytes: a memchr stop set's needles.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.kind {
+            SkipKind::Memchr(needles) => needles.len(),
+            SkipKind::Table => 0,
+        }
+    }
+
     /// The stop bytes (the extracted literal candidates), for
     /// introspection and tests.
     pub(crate) fn stop_bytes(&self) -> Vec<u8> {

@@ -7,12 +7,12 @@
 //! D' = (⋃ follow[s] for s in D)  ∩  enter[class(byte)]
 //! ```
 //!
-//! over a state mask of `ceil(states / 64)` `u64` words. `BitEngine`'s
-//! byte-chunked follow tables cannot simply be instantiated wider: they
-//! are 4·n² bytes (165 KB at 203 states, 268 MB at the ISA's
-//! 8,192-instruction ceiling). Instead the follow union is split, at
-//! build time, into three parts that partition every state's follow set
-//! (Navarro & Raffinot's bit-parallel treatment of bounded gaps):
+//! over a state mask of `W` `u64` words. `BitEngine`'s byte-chunked
+//! follow tables cannot simply be instantiated wider: they are 4·n²
+//! bytes (165 KB at 203 states, 268 MB at the ISA's 8,192-instruction
+//! ceiling). Instead the follow union is split, at build time, into three
+//! parts that partition every state's follow set (Navarro & Raffinot's
+//! bit-parallel treatment of bounded gaps):
 //!
 //! - **Chain edges** `s → s + 1`. States are numbered in program order,
 //!   so a pattern's consecutive atoms are consecutive bits, and the part
@@ -24,16 +24,36 @@
 //!   add carries across words; runs are kept only while their spans
 //!   `[a..b + 1]` are pairwise disjoint, so no carry reaches another run.
 //! - **Residual edges**, everything else (scan loops, back edges, a
-//!   member's first atoms): per-state rows of `(word index, mask)` pairs
-//!   holding only the non-zero words of the state's remaining follow
-//!   mask, ORed for the active states of `D & residual` alone.
+//!   member's first atoms): each state with any keeps one dense `W`-word
+//!   row of its remaining follow mask, found through a per-state residual
+//!   ordinal, and the rows of the active states of `D & residual` are
+//!   ORed whole into `D'`.
+//!
+//! **The step is generic over `W`** (`scan::<W>`): the frontier and the
+//! next mask are `[u64; W]` locals, so for the widths served sets take
+//! they stay in registers, the per-word loops unroll and carry no bounds
+//! checks, and a residual row is a fixed-length OR rather than a walk of
+//! `(word, mask)` pairs into a next mask held in memory. `W` is the state
+//! count's `ceil(states / 64)` rounded up to the next of [`WIDTHS`] (pad
+//! words are zero in every table, so nothing enters them, and cost as
+//! much as live ones), and one match per scan picks the instantiation.
 //!
 //! The shift and the carry cost a few word operations per mask word,
-//! whatever is active; the row walk touches the handful of active
-//! residual sources. Memory is `4 × words` words of step masks, `16`
-//! bytes per residual row pair, and `2 × classes × words` words of entry
-//! and acceptance masks (on the 203-state, 16-signature protein set:
-//! 13 residual sources, 26 row pairs).
+//! whatever is active; the residual part costs `W` ORs per active
+//! residual source. Memory is `4 × W` words of step masks, **`residual
+//! sources × W × 8` bytes** of rows plus a 4-byte ordinal per state, and
+//! `(2 × classes + 1) × W` words of entry and acceptance masks. On the
+//! 203-state, 16-signature protein set that is 13 sources × 4 words, 416
+//! bytes of rows. A dense row never outgrows the sparse `(word, mask)`
+//! form's worst case: at most `4/3 × ceil(states / 64)` words of 8 bytes
+//! against `ceil(states / 64)` pairs of 16.
+//!
+//! **The state cap**: [`MAX_STATES`] is 8,192 states (128 words), the
+//! ISA's address space. [`HostProgram::compile`](crate::HostProgram::compile)
+//! lowers a larger automaton to the reference interpreter instead, as it
+//! does when the lowering's closure budget trips, so the tier's tables
+//! are bounded: at most 1 KiB of row per residual source and 2 KiB of
+//! entry and acceptance masks per byte class.
 //!
 //! Acceptance is checked before the byte is consumed and once more at
 //! end of input, a dead frontier ends the run, identifiers resolve to
@@ -42,12 +62,24 @@
 //! program lands on never shows in its results. Accept arms are kept
 //! sparse (a handful of `(state, bytes)` sites per identifier): they are
 //! consulted only when an acceptance fires, and a dense per-arm,
-//! per-class mask would cost `arms × classes × words` words.
+//! per-class mask would cost `arms × classes × W` words.
 
 use crate::bytes::ByteSet;
 use crate::engine::{byte_classes, Classes};
 use crate::nfa::Nfa;
 use crate::{accepted_at, HostAllOutcome, HostOutcome, REJECTED};
+
+/// The mask widths, in `u64` words, that the step is instantiated for:
+/// dense enough that a mask pads at most a third more words than its
+/// states need (a pad word costs what a live one does), sparse enough to
+/// keep the instantiations few. [`WideEngine::scan`]'s match names each
+/// one.
+pub(crate) const WIDTHS: [usize; 19] =
+    [1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 48, 64, 80, 96, 128];
+
+/// The most states the tier steps: 128 words, the ISA's 8,192-instruction
+/// address space. Larger automata run on the interpreter.
+pub(crate) const MAX_STATES: usize = 128 * 64;
 
 /// Why a [`WideEngine::scan`] stopped.
 enum Stop {
@@ -76,7 +108,7 @@ struct StepWord {
     gap: u64,
     /// The gap runs' targets (`b + 1` of each run `[a..b]`).
     gap_to: u64,
-    /// States with residual rows.
+    /// States with a residual row.
     residual: u64,
 }
 
@@ -84,14 +116,16 @@ struct StepWord {
 pub(crate) struct WideEngine {
     pub classes: Classes,
     pub n_states: usize,
-    /// `u64` words per state mask.
-    words: usize,
+    /// `u64` words per state mask: one of [`WIDTHS`].
+    pub words: usize,
     /// Chain, gap and residual masks, one entry per mask word.
     step: Vec<StepWord>,
-    /// The non-zero words of every state's residual follow mask, as
-    /// `(word index, mask)`; state `s` owns `rows[row_start[s]..row_start[s + 1]]`.
-    rows: Vec<(u32, u64)>,
-    row_start: Vec<u32>,
+    /// Per state with a residual bit, the index of its row in
+    /// `residual_rows` (0 for the others, which never look it up).
+    residual_ordinal: Vec<u32>,
+    /// One dense `words`-word follow mask per residual source, the edges
+    /// neither a shift nor a carry takes.
+    residual_rows: Vec<u64>,
     /// `enter[class * words..][..words]`: states enterable on the class.
     enter: Vec<u64>,
     /// `accept_any[class * words..][..words]`: states with any arm firing
@@ -119,14 +153,16 @@ fn intersects(a: &[u64], b: &[u64]) -> bool {
 }
 
 impl WideEngine {
+    /// The engine for `nfa`, which has at most [`MAX_STATES`] states.
     pub(crate) fn build(nfa: &Nfa) -> WideEngine {
         let n = nfa.preds.len();
-        let words = n.div_ceil(64);
+        assert!(n <= MAX_STATES, "{n} states is over the multi-word cap of {MAX_STATES}");
+        let words = *WIDTHS.iter().find(|&&w| w * 64 >= n).expect("the widest mask holds the cap");
         let classes = byte_classes(
             nfa.preds.iter().copied().chain(nfa.arms.iter().flatten().map(|arm| arm.bytes)),
         );
 
-        let (step, rows, row_start) = split_follow(&nfa.follow);
+        let (step, residual_ordinal, residual_rows) = split_follow(&nfa.follow, words);
 
         let mut enter = vec![0u64; classes.count * words];
         for (class, &byte) in classes.repr.iter().enumerate() {
@@ -156,8 +192,8 @@ impl WideEngine {
             n_states: n,
             words,
             step,
-            rows,
-            row_start,
+            residual_ordinal,
+            residual_rows,
             enter,
             accept_any: Vec::new(),
             accept_eoi: Vec::new(),
@@ -169,6 +205,20 @@ impl WideEngine {
         engine.accept_any = any;
         engine.accept_eoi = eoi;
         engine
+    }
+
+    /// Heap bytes of the engine's tables.
+    pub(crate) fn table_bytes(&self) -> usize {
+        let sites: usize = self.arms.iter().map(|arm| size_of_val(&arm.sites[..])).sum();
+        size_of_val(&self.classes.repr[..])
+            + size_of_val(&self.step[..])
+            + size_of_val(&self.residual_ordinal[..])
+            + size_of_val(&self.residual_rows[..])
+            + size_of_val(&self.enter[..])
+            + size_of_val(&self.accept_any[..])
+            + size_of_val(&self.accept_eoi[..])
+            + size_of_val(&self.arms[..])
+            + sites
     }
 
     /// Rebuild the acceptance masks from the arms still `live`.
@@ -200,70 +250,95 @@ impl WideEngine {
         d
     }
 
-    /// The follow union of `cur`, into `nxt`: chain shift, gap carries,
-    /// then the residual rows of the active residual sources.
-    #[inline]
-    fn follow(&self, cur: &[u64], nxt: &mut [u64]) {
-        let mut shifted_out = 0u64;
-        let mut carry = false;
-        for ((to, &active), masks) in nxt.iter_mut().zip(cur).zip(&self.step) {
-            let chain = active & masks.chain;
-            let (sum, over) = (active & masks.gap).overflowing_add(masks.gap);
-            let (sum, carried) = sum.overflowing_add(u64::from(carry));
-            carry = over | carried;
-            *to = (chain << 1) | shifted_out | (sum & masks.gap_to);
-            shifted_out = chain >> 63;
-        }
-        for (word, (&active, masks)) in cur.iter().zip(&self.step).enumerate() {
-            let mut bits = active & masks.residual;
-            while bits != 0 {
-                let state = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let row = self.row_start[state] as usize..self.row_start[state + 1] as usize;
-                for &(to, mask) in &self.rows[row] {
-                    nxt[to as usize] |= mask;
-                }
-            }
+    /// Step `d` over `input[from..]` until it dies, the input ends, or a
+    /// state in `any` (per-class acceptance masks) is about to consume a
+    /// byte, in the instantiation for the engine's width.
+    fn scan(&self, any: &[u64], d: &mut [u64], input: &[u8], from: usize) -> Stop {
+        match self.words {
+            1 => self.scan_words::<1>(any, d, input, from),
+            2 => self.scan_words::<2>(any, d, input, from),
+            3 => self.scan_words::<3>(any, d, input, from),
+            4 => self.scan_words::<4>(any, d, input, from),
+            6 => self.scan_words::<6>(any, d, input, from),
+            8 => self.scan_words::<8>(any, d, input, from),
+            10 => self.scan_words::<10>(any, d, input, from),
+            12 => self.scan_words::<12>(any, d, input, from),
+            16 => self.scan_words::<16>(any, d, input, from),
+            20 => self.scan_words::<20>(any, d, input, from),
+            24 => self.scan_words::<24>(any, d, input, from),
+            28 => self.scan_words::<28>(any, d, input, from),
+            32 => self.scan_words::<32>(any, d, input, from),
+            40 => self.scan_words::<40>(any, d, input, from),
+            48 => self.scan_words::<48>(any, d, input, from),
+            64 => self.scan_words::<64>(any, d, input, from),
+            80 => self.scan_words::<80>(any, d, input, from),
+            96 => self.scan_words::<96>(any, d, input, from),
+            128 => self.scan_words::<128>(any, d, input, from),
+            words => unreachable!("{words} words is not one of the widths {WIDTHS:?}"),
         }
     }
 
-    /// Step `d` over `input[from..]` until it dies, the input ends, or a
-    /// state in `any` (per-class acceptance masks) is about to consume a
-    /// byte. `next` is scratch.
-    fn scan(
+    /// [`scan`](WideEngine::scan) over `[u64; W]` masks: per byte the
+    /// acceptance check, the chain shift and gap carries, the residual
+    /// rows of the active residual sources, then the entry gate. Kept out
+    /// of line: each width has one call site, in `scan`'s match, which
+    /// would otherwise absorb every instantiation into one function.
+    #[inline(never)]
+    fn scan_words<const W: usize>(
         &self,
         any: &[u64],
-        d: &mut Vec<u64>,
-        next: &mut Vec<u64>,
+        d: &mut [u64],
         input: &[u8],
         from: usize,
     ) -> Stop {
-        let words = self.words;
-        let (mut cur, mut nxt) = (d.as_mut_slice(), next.as_mut_slice());
-        let mut flipped = false;
+        let (any, _) = any.as_chunks::<W>();
+        let (enter, _) = self.enter.as_chunks::<W>();
+        let (rows, _) = self.residual_rows.as_chunks::<W>();
+        let step: &[StepWord; W] = self.step.as_slice().try_into().expect("a word per mask word");
+        let mut cur: [u64; W] = (&*d).try_into().expect("a mask of the engine's width");
+        // The follow union before the entry gate; the shift-and-carry
+        // pass writes every word, and the gate writes `cur` back, so no
+        // mask is zeroed or copied per byte.
+        let mut next = [0u64; W];
         let mut stop = Stop::End;
         for (pos, &byte) in input.iter().enumerate().skip(from) {
             let class = self.class_of(byte);
-            if intersects(cur, &any[class * words..][..words]) {
+            if intersects(&cur, &any[class]) {
                 stop = Stop::Accept(pos);
                 break;
             }
-            self.follow(cur, nxt);
+            let mut shifted_out = 0u64;
+            let mut carry = false;
+            for ((to, &active), masks) in next.iter_mut().zip(&cur).zip(step) {
+                let chain = active & masks.chain;
+                let (sum, over) = (active & masks.gap).overflowing_add(masks.gap);
+                let (sum, carried) = sum.overflowing_add(u64::from(carry));
+                carry = over | carried;
+                *to = (chain << 1) | shifted_out | (sum & masks.gap_to);
+                shifted_out = chain >> 63;
+            }
+            for (word, (&active, masks)) in cur.iter().zip(step).enumerate() {
+                let mut sources = active & masks.residual;
+                while sources != 0 {
+                    let state = word * 64 + sources.trailing_zeros() as usize;
+                    sources &= sources - 1;
+                    let row = &rows[self.residual_ordinal[state] as usize];
+                    for (to, &mask) in next.iter_mut().zip(row) {
+                        *to |= mask;
+                    }
+                }
+            }
             let mut alive = 0u64;
-            for (to, &gate) in nxt.iter_mut().zip(&self.enter[class * words..][..words]) {
-                *to &= gate;
+            for ((to, &union), &gate) in cur.iter_mut().zip(&next).zip(&enter[class]) {
+                *to = union & gate;
                 alive |= *to;
             }
-            std::mem::swap(&mut cur, &mut nxt);
-            flipped = !flipped;
             if alive == 0 {
                 stop = Stop::Dead(pos);
                 break;
             }
         }
-        if flipped {
-            std::mem::swap(d, next);
-        }
+        d.copy_from_slice(&cur);
         stop
     }
 
@@ -294,14 +369,13 @@ impl WideEngine {
         let mut any = self.accept_any.clone();
         let mut eoi = self.accept_eoi.clone();
         let mut d = self.start();
-        let mut next = vec![0u64; self.words];
         // `run`'s outcome and the bytes it examined, once known; until
         // then the scan stops at the cap.
         let mut first = None;
         let mut end = byte_cap.min(input.len());
         let mut from = 0;
         loop {
-            match self.scan(&any, &mut d, &mut next, &input[..end], from) {
+            match self.scan(&any, &mut d, &input[..end], from) {
                 Stop::Dead(pos) => {
                     let (first, examined) = first.unwrap_or((REJECTED, pos));
                     return Some(HostAllOutcome { first, examined, matched_ids: ids });
@@ -357,9 +431,11 @@ impl WideEngine {
     }
 }
 
-/// Split every state's follow set into chain edges, gap runs and
-/// residual rows (see the module docs). States are in program order.
-fn split_follow(follow: &[Vec<u32>]) -> (Vec<StepWord>, Vec<(u32, u64)>, Vec<u32>) {
+/// Split every state's follow set into chain edges, gap runs and dense
+/// residual rows of `words` words (see the module docs): the step masks,
+/// each state's residual ordinal and the rows. States are in program
+/// order.
+fn split_follow(follow: &[Vec<u32>], words: usize) -> (Vec<StepWord>, Vec<u32>, Vec<u64>) {
     let n = follow.len();
     let has_edge = |from: usize, to: usize| follow[from].binary_search(&(to as u32)).is_ok();
     // run_to[s]: the target of the gap run holding `s`. Targets ascend, so
@@ -379,17 +455,15 @@ fn split_follow(follow: &[Vec<u32>]) -> (Vec<StepWord>, Vec<(u32, u64)>, Vec<u32
         }
     }
 
-    let mut step = vec![StepWord::default(); n.div_ceil(64)];
-    let mut rows: Vec<(u32, u64)> = Vec::new();
-    let mut row_start = Vec::with_capacity(n + 1);
+    let mut step = vec![StepWord::default(); words];
+    let mut ordinal = vec![0u32; n];
+    let mut rows: Vec<u64> = Vec::new();
     for (state, follows) in follow.iter().enumerate() {
         let (word, bit) = (state / 64, 1u64 << (state % 64));
         if run_to[state] != usize::MAX {
             step[word].gap |= bit;
             step[run_to[state] / 64].gap_to |= 1u64 << (run_to[state] % 64);
         }
-        row_start.push(rows.len() as u32);
-        let first = rows.len();
         for &t in follows {
             let t = t as usize;
             if t == run_to[state] {
@@ -399,27 +473,27 @@ fn split_follow(follow: &[Vec<u32>]) -> (Vec<StepWord>, Vec<(u32, u64)>, Vec<u32
                 step[word].chain |= bit;
                 continue;
             }
-            step[word].residual |= bit;
-            let (to, mask) = ((t / 64) as u32, 1u64 << (t % 64));
-            match rows[first..].last_mut() {
-                Some((w, m)) if *w == to => *m |= mask,
-                _ => rows.push((to, mask)),
+            if step[word].residual & bit == 0 {
+                step[word].residual |= bit;
+                ordinal[state] = (rows.len() / words) as u32;
+                rows.resize(rows.len() + words, 0);
             }
+            let row = rows.len() - words;
+            set_bit(&mut rows[row..], t);
         }
     }
-    row_start.push(rows.len() as u32);
     debug_assert!(
-        (0..n).all(|state| rejoined(&step, &rows, &row_start, state) == follow[state]),
+        (0..n).all(|state| rejoined(&step, &ordinal, &rows, state) == follow[state]),
         "chain, gap and residual edges must partition every follow set"
     );
-    (step, rows, row_start)
+    (step, ordinal, rows)
 }
 
 /// `state`'s follow set put back together from the step masks and rows:
 /// its chain edge, the target its gap run carries into (the first clear
 /// bit of `gap` above it, which `gap_to` must hold) and its residual
-/// rows, each edge once per part it is in.
-fn rejoined(step: &[StepWord], rows: &[(u32, u64)], row_start: &[u32], state: usize) -> Vec<u32> {
+/// row, each edge once per part it is in.
+fn rejoined(step: &[StepWord], ordinal: &[u32], rows: &[u64], state: usize) -> Vec<u32> {
     let has = |mask: fn(&StepWord) -> u64, s: usize| {
         step.get(s / 64).is_some_and(|word| mask(word) & (1u64 << (s % 64)) != 0)
     };
@@ -432,28 +506,30 @@ fn rejoined(step: &[StepWord], rows: &[(u32, u64)], row_start: &[u32], state: us
         assert!(has(|word| word.gap_to, target), "gap run into {target} has no target bit");
         follows.push(target as u32);
     }
-    for &(word, mask) in &rows[row_start[state] as usize..row_start[state + 1] as usize] {
-        let mut bits = mask;
-        while bits != 0 {
-            follows.push(word * 64 + bits.trailing_zeros());
-            bits &= bits - 1;
+    if has(|word| word.residual, state) {
+        let words = step.len();
+        let row = &rows[ordinal[state] as usize * words..][..words];
+        for (word, &mask) in row.iter().enumerate() {
+            let mut bits = mask;
+            while bits != 0 {
+                follows.push((word * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
         }
     }
     follows.sort_unstable();
     follows
 }
 
-/// Resumable matcher state over a [`WideEngine`]: the live mask and a
-/// scratch mask for the step.
+/// Resumable matcher state over a [`WideEngine`]: the live mask.
 #[derive(Debug, Clone)]
 pub(crate) struct WideMatcher {
     d: Vec<u64>,
-    next: Vec<u64>,
 }
 
 impl WideMatcher {
     pub(crate) fn new(engine: &WideEngine) -> WideMatcher {
-        WideMatcher { d: engine.start(), next: vec![0u64; engine.words] }
+        WideMatcher { d: engine.start() }
     }
 
     /// Feed `chunk`, starting at absolute position `*position`.
@@ -465,7 +541,7 @@ impl WideMatcher {
         chunk: &[u8],
         position: &mut usize,
     ) -> Option<HostOutcome> {
-        let stop = engine.scan(&engine.accept_any, &mut self.d, &mut self.next, chunk, 0);
+        let stop = engine.scan(&engine.accept_any, &mut self.d, chunk, 0);
         let consumed = match stop {
             Stop::Accept(at) | Stop::Dead(at) => at,
             Stop::End => chunk.len(),
@@ -501,7 +577,7 @@ mod tests {
     /// into the next atom (mostly one to six states, now and then one
     /// over a whole mask word; adjacent ones included), pattern ends with
     /// no edge onward, and stray edges anywhere (back, self, far
-    /// forward). Windows straddle bits 63/64 and 127/128.
+    /// forward). Windows straddle every mask-word boundary.
     fn relation(rng: &mut StdRng, n: usize) -> Vec<Vec<u32>> {
         let mut follow = vec![Vec::new(); n];
         let mut state = 0;
@@ -529,7 +605,7 @@ mod tests {
                 _ => follow[state].push(rng.random_range(0..n) as u32),
             }
         }
-        for boundary in [64, 128] {
+        for boundary in (64..n).step_by(64) {
             if boundary + 2 < n {
                 for follows in &mut follow[boundary - 3..boundary + 2] {
                     follows.push(boundary as u32 + 2);
@@ -556,12 +632,33 @@ mod tests {
         next
     }
 
+    /// One byte of the generic scan from `d`, on an engine whose states
+    /// all enter on every byte and carry no arms: the follow union.
+    fn stepped(engine: &WideEngine, d: &[u64]) -> Vec<u64> {
+        let mut next = d.to_vec();
+        engine.scan(&engine.accept_any, &mut next, &[0], 0);
+        next
+    }
+
     #[test]
     fn shift_carry_and_residual_rows_equal_the_row_union() {
         let mut rng = StdRng::seed_from_u64(0x5EED_CA22);
         let mut gaps = 0;
-        for n in [1usize, 2, 3, 63, 64, 65, 66, 127, 128, 129, 130, 131, 200, 257, 300] {
-            for _ in 0..40 {
+        let mut widths = Vec::new();
+        // Every instantiation boundary from both sides, a few sizes inside
+        // the narrow widths, and the cap.
+        let mut sizes = vec![1usize, 2, 3, 63, 66, 130, 131, 200, 300];
+        for width in WIDTHS {
+            sizes.extend([width * 64 - 1, width * 64, width * 64 + 1]);
+        }
+        sizes.retain(|&n| n <= MAX_STATES);
+        sizes.sort_unstable();
+        sizes.dedup();
+        for n in sizes {
+            // The wide relations are costly to check state by state: fewer
+            // of them, and single states only around each word boundary.
+            let (relations, all_singles) = if n <= 300 { (40, true) } else { (2, false) };
+            for _ in 0..relations {
                 let follow = relation(&mut rng, n);
                 let nfa = Nfa {
                     preds: vec![ByteSet::FULL; n],
@@ -569,13 +666,20 @@ mod tests {
                     arms: vec![Vec::new(); n],
                 };
                 let engine = WideEngine::build(&nfa);
+                let words = engine.words;
+                assert!(words * 64 >= n && WIDTHS.contains(&words), "n {n}: {words} words");
+                assert_eq!(words, *WIDTHS.iter().find(|&&w| w * 64 >= n).unwrap(), "n {n}");
+                widths.push(words);
                 gaps += engine.step.iter().filter(|word| word.gap != 0).count();
-                let words = n.div_ceil(64);
+                let sources: u32 = engine.step.iter().map(|w| w.residual.count_ones()).sum();
+                assert_eq!(engine.residual_rows.len(), sources as usize * words, "n {n}");
                 let mut masks = vec![vec![u64::MAX; words], vec![0; words]];
                 for state in 0..n {
-                    let mut single = vec![0; words];
-                    set_bit(&mut single, state);
-                    masks.push(single);
+                    if all_singles || state % 64 < 2 || state % 64 > 61 {
+                        let mut single = vec![0; words];
+                        set_bit(&mut single, state);
+                        masks.push(single);
+                    }
                 }
                 for density in [2, 8, 32] {
                     for _ in 0..16 {
@@ -589,15 +693,16 @@ mod tests {
                     }
                 }
                 for d in &mut masks {
-                    if n % 64 != 0 {
-                        d[words - 1] &= (1u64 << (n % 64)) - 1;
+                    for state in n..words * 64 {
+                        d[state / 64] &= !(1u64 << (state % 64));
                     }
-                    let mut next = vec![0; words];
-                    engine.follow(d, &mut next);
+                    let next = stepped(&engine, d);
                     assert_eq!(next, row_union(&follow, d), "n {n}, d {d:x?}, follow {follow:?}");
                 }
             }
         }
+        widths.dedup();
+        assert_eq!(widths, WIDTHS, "every instantiation must be stepped");
         assert!(gaps > 100, "the relations must exercise gap runs: {gaps} gap words");
     }
 
@@ -626,6 +731,8 @@ mod tests {
         let residual: Vec<u64> = engine.step.iter().map(|word| word.residual).collect();
         assert_eq!(residual, mask(&mut [124].into_iter()));
         assert!(engine.step.iter().all(|word| word.chain == 0));
+        // State 124's one residual edge is a dense row of the mask's width.
+        assert_eq!(engine.residual_rows, mask(&mut [130].into_iter()));
         for (sources, targets) in [
             (vec![61], vec![67]),
             (vec![63, 64], vec![67]),
@@ -635,8 +742,7 @@ mod tests {
             (vec![127, 128], vec![130]),
             (vec![66, 118, 129], vec![67, 124, 130]),
         ] {
-            let mut next = vec![0u64; 3];
-            engine.follow(&mask(&mut sources.iter().copied()), &mut next);
+            let next = stepped(&engine, &mask(&mut sources.iter().copied()));
             assert_eq!(next, mask(&mut targets.iter().copied()), "{sources:?}");
         }
     }

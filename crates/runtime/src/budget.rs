@@ -831,6 +831,7 @@ mod tests {
             ("host.tier", lowered.engine_kind().to_string()),
             ("host.states", lowered.state_count().to_string()),
             ("host.byte_classes", lowered.byte_class_count().to_string()),
+            ("host.table_bytes", lowered.table_bytes().to_string()),
         ] {
             let got = miss[0].attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.to_string());
             assert_eq!(got, Some(want), "{key}");

@@ -107,6 +107,7 @@ impl HostCache {
             span.annotate("host.tier", lowered.engine_kind().to_string());
             span.annotate("host.states", lowered.state_count());
             span.annotate("host.byte_classes", lowered.byte_class_count());
+            span.annotate("host.table_bytes", lowered.table_bytes());
         }
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
         if map.len() >= self.capacity {
