@@ -2,9 +2,9 @@
 //! bit-parallel host-native engine on the Table-2 suites, exported to
 //! `BENCH_host.json`.
 //!
-//! The host-backend tentpole lowers the `cicero` ISA to a bit-parallel
-//! Thompson NFA (u64/u128/multi-word masks, memchr-style literal
-//! prefilter). This bench pins the claim that the lowering is worth
+//! The host backend lowers the `cicero` ISA to a bit-parallel Thompson
+//! NFA (one step over masks of as many `u64` words as the automaton
+//! needs, with a memchr-style literal prefilter). This bench pins the claim that the lowering is worth
 //! serving from: each suite's patterns are compiled once, lowered once,
 //! and scanned single-threaded over a long haystack built from the
 //! suite's own 500-byte chunks. Throughput is whole-haystack `run_all` —
@@ -26,7 +26,7 @@
 //! [`FLOOR_MBPS`]** — the acceptance bar of the host-backend issue — or
 //! if a gated suite's set row falls below [`SET_FLOOR_MBPS`]. The alternate suites
 //! (PROTOMATA4/BRILL4) are reported but not gated: their 4-way
-//! alternations select wider engines whose throughput is a different
+//! alternations lower to wider masks whose throughput is a different
 //! trade-off, tracked by the JSON rather than asserted.
 //!
 //! Scale via `CICERO_BENCH_SCALE` (quick/default/full).
@@ -198,7 +198,7 @@ fn main() {
         let total_bytes = hosts.len() * input.len();
         let mbps = total_bytes as f64 / elapsed / 1e6;
 
-        // Engine-tier census: which lowering each pattern selected.
+        // Engine census: which lowering each pattern selected.
         let mut tiers: Vec<(String, usize)> = Vec::new();
         let mut prefiltered = 0usize;
         for host in &hosts {

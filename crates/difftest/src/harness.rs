@@ -10,10 +10,9 @@
 //!   (all optimizations off) and `O2` (all on) — must reproduce both the
 //!   verdict and the earliest end exactly;
 //! * the host-native engines ([`cicero_hostexec::HostProgram`]) — each
-//!   program lowered onto every engine it fits
-//!   ([`HostProgram::every_engine`]), so `bit64`, `bit128`, `bit-wide`
-//!   and the interpreter fallback each see every program their mask
-//!   holds — must reproduce the verdict and the earliest end exactly
+//!   program lowered onto both ([`HostProgram::every_engine`]), so
+//!   `bit-wide` and the interpreter fallback each see every program they
+//!   can run — must reproduce the verdict and the earliest end exactly
 //!   (they implement the interpreter's earliest-match-end rule), and
 //!   their all-matches `run_all` must report the same id set as
 //!   [`cicero_isa::run_all`];

@@ -8,6 +8,13 @@ use crate::ast::{Alternation, Atom, ClassSet, Concatenation, Piece, Quantifier, 
 /// explosion in instruction memory (programs are capped at 8192 entries).
 pub const MAX_REPEAT: u32 = 1024;
 
+/// Upper bound on group nesting. The parser and every pass after it walk
+/// a group's body by recursion, so the bound keeps the deepest admitted
+/// pattern compiling on a 2 MiB thread stack (Rust's default for a
+/// spawned thread) even in an unoptimized build, instead of overflowing
+/// it, which aborts the whole process.
+pub const MAX_GROUP_NESTING: usize = 250;
+
 /// A parse failure with the offending source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseRegexError {
@@ -31,8 +38,8 @@ impl std::error::Error for ParseRegexError {}
 ///
 /// Returns [`ParseRegexError`] for empty patterns, malformed constructs,
 /// unsupported operators (`^`/`$` anywhere but the pattern boundaries,
-/// back-references, lazy quantifiers…) and quantifier bounds above
-/// [`MAX_REPEAT`].
+/// back-references, lazy quantifiers…), quantifier bounds above
+/// [`MAX_REPEAT`] and groups nested deeper than [`MAX_GROUP_NESTING`].
 pub fn parse(pattern: &str) -> Result<RegexAst, ParseRegexError> {
     let mut p = Parser { src: pattern.as_bytes(), pos: 0 };
     if p.src.is_empty() {
@@ -135,6 +142,9 @@ impl<'a> Parser<'a> {
             Some(b'.') => {
                 self.pos += 1;
                 Ok(Atom::Any)
+            }
+            Some(b'(') if depth == MAX_GROUP_NESTING => {
+                Err(self.err_here(format!("groups nest deeper than {MAX_GROUP_NESTING} levels")))
             }
             Some(b'(') => {
                 self.pos += 1;
@@ -477,6 +487,11 @@ mod tests {
     fn nested_groups() {
         let ast = parse("a(b(c|d))e").unwrap();
         assert_eq!(ast.alternation.alternatives[0].pieces.len(), 3);
+        let nested = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&nested(MAX_GROUP_NESTING)).is_ok());
+        let err = parse(&nested(MAX_GROUP_NESTING + 1)).unwrap_err();
+        assert_eq!(err.span, Span::new(MAX_GROUP_NESTING, MAX_GROUP_NESTING + 1), "{err}");
+        assert!(err.message.contains("nest deeper"), "{err}");
     }
 
     #[test]

@@ -16,17 +16,15 @@
 //!    of a character class: same sources, successors and arms) merge
 //!    into one state whose predicate is the union of theirs. States stay
 //!    in program order.
-//! 3. **Engine selection**: ≤ 64 states run bit-parallel in a `u64`
-//!    (shift-or style, chunked follow tables, byte-class compressed);
-//!    ≤ 128 states in a `u128`; larger automata — any realistic
-//!    `compile_set` ruleset — run the same step over a multi-word mask
-//!    (`wide.rs`), as a shift for chain edges, a carry for gap runs and
-//!    dense rows for the rest, generic over the mask's word count. A
-//!    pathological program that blows the lowering budget, or lowers to
-//!    more than the multi-word cap of 8,192 states, falls back to the
+//! 3. **Engine selection**: every automaton of at most 8,192 states runs
+//!    bit-parallel over a mask of as many `u64` words as it needs
+//!    (`wide.rs`): a shift for chain edges, a carry for gap runs and
+//!    dense rows for the rest, byte-class compressed and generic over the
+//!    mask's word count. A pathological program that blows the lowering
+//!    budget, or lowers to more than that cap, falls back to the
 //!    reference interpreter — slower, never wrong.
-//! 4. **Prefilter** (`prefilter.rs`): a memchr-style skip loop extracted
-//!    from the steady scan state, exact by construction.
+//! 4. **Prefilter** (`prefilter.rs`): a memchr-style skip loop read off
+//!    the automaton's steady scan state, exact by construction.
 //!
 //! Semantics match [`cicero_isa::run`] / [`cicero_isa::run_all`]
 //! observably: same verdict, same earliest match end, same identifier
@@ -45,11 +43,10 @@
 //!
 //! The resumable [`HostMatcher`] extends the chunk-split-invariance
 //! contract of [`cicero_isa::StreamMatcher`] to the native path: state is
-//! one state mask (one to a few machine words), so feeding any split of
+//! one state mask (one or more machine words), so feeding any split of
 //! an input is byte-for-byte equivalent to the whole-input run.
 
 mod bytes;
-mod engine;
 mod nfa;
 mod prefilter;
 mod wide;
@@ -57,7 +54,6 @@ mod wide;
 pub use bytes::ByteSet;
 
 use cicero_isa::Program;
-use engine::{BitEngine, BitMatcher};
 use wide::{WideEngine, WideMatcher};
 
 /// The most states the multi-word engine steps (128 mask words, the
@@ -113,12 +109,8 @@ pub struct HostAllOutcome {
 /// Which execution strategy [`HostProgram::compile`] selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Bit-parallel, one `u64` state mask (≤ 64 states).
-    Bit64,
-    /// Bit-parallel, one `u128` state mask (65–128 states).
-    Bit128,
-    /// Bit-parallel, multi-word state mask (> 128 states, at most
-    /// [`MAX_WIDE_STATES`]).
+    /// Bit-parallel, a state mask of one or more `u64` words (at most
+    /// [`MAX_WIDE_STATES`] states).
     BitWide,
     /// Reference-interpreter fallback (lowering budget or state cap
     /// exceeded).
@@ -128,8 +120,6 @@ pub enum EngineKind {
 impl std::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            EngineKind::Bit64 => "bit64",
-            EngineKind::Bit128 => "bit128",
             EngineKind::BitWide => "bit-wide",
             EngineKind::Interp => "interp",
         })
@@ -137,9 +127,7 @@ impl std::fmt::Display for EngineKind {
 }
 
 enum Repr {
-    W64(BitEngine<u64>),
-    W128(BitEngine<u128>),
-    Wide(WideEngine),
+    Wide(Box<WideEngine>),
     Interp(Program),
 }
 
@@ -161,47 +149,36 @@ impl std::fmt::Debug for HostProgram {
 }
 
 impl HostProgram {
-    /// Lower `program` to the best-fitting host engine. Infallible: a
-    /// program the lowering cannot handle within budget, or whose
-    /// automaton is over [`MAX_WIDE_STATES`], degrades to the reference
-    /// interpreter rather than failing.
+    /// Lower `program` to the bit-parallel engine. Infallible: a program
+    /// the lowering cannot handle within budget, or whose automaton is
+    /// over [`MAX_WIDE_STATES`], degrades to the reference interpreter
+    /// rather than failing.
     pub fn compile(program: &Program) -> HostProgram {
         let repr = match lower(program) {
-            Some(nfa) if nfa.preds.len() <= 64 => Repr::W64(BitEngine::build(&nfa)),
-            Some(nfa) if nfa.preds.len() <= 128 => Repr::W128(BitEngine::build(&nfa)),
-            Some(nfa) if nfa.preds.len() <= MAX_WIDE_STATES => Repr::Wide(WideEngine::build(&nfa)),
+            Some(nfa) if nfa.preds.len() <= MAX_WIDE_STATES => {
+                Repr::Wide(Box::new(WideEngine::build(&nfa)))
+            }
             _ => Repr::Interp(program.clone()),
         };
         HostProgram { repr }
     }
 
-    /// `program` lowered onto every engine whose mask it fits, narrowest
-    /// first, then the interpreter fallback: the candidates
+    /// `program` lowered onto the bit-parallel engine, when it fits, then
+    /// the interpreter fallback: the candidates
     /// [`compile`](HostProgram::compile) picks one of, so tests and the
-    /// differential fuzzer can hold each engine to the others whatever
+    /// differential fuzzer can hold the engine to the interpreter whatever
     /// size the program is.
     pub fn every_engine(program: &Program) -> Vec<HostProgram> {
-        let mut reprs = Vec::with_capacity(4);
-        if let Some(nfa) = lower(program) {
-            if nfa.preds.len() <= 64 {
-                reprs.push(Repr::W64(BitEngine::build(&nfa)));
-            }
-            if nfa.preds.len() <= 128 {
-                reprs.push(Repr::W128(BitEngine::build(&nfa)));
-            }
-            if nfa.preds.len() <= MAX_WIDE_STATES {
-                reprs.push(Repr::Wide(WideEngine::build(&nfa)));
-            }
+        let compiled = HostProgram::compile(program);
+        match compiled.repr {
+            Repr::Wide(_) => vec![compiled, HostProgram { repr: Repr::Interp(program.clone()) }],
+            Repr::Interp(_) => vec![compiled],
         }
-        reprs.push(Repr::Interp(program.clone()));
-        reprs.into_iter().map(|repr| HostProgram { repr }).collect()
     }
 
     /// The selected execution strategy.
     pub fn engine_kind(&self) -> EngineKind {
         match &self.repr {
-            Repr::W64(_) => EngineKind::Bit64,
-            Repr::W128(_) => EngineKind::Bit128,
             Repr::Wide(_) => EngineKind::BitWide,
             Repr::Interp(_) => EngineKind::Interp,
         }
@@ -210,8 +187,6 @@ impl HostProgram {
     /// States in the lowered automaton (0 for the interpreter fallback).
     pub fn state_count(&self) -> usize {
         match &self.repr {
-            Repr::W64(e) => e.n_states,
-            Repr::W128(e) => e.n_states,
             Repr::Wide(e) => e.n_states,
             Repr::Interp(_) => 0,
         }
@@ -221,21 +196,17 @@ impl HostProgram {
     /// fallback).
     pub fn byte_class_count(&self) -> usize {
         match &self.repr {
-            Repr::W64(e) => e.classes.count,
-            Repr::W128(e) => e.classes.count,
             Repr::Wide(e) => e.classes.count,
             Repr::Interp(_) => 0,
         }
     }
 
-    /// `u64` words per state mask the engine steps: 1 for `bit64`, 2 for
-    /// `bit128`, the instantiated width for `bit-wide` (its states
-    /// rounded up to whole words, then to the next width the step is
-    /// compiled for), 0 for the interpreter fallback.
+    /// `u64` words per state mask the engine steps: the instantiated
+    /// width for `bit-wide` (its states rounded up to whole words, then
+    /// to the next of [`WIDE_MASK_WORDS`]), 0 for the interpreter
+    /// fallback.
     pub fn mask_words(&self) -> usize {
         match &self.repr {
-            Repr::W64(_) => 1,
-            Repr::W128(_) => 2,
             Repr::Wide(e) => e.words,
             Repr::Interp(_) => 0,
         }
@@ -245,8 +216,6 @@ impl HostProgram {
     /// fallback: of its copy of the program).
     pub fn table_bytes(&self) -> usize {
         match &self.repr {
-            Repr::W64(e) => e.table_bytes(),
-            Repr::W128(e) => e.table_bytes(),
             Repr::Wide(e) => e.table_bytes(),
             Repr::Interp(p) => std::mem::size_of_val(p.instructions()),
         }
@@ -256,9 +225,8 @@ impl HostProgram {
     /// scan must inspect), when a prefilter was derived.
     pub fn prefilter_stop_bytes(&self) -> Option<Vec<u8>> {
         match &self.repr {
-            Repr::W64(e) => e.prefilter.as_ref().map(|p| p.stop_bytes()),
-            Repr::W128(e) => e.prefilter.as_ref().map(|p| p.stop_bytes()),
-            Repr::Wide(_) | Repr::Interp(_) => None,
+            Repr::Wide(e) => e.prefilter.as_ref().map(|p| p.stop_bytes()),
+            Repr::Interp(_) => None,
         }
     }
 
@@ -285,8 +253,6 @@ impl HostProgram {
     /// the id set covers the whole input.
     pub fn run_all_within(&self, input: &[u8], byte_cap: usize) -> Option<HostAllOutcome> {
         match &self.repr {
-            Repr::W64(e) => e.run_all(input, byte_cap),
-            Repr::W128(e) => e.run_all(input, byte_cap),
             Repr::Wide(e) => e.run_all(input, byte_cap),
             // The interpreter's `run_all` reports whichever identifier
             // drained first, not the lowest: take the first stop from the
@@ -312,8 +278,6 @@ impl HostProgram {
     /// Start a resumable match at position 0.
     pub fn matcher(&self) -> HostMatcher<'_> {
         let inner = match &self.repr {
-            Repr::W64(e) => MatcherRepr::W64 { engine: e, matcher: BitMatcher::new(e) },
-            Repr::W128(e) => MatcherRepr::W128 { engine: e, matcher: BitMatcher::new(e) },
             Repr::Wide(e) => MatcherRepr::Wide { engine: e, matcher: WideMatcher::new(e) },
             Repr::Interp(p) => MatcherRepr::Interp(cicero_isa::StreamMatcher::new(p)),
         };
@@ -330,8 +294,6 @@ fn lower(program: &Program) -> Option<nfa::Nfa> {
 }
 
 enum MatcherRepr<'p> {
-    W64 { engine: &'p BitEngine<u64>, matcher: BitMatcher<u64> },
-    W128 { engine: &'p BitEngine<u128>, matcher: BitMatcher<u128> },
     Wide { engine: &'p WideEngine, matcher: WideMatcher },
     Interp(cicero_isa::StreamMatcher<'p>),
 }
@@ -356,10 +318,6 @@ impl HostMatcher<'_> {
             return self.done;
         }
         let outcome = match &mut self.inner {
-            MatcherRepr::W64 { engine, matcher } => matcher.feed(engine, chunk, &mut self.position),
-            MatcherRepr::W128 { engine, matcher } => {
-                matcher.feed(engine, chunk, &mut self.position)
-            }
             MatcherRepr::Wide { engine, matcher } => {
                 matcher.feed(engine, chunk, &mut self.position)
             }
@@ -379,8 +337,6 @@ impl HostMatcher<'_> {
             return outcome;
         }
         let outcome = match &mut self.inner {
-            MatcherRepr::W64 { engine, matcher } => matcher.finish(engine, self.position),
-            MatcherRepr::W128 { engine, matcher } => matcher.finish(engine, self.position),
             MatcherRepr::Wide { engine, matcher } => matcher.finish(engine, self.position),
             MatcherRepr::Interp(matcher) => from_exec(matcher.finish()),
         };
@@ -655,8 +611,8 @@ mod tests {
         input.extend_from_slice(b"that this");
         for host in HostProgram::every_engine(set.program()) {
             let kind = host.engine_kind();
-            if matches!(kind, EngineKind::Bit64 | EngineKind::Bit128) {
-                assert!(host.prefilter_stop_bytes().is_some(), "{kind}");
+            if kind == EngineKind::BitWide {
+                assert_eq!(host.prefilter_stop_bytes(), Some(vec![b't']), "{kind}");
             }
             let out = host.run_all(&input);
             assert_eq!(out.first.match_position, Some(1004), "{kind}");
@@ -695,7 +651,8 @@ mod tests {
     fn factoring_keeps_shared_prefix_sets_small() {
         let set = cicero_core::Compiler::new().compile_set(&["abcd", "abce", "abcf"]).unwrap();
         let host = HostProgram::compile(set.program());
-        assert!(matches!(host.engine_kind(), EngineKind::Bit64 | EngineKind::Bit128));
+        assert_eq!(host.engine_kind(), EngineKind::BitWide);
+        assert_eq!(host.mask_words(), 1, "{} states", host.state_count());
         // The shared `abc` spine must fold: well under 3x the single
         // pattern's states.
         let single = HostProgram::compile(&cicero_core::compile("abcd").unwrap().into_program());
@@ -743,12 +700,13 @@ mod tests {
     }
 
     #[test]
-    fn wide_pattern_selects_u128_engine() {
-        // > 64 consuming positions, unanchored: needs the u128 mask.
+    fn a_pattern_past_one_word_steps_two_mask_words() {
+        // > 64 consuming positions, unanchored: two mask words.
         let pattern = "a".repeat(70);
         let p = cicero_core::compile(&pattern).unwrap().into_program();
         let host = HostProgram::compile(&p);
-        assert_eq!(host.engine_kind(), EngineKind::Bit128, "{} states", host.state_count());
+        assert_eq!(host.engine_kind(), EngineKind::BitWide, "{} states", host.state_count());
+        assert_eq!(host.mask_words(), 2, "{} states", host.state_count());
         let mut input = vec![b'x'; 50];
         input.extend(vec![b'a'; 80]);
         assert_agrees(&p, &input);
@@ -756,9 +714,9 @@ mod tests {
 
     #[test]
     fn every_engine_agrees_on_one_small_program() {
-        // One automaton that fits a `u64` mask, lowered onto each tier in
-        // turn (the multi-word one is a single word wide here): all are
-        // held to the interpreter whole, in 1-byte chunks and split
+        // One automaton that fits one mask word, lowered onto the
+        // bit-parallel engine and the interpreter fallback: both are held
+        // to the reference interpreter whole, in 1-byte chunks and split
         // mid-input.
         let set = cicero_core::Compiler::new().compile_set(&["ab+c", "th(is|at)", "b"]).unwrap();
         let p = set.program();
@@ -766,17 +724,15 @@ mod tests {
         inputs.push(b"xx this abbbc that".to_vec());
         let kinds: Vec<EngineKind> =
             HostProgram::every_engine(p).iter().map(HostProgram::engine_kind).collect();
-        assert_eq!(
-            kinds,
-            [EngineKind::Bit64, EngineKind::Bit128, EngineKind::BitWide, EngineKind::Interp]
-        );
+        assert_eq!(kinds, [EngineKind::BitWide, EngineKind::Interp]);
+        assert_eq!(HostProgram::compile(p).mask_words(), 1);
         for input in &inputs {
             assert_agrees(p, input);
         }
     }
 
     #[test]
-    fn merged_siblings_agree_on_every_tier() {
+    fn merged_siblings_agree_on_every_engine() {
         // Classes merged into one state each, as a chain, a self-loop and
         // beside a co-active merge (the shapes of `nfa.rs`'s tests), and
         // compiled classes and gaps: held to the interpreter on every
@@ -906,9 +862,8 @@ mod tests {
     fn multi_word_engine_agrees_on_a_bounded_gap_signature_set() {
         // The shape that served sets take: each `.{m,n}` keeps a window
         // of gap states live and the members' windows overlap, so the
-        // frontier is a few states spread over every mask word. With a
-        // class's members merged into one state the set fits a `u128`;
-        // `every_engine` holds the multi-word engine to it too.
+        // frontier is a few states spread over every mask word (two, once
+        // a class's members merge into one state).
         let set = cicero_core::Compiler::new()
             .compile_set(&[
                 "C.{2,4}C.{3}[LIVMFYWC].{8}H.{3,5}H",

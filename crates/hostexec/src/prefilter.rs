@@ -11,6 +11,14 @@
 //! configuration equals the steady state, the scan degrades to "find the
 //! next *stop* byte" — a memchr.
 //!
+//! The skip set is read off the automaton, not stepped through an engine:
+//! a byte steps a configuration `S` to itself exactly when every state of
+//! `S` is a successor of `S` entering on it and no other successor of `S`
+//! does, so the set is an intersection and differences of predicates.
+//! A prefilter is kept only while its stop set has at most
+//! [`MAX_STOP_BYTES`] members: a state comparison per byte buys nothing
+//! when nearly every byte stops the skip.
+//!
 //! When the stop set has at most three members (the typical literal-led
 //! pattern: `th(is|at)` stops only on `t`), the search is a hand-rolled
 //! SWAR memchr over 8-byte words; larger stop sets fall back to a
@@ -19,16 +27,17 @@
 //! `run`, `run_all`, and the resumable stream matcher alike (skips never
 //! cross a chunk boundary — state is re-checked per chunk).
 
-use crate::engine::{BitEngine, Mask};
+use crate::bytes::{ByteSet, Classes};
+use crate::nfa::Nfa;
 
-/// Minimum skippable bytes (out of 256) for the prefilter to pay for its
-/// per-byte state comparison.
-const MIN_SKIP_BYTES: usize = 128;
+/// The most stop bytes a kept prefilter has.
+pub(crate) const MAX_STOP_BYTES: usize = 16;
 
 #[derive(Debug, Clone)]
-pub(crate) struct Prefilter<M> {
-    /// The steady scan configuration the skip set was derived for.
-    pub state: M,
+pub(crate) struct Prefilter {
+    /// The steady scan configuration the skip set was derived for, as a
+    /// mask of the engine's width.
+    pub state: Vec<u64>,
     /// `stop[b]`: the scan must re-enter the engine at `b`.
     stop: [bool; 256],
     kind: SkipKind,
@@ -42,8 +51,34 @@ enum SkipKind {
     Table,
 }
 
-impl<M: Mask> Prefilter<M> {
+impl Prefilter {
+    /// The prefilter of `nfa` (whose byte classes are `classes`) over
+    /// masks of `words` words, if a steady state stops on at most
+    /// [`MAX_STOP_BYTES`] bytes.
+    pub(crate) fn build(nfa: &Nfa, classes: &Classes, words: usize) -> Option<Prefilter> {
+        let (states, skip) = steady(nfa, classes)?;
+        let stop_bytes: Vec<u8> = ByteSet::FULL.difference(skip).iter().collect();
+        if stop_bytes.len() > MAX_STOP_BYTES {
+            return None;
+        }
+        let mut state = vec![0u64; words];
+        for s in states {
+            state[s as usize / 64] |= 1u64 << (s % 64);
+        }
+        let mut stop = [false; 256];
+        for &b in &stop_bytes {
+            stop[usize::from(b)] = true;
+        }
+        let kind = if (1..=3).contains(&stop_bytes.len()) {
+            SkipKind::Memchr(stop_bytes)
+        } else {
+            SkipKind::Table
+        };
+        Some(Prefilter { state, stop, kind })
+    }
+
     /// First index `>= from` holding a stop byte, or `hay.len()`.
+    #[inline]
     pub(crate) fn find_stop(&self, hay: &[u8], from: usize) -> usize {
         match &self.kind {
             SkipKind::Memchr(needles) => from + swar_find(needles, &hay[from..]),
@@ -56,12 +91,14 @@ impl<M: Mask> Prefilter<M> {
         }
     }
 
-    /// Heap bytes: a memchr stop set's needles.
+    /// Heap bytes: the steady state's mask and a memchr stop set's
+    /// needles.
     pub(crate) fn heap_bytes(&self) -> usize {
-        match &self.kind {
-            SkipKind::Memchr(needles) => needles.len(),
-            SkipKind::Table => 0,
-        }
+        size_of_val(&self.state[..])
+            + match &self.kind {
+                SkipKind::Memchr(needles) => needles.len(),
+                SkipKind::Table => 0,
+            }
     }
 
     /// The stop bytes (the extracted literal candidates), for
@@ -71,19 +108,78 @@ impl<M: Mask> Prefilter<M> {
     }
 }
 
-/// SWAR multi-needle memchr: first index of any needle in `hay`, or
-/// `hay.len()`. Words are read little-endian so the zero-byte locator's
-/// `trailing_zeros / 8` is the in-word byte offset.
+/// The steady configuration with the largest skip set, as its states
+/// (ascending) and the bytes it skips, whatever the skip set's size;
+/// `None` when no candidate skips a byte. The candidates are every
+/// configuration one non-accepting byte from the start (for the canonical
+/// scan loop, the self-looping `.*` state and whatever else that byte
+/// enters); the start itself, entered on no byte, never steps to itself.
+pub(crate) fn steady(nfa: &Nfa, classes: &Classes) -> Option<(Vec<u32>, ByteSet)> {
+    let fires = |states: &[u32]| {
+        states
+            .iter()
+            .flat_map(|&s| &nfa.arms[s as usize])
+            .fold(ByteSet::EMPTY, |bytes, arm| bytes.union(arm.bytes))
+    };
+    let start_fires = fires(&[0]);
+    let mut candidates: Vec<Vec<u32>> = Vec::new();
+    for &byte in &classes.repr {
+        if start_fires.contains(byte) {
+            continue;
+        }
+        let next: Vec<u32> = nfa.follow[0]
+            .iter()
+            .copied()
+            .filter(|&t| nfa.preds[t as usize].contains(byte))
+            .collect();
+        if !next.is_empty() && !candidates.contains(&next) {
+            candidates.push(next);
+        }
+    }
+
+    let mut best: Option<(Vec<u32>, ByteSet)> = None;
+    for states in candidates {
+        // A byte steps `states` to itself when each of them enters on it
+        // (so it must be a successor of one of them) and no other
+        // successor does; an acceptance from `states` stops the skip.
+        let mut successors: Vec<u32> =
+            states.iter().flat_map(|&s| nfa.follow[s as usize].iter().copied()).collect();
+        successors.sort_unstable();
+        successors.dedup();
+        if !states.iter().all(|s| successors.binary_search(s).is_ok()) {
+            continue;
+        }
+        let mut skip = states
+            .iter()
+            .fold(ByteSet::FULL, |bytes, &s| bytes.intersection(nfa.preds[s as usize]))
+            .difference(fires(&states));
+        for t in successors.iter().filter(|t| states.binary_search(t).is_err()) {
+            skip = skip.difference(nfa.preds[*t as usize]);
+        }
+        if !skip.is_empty() && best.as_ref().is_none_or(|(_, most)| skip.len() > most.len()) {
+            best = Some((states, skip));
+        }
+    }
+    best
+}
+
+/// SWAR multi-needle memchr: first index of any of the (at most three)
+/// needles in `hay`, or `hay.len()`. Words are read little-endian so the
+/// zero-byte locator's `trailing_zeros / 8` is the in-word byte offset.
 fn swar_find(needles: &[u8], hay: &[u8]) -> usize {
     const LO: u64 = 0x0101_0101_0101_0101;
     const HI: u64 = 0x8080_8080_8080_8080;
-    let splats: Vec<u64> = needles.iter().map(|&n| LO * u64::from(n)).collect();
+    let mut splats = [0u64; 3];
+    for (splat, &needle) in splats.iter_mut().zip(needles) {
+        *splat = LO * u64::from(needle);
+    }
+    let splats = &splats[..needles.len()];
     let mut chunks = hay.chunks_exact(8);
     let mut offset = 0usize;
     for chunk in &mut chunks {
         let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
         let mut found = 0u64;
-        for &splat in &splats {
+        for &splat in splats {
             let x = word ^ splat;
             found |= x.wrapping_sub(LO) & !x & HI;
         }
@@ -98,62 +194,6 @@ fn swar_find(needles: &[u8], hay: &[u8]) -> usize {
         }
     }
     hay.len()
-}
-
-/// Derive a prefilter for `engine`, if a steady state with a large
-/// enough skip set exists.
-pub(crate) fn derive<M: Mask>(engine: &BitEngine<M>) -> Option<Prefilter<M>> {
-    let start = engine.start();
-    // Candidate steady states: the start configuration itself plus every
-    // configuration one non-accepting byte away from it (for the
-    // canonical scan loop that is the self-looping `.*` state).
-    let mut candidates: Vec<M> = vec![start];
-    for class in 0..engine.classes.count {
-        if !engine.accepts_on(start, class) {
-            let next = engine.step(start, class);
-            if !next.is_zero() && !candidates.contains(&next) {
-                candidates.push(next);
-            }
-        }
-    }
-
-    let mut class_sizes = vec![0usize; engine.classes.count];
-    for &class in &engine.classes.of {
-        class_sizes[usize::from(class)] += 1;
-    }
-    let mut best: Option<(M, Vec<usize>, usize)> = None;
-    for state in candidates {
-        let mut skip_classes: Vec<usize> = Vec::new();
-        let mut skip_bytes = 0usize;
-        for (class, &size) in class_sizes.iter().enumerate() {
-            if engine.step(state, class) == state && !engine.accepts_on(state, class) {
-                skip_classes.push(class);
-                skip_bytes += size;
-            }
-        }
-        if skip_bytes >= MIN_SKIP_BYTES
-            && best.as_ref().is_none_or(|(_, _, bytes)| skip_bytes > *bytes)
-        {
-            best = Some((state, skip_classes, skip_bytes));
-        }
-    }
-
-    let (state, skip_classes, _) = best?;
-    let mut stop = [true; 256];
-    for b in 0u16..256 {
-        let class = usize::from(engine.classes.of[usize::from(b as u8)]);
-        if skip_classes.contains(&class) {
-            stop[usize::from(b as u8)] = false;
-        }
-    }
-    let stop_bytes: Vec<u8> =
-        (0u16..256).map(|b| b as u8).filter(|&b| stop[usize::from(b)]).collect();
-    let kind = if (1..=3).contains(&stop_bytes.len()) {
-        SkipKind::Memchr(stop_bytes)
-    } else {
-        SkipKind::Table
-    };
-    Some(Prefilter { state, stop, kind })
 }
 
 #[cfg(test)]

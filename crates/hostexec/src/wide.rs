@@ -1,18 +1,19 @@
-//! Multi-word bit-parallel execution for automata wider than one
-//! machine word (> 128 states).
+//! Bit-parallel execution of the epsilon-free NFA over a multi-word
+//! state mask: every automaton of at most [`MAX_STATES`] states.
 //!
-//! The step is the one [`BitEngine`](crate::engine::BitEngine) takes,
+//! One active state is one bit of a mask of `W` `u64` words. A step is
 //!
 //! ```text
 //! D' = (⋃ follow[s] for s in D)  ∩  enter[class(byte)]
 //! ```
 //!
-//! over a state mask of `W` `u64` words. `BitEngine`'s byte-chunked
-//! follow tables cannot simply be instantiated wider: they are 4·n²
-//! bytes (165 KB at 203 states, 268 MB at the ISA's 8,192-instruction
-//! ceiling). Instead the follow union is split, at build time, into three
-//! parts that partition every state's follow set (Navarro & Raffinot's
-//! bit-parallel treatment of bounded gaps):
+//! `enter` and acceptance are indexed by *byte class* (bytes no
+//! predicate distinguishes share a class), so those tables stay small.
+//! The follow union is not table-driven: a table of pre-ORed follow masks
+//! per byte of `D` would be 4·n² bytes (165 KB at 203 states, 268 MB at
+//! the ISA's 8,192-instruction ceiling). Instead it is split, at build
+//! time, into three parts that partition every state's follow set
+//! (Navarro & Raffinot's bit-parallel treatment of bounded gaps):
 //!
 //! - **Chain edges** `s → s + 1`. States are numbered in program order,
 //!   so a pattern's consecutive atoms are consecutive bits, and the part
@@ -51,22 +52,24 @@
 //! **The state cap**: [`MAX_STATES`] is 8,192 states (128 words), the
 //! ISA's address space. [`HostProgram::compile`](crate::HostProgram::compile)
 //! lowers a larger automaton to the reference interpreter instead, as it
-//! does when the lowering's closure budget trips, so the tier's tables
+//! does when the lowering's closure budget trips, so the engine's tables
 //! are bounded: at most 1 KiB of row per residual source and 2 KiB of
 //! entry and acceptance masks per byte class.
 //!
 //! Acceptance is checked before the byte is consumed and once more at
-//! end of input, a dead frontier ends the run, identifiers resolve to
-//! the lowest firing id, and `run_all` retires arms as they fire — the
-//! same observable semantics as the one-word engines, so the tier a
-//! program lands on never shows in its results. Accept arms are kept
-//! sparse (a handful of `(state, bytes)` sites per identifier): they are
-//! consulted only when an acceptance fires, and a dense per-arm,
-//! per-class mask would cost `arms × classes × W` words.
+//! end of input (which reproduces the reference interpreter's
+//! earliest-end semantics exactly), a dead frontier ends the run,
+//! identifiers resolve to the lowest firing id, and `run_all` retires
+//! arms as they fire. While the frontier is the automaton's steady scan
+//! configuration, the step hands the bytes that leave it unchanged to the
+//! prefilter (`prefilter.rs`), which finds the next byte that does not.
+//! Accept arms are kept sparse (a handful of `(state, bytes)` sites per
+//! identifier): they are consulted only when an acceptance fires, and a
+//! dense per-arm, per-class mask would cost `arms × classes × W` words.
 
-use crate::bytes::ByteSet;
-use crate::engine::{byte_classes, Classes};
+use crate::bytes::{byte_classes, ByteSet, Classes};
 use crate::nfa::Nfa;
+use crate::prefilter::Prefilter;
 use crate::{accepted_at, HostAllOutcome, HostOutcome, REJECTED};
 
 /// The mask widths, in `u64` words, that the step is instantiated for:
@@ -77,7 +80,7 @@ use crate::{accepted_at, HostAllOutcome, HostOutcome, REJECTED};
 pub(crate) const WIDTHS: [usize; 19] =
     [1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 28, 32, 40, 48, 64, 80, 96, 128];
 
-/// The most states the tier steps: 128 words, the ISA's 8,192-instruction
+/// The most states the engine steps: 128 words, the ISA's 8,192-instruction
 /// address space. Larger automata run on the interpreter.
 pub(crate) const MAX_STATES: usize = 128 * 64;
 
@@ -135,6 +138,7 @@ pub(crate) struct WideEngine {
     accept_eoi: Vec<u64>,
     /// Arms in resolution order (unidentified first, then ids ascending).
     arms: Vec<WideArm>,
+    pub prefilter: Option<Prefilter>,
 }
 
 #[inline]
@@ -186,6 +190,7 @@ impl WideEngine {
             }
         }
         arms.sort_by_key(|arm| arm.id.map_or(-1i32, i32::from));
+        let prefilter = Prefilter::build(nfa, &classes, words);
 
         let mut engine = WideEngine {
             classes,
@@ -198,6 +203,7 @@ impl WideEngine {
             accept_any: Vec::new(),
             accept_eoi: Vec::new(),
             arms,
+            prefilter,
         };
         let mut any = vec![0u64; engine.classes.count * words];
         let mut eoi = vec![0u64; words];
@@ -219,6 +225,7 @@ impl WideEngine {
             + size_of_val(&self.accept_eoi[..])
             + size_of_val(&self.arms[..])
             + sites
+            + self.prefilter.as_ref().map_or(0, Prefilter::heap_bytes)
     }
 
     /// Rebuild the acceptance masks from the arms still `live`.
@@ -279,6 +286,7 @@ impl WideEngine {
     }
 
     /// [`scan`](WideEngine::scan) over `[u64; W]` masks: per byte the
+    /// prefilter's skip while the frontier is its steady state, the
     /// acceptance check, the chain shift and gap carries, the residual
     /// rows of the active residual sources, then the entry gate. Kept out
     /// of line: each width has one call site, in `scan`'s match, which
@@ -295,14 +303,27 @@ impl WideEngine {
         let (enter, _) = self.enter.as_chunks::<W>();
         let (rows, _) = self.residual_rows.as_chunks::<W>();
         let step: &[StepWord; W] = self.step.as_slice().try_into().expect("a word per mask word");
+        let steady = self.prefilter.as_ref().map(|pf| {
+            let state: &[u64; W] = pf.state.as_slice().try_into().expect("a mask word per word");
+            (state, pf)
+        });
         let mut cur: [u64; W] = (&*d).try_into().expect("a mask of the engine's width");
         // The follow union before the entry gate; the shift-and-carry
         // pass writes every word, and the gate writes `cur` back, so no
         // mask is zeroed or copied per byte.
         let mut next = [0u64; W];
         let mut stop = Stop::End;
-        for (pos, &byte) in input.iter().enumerate().skip(from) {
-            let class = self.class_of(byte);
+        let mut pos = from;
+        while pos < input.len() {
+            if let Some((state, pf)) = steady {
+                if cur == *state {
+                    pos = pf.find_stop(input, pos);
+                    if pos >= input.len() {
+                        break;
+                    }
+                }
+            }
+            let class = self.class_of(input[pos]);
             if intersects(&cur, &any[class]) {
                 stop = Stop::Accept(pos);
                 break;
@@ -337,6 +358,7 @@ impl WideEngine {
                 stop = Stop::Dead(pos);
                 break;
             }
+            pos += 1;
         }
         d.copy_from_slice(&cur);
         stop
@@ -569,6 +591,9 @@ impl WideMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytes::tests::random_set;
+    use crate::nfa::AcceptArm;
+    use crate::prefilter::{steady, MAX_STOP_BYTES};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -745,5 +770,92 @@ mod tests {
             let next = stepped(&engine, &mask(&mut sources.iter().copied()));
             assert_eq!(next, mask(&mut targets.iter().copied()), "{sources:?}");
         }
+    }
+
+    #[test]
+    fn the_steady_state_steps_to_itself_on_exactly_the_skipped_classes() {
+        // The wide step's relations behind a scan loop (state 1 loops on
+        // itself and enters a few member starts; the start enters what it
+        // does), with random entry predicates and a few arm sites, on
+        // sizes either side of every width boundary. Stepped without the
+        // prefilter, the steady configuration goes back to itself and
+        // fires no arm on exactly the classes outside its stop set, and
+        // the engine keeps that prefilter exactly when the stop set is
+        // small enough.
+        let mut rng = StdRng::seed_from_u64(0x57EA_D1E7);
+        let mut sizes = vec![3usize, 5, 40];
+        for width in WIDTHS {
+            sizes.extend([width * 64, width * 64 + 1]);
+        }
+        sizes.retain(|&n| n <= MAX_STATES);
+        sizes.sort_unstable();
+        sizes.dedup();
+        let (mut steadies, mut kept, mut memchr, mut armed) = (0, 0, 0, 0);
+        let mut widths = Vec::new();
+        for n in sizes {
+            for _ in 0..if n <= 300 { 30 } else { 3 } {
+                let mut follow = relation(&mut rng, n);
+                let mut scan = vec![1u32];
+                scan.extend((0..rng.random_range(1..5)).map(|_| rng.random_range(2..n) as u32));
+                scan.sort_unstable();
+                scan.dedup();
+                follow[1] = scan.clone();
+                follow[0] = scan;
+                let mut preds: Vec<ByteSet> = (0..n).map(|_| random_set(&mut rng)).collect();
+                preds[0] = ByteSet::EMPTY;
+                if rng.random_range(0..2) == 0 {
+                    preds[1] = ByteSet::FULL;
+                }
+                let mut arms = vec![Vec::new(); n];
+                for _ in 0..rng.random_range(0..4) {
+                    let state = match rng.random_range(0..3) {
+                        0 => 1,
+                        _ => rng.random_range(0..n),
+                    };
+                    arms[state].push(AcceptArm {
+                        id: Some(rng.random_range(0..4)),
+                        bytes: random_set(&mut rng),
+                        eoi: rng.random_range(0..2) == 0,
+                    });
+                }
+                armed += usize::from(!arms[1].is_empty());
+                let nfa = Nfa { preds, follow, arms };
+                let engine = WideEngine::build(&nfa);
+                let Some((states, skip)) = steady(&nfa, &engine.classes) else {
+                    assert!(engine.prefilter.is_none(), "n {n}");
+                    continue;
+                };
+                steadies += 1;
+                widths.push(engine.words);
+                let mut state = vec![0u64; engine.words];
+                states.iter().for_each(|&s| set_bit(&mut state, s as usize));
+                let stops: Vec<u8> = ByteSet::FULL.difference(skip).iter().collect();
+                match &engine.prefilter {
+                    Some(pf) => {
+                        kept += 1;
+                        memchr += usize::from(stops.len() <= 3);
+                        assert_eq!(pf.state, state, "n {n}");
+                        assert_eq!(pf.stop_bytes(), stops, "n {n}");
+                    }
+                    None => assert!(stops.len() > MAX_STOP_BYTES, "n {n}: {stops:?}"),
+                }
+                let mut plain = engine.clone();
+                plain.prefilter = None;
+                for (class, &byte) in engine.classes.repr.iter().enumerate() {
+                    let mut d = state.clone();
+                    let stop = plain.scan(&plain.accept_any, &mut d, &[byte], 0);
+                    let kept_still = matches!(stop, Stop::End) && d == state;
+                    assert_eq!(kept_still, skip.contains(byte), "n {n}, class {class}");
+                    // The skip set is a union of classes.
+                    for b in (0..=255u8).filter(|&b| plain.class_of(b) == class) {
+                        assert_eq!(skip.contains(b), skip.contains(byte), "n {n}, byte {b}");
+                    }
+                }
+            }
+        }
+        widths.dedup();
+        assert_eq!(widths, WIDTHS, "a steady state on every width");
+        assert!(steadies > 200 && kept > 50 && memchr > 10, "{steadies} {kept} {memchr}");
+        assert!(armed > 50, "{armed} scan loops carry an arm");
     }
 }

@@ -21,6 +21,9 @@ use crate::LegacyError;
 /// Maximum counted-repetition bound (mirrors the new front-end).
 const MAX_REPEAT: i64 = 1024;
 
+/// Maximum group nesting (mirrors the new front-end).
+const MAX_GROUP_NESTING: usize = 250;
+
 /// Parse a pattern into a dynamic AST.
 ///
 /// # Errors
@@ -121,6 +124,9 @@ impl<'a> P<'a> {
             Some(b'.') => {
                 self.pos += 1;
                 Ok(Value::node("any"))
+            }
+            Some(b'(') if depth == MAX_GROUP_NESTING => {
+                Err(LegacyError::new(format!("groups nest deeper than {MAX_GROUP_NESTING} levels")))
             }
             Some(b'(') => {
                 self.pos += 1;
@@ -388,5 +394,8 @@ mod tests {
         for bad in ["", "(", "a)", "[", "[]", "[z-a]", "a{3,1}", "a{0}", "*a", "a**", r"\q", "()"] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
+        let nested = |depth: usize| format!("{}a{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&nested(MAX_GROUP_NESTING)).is_ok());
+        assert!(parse(&nested(MAX_GROUP_NESTING + 1)).is_err());
     }
 }

@@ -875,7 +875,7 @@ mod tests {
             assert_eq!(attr("host.tier"), tier, "{backend}");
             assert_eq!(attr("host.states"), states, "{backend}");
         }
-        assert_eq!(lowered.engine_kind(), EngineKind::Bit64);
+        assert_eq!(lowered.engine_kind(), EngineKind::BitWide);
     }
 
     fn host_runtime(jobs: usize) -> Runtime {

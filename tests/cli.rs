@@ -491,7 +491,7 @@ fn run_backend_host_agrees_with_sim_on_verdict_and_position() {
     let (sim, host) = (stdout(&sim), stdout(&host));
     assert!(sim.contains("verdict    : MATCH"), "sim: {sim}");
     assert!(host.contains("verdict    : MATCH"), "host: {host}");
-    assert!(host.contains("backend    : host (bit64"), "host: {host}");
+    assert!(host.contains("backend    : host (bit-wide"), "host: {host}");
     // Same earliest match end on both backends.
     assert!(sim.contains("match ends : 9"), "sim: {sim}");
     assert!(host.contains("match ends : 9"), "host: {host}");

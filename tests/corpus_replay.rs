@@ -73,26 +73,25 @@ fn the_registry_corpus_cases_round_trip_the_persist_format() {
 }
 
 /// The host-backend satellite cases must stay committed, and they must
-/// actually select the engine tiers they claim to pin: an empty
-/// alternative, a prefilter-defeating dot pattern, a u128-tier NFA, a
-/// counted alternation past both one-word tiers, a shared-prefix set,
-/// and two bounded-gap signature sets. The six-member one was written
-/// for the multi-word engine; once a class's members merge into one host
-/// state it fits a `u128`, and the sixteen-member one keeps the
-/// multi-word engine covered.
+/// cover both host engines: each lowers onto the bit-parallel engine,
+/// with the interpreter fallback beside it in `every_engine` (the
+/// difftest matrix holds the two to each other), and together they span
+/// one, two and four mask words. They are an empty alternative, a
+/// prefilter-defeating dot pattern, a 73-state counted repeat, a counted
+/// alternation, a shared-prefix set, and two bounded-gap signature sets.
 #[test]
 fn the_host_backend_corpus_cases_cover_every_engine_tier() {
     use cicero::hostexec::{EngineKind, HostProgram};
     let replayed = replay_all();
     // A newline-joined `pattern` is a set (the registry axis' encoding):
-    // its tier is that of its one `compile_set` program.
-    let tier = |pattern: &str| {
+    // its engines are those of its one `compile_set` program.
+    let engines = |pattern: &str| {
         let members = difftest::split_set(pattern);
         let program = match members.as_slice() {
             [single] => cicero::compiler::compile(single).unwrap().into_program(),
             _ => cicero::compiler::Compiler::new().compile_set(&members).unwrap().program().clone(),
         };
-        HostProgram::compile(&program).engine_kind()
+        HostProgram::every_engine(&program)
     };
     // The set cases carry six and sixteen members; take their patterns
     // from the files.
@@ -107,20 +106,23 @@ fn the_host_backend_corpus_cases_cover_every_engine_tier() {
     };
     let bounded_gap_set = set_case("host-bit-wide-bounded-gap-set");
     let signature_set = set_case("host-bit-wide-bulk-scan-signatures");
-    for (pattern, want) in [
-        ("c(a|)t", EngineKind::Bit64),
-        ("....", EngineKind::Bit64),
-        ("a{70}b", EngineKind::Bit128),
-        ("(ab|cd|ef){1,40}x", EngineKind::BitWide),
-        ("abcd|abce|abcf", EngineKind::Bit64),
-        (bounded_gap_set, EngineKind::Bit128),
-        (signature_set, EngineKind::BitWide),
+    for (pattern, words) in [
+        ("c(a|)t", 1),
+        ("....", 1),
+        ("a{70}b", 2),
+        ("(ab|cd|ef){1,40}x", 4),
+        ("abcd|abce|abcf", 1),
+        (bounded_gap_set, 2),
+        (signature_set, 4),
     ] {
         assert!(
             replayed.iter().any(|(case, _)| case.pattern == pattern),
             "missing the host corpus case for {pattern:?}"
         );
-        assert_eq!(tier(pattern), want, "{pattern:?} no longer selects {want:?}");
+        let engines = engines(pattern);
+        let kinds: Vec<EngineKind> = engines.iter().map(HostProgram::engine_kind).collect();
+        assert_eq!(kinds, [EngineKind::BitWide, EngineKind::Interp], "{pattern:?}");
+        assert_eq!(engines[0].mask_words(), words, "{pattern:?} no longer steps {words} words");
     }
     // The dot-heavy case must really defeat the prefilter.
     let dots = cicero::compiler::compile("....").unwrap().into_program();

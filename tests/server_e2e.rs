@@ -252,6 +252,28 @@ fn a_huge_stream_chunk_size_is_answered_and_leaves_the_server_serving() {
     server.shutdown_and_wait();
 }
 
+/// A pattern nested deeper than the parser admits is refused with a 4xx
+/// before any recursive pass sees it: 1,500 nested groups used to
+/// overflow a connection thread's stack, and a stack overflow aborts the
+/// whole process, which no handler guard can catch.
+#[test]
+fn a_deeply_nested_pattern_is_refused_and_leaves_the_server_serving() {
+    let server = ServeProcess::start(&[]);
+    let deep = format!("{}a{}", "(".repeat(1_500), ")".repeat(1_500));
+    let (status, _, body) =
+        server.request("POST", "/scan", &format!(r#"{{"patterns":["{deep}"],"input":"a"}}"#), &[]);
+    assert!((400..500).contains(&status), "{status}: {body}");
+    let doc = json::parse(&body).expect("error response is JSON");
+    assert!(doc.get("error").and_then(Json::as_str).is_some(), "{body}");
+
+    let (status, _, body) =
+        server.request("POST", "/scan", r#"{"patterns":["ab"],"input":"xxab"}"#, &[]);
+    assert_eq!(status, 200, "{body}");
+    let doc = json::parse(&body).expect("scan response is JSON");
+    assert_eq!(doc.get("matched"), Some(&Json::Bool(true)), "{body}");
+    server.shutdown_and_wait();
+}
+
 /// The served `POST /scan` and the `cicero scan --jobs` CLI must agree
 /// byte-for-byte on per-pattern match counts for the same seeded
 /// workload — same chunking, same set compilation, same all-matches
