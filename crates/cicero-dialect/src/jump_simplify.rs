@@ -213,7 +213,7 @@ mod tests {
     fn simplified(pattern: &str) -> cicero_isa::Program {
         let ast = regex_frontend::parse(pattern).unwrap();
         let ir = regex_dialect::ast_to_ir(&ast);
-        let mut program = lower_to_cicero(&ir);
+        let mut program = lower_to_cicero(&ir).unwrap();
         jump_simplify(&mut program);
         let mut ctx = Context::new();
         ctx.register_dialect(crate::dialect());
@@ -303,7 +303,7 @@ mod tests {
         for pattern in ["ab|cd", "a|b|c", "(ab)+x?", "th(is|at|ose)"] {
             let ast = regex_frontend::parse(pattern).unwrap();
             let ir = regex_dialect::ast_to_ir(&ast);
-            let mut once = lower_to_cicero(&ir);
+            let mut once = lower_to_cicero(&ir).unwrap();
             jump_simplify(&mut once);
             let mut twice = once.clone();
             jump_simplify(&mut twice);
@@ -316,7 +316,7 @@ mod tests {
         for pattern in ["ab|cd", "a|b|c|d", "x(y|z)+w", "[abc]{2,3}", "a*b*c*"] {
             let ast = regex_frontend::parse(pattern).unwrap();
             let ir = regex_dialect::ast_to_ir(&ast);
-            let baseline = lower_to_cicero(&ir);
+            let baseline = lower_to_cicero(&ir).unwrap();
             let unopt = codegen(&baseline).unwrap();
             let mut optimized = baseline.clone();
             jump_simplify(&mut optimized);

@@ -26,10 +26,11 @@
 //! # Lowering
 //!
 //! [`lower_to_cicero`] performs the Thompson-
-//! style construction, reproducing the exact layout of the paper's
-//! Listing 2 (continuations placed after the first alternative, a shared
-//! acceptance op, `.*` prefix loop of `SPLIT / MATCH_ANY / JMP`). Negated
-//! character classes lower to `NotMatchCharOp` chains ending in
+//! style construction in one sequential walk, reproducing the exact layout
+//! of the paper's Listing 2 (the shared acceptance op placed after the
+//! first alternative, `.*` prefix loop of `SPLIT / MATCH_ANY / JMP`), and
+//! refuses a program that outgrows the ISA's address space while emitting.
+//! Negated character classes lower to `NotMatchCharOp` chains ending in
 //! `MatchAnyOp`, and wide positive classes automatically use the same
 //! encoding on their complement when it is smaller (§3.3).
 //!
@@ -38,7 +39,7 @@
 //! ```
 //! let ast = regex_frontend::parse("ab|cd")?;
 //! let regex_ir = regex_dialect::ast_to_ir(&ast);
-//! let mut cicero_ir = cicero_dialect::lower_to_cicero(&regex_ir);
+//! let mut cicero_ir = cicero_dialect::lower_to_cicero(&regex_ir)?;
 //! cicero_dialect::jump_simplify(&mut cicero_ir);
 //! let program = cicero_dialect::codegen(&cicero_ir)?;
 //! assert_eq!(program.total_jump_offset(), 9); // Listing 2, right column
@@ -52,7 +53,7 @@ pub mod ops;
 
 pub use codegen::{codegen, CodegenError};
 pub use jump_simplify::{jump_simplify, JumpSimplificationPass};
-pub use lowering::{lower_multi, lower_to_cicero, LowerToCiceroPass};
+pub use lowering::{lower_multi, lower_to_cicero};
 pub use ops::{dialect, names};
 
 /// Options for the low-level (`cicero`-dialect) pipeline.

@@ -2,13 +2,16 @@
 //!
 //! The lowering is a Thompson-style construction emitted directly in
 //! instruction-memory order ("the process maps basic blocks to instruction
-//! memory and inserts control instructions", §3). The layout discipline
+//! memory and inserts control instructions", §3): one sequential walk
+//! appends each op to one emitter, and only a nested group recurses,
+//! which the parser's group-nesting limit bounds. The layout discipline
 //! reproduces the paper's Listing 2 exactly:
 //!
 //! * the implicit `.*` prefix becomes `L: SPLIT @body; MATCH_ANY; JMP @L`;
-//! * an alternation emits its first branch, then the **shared
-//!   continuation** (e.g. the acceptance op), then the remaining branches,
-//!   each ending in a jump back to the continuation;
+//! * the root alternation emits its first branch, then the **shared
+//!   acceptance op**, then the remaining branches, each ending in a jump
+//!   back to it; a nested alternation emits all its branches, each ending
+//!   in a jump to the join after the last one;
 //! * every quantifier expands by copy (`min` mandatory copies, then a
 //!   star/plus loop or a chain of optionals sharing one exit label).
 //!
@@ -16,83 +19,124 @@
 //! split-tree of `MatchCharOp`s for the member set, or a
 //! `NotMatchCharOp` chain over the complement followed by `MatchAnyOp`
 //! (the encoding the paper shows for `[^ab]`).
+//!
+//! The emitter refuses a program past [`MAX_LOWERED_OPS`], so a pattern
+//! whose counted quantifiers multiply past the ISA's address space is
+//! refused after a bounded amount of work, not expanded in full first.
 
-use mlir_lite::{Attribute, Context, Operation, Pass, PassError};
+use mlir_lite::{Attribute, Operation};
 use regex_dialect::ops as rx;
 
 use crate::ops::{self, attrs};
 
+/// The ISA's address space: the most instructions a program may hold.
+const ADDRESS_SPACE: usize = cicero_isa::MAX_OPERAND as usize + 1;
+
+/// The most ops a lowering may hold; the one after them refuses the
+/// program. Not a knob: no program that Jump Simplification fits into the
+/// address space lowers to more. Of `s` splits,
+/// `j` jumps and `r` other ops lowered, simplification removes only jumps
+/// and the shared acceptance it orphans once the root's jumps to it have
+/// become acceptances, so it keeps at least `s + r`. Every jump closes a
+/// branch of a list that has one split fewer than branches, or a loop
+/// that has one split, so `j ≤ 2s` and `s + j + r ≤ 3 × (s + r)`. In
+/// practice the ratio is far lower: 1.43 at most, on `^gdg|gd|g`, over the
+/// benchmark suites and 20,000 generated patterns. Codegen's
+/// `ProgramError::TooLong` remains the exact wall.
+pub const MAX_LOWERED_OPS: usize = 3 * ADDRESS_SPACE;
+
+/// A lowering step: `Err` carries the refusal of a program too long for
+/// the address space.
+type Lowered = Result<(), String>;
+
 /// Lower verified `regex.root` IR into a `cicero.program`.
+///
+/// # Errors
+///
+/// Refuses a program that grows past [`MAX_LOWERED_OPS`] ops.
 ///
 /// # Panics
 ///
 /// Panics if `root` is not well-formed `regex` dialect IR — run
 /// [`mlir_lite::Context::verify`] first when handling untrusted IR.
-pub fn lower_to_cicero(root: &Operation) -> Operation {
+pub fn lower_to_cicero(root: &Operation) -> Result<Operation, String> {
     assert!(root.is(rx::names::ROOT), "expected regex.root, got {}", root.name());
-    let has_prefix =
-        root.attr(rx::attrs::HAS_PREFIX).and_then(Attribute::as_bool).expect("verified");
-    let has_suffix =
-        root.attr(rx::attrs::HAS_SUFFIX).and_then(Attribute::as_bool).expect("verified");
+    let flag = |key| root.attr(key).and_then(Attribute::as_bool).expect("verified");
+    let accept = if flag(rx::attrs::HAS_SUFFIX) { ops::accept_partial } else { ops::accept };
     let mut e = Emitter::new();
-    if has_prefix {
-        let loop_label = e.fresh();
-        let body = e.fresh();
-        e.define_label(loop_label.clone());
-        e.emit(ops::split(body.clone()));
-        e.emit(ops::match_any());
-        e.emit(ops::jump(loop_label));
-        e.define_label(body);
+    if flag(rx::attrs::HAS_PREFIX) {
+        e.scan_loop()?;
     }
-    let alternatives = &root.only_region().ops;
-    let accept = move |e: &mut Emitter| {
-        e.emit(if has_suffix { ops::accept_partial() } else { ops::accept() });
-    };
-    lower_branches(
-        &mut e,
-        alternatives.len(),
-        BranchStyle::Root,
-        &mut |e, i, next| lower_concat(e, &alternatives[i], next),
-        Next::Inline(Box::new(accept)),
-    );
-    e.finish()
-}
-
-/// The lowering as a pass: replaces the `regex.root` tree under a wrapper
-/// module with a `cicero.program`. Provided for completeness; the compiler
-/// driver calls [`lower_to_cicero`] directly between its two dialects.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LowerToCiceroPass;
-
-impl Pass for LowerToCiceroPass {
-    fn name(&self) -> &'static str {
-        "lower-regex-to-cicero"
-    }
-
-    fn run(&self, root: &mut Operation, _ctx: &Context) -> Result<(), PassError> {
-        if !root.is(rx::names::ROOT) {
-            return Err(PassError::new(format!("expected regex.root, got {}", root.name())));
+    match root.only_region().ops.as_slice() {
+        [] => panic!("branch list cannot be empty"),
+        [only] => {
+            lower_concat(&mut e, only)?;
+            e.emit(accept())?;
         }
-        *root = lower_to_cicero(root);
-        Ok(())
-    }
-}
-
-/// How a lowered fragment continues.
-enum Next<'a> {
-    /// Emit the continuation inline, exactly once.
-    Inline(Box<dyn FnOnce(&mut Emitter) + 'a>),
-    /// The continuation already has a home: jump to it.
-    Goto(String),
-}
-
-impl<'a> Next<'a> {
-    fn resolve(self, e: &mut Emitter) {
-        match self {
-            Next::Inline(f) => f(e),
-            Next::Goto(label) => e.emit(ops::jump(label)),
+        // Listing 2's root layout: branch 0, then the shared acceptance,
+        // then branches 1…n−1 jumping back to it.
+        [first, rest @ ..] => {
+            let join = e.fresh();
+            let later = e.fresh();
+            e.emit(ops::split(later.clone()))?;
+            lower_concat(&mut e, first)?;
+            e.emit(ops::jump(join.clone()))?;
+            e.define_label(join.clone());
+            e.emit(accept())?;
+            e.define_label(later);
+            lower_branches(&mut e, rest.len(), &join, |e, i| lower_concat(e, &rest[i]))?;
         }
     }
+    Ok(e.finish())
+}
+
+/// Lower a *set* of patterns into one multi-matching `cicero.program`
+/// (the paper's Future Work: "the execution engine could return the RE
+/// identifiers when a match occurs").
+///
+/// Each pattern `i`'s branches terminate in `cicero.accept_partial_id(i)`,
+/// so the engine halts on the first match and reports which RE fired. A
+/// single shared `.*` scan loop feeds all patterns.
+///
+/// # Errors
+///
+/// Returns an error message if any pattern is anchored (`^`/`$`): in a
+/// combined scan every pattern is re-entered at every input position, so
+/// only match-anywhere patterns compose. (This mirrors multi-pattern DPI
+/// engines, which operate on unanchored signatures.) Refuses a program
+/// that grows past [`MAX_LOWERED_OPS`] ops.
+pub fn lower_multi(roots: &[&Operation]) -> Result<Operation, String> {
+    if roots.is_empty() {
+        return Err("multi-matching needs at least one pattern".to_owned());
+    }
+    if roots.len() > usize::from(cicero_isa::MAX_OPERAND) {
+        return Err(format!("at most {} patterns are addressable", cicero_isa::MAX_OPERAND));
+    }
+    for (i, root) in roots.iter().enumerate() {
+        assert!(root.is(rx::names::ROOT), "expected regex.root, got {}", root.name());
+        let anchored = |key| root.attr(key).and_then(Attribute::as_bool) != Some(true);
+        if anchored(rx::attrs::HAS_PREFIX) || anchored(rx::attrs::HAS_SUFFIX) {
+            return Err(format!(
+                "pattern {i} is anchored; multi-matching requires unanchored patterns"
+            ));
+        }
+    }
+    let mut e = Emitter::new();
+    e.scan_loop()?;
+    // Chain of splits fanning out to each pattern's body; each body ends
+    // in its own identified acceptance.
+    for (i, root) in roots.iter().enumerate() {
+        let next_pattern = (i + 1 < roots.len()).then(|| e.fresh());
+        if let Some(label) = &next_pattern {
+            e.emit(ops::split(label.clone()))?;
+        }
+        lower_alternation(&mut e, &root.only_region().ops)?;
+        e.emit(ops::accept_partial_id(i as u16))?;
+        if let Some(label) = next_pattern {
+            e.define_label(label);
+        }
+    }
+    Ok(e.finish())
 }
 
 /// Instruction emitter with pending-label bookkeeping.
@@ -121,7 +165,13 @@ impl Emitter {
         self.pending.push(label);
     }
 
-    fn emit(&mut self, mut op: Operation) {
+    fn emit(&mut self, mut op: Operation) -> Lowered {
+        if self.body.len() == MAX_LOWERED_OPS {
+            return Err(format!(
+                "program exceeds the {ADDRESS_SPACE}-instruction address space: \
+                 its lowering passed {MAX_LOWERED_OPS} ops"
+            ));
+        }
         if let Some(canonical) = self.pending.first().cloned() {
             op.set_attr(attrs::SYM_NAME, Attribute::Str(canonical.clone()));
             for extra in self.pending.drain(1..) {
@@ -130,6 +180,19 @@ impl Emitter {
             self.pending.clear();
         }
         self.body.push(op);
+        Ok(())
+    }
+
+    /// The implicit `.*` prefix: `L: SPLIT @body; MATCH_ANY; JMP @L; body:`.
+    fn scan_loop(&mut self) -> Lowered {
+        let loop_label = self.fresh();
+        let body = self.fresh();
+        self.define_label(loop_label.clone());
+        self.emit(ops::split(body.clone()))?;
+        self.emit(ops::match_any())?;
+        self.emit(ops::jump(loop_label))?;
+        self.define_label(body);
+        Ok(())
     }
 
     fn finish(mut self) -> Operation {
@@ -158,201 +221,125 @@ impl Emitter {
     }
 }
 
-/// Layout discipline for an alternation's shared continuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BranchStyle {
-    /// Listing-2 root layout: branch 0, then the continuation (the
-    /// acceptance op), then branches 1…n−1 jumping back to it.
-    Root,
-    /// Classic layout for nested alternations: all branches first, each
-    /// ending in a jump to the join, continuation after the last branch.
-    /// This keeps every enclosing construct contiguous in memory.
-    Inner,
-}
-
-/// Lower an `n`-way branch list (alternation or positive character class).
-fn lower_branches<'a>(
+/// Emit an `n`-way branch list: every branch but the last is entered
+/// through a `SPLIT` past it, and every branch ends in `JMP join` (Jump
+/// Simplification later removes the jump-to-next, as Listing 2 shows for
+/// the unoptimized layout).
+fn lower_branches(
     e: &mut Emitter,
     n: usize,
-    style: BranchStyle,
-    emit_branch: &mut dyn FnMut(&mut Emitter, usize, Next<'a>),
-    next: Next<'a>,
-) {
+    join: &str,
+    mut emit_branch: impl FnMut(&mut Emitter, usize) -> Lowered,
+) -> Lowered {
+    for i in 0..n {
+        let after = (i + 1 < n).then(|| e.fresh());
+        if let Some(after) = &after {
+            e.emit(ops::split(after.clone()))?;
+        }
+        emit_branch(e, i)?;
+        e.emit(ops::jump(join))?;
+        if let Some(after) = after {
+            e.define_label(after);
+        }
+    }
+    Ok(())
+}
+
+/// A branch list nested in a pattern: all branches first, the join after
+/// the last, which keeps every enclosing construct contiguous in memory.
+fn lower_nested(
+    e: &mut Emitter,
+    n: usize,
+    mut emit_branch: impl FnMut(&mut Emitter, usize) -> Lowered,
+) -> Lowered {
     assert!(n > 0, "branch list cannot be empty");
     if n == 1 {
-        emit_branch(e, 0, next);
-        return;
+        return emit_branch(e, 0);
     }
     let join = e.fresh();
-    match style {
-        BranchStyle::Root => {
-            let rest = e.fresh();
-            e.emit(ops::split(rest.clone()));
-            emit_branch(e, 0, Next::Goto(join.clone()));
-            e.define_label(join.clone());
-            next.resolve(e);
-            e.define_label(rest);
-            for i in 1..n {
-                if i + 1 < n {
-                    let after = e.fresh();
-                    e.emit(ops::split(after.clone()));
-                    emit_branch(e, i, Next::Goto(join.clone()));
-                    e.define_label(after);
-                } else {
-                    emit_branch(e, i, Next::Goto(join.clone()));
-                }
+    lower_branches(e, n, &join, emit_branch)?;
+    e.define_label(join);
+    Ok(())
+}
+
+/// Lower the `regex.concatenation`s of an alternation.
+fn lower_alternation(e: &mut Emitter, alternatives: &[Operation]) -> Lowered {
+    lower_nested(e, alternatives.len(), |e, i| lower_concat(e, &alternatives[i]))
+}
+
+/// Lower one `regex.concatenation`, piece by piece.
+fn lower_concat(e: &mut Emitter, concat: &Operation) -> Lowered {
+    for piece in &concat.only_region().ops {
+        match rx::piece_parts(piece) {
+            (atom, None) => lower_atom(e, atom)?,
+            (atom, Some(q)) => {
+                let (min, max) = rx::quantifier_bounds(q);
+                lower_quantified(e, atom, min, max)?;
             }
         }
-        BranchStyle::Inner => {
-            for i in 0..n {
-                if i + 1 < n {
-                    let after = e.fresh();
-                    e.emit(ops::split(after.clone()));
-                    emit_branch(e, i, Next::Goto(join.clone()));
-                    e.define_label(after);
-                } else {
-                    // The last branch also jumps (Jump Simplification later
-                    // removes the jump-to-next, as Listing 2 shows for the
-                    // unoptimized layout).
-                    emit_branch(e, i, Next::Goto(join.clone()));
-                }
-            }
-            e.define_label(join);
-            next.resolve(e);
-        }
     }
-}
-
-/// Lower one `regex.concatenation`.
-fn lower_concat<'a>(e: &mut Emitter, concat: &'a Operation, next: Next<'a>) {
-    lower_pieces(e, &concat.only_region().ops, next)
-}
-
-fn lower_pieces<'a>(e: &mut Emitter, pieces: &'a [Operation], next: Next<'a>) {
-    match pieces.split_first() {
-        None => next.resolve(e),
-        Some((first, rest)) => {
-            let continuation = Next::Inline(Box::new(move |e: &mut Emitter| {
-                lower_pieces(e, rest, next);
-            }));
-            lower_piece(e, first, continuation);
-        }
-    }
-}
-
-fn lower_piece<'a>(e: &mut Emitter, piece: &'a Operation, next: Next<'a>) {
-    let (atom, quant) = rx::piece_parts(piece);
-    match quant {
-        None => lower_atom(e, atom, next),
-        Some(q) => {
-            let (min, max) = rx::quantifier_bounds(q);
-            lower_quantified(e, atom, min, max, next);
-        }
-    }
+    Ok(())
 }
 
 /// Expand `atom{min,max}` by copy.
-fn lower_quantified<'a>(
-    e: &mut Emitter,
-    atom: &'a Operation,
-    min: u32,
-    max: Option<u32>,
-    next: Next<'a>,
-) {
-    if min > 0 {
-        if max.is_none() && min == 1 {
-            // `X+` gets the tight two-op form: `L: X; SPLIT @L` with the
-            // split falling through to the continuation.
-            let back = e.fresh();
-            e.define_label(back.clone());
-            let after = Next::Inline(Box::new(move |e: &mut Emitter| {
-                e.emit(ops::split(back));
-                next.resolve(e);
-            }));
-            lower_atom(e, atom, after);
-            return;
-        }
-        let continuation = Next::Inline(Box::new(move |e: &mut Emitter| {
-            lower_quantified(e, atom, min - 1, max.map(|m| m - 1), next);
-        }));
-        lower_atom(e, atom, continuation);
-        return;
+fn lower_quantified(e: &mut Emitter, atom: &Operation, min: u32, max: Option<u32>) -> Lowered {
+    // `X{m,}` keeps its last mandatory copy for the plus loop.
+    let copies = if max.is_none() { min.saturating_sub(1) } else { min };
+    for _ in 0..copies {
+        lower_atom(e, atom)?;
     }
     match max {
+        // `X+` gets the tight two-op form: `L: X; SPLIT @L` with the split
+        // falling through to what follows.
+        None if min > 0 => {
+            let back = e.fresh();
+            e.define_label(back.clone());
+            lower_atom(e, atom)?;
+            e.emit(ops::split(back))?;
+        }
         // `X*`: `L: SPLIT @exit; X; JMP @L; exit:`.
         None => {
             let head = e.fresh();
             let exit = e.fresh();
             e.define_label(head.clone());
-            e.emit(ops::split(exit.clone()));
-            lower_atom(e, atom, Next::Goto(head));
+            e.emit(ops::split(exit.clone()))?;
+            lower_atom(e, atom)?;
+            e.emit(ops::jump(head))?;
             e.define_label(exit);
-            next.resolve(e);
         }
-        Some(0) => next.resolve(e),
         // `X{0,k}`: a chain of optionals sharing one exit label.
-        Some(k) => {
+        Some(max) if max > min => {
             let exit = e.fresh();
-            lower_optional_chain(e, atom, k, exit, next);
+            for _ in min..max {
+                e.emit(ops::split(exit.clone()))?;
+                lower_atom(e, atom)?;
+            }
+            e.define_label(exit);
         }
+        Some(_) => {}
     }
+    Ok(())
 }
 
-fn lower_optional_chain<'a>(
-    e: &mut Emitter,
-    atom: &'a Operation,
-    remaining: u32,
-    exit: String,
-    next: Next<'a>,
-) {
-    if remaining == 0 {
-        e.define_label(exit);
-        next.resolve(e);
-        return;
-    }
-    e.emit(ops::split(exit.clone()));
-    let continuation = Next::Inline(Box::new(move |e: &mut Emitter| {
-        lower_optional_chain(e, atom, remaining - 1, exit, next);
-    }));
-    lower_atom(e, atom, continuation);
-}
-
-fn lower_atom<'a>(e: &mut Emitter, atom: &'a Operation, next: Next<'a>) {
+fn lower_atom(e: &mut Emitter, atom: &Operation) -> Lowered {
     match atom.name().as_str() {
         rx::names::MATCH_CHAR => {
             let c =
                 atom.attr(rx::attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified");
-            e.emit(ops::match_char(c));
-            next.resolve(e);
+            e.emit(ops::match_char(c))
         }
-        rx::names::MATCH_ANY_CHAR => {
-            e.emit(ops::match_any());
-            next.resolve(e);
-        }
-        rx::names::DOLLAR => {
-            // `$` asserts end-of-input; in the ISA that is exact acceptance.
-            // Anything after it is unreachable but continuations must still
-            // be emitted exactly once.
-            e.emit(ops::accept());
-            next.resolve(e);
-        }
-        rx::names::GROUP => lower_group(e, atom, next),
-        rx::names::SUB_REGEX => {
-            let alternatives = &atom.only_region().ops;
-            lower_branches(
-                e,
-                alternatives.len(),
-                BranchStyle::Inner,
-                &mut |e, i, next| lower_concat(e, &alternatives[i], next),
-                next,
-            );
-        }
+        rx::names::MATCH_ANY_CHAR => e.emit(ops::match_any()),
+        // `$` asserts end-of-input; in the ISA that is exact acceptance.
+        // Anything after it is unreachable.
+        rx::names::DOLLAR => e.emit(ops::accept()),
+        rx::names::GROUP => lower_group(e, atom),
+        rx::names::SUB_REGEX => lower_alternation(e, &atom.only_region().ops),
         other => panic!("unexpected regex atom {other}"),
     }
 }
 
 /// Lower a character class, choosing the cheaper §3.3 encoding.
-fn lower_group<'a>(e: &mut Emitter, group: &Operation, next: Next<'a>) {
+fn lower_group(e: &mut Emitter, group: &Operation) -> Lowered {
     let bits =
         group.attr(rx::attrs::TARGET_CHARS).and_then(Attribute::as_bool_array).expect("verified");
     let members: Vec<u8> = (0..=255u8).filter(|c| bits[usize::from(*c)]).collect();
@@ -362,23 +349,13 @@ fn lower_group<'a>(e: &mut Emitter, group: &Operation, next: Next<'a>) {
     let positive_cost = 3 * members.len();
     let negated_cost = complement.len() + 1;
     if positive_cost <= negated_cost || complement.is_empty() {
-        lower_branches(
-            e,
-            members.len(),
-            BranchStyle::Inner,
-            &mut |e, i, next| {
-                e.emit(ops::match_char(members[i]));
-                next.resolve(e);
-            },
-            next,
-        );
+        lower_nested(e, members.len(), |e, i| e.emit(ops::match_char(members[i])))
     } else {
         // `[^ab]` → `NotMatch(a); NotMatch(b); MatchAny` (§3.3).
         for c in complement {
-            e.emit(ops::not_match_char(c));
+            e.emit(ops::not_match_char(c))?;
         }
-        e.emit(ops::match_any());
-        next.resolve(e);
+        e.emit(ops::match_any())
     }
 }
 
@@ -386,13 +363,16 @@ fn lower_group<'a>(e: &mut Emitter, group: &Operation, next: Next<'a>) {
 mod tests {
     use super::*;
     use crate::codegen::codegen;
+    use crate::jump_simplify::jump_simplify;
     use cicero_isa::Instruction;
     use mlir_lite::Context;
 
+    fn ir(pattern: &str) -> Operation {
+        regex_dialect::ast_to_ir(&regex_frontend::parse(pattern).unwrap())
+    }
+
     fn lower(pattern: &str) -> Operation {
-        let ast = regex_frontend::parse(pattern).unwrap();
-        let ir = regex_dialect::ast_to_ir(&ast);
-        let program = lower_to_cicero(&ir);
+        let program = lower_to_cicero(&ir(pattern)).unwrap();
         let mut ctx = Context::new();
         ctx.register_dialect(crate::dialect());
         ctx.verify(&program).expect("lowering must produce verified IR");
@@ -503,92 +483,26 @@ mod tests {
     }
 
     #[test]
-    fn pass_wrapper_rejects_wrong_root() {
-        let mut op = ops::accept();
-        assert!(LowerToCiceroPass.run(&mut op, &Context::new()).is_err());
+    fn a_program_past_the_wall_before_simplification_still_compiles() {
+        // 7 ops per `(ab|cd)` copy lower past 8,192; dropping each copy's
+        // jump-to-next fits the address space, and under the cap.
+        let mut program = lower("(ab|cd){1024}(ab|cd){200}");
+        assert_eq!(program.only_region().ops.len(), 8_572);
+        jump_simplify(&mut program);
+        assert_eq!(codegen(&program).unwrap().len(), 7_348);
     }
-}
 
-/// Lower a *set* of patterns into one multi-matching `cicero.program`
-/// (the paper's Future Work: "the execution engine could return the RE
-/// identifiers when a match occurs").
-///
-/// Each pattern `i`'s branches terminate in `cicero.accept_partial_id(i)`,
-/// so the engine halts on the first match and reports which RE fired. A
-/// single shared `.*` scan loop feeds all patterns.
-///
-/// # Errors
-///
-/// Returns an error message if any pattern is anchored (`^`/`$`): in a
-/// combined scan every pattern is re-entered at every input position, so
-/// only match-anywhere patterns compose. (This mirrors multi-pattern DPI
-/// engines, which operate on unanchored signatures.)
-pub fn lower_multi(roots: &[&Operation]) -> Result<Operation, String> {
-    if roots.is_empty() {
-        return Err("multi-matching needs at least one pattern".to_owned());
+    #[test]
+    fn the_cap_admits_exactly_max_lowered_ops() {
+        let fill = MAX_LOWERED_OPS - 4; // the scan loop and the acceptance
+        let exact = format!("(a{{1024}}){{{}}}a{{{}}}", fill / 1024, fill % 1024);
+        assert_eq!(lower(&exact).only_region().ops.len(), MAX_LOWERED_OPS);
+        let message = lower_to_cicero(&ir(&format!("{exact}a"))).unwrap_err();
+        assert!(message.contains("8192-instruction address space"), "{message}");
     }
-    if roots.len() > usize::from(cicero_isa::MAX_OPERAND) {
-        return Err(format!("at most {} patterns are addressable", cicero_isa::MAX_OPERAND));
-    }
-    for (i, root) in roots.iter().enumerate() {
-        assert!(root.is(rx::names::ROOT), "expected regex.root, got {}", root.name());
-        let anchored = |key| root.attr(key).and_then(Attribute::as_bool) != Some(true);
-        if anchored(rx::attrs::HAS_PREFIX) || anchored(rx::attrs::HAS_SUFFIX) {
-            return Err(format!(
-                "pattern {i} is anchored; multi-matching requires unanchored patterns"
-            ));
-        }
-    }
-    let mut e = Emitter::new();
-    // One shared scan loop.
-    let loop_label = e.fresh();
-    let body = e.fresh();
-    e.define_label(loop_label.clone());
-    e.emit(ops::split(body.clone()));
-    e.emit(ops::match_any());
-    e.emit(ops::jump(loop_label));
-    e.define_label(body);
-    // Chain of splits fanning out to each pattern's body; each body ends
-    // in its own identified acceptance.
-    for (i, root) in roots.iter().enumerate() {
-        let next_pattern = if i + 1 < roots.len() {
-            let label = e.fresh();
-            e.emit(ops::split(label.clone()));
-            Some(label)
-        } else {
-            None
-        };
-        let alternatives = &root.only_region().ops;
-        let id = i as u16;
-        lower_branches(
-            &mut e,
-            alternatives.len(),
-            BranchStyle::Inner,
-            &mut |e, k, next| lower_concat(e, &alternatives[k], next),
-            Next::Inline(Box::new(move |e: &mut Emitter| {
-                e.emit(ops::accept_partial_id(id));
-            })),
-        );
-        if let Some(label) = next_pattern {
-            e.define_label(label);
-        }
-    }
-    Ok(e.finish())
-}
-
-#[cfg(test)]
-mod multi_tests {
-    use super::*;
-    use crate::codegen::codegen;
-    use crate::jump_simplify::jump_simplify;
-    use cicero_isa::Instruction;
-    use mlir_lite::Context;
 
     fn lower_set(patterns: &[&str]) -> cicero_isa::Program {
-        let irs: Vec<Operation> = patterns
-            .iter()
-            .map(|p| regex_dialect::ast_to_ir(&regex_frontend::parse(p).unwrap()))
-            .collect();
+        let irs: Vec<Operation> = patterns.iter().map(|p| ir(p)).collect();
         let refs: Vec<&Operation> = irs.iter().collect();
         let mut program = lower_multi(&refs).unwrap();
         let mut ctx = Context::new();
@@ -617,8 +531,7 @@ mod multi_tests {
         let separate: usize = ["abc", "xyz"]
             .iter()
             .map(|p| {
-                let ir = regex_dialect::ast_to_ir(&regex_frontend::parse(p).unwrap());
-                let mut prog = lower_to_cicero(&ir);
+                let mut prog = lower_to_cicero(&ir(p)).unwrap();
                 jump_simplify(&mut prog);
                 codegen(&prog).unwrap().len()
             })
@@ -646,10 +559,7 @@ mod multi_tests {
 
     #[test]
     fn anchored_patterns_are_rejected() {
-        let irs: Vec<Operation> = ["^abc", "xyz"]
-            .iter()
-            .map(|p| regex_dialect::ast_to_ir(&regex_frontend::parse(p).unwrap()))
-            .collect();
+        let irs: Vec<Operation> = ["^abc", "xyz"].iter().map(|p| ir(p)).collect();
         let refs: Vec<&Operation> = irs.iter().collect();
         assert!(lower_multi(&refs).is_err());
     }

@@ -407,7 +407,8 @@ impl Compiler {
         stats.high_level = start.elapsed();
 
         let start = Instant::now();
-        let cicero_ir_initial = cicero_dialect::lower_to_cicero(&regex_ir);
+        let cicero_ir_initial =
+            cicero_dialect::lower_to_cicero(&regex_ir).map_err(PassError::new)?;
         stats.lowering = start.elapsed();
 
         let mut cicero_ir = cicero_ir_initial.clone();

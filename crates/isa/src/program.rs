@@ -56,7 +56,7 @@ impl fmt::Display for ProgramError {
             ProgramError::Empty => write!(f, "program is empty"),
             ProgramError::TooLong { len } => write!(
                 f,
-                "program has {len} instructions, exceeding the {}-entry address space",
+                "program has {len} instructions, exceeding the {}-instruction address space",
                 usize::from(MAX_OPERAND) + 1
             ),
             ProgramError::TargetOutOfRange { address, target } => {

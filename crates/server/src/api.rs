@@ -191,15 +191,6 @@ fn parse_scan_body(shared: &Shared, request: &Request) -> Result<ScanBody, Respo
     Ok(ScanBody { patterns, input, config })
 }
 
-/// The §6 batch granularity, mirroring the CLI's chunker: 500-byte
-/// chunks, with an empty input still yielding one (empty) chunk.
-fn chunk_input(input: &[u8]) -> Vec<Vec<u8>> {
-    if input.is_empty() {
-        return vec![Vec::new()];
-    }
-    input.chunks(workloads::CHUNK_BYTES).map(<[u8]>::to_vec).collect()
-}
-
 fn budget_kind_name(kind: BudgetKind) -> &'static str {
     match kind {
         BudgetKind::Fuel => "fuel",
@@ -405,7 +396,7 @@ fn handle_scan(shared: &Shared, request: &Request, root: &TraceSpan) -> Response
         Ok(source) => source,
         Err(response) => return response,
     };
-    let chunks = chunk_input(&body.input);
+    let chunks = workloads::chunk_input(&body.input);
     let batch = runtime.run_batch_guarded(source.program(), &chunks, &body.config, &budget);
 
     // The workers already matched every chunk against every member: the

@@ -46,6 +46,16 @@ use rand::{RngExt, SeedableRng};
 /// chunks of 500 bytes each").
 pub const CHUNK_BYTES: usize = 500;
 
+/// Split an input into [`CHUNK_BYTES`] chunks, the §6 batch granularity;
+/// an empty input still yields one (empty) chunk so a batch reports
+/// something.
+pub fn chunk_input(input: &[u8]) -> Vec<Vec<u8>> {
+    if input.is_empty() {
+        return vec![Vec::new()];
+    }
+    input.chunks(CHUNK_BYTES).map(<[u8]>::to_vec).collect()
+}
+
 /// Fraction of chunks that get a witness substring planted for a randomly
 /// chosen pattern, so some executions accept early.
 const PLANT_FRACTION: f64 = 0.3;
@@ -305,6 +315,13 @@ fn apply_quantifier(bytes: &[u8], mut i: usize, out: &mut Vec<u8>) -> Option<usi
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn inputs_chunk_at_500_bytes_and_an_empty_one_is_one_chunk() {
+        assert_eq!(chunk_input(b""), [Vec::<u8>::new()]);
+        let lens: Vec<usize> = chunk_input(&[b'x'; 1_001]).iter().map(Vec::len).collect();
+        assert_eq!(lens, [500, 500, 1]);
+    }
 
     #[test]
     fn deterministic_generation() {

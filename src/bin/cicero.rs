@@ -532,16 +532,6 @@ fn parse_backend(flags: &Flags) -> Result<Backend, String> {
     }
 }
 
-/// Split an input into the paper's §6 batch granularity (500-byte
-/// chunks); an empty input still yields one (empty) chunk so the batch
-/// path reports something.
-fn chunk_input(input: &[u8]) -> Vec<Vec<u8>> {
-    if input.is_empty() {
-        return vec![Vec::new()];
-    }
-    input.chunks(workloads::CHUNK_BYTES).map(<[u8]>::to_vec).collect()
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
     // `O0` must be registered even though `-O0` is a shorthand, so the
     // long `--O0` spelling works too (same fix as `cmd_compile`).
@@ -680,7 +670,7 @@ fn run_batch_mode(
     flags: &Flags,
 ) -> Result<(), String> {
     let telemetry = Telemetry::new();
-    let chunks = chunk_input(input);
+    let chunks = workloads::chunk_input(input);
     let o0 = flags.has("O0");
     let runtime = Runtime::new(RuntimeOptions {
         jobs,
@@ -849,7 +839,7 @@ fn scan_batch_mode(
     backend: Backend,
     tuned: Option<&cicero::tune::TuneFile>,
 ) -> Result<(), String> {
-    let chunks = chunk_input(input);
+    let chunks = workloads::chunk_input(input);
     let runtime = Runtime::new(RuntimeOptions {
         jobs,
         compiler: compiler_base(tuned, false),
@@ -1303,7 +1293,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let request_id = flags.value("request-id").unwrap_or("cli-trace");
 
     let runtime = Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() });
-    let chunks = chunk_input(&input);
+    let chunks = workloads::chunk_input(&input);
     let ctx = TraceContext::new(request_id);
     {
         let root = ctx.root_span("request");

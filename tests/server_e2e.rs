@@ -274,6 +274,38 @@ fn a_deeply_nested_pattern_is_refused_and_leaves_the_server_serving() {
     server.shutdown_and_wait();
 }
 
+/// A pattern past the ISA's 8,192-instruction address space is a `400`
+/// naming that wall on `/scan` and `/match`, whether codegen finds it
+/// (`(a{1024}){9}`) or the lowering refuses it after a bounded amount of
+/// work (counted quantifiers multiplied far past it). The long gap inside
+/// the wall is answered. The latter two shapes used to overflow a
+/// connection thread's stack in a recursive lowering, which aborts the
+/// whole process.
+#[test]
+fn a_pattern_past_the_instruction_wall_is_refused_and_leaves_the_server_serving() {
+    let server = ServeProcess::start(&[]);
+    let body = |pattern: &str| format!(r#"{{"patterns":["{pattern}"],"input":"xxab"}}"#);
+    for pattern in ["(a{1024}){1024}", "((a{1024}){1024}){1024}", "(a{1024}){9}"] {
+        for path in ["/scan", "/match"] {
+            let (status, _, reply) = server.request("POST", path, &body(pattern), &[]);
+            assert_eq!(status, 400, "{path} {pattern}: {reply}");
+            let doc = json::parse(&reply).expect("error response is JSON");
+            let error = doc.get("error").and_then(Json::as_str).expect("an error message");
+            assert!(error.contains("8192-instruction address space"), "{path} {pattern}: {error}");
+        }
+    }
+    let (status, _, reply) =
+        server.request("POST", "/scan", &body("a.{1024}.{1024}.{1024}.{1024}b"), &[]);
+    assert_eq!(status, 200, "{reply}");
+
+    let (status, _, reply) =
+        server.request("POST", "/scan", r#"{"patterns":["ab"],"input":"xxab"}"#, &[]);
+    assert_eq!(status, 200, "{reply}");
+    let doc = json::parse(&reply).expect("scan response is JSON");
+    assert_eq!(doc.get("matched"), Some(&Json::Bool(true)), "{reply}");
+    server.shutdown_and_wait();
+}
+
 /// The served `POST /scan` and the `cicero scan --jobs` CLI must agree
 /// byte-for-byte on per-pattern match counts for the same seeded
 /// workload — same chunking, same set compilation, same all-matches
