@@ -281,6 +281,9 @@ pub enum CompileError {
     Parse(ParseRegexError),
     /// A pass failed or produced invalid IR.
     Pass(PassError),
+    /// Lowering `regex` IR to the `cicero` dialect refused the program:
+    /// it outgrows the address space, or a set holds an anchored member.
+    Lowering(String),
     /// Code generation failed (e.g. the program exceeds instruction
     /// memory).
     Codegen(CodegenError),
@@ -294,6 +297,7 @@ impl fmt::Display for CompileError {
         match self {
             CompileError::Parse(e) => write!(f, "parse error: {e}"),
             CompileError::Pass(e) => write!(f, "{e}"),
+            CompileError::Lowering(message) => write!(f, "lowering error: {message}"),
             CompileError::Codegen(e) => write!(f, "codegen error: {e}"),
             CompileError::EmptySet => {
                 write!(f, "cannot compile an empty pattern set; provide at least one pattern")
@@ -408,7 +412,7 @@ impl Compiler {
 
         let start = Instant::now();
         let cicero_ir_initial =
-            cicero_dialect::lower_to_cicero(&regex_ir).map_err(PassError::new)?;
+            cicero_dialect::lower_to_cicero(&regex_ir).map_err(CompileError::Lowering)?;
         stats.lowering = start.elapsed();
 
         let mut cicero_ir = cicero_ir_initial.clone();
@@ -561,7 +565,8 @@ impl Compiler {
             optimized.push(ir);
         }
         let members: Vec<&Operation> = optimized.iter().collect();
-        let mut cicero_ir = cicero_dialect::lower_multi(&members).map_err(PassError::new)?;
+        let mut cicero_ir =
+            cicero_dialect::lower_multi(&members).map_err(CompileError::Lowering)?;
         self.low_level(&mut cicero_ir, &mut pass_report)?;
         let program = cicero_dialect::codegen(&cicero_ir)?;
         Ok(CompiledSet {
@@ -840,7 +845,8 @@ mod compile_set_tests {
     #[test]
     fn anchored_patterns_rejected_in_sets() {
         let err = Compiler::new().compile_set(&["^abc", "xyz"]).unwrap_err();
-        assert!(matches!(err, CompileError::Pass(_)));
+        assert!(matches!(err, CompileError::Lowering(_)), "{err:?}");
+        assert!(err.to_string().starts_with("lowering error: "), "{err}");
     }
 
     #[test]

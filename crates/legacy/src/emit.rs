@@ -92,6 +92,18 @@ pub fn emit(root: &Value) -> Result<MappedProgram, LegacyError> {
         .and_then(Value::as_list)
         .ok_or_else(|| LegacyError::new("root lacks alternatives"))?;
 
+    // Refuse before expanding: the emitter recurses once per emitted
+    // piece copy, so `(a{1024}){1024}` would overflow the stack long
+    // before the address space check in `into_program` could run.
+    let size = expanded_size(has_prefix, alternatives)?;
+    let slack = 1 + flattenable_groups(alternatives);
+    if size > ADDRESS_SPACE + slack {
+        return Err(LegacyError::new(format!(
+            "program exceeds the {ADDRESS_SPACE}-instruction address space: \
+             it expands to {size} instructions"
+        )));
+    }
+
     let mut e = Emitter::new();
     if has_prefix {
         // L: SPLIT @body; MATCH_ANY; JMP @L (Listing 2).
@@ -152,6 +164,124 @@ pub fn emit(root: &Value) -> Result<MappedProgram, LegacyError> {
             alts: e.alts,
         },
     })
+}
+
+/// The ISA's address space: the most instructions a program may hold.
+const ADDRESS_SPACE: usize = cicero_isa::MAX_OPERAND as usize + 1;
+
+/// The exact number of instructions [`emit`] produces for a root with
+/// `alternatives`, saturating, in time linear in the AST: a quantifier
+/// multiplies its atom's size instead of expanding it. Every
+/// continuation is resolved exactly once, so a construct's size is its
+/// own ops plus one `JMP` per branch it ends with a jump to a join.
+fn expanded_size(has_prefix: bool, alternatives: &[Value]) -> Result<usize, LegacyError> {
+    // The `.*` loop, then the root alternation and its acceptance.
+    let prefix = if has_prefix { 3 } else { 0 };
+    Ok(alternation_size(alternatives)?.saturating_add(prefix + 1))
+}
+
+fn alternation_size(branches: &[Value]) -> Result<usize, LegacyError> {
+    if let [only] = branches {
+        return concat_size(only);
+    }
+    // One SPLIT per branch but the last; every branch ends in a JMP.
+    let mut size = branches.len().saturating_sub(1);
+    for branch in branches {
+        size = size.saturating_add(concat_size(branch)?).saturating_add(1);
+    }
+    Ok(size)
+}
+
+fn concat_size(concat: &Value) -> Result<usize, LegacyError> {
+    let pieces = concat
+        .get("pieces")
+        .and_then(Value::as_list)
+        .ok_or_else(|| LegacyError::new("concat lacks pieces"))?;
+    let mut size = 0usize;
+    for piece in pieces {
+        let atom = piece.get("atom").ok_or_else(|| LegacyError::new("piece lacks atom"))?;
+        let body = atom_size(atom)?;
+        let copies = match piece.get("min").and_then(Value::as_int) {
+            None => body,
+            Some(min) => {
+                let max = piece
+                    .get("max")
+                    .and_then(Value::as_int)
+                    .ok_or_else(|| LegacyError::new("piece lacks max"))?;
+                quantified_size(body, min, max)
+            }
+        };
+        size = size.saturating_add(copies);
+    }
+    Ok(size)
+}
+
+/// `emit_quantified`'s shapes: `min` copies, then a `SPLIT` back for an
+/// unbounded `+`, a `SPLIT`/`JMP` loop for `*`, or one `SPLIT` per
+/// optional copy up to `max` (`-1` is unbounded).
+fn quantified_size(body: usize, min: i64, max: i64) -> usize {
+    let count = |n: i64| usize::try_from(n).unwrap_or(0);
+    let required = body.saturating_mul(count(min));
+    match max {
+        -1 if min == 0 => body.saturating_add(2),
+        -1 => required.saturating_add(1),
+        max => required.saturating_add(body.saturating_add(1).saturating_mul(count(max - min))),
+    }
+}
+
+fn atom_size(atom: &Value) -> Result<usize, LegacyError> {
+    match atom.node_type() {
+        Some("char" | "any") => Ok(1),
+        Some("class") => {
+            let chars = atom
+                .get("chars")
+                .and_then(Value::as_list)
+                .ok_or_else(|| LegacyError::new("class lacks chars"))?;
+            let mut in_set = [false; 256];
+            for c in chars.iter().filter_map(Value::as_int) {
+                in_set[c as usize & 0xff] = true;
+            }
+            // `emit_class`'s choice: a split tree of `3m − 1` ops, or one
+            // NOT_MATCH per byte outside the class plus a MATCH_ANY.
+            let members = chars.len();
+            let complement = in_set.iter().filter(|&&member| !member).count();
+            Ok(if 3 * members <= complement + 1 || complement == 0 {
+                match members {
+                    0 | 1 => members,
+                    m => 3 * m - 1,
+                }
+            } else {
+                complement + 1
+            })
+        }
+        Some("group") => {
+            let alternatives = atom
+                .get("alternatives")
+                .and_then(Value::as_list)
+                .ok_or_else(|| LegacyError::new("group lacks alternatives"))?;
+            alternation_size(alternatives)
+        }
+        other => Err(LegacyError::new(format!("unknown atom type {other:?}"))),
+    }
+}
+
+/// How many groups with two or more alternatives the AST holds. Code
+/// Restructuring drops the first root leaf's jump and the join jump of
+/// each group it flattens into the root, and nothing else, so a program
+/// that expands to more than this past the address space cannot fit.
+fn flattenable_groups(alternatives: &[Value]) -> usize {
+    let mut groups = 0;
+    let mut stack: Vec<&Value> = alternatives.iter().collect();
+    while let Some(node) = stack.pop() {
+        for piece in node.get("pieces").and_then(Value::as_list).unwrap_or_default() {
+            let Some(atom) = piece.get("atom") else { continue };
+            if let Some(inner) = atom.get("alternatives").and_then(Value::as_list) {
+                groups += usize::from(inner.len() >= 2);
+                stack.extend(inner);
+            }
+        }
+    }
+    groups
 }
 
 /// What a concatenation's emission turned out to be, for metadata.
@@ -619,6 +749,44 @@ mod tests {
     fn quantified_group_is_not_pure() {
         let mapped = emit_pattern("^(a|b)+$");
         assert_eq!(mapped.meta.root_branches[0].nested, None);
+    }
+
+    #[test]
+    fn the_size_bound_is_the_emitted_length() {
+        let patterns = [
+            "ab|cd",
+            "abc",
+            "^(a|(b|(c|d)))$",
+            "^(a|b)+$",
+            "x*y+z?",
+            "a{3}b{2,5}c{0,4}d{2,}e{0,}",
+            "(ab|cd){2,3}[xyz]",
+            "[^a]b[^abc]|[a-z]{2}",
+            "[a-f0-9]+\\.(com|org)?",
+            "(a{10}){7}|b.{20}c",
+            "((a|b)c|d)*e",
+        ];
+        for pattern in patterns {
+            let ast = parser::parse(pattern).unwrap();
+            let alternatives = ast.get("alternatives").and_then(Value::as_list).unwrap();
+            let has_prefix = ast.get("has_prefix").and_then(Value::as_bool).unwrap();
+            let size = expanded_size(has_prefix, alternatives).unwrap();
+            let mut mapped = emit_pattern(pattern);
+            assert_eq!(size, mapped.code.len(), "{pattern}");
+            // Restructuring shrinks a program by no more than the slack.
+            crate::restructure::code_restructuring(&mut mapped).unwrap();
+            let slack = 1 + flattenable_groups(alternatives);
+            assert!(mapped.code.len() + slack >= size, "{pattern}: {}", mapped.code.len());
+        }
+    }
+
+    #[test]
+    fn a_program_past_the_address_space_is_refused_before_it_expands() {
+        let err = emit(&parser::parse("(a{1024}){1024}").unwrap()).unwrap_err();
+        assert!(err.message.contains("8192-instruction address space"), "{err}");
+        assert!(err.message.contains("1048580"), "{err}");
+        // Four past the wall is refused too.
+        assert!(emit(&parser::parse("(a{1024}){8}").unwrap()).is_err());
     }
 
     #[test]

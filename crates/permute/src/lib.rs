@@ -1,8 +1,8 @@
 //! `cicero-permute` — a deterministic interleaving explorer for the
 //! repo's mutex/condvar/channel protocols.
 //!
-//! The server's connection threads and drain and the panic-respawn
-//! path are small hand-rolled concurrent protocols.
+//! The server's connection threads and drain, the panic-respawn path and
+//! the runtime's batch pool are small hand-rolled concurrent protocols.
 //! Unit tests run them under whatever schedule the OS happens to pick;
 //! a latent race can hide for thousands of runs and then ship. This
 //! crate takes the loom approach — *enumerate* the schedules instead of
@@ -34,7 +34,8 @@
 //! `tests/protocols.rs` run each one exhaustively and also demonstrate
 //! that the explorer *finds* the bugs each protocol is built to avoid
 //! (a drain reported while a request is served, a drain dropping a
-//! written request, panics losing inputs) when the protocol is
+//! written request, panics losing inputs, a caller returning while a
+//! helper still holds its batch) when the protocol is
 //! deliberately mis-ordered.
 
 pub mod models;

@@ -23,6 +23,17 @@
 //!   the machine and retry the same input once before recording a
 //!   fault. The `lose_input_on_panic` flag re-creates the pre-guard
 //!   behaviour where a panic abandoned the in-flight input entirely.
+//! * [`PoolModel`] — the runtime's persistent batch pool (`pool.rs`): each
+//!   caller counts in as a scan thread, waits while helpers hold slots
+//!   past `jobs`, posts `min(inputs / 2, jobs) − callers` tickets and scans its
+//!   own batch with the respawn guard above; a helper takes a ticket, joins
+//!   only while fewer than `jobs` threads scan, takes its slot again
+//!   between inputs, and finishes the ticket; the caller then revokes its
+//!   queued tickets and waits for the taken ones. It checks each input is
+//!   recorded once with the right outcome, every restart is counted, at
+//!   most `jobs` threads scan while a helper does, and no helper holds or
+//!   touches a batch after its caller returned. The `caller_returns_early`
+//!   flag re-creates a caller that returns after its own share.
 
 use crate::{Model, Step};
 
@@ -437,7 +448,7 @@ impl Model for RespawnModel {
         if let Some(input) = state.double_write {
             return Err(format!("input {input} recorded twice"));
         }
-        let max_restarts: usize = self.panics.iter().map(|&p| p.min(RESPAWN_MAX_ATTEMPTS)).sum();
+        let max_restarts = expected_restarts(&self.panics);
         if state.restarts > max_restarts {
             return Err(format!(
                 "{} machine restarts, at most {max_restarts} possible",
@@ -449,11 +460,7 @@ impl Model for RespawnModel {
 
     fn check(&self, state: &RespawnState) -> Result<(), String> {
         for (input, &panics) in self.panics.iter().enumerate() {
-            let expected = if panics >= RESPAWN_MAX_ATTEMPTS {
-                ScanOutcome::Fault
-            } else {
-                ScanOutcome::Completed
-            };
+            let expected = expected_outcome(panics);
             match state.outcomes[input] {
                 None => return Err(format!("input {input} was never scanned to an outcome")),
                 Some(actual) if actual != expected => {
@@ -464,12 +471,331 @@ impl Model for RespawnModel {
                 Some(_) => {}
             }
         }
-        let expected_restarts: usize =
-            self.panics.iter().map(|&p| p.min(RESPAWN_MAX_ATTEMPTS)).sum();
+        let expected_restarts = expected_restarts(&self.panics);
         if state.restarts != expected_restarts {
             return Err(format!(
                 "{} machine restarts recorded, expected {expected_restarts}",
                 state.restarts
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The outcome of an input whose first `panics` attempts panic.
+fn expected_outcome(panics: usize) -> ScanOutcome {
+    if panics >= RESPAWN_MAX_ATTEMPTS {
+        ScanOutcome::Fault
+    } else {
+        ScanOutcome::Completed
+    }
+}
+
+/// The restarts a batch with these per-input panics counts.
+fn expected_restarts(panics: &[usize]) -> usize {
+    panics.iter().map(|&p| p.min(RESPAWN_MAX_ATTEMPTS)).sum()
+}
+
+// ---------------------------------------------------------------------------
+// Pool: batches lent to persistent helpers under a scan-thread cap.
+// ---------------------------------------------------------------------------
+
+/// See module docs. Threads `0..batches.len()` are callers, one batch
+/// each; the next `helpers` threads are the pool's helpers.
+#[derive(Debug, Clone)]
+pub struct PoolModel {
+    /// Per caller, per input: how many attempts panic, as in
+    /// [`RespawnModel::panics`].
+    pub batches: Vec<Vec<usize>>,
+    /// Persistent helper threads.
+    pub helpers: usize,
+    /// The cap on threads scanning at once while a helper scans.
+    pub jobs: usize,
+    /// Buggy variant: a caller returns as soon as its own share is done,
+    /// without revoking its queued tickets or waiting for the helpers that
+    /// took one.
+    pub caller_returns_early: bool,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CallerPc {
+    /// Count in as a scan thread; post tickets unless helpers hold too
+    /// many slots.
+    Arrive,
+    /// Wait for helpers to give slots back, then post tickets.
+    Blocked,
+    /// The caller's own share, as worker 0.
+    Scan,
+    /// Revoke the queued tickets; return unless a taken one is unfinished.
+    Settle,
+    /// Wait for the taken tickets to finish, then return.
+    Wait,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HelperPc {
+    /// Wait for a ticket (or, with every caller gone, shut down).
+    Idle,
+    /// Between inputs: give the slot back and take it again if one is free.
+    Gate(usize),
+    /// Claim and scan the batch's next input.
+    Scan(usize),
+    /// The fetch found no input: give the slot back.
+    GiveBack(usize),
+    /// Finish the ticket (the helper's last touch of the batch).
+    Finish(usize),
+}
+
+/// One batch as its caller's stack holds it.
+#[derive(Debug)]
+struct PoolBatch {
+    next: usize,
+    outcomes: Vec<Option<ScanOutcome>>,
+    outstanding: usize,
+    /// Helpers between taking a ticket to this batch and finishing it.
+    holders: usize,
+    returned: bool,
+}
+
+/// Shared state of the pool protocol.
+#[derive(Debug)]
+pub struct PoolState {
+    tickets: std::collections::VecDeque<usize>,
+    /// Callers in flight.
+    callers: usize,
+    /// Helpers holding a slot.
+    scanning: usize,
+    restarts: usize,
+    batches: Vec<PoolBatch>,
+    caller_pcs: Vec<CallerPc>,
+    helper_pcs: Vec<HelperPc>,
+    violation: Option<String>,
+}
+
+impl PoolModel {
+    fn crowded(&self, state: &PoolState) -> bool {
+        state.scanning > 0 && state.callers + state.scanning > self.jobs
+    }
+
+    fn post(&self, state: &mut PoolState, batch: usize) {
+        let wanted = (self.batches[batch].len() / 2).min(self.jobs);
+        let tickets = wanted.saturating_sub(state.callers).min(self.helpers);
+        state.tickets.extend(std::iter::repeat_n(batch, tickets));
+        state.batches[batch].outstanding = tickets;
+    }
+
+    /// A helper reads or writes `batch`: an error once its caller returned.
+    fn touch(state: &mut PoolState, batch: usize) {
+        if state.batches[batch].returned {
+            state
+                .violation
+                .get_or_insert(format!("a helper touched batch {batch} after its caller returned"));
+        }
+    }
+
+    /// `fetch_add` the batch's index and, if that claimed an input, run
+    /// it under the per-input guard: `false` when no input was left. One
+    /// step, because what the guard touches (the worker's session, the
+    /// claimed input's slot) is the claimer's alone, and the restart count
+    /// only adds, so its retries commute with every other thread's steps;
+    /// `RespawnModel` explores them one by one.
+    fn claim(&self, state: &mut PoolState, batch: usize) -> bool {
+        let input = state.batches[batch].next;
+        state.batches[batch].next += 1;
+        let Some(&panics) = self.batches[batch].get(input) else { return false };
+        state.restarts += panics.min(RESPAWN_MAX_ATTEMPTS);
+        if state.batches[batch].outcomes[input].replace(expected_outcome(panics)).is_some() {
+            state.violation.get_or_insert(format!("batch {batch} input {input} recorded twice"));
+        }
+        true
+    }
+
+    fn leave(state: &mut PoolState, batch: usize) -> Step {
+        state.callers -= 1;
+        state.batches[batch].returned = true;
+        Step::Done
+    }
+}
+
+impl Model for PoolModel {
+    type State = PoolState;
+
+    fn name(&self) -> &'static str {
+        "pool"
+    }
+
+    fn threads(&self) -> usize {
+        self.batches.len() + self.helpers
+    }
+
+    fn init(&self) -> PoolState {
+        PoolState {
+            tickets: std::collections::VecDeque::new(),
+            callers: 0,
+            scanning: 0,
+            restarts: 0,
+            batches: self
+                .batches
+                .iter()
+                .map(|panics| PoolBatch {
+                    next: 0,
+                    outcomes: vec![None; panics.len()],
+                    outstanding: 0,
+                    holders: 0,
+                    returned: false,
+                })
+                .collect(),
+            caller_pcs: vec![CallerPc::Arrive; self.batches.len()],
+            helper_pcs: vec![HelperPc::Idle; self.helpers],
+            violation: None,
+        }
+    }
+
+    fn enabled(&self, state: &PoolState, tid: usize) -> bool {
+        match state.caller_pcs.get(tid) {
+            Some(CallerPc::Blocked) => !self.crowded(state),
+            Some(CallerPc::Wait) => state.batches[tid].outstanding == 0,
+            Some(_) => true,
+            None => match state.helper_pcs[tid - self.batches.len()] {
+                HelperPc::Idle => {
+                    !state.tickets.is_empty() || state.batches.iter().all(|b| b.returned)
+                }
+                _ => true,
+            },
+        }
+    }
+
+    fn step(&self, state: &mut PoolState, tid: usize) -> Step {
+        if let Some(&pc) = state.caller_pcs.get(tid) {
+            let batch = tid;
+            state.caller_pcs[tid] = match pc {
+                CallerPc::Arrive => {
+                    state.callers += 1;
+                    if self.crowded(state) {
+                        CallerPc::Blocked
+                    } else {
+                        self.post(state, batch);
+                        CallerPc::Scan
+                    }
+                }
+                CallerPc::Blocked => {
+                    self.post(state, batch);
+                    CallerPc::Scan
+                }
+                CallerPc::Scan if self.claim(state, batch) => CallerPc::Scan,
+                CallerPc::Scan => CallerPc::Settle,
+                CallerPc::Settle if self.caller_returns_early => return Self::leave(state, batch),
+                CallerPc::Settle => {
+                    let queued = state.tickets.len();
+                    state.tickets.retain(|&ticket| ticket != batch);
+                    state.batches[batch].outstanding -= queued - state.tickets.len();
+                    if state.batches[batch].outstanding == 0 {
+                        return Self::leave(state, batch);
+                    }
+                    CallerPc::Wait
+                }
+                CallerPc::Wait => return Self::leave(state, batch),
+            };
+            return Step::Progress;
+        }
+        let helper = tid - self.batches.len();
+        state.helper_pcs[helper] = match state.helper_pcs[helper] {
+            HelperPc::Idle => {
+                let Some(batch) = state.tickets.pop_front() else {
+                    return Step::Done; // every caller is gone: shut down
+                };
+                Self::touch(state, batch);
+                state.batches[batch].holders += 1;
+                let has_inputs = state.batches[batch].next < self.batches[batch].len();
+                if state.callers + state.scanning < self.jobs && has_inputs {
+                    state.scanning += 1;
+                    HelperPc::Scan(batch)
+                } else {
+                    HelperPc::Finish(batch)
+                }
+            }
+            HelperPc::Gate(batch) => {
+                state.scanning -= 1;
+                if state.callers + state.scanning < self.jobs {
+                    state.scanning += 1;
+                    HelperPc::Scan(batch)
+                } else {
+                    HelperPc::Finish(batch)
+                }
+            }
+            HelperPc::Scan(batch) => {
+                Self::touch(state, batch);
+                if self.claim(state, batch) {
+                    HelperPc::Gate(batch)
+                } else {
+                    HelperPc::GiveBack(batch)
+                }
+            }
+            HelperPc::GiveBack(batch) => {
+                state.scanning -= 1;
+                HelperPc::Finish(batch)
+            }
+            HelperPc::Finish(batch) => {
+                Self::touch(state, batch);
+                state.batches[batch].outstanding -= 1;
+                state.batches[batch].holders -= 1;
+                HelperPc::Idle
+            }
+        };
+        Step::Progress
+    }
+
+    fn invariant(&self, state: &PoolState) -> Result<(), String> {
+        if let Some(violation) = &state.violation {
+            return Err(violation.clone());
+        }
+        if let Some(batch) = state.batches.iter().position(|b| b.returned && b.holders > 0) {
+            return Err(format!("caller {batch} returned while a helper still holds its batch"));
+        }
+        // A caller scans from its arrival to its return; a waiting one
+        // does not yet.
+        let active = state
+            .caller_pcs
+            .iter()
+            .zip(&state.batches)
+            .filter(|(pc, batch)| {
+                !matches!(pc, CallerPc::Arrive | CallerPc::Blocked) && !batch.returned
+            })
+            .count();
+        if state.scanning > 0 && active + state.scanning > self.jobs {
+            return Err(format!(
+                "{active} callers and {} helpers scanning, {} jobs",
+                state.scanning, self.jobs
+            ));
+        }
+        Ok(())
+    }
+
+    fn check(&self, state: &PoolState) -> Result<(), String> {
+        for (batch, panics) in self.batches.iter().enumerate() {
+            for (input, &panics) in panics.iter().enumerate() {
+                let expected = expected_outcome(panics);
+                match state.batches[batch].outcomes[input] {
+                    None => return Err(format!("batch {batch} input {input} was never scanned")),
+                    Some(actual) if actual != expected => {
+                        return Err(format!(
+                            "batch {batch} input {input} finished {actual:?}, expected {expected:?}"
+                        ));
+                    }
+                    Some(_) => {}
+                }
+            }
+        }
+        let expected: usize = self.batches.iter().map(|panics| expected_restarts(panics)).sum();
+        if state.restarts != expected {
+            return Err(format!("{} restarts recorded, expected {expected}", state.restarts));
+        }
+        if state.scanning != 0 || state.callers != 0 || !state.tickets.is_empty() {
+            return Err(format!(
+                "settled with {} slots held, {} callers, {} tickets queued",
+                state.scanning,
+                state.callers,
+                state.tickets.len()
             ));
         }
         Ok(())

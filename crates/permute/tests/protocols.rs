@@ -2,7 +2,7 @@
 //! plus proof that the explorer catches each protocol's bug when it is
 //! deliberately re-introduced.
 
-use cicero_permute::models::{ConnectionModel, RespawnModel};
+use cicero_permute::models::{ConnectionModel, PoolModel, RespawnModel};
 use cicero_permute::{replay, Explorer, ViolationKind};
 
 fn explorer() -> Explorer {
@@ -82,4 +82,45 @@ fn abandoning_inputs_on_panic_loses_matches() {
     assert!(violation.message.contains("never scanned"), "{violation}");
     let (_, verdict) = replay(&model, &violation.schedule);
     assert!(verdict.unwrap_err().contains("never scanned"));
+}
+
+// --- pool: batches lent to persistent helpers ------------------------------
+
+fn pool(batches: Vec<Vec<usize>>, helpers: usize, jobs: usize) -> PoolModel {
+    PoolModel { batches, helpers, jobs, caller_returns_early: false }
+}
+
+#[test]
+fn pool_hand_off_passes_every_interleaving() {
+    // One caller and one helper over inputs that run clean, panic once,
+    // and fault: every input once, every restart counted, and the caller
+    // never returns while the helper holds the batch.
+    let report = explorer()
+        .explore(&pool(vec![vec![0, 1, 2, 0, 1, 0]], 1, 2))
+        .unwrap_or_else(|v| panic!("{v}"));
+    assert!(report.schedules > 100, "suspiciously small space: {report:?}");
+}
+
+#[test]
+fn pool_concurrent_batches_stay_within_jobs() {
+    // A second caller arrives while the helper may be scanning the first
+    // batch: it waits for the slot, and the helper leaves.
+    let report = explorer()
+        .explore(&pool(vec![vec![0, 0, 0, 0], vec![0]], 1, 2))
+        .unwrap_or_else(|v| panic!("{v}"));
+    assert!(report.schedules > 100, "suspiciously small space: {report:?}");
+}
+
+#[test]
+fn a_caller_returning_after_its_own_share_leaves_a_helper_holding_the_batch() {
+    let model = PoolModel { caller_returns_early: true, ..pool(vec![vec![0, 0, 0, 0]], 1, 2) };
+    let violation = explorer().explore(&model).unwrap_err();
+    // Either a helper still holds the batch, or takes its ticket later.
+    let returned_early = |message: &str| {
+        message.contains("returned while a helper") || message.contains("after its caller returned")
+    };
+    assert_eq!(violation.kind, ViolationKind::Invariant, "{violation}");
+    assert!(returned_early(&violation.message), "{violation}");
+    let (_, verdict) = replay(&model, &violation.schedule);
+    assert!(returned_early(&verdict.unwrap_err()));
 }

@@ -1,10 +1,12 @@
-//! Per-request resource budgets and the worker pool that enforces them.
+//! Per-request resource budgets and the worker loop that enforces them.
 //!
-//! There is one worker loop, [`Runtime::run_batch_guarded`]'s. A batch
-//! with one job (one input, or a one-worker runtime) runs it on the
-//! calling thread and spawns nothing; a batch with more jobs runs it on
-//! one scoped thread per worker while the caller waits in `join`. Every
-//! batch gets the same serving defaults:
+//! There is one worker loop, [`Runtime::run_batch_guarded`]'s, and one way
+//! to run it: on the calling thread as worker 0, joined by the runtime's
+//! persistent helpers while the process runs fewer than `jobs` scan
+//! threads, one worker per two inputs (see `pool.rs`). A batch of fewer
+//! than four inputs, a one-worker runtime and a batch that arrives while
+//! others are in flight run on the caller alone; no batch spawns a thread.
+//! Every batch gets the same serving defaults:
 //!
 //! * **fuel** — a per-input cap on simulated cycles; exhausting it yields
 //!   [`MatchOutcome::Budget`] with the partial report instead of letting a
@@ -23,7 +25,8 @@
 //! [`simulate_batch`](cicero_sim::simulate_batch) computes, report for
 //! report, for every worker count.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use cicero_core::{Backend, CompileError};
@@ -137,8 +140,8 @@ impl MatchOutcome {
 /// Per-worker accounting for one batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStats {
-    /// Worker index within the batch (0-based). Worker 0 of a one-job
-    /// batch is the calling thread.
+    /// Worker index within the batch (0-based). Worker 0 is the calling
+    /// thread; helpers are numbered in the order they joined.
     pub worker: usize,
     /// Inputs this worker ran.
     pub inputs: usize,
@@ -175,9 +178,8 @@ pub struct GuardedBatch {
     /// Per-worker accounting, in worker order (completed and partial runs
     /// both count).
     pub workers: Vec<WorkerStats>,
-    /// Workers the batch actually used: `min(jobs, inputs)`, at least 1.
-    /// One job runs on the calling thread; more run one spawned thread
-    /// each.
+    /// Workers that ran the batch: the calling thread plus each helper
+    /// that joined it; at least 1 and at most `min(jobs, inputs / 2)`.
     pub jobs: usize,
     /// Workers respawned after a panic (also exported as the
     /// `runtime.worker_restarts` counter).
@@ -257,8 +259,8 @@ impl Runtime {
 
     /// Run an already-compiled program over every input with budgets and
     /// panic isolation (`cache_hit` is reported as `false`), on this
-    /// handle's backend. A one-job batch runs on the calling thread;
-    /// otherwise each worker gets a scoped thread. Under
+    /// handle's backend. The calling thread is worker 0, and idle
+    /// persistent helpers join while fewer than `jobs` threads scan. Under
     /// [`Runtime::with_trace`] the batch opens an `execute` span with one
     /// `{engine}.worker-N` child per worker, annotated with cycle and
     /// i-cache totals.
@@ -277,10 +279,8 @@ impl Runtime {
         let start = Instant::now();
         let deadline_at = budget.deadline.map(|d| start + d);
         let run_config = budget.clamp_config(config);
-        let jobs = self.jobs().clamp(1, inputs.len().max(1));
         let exec_span = self.trace_child("execute").inspect(|span| {
             span.annotate("inputs", inputs.len());
-            span.annotate("jobs", jobs);
             if let Some(host) = &host_program {
                 span.annotate("host.tier", host.engine_kind().to_string());
                 span.annotate("host.states", host.state_count());
@@ -288,31 +288,32 @@ impl Runtime {
         });
         let hook = self.run_hook.as_ref();
         let backend = self.backend;
-        let next = AtomicUsize::new(0);
         let restarts = AtomicU64::new(0);
         // Host nanoseconds the workers spent running inputs. Summed here
-        // and observed by this thread once the batch is done: a collector
-        // keeps a shard per thread that touched it (reused only once that
-        // thread exits), and spawned workers live for one batch.
+        // and observed by this thread once the batch is done, so the
+        // helpers never touch the telemetry collector.
         let run_ns = AtomicU64::new(0);
+        // Caller-owned slots: each input's outcome is set once, by the
+        // worker that claimed it, and each worker's stats by that worker.
+        let slots: Vec<OnceLock<(MatchOutcome, Vec<u16>)>> =
+            inputs.iter().map(|_| OnceLock::new()).collect();
+        let worker_slots: Vec<OnceLock<WorkerStats>> =
+            (0..self.jobs().min(inputs.len()).max(1)).map(|_| OnceLock::new()).collect();
 
-        // One worker: claim inputs until none is left, each under
+        // One worker: scan the inputs `claim` hands out, each under
         // `catch_unwind` on one `Session`.
-        let work = |worker: usize| {
+        let work = |worker: usize, claim: &mut dyn FnMut() -> Option<usize>| {
             let worker_span = exec_span.as_ref().map(|span| {
                 span.context().child_of(Some(span.id()), format!("{backend}.worker-{worker}"))
             });
             // `None` after a panic poisons the session; the next input
             // respawns a fresh one.
             let mut session = None;
-            let mut out = Vec::new();
             let mut stats = WorkerStats { worker, ..WorkerStats::default() };
-            loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(input) = inputs.get(index) else { break };
+            while let Some(index) = claim() {
+                let input = &inputs[index];
+                // A missed input leaves its slot empty: a deadline miss.
                 if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                    let missed = MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: None };
-                    out.push((index, (missed, Vec::new())));
                     continue;
                 }
                 let mut attempts = 0u32;
@@ -349,7 +350,8 @@ impl Runtime {
                 if let Some(report) = outcome.0.report() {
                     stats.absorb(report);
                 }
-                out.push((index, outcome));
+                let first = slots[index].set(outcome).is_ok();
+                debug_assert!(first, "input {index} claimed twice");
             }
             if let Some(span) = worker_span {
                 span.annotate("inputs", stats.inputs);
@@ -358,35 +360,24 @@ impl Runtime {
                 span.annotate("icache_hits", stats.icache_hits);
                 span.annotate("icache_misses", stats.icache_misses);
             }
-            (out, stats)
+            let first = worker_slots[worker].set(stats).is_ok();
+            debug_assert!(first, "worker {worker} ran twice");
         };
-        // One job runs on the calling thread: a scoped spawn plus join
-        // costs tens of microseconds, many times a one-chunk scan. More
-        // jobs each get a thread, and the caller waits in `join`.
-        let per_worker: Vec<_> = if jobs == 1 {
-            vec![work(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let work = &work;
-                let handles: Vec<_> =
-                    (0..jobs).map(|worker| scope.spawn(move || work(worker))).collect();
-                // Each input's run is unwind-guarded in `work`, so a worker
-                // thread unwinds only on a bug in that loop itself.
-                handles.into_iter().map(|h| h.join().expect("guarded worker panicked")).collect()
-            })
-        };
+        let jobs = self.shared.pool.run(inputs.len(), &work);
 
-        let mut outcomes =
-            vec![MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: None }; inputs.len()];
-        let mut matched_ids = vec![Vec::new(); inputs.len()];
-        let mut workers = Vec::with_capacity(jobs);
-        for (chunk, stats) in per_worker {
-            for (index, (outcome, ids)) in chunk {
-                outcomes[index] = outcome;
-                matched_ids[index] = ids;
-            }
-            workers.push(stats);
-        }
+        let (outcomes, matched_ids) = slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner().unwrap_or_else(|| {
+                    (MatchOutcome::Budget { kind: BudgetKind::Deadline, partial: None }, Vec::new())
+                })
+            })
+            .unzip();
+        let workers = worker_slots
+            .into_iter()
+            .take(jobs)
+            .map(|slot| slot.into_inner().unwrap_or_default())
+            .collect();
         let batch = GuardedBatch {
             outcomes,
             matched_ids,
@@ -415,6 +406,7 @@ impl Runtime {
             }
         }
         if let Some(span) = exec_span {
+            span.annotate("jobs", batch.jobs);
             span.annotate("completed", batch.completed());
             span.annotate("matches", batch.matches());
             span.annotate("budget_exceeded", batch.budget_exceeded());
@@ -627,25 +619,136 @@ mod tests {
         }
     }
 
+    /// A hook that records the thread each input runs on, and holds
+    /// every input (for up to 2 s) until two have entered it: on two
+    /// workers each then claims at least one input, however late the
+    /// second one wakes.
+    fn pair_recorder() -> (RunHook, Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>) {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let hook: RunHook = {
+            let seen = Arc::clone(&seen);
+            Arc::new(move |_| {
+                seen.lock().unwrap().push(std::thread::current().id());
+                let until = Instant::now() + Duration::from_secs(2);
+                while seen.lock().unwrap().len() < 2 && Instant::now() < until {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            })
+        };
+        (hook, seen)
+    }
+
+    /// The distinct threads in `seen`, in first-seen order.
+    fn distinct(seen: &[std::thread::ThreadId]) -> Vec<std::thread::ThreadId> {
+        let mut threads = Vec::new();
+        for id in seen {
+            if !threads.contains(id) {
+                threads.push(*id);
+            }
+        }
+        threads
+    }
+
     #[test]
-    fn a_multi_job_batch_runs_only_on_spawned_threads() {
-        // Making the caller worker 0 of a multi-input batch was measured
-        // slower; the caller waits in `join` instead.
-        let (hook, seen) = thread_recorder();
-        let inputs = chunks()[..4].to_vec();
-        let batch = runtime(2)
+    fn consecutive_batches_run_on_the_caller_and_the_same_helper() {
+        let config = ArchConfig::old_organization(1);
+        let caller = std::thread::current().id();
+        let runtime = runtime(2);
+        let mut helpers = Vec::new();
+        for _ in 0..2 {
+            let (hook, seen) = pair_recorder();
+            let batch = runtime
+                .clone()
+                .with_run_hook(hook)
+                .match_batch_guarded(PATTERN, &chunks()[..4], &config, &Budget::UNLIMITED)
+                .unwrap();
+            assert_eq!((batch.jobs, batch.completed()), (2, 4));
+            let threads = distinct(&seen.lock().unwrap());
+            assert_eq!(threads.len(), 2, "{threads:?}");
+            assert!(threads.contains(&caller), "the caller is worker 0: {threads:?}");
+            helpers.extend(threads.into_iter().filter(|&id| id != caller));
+        }
+        assert_eq!(helpers[0], helpers[1], "both batches ran on one persistent helper");
+    }
+
+    #[test]
+    fn concurrent_batches_never_scan_on_more_than_jobs_threads() {
+        // Two 8-input batches at once on two jobs: each caller scans its
+        // own inputs, and a helper joins only while fewer than two scan.
+        let inside = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let hook: RunHook = {
+            let (inside, peak) = (Arc::clone(&inside), Arc::clone(&peak));
+            Arc::new(move |_| {
+                let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                peak.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                inside.fetch_sub(1, Ordering::SeqCst);
+            })
+        };
+        let runtime = runtime(2).with_run_hook(hook);
+        let config = ArchConfig::old_organization(1);
+        let inputs: Vec<Vec<u8>> = (0..8).map(|i| chunks()[i % 7].clone()).collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..3 {
+                        start.wait();
+                        let batch = runtime
+                            .match_batch_guarded(PATTERN, &inputs, &config, &Budget::UNLIMITED)
+                            .unwrap();
+                        assert_eq!(batch.completed(), 8);
+                    }
+                });
+            }
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak <= 2, "{peak} inputs scanned at once");
+    }
+
+    #[test]
+    fn a_helper_serves_on_after_a_panic_on_its_input() {
+        // The helper's first input panics once: the helper rebuilds its
+        // session and retries, the restart is counted, and the next batch
+        // still runs on that same helper.
+        let config = ArchConfig::old_organization(1);
+        let caller = std::thread::current().id();
+        let telemetry = Telemetry::new();
+        let runtime = runtime(2).with_telemetry(telemetry.clone());
+        let fired = Arc::new(AtomicUsize::new(0));
+        let (record, seen) = pair_recorder();
+        let hook: RunHook = {
+            let fired = Arc::clone(&fired);
+            Arc::new(move |index| {
+                record(index);
+                if std::thread::current().id() != caller
+                    && fired.fetch_add(1, Ordering::SeqCst) == 0
+                {
+                    panic!("injected fault on a helper");
+                }
+            })
+        };
+        let batch = quietly(|| {
+            runtime
+                .clone()
+                .with_run_hook(hook)
+                .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
+                .unwrap()
+        });
+        assert_eq!(batch.outcomes, sequential(&config));
+        assert_eq!(batch.worker_restarts, 1);
+        assert_eq!(telemetry.counter("runtime.worker_restarts"), 1);
+        let helper = distinct(&seen.lock().unwrap()).into_iter().find(|&id| id != caller);
+        assert!(helper.is_some(), "no helper joined the first batch");
+
+        let (hook, seen) = pair_recorder();
+        let next = runtime
             .with_run_hook(hook)
-            .match_batch_guarded(
-                PATTERN,
-                &inputs,
-                &ArchConfig::old_organization(1),
-                &Budget::UNLIMITED,
-            )
+            .match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED)
             .unwrap();
-        assert_eq!(batch.jobs, 2);
-        let seen = seen.lock().unwrap();
-        assert_eq!(seen.len(), 4);
-        assert!(!seen.contains(&std::thread::current().id()), "{seen:?}");
+        assert_eq!((next.completed(), next.worker_restarts), (chunks().len(), 0));
+        assert!(seen.lock().unwrap().contains(&helper.unwrap()), "the helper stopped serving");
     }
 
     #[test]

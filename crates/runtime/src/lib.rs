@@ -9,9 +9,10 @@
 //! data does not), pulling input chunks from a shared work queue and
 //! merging per-worker [`ExecReport`](cicero_sim::ExecReport)s
 //! deterministically — the merged reports are byte-identical for every
-//! worker count. A batch that needs only one worker (one input, or a
-//! one-worker runtime) runs on the calling thread; a larger one spawns a
-//! scoped thread per worker.
+//! worker count. Every batch runs on its calling thread, and the
+//! runtime's `jobs − 1` persistent helpers join it (one worker per two
+//! inputs) while the process runs fewer than `jobs` scan threads, so no
+//! request spawns a thread.
 //!
 //! In front of the pool sits an LRU [`ProgramCache`] keyed by
 //! `(pattern, CompilerOptions)`: repeated patterns — the common case for
@@ -48,6 +49,7 @@
 mod budget;
 mod cache;
 mod handle;
+mod pool;
 mod session;
 mod stream;
 
@@ -121,7 +123,8 @@ impl HostCache {
 /// Construction-time knobs for a [`Runtime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// Worker threads in the pool; `0` resolves to the host's available
+    /// Threads that may scan at once: each batch's caller plus up to
+    /// `jobs − 1` persistent helpers; `0` resolves to the host's available
     /// parallelism.
     pub jobs: usize,
     /// Maximum entries in the compiled-program cache.
@@ -138,7 +141,7 @@ impl Default for RuntimeOptions {
 }
 
 /// A pre-run hook invoked with each input index on the thread about to
-/// run it (the calling thread for a one-job batch). Exists so tests can
+/// run it (the calling thread, or a pool helper). Exists so tests can
 /// inject deterministic faults — a panicking hook exercises the worker
 /// panic-isolation path — and see where work runs.
 pub type RunHook = Arc<dyn Fn(usize) + Send + Sync>;
@@ -149,6 +152,7 @@ struct Shared {
     jobs: usize,
     cache: ProgramCache,
     host: HostCache,
+    pool: pool::Pool,
 }
 
 /// A batch-matching runtime: worker pool + compiled-program cache.
@@ -203,6 +207,7 @@ impl Runtime {
                 jobs,
                 cache: ProgramCache::new(options.cache_capacity),
                 host: HostCache::new(options.cache_capacity),
+                pool: pool::Pool::new(jobs),
                 options,
             }),
             telemetry: None,

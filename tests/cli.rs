@@ -827,3 +827,23 @@ fn tuned_config_is_rejected_for_remote_ruleset_scans() {
     assert!(!output.status.success());
     assert!(stderr(&output).contains("only applies to local scans"), "{}", stderr(&output));
 }
+
+/// A pattern whose counted quantifiers multiply past the address space is
+/// refused by both compilers with an error naming it: the legacy one
+/// before its emitter expands the pattern (and overflows the stack), the
+/// new one as a lowering error, not a failed pass.
+#[test]
+fn both_compilers_refuse_a_pattern_past_the_address_space() {
+    for args in [
+        &["compile", "--old", "(a{1024}){1024}", "--emit", "asm"][..],
+        &["compile", "(a{1024}){1024}"][..],
+    ] {
+        let output = cicero(args);
+        let err = stderr(&output);
+        assert_eq!(output.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("8192-instruction address space"), "{args:?}: {err}");
+        assert!(!err.contains("pass failed"), "{args:?}: {err}");
+    }
+    let err = stderr(&cicero(&["compile", "(a{1024}){1024}"]));
+    assert!(err.contains("lowering error"), "{err}");
+}
