@@ -2,16 +2,16 @@
 //!
 //! Thanks to the dialect's one-to-one mapping onto the ISA (§3.3), code
 //! generation is a single linear walk: assign each op its address (its
-//! position), resolve symbols, and translate op-for-instruction. "The
-//! one-to-one mapping reduces the complexity of the code generation step."
+//! position), resolve symbols ([`crate::ops::resolve_targets`]), and
+//! translate op-for-instruction. "The one-to-one mapping reduces the
+//! complexity of the code generation step."
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use cicero_isa::{Instruction, Program, ProgramError};
 use mlir_lite::{Attribute, Operation};
 
-use crate::ops::{attrs, names};
+use crate::ops::{attrs, names, resolve_targets};
 
 /// Code-generation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,17 +77,14 @@ pub fn codegen(program: &Operation) -> Result<Program, CodegenError> {
         return Err(CodegenError::NotAProgram { found: program.name().as_str().to_owned() });
     }
     let body = &program.only_region().ops;
-    let mut symbols: BTreeMap<&str, u16> = BTreeMap::new();
-    for (index, op) in body.iter().enumerate() {
-        if let Some(sym) = crate::ops::sym_name(op) {
-            let address = u16::try_from(index)
-                .map_err(|_| CodegenError::Invalid(ProgramError::TooLong { len: body.len() }))?;
-            symbols.insert(sym, address);
-        }
-    }
+    let targets = resolve_targets(body).map_err(|(index, symbol)| {
+        CodegenError::UndefinedSymbol { symbol: symbol.to_owned(), index }
+    })?;
+    let too_long = || CodegenError::Invalid(ProgramError::TooLong { len: body.len() });
     let mut instructions = Vec::with_capacity(body.len());
-    for (index, op) in body.iter().enumerate() {
-        instructions.push(translate(op, index, &symbols)?);
+    for (index, (op, target)) in body.iter().zip(targets).enumerate() {
+        let target = target.map(|t| u16::try_from(t).map_err(|_| too_long())).transpose()?;
+        instructions.push(translate(op, index, target)?);
     }
     Ok(Program::from_instructions(instructions)?)
 }
@@ -95,44 +92,35 @@ pub fn codegen(program: &Operation) -> Result<Program, CodegenError> {
 fn translate(
     op: &Operation,
     index: usize,
-    symbols: &BTreeMap<&str, u16>,
+    target: Option<u16>,
 ) -> Result<Instruction, CodegenError> {
+    let malformed =
+        |message: &str| CodegenError::MalformedOp { index, message: message.to_owned() };
     let char_attr = || {
-        op.attr(attrs::TARGET_CHAR).and_then(Attribute::as_char).ok_or_else(|| {
-            CodegenError::MalformedOp { index, message: "missing target_char".to_owned() }
-        })
+        op.attr(attrs::TARGET_CHAR)
+            .and_then(Attribute::as_char)
+            .ok_or_else(|| malformed("missing target_char"))
     };
-    let target_attr = || -> Result<u16, CodegenError> {
-        let symbol = op.attr(attrs::TARGET).and_then(Attribute::as_symbol).ok_or_else(|| {
-            CodegenError::MalformedOp { index, message: "missing target symbol".to_owned() }
-        })?;
-        symbols
-            .get(symbol)
-            .copied()
-            .ok_or_else(|| CodegenError::UndefinedSymbol { symbol: symbol.to_owned(), index })
-    };
-    Ok(match op.name().as_str() {
-        names::ACCEPT => Instruction::Accept,
-        names::ACCEPT_PARTIAL => Instruction::AcceptPartial,
-        names::ACCEPT_PARTIAL_ID => {
-            let id = op
-                .attr(attrs::ID)
-                .and_then(Attribute::as_int)
-                .and_then(|i| u16::try_from(i).ok())
-                .ok_or_else(|| CodegenError::MalformedOp {
-                    index,
-                    message: "missing or invalid id".to_owned(),
-                })?;
-            Instruction::AcceptPartialId(id)
-        }
-        names::MATCH_ANY => Instruction::MatchAny,
-        names::MATCH_CHAR => Instruction::Match(char_attr()?),
-        names::NOT_MATCH_CHAR => Instruction::NotMatch(char_attr()?),
-        names::SPLIT => Instruction::Split(target_attr()?),
-        names::JUMP => Instruction::Jump(target_attr()?),
-        other => {
-            return Err(CodegenError::MalformedOp { index, message: format!("unknown op {other}") })
-        }
+    let target = || target.ok_or_else(|| malformed("missing target symbol"));
+    Ok(if op.is(names::ACCEPT) {
+        Instruction::Accept
+    } else if op.is(names::ACCEPT_PARTIAL) {
+        Instruction::AcceptPartial
+    } else if op.is(names::ACCEPT_PARTIAL_ID) {
+        let id = op.attr(attrs::ID).and_then(Attribute::as_int).and_then(|i| u16::try_from(i).ok());
+        Instruction::AcceptPartialId(id.ok_or_else(|| malformed("missing or invalid id"))?)
+    } else if op.is(names::MATCH_ANY) {
+        Instruction::MatchAny
+    } else if op.is(names::MATCH_CHAR) {
+        Instruction::Match(char_attr()?)
+    } else if op.is(names::NOT_MATCH_CHAR) {
+        Instruction::NotMatch(char_attr()?)
+    } else if op.is(names::SPLIT) {
+        Instruction::Split(target()?)
+    } else if op.is(names::JUMP) {
+        Instruction::Jump(target()?)
+    } else {
+        return Err(malformed(&format!("unknown op {}", op.name())));
     })
 }
 
@@ -143,7 +131,7 @@ mod tests {
     use mlir_lite::Attribute;
 
     fn labeled(mut op: Operation, sym: &str) -> Operation {
-        op.set_attr(attrs::SYM_NAME, Attribute::Str(sym.to_owned()));
+        op.set_attr(attrs::SYM_NAME, Attribute::Str(sym.into()));
         op
     }
 

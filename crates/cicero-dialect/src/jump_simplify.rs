@@ -21,9 +21,9 @@
 //! Because control flow is still symbolic at this level, none of these
 //! rewrites re-patch addresses — the optimization the old compiler could
 //! not express cheaply after its premature lowering (§2.1). The rules
-//! read branch targets as op indices, resolved from the symbols once.
-
-use std::collections::HashMap;
+//! read branch targets as op indices, resolved from the symbols once
+//! ([`ops::resolve_targets`]); a retargeted branch shares its new target's
+//! label string instead of copying it.
 
 use mlir_lite::{Attribute, Context, Operation, Pass, PassError};
 
@@ -38,7 +38,7 @@ use crate::ops::{self, attrs, names};
 pub fn jump_simplify(program: &mut Operation) {
     assert!(program.is(names::PROGRAM), "expected cicero.program, got {}", program.name());
     let body = &mut program.only_region_mut().ops;
-    let mut targets = branch_targets(body);
+    let mut targets = ops::resolve_targets(body).expect("a verified program resolves");
     loop {
         let mut changed = thread_jump_chains(body, &mut targets);
         changed |= duplicate_acceptances(body, &mut targets);
@@ -68,12 +68,11 @@ impl Pass for JumpSimplificationPass {
     }
 }
 
-/// Per op, the index of the op its branch target names (`None` for ops
-/// that do not branch).
-fn branch_targets(body: &[Operation]) -> Vec<Option<usize>> {
-    let symbols: HashMap<&str, usize> =
-        body.iter().enumerate().filter_map(|(i, op)| ops::sym_name(op).map(|s| (s, i))).collect();
-    body.iter().map(|op| ops::branch_target(op).and_then(|t| symbols.get(t).copied())).collect()
+/// Point the branch at `body[i]` to `body[destination]`, which is labeled.
+fn retarget(body: &mut [Operation], targets: &mut [Option<usize>], i: usize, destination: usize) {
+    let label = ops::label(&body[destination]).expect("a branch target is labeled");
+    body[i].set_attr(attrs::TARGET, Attribute::Symbol(label));
+    targets[i] = Some(destination);
 }
 
 /// Rule 3 (+ split extension): follow chains of unconditional jumps.
@@ -98,9 +97,7 @@ fn thread_jump_chains(body: &mut [Operation], targets: &mut [Option<usize>]) -> 
         })
         .collect();
     for &(i, destination) in &updates {
-        let symbol = ops::sym_name(&body[destination]).expect("branch targets are labeled");
-        body[i].set_attr(attrs::TARGET, Attribute::Symbol(symbol.to_owned()));
-        targets[i] = Some(destination);
+        retarget(body, targets, i, destination);
     }
     !updates.is_empty()
 }
@@ -148,10 +145,7 @@ fn remove_jumps_to_next(body: &mut Vec<Operation>, targets: &mut Vec<Option<usiz
     }
     for i in 0..body.len() {
         let Some(target) = targets[i].filter(|&target| removable[target]) else { continue };
-        let symbol = ops::sym_name(&body[landing[target]]).expect("a jump target is labeled");
-        let symbol = Attribute::Symbol(symbol.to_owned());
-        body[i].set_attr(attrs::TARGET, symbol);
-        targets[i] = Some(landing[target]);
+        retarget(body, targets, i, landing[target]);
     }
     let keep: Vec<bool> = removable.iter().map(|removed| !removed).collect();
     retain(body, targets, &keep);
@@ -257,7 +251,7 @@ mod tests {
         use crate::ops::*;
         use mlir_lite::Attribute;
         let labeled = |mut op: Operation, s: &str| {
-            op.set_attr(attrs::SYM_NAME, Attribute::Str(s.to_owned()));
+            op.set_attr(attrs::SYM_NAME, Attribute::Str(s.into()));
             op
         };
         // match a; jmp @x; …; x: jmp @y; …; y: match b; accept
@@ -281,7 +275,7 @@ mod tests {
         use crate::ops::*;
         use mlir_lite::Attribute;
         let labeled = |mut op: Operation, s: &str| {
-            op.set_attr(attrs::SYM_NAME, Attribute::Str(s.to_owned()));
+            op.set_attr(attrs::SYM_NAME, Attribute::Str(s.into()));
             op
         };
         // split targets the jump that will be removed.

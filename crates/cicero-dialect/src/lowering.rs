@@ -24,10 +24,12 @@
 //! whose counted quantifiers multiply past the ISA's address space is
 //! refused after a bounded amount of work, not expanded in full first.
 
-use mlir_lite::{Attribute, Operation};
+use std::sync::Arc;
+
+use mlir_lite::{Attribute, Ident, Operation};
 use regex_dialect::ops as rx;
 
-use crate::ops::{self, attrs};
+use crate::ops::{self, attrs, names};
 
 /// The ISA's address space: the most instructions a program may hold.
 const ADDRESS_SPACE: usize = cicero_isa::MAX_OPERAND as usize + 1;
@@ -63,7 +65,7 @@ pub fn lower_to_cicero(root: &Operation) -> Result<Operation, String> {
     assert!(root.is(rx::names::ROOT), "expected regex.root, got {}", root.name());
     let flag = |key| root.attr(key).and_then(Attribute::as_bool).expect("verified");
     let accept = if flag(rx::attrs::HAS_SUFFIX) { ops::accept_partial } else { ops::accept };
-    let mut e = Emitter::new();
+    let mut e = Emitter::default();
     if flag(rx::attrs::HAS_PREFIX) {
         e.scan_loop()?;
     }
@@ -78,13 +80,13 @@ pub fn lower_to_cicero(root: &Operation) -> Result<Operation, String> {
         [first, rest @ ..] => {
             let join = e.fresh();
             let later = e.fresh();
-            e.emit(ops::split(later.clone()))?;
+            e.branch(names::SPLIT, later)?;
             lower_concat(&mut e, first)?;
-            e.emit(ops::jump(join.clone()))?;
-            e.define_label(join.clone());
+            e.branch(names::JUMP, join)?;
+            e.define_label(join);
             e.emit(accept())?;
             e.define_label(later);
-            lower_branches(&mut e, rest.len(), &join, |e, i| lower_concat(e, &rest[i]))?;
+            lower_branches(&mut e, rest.len(), join, |e, i| lower_concat(e, &rest[i]))?;
         }
     }
     Ok(e.finish())
@@ -121,14 +123,14 @@ pub fn lower_multi(roots: &[&Operation]) -> Result<Operation, String> {
             ));
         }
     }
-    let mut e = Emitter::new();
+    let mut e = Emitter::default();
     e.scan_loop()?;
     // Chain of splits fanning out to each pattern's body; each body ends
     // in its own identified acceptance.
     for (i, root) in roots.iter().enumerate() {
         let next_pattern = (i + 1 < roots.len()).then(|| e.fresh());
-        if let Some(label) = &next_pattern {
-            e.emit(ops::split(label.clone()))?;
+        if let Some(label) = next_pattern {
+            e.branch(names::SPLIT, label)?;
         }
         lower_alternation(&mut e, &root.only_region().ops)?;
         e.emit(ops::accept_partial_id(i as u16))?;
@@ -139,83 +141,82 @@ pub fn lower_multi(roots: &[&Operation]) -> Result<Operation, String> {
     Ok(e.finish())
 }
 
-/// Instruction emitter with pending-label bookkeeping.
+/// A label: an index into [`Emitter::label_at`], printed `L<index>`.
+type Label = usize;
+
+/// Instruction emitter with pending-label bookkeeping. Labels are indices
+/// until [`Emitter::finish`], which writes each labeled op's `sym_name`
+/// and every branch's `target` from one shared string per label.
+#[derive(Default)]
 struct Emitter {
     body: Vec<Operation>,
-    next_label: usize,
+    /// Per label, the op it landed on (`usize::MAX` until emitted).
+    label_at: Vec<usize>,
     /// Labels waiting to be attached to the next emitted op.
-    pending: Vec<String>,
-    /// Secondary labels folded into the canonical one they share an op with.
-    aliases: Vec<(String, String)>,
+    pending: Vec<Label>,
+    /// Each labeled op and the first label attached to it, which names it.
+    named: Vec<(usize, Label)>,
+    /// Each branch op and the label it targets.
+    branches: Vec<(usize, Label)>,
 }
 
 impl Emitter {
-    fn new() -> Emitter {
-        Emitter { body: Vec::new(), next_label: 0, pending: Vec::new(), aliases: Vec::new() }
-    }
-
-    fn fresh(&mut self) -> String {
-        let label = format!("L{}", self.next_label);
-        self.next_label += 1;
-        label
+    fn fresh(&mut self) -> Label {
+        self.label_at.push(usize::MAX);
+        self.label_at.len() - 1
     }
 
     /// Attach `label` to the next emitted op.
-    fn define_label(&mut self, label: String) {
+    fn define_label(&mut self, label: Label) {
         self.pending.push(label);
     }
 
-    fn emit(&mut self, mut op: Operation) -> Lowered {
+    fn emit(&mut self, op: Operation) -> Lowered {
         if self.body.len() == MAX_LOWERED_OPS {
             return Err(format!(
                 "program exceeds the {ADDRESS_SPACE}-instruction address space: \
                  its lowering passed {MAX_LOWERED_OPS} ops"
             ));
         }
-        if let Some(canonical) = self.pending.first().cloned() {
-            op.set_attr(attrs::SYM_NAME, Attribute::Str(canonical.clone()));
-            for extra in self.pending.drain(1..) {
-                self.aliases.push((extra, canonical.clone()));
+        if let Some(&first) = self.pending.first() {
+            self.named.push((self.body.len(), first));
+            for label in self.pending.drain(..) {
+                self.label_at[label] = self.body.len();
             }
-            self.pending.clear();
         }
         self.body.push(op);
         Ok(())
+    }
+
+    /// Emit a `split` or `jump` to `target`.
+    fn branch(&mut self, name: &'static Ident, target: Label) -> Lowered {
+        self.branches.push((self.body.len(), target));
+        self.emit(Operation::new(name))
     }
 
     /// The implicit `.*` prefix: `L: SPLIT @body; MATCH_ANY; JMP @L; body:`.
     fn scan_loop(&mut self) -> Lowered {
         let loop_label = self.fresh();
         let body = self.fresh();
-        self.define_label(loop_label.clone());
-        self.emit(ops::split(body.clone()))?;
+        self.define_label(loop_label);
+        self.branch(names::SPLIT, body)?;
         self.emit(ops::match_any())?;
-        self.emit(ops::jump(loop_label))?;
+        self.branch(names::JUMP, loop_label)?;
         self.define_label(body);
         Ok(())
     }
 
     fn finish(mut self) -> Operation {
         assert!(self.pending.is_empty(), "labels defined past the end of the program");
-        // Rewrite references through the alias map (a label that landed on
-        // an op already carrying one).
-        if !self.aliases.is_empty() {
-            use std::collections::BTreeMap;
-            let map: BTreeMap<&str, &str> =
-                self.aliases.iter().map(|(a, c)| (a.as_str(), c.as_str())).collect();
-            for op in &mut self.body {
-                let target = ops::branch_target(op).map(str::to_owned);
-                if let Some(target) = target {
-                    let mut current = target.as_str();
-                    while let Some(next) = map.get(current) {
-                        current = next;
-                    }
-                    if current != target {
-                        let resolved = current.to_owned();
-                        op.set_attr(attrs::TARGET, Attribute::Symbol(resolved));
-                    }
-                }
-            }
+        let mut names: Vec<Option<Arc<str>>> = vec![None; self.body.len()];
+        for (at, label) in self.named {
+            let name: Arc<str> = format!("L{label}").into();
+            self.body[at].set_attr(attrs::SYM_NAME, Attribute::Str(name.clone()));
+            names[at] = Some(name);
+        }
+        for (at, label) in self.branches {
+            let name = names[self.label_at[label]].clone().expect("a branch target is labeled");
+            self.body[at].set_attr(attrs::TARGET, Attribute::Symbol(name));
         }
         ops::program(self.body)
     }
@@ -228,16 +229,16 @@ impl Emitter {
 fn lower_branches(
     e: &mut Emitter,
     n: usize,
-    join: &str,
+    join: Label,
     mut emit_branch: impl FnMut(&mut Emitter, usize) -> Lowered,
 ) -> Lowered {
     for i in 0..n {
         let after = (i + 1 < n).then(|| e.fresh());
-        if let Some(after) = &after {
-            e.emit(ops::split(after.clone()))?;
+        if let Some(after) = after {
+            e.branch(names::SPLIT, after)?;
         }
         emit_branch(e, i)?;
-        e.emit(ops::jump(join))?;
+        e.branch(names::JUMP, join)?;
         if let Some(after) = after {
             e.define_label(after);
         }
@@ -257,7 +258,7 @@ fn lower_nested(
         return emit_branch(e, 0);
     }
     let join = e.fresh();
-    lower_branches(e, n, &join, emit_branch)?;
+    lower_branches(e, n, join, emit_branch)?;
     e.define_label(join);
     Ok(())
 }
@@ -293,25 +294,25 @@ fn lower_quantified(e: &mut Emitter, atom: &Operation, min: u32, max: Option<u32
         // falling through to what follows.
         None if min > 0 => {
             let back = e.fresh();
-            e.define_label(back.clone());
+            e.define_label(back);
             lower_atom(e, atom)?;
-            e.emit(ops::split(back))?;
+            e.branch(names::SPLIT, back)?;
         }
         // `X*`: `L: SPLIT @exit; X; JMP @L; exit:`.
         None => {
             let head = e.fresh();
             let exit = e.fresh();
-            e.define_label(head.clone());
-            e.emit(ops::split(exit.clone()))?;
+            e.define_label(head);
+            e.branch(names::SPLIT, exit)?;
             lower_atom(e, atom)?;
-            e.emit(ops::jump(head))?;
+            e.branch(names::JUMP, head)?;
             e.define_label(exit);
         }
         // `X{0,k}`: a chain of optionals sharing one exit label.
         Some(max) if max > min => {
             let exit = e.fresh();
             for _ in min..max {
-                e.emit(ops::split(exit.clone()))?;
+                e.branch(names::SPLIT, exit)?;
                 lower_atom(e, atom)?;
             }
             e.define_label(exit);
@@ -322,37 +323,38 @@ fn lower_quantified(e: &mut Emitter, atom: &Operation, min: u32, max: Option<u32
 }
 
 fn lower_atom(e: &mut Emitter, atom: &Operation) -> Lowered {
-    match atom.name().as_str() {
-        rx::names::MATCH_CHAR => {
-            let c =
-                atom.attr(rx::attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified");
-            e.emit(ops::match_char(c))
-        }
-        rx::names::MATCH_ANY_CHAR => e.emit(ops::match_any()),
+    if atom.is(rx::names::MATCH_CHAR) {
+        e.emit(ops::match_char(
+            atom.attr(rx::attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified"),
+        ))
+    } else if atom.is(rx::names::MATCH_ANY_CHAR) {
+        e.emit(ops::match_any())
+    } else if atom.is(rx::names::DOLLAR) {
         // `$` asserts end-of-input; in the ISA that is exact acceptance.
         // Anything after it is unreachable.
-        rx::names::DOLLAR => e.emit(ops::accept()),
-        rx::names::GROUP => lower_group(e, atom),
-        rx::names::SUB_REGEX => lower_alternation(e, &atom.only_region().ops),
-        other => panic!("unexpected regex atom {other}"),
+        e.emit(ops::accept())
+    } else if atom.is(rx::names::GROUP) {
+        lower_group(e, atom)
+    } else if atom.is(rx::names::SUB_REGEX) {
+        lower_alternation(e, &atom.only_region().ops)
+    } else {
+        panic!("unexpected regex atom {}", atom.name())
     }
 }
 
 /// Lower a character class, choosing the cheaper §3.3 encoding.
 fn lower_group(e: &mut Emitter, group: &Operation) -> Lowered {
-    let bits =
-        group.attr(rx::attrs::TARGET_CHARS).and_then(Attribute::as_bool_array).expect("verified");
-    let members: Vec<u8> = (0..=255u8).filter(|c| bits[usize::from(*c)]).collect();
-    let complement: Vec<u8> = (0..=255u8).filter(|c| !bits[usize::from(*c)]).collect();
+    let set =
+        group.attr(rx::attrs::TARGET_CHARS).and_then(Attribute::as_byte_set).expect("verified");
+    let members = set.len();
     // A positive branch costs ~3 ops per member (split, match, jump); the
     // negated encoding costs 1 op per excluded char plus one MATCH_ANY.
-    let positive_cost = 3 * members.len();
-    let negated_cost = complement.len() + 1;
-    if positive_cost <= negated_cost || complement.is_empty() {
+    if 3 * members <= 256 - members + 1 || set.is_full() {
+        let members: Vec<u8> = set.iter().collect();
         lower_nested(e, members.len(), |e, i| e.emit(ops::match_char(members[i])))
     } else {
         // `[^ab]` → `NotMatch(a); NotMatch(b); MatchAny` (§3.3).
-        for c in complement {
+        for c in mlir_lite::ByteSet::FULL.difference(set).iter() {
             e.emit(ops::not_match_char(c))?;
         }
         e.emit(ops::match_any())

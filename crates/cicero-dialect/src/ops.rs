@@ -1,42 +1,47 @@
 //! Operation definitions and verifiers for the `cicero` dialect.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use mlir_lite::{AttrKind, AttrSpec, Attribute, Dialect, OpDefinition, Operation, RegionCount};
+use mlir_lite::{AttrKind, AttrSpec, Attribute, Dialect, OpDefinition, Operation};
 
 /// Fully-qualified operation names.
 pub mod names {
+    use mlir_lite::Ident;
+
     /// The container: a flat instruction list in one region.
-    pub const PROGRAM: &str = "cicero.program";
+    pub static PROGRAM: &Ident = &Ident::new("cicero.program");
     /// Accept iff at end of input.
-    pub const ACCEPT: &str = "cicero.accept";
+    pub static ACCEPT: &Ident = &Ident::new("cicero.accept");
     /// Accept at any point of the input.
-    pub const ACCEPT_PARTIAL: &str = "cicero.accept_partial";
+    pub static ACCEPT_PARTIAL: &Ident = &Ident::new("cicero.accept_partial");
     /// Accept anywhere and report the matched RE's identifier (the
     /// Future-Work multi-matching extension).
-    pub const ACCEPT_PARTIAL_ID: &str = "cicero.accept_partial_id";
+    pub static ACCEPT_PARTIAL_ID: &Ident = &Ident::new("cicero.accept_partial_id");
     /// Fork: fall through and jump to `target`.
-    pub const SPLIT: &str = "cicero.split";
+    pub static SPLIT: &Ident = &Ident::new("cicero.split");
     /// Unconditional jump to `target`.
-    pub const JUMP: &str = "cicero.jump";
+    pub static JUMP: &Ident = &Ident::new("cicero.jump");
     /// Consume any character.
-    pub const MATCH_ANY: &str = "cicero.match_any";
+    pub static MATCH_ANY: &Ident = &Ident::new("cicero.match_any");
     /// Consume a specific character.
-    pub const MATCH_CHAR: &str = "cicero.match_char";
+    pub static MATCH_CHAR: &Ident = &Ident::new("cicero.match_char");
     /// Assert (without consuming) the character differs.
-    pub const NOT_MATCH_CHAR: &str = "cicero.not_match_char";
+    pub static NOT_MATCH_CHAR: &Ident = &Ident::new("cicero.not_match_char");
 }
 
 /// Attribute keys.
 pub mod attrs {
+    use mlir_lite::Ident;
+
     /// Optional label defining a symbol at this op.
-    pub const SYM_NAME: &str = "sym_name";
+    pub static SYM_NAME: &Ident = &Ident::new("sym_name");
     /// `cicero.split`/`cicero.jump`: the referenced symbol.
-    pub const TARGET: &str = "target";
-    /// `cicero.match_char`/`cicero.not_match_char`: the character.
-    pub const TARGET_CHAR: &str = "target_char";
+    pub static TARGET: &Ident = &Ident::new("target");
+    /// `cicero.match_char`/`cicero.not_match_char`: the character (the
+    /// `regex` dialect's key: a name is declared once).
+    pub use regex_dialect::ops::attrs::TARGET_CHAR;
     /// `cicero.accept_partial_id`: the reported RE identifier.
-    pub const ID: &str = "id";
+    pub static ID: &Ident = &Ident::new("id");
 }
 
 /// Build the `cicero` dialect with all op definitions and verifiers.
@@ -44,31 +49,31 @@ pub fn dialect() -> Dialect {
     let sym = || AttrSpec::optional(attrs::SYM_NAME, AttrKind::Str);
     let mut d = Dialect::new("cicero");
     d.register_op(OpDefinition {
-        name: "program",
+        name: names::PROGRAM,
         attrs: vec![],
-        regions: RegionCount::Exact(1),
+        regions: 1,
         verifier: Some(verify_program),
     });
-    for simple in ["accept", "accept_partial", "match_any"] {
+    for simple in [names::ACCEPT, names::ACCEPT_PARTIAL, names::MATCH_ANY] {
         d.register_op(OpDefinition {
             name: simple,
             attrs: vec![sym()],
-            regions: RegionCount::Exact(0),
+            regions: 0,
             verifier: None,
         });
     }
-    for branch in ["split", "jump"] {
+    for branch in [names::SPLIT, names::JUMP] {
         d.register_op(OpDefinition {
             name: branch,
             attrs: vec![sym(), AttrSpec::required(attrs::TARGET, AttrKind::Symbol)],
-            regions: RegionCount::Exact(0),
+            regions: 0,
             verifier: None,
         });
     }
     d.register_op(OpDefinition {
-        name: "accept_partial_id",
+        name: names::ACCEPT_PARTIAL_ID,
         attrs: vec![sym(), AttrSpec::required(attrs::ID, AttrKind::Int)],
-        regions: RegionCount::Exact(0),
+        regions: 0,
         verifier: Some(|op| {
             let id = op.attr(attrs::ID).and_then(Attribute::as_int).expect("declared");
             if (0..=i64::from(cicero_isa::MAX_OPERAND)).contains(&id) {
@@ -78,11 +83,11 @@ pub fn dialect() -> Dialect {
             }
         }),
     });
-    for matcher in ["match_char", "not_match_char"] {
+    for matcher in [names::MATCH_CHAR, names::NOT_MATCH_CHAR] {
         d.register_op(OpDefinition {
             name: matcher,
             attrs: vec![sym(), AttrSpec::required(attrs::TARGET_CHAR, AttrKind::Char)],
-            regions: RegionCount::Exact(0),
+            regions: 0,
             verifier: None,
         });
     }
@@ -93,7 +98,6 @@ pub fn dialect() -> Dialect {
 /// unique, and every `target` reference resolves.
 fn verify_program(op: &Operation) -> Result<(), String> {
     let body = &op.only_region().ops;
-    let mut defined: BTreeMap<&str, usize> = BTreeMap::new();
     for (index, child) in body.iter().enumerate() {
         if child.name().dialect() != "cicero" || child.is(names::PROGRAM) {
             return Err(format!("op {index} ({}) is not a cicero instruction", child.name()));
@@ -101,20 +105,49 @@ fn verify_program(op: &Operation) -> Result<(), String> {
         if !child.regions().is_empty() {
             return Err(format!("instruction op {index} must not have regions"));
         }
-        if let Some(sym) = sym_name(child) {
-            if defined.insert(sym, index).is_some() {
-                return Err(format!("symbol `{sym}` defined more than once"));
-            }
-        }
     }
-    for (index, child) in body.iter().enumerate() {
-        if let Some(target) = branch_target(child) {
-            if !defined.contains_key(target) {
-                return Err(format!("op {index} references undefined symbol `{target}`"));
-            }
-        }
+    let mut symbols: Vec<&str> = body.iter().filter_map(sym_name).collect();
+    symbols.sort_unstable();
+    if let Some(pair) = symbols.windows(2).find(|pair| pair[0] == pair[1]) {
+        return Err(format!("symbol `{}` defined more than once", pair[0]));
     }
-    Ok(())
+    match resolve_targets(body) {
+        Ok(_) => Ok(()),
+        Err((index, target)) => Err(format!("op {index} references undefined symbol `{target}`")),
+    }
+}
+
+/// Resolve every branch of a program body to the index of the op whose
+/// `sym_name` it names, once: per op, its target's index, `None` for an
+/// op that does not branch. Jump Simplification and code generation then
+/// work on indices, not symbols. The labels are sorted once and each
+/// branch is a binary search among them. A symbol defined twice resolves
+/// to its last definition (the verifier refuses it).
+///
+/// # Errors
+///
+/// The index and symbol of the first branch to a symbol no op defines.
+pub fn resolve_targets(body: &[Operation]) -> Result<Vec<Option<usize>>, (usize, &str)> {
+    let mut defined: Vec<(&str, usize)> =
+        body.iter().enumerate().filter_map(|(i, op)| Some((sym_name(op)?, i))).collect();
+    defined.sort_unstable();
+    let resolve = |(index, op)| {
+        let Some(symbol) = branch_target(op) else { return Ok(None) };
+        let at = defined.partition_point(|&(sym, _)| sym <= symbol);
+        match at.checked_sub(1).map(|at| defined[at]) {
+            Some((sym, target)) if sym == symbol => Ok(Some(target)),
+            _ => Err((index, symbol)),
+        }
+    };
+    body.iter().enumerate().map(resolve).collect()
+}
+
+/// The shared text of an op's `sym_name`, for a branch to reference.
+pub fn label(op: &Operation) -> Option<Arc<str>> {
+    match op.attr(attrs::SYM_NAME)? {
+        Attribute::Str(label) => Some(label.clone()),
+        _ => None,
+    }
 }
 
 /// The `sym_name` of an op, if labeled.
@@ -165,12 +198,12 @@ pub fn accept_partial_id(id: u16) -> Operation {
 }
 
 /// Build `cicero.split` targeting `symbol`.
-pub fn split(symbol: impl Into<String>) -> Operation {
+pub fn split(symbol: impl Into<Arc<str>>) -> Operation {
     Operation::new(names::SPLIT).with_attr(attrs::TARGET, Attribute::Symbol(symbol.into()))
 }
 
 /// Build `cicero.jump` targeting `symbol`.
-pub fn jump(symbol: impl Into<String>) -> Operation {
+pub fn jump(symbol: impl Into<Arc<str>>) -> Operation {
     Operation::new(names::JUMP).with_attr(attrs::TARGET, Attribute::Symbol(symbol.into()))
 }
 
@@ -233,7 +266,7 @@ mod tests {
 
     #[test]
     fn foreign_ops_rejected() {
-        let p = program(vec![Operation::new("regex.match_any_char")]);
+        let p = program(vec![Operation::new(regex_dialect::names::MATCH_ANY_CHAR)]);
         let err = ctx().verify(&p).unwrap_err();
         assert!(err.message.contains("not a cicero instruction"), "{err}");
     }

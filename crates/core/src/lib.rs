@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use cicero_dialect::CodegenError;
 use cicero_isa::Program;
 use cicero_telemetry::{Telemetry, TraceSpan, Value};
-use mlir_lite::{Context, Operation, PassError};
+use mlir_lite::{Context, Operation, PassError, PassManager};
 // Re-exported so downstream crates (runtime, server) can consume per-pass
 // reports without depending on mlir-lite directly.
 pub use mlir_lite::{PassReport, PipelineReport};
@@ -326,11 +326,17 @@ impl From<CodegenError> for CompileError {
     }
 }
 
-/// The multi-dialect compiler.
+/// The multi-dialect compiler. It registers the dialects and builds its
+/// two pass pipelines once, when it is made; compiling a pattern or a set
+/// only runs them.
 #[derive(Debug)]
 pub struct Compiler {
     options: CompilerOptions,
     ctx: Context,
+    /// The `regex`-dialect pipeline, run once per pattern.
+    high_level: PassManager,
+    /// The `cicero`-dialect pipeline, run once per program.
+    low_level: PassManager,
     telemetry: Option<Telemetry>,
 }
 
@@ -351,7 +357,23 @@ impl Compiler {
         let mut ctx = Context::new();
         ctx.register_dialect(regex_dialect::dialect());
         ctx.register_dialect(cicero_dialect::dialect());
-        Compiler { options, ctx, telemetry: None }
+        let high = regex_dialect::transforms::HighLevelOptions {
+            canonicalize: options.canonicalize,
+            factorize: options.factorize,
+            shortest_match: options.shortest_match,
+            shortest_match_leading: options.shortest_match_leading,
+            order: options.pass_order,
+        };
+        let low =
+            cicero_dialect::LowLevelOptions { jump_simplification: options.jump_simplification };
+        let mut high_level = PassManager::new();
+        regex_dialect::transforms::build_pipeline(&mut high_level, &high);
+        let mut low_level = PassManager::new();
+        cicero_dialect::build_pipeline(&mut low_level, &low);
+        for pm in [&mut high_level, &mut low_level] {
+            pm.verify_each(options.verify_each);
+        }
+        Compiler { options, ctx, high_level, low_level, telemetry: None }
     }
 
     /// Attach a telemetry collector: every compilation then records the
@@ -437,28 +459,13 @@ impl Compiler {
     /// The front half's optimizer, once per pattern: the high-level
     /// pipeline on the converted `regex` IR, in place.
     fn high_level(&self, ir: &mut Operation, report: &mut PipelineReport) -> Result<(), PassError> {
-        let options = regex_dialect::transforms::HighLevelOptions {
-            canonicalize: self.options.canonicalize,
-            factorize: self.options.factorize,
-            shortest_match: self.options.shortest_match,
-            shortest_match_leading: self.options.shortest_match_leading,
-            order: self.options.pass_order,
-        };
-        let mut pm = mlir_lite::PassManager::new();
-        regex_dialect::transforms::build_pipeline(&mut pm, &options);
-        self.run_pipeline(&mut pm, ir, report)
+        self.run_pipeline(&self.high_level, ir, report)
     }
 
     /// The back half's optimizer, once per program (one pattern or a whole
-    /// set): the low-level pipeline that `cicero_dialect::build_pipeline`
-    /// assembles, on the lowered `cicero` IR, in place.
+    /// set): the low-level pipeline on the lowered `cicero` IR, in place.
     fn low_level(&self, ir: &mut Operation, report: &mut PipelineReport) -> Result<(), PassError> {
-        let options = cicero_dialect::LowLevelOptions {
-            jump_simplification: self.options.jump_simplification,
-        };
-        let mut pm = mlir_lite::PassManager::new();
-        cicero_dialect::build_pipeline(&mut pm, &options);
-        self.run_pipeline(&mut pm, ir, report)
+        self.run_pipeline(&self.low_level, ir, report)
     }
 
     /// Run `pm` on `ir`, append its passes to `report`, and count them in
@@ -466,11 +473,10 @@ impl Compiler {
     /// `compiler.passes_failed`).
     fn run_pipeline(
         &self,
-        pm: &mut mlir_lite::PassManager,
+        pm: &PassManager,
         ir: &mut Operation,
         report: &mut PipelineReport,
     ) -> Result<(), PassError> {
-        pm.verify_each(self.options.verify_each);
         let run = pm.run(ir, &self.ctx);
         if let Some(t) = &self.telemetry {
             match &run {
@@ -644,8 +650,8 @@ mod tests {
     fn artifacts_capture_all_stages() {
         let artifacts = Compiler::new().compile_with_artifacts("ab|cd").unwrap();
         assert_eq!(artifacts.canonical_pattern, "ab|cd");
-        assert!(artifacts.regex_ir_initial.is("regex.root"));
-        assert!(artifacts.cicero_ir_initial.is("cicero.program"));
+        assert!(artifacts.regex_ir_initial.is(regex_dialect::names::ROOT));
+        assert!(artifacts.cicero_ir_initial.is(cicero_dialect::names::PROGRAM));
         assert!(
             artifacts.cicero_ir_optimized.only_region().len()
                 <= artifacts.cicero_ir_initial.only_region().len()

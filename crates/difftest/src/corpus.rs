@@ -17,7 +17,10 @@
 //! `0x00`–`0xff`) survive the text format losslessly. `splits` is
 //! optional (and omitted when empty): chunk-split points for cases that
 //! only diverge on the streaming axis — replay re-streams every input
-//! split at those positions.
+//! split at those positions. `refusal` is optional too: a pattern that
+//! must not compile, and the text its refusal must contain; replay checks
+//! that the new compiler and the legacy compiler both refuse it with that
+//! text (`refusal = "8192-instruction address space"`).
 
 use std::fs;
 use std::io;
@@ -40,6 +43,9 @@ pub struct CorpusCase {
     /// Chunk-split points for stream-axis cases; empty for cases that
     /// diverge on the whole-input matrix alone.
     pub splits: Vec<usize>,
+    /// For a pattern both compilers must refuse: text their errors
+    /// contain. `None` for a pattern that compiles.
+    pub refusal: Option<String>,
 }
 
 /// The committed corpus directory (`crates/difftest/corpus`).
@@ -60,6 +66,9 @@ impl CorpusCase {
             let splits: Vec<String> = self.splits.iter().map(usize::to_string).collect();
             out.push_str(&format!("splits = [{}]\n", splits.join(", ")));
         }
+        if let Some(refusal) = &self.refusal {
+            out.push_str(&format!("refusal = {}\n", quote(refusal)));
+        }
         out
     }
 
@@ -75,6 +84,7 @@ impl CorpusCase {
         let mut note = None;
         let mut inputs = None;
         let mut splits = None;
+        let mut refusal = None;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -99,6 +109,7 @@ impl CorpusCase {
                     inputs = Some(decoded);
                 }
                 "splits" => splits = Some(parse_usize_array(value).map_err(at)?),
+                "refusal" => refusal = Some(unquote(value).map_err(at)?),
                 other => return Err(format!("{name}:{}: unknown key `{other}`", lineno + 1)),
             }
         }
@@ -109,6 +120,7 @@ impl CorpusCase {
             kind: kind.unwrap_or_else(|| "divergence".to_owned()),
             note: note.unwrap_or_default(),
             splits: splits.unwrap_or_default(),
+            refusal,
         })
     }
 
@@ -256,6 +268,7 @@ mod tests {
             kind: "divergence".to_owned(),
             note: "found by seed 7, cell sim/O2".to_owned(),
             splits: vec![1, 2],
+            refusal: Some("address \"space\"".to_owned()),
         }
     }
 

@@ -98,6 +98,7 @@ impl DivergenceReport {
                 self.pattern, self.shrunk_divergence
             ),
             splits: self.splits.clone().unwrap_or_default(),
+            refusal: None,
         }
     }
 }
@@ -313,6 +314,8 @@ pub fn replay_corpus(dir: &std::path::Path) -> Result<Vec<(CorpusCase, Outcome)>
                     let _ = std::fs::remove_dir_all(&scratch);
                 }
                 outcome
+            } else if let Some(refusal) = &case.refusal {
+                check_refusal(&case.pattern, refusal)
             } else {
                 // Cases minimized on the streaming axis carry their split
                 // points; replaying them re-streams every input at those
@@ -324,10 +327,57 @@ pub fn replay_corpus(dir: &std::path::Path) -> Result<Vec<(CorpusCase, Outcome)>
         .collect())
 }
 
+/// An expected-error corpus case: `pattern` must be refused by the new
+/// compiler (alone and as a set) and by the legacy compiler, each with an
+/// error containing `refusal`. A compiler that accepts the pattern, or
+/// refuses it for another reason, diverges in cell `refusal/<compiler>`.
+fn check_refusal(pattern: &str, refusal: &str) -> Outcome {
+    let compilers: [(&str, Result<(), String>); 3] = [
+        ("new", cicero_core::compile(pattern).map(drop).map_err(|e| e.to_string())),
+        (
+            "new-set",
+            cicero_core::Compiler::new()
+                .compile_set(&[pattern])
+                .map(drop)
+                .map_err(|e| e.to_string()),
+        ),
+        (
+            "legacy",
+            cicero_legacy::LegacyCompiler::new(true)
+                .compile(pattern)
+                .map(drop)
+                .map_err(|e| e.to_string()),
+        ),
+    ];
+    for (compiler, result) in compilers {
+        let detail = match result {
+            Err(error) if error.contains(refusal) => continue,
+            Err(error) => format!("refused with `{error}`, expected `{refusal}`"),
+            Ok(()) => format!("compiled; expected a refusal containing `{refusal}`"),
+        };
+        return Outcome::Diverged(Divergence { cell: format!("refusal/{compiler}"), detail });
+    }
+    Outcome::Pass
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[test]
+    fn a_refusal_case_diverges_when_a_compiler_accepts_or_refuses_otherwise() {
+        let accepted = check_refusal("ab", "address space");
+        assert!(
+            matches!(&accepted, Outcome::Diverged(d) if d.cell == "refusal/new"),
+            "{accepted:?}"
+        );
+        let other = check_refusal("(a{1024}){9}", "nest deeper");
+        assert!(
+            matches!(&other, Outcome::Diverged(d) if d.detail.contains("refused with")),
+            "{other:?}"
+        );
+        assert_eq!(check_refusal("(a{1024}){9}", "8192-instruction address space"), Outcome::Pass);
+    }
     #[test]
     fn a_short_run_is_deterministic() {
         let a = fuzz(&FuzzOptions::new(7, 20));

@@ -175,25 +175,15 @@ impl ClassSet {
         ClassSet { bits: [!self.bits[0], !self.bits[1], !self.bits[2], !self.bits[3]] }
     }
 
-    /// Expand to the 256-entry boolean bitmap used by `GroupOp`.
-    pub fn to_bool_array(&self) -> Vec<bool> {
-        (0..=255u8).map(|b| self.contains(b)).collect()
+    /// The membership bitmap as four 64-bit words, byte `b` at bit
+    /// `b % 64` of word `b / 64` (the layout of the `GroupOp` byte set).
+    pub fn words(&self) -> [u64; 4] {
+        self.bits
     }
 
-    /// Build from a 256-entry boolean bitmap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` does not have exactly 256 entries.
-    pub fn from_bool_array(bits: &[bool]) -> ClassSet {
-        assert_eq!(bits.len(), 256, "GroupOp bitmap must have 256 entries");
-        let mut s = ClassSet::empty();
-        for (i, b) in bits.iter().enumerate() {
-            if *b {
-                s.insert(i as u8);
-            }
-        }
-        s
+    /// Build from [`ClassSet::words`]' layout.
+    pub fn from_words(bits: [u64; 4]) -> ClassSet {
+        ClassSet { bits }
     }
 }
 
@@ -341,13 +331,10 @@ mod tests {
 
     #[test]
     fn class_set_bitmap_roundtrip() {
-        let s = ClassSet::of(b"ac");
-        let bits = s.to_bool_array();
-        assert_eq!(bits.len(), 256);
-        assert!(bits[b'a' as usize]);
-        assert!(!bits[b'b' as usize]);
-        assert!(bits[b'c' as usize]);
-        assert_eq!(ClassSet::from_bool_array(&bits), s);
+        let s = ClassSet::of(b"ac\xff");
+        let words = s.words();
+        assert_eq!(words, [0, 1 << (b'a' - 64) | 1 << (b'c' - 64), 0, 1 << 63]);
+        assert_eq!(ClassSet::from_words(words), s);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! A 256-bit byte set — the predicate alphabet of the epsilon-free NFA.
+//! The 256-bit byte set (`mlir_lite::ByteSet`, the type the `regex`
+//! dialect's character classes carry) as the predicate alphabet of the
+//! epsilon-free NFA.
 //!
 //! Every consuming transition of the lowered automaton carries one of
 //! these as its byte predicate, and every mid-input acceptance carries one
@@ -12,87 +14,7 @@
 //! predicate or arm tells apart share a class, and the engine's entry and
 //! acceptance masks are indexed by class.
 
-/// A set of byte values, stored as four 64-bit words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ByteSet([u64; 4]);
-
-impl ByteSet {
-    /// The empty set.
-    pub const EMPTY: ByteSet = ByteSet([0; 4]);
-    /// All 256 byte values.
-    pub const FULL: ByteSet = ByteSet([u64::MAX; 4]);
-
-    /// The singleton `{b}`.
-    pub fn single(b: u8) -> ByteSet {
-        let mut set = ByteSet::EMPTY;
-        set.insert(b);
-        set
-    }
-
-    /// Add `b` to the set.
-    pub fn insert(&mut self, b: u8) {
-        self.0[usize::from(b >> 6)] |= 1u64 << (b & 63);
-    }
-
-    /// The set without `b`.
-    #[must_use]
-    pub fn without(mut self, b: u8) -> ByteSet {
-        self.0[usize::from(b >> 6)] &= !(1u64 << (b & 63));
-        self
-    }
-
-    /// Whether `b` is a member.
-    pub fn contains(&self, b: u8) -> bool {
-        self.0[usize::from(b >> 6)] & (1u64 << (b & 63)) != 0
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0 == [0; 4]
-    }
-
-    /// Whether the set contains every byte value.
-    pub fn is_full(&self) -> bool {
-        self.0 == [u64::MAX; 4]
-    }
-
-    /// Set union.
-    #[must_use]
-    pub fn union(mut self, other: ByteSet) -> ByteSet {
-        for (word, other) in self.0.iter_mut().zip(other.0) {
-            *word |= other;
-        }
-        self
-    }
-
-    /// Set intersection.
-    #[must_use]
-    pub fn intersection(mut self, other: ByteSet) -> ByteSet {
-        for (word, other) in self.0.iter_mut().zip(other.0) {
-            *word &= other;
-        }
-        self
-    }
-
-    /// The members of `self` not in `other`.
-    #[must_use]
-    pub fn difference(mut self, other: ByteSet) -> ByteSet {
-        for (word, other) in self.0.iter_mut().zip(other.0) {
-            *word &= !other;
-        }
-        self
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0u16..256).map(|b| b as u8).filter(|&b| self.contains(b))
-    }
-}
+pub use mlir_lite::ByteSet;
 
 /// Byte-class partition: bytes that every predicate and accept arm treat
 /// identically share a class.

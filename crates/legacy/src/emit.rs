@@ -92,9 +92,8 @@ pub fn emit(root: &Value) -> Result<MappedProgram, LegacyError> {
         .and_then(Value::as_list)
         .ok_or_else(|| LegacyError::new("root lacks alternatives"))?;
 
-    // Refuse before expanding: the emitter recurses once per emitted
-    // piece copy, so `(a{1024}){1024}` would overflow the stack long
-    // before the address space check in `into_program` could run.
+    // Refuse before expanding, so a pattern such as `(a{1024}){1024}` costs
+    // one walk of its AST, not a million emitted instructions.
     let size = expanded_size(has_prefix, alternatives)?;
     let slack = 1 + flattenable_groups(alternatives);
     if size > ADDRESS_SPACE + slack {
@@ -117,39 +116,20 @@ pub fn emit(root: &Value) -> Result<MappedProgram, LegacyError> {
     }
     let accept_op = if has_suffix { "ACCEPT_PARTIAL" } else { "ACCEPT" };
     let body_start = e.code.len();
-    let root_nested = emit_branches(
-        &mut e,
-        alternatives,
-        BranchStyle::Root,
-        Next::Inline(Box::new(move |e: &mut Emitter| {
-            e.emit_plain(accept_op);
-        })),
-    )?;
-
-    let (root_splits, root_branches, join_addr) = match root_nested {
-        BranchKind::Alt(index) => {
-            let alt = &e.alts[index];
-            (alt.splits.clone(), alt.branches.clone(), alt.join)
-        }
-        // Single plain alternative: the acceptance is the last instruction.
-        BranchKind::Plain => {
-            let join_addr = e.code.len() - 1;
-            (
-                Vec::new(),
-                vec![BranchMeta { range: (body_start, join_addr), nested: None }],
-                join_addr,
-            )
-        }
-        // Single pure-group alternative: the inner alternation's join *is*
-        // the acceptance (it was emitted by our continuation).
-        BranchKind::PureNested(index) => {
-            let join_addr = e.alts[index].join;
-            (
-                Vec::new(),
-                vec![BranchMeta { range: (body_start, join_addr), nested: Some(index) }],
-                join_addr,
-            )
-        }
+    let (root_splits, root_branches, join_addr) = if let [only] = alternatives {
+        // One alternative: its code, then the acceptance, is the root chain.
+        let pure = emit_concat(&mut e, only)?;
+        e.emit_plain(accept_op);
+        e.end_chain(0);
+        // A pure group's join *is* the acceptance; otherwise the
+        // acceptance is the last instruction.
+        let nested = pure.then(|| e.alts.len() - 1);
+        let join_addr = nested.map_or(e.code.len() - 1, |index| e.alts[index].join);
+        (Vec::new(), vec![BranchMeta { range: (body_start, join_addr), nested }], join_addr)
+    } else {
+        emit_branches(&mut e, alternatives, Some(accept_op))?;
+        let alt = e.alts.last().expect("the root alternation");
+        (alt.splits.clone(), alt.branches.clone(), alt.join)
     };
 
     let code = e.resolve()?;
@@ -284,32 +264,6 @@ fn flattenable_groups(alternatives: &[Value]) -> usize {
     groups
 }
 
-/// What a concatenation's emission turned out to be, for metadata.
-enum BranchKind {
-    /// Ordinary code.
-    Plain,
-    /// The concatenation was exactly one unquantified multi-branch group:
-    /// its code *is* alternation `alts[index]`.
-    PureNested(usize),
-    /// Used for the root: `emit_branches` created alternation
-    /// `alts[index]` directly.
-    Alt(usize),
-}
-
-enum Next<'a> {
-    Inline(Box<dyn FnOnce(&mut Emitter) + 'a>),
-    Goto(usize),
-}
-
-impl<'a> Next<'a> {
-    fn resolve(self, e: &mut Emitter) {
-        match self {
-            Next::Inline(f) => f(e),
-            Next::Goto(label) => e.emit_branchy("JMP", label),
-        }
-    }
-}
-
 struct Emitter {
     code: Vec<Value>,
     /// Labels: `labels[id]` is the resolved address once placed.
@@ -317,11 +271,20 @@ struct Emitter {
     /// Instructions whose `arg` is a label id awaiting resolution.
     patches: Vec<(usize, usize)>,
     alts: Vec<AltMeta>,
+    /// Nested alternations whose metadata waits for the end of the chain
+    /// that holds them (see [`Emitter::end_chain`]).
+    deferred: Vec<AltMeta>,
 }
 
 impl Emitter {
     fn new() -> Emitter {
-        Emitter { code: Vec::new(), labels: Vec::new(), patches: Vec::new(), alts: Vec::new() }
+        Emitter {
+            code: Vec::new(),
+            labels: Vec::new(),
+            patches: Vec::new(),
+            alts: Vec::new(),
+            deferred: Vec::new(),
+        }
     }
 
     fn fresh(&mut self) -> usize {
@@ -361,6 +324,20 @@ impl Emitter {
         self.code.push(ins);
     }
 
+    /// End a chain: a run of code that ends in a jump or the acceptance
+    /// (an alternation branch, a `*` body, the lone root alternative). The
+    /// nested alternations it holds record their metadata now, the last
+    /// one first, so [`EmitMeta::alts`] numbers an alternation after
+    /// everything that follows it in its chain; [`BranchMeta::nested`]
+    /// and Code Restructuring read that numbering. `start` is
+    /// [`Emitter::deferred`]'s length when the chain began.
+    fn end_chain(&mut self, start: usize) {
+        while self.deferred.len() > start {
+            let alt = self.deferred.pop().expect("longer than start");
+            self.alts.push(alt);
+        }
+    }
+
     /// Resolve label patches into absolute addresses.
     fn resolve(&mut self) -> Result<Vec<Value>, LegacyError> {
         for (address, label) in self.patches.drain(..) {
@@ -372,228 +349,133 @@ impl Emitter {
     }
 }
 
-/// Layout discipline for an alternation's shared continuation (mirrors
-/// the new compiler's lowering exactly, so unoptimized outputs match).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BranchStyle {
-    /// Listing-2 root layout: branch 0, continuation, branches 1..n-1.
-    Root,
-    /// Classic layout: all branches (each ending in a jump to the join),
-    /// then the continuation. Keeps nested constructs contiguous, which
-    /// Code Restructuring relies on.
-    Inner,
-}
-
-/// Emit an alternation.
-fn emit_branches<'a>(
+/// Emit an alternation of two or more branches, mirroring the new
+/// compiler's lowering exactly, so unoptimized outputs match. Every
+/// branch is a chain that ends in a jump to the join.
+///
+/// With `root_accept` it is the root, in Listing 2's layout: branch 0,
+/// the acceptance, then branches 1..n-1; its metadata is recorded last.
+/// Otherwise the join follows the last branch, which keeps nested
+/// constructs contiguous (Code Restructuring relies on it), and the
+/// metadata waits for the end of the enclosing chain. Recursion is per
+/// group nesting only.
+fn emit_branches(
     e: &mut Emitter,
-    branches: &'a [Value],
-    style: BranchStyle,
-    next: Next<'a>,
-) -> Result<BranchKind, LegacyError> {
-    if branches.len() == 1 {
-        return emit_concat(e, &branches[0], next);
-    }
+    branches: &[Value],
+    root_accept: Option<&str>,
+) -> Result<(), LegacyError> {
     let join = e.fresh();
     let mut splits = Vec::new();
     let mut metas = Vec::with_capacity(branches.len());
-    match style {
-        BranchStyle::Root => {
+    for (i, branch) in branches.iter().enumerate() {
+        let after = (i + 1 < branches.len()).then(|| e.fresh());
+        if let Some(after) = after {
             splits.push(e.code.len());
-            let rest = e.fresh();
-            e.emit_branchy("SPLIT", rest);
-            let start = e.code.len();
-            let nested0 = emit_concat(e, &branches[0], Next::Goto(join))?;
-            metas.push(BranchMeta { range: (start, e.code.len()), nested: nested0.nested_index() });
-            e.place(join);
-            next.resolve(e);
-            e.place(rest);
-            for (i, branch) in branches.iter().enumerate().skip(1) {
-                if i + 1 < branches.len() {
-                    let after = e.fresh();
-                    splits.push(e.code.len());
-                    e.emit_branchy("SPLIT", after);
-                    let start = e.code.len();
-                    let nested = emit_concat(e, branch, Next::Goto(join))?;
-                    metas.push(BranchMeta {
-                        range: (start, e.code.len()),
-                        nested: nested.nested_index(),
-                    });
-                    e.place(after);
-                } else {
-                    let start = e.code.len();
-                    let nested = emit_concat(e, branch, Next::Goto(join))?;
-                    metas.push(BranchMeta {
-                        range: (start, e.code.len()),
-                        nested: nested.nested_index(),
-                    });
-                }
-            }
+            e.emit_branchy("SPLIT", after);
         }
-        BranchStyle::Inner => {
-            for (i, branch) in branches.iter().enumerate() {
-                if i + 1 < branches.len() {
-                    let after = e.fresh();
-                    splits.push(e.code.len());
-                    e.emit_branchy("SPLIT", after);
-                    let start = e.code.len();
-                    let nested = emit_concat(e, branch, Next::Goto(join))?;
-                    metas.push(BranchMeta {
-                        range: (start, e.code.len()),
-                        nested: nested.nested_index(),
-                    });
-                    e.place(after);
-                } else {
-                    let start = e.code.len();
-                    let nested = emit_concat(e, branch, Next::Goto(join))?;
-                    metas.push(BranchMeta {
-                        range: (start, e.code.len()),
-                        nested: nested.nested_index(),
-                    });
-                }
-            }
+        let start = e.code.len();
+        let chain = e.deferred.len();
+        let pure = emit_concat(e, branch)?;
+        e.emit_branchy("JMP", join);
+        e.end_chain(chain);
+        let nested = pure.then(|| e.alts.len() - 1);
+        metas.push(BranchMeta { range: (start, e.code.len()), nested });
+        if let (0, Some(accept)) = (i, root_accept) {
             e.place(join);
-            next.resolve(e);
+            e.emit_plain(accept);
+        }
+        if let Some(after) = after {
+            e.place(after);
         }
     }
-    let join_address = e.labels[join].expect("join placed");
-    e.alts.push(AltMeta { splits, branches: metas, join: join_address });
-    Ok(BranchKind::Alt(e.alts.len() - 1))
-}
-
-impl BranchKind {
-    fn nested_index(&self) -> Option<usize> {
-        match self {
-            BranchKind::Alt(i) | BranchKind::PureNested(i) => Some(*i),
-            BranchKind::Plain => None,
-        }
+    if root_accept.is_none() {
+        e.place(join);
     }
+    let alt = AltMeta { splits, branches: metas, join: e.labels[join].expect("join placed") };
+    if root_accept.is_some() {
+        e.alts.push(alt);
+    } else {
+        e.deferred.push(alt);
+    }
+    Ok(())
 }
 
-fn emit_concat<'a>(
-    e: &mut Emitter,
-    concat: &'a Value,
-    next: Next<'a>,
-) -> Result<BranchKind, LegacyError> {
+/// Emit a concatenation's pieces in order. Returns whether it was exactly
+/// one unquantified group of two or more branches (a pure nested
+/// alternation, which Code Restructuring flattens): its metadata is then
+/// the last the enclosing chain records.
+fn emit_concat(e: &mut Emitter, concat: &Value) -> Result<bool, LegacyError> {
     let pieces = concat
         .get("pieces")
         .and_then(Value::as_list)
         .ok_or_else(|| LegacyError::new("concat lacks pieces"))?;
-    // Pure-nested detection for restructuring metadata: exactly one
-    // unquantified group piece with a multi-branch alternation.
-    if pieces.len() == 1 && pieces[0].get("min").is_none() {
-        if let Some(atom) = pieces[0].get("atom") {
-            if atom.node_type() == Some("group") {
-                let alternatives = atom
-                    .get("alternatives")
-                    .and_then(Value::as_list)
-                    .ok_or_else(|| LegacyError::new("group lacks alternatives"))?;
-                if alternatives.len() >= 2 {
-                    return emit_branches(e, alternatives, BranchStyle::Inner, next).map(|kind| {
-                        match kind {
-                            BranchKind::Alt(i) => BranchKind::PureNested(i),
-                            other => other,
-                        }
-                    });
-                }
+    if let [piece] = pieces {
+        let group = piece.get("atom").filter(|atom| atom.node_type() == Some("group"));
+        if let (None, Some(atom)) = (piece.get("min"), group) {
+            let alternatives = atom
+                .get("alternatives")
+                .and_then(Value::as_list)
+                .ok_or_else(|| LegacyError::new("group lacks alternatives"))?;
+            if alternatives.len() >= 2 {
+                emit_branches(e, alternatives, None)?;
+                return Ok(true);
             }
         }
     }
-    emit_pieces(e, pieces, next)?;
-    Ok(BranchKind::Plain)
-}
-
-fn emit_pieces<'a>(
-    e: &mut Emitter,
-    pieces: &'a [Value],
-    next: Next<'a>,
-) -> Result<(), LegacyError> {
-    match pieces.split_first() {
-        None => {
-            next.resolve(e);
-            Ok(())
-        }
-        Some((first, rest)) => {
-            let continuation = Next::Inline(Box::new(move |e: &mut Emitter| {
-                emit_pieces(e, rest, next).expect("piece emission cannot fail after the first");
-            }));
-            emit_piece(e, first, continuation)
+    for piece in pieces {
+        let atom = piece.get("atom").ok_or_else(|| LegacyError::new("piece lacks atom"))?;
+        match piece.get("min").and_then(Value::as_int) {
+            None => emit_atom(e, atom)?,
+            Some(min) => {
+                let max = piece
+                    .get("max")
+                    .and_then(Value::as_int)
+                    .ok_or_else(|| LegacyError::new("piece lacks max"))?;
+                emit_quantified(e, atom, min, max)?;
+            }
         }
     }
+    Ok(false)
 }
 
-fn emit_piece<'a>(e: &mut Emitter, piece: &'a Value, next: Next<'a>) -> Result<(), LegacyError> {
-    let atom = piece.get("atom").ok_or_else(|| LegacyError::new("piece lacks atom"))?;
-    match piece.get("min").and_then(Value::as_int) {
-        None => emit_atom(e, atom, next),
-        Some(min) => {
-            let max = piece
-                .get("max")
-                .and_then(Value::as_int)
-                .ok_or_else(|| LegacyError::new("piece lacks max"))?;
-            emit_quantified(e, atom, min, max, next);
-            Ok(())
-        }
-    }
-}
-
-/// Quantifier expansion, mirroring the new lowering's shapes exactly.
-fn emit_quantified<'a>(e: &mut Emitter, atom: &'a Value, min: i64, max: i64, next: Next<'a>) {
-    if min > 0 {
-        if max == -1 && min == 1 {
+/// Quantifier expansion, mirroring the new lowering's shapes exactly:
+/// `min` copies (an unbounded `min ≥ 1` keeps its last copy for a
+/// `SPLIT` back), then a `*` loop or a chain of optional copies sharing
+/// one exit (`max = -1` is unbounded).
+fn emit_quantified(e: &mut Emitter, atom: &Value, min: i64, max: i64) -> Result<(), LegacyError> {
+    let optional = if max == -1 { -1 } else { max - min };
+    for copy in 1..=min {
+        if max == -1 && copy == min {
             let back = e.fresh();
             e.place(back);
-            let after = Next::Inline(Box::new(move |e: &mut Emitter| {
-                e.emit_branchy("SPLIT", back);
-                next.resolve(e);
-            }));
-            emit_atom(e, atom, after).expect("validated atom");
-            return;
+            emit_atom(e, atom)?;
+            e.emit_branchy("SPLIT", back);
+            return Ok(());
         }
-        let continuation = Next::Inline(Box::new(move |e: &mut Emitter| {
-            emit_quantified(e, atom, min - 1, if max == -1 { -1 } else { max - 1 }, next);
-        }));
-        emit_atom(e, atom, continuation).expect("validated atom");
-        return;
+        emit_atom(e, atom)?;
     }
-    match max {
-        -1 => {
-            let head = e.fresh();
-            let exit = e.fresh();
-            e.place(head);
-            e.emit_branchy("SPLIT", exit);
-            emit_atom(e, atom, Next::Goto(head)).expect("validated atom");
-            e.place(exit);
-            next.resolve(e);
-        }
-        0 => next.resolve(e),
-        k => {
-            let exit = e.fresh();
-            emit_optional_chain(e, atom, k, exit, next);
-        }
-    }
-}
-
-fn emit_optional_chain<'a>(
-    e: &mut Emitter,
-    atom: &'a Value,
-    remaining: i64,
-    exit: usize,
-    next: Next<'a>,
-) {
-    if remaining == 0 {
+    if optional == -1 {
+        let head = e.fresh();
+        let exit = e.fresh();
+        e.place(head);
+        e.emit_branchy("SPLIT", exit);
+        let chain = e.deferred.len();
+        emit_atom(e, atom)?;
+        e.emit_branchy("JMP", head);
+        e.end_chain(chain);
         e.place(exit);
-        next.resolve(e);
-        return;
+    } else if optional > 0 {
+        let exit = e.fresh();
+        for _ in 0..optional {
+            e.emit_branchy("SPLIT", exit);
+            emit_atom(e, atom)?;
+        }
+        e.place(exit);
     }
-    e.emit_branchy("SPLIT", exit);
-    let continuation = Next::Inline(Box::new(move |e: &mut Emitter| {
-        emit_optional_chain(e, atom, remaining - 1, exit, next);
-    }));
-    emit_atom(e, atom, continuation).expect("validated atom");
+    Ok(())
 }
 
-fn emit_atom<'a>(e: &mut Emitter, atom: &'a Value, next: Next<'a>) -> Result<(), LegacyError> {
+fn emit_atom(e: &mut Emitter, atom: &Value) -> Result<(), LegacyError> {
     match atom.node_type() {
         Some("char") => {
             let c = atom
@@ -601,12 +483,10 @@ fn emit_atom<'a>(e: &mut Emitter, atom: &'a Value, next: Next<'a>) -> Result<(),
                 .and_then(Value::as_int)
                 .ok_or_else(|| LegacyError::new("char lacks value"))?;
             e.emit_char_op("MATCH", c);
-            next.resolve(e);
             Ok(())
         }
         Some("any") => {
             e.emit_plain("MATCH_ANY");
-            next.resolve(e);
             Ok(())
         }
         Some("class") => {
@@ -614,22 +494,24 @@ fn emit_atom<'a>(e: &mut Emitter, atom: &'a Value, next: Next<'a>) -> Result<(),
                 .get("chars")
                 .and_then(Value::as_list)
                 .ok_or_else(|| LegacyError::new("class lacks chars"))?;
-            emit_class(e, chars, next)
+            emit_class(e, chars)
         }
         Some("group") => {
             let alternatives = atom
                 .get("alternatives")
                 .and_then(Value::as_list)
                 .ok_or_else(|| LegacyError::new("group lacks alternatives"))?;
-            emit_branches(e, alternatives, BranchStyle::Inner, next)?;
-            Ok(())
+            match alternatives {
+                [only] => emit_concat(e, only).map(drop),
+                _ => emit_branches(e, alternatives, None),
+            }
         }
         other => Err(LegacyError::new(format!("unknown atom type {other:?}"))),
     }
 }
 
 /// Character class: same encoding choice as the new compiler (§3.3).
-fn emit_class<'a>(e: &mut Emitter, chars: &'a [Value], next: Next<'a>) -> Result<(), LegacyError> {
+fn emit_class(e: &mut Emitter, chars: &[Value]) -> Result<(), LegacyError> {
     let members: Vec<i64> = chars.iter().filter_map(Value::as_int).collect();
     if members.len() != chars.len() {
         return Err(LegacyError::new("class member is not an int"));
@@ -644,7 +526,6 @@ fn emit_class<'a>(e: &mut Emitter, chars: &'a [Value], next: Next<'a>) -> Result
     if positive_cost <= negated_cost || complement.is_empty() {
         if members.len() == 1 {
             e.emit_char_op("MATCH", members[0]);
-            next.resolve(e);
             return Ok(());
         }
         // Positive split tree in the classic (Inner) layout. Classes are
@@ -654,32 +535,27 @@ fn emit_class<'a>(e: &mut Emitter, chars: &'a [Value], next: Next<'a>) -> Result
         let mut splits = Vec::new();
         let mut metas = Vec::with_capacity(members.len());
         for (i, m) in members.iter().enumerate() {
-            if i + 1 < members.len() {
-                let after = e.fresh();
+            let after = (i + 1 < members.len()).then(|| e.fresh());
+            if let Some(after) = after {
                 splits.push(e.code.len());
                 e.emit_branchy("SPLIT", after);
-                let start = e.code.len();
-                e.emit_char_op("MATCH", *m);
-                e.emit_branchy("JMP", join);
-                metas.push(BranchMeta { range: (start, e.code.len()), nested: None });
+            }
+            let start = e.code.len();
+            e.emit_char_op("MATCH", *m);
+            e.emit_branchy("JMP", join);
+            metas.push(BranchMeta { range: (start, e.code.len()), nested: None });
+            if let Some(after) = after {
                 e.place(after);
-            } else {
-                let start = e.code.len();
-                e.emit_char_op("MATCH", *m);
-                e.emit_branchy("JMP", join);
-                metas.push(BranchMeta { range: (start, e.code.len()), nested: None });
             }
         }
         e.place(join);
         let join_address = e.labels[join].expect("join placed");
         e.alts.push(AltMeta { splits, branches: metas, join: join_address });
-        next.resolve(e);
     } else {
         for c in complement {
             e.emit_char_op("NOT_MATCH", c);
         }
         e.emit_plain("MATCH_ANY");
-        next.resolve(e);
     }
     Ok(())
 }

@@ -1,15 +1,20 @@
 //! Attribute values attachable to operations.
 
 use std::fmt;
+use std::sync::Arc;
+
+use crate::ByteSet;
 
 /// An attribute value.
 ///
 /// The variants cover the argument types used by the paper's two dialects
 /// (Tables 3 and 4): booleans (`$hasPrefix`), 64-bit integers (quantifier
 /// bounds, where `-1` encodes "unbounded"), 8-bit characters
-/// (`$targetChar`), boolean arrays (the `GroupOp` character bitmap) and
+/// (`$targetChar`), byte sets (the `GroupOp` character bitmap) and
 /// symbols (`SplitOp`/`JumpOp` targets). Strings are provided for
-/// diagnostics and tooling.
+/// diagnostics and tooling. Strings and symbols are shared (`Arc<str>`),
+/// so a label defined once and referenced by many branches is one
+/// allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Attribute {
     /// A boolean, e.g. `regex.root`'s `hasPrefix`.
@@ -19,11 +24,12 @@ pub enum Attribute {
     /// An 8-bit character, e.g. `match_char`'s target.
     Char(u8),
     /// A string (diagnostics, symbol definitions via `sym_name`).
-    Str(String),
+    Str(Arc<str>),
     /// A reference to a symbol defined elsewhere, printed `@name`.
-    Symbol(String),
-    /// A boolean array, e.g. the 256-entry `GroupOp` character bitmap.
-    BoolArray(Vec<bool>),
+    Symbol(Arc<str>),
+    /// A set of bytes, e.g. the `GroupOp` character class, printed as its
+    /// 256-entry bitmap.
+    ByteSet(ByteSet),
 }
 
 impl Attribute {
@@ -36,7 +42,7 @@ impl Attribute {
             Attribute::Char(_) => AttrKind::Char,
             Attribute::Str(_) => AttrKind::Str,
             Attribute::Symbol(_) => AttrKind::Symbol,
-            Attribute::BoolArray(_) => AttrKind::BoolArray,
+            Attribute::ByteSet(_) => AttrKind::ByteSet,
         }
     }
 
@@ -80,10 +86,10 @@ impl Attribute {
         }
     }
 
-    /// Extract a boolean array, if that is the variant.
-    pub fn as_bool_array(&self) -> Option<&[bool]> {
+    /// Extract a byte set, if that is the variant.
+    pub fn as_byte_set(&self) -> Option<ByteSet> {
         match self {
-            Attribute::BoolArray(v) => Some(v),
+            Attribute::ByteSet(set) => Some(*set),
             _ => None,
         }
     }
@@ -109,13 +115,13 @@ impl From<u8> for Attribute {
 
 impl From<&str> for Attribute {
     fn from(v: &str) -> Attribute {
-        Attribute::Str(v.to_owned())
+        Attribute::Str(v.into())
     }
 }
 
-impl From<Vec<bool>> for Attribute {
-    fn from(v: Vec<bool>) -> Attribute {
-        Attribute::BoolArray(v)
+impl From<ByteSet> for Attribute {
+    fn from(v: ByteSet) -> Attribute {
+        Attribute::ByteSet(v)
     }
 }
 
@@ -129,12 +135,10 @@ impl fmt::Display for Attribute {
             Attribute::Char(c) => write!(f, "'{}'", escape_char(*c)),
             Attribute::Str(s) => write!(f, "\"{}\"", escape_str(s)),
             Attribute::Symbol(s) => write!(f, "@{s}"),
-            Attribute::BoolArray(bits) => {
-                write!(f, "bits\"")?;
-                for b in bits {
-                    f.write_str(if *b { "1" } else { "0" })?;
-                }
-                write!(f, "\"")
+            Attribute::ByteSet(set) => {
+                let bits: String =
+                    (0..=255).map(|b| if set.contains(b) { '1' } else { '0' }).collect();
+                write!(f, "bits\"{bits}\"")
             }
         }
     }
@@ -175,10 +179,7 @@ mod tests {
         assert_eq!(Attribute::Char(b'x').as_char(), Some(b'x'));
         assert_eq!(Attribute::Str("hi".into()).as_str(), Some("hi"));
         assert_eq!(Attribute::Symbol("L0".into()).as_symbol(), Some("L0"));
-        assert_eq!(
-            Attribute::BoolArray(vec![true, false]).as_bool_array(),
-            Some(&[true, false][..])
-        );
+        assert_eq!(Attribute::ByteSet(ByteSet::single(3)).as_byte_set(), Some(ByteSet::single(3)));
         assert_eq!(Attribute::Bool(true).as_int(), None);
         assert_eq!(Attribute::Int(3).as_char(), None);
     }
@@ -192,7 +193,8 @@ mod tests {
         assert_eq!(Attribute::Char(b'\'').to_string(), "'\\''");
         assert_eq!(Attribute::Str("a\"b".into()).to_string(), "\"a\\\"b\"");
         assert_eq!(Attribute::Symbol("alt_1".into()).to_string(), "@alt_1");
-        assert_eq!(Attribute::BoolArray(vec![false, true, true]).to_string(), "bits\"011\"");
+        let bits = Attribute::ByteSet(ByteSet::single(1).union(ByteSet::single(2))).to_string();
+        assert_eq!(bits, format!("bits\"011{}\"", "0".repeat(253)));
     }
 
     #[test]

@@ -3,24 +3,23 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::attribute::Attribute;
-use crate::op::Operation;
+use crate::op::{Ident, Operation};
 
 /// The kind of an attribute, for declarative verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttrKind {
-    /// [`Attribute::Bool`].
+    /// [`Attribute::Bool`](crate::Attribute::Bool).
     Bool,
-    /// [`Attribute::Int`].
+    /// [`Attribute::Int`](crate::Attribute::Int).
     Int,
-    /// [`Attribute::Char`].
+    /// [`Attribute::Char`](crate::Attribute::Char).
     Char,
-    /// [`Attribute::Str`].
+    /// [`Attribute::Str`](crate::Attribute::Str).
     Str,
-    /// [`Attribute::Symbol`].
+    /// [`Attribute::Symbol`](crate::Attribute::Symbol).
     Symbol,
-    /// [`Attribute::BoolArray`].
-    BoolArray,
+    /// [`Attribute::ByteSet`](crate::Attribute::ByteSet).
+    ByteSet,
 }
 
 impl fmt::Display for AttrKind {
@@ -31,17 +30,17 @@ impl fmt::Display for AttrKind {
             AttrKind::Char => "char",
             AttrKind::Str => "str",
             AttrKind::Symbol => "symbol",
-            AttrKind::BoolArray => "bool array",
+            AttrKind::ByteSet => "byte set",
         };
         f.write_str(s)
     }
 }
 
 /// Declarative specification of one attribute of an op.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct AttrSpec {
-    /// Attribute name, e.g. `target_char`.
-    pub name: &'static str,
+    /// Attribute key, e.g. `target_char`.
+    pub name: &'static Ident,
     /// Required value kind.
     pub kind: AttrKind,
     /// Whether the attribute must be present.
@@ -50,24 +49,14 @@ pub struct AttrSpec {
 
 impl AttrSpec {
     /// A required attribute.
-    pub const fn required(name: &'static str, kind: AttrKind) -> AttrSpec {
+    pub const fn required(name: &'static Ident, kind: AttrKind) -> AttrSpec {
         AttrSpec { name, kind, required: true }
     }
 
     /// An optional attribute.
-    pub const fn optional(name: &'static str, kind: AttrKind) -> AttrSpec {
+    pub const fn optional(name: &'static Ident, kind: AttrKind) -> AttrSpec {
         AttrSpec { name, kind, required: false }
     }
-}
-
-/// Allowed region arity of an op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionCount {
-    /// Exactly `n` regions.
-    Exact(usize),
-    /// Any number of regions (used by variadic containers such as
-    /// `regex.root`, whose regions are the alternatives).
-    Any,
 }
 
 /// Per-op structural verifier hook: receives the op after the declarative
@@ -77,12 +66,12 @@ pub type OpVerifier = fn(&Operation) -> Result<(), String>;
 /// Definition of one operation within a dialect.
 #[derive(Debug, Clone)]
 pub struct OpDefinition {
-    /// Op name *within* the dialect (no prefix).
-    pub name: &'static str,
+    /// The full op name, e.g. `regex.root`.
+    pub name: &'static Ident,
     /// Declarative attribute specs. Attributes not listed here are rejected.
     pub attrs: Vec<AttrSpec>,
-    /// Region arity.
-    pub regions: RegionCount,
+    /// Number of regions.
+    pub regions: usize,
     /// Optional extra structural verifier.
     pub verifier: Option<OpVerifier>,
 }
@@ -90,13 +79,8 @@ pub struct OpDefinition {
 impl OpDefinition {
     /// A definition with no attributes, fixed region count and no custom
     /// verifier.
-    pub fn simple(name: &'static str, regions: usize) -> OpDefinition {
-        OpDefinition {
-            name,
-            attrs: Vec::new(),
-            regions: RegionCount::Exact(regions),
-            verifier: None,
-        }
+    pub fn simple(name: &'static Ident, regions: usize) -> OpDefinition {
+        OpDefinition { name, attrs: Vec::new(), regions, verifier: None }
     }
 }
 
@@ -125,12 +109,12 @@ impl Dialect {
     /// Panics on duplicate registration — dialect construction is static,
     /// so a duplicate is a programming error.
     pub fn register_op(&mut self, def: OpDefinition) -> &mut Self {
-        let prev = self.ops.insert(def.name, def);
+        let prev = self.ops.insert(def.name.as_str(), def);
         assert!(prev.is_none(), "duplicate op registration in dialect `{}`", self.name);
         self
     }
 
-    /// Look up an op definition by its unqualified name.
+    /// Look up an op definition by its full name.
     pub fn op(&self, name: &str) -> Option<&OpDefinition> {
         self.ops.get(name)
     }
@@ -144,9 +128,7 @@ impl Dialect {
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
-    /// Full name of the offending op.
-    pub op: String,
-    /// Path of op names from the root to the offending op (inclusive).
+    /// Path of op names from the root to the offending op (the last).
     pub path: Vec<String>,
     /// Human-readable description.
     pub message: String,
@@ -163,14 +145,13 @@ impl std::error::Error for VerifyError {}
 /// The compilation context: a registry of dialects.
 ///
 /// Mirrors `mlir::MLIRContext` in spirit — it owns dialect definitions and
-/// provides whole-tree [verification](Context::verify). It deliberately does
-/// *not* intern operations (ops are plain owned values here).
+/// provides whole-tree [verification](Context::verify). Names are uniqued
+/// by the dialects' `static` [`Ident`]s, not by a table here.
 #[derive(Debug, Clone, Default)]
 pub struct Context {
     dialects: BTreeMap<&'static str, Dialect>,
-    /// When false, ops from unregistered dialects are rejected during
-    /// verification (MLIR's `allowUnregisteredDialects`).
-    allow_unregistered: bool,
+    /// Every op name and attribute key the dialects declare, by text.
+    idents: BTreeMap<&'static str, &'static Ident>,
 }
 
 impl Context {
@@ -183,30 +164,24 @@ impl Context {
     ///
     /// # Panics
     ///
-    /// Panics if a dialect with the same namespace is already registered.
+    /// Panics if a dialect with the same namespace is already registered,
+    /// or if it declares a name whose text another declared [`Ident`]
+    /// already has (the two would compare unequal).
     pub fn register_dialect(&mut self, dialect: Dialect) -> &mut Self {
         let name = dialect.name();
+        let keys = dialect.ops().flat_map(|def| def.attrs.iter().map(|spec| spec.name));
+        for ident in dialect.ops().map(|def| def.name).chain(keys) {
+            let seen = *self.idents.entry(ident.as_str()).or_insert(ident);
+            assert!(std::ptr::eq(seen, ident), "`{}` is declared twice", ident.as_str());
+        }
         let prev = self.dialects.insert(name, dialect);
         assert!(prev.is_none(), "dialect `{name}` registered twice");
         self
     }
 
-    /// Permit ops from dialects that are not registered (they skip
-    /// declarative verification).
-    pub fn allow_unregistered_dialects(&mut self, allow: bool) -> &mut Self {
-        self.allow_unregistered = allow;
-        self
-    }
-
-    /// Look up a registered dialect.
-    pub fn dialect(&self, name: &str) -> Option<&Dialect> {
-        self.dialects.get(name)
-    }
-
     /// Verify the op tree rooted at `root` against the registered dialects.
     ///
-    /// Checks, for each op: the dialect is registered (unless
-    /// [allowed](Context::allow_unregistered_dialects)), the op is defined,
+    /// Checks, for each op: the dialect is registered, the op is defined,
     /// required attributes are present with the right kinds, no undeclared
     /// attributes exist, the region arity matches, and the op's custom
     /// verifier (if any) passes.
@@ -221,33 +196,16 @@ impl Context {
 
     fn verify_rec(&self, op: &Operation, path: &mut Vec<String>) -> Result<(), VerifyError> {
         path.push(op.name().as_str().to_owned());
-        let fail = |message: String, path: &[String]| VerifyError {
-            op: op.name().as_str().to_owned(),
-            path: path.to_vec(),
-            message,
-        };
-        match self.dialects.get(op.name().dialect()) {
-            None if self.allow_unregistered => {}
-            None => {
-                return Err(fail(
-                    format!("dialect `{}` is not registered", op.name().dialect()),
-                    path,
-                ))
-            }
-            Some(dialect) => {
-                let def = dialect.op(op.name().op()).ok_or_else(|| {
-                    fail(
-                        format!(
-                            "op `{}` is not defined in dialect `{}`",
-                            op.name().op(),
-                            dialect.name()
-                        ),
-                        path,
-                    )
-                })?;
-                self.verify_against(op, def, path)?;
-            }
-        }
+        let fail = |message: String, path: &[String]| VerifyError { path: path.to_vec(), message };
+        let dialect = self.dialects.get(op.name().dialect()).ok_or_else(|| {
+            fail(format!("dialect `{}` is not registered", op.name().dialect()), path)
+        })?;
+        let def = dialect.op(op.name().as_str()).ok_or_else(|| {
+            let message =
+                format!("op `{}` is not defined in dialect `{}`", op.name(), dialect.name());
+            fail(message, path)
+        })?;
+        self.verify_against(op, def, path)?;
         for region in op.regions() {
             for child in &region.ops {
                 self.verify_rec(child, path)?;
@@ -263,36 +221,32 @@ impl Context {
         def: &OpDefinition,
         path: &[String],
     ) -> Result<(), VerifyError> {
-        let fail = |message: String| VerifyError {
-            op: op.name().as_str().to_owned(),
-            path: path.to_vec(),
-            message,
-        };
+        let fail = |message: String| VerifyError { path: path.to_vec(), message };
         for spec in &def.attrs {
             match op.attr(spec.name) {
                 Some(value) if value.kind() != spec.kind => {
                     return Err(fail(format!(
                         "attribute `{}` has kind {}, expected {}",
-                        spec.name,
+                        spec.name.as_str(),
                         value.kind(),
                         spec.kind
                     )));
                 }
                 None if spec.required => {
-                    return Err(fail(format!("missing required attribute `{}`", spec.name)));
+                    let key = spec.name.as_str();
+                    return Err(fail(format!("missing required attribute `{key}`")));
                 }
                 _ => {}
             }
         }
         for (key, _) in op.attrs() {
-            if !def.attrs.iter().any(|s| s.name == key) {
+            if !def.attrs.iter().any(|s| s.name.as_str() == key) {
                 return Err(fail(format!("undeclared attribute `{key}`")));
             }
         }
-        if let RegionCount::Exact(n) = def.regions {
-            if op.regions().len() != n {
-                return Err(fail(format!("expected {n} region(s), found {}", op.regions().len())));
-            }
+        if op.regions().len() != def.regions {
+            let (n, found) = (def.regions, op.regions().len());
+            return Err(fail(format!("expected {n} region(s), found {found}")));
         }
         if let Some(verifier) = def.verifier {
             verifier(op).map_err(fail)?;
@@ -301,27 +255,28 @@ impl Context {
     }
 }
 
-/// Convenience: check whether an attribute on `op` equals an expected value.
-pub fn attr_eq(op: &Operation, key: &str, expected: &Attribute) -> bool {
-    op.attr(key) == Some(expected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::op::Region;
+    use crate::Attribute;
+
+    static LEAF: &Ident = &Ident::new("t.leaf");
+    static WRAP: &Ident = &Ident::new("t.wrap");
+    static VALUE: &Ident = &Ident::new("value");
 
     fn test_dialect() -> Dialect {
+        static LABEL: &Ident = &Ident::new("label");
         let mut d = Dialect::new("t");
         d.register_op(OpDefinition {
-            name: "leaf",
+            name: LEAF,
             attrs: vec![
-                AttrSpec::required("value", AttrKind::Int),
-                AttrSpec::optional("label", AttrKind::Str),
+                AttrSpec::required(VALUE, AttrKind::Int),
+                AttrSpec::optional(LABEL, AttrKind::Str),
             ],
-            regions: RegionCount::Exact(0),
+            regions: 0,
             verifier: Some(|op| {
-                let v = op.attr("value").and_then(Attribute::as_int).unwrap();
+                let v = op.attr(VALUE).and_then(Attribute::as_int).unwrap();
                 if v < 0 {
                     Err("value must be non-negative".to_owned())
                 } else {
@@ -329,7 +284,7 @@ mod tests {
                 }
             }),
         });
-        d.register_op(OpDefinition::simple("wrap", 1));
+        d.register_op(OpDefinition::simple(WRAP, 1));
         d
     }
 
@@ -340,7 +295,19 @@ mod tests {
     }
 
     fn leaf(v: i64) -> Operation {
-        Operation::new("t.leaf").with_attr("value", v)
+        Operation::new(LEAF).with_attr(VALUE, v)
+    }
+
+    #[test]
+    #[should_panic(expected = "`value` is declared twice")]
+    fn a_second_declaration_of_a_name_is_refused() {
+        // The same text declared again, at its own address.
+        let also_value: &'static Ident = Box::leak(Box::new(Ident::new("value")));
+        let mut other = Dialect::new("u");
+        let spec = AttrSpec::required(also_value, AttrKind::Int);
+        static U_OP: &Ident = &Ident::new("u.op");
+        other.register_op(OpDefinition { attrs: vec![spec], ..OpDefinition::simple(U_OP, 0) });
+        ctx().register_dialect(other);
     }
 
     #[test]
@@ -390,12 +357,9 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_dialect_policy() {
-        let op = Operation::new("other.thing");
-        assert!(ctx().verify(&op).is_err());
-        let mut permissive = ctx();
-        permissive.allow_unregistered_dialects(true);
-        permissive.verify(&op).unwrap();
+    fn unregistered_dialect_fails() {
+        let err = ctx().verify(&Operation::new("other.thing")).unwrap_err();
+        assert!(err.message.contains("dialect `other` is not registered"), "{err}");
     }
 
     #[test]

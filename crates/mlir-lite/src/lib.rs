@@ -6,18 +6,20 @@
 //! no mature MLIR bindings, so this crate reproduces the MLIR abstractions
 //! the two dialects actually need, from scratch:
 //!
-//! * [`Operation`]s carrying a dialect-qualified name, an attribute
-//!   dictionary and nested single-block [`Region`]s;
+//! * [`Operation`]s carrying a dialect-qualified name, a few attributes
+//!   and nested single-block [`Region`]s; op names and attribute keys are
+//!   [`Ident`]s each dialect declares once, compared by address as MLIR
+//!   compares its context-uniqued names;
 //! * [`Attribute`]s (booleans, integers, characters, strings, symbols and
-//!   boolean arrays — the types in Tables 3 and 4 of the paper);
+//!   [`ByteSet`]s — the types in Tables 3 and 4 of the paper);
 //! * a [`DialectRegistry`](dialect::Context) with per-op definitions and
 //!   verifiers ([`Context::verify`] walks the IR recursively, like
 //!   `mlir::verify`);
 //! * a textual printer/parser pair for the generic operation form (round-
 //!   trippable, used for FileCheck-style tests and the IR-dump facilities);
-//! * [`RewritePattern`]s applied by a greedy
-//!   fixed-point driver (the moral equivalent of
-//!   `applyPatternsAndFoldGreedily`, which backs MLIR canonicalization);
+//! * [`RewritePattern`]s applied by a greedy driver that walks the tree
+//!   once and re-offers only what a pattern replaced (the moral equivalent
+//!   of `applyPatternsAndFoldGreedily`, which backs MLIR canonicalization);
 //! * a [`PassManager`] running [`Pass`]es
 //!   with optional inter-pass verification and per-pass timing (the paper
 //!   reports per-stage compile times in Figure 9).
@@ -45,6 +47,7 @@
 //! ```
 
 pub mod attribute;
+pub mod byteset;
 pub mod dialect;
 pub mod op;
 pub mod parser;
@@ -53,8 +56,9 @@ pub mod printer;
 pub mod rewrite;
 
 pub use attribute::Attribute;
-pub use dialect::{AttrKind, AttrSpec, Context, Dialect, OpDefinition, RegionCount, VerifyError};
-pub use op::{OpName, Operation, Region};
+pub use byteset::ByteSet;
+pub use dialect::{AttrKind, AttrSpec, Context, Dialect, OpDefinition, VerifyError};
+pub use op::{Ident, Name, Operation, Region};
 pub use parser::{parse, ParseError};
-pub use pass::{Pass, PassError, PassManager, PassRegistry, PassReport, PipelineReport};
+pub use pass::{Pass, PassError, PassManager, PassReport, PipelineReport};
 pub use rewrite::{apply_patterns_greedily, Rewrite, RewriteConfig, RewritePattern, RewriteStats};

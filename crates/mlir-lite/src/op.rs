@@ -1,54 +1,120 @@
 //! Operations and regions — the IR's structural core.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::attribute::Attribute;
 
-/// A dialect-qualified operation name, e.g. `regex.match_char`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct OpName {
-    full: String,
-    dot: usize,
-}
+/// A name declared once, in a `static`, by the dialect that owns it: an
+/// op name such as `regex.root` or an attribute key such as `min`.
+///
+/// Like MLIR's context-uniqued `OperationName` and `StringAttr`, the name
+/// is compared by identity, not by text: a dialect declares each name as
+/// `pub static ROOT: &Ident = &Ident::new("regex.root");` and every op
+/// built from it holds that one address. There is no interner table, so
+/// nothing grows with the input; a text such as `target_char` shared by
+/// two dialects is declared once and reused
+/// ([`Context::register_dialect`](crate::Context::register_dialect)
+/// refuses a second declaration at another address; the compiler may also
+/// merge equal declarations into one, which is then one name).
+#[derive(Debug)]
+pub struct Ident(&'static str);
 
-impl OpName {
-    /// Create from a `dialect.op` string.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `full` does not contain a `.` separating a non-empty
-    /// dialect prefix from a non-empty op name — operation names are
-    /// compile-time constants in every dialect crate, so this is a
-    /// programming error, not input validation.
-    pub fn new(full: impl Into<String>) -> OpName {
-        let full = full.into();
-        let dot = full
-            .find('.')
-            .unwrap_or_else(|| panic!("operation name `{full}` lacks a dialect prefix"));
-        assert!(dot > 0 && dot + 1 < full.len(), "malformed operation name `{full}`");
-        OpName { full, dot }
+impl Ident {
+    /// Declare a name; keep the result in a `static`.
+    pub const fn new(text: &'static str) -> Ident {
+        Ident(text)
     }
 
-    /// The full `dialect.op` name.
-    pub fn as_str(&self) -> &str {
-        &self.full
-    }
-
-    /// The dialect prefix.
-    pub fn dialect(&self) -> &str {
-        &self.full[..self.dot]
-    }
-
-    /// The op name within the dialect.
-    pub fn op(&self) -> &str {
-        &self.full[self.dot + 1..]
+    /// The name's text.
+    pub fn as_str(&self) -> &'static str {
+        self.0
     }
 }
 
-impl fmt::Display for OpName {
+impl fmt::Display for Ident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.full)
+        f.write_str(self.0)
+    }
+}
+
+/// An op name or attribute key held by an op: a dialect's [`Ident`], or
+/// the owned text of a name no dialect declared (the parser builds these,
+/// so printed IR parses back without a context).
+///
+/// Two declared names are equal exactly when they are the same `static`,
+/// a pointer compare; a name held as text equals any name with its text.
+#[derive(Clone)]
+pub struct Name(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Declared(&'static Ident),
+    Owned(Box<str>),
+}
+
+impl Name {
+    /// The full text, e.g. `regex.match_char`.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Declared(ident) => ident.0,
+            Repr::Owned(text) => text,
+        }
+    }
+
+    /// The dialect prefix of an op name (empty if it has none).
+    pub fn dialect(&self) -> &str {
+        self.as_str().split_once('.').map_or("", |(dialect, _)| dialect)
+    }
+
+    /// Whether this is the declared name `ident` (for a declared name, a
+    /// pointer compare).
+    pub fn is(&self, ident: &Ident) -> bool {
+        match &self.0 {
+            Repr::Declared(declared) => std::ptr::eq(*declared, ident),
+            Repr::Owned(text) => **text == *ident.0,
+        }
+    }
+}
+
+impl From<&'static Ident> for Name {
+    fn from(ident: &'static Ident) -> Name {
+        Name(Repr::Declared(ident))
+    }
+}
+
+impl From<&str> for Name {
+    fn from(text: &str) -> Name {
+        Name(Repr::Owned(text.into()))
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Name) -> bool {
+        match (&self.0, &other.0) {
+            (Repr::Declared(a), Repr::Declared(b)) => std::ptr::eq(*a, *b),
+            _ => self.as_str() == other.as_str(),
+        }
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -84,78 +150,75 @@ impl Region {
     }
 }
 
-impl FromIterator<Operation> for Region {
-    fn from_iter<I: IntoIterator<Item = Operation>>(iter: I) -> Region {
-        Region { ops: iter.into_iter().collect() }
-    }
-}
-
-/// An operation: a name, an attribute dictionary and nested regions.
+/// An operation: a name, its attributes and nested regions.
+///
+/// The attributes are a small vector sorted by key text, the order the
+/// printer writes them in; an op carries at most a few.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Operation {
-    name: OpName,
-    attrs: BTreeMap<String, Attribute>,
+    name: Name,
+    attrs: Vec<(Name, Attribute)>,
     regions: Vec<Region>,
 }
 
 impl Operation {
     /// Create an operation with no attributes or regions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not of the form `dialect.op` (see
-    /// [`OpName::new`]).
-    pub fn new(name: impl Into<String>) -> Operation {
-        Operation { name: OpName::new(name.into()), attrs: BTreeMap::new(), regions: Vec::new() }
+    pub fn new(name: impl Into<Name>) -> Operation {
+        Operation { name: name.into(), attrs: Vec::new(), regions: Vec::new() }
     }
 
     /// The operation name.
-    pub fn name(&self) -> &OpName {
+    pub fn name(&self) -> &Name {
         &self.name
     }
 
-    /// Whether the op has the given full name.
-    pub fn is(&self, full_name: &str) -> bool {
-        self.name.as_str() == full_name
+    /// Whether the op is named `name`: a pointer compare for an op built
+    /// from a dialect's declared name.
+    pub fn is(&self, name: &Ident) -> bool {
+        self.name.is(name)
     }
 
     /// Set (or replace) an attribute. Returns `self` for chaining during
     /// construction.
-    pub fn set_attr(&mut self, key: impl Into<String>, value: impl Into<Attribute>) -> &mut Self {
-        self.attrs.insert(key.into(), value.into());
+    pub fn set_attr(&mut self, key: impl Into<Name>, value: impl Into<Attribute>) -> &mut Self {
+        let (key, value) = (key.into(), value.into());
+        match self.attrs.iter().position(|(k, _)| k.as_str() >= key.as_str()) {
+            Some(i) if self.attrs[i].0 == key => self.attrs[i].1 = value,
+            at => {
+                // Two slots hold every op the dialects define in one allocation.
+                self.attrs.reserve_exact(if self.attrs.capacity() == 0 { 2 } else { 1 });
+                self.attrs.insert(at.unwrap_or(self.attrs.len()), (key, value));
+            }
+        }
         self
     }
 
     /// Builder-style attribute setter.
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<Attribute>) -> Self {
-        self.attrs.insert(key.into(), value.into());
+    pub fn with_attr(mut self, key: impl Into<Name>, value: impl Into<Attribute>) -> Self {
+        self.set_attr(key, value);
         self
     }
 
     /// Builder-style region appender.
     pub fn with_region(mut self, region: Region) -> Self {
-        self.regions.push(region);
+        self.push_region(region);
         self
     }
 
     /// Look up an attribute.
-    pub fn attr(&self, key: &str) -> Option<&Attribute> {
-        self.attrs.get(key)
+    pub fn attr(&self, key: &Ident) -> Option<&Attribute> {
+        self.attrs.iter().find(|(k, _)| k.is(key)).map(|(_, v)| v)
     }
 
     /// Remove an attribute, returning it if present.
-    pub fn take_attr(&mut self, key: &str) -> Option<Attribute> {
-        self.attrs.remove(key)
+    pub fn take_attr(&mut self, key: &Ident) -> Option<Attribute> {
+        let i = self.attrs.iter().position(|(k, _)| k.is(key))?;
+        Some(self.attrs.remove(i).1)
     }
 
-    /// The attribute dictionary, in sorted key order.
+    /// The attributes, in sorted key order.
     pub fn attrs(&self) -> impl Iterator<Item = (&str, &Attribute)> {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Number of attributes.
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
     }
 
     /// The nested regions.
@@ -170,6 +233,7 @@ impl Operation {
 
     /// Append a region.
     pub fn push_region(&mut self, region: Region) -> &mut Self {
+        self.regions.reserve_exact(1);
         self.regions.push(region);
         self
     }
@@ -215,16 +279,6 @@ impl Operation {
         }
     }
 
-    /// Post-order mutable walk over the subtree rooted at `self`.
-    pub fn walk_mut<F: FnMut(&mut Operation)>(&mut self, f: &mut F) {
-        for region in &mut self.regions {
-            for op in &mut region.ops {
-                op.walk_mut(f);
-            }
-        }
-        f(self);
-    }
-
     /// Render the textual IR form (see [`crate::printer`]).
     pub fn to_text(&self) -> String {
         crate::printer::print_op(self)
@@ -241,35 +295,44 @@ impl fmt::Display for Operation {
 mod tests {
     use super::*;
 
-    #[test]
-    fn op_name_parsing() {
-        let n = OpName::new("regex.match_char");
-        assert_eq!(n.dialect(), "regex");
-        assert_eq!(n.op(), "match_char");
-        assert_eq!(n.as_str(), "regex.match_char");
-    }
+    static QUANTIFIER: &Ident = &Ident::new("regex.quantifier");
+    static MIN: &Ident = &Ident::new("min");
+    static MAX: &Ident = &Ident::new("max");
 
     #[test]
-    #[should_panic(expected = "lacks a dialect prefix")]
-    fn op_name_requires_dialect() {
-        let _ = OpName::new("orphan");
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed")]
-    fn op_name_rejects_empty_parts() {
-        let _ = OpName::new("regex.");
+    fn declared_names_compare_by_identity_and_owned_ones_by_text() {
+        // A second declaration with the same text at its own address.
+        let lookalike: &'static Ident = Box::leak(Box::new(Ident::new("regex.quantifier")));
+        let declared = Name::from(QUANTIFIER);
+        assert_eq!(declared.dialect(), "regex");
+        assert!(declared.is(QUANTIFIER) && !declared.is(lookalike));
+        let owned = Name::from("regex.quantifier");
+        assert!(owned.is(QUANTIFIER) && owned.is(lookalike));
+        assert_eq!(owned, declared);
+        assert_ne!(declared, Name::from(lookalike));
+        assert_eq!(Name::from("orphan").dialect(), "");
     }
 
     #[test]
     fn builder_chain() {
-        let op = Operation::new("regex.quantifier")
-            .with_attr("min", 1i64)
-            .with_attr("max", -1i64)
+        let op = Operation::new(QUANTIFIER)
+            .with_attr(MIN, 1i64)
+            .with_attr(MAX, -1i64)
             .with_region(Region::new());
-        assert_eq!(op.attr("min").and_then(Attribute::as_int), Some(1));
-        assert_eq!(op.attr("max").and_then(Attribute::as_int), Some(-1));
+        assert!(op.is(QUANTIFIER));
+        assert_eq!(op.attr(MIN).and_then(Attribute::as_int), Some(1));
+        assert_eq!(op.attr(MAX).and_then(Attribute::as_int), Some(-1));
         assert_eq!(op.regions().len(), 1);
+    }
+
+    #[test]
+    fn attributes_stay_sorted_by_key_text_and_replace_in_place() {
+        let mut op = Operation::new("t.x").with_attr(MIN, 1i64).with_attr("b", 2i64);
+        op.set_attr(MAX, 3i64).set_attr("min", 4i64);
+        let keys: Vec<(&str, i64)> = op.attrs().map(|(k, v)| (k, v.as_int().unwrap())).collect();
+        assert_eq!(keys, vec![("b", 2), ("max", 3), ("min", 4)]);
+        assert_eq!(op.take_attr(MIN), Some(Attribute::Int(4)));
+        assert_eq!(op.attrs().count(), 2);
     }
 
     #[test]
@@ -288,15 +351,6 @@ mod tests {
         let mut names = Vec::new();
         root.walk(&mut |op| names.push(op.name().as_str().to_owned()));
         assert_eq!(names, vec!["t.root", "t.leaf"]);
-    }
-
-    #[test]
-    fn walk_mut_visits_post_order() {
-        let leaf = Operation::new("t.leaf");
-        let mut root = Operation::new("t.root").with_region(Region::with_ops(vec![leaf]));
-        let mut names = Vec::new();
-        root.walk_mut(&mut |op| names.push(op.name().as_str().to_owned()));
-        assert_eq!(names, vec!["t.leaf", "t.root"]);
     }
 
     #[test]

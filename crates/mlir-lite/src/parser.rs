@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::attribute::Attribute;
 use crate::op::{Operation, Region};
+use crate::ByteSet;
 
 /// A parse failure, with a 1-based line/column position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,22 +36,6 @@ pub fn parse(text: &str) -> Result<Operation, ParseError> {
     let op = p.parse_op()?;
     p.expect_eof()?;
     Ok(op)
-}
-
-/// Parse a sequence of top-level operations (a region body without braces).
-///
-/// # Errors
-///
-/// Same conditions as [`parse`].
-pub fn parse_ops(text: &str) -> Result<Vec<Operation>, ParseError> {
-    let mut p = Parser::new(text);
-    let mut ops = Vec::new();
-    p.skip_ws();
-    while !p.at_eof() {
-        ops.push(p.parse_op()?);
-        p.skip_ws();
-    }
-    Ok(ops)
 }
 
 struct Parser<'a> {
@@ -152,7 +137,7 @@ impl<'a> Parser<'a> {
         if !name.contains('.') {
             return Err(self.error(format!("op name `{name}` lacks a dialect prefix")));
         }
-        let mut op = Operation::new(name);
+        let mut op = Operation::new(name.as_str());
         self.skip_ws();
         if self.peek() == Some(b'{') {
             self.parse_attr_dict(&mut op)?;
@@ -180,7 +165,7 @@ impl<'a> Parser<'a> {
             let key = self.ident()?;
             self.expect(b'=')?;
             let value = self.parse_attr_value()?;
-            op.set_attr(key, value);
+            op.set_attr(key.as_str(), value);
             if !self.eat(b',') {
                 break;
             }
@@ -209,10 +194,10 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'@') => {
                 self.pos += 1;
-                Ok(Attribute::Symbol(self.ident()?))
+                Ok(Attribute::Symbol(self.ident()?.into()))
             }
             Some(b'\'') => self.parse_char(),
-            Some(b'"') => Ok(Attribute::Str(self.parse_string()?)),
+            Some(b'"') => Ok(Attribute::Str(self.parse_string()?.into())),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_int(),
             Some(b't') | Some(b'f') | Some(b'b') => {
                 // `true`, `false`, or `bits"..."`.
@@ -222,18 +207,14 @@ impl<'a> Parser<'a> {
                     "false" => Ok(Attribute::Bool(false)),
                     "bits" => {
                         let s = self.parse_string()?;
-                        let mut v = Vec::with_capacity(s.len());
-                        for ch in s.chars() {
-                            match ch {
-                                '0' => v.push(false),
-                                '1' => v.push(true),
-                                other => {
-                                    return Err(self
-                                        .error(format!("invalid bit `{other}` in bits literal")))
-                                }
-                            }
+                        if s.len() != 256 || s.bytes().any(|b| b != b'0' && b != b'1') {
+                            return Err(self.error("a bits literal is 256 digits `0` or `1`"));
                         }
-                        Ok(Attribute::BoolArray(v))
+                        let mut set = ByteSet::EMPTY;
+                        (0..=255)
+                            .filter(|&b| s.as_bytes()[usize::from(b)] == b'1')
+                            .for_each(|b| set.insert(b));
+                        Ok(Attribute::ByteSet(set))
                     }
                     other => Err(self.error(format!("unknown attribute value `{other}`"))),
                 }
@@ -301,36 +282,53 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::Region;
+    use crate::op::{Ident, Region};
+
+    static MIN: &Ident = &Ident::new("min");
+    static MAX: &Ident = &Ident::new("max");
 
     #[test]
     fn parse_bare_op() {
         let op = parse("regex.match_any_char").unwrap();
-        assert!(op.is("regex.match_any_char"));
-        assert_eq!(op.attr_count(), 0);
+        assert!(op.is(&Ident::new("regex.match_any_char")));
+        assert_eq!(op.attrs().count(), 0);
         assert!(op.regions().is_empty());
     }
 
     #[test]
     fn parse_attrs() {
         let op = parse("regex.quantifier {min = 3, max = -1}").unwrap();
-        assert_eq!(op.attr("min"), Some(&Attribute::Int(3)));
-        assert_eq!(op.attr("max"), Some(&Attribute::Int(-1)));
+        assert_eq!(op.attr(MIN), Some(&Attribute::Int(3)));
+        assert_eq!(op.attr(MAX), Some(&Attribute::Int(-1)));
     }
 
     #[test]
     fn parse_all_value_kinds() {
-        let op = parse(
-            "t.x {a = true, b = false, c = 12, d = 'q', e = \"hi\\\"there\", f = @sym, g = bits\"0110\"}",
-        )
+        let bits = format!("0110{}", "0".repeat(252));
+        let op = parse(&format!(
+            "t.x {{a = true, b = false, c = 12, d = 'q', e = \"hi\\\"there\", f = @sym, g = bits\"{bits}\"}}"
+        ))
         .unwrap();
-        assert_eq!(op.attr("a"), Some(&Attribute::Bool(true)));
-        assert_eq!(op.attr("b"), Some(&Attribute::Bool(false)));
-        assert_eq!(op.attr("c"), Some(&Attribute::Int(12)));
-        assert_eq!(op.attr("d"), Some(&Attribute::Char(b'q')));
-        assert_eq!(op.attr("e"), Some(&Attribute::Str("hi\"there".into())));
-        assert_eq!(op.attr("f"), Some(&Attribute::Symbol("sym".into())));
-        assert_eq!(op.attr("g"), Some(&Attribute::BoolArray(vec![false, true, true, false])));
+        let values: Vec<String> = op.attrs().map(|(k, v)| format!("{k}={v:?}")).collect();
+        let set = ByteSet::single(1).union(ByteSet::single(2));
+        assert_eq!(
+            values,
+            [
+                "a=Bool(true)".to_owned(),
+                "b=Bool(false)".to_owned(),
+                "c=Int(12)".to_owned(),
+                "d=Char(113)".to_owned(),
+                format!("e={:?}", Attribute::Str("hi\"there".into())),
+                format!("f={:?}", Attribute::Symbol("sym".into())),
+                format!("g={:?}", Attribute::ByteSet(set)),
+            ]
+        );
+    }
+
+    #[test]
+    fn bits_literals_must_have_256_digits() {
+        let err = parse("t.x {g = bits\"0110\"}").unwrap_err();
+        assert!(err.message.contains("256 digits"), "{err}");
     }
 
     #[test]
@@ -390,15 +388,8 @@ mod tests {
     }
 
     #[test]
-    fn parse_ops_sequence() {
-        let ops = parse_ops("t.a\nt.b {x = 1}\nt.c").unwrap();
-        assert_eq!(ops.len(), 3);
-        assert!(ops[1].is("t.b"));
-    }
-
-    #[test]
     fn hex_char_escape() {
         let op = parse("t.x {c = '\\x0a'}").unwrap();
-        assert_eq!(op.attr("c"), Some(&Attribute::Char(0x0a)));
+        assert_eq!(op.attr(&Ident::new("c")), Some(&Attribute::Char(0x0a)));
     }
 }

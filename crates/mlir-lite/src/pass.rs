@@ -6,8 +6,10 @@ use std::time::{Duration, Instant};
 use crate::dialect::Context;
 use crate::op::Operation;
 
-/// A compiler pass transforming an operation tree in place.
-pub trait Pass {
+/// A compiler pass transforming an operation tree in place. Passes are
+/// shared: a compiler builds its pipelines once and runs them from any
+/// thread.
+pub trait Pass: Send + Sync {
     /// Stable diagnostic name, e.g. `regex-factorize-alternations`.
     fn name(&self) -> &'static str;
 
@@ -61,13 +63,6 @@ pub struct PassReport {
     pub ops_after: usize,
 }
 
-impl PassReport {
-    /// Signed op-count delta (`ops_after - ops_before`).
-    pub fn ops_delta(&self) -> i64 {
-        self.ops_after as i64 - self.ops_before as i64
-    }
-}
-
 /// Report for a whole pipeline run.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineReport {
@@ -116,86 +111,10 @@ impl fmt::Display for PipelineReport {
                 share,
                 p.ops_before,
                 p.ops_after,
-                p.ops_delta()
+                p.ops_after as i64 - p.ops_before as i64
             )?;
         }
         write!(f, "{:<name_width$}  {:>12.1}  {:>6.1}", "total", total_us, 100.0)
-    }
-}
-
-/// A name-keyed catalogue of pass factories, for building pipelines from
-/// configuration rather than code.
-///
-/// Mirrors MLIR's pass registration: dialects register each pass under
-/// its stable diagnostic name once, and drivers (or an autotuner
-/// exploring pass orderings) assemble a [`PassManager`] from a list of
-/// names. Unknown names fail loudly instead of silently shortening the
-/// pipeline, so a stale `tune.toml` cannot masquerade as a valid
-/// configuration.
-#[derive(Default)]
-pub struct PassRegistry {
-    factories: Vec<(&'static str, PassFactory)>,
-}
-
-/// A factory producing a fresh instance of one registered pass.
-type PassFactory = Box<dyn Fn() -> Box<dyn Pass>>;
-
-impl fmt::Debug for PassRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PassRegistry").field("passes", &self.names()).finish()
-    }
-}
-
-impl PassRegistry {
-    /// An empty registry.
-    pub fn new() -> PassRegistry {
-        PassRegistry { factories: Vec::new() }
-    }
-
-    /// Register `factory` under `name`. Re-registering a name replaces
-    /// the earlier factory (latest wins), matching how drivers layer
-    /// overrides.
-    pub fn register(
-        &mut self,
-        name: &'static str,
-        factory: impl Fn() -> Box<dyn Pass> + 'static,
-    ) -> &mut Self {
-        self.factories.retain(|(n, _)| *n != name);
-        self.factories.push((name, Box::new(factory)));
-        self
-    }
-
-    /// Registered pass names, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.factories.iter().map(|(n, _)| *n).collect()
-    }
-
-    /// Instantiate one registered pass by name.
-    pub fn create(&self, name: &str) -> Option<Box<dyn Pass>> {
-        self.factories.iter().find(|(n, _)| *n == name).map(|(_, f)| f())
-    }
-
-    /// Append the named passes to `pm`, in the given order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PassError`] naming the first unknown pass; nothing is
-    /// added to `pm` in that case (the pipeline is validated before
-    /// construction, so a half-built manager can never run).
-    pub fn build(&self, pm: &mut PassManager, pipeline: &[&str]) -> Result<(), PassError> {
-        if let Some(unknown) = pipeline.iter().find(|name| self.create(name).is_none()) {
-            return Err(PassError {
-                pass: (*unknown).to_owned(),
-                message: format!(
-                    "unknown pass `{unknown}` (registered: {})",
-                    self.names().join(", ")
-                ),
-            });
-        }
-        for name in pipeline {
-            pm.add_pass(self.create(name).expect("validated above"));
-        }
-        Ok(())
     }
 }
 
@@ -296,7 +215,7 @@ impl PassManager {
 mod tests {
     use super::*;
     use crate::dialect::{Dialect, OpDefinition};
-    use crate::op::Region;
+    use crate::op::{Ident, Region};
 
     struct AppendLeaf;
     impl Pass for AppendLeaf {
@@ -332,8 +251,10 @@ mod tests {
 
     fn ctx() -> Context {
         let mut d = Dialect::new("t");
-        d.register_op(OpDefinition::simple("module", 1));
-        d.register_op(OpDefinition::simple("leaf", 0));
+        static MODULE: &Ident = &Ident::new("t.module");
+        static LEAF: &Ident = &Ident::new("t.leaf");
+        d.register_op(OpDefinition::simple(MODULE, 1));
+        d.register_op(OpDefinition::simple(LEAF, 0));
         let mut c = Context::new();
         c.register_dialect(d);
         c
@@ -407,38 +328,5 @@ mod tests {
             assert!(row.contains("append-leaf"), "{text}");
         }
         assert!(lines[1].contains("+1"), "delta column missing: {text}");
-    }
-
-    #[test]
-    fn registry_builds_pipelines_in_the_requested_order() {
-        let mut registry = PassRegistry::new();
-        registry.register("append-leaf", || Box::new(AppendLeaf));
-        registry.register("fail", || Box::new(Fail));
-        let mut pm = PassManager::new();
-        registry.build(&mut pm, &["append-leaf", "append-leaf"]).unwrap();
-        assert_eq!(pm.len(), 2);
-        let mut m = module();
-        pm.run(&mut m, &ctx()).unwrap();
-        assert_eq!(m.only_region().len(), 2);
-    }
-
-    #[test]
-    fn registry_rejects_unknown_passes_without_building_anything() {
-        let mut registry = PassRegistry::new();
-        registry.register("append-leaf", || Box::new(AppendLeaf));
-        let mut pm = PassManager::new();
-        let err = registry.build(&mut pm, &["append-leaf", "no-such-pass"]).unwrap_err();
-        assert_eq!(err.pass, "no-such-pass");
-        assert!(err.message.contains("registered: append-leaf"), "{err}");
-        assert!(pm.is_empty(), "a failed build must not half-populate the manager");
-    }
-
-    #[test]
-    fn registry_reregistration_replaces_the_factory() {
-        let mut registry = PassRegistry::new();
-        registry.register("p", || Box::new(Fail));
-        registry.register("p", || Box::new(AppendLeaf));
-        assert_eq!(registry.names(), vec!["p"]);
-        assert_eq!(registry.create("p").unwrap().name(), "append-leaf");
     }
 }

@@ -31,8 +31,8 @@ pub fn print_op(op: &Operation) -> String {
 fn print_rec(op: &Operation, depth: usize, out: &mut String) {
     let pad = " ".repeat(depth * INDENT);
     let _ = write!(out, "{pad}{}", op.name());
-    if op.attr_count() > 0 {
-        let attrs: Vec<String> = op.attrs().map(|(k, v)| format!("{k} = {v}")).collect();
+    let attrs: Vec<String> = op.attrs().map(|(k, v)| format!("{k} = {v}")).collect();
+    if !attrs.is_empty() {
         let _ = write!(out, " {{{}}}", attrs.join(", "));
     }
     if !op.regions().is_empty() {

@@ -1,15 +1,22 @@
 //! Rewrite patterns and the greedy fixed-point driver.
 //!
 //! This is the `mlir-lite` analogue of MLIR's
-//! `applyPatternsAndFoldGreedily`: patterns are offered every operation in
-//! the tree, innermost first, and the walk repeats until no pattern applies
-//! (or the iteration cap is hit). Canonicalization in the `regex` dialect
-//! (§3.2 of the paper) is implemented as a set of patterns run by this
-//! driver.
+//! `applyPatternsAndFoldGreedily`, which backs the `regex` dialect's
+//! canonicalization (§3.2 of the paper). The driver walks the tree once,
+//! innermost first: each op is offered to the patterns after its regions
+//! have settled, so a pattern sees its op's children already rewritten.
+//! A pattern sees only the op it is offered and that op's subtree, so an
+//! op that no pattern rewrote stays at the fixed point until something
+//! below it changes. A pattern builds its replacement from the offered
+//! op's settled descendants and new leaves, so, as in MLIR, only the
+//! replacement ops themselves are offered again, not the ops inside
+//! them, and the walk reaches their parents after them. One walk
+//! therefore ends at the fixed point that repeated whole-tree sweeps
+//! would reach.
 
 use std::collections::BTreeMap;
 
-use crate::op::{Operation, Region};
+use crate::op::{Ident, Operation, Region};
 
 /// The outcome of offering an operation to a pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,7 +33,9 @@ pub enum Rewrite {
 /// ([`Rewrite::Unchanged`]) or produce replacement ops spliced into the
 /// parent region in its place ([`Rewrite::Replace`]). Patterns must be
 /// *terminating*: a pattern whose output it would itself rewrite again
-/// forever trips the driver's iteration cap.
+/// forever exhausts the driver's budget. The replacement's regions are
+/// not offered again, so they may hold only ops taken from the offered
+/// op's regions, which have settled, or ops that no pattern rewrites.
 pub trait RewritePattern {
     /// Stable diagnostic name, reported in [`RewriteStats`].
     fn name(&self) -> &'static str;
@@ -38,112 +47,124 @@ pub trait RewritePattern {
 /// Driver configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RewriteConfig {
-    /// Maximum number of whole-tree sweeps before giving up.
-    pub max_iterations: usize,
+    /// The driver's work bound: it applies patterns at most this many
+    /// times as often as the tree holds ops when it starts.
+    pub max_rewrites_per_op: usize,
 }
 
 impl Default for RewriteConfig {
     fn default() -> RewriteConfig {
-        RewriteConfig { max_iterations: 64 }
+        RewriteConfig { max_rewrites_per_op: 64 }
     }
 }
 
 /// Statistics from one driver run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RewriteStats {
-    /// Number of whole-tree sweeps performed.
-    pub iterations: usize,
+    /// Number of ops offered to the patterns.
+    pub offers: usize,
     /// Applications per pattern name.
     pub applications: BTreeMap<&'static str, usize>,
-    /// True if the run stopped because of the iteration cap rather than
-    /// reaching a fixed point.
-    pub hit_iteration_cap: bool,
-}
-
-impl RewriteStats {
-    /// Total number of pattern applications across all patterns.
-    pub fn total_applications(&self) -> usize {
-        self.applications.values().sum()
-    }
+    /// True if the run stopped because it used up its rewrite budget
+    /// rather than reaching a fixed point.
+    pub hit_rewrite_cap: bool,
 }
 
 /// Apply `patterns` to the regions **inside** `root` (and, recursively, the
 /// whole subtree below them) until a fixed point.
 ///
 /// The root operation itself is never replaced — like MLIR, the driver
-/// anchors at a module-like op. Patterns see operations innermost-first
-/// within each sweep, so a parent pattern observes its children already
-/// canonicalized.
+/// anchors at a module-like op. Patterns are tried in order and the first
+/// that applies wins.
 pub fn apply_patterns_greedily(
     root: &mut Operation,
     patterns: &[&dyn RewritePattern],
     config: RewriteConfig,
 ) -> RewriteStats {
-    let mut stats = RewriteStats::default();
-    loop {
-        let mut changed = false;
-        for region in root.regions_mut() {
-            changed |= sweep_region(region, patterns, &mut stats);
-        }
-        stats.iterations += 1;
-        if !changed {
-            break;
-        }
-        if stats.iterations >= config.max_iterations {
-            stats.hit_iteration_cap = true;
-            break;
-        }
+    let budget = config.max_rewrites_per_op.saturating_mul(root.subtree_size() - 1);
+    let mut driver = Driver { patterns, budget, stats: RewriteStats::default() };
+    for region in root.regions_mut() {
+        driver.rewrite_region(region);
     }
-    stats
+    driver.stats
 }
 
-/// One innermost-first sweep over a region. Returns whether anything changed.
-fn sweep_region(
-    region: &mut Region,
-    patterns: &[&dyn RewritePattern],
-    stats: &mut RewriteStats,
-) -> bool {
-    let mut changed = false;
-    let mut index = 0;
-    while index < region.ops.len() {
-        // Children first.
-        for child_region in region.ops[index].regions_mut() {
-            changed |= sweep_region(child_region, patterns, stats);
-        }
-        // Then offer this op to each pattern in order.
-        let mut replaced = false;
-        for pattern in patterns {
-            let op = region.ops.remove(index);
-            match pattern.apply(op) {
-                Rewrite::Unchanged(op) => {
-                    region.ops.insert(index, op);
+/// The name of the op that holds a region slot while its op is offered.
+static VACANT: &Ident = &Ident::new("rewrite.vacant");
+
+struct Driver<'p> {
+    patterns: &'p [&'p dyn RewritePattern],
+    /// Pattern applications left before the run gives up.
+    budget: usize,
+    stats: RewriteStats,
+}
+
+impl Driver<'_> {
+    /// Settle every op of `region` in order: its regions first, then the
+    /// op itself; a replacement takes the op's place and is offered next,
+    /// without its regions, which settled before the op was offered.
+    fn rewrite_region(&mut self, region: &mut Region) {
+        let mut index = 0;
+        // Ops from `index` on that are replacements, whose regions settled.
+        let mut replacements = 0;
+        while index < region.ops.len() {
+            if replacements == 0 {
+                for child in region.ops[index].regions_mut() {
+                    self.rewrite_region(child);
                 }
-                Rewrite::Replace(new_ops) => {
-                    *stats.applications.entry(pattern.name()).or_insert(0) += 1;
-                    let n = new_ops.len();
-                    region.ops.splice(index..index, new_ops);
-                    changed = true;
-                    replaced = true;
-                    // Skip over the replacements: re-offering them in this
-                    // same sweep would let a self-replacing pattern loop
-                    // forever inside one sweep. The outer fixed-point loop
-                    // canonicalizes them on the next sweep instead.
-                    index += n;
-                    break;
+            } else {
+                replacements -= 1;
+            }
+            if self.stats.hit_rewrite_cap {
+                return;
+            }
+            self.stats.offers += 1;
+            let op = std::mem::replace(&mut region.ops[index], Operation::new(VACANT));
+            match self.offer(op) {
+                Rewrite::Unchanged(op) => {
+                    region.ops[index] = op;
+                    index += 1;
+                }
+                Rewrite::Replace(ops) => {
+                    replacements += ops.len();
+                    drop(region.ops.splice(index..=index, ops));
+                    if self.budget == 0 {
+                        self.stats.hit_rewrite_cap = true;
+                        return;
+                    }
+                    self.budget -= 1;
                 }
             }
         }
-        if !replaced {
-            index += 1;
-        }
     }
-    changed
+
+    /// Offer `op` to the patterns in order; the first that applies wins.
+    fn offer(&mut self, mut op: Operation) -> Rewrite {
+        for pattern in self.patterns {
+            match pattern.apply(op) {
+                Rewrite::Unchanged(back) => op = back,
+                Rewrite::Replace(ops) => {
+                    *self.stats.applications.entry(pattern.name()).or_insert(0) += 1;
+                    return Rewrite::Replace(ops);
+                }
+            }
+        }
+        Rewrite::Unchanged(op)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attribute::Attribute;
+
+    static PAIR: &Ident = &Ident::new("t.pair");
+    static ONE: &Ident = &Ident::new("t.one");
+    static NOP: &Ident = &Ident::new("t.nop");
+    static COUNT: &Ident = &Ident::new("t.count");
+    static LOOP: &Ident = &Ident::new("t.loop");
+    static WRAP: &Ident = &Ident::new("t.wrap");
+    static N: &Ident = &Ident::new("n");
 
     /// Rewrites `t.pair` into two `t.one` ops.
     struct SplitPair;
@@ -152,8 +173,8 @@ mod tests {
             "split-pair"
         }
         fn apply(&self, op: Operation) -> Rewrite {
-            if op.is("t.pair") {
-                Rewrite::Replace(vec![Operation::new("t.one"), Operation::new("t.one")])
+            if op.is(PAIR) {
+                Rewrite::Replace(vec![Operation::new(ONE), Operation::new(ONE)])
             } else {
                 Rewrite::Unchanged(op)
             }
@@ -167,7 +188,7 @@ mod tests {
             "erase-nop"
         }
         fn apply(&self, op: Operation) -> Rewrite {
-            if op.is("t.nop") {
+            if op.is(NOP) {
                 Rewrite::Replace(vec![])
             } else {
                 Rewrite::Unchanged(op)
@@ -183,14 +204,14 @@ mod tests {
             "count-down"
         }
         fn apply(&self, op: Operation) -> Rewrite {
-            if !op.is("t.count") {
+            if !op.is(COUNT) {
                 return Rewrite::Unchanged(op);
             }
-            let n = op.attr("n").and_then(Attribute::as_int).unwrap_or(0);
+            let n = op.attr(N).and_then(Attribute::as_int).unwrap_or(0);
             if n <= 0 {
                 Rewrite::Unchanged(op)
             } else {
-                Rewrite::Replace(vec![Operation::new("t.count").with_attr("n", n - 1)])
+                Rewrite::Replace(vec![Operation::new(COUNT).with_attr(N, n - 1)])
             }
         }
     }
@@ -202,8 +223,8 @@ mod tests {
             "diverge"
         }
         fn apply(&self, op: Operation) -> Rewrite {
-            if op.is("t.loop") {
-                Rewrite::Replace(vec![Operation::new("t.loop")])
+            if op.is(LOOP) {
+                Rewrite::Replace(vec![Operation::new(LOOP)])
             } else {
                 Rewrite::Unchanged(op)
             }
@@ -227,7 +248,7 @@ mod tests {
         assert_eq!(names, vec!["t.one", "t.one", "t.keep"]);
         assert_eq!(stats.applications["split-pair"], 1);
         assert_eq!(stats.applications["erase-nop"], 1);
-        assert!(!stats.hit_iteration_cap);
+        assert!(!stats.hit_rewrite_cap);
     }
 
     #[test]
@@ -241,20 +262,21 @@ mod tests {
 
     #[test]
     fn convergent_self_rewrite_reaches_fixpoint() {
-        let mut m = module(vec![Operation::new("t.count").with_attr("n", 5i64)]);
+        let mut m = module(vec![Operation::new(COUNT).with_attr(N, 5i64)]);
         let stats = apply_patterns_greedily(&mut m, &[&CountDown], RewriteConfig::default());
         assert_eq!(stats.applications["count-down"], 5);
-        assert!(!stats.hit_iteration_cap);
-        assert_eq!(m.regions()[0].ops[0].attr("n"), Some(&Attribute::Int(0)));
+        assert!(!stats.hit_rewrite_cap);
+        assert_eq!(m.regions()[0].ops[0].attr(N), Some(&Attribute::Int(0)));
     }
 
     #[test]
     fn divergent_pattern_hits_cap() {
         let mut m = module(vec![Operation::new("t.loop")]);
-        let stats =
-            apply_patterns_greedily(&mut m, &[&Diverge], RewriteConfig { max_iterations: 8 });
-        assert!(stats.hit_iteration_cap);
-        assert_eq!(stats.iterations, 8);
+        let config = RewriteConfig { max_rewrites_per_op: 8 };
+        let stats = apply_patterns_greedily(&mut m, &[&Diverge], config);
+        assert!(stats.hit_rewrite_cap);
+        // Eight rewrites inside the budget; the ninth stops the run.
+        assert_eq!(stats.applications["diverge"], 9);
     }
 
     #[test]
@@ -263,7 +285,58 @@ mod tests {
         let before = m.clone();
         let stats = apply_patterns_greedily(&mut m, &[], RewriteConfig::default());
         assert_eq!(m, before);
-        assert_eq!(stats.total_applications(), 0);
-        assert_eq!(stats.iterations, 1);
+        assert_eq!(stats.applications.values().sum::<usize>(), 0);
+        assert_eq!(stats.offers, 1);
+    }
+
+    /// Unwraps a `t.wrap` into the ops it holds.
+    struct Unwrap;
+    impl RewritePattern for Unwrap {
+        fn name(&self) -> &'static str {
+            "unwrap"
+        }
+        fn apply(&self, mut op: Operation) -> Rewrite {
+            if op.is(WRAP) {
+                Rewrite::Replace(std::mem::take(&mut op.only_region_mut().ops))
+            } else {
+                Rewrite::Unchanged(op)
+            }
+        }
+    }
+
+    #[test]
+    fn one_walk_settles_replacements_and_their_parents() {
+        // wrap(wrap(keep)): the inner wrap unwraps to `keep`, which is
+        // offered again; the outer wrap, offered after its region settled,
+        // then unwraps too.
+        let keep = || Operation::new("t.keep");
+        let inner = Operation::new(WRAP).with_region(Region::with_ops(vec![keep()]));
+        let outer = Operation::new(WRAP).with_region(Region::with_ops(vec![inner]));
+        let mut m = module(vec![outer]);
+        let stats =
+            apply_patterns_greedily(&mut m, &[&Unwrap, &SplitPair], RewriteConfig::default());
+        assert_eq!(m, module(vec![keep()]));
+        // keep, the inner wrap, keep, the outer wrap, keep.
+        assert_eq!(stats.offers, 5);
+        assert_eq!(stats.applications["unwrap"], 2);
+    }
+
+    #[test]
+    fn replacements_are_offered_again_without_their_regions() {
+        // Fifty wraps around fifty ops: each unwrap re-offers the fifty
+        // settled ops it splices in, not what they hold, and the budget
+        // counts the fifty rewrites, not the offers.
+        let leaf = || module(vec![Operation::new("t.keep")]);
+        let mut body = (0..50).map(|_| leaf()).collect();
+        for _ in 0..50 {
+            body = vec![Operation::new(WRAP).with_region(Region::with_ops(body))];
+        }
+        let mut m = module(body);
+        let config = RewriteConfig { max_rewrites_per_op: 1 };
+        let stats = apply_patterns_greedily(&mut m, &[&Unwrap], config);
+        assert!(!stats.hit_rewrite_cap);
+        assert_eq!(m, module((0..50).map(|_| leaf()).collect()));
+        assert_eq!(stats.applications["unwrap"], 50);
+        assert_eq!(stats.offers, 100 + 50 * 51);
     }
 }

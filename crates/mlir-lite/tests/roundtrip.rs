@@ -1,7 +1,7 @@
 //! Seeded random round-trip tests: the printer and parser are exact
 //! inverses over the whole attribute and region space.
 
-use mlir_lite::{Attribute, Operation, Region};
+use mlir_lite::{Attribute, ByteSet, Operation, Region};
 use rand::rngs::StdRng;
 use rand::{RngCore, RngExt, SeedableRng};
 
@@ -32,12 +32,16 @@ fn attr(rng: &mut StdRng) -> Attribute {
                     2 => '\n',
                     _ => char::from(rng.random_range(b' '..=b'~')),
                 })
-                .collect(),
+                .collect::<String>()
+                .into(),
         ),
-        4 => Attribute::Symbol(ident(rng, 8)),
-        _ => Attribute::BoolArray(
-            (0..rng.random_range(0..64)).map(|_| rng.random_bool(0.5)).collect(),
-        ),
+        4 => Attribute::Symbol(ident(rng, 8).into()),
+        _ => Attribute::ByteSet(ByteSet([
+            rng.next_u64(),
+            rng.next_u64(),
+            rng.next_u64(),
+            rng.next_u64(),
+        ])),
     }
 }
 
@@ -45,10 +49,10 @@ fn attr(rng: &mut StdRng) -> Attribute {
 /// attributes (four on a leaf) and, above the leaves, up to two regions
 /// of up to two ops each, every child at a random smaller depth.
 fn op(rng: &mut StdRng, depth: u32) -> Operation {
-    let mut op = Operation::new(format!("t.{}", ident(rng, 6)));
+    let mut op = Operation::new(format!("t.{}", ident(rng, 6)).as_str());
     let max_attrs = if depth == 0 { 3 } else { 2 };
     for _ in 0..rng.random_range(0..=max_attrs) {
-        op.set_attr(ident(rng, 6), attr(rng));
+        op.set_attr(ident(rng, 6).as_str(), attr(rng));
     }
     if depth > 0 {
         for _ in 0..rng.random_range(0..3) {

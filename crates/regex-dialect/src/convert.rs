@@ -1,6 +1,6 @@
 //! AST → `regex` dialect conversion (the compiler's second stage, §3).
 
-use mlir_lite::Operation;
+use mlir_lite::{ByteSet, Operation};
 use regex_frontend::{Alternation, Atom, Concatenation, Piece, RegexAst};
 
 use crate::ops;
@@ -37,7 +37,7 @@ fn convert_atom(atom: &Atom) -> Operation {
         Atom::Any => ops::match_any_char(),
         Atom::Class { negated, set } => {
             let set = if *negated { set.complement() } else { set.clone() };
-            ops::group(set.to_bool_array())
+            ops::group(ByteSet(set.words()))
         }
         Atom::Group(alt) => ops::sub_regex(convert_alternatives(alt)),
     }
@@ -89,28 +89,19 @@ fn op_to_piece(piece: &Operation) -> Piece {
     use mlir_lite::Attribute;
     use regex_frontend::{ClassSet, Quantifier};
     let (atom_op, quant_op) = piece_parts(piece);
-    let atom = match atom_op.name().as_str() {
-        names::MATCH_CHAR => Atom::Char(
-            atom_op.attr(attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified"),
-        ),
-        names::MATCH_ANY_CHAR => Atom::Any,
-        names::GROUP => {
-            let bits = atom_op
-                .attr(attrs::TARGET_CHARS)
-                .and_then(Attribute::as_bool_array)
-                .expect("verified");
-            Atom::Class { negated: false, set: ClassSet::from_bool_array(bits) }
-        }
-        names::SUB_REGEX => {
-            Atom::Group(Box::new(region_to_alternation(&atom_op.only_region().ops)))
-        }
-        names::DOLLAR => {
-            // `$` as an atom has no AST equivalent mid-pattern; model it as
-            // an empty class complemented — but since the parser folds `$`
-            // into `has_suffix`, conversion from parsed IR never hits this.
-            panic!("regex.dollar cannot be converted to an AST atom")
-        }
-        other => panic!("unexpected atom {other}"),
+    let atom = if atom_op.is(names::MATCH_CHAR) {
+        Atom::Char(atom_op.attr(attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified"))
+    } else if atom_op.is(names::MATCH_ANY_CHAR) {
+        Atom::Any
+    } else if atom_op.is(names::GROUP) {
+        let set = atom_op.attr(attrs::TARGET_CHARS).and_then(Attribute::as_byte_set);
+        Atom::Class { negated: false, set: ClassSet::from_words(set.expect("verified").0) }
+    } else if atom_op.is(names::SUB_REGEX) {
+        Atom::Group(Box::new(region_to_alternation(&atom_op.only_region().ops)))
+    } else {
+        // The parser folds `$` into `has_suffix`, so only hand-built IR
+        // reaches here with `regex.dollar`, which has no AST atom.
+        panic!("unexpected atom {}", atom_op.name())
     };
     let quantifier = quant_op.map(|q| {
         let (min, max) = quantifier_bounds(q);
@@ -170,11 +161,11 @@ mod tests {
         let root = ir("[^ab]");
         let alts = &root.only_region().ops;
         let (atom, _) = crate::ops::piece_parts(&alts[0].only_region().ops[0]);
-        let bits = atom.attr(attrs::TARGET_CHARS).and_then(Attribute::as_bool_array).unwrap();
-        assert!(!bits[b'a' as usize]);
-        assert!(!bits[b'b' as usize]);
-        assert!(bits[b'c' as usize]);
-        assert_eq!(bits.iter().filter(|b| **b).count(), 254);
+        let set = atom.attr(attrs::TARGET_CHARS).and_then(Attribute::as_byte_set).unwrap();
+        assert!(!set.contains(b'a'));
+        assert!(!set.contains(b'b'));
+        assert!(set.contains(b'c'));
+        assert_eq!(set.len(), 254);
     }
 
     #[test]

@@ -1,107 +1,108 @@
 //! Operation definitions and verifiers for the `regex` dialect.
 
-use mlir_lite::{AttrKind, AttrSpec, Attribute, Dialect, OpDefinition, Operation, RegionCount};
+use mlir_lite::{AttrKind, AttrSpec, Attribute, ByteSet, Dialect, OpDefinition, Operation};
 
 /// Fully-qualified operation names.
 pub mod names {
+    use mlir_lite::Ident;
+
     /// Top-level operation: the whole RE pattern.
-    pub const ROOT: &str = "regex.root";
+    pub static ROOT: &Ident = &Ident::new("regex.root");
     /// One alternative of an alternation (siblings are `|`-separated).
-    pub const CONCATENATION: &str = "regex.concatenation";
+    pub static CONCATENATION: &Ident = &Ident::new("regex.concatenation");
     /// Atom + optional quantifier wrapper.
-    pub const PIECE: &str = "regex.piece";
+    pub static PIECE: &Ident = &Ident::new("regex.piece");
     /// Repetition bounds for the piece's atom.
-    pub const QUANTIFIER: &str = "regex.quantifier";
+    pub static QUANTIFIER: &Ident = &Ident::new("regex.quantifier");
     /// Match one specific character.
-    pub const MATCH_CHAR: &str = "regex.match_char";
+    pub static MATCH_CHAR: &Ident = &Ident::new("regex.match_char");
     /// Match any character.
-    pub const MATCH_ANY_CHAR: &str = "regex.match_any_char";
-    /// Match any character in a 256-entry bitmap.
-    pub const GROUP: &str = "regex.group";
+    pub static MATCH_ANY_CHAR: &Ident = &Ident::new("regex.match_any_char");
+    /// Match any character of a byte set.
+    pub static GROUP: &Ident = &Ident::new("regex.group");
     /// A parenthesized sub-expression.
-    pub const SUB_REGEX: &str = "regex.sub_regex";
+    pub static SUB_REGEX: &Ident = &Ident::new("regex.sub_regex");
     /// Match the end of the input.
-    pub const DOLLAR: &str = "regex.dollar";
+    pub static DOLLAR: &Ident = &Ident::new("regex.dollar");
 }
 
 /// Attribute keys used by the dialect.
 pub mod attrs {
+    use mlir_lite::Ident;
+
     /// `regex.root`: implicit `.*` before the pattern.
-    pub const HAS_PREFIX: &str = "has_prefix";
+    pub static HAS_PREFIX: &Ident = &Ident::new("has_prefix");
     /// `regex.root`: implicit `.*` after the pattern.
-    pub const HAS_SUFFIX: &str = "has_suffix";
+    pub static HAS_SUFFIX: &Ident = &Ident::new("has_suffix");
     /// `regex.quantifier`: minimum repetitions (≥ 0).
-    pub const MIN: &str = "min";
+    pub static MIN: &Ident = &Ident::new("min");
     /// `regex.quantifier`: maximum repetitions, or −1 for unbounded.
-    pub const MAX: &str = "max";
+    pub static MAX: &Ident = &Ident::new("max");
     /// `regex.match_char`: the character to match.
-    pub const TARGET_CHAR: &str = "target_char";
-    /// `regex.group`: the 256-entry acceptance bitmap.
-    pub const TARGET_CHARS: &str = "target_chars";
+    pub static TARGET_CHAR: &Ident = &Ident::new("target_char");
+    /// `regex.group`: the accepted bytes.
+    pub static TARGET_CHARS: &Ident = &Ident::new("target_chars");
 }
 
-/// The names of atom operations (valid as the first op of a piece).
-pub const ATOM_OPS: [&str; 5] =
-    [names::MATCH_CHAR, names::MATCH_ANY_CHAR, names::GROUP, names::SUB_REGEX, names::DOLLAR];
-
-/// Whether `op` is an atom operation.
+/// Whether `op` is an atom operation (valid as the first op of a piece).
 pub fn is_atom(op: &Operation) -> bool {
-    ATOM_OPS.contains(&op.name().as_str())
+    use names::{DOLLAR, GROUP, MATCH_ANY_CHAR, MATCH_CHAR, SUB_REGEX};
+    [MATCH_CHAR, MATCH_ANY_CHAR, GROUP, SUB_REGEX, DOLLAR].into_iter().any(|name| op.is(name))
 }
 
 /// Build the `regex` dialect with all op definitions and verifiers.
 pub fn dialect() -> Dialect {
     let mut d = Dialect::new("regex");
     d.register_op(OpDefinition {
-        name: "root",
+        name: names::ROOT,
         attrs: vec![
             AttrSpec::required(attrs::HAS_PREFIX, AttrKind::Bool),
             AttrSpec::required(attrs::HAS_SUFFIX, AttrKind::Bool),
         ],
-        regions: RegionCount::Exact(1),
+        regions: 1,
         verifier: Some(verify_alternation_container),
     });
     d.register_op(OpDefinition {
-        name: "concatenation",
+        name: names::CONCATENATION,
         attrs: vec![],
-        regions: RegionCount::Exact(1),
+        regions: 1,
         verifier: Some(verify_concatenation),
     });
     d.register_op(OpDefinition {
-        name: "piece",
+        name: names::PIECE,
         attrs: vec![],
-        regions: RegionCount::Exact(1),
+        regions: 1,
         verifier: Some(verify_piece),
     });
     d.register_op(OpDefinition {
-        name: "quantifier",
+        name: names::QUANTIFIER,
         attrs: vec![
             AttrSpec::required(attrs::MIN, AttrKind::Int),
             AttrSpec::required(attrs::MAX, AttrKind::Int),
         ],
-        regions: RegionCount::Exact(0),
+        regions: 0,
         verifier: Some(verify_quantifier),
     });
     d.register_op(OpDefinition {
-        name: "match_char",
+        name: names::MATCH_CHAR,
         attrs: vec![AttrSpec::required(attrs::TARGET_CHAR, AttrKind::Char)],
-        regions: RegionCount::Exact(0),
+        regions: 0,
         verifier: None,
     });
-    d.register_op(OpDefinition::simple("match_any_char", 0));
+    d.register_op(OpDefinition::simple(names::MATCH_ANY_CHAR, 0));
     d.register_op(OpDefinition {
-        name: "group",
-        attrs: vec![AttrSpec::required(attrs::TARGET_CHARS, AttrKind::BoolArray)],
-        regions: RegionCount::Exact(0),
+        name: names::GROUP,
+        attrs: vec![AttrSpec::required(attrs::TARGET_CHARS, AttrKind::ByteSet)],
+        regions: 0,
         verifier: Some(verify_group),
     });
     d.register_op(OpDefinition {
-        name: "sub_regex",
+        name: names::SUB_REGEX,
         attrs: vec![],
-        regions: RegionCount::Exact(1),
+        regions: 1,
         verifier: Some(verify_alternation_container),
     });
-    d.register_op(OpDefinition::simple("dollar", 0));
+    d.register_op(OpDefinition::simple(names::DOLLAR, 0));
     d
 }
 
@@ -168,17 +169,12 @@ fn verify_quantifier(op: &Operation) -> Result<(), String> {
     Ok(())
 }
 
-/// `regex.group`: bitmap must be 256 entries with at least one set.
+/// `regex.group`: the class accepts at least one byte.
 fn verify_group(op: &Operation) -> Result<(), String> {
-    let bits =
-        op.attr(attrs::TARGET_CHARS).and_then(Attribute::as_bool_array).expect("declared attr");
-    if bits.len() != 256 {
-        return Err(format!("target_chars must have 256 entries, got {}", bits.len()));
+    match op.attr(attrs::TARGET_CHARS).and_then(Attribute::as_byte_set) {
+        Some(set) if set.is_empty() => Err("group accepts no character".to_owned()),
+        _ => Ok(()),
     }
-    if bits.iter().all(|b| !*b) {
-        return Err("group accepts no character".to_owned());
-    }
-    Ok(())
 }
 
 // ---- construction helpers -------------------------------------------------
@@ -195,9 +191,9 @@ pub fn match_any_char() -> Operation {
     Operation::new(names::MATCH_ANY_CHAR)
 }
 
-/// Build `regex.group` from a 256-entry bitmap.
-pub fn group(bits: Vec<bool>) -> Operation {
-    Operation::new(names::GROUP).with_attr(attrs::TARGET_CHARS, bits)
+/// Build `regex.group` accepting the bytes of `set`.
+pub fn group(set: ByteSet) -> Operation {
+    Operation::new(names::GROUP).with_attr(attrs::TARGET_CHARS, set)
 }
 
 /// Build `regex.quantifier`; `max = None` means unbounded.
@@ -209,7 +205,8 @@ pub fn quantifier(min: u32, max: Option<u32>) -> Operation {
 
 /// Build `regex.piece` from an atom and an optional quantifier.
 pub fn piece(atom: Operation, quant: Option<Operation>) -> Operation {
-    let mut ops = vec![atom];
+    let mut ops = Vec::with_capacity(1 + usize::from(quant.is_some()));
+    ops.push(atom);
     ops.extend(quant);
     Operation::new(names::PIECE).with_region(Region::with_ops(ops))
 }
@@ -342,12 +339,8 @@ mod tests {
     }
 
     #[test]
-    fn group_bitmap_validated() {
-        let bad = root(true, true, vec![concatenation(vec![piece(group(vec![true; 8]), None)])]);
-        let err = ctx().verify(&bad).unwrap_err();
-        assert!(err.message.contains("256 entries"), "{err}");
-
-        let bad = root(true, true, vec![concatenation(vec![piece(group(vec![false; 256]), None)])]);
+    fn empty_group_rejected() {
+        let bad = root(true, true, vec![concatenation(vec![piece(group(ByteSet::EMPTY), None)])]);
         let err = ctx().verify(&bad).unwrap_err();
         assert!(err.message.contains("no character"), "{err}");
     }

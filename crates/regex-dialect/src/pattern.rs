@@ -4,7 +4,7 @@
 //! (e.g. asserting that factorization turns `this|that|those` into
 //! `th(is|at|ose)`) and by tooling to show users the effect of each pass.
 
-use mlir_lite::{Attribute, Operation};
+use mlir_lite::{Attribute, ByteSet, Operation};
 
 use crate::ops::{attrs, names, piece_parts, quantifier_bounds};
 
@@ -43,26 +43,26 @@ fn write_alternatives(alternatives: &[Operation], out: &mut String) {
 
 fn write_piece(piece: &Operation, out: &mut String) {
     let (atom, quant) = piece_parts(piece);
-    match atom.name().as_str() {
-        names::MATCH_CHAR => {
-            let c = atom.attr(attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified");
-            write_escaped(c, out);
-        }
-        names::MATCH_ANY_CHAR => out.push('.'),
-        names::DOLLAR => out.push('$'),
-        names::GROUP => {
-            let bits = atom
-                .attr(attrs::TARGET_CHARS)
-                .and_then(Attribute::as_bool_array)
-                .expect("verified");
-            write_class(bits, out);
-        }
-        names::SUB_REGEX => {
-            out.push('(');
-            write_alternatives(&atom.only_region().ops, out);
-            out.push(')');
-        }
-        other => panic!("unexpected atom {other}"),
+    if atom.is(names::MATCH_CHAR) {
+        write_escaped(
+            atom.attr(attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified"),
+            out,
+        );
+    } else if atom.is(names::MATCH_ANY_CHAR) {
+        out.push('.');
+    } else if atom.is(names::DOLLAR) {
+        out.push('$');
+    } else if atom.is(names::GROUP) {
+        write_class(
+            atom.attr(attrs::TARGET_CHARS).and_then(Attribute::as_byte_set).expect("verified"),
+            out,
+        );
+    } else if atom.is(names::SUB_REGEX) {
+        out.push('(');
+        write_alternatives(&atom.only_region().ops, out);
+        out.push(')');
+    } else {
+        panic!("unexpected atom {}", atom.name());
     }
     if let Some(quant) = quant {
         let (min, max) = quantifier_bounds(quant);
@@ -77,15 +77,14 @@ fn write_piece(piece: &Operation, out: &mut String) {
     }
 }
 
-fn write_class(bits: &[bool], out: &mut String) {
-    let count = bits.iter().filter(|b| **b).count();
+fn write_class(set: ByteSet, out: &mut String) {
+    let count = set.len();
     if count == 256 {
         out.push('.');
         return;
     }
     if count == 1 {
-        let c = bits.iter().position(|b| *b).expect("count == 1") as u8;
-        write_escaped(c, out);
+        write_escaped(set.iter().next().expect("count == 1"), out);
         return;
     }
     let negate = count > 128;
@@ -93,9 +92,8 @@ fn write_class(bits: &[bool], out: &mut String) {
     if negate {
         out.push('^');
     }
-    for (i, bit) in bits.iter().enumerate() {
-        if *bit != negate {
-            let c = i as u8;
+    for c in 0..=255u8 {
+        if set.contains(c) != negate {
             match c {
                 b']' | b'\\' | b'^' | b'-' => {
                     out.push('\\');

@@ -1,6 +1,6 @@
 //! The high-level transformation sets of §3.2.
 //!
-//! Each set is an independent [`Pass`](mlir_lite::Pass), mirroring the
+//! Each set is an independent [`Pass`], mirroring the
 //! paper's "each transformation is optional and can be enabled or disabled
 //! individually by toggling different compiler options":
 //!
@@ -21,7 +21,7 @@ pub use factorize::FactorizeAlternationsPass;
 pub use shortest_match::{ShortestMatchLeadingPass, ShortestMatchPass};
 pub use simplify::CanonicalizePass;
 
-use mlir_lite::{PassManager, PassRegistry};
+use mlir_lite::{Pass, PassManager};
 
 /// One of the three orderable high-level transformation sets.
 ///
@@ -40,12 +40,12 @@ pub enum HighLevelPass {
 }
 
 impl HighLevelPass {
-    /// The pass's stable diagnostic name (the [`PassRegistry`] key).
-    pub fn pass_name(self) -> &'static str {
+    /// The set's pass.
+    pub fn pass(self) -> Box<dyn Pass> {
         match self {
-            HighLevelPass::Canonicalize => "regex-canonicalize",
-            HighLevelPass::Factorize => "regex-factorize-alternations",
-            HighLevelPass::ShortestMatch => "regex-shortest-match-reduction",
+            HighLevelPass::Canonicalize => Box::new(CanonicalizePass),
+            HighLevelPass::Factorize => Box::new(FactorizeAlternationsPass),
+            HighLevelPass::ShortestMatch => Box::new(ShortestMatchPass),
         }
     }
 
@@ -182,47 +182,6 @@ impl Default for HighLevelOptions {
     }
 }
 
-/// The dialect's pass catalogue, keyed by diagnostic name — the
-/// configuration-driven twin of [`build_pipeline`], used by drivers that
-/// assemble pipelines from serialized specs.
-pub fn pass_registry() -> PassRegistry {
-    let mut registry = PassRegistry::new();
-    registry.register("regex-canonicalize", || Box::new(CanonicalizePass));
-    registry.register("regex-factorize-alternations", || Box::new(FactorizeAlternationsPass));
-    registry.register("regex-shortest-match-reduction", || Box::new(ShortestMatchPass));
-    registry
-        .register("regex-shortest-match-leading-reduction", || Box::new(ShortestMatchLeadingPass));
-    registry
-}
-
-/// The pipeline `options` describes, as registry pass names in execution
-/// order — the serialized form an autotuner searches over.
-pub fn pipeline_names(options: &HighLevelOptions) -> Vec<&'static str> {
-    let mut names = Vec::new();
-    for slot in options.order.slots() {
-        let enabled = match slot {
-            HighLevelPass::Canonicalize => options.canonicalize,
-            HighLevelPass::Factorize => options.factorize,
-            HighLevelPass::ShortestMatch => options.shortest_match,
-        };
-        if enabled {
-            names.push(slot.pass_name());
-        }
-        // The leading reduction is anchored to the trailing one's slot:
-        // it shares the same soundness argument (the implicit `.*`
-        // boundary), so it travels with it rather than being a slot of
-        // its own.
-        if slot == HighLevelPass::ShortestMatch && options.shortest_match_leading {
-            names.push("regex-shortest-match-leading-reduction");
-        }
-    }
-    if options.canonicalize && (options.factorize || options.shortest_match) {
-        // Clean up wrappers the structural transforms introduce.
-        names.push("regex-canonicalize");
-    }
-    names
-}
-
 /// Register the enabled `regex`-dialect transforms on a pass manager, in
 /// `options.order` (default: the paper's canonicalize → factorize →
 /// shortest-match), with a trailing cleanup canonicalization when
@@ -230,12 +189,29 @@ pub fn pipeline_names(options: &HighLevelOptions) -> Vec<&'static str> {
 ///
 /// This is the dialect's single registration point: every driver —
 /// compiler, CLI, benchmarks, the autotuner — builds its high-level
-/// pipeline here (through the name-keyed [`pass_registry`]), so pass
-/// order and the per-pass report stay consistent.
+/// pipeline here, so pass order and the per-pass report stay consistent.
 pub fn build_pipeline(pm: &mut PassManager, options: &HighLevelOptions) {
-    pass_registry()
-        .build(pm, &pipeline_names(options))
-        .expect("pipeline_names only emits registered passes");
+    for slot in options.order.slots() {
+        let enabled = match slot {
+            HighLevelPass::Canonicalize => options.canonicalize,
+            HighLevelPass::Factorize => options.factorize,
+            HighLevelPass::ShortestMatch => options.shortest_match,
+        };
+        if enabled {
+            pm.add_pass(slot.pass());
+        }
+        // The leading reduction is anchored to the trailing one's slot:
+        // it shares the same soundness argument (the implicit `.*`
+        // boundary), so it travels with it rather than being a slot of
+        // its own.
+        if slot == HighLevelPass::ShortestMatch && options.shortest_match_leading {
+            pm.add_pass(Box::new(ShortestMatchLeadingPass));
+        }
+    }
+    if options.canonicalize && (options.factorize || options.shortest_match) {
+        // Clean up wrappers the structural transforms introduce.
+        pm.add_pass(Box::new(CanonicalizePass));
+    }
 }
 
 #[cfg(test)]
@@ -289,8 +265,14 @@ mod pipeline_tests {
             shortest_match_leading: true,
             ..HighLevelOptions::default()
         };
+        let mut pm = PassManager::new();
+        build_pipeline(&mut pm, &options);
+        let mut ir = crate::ast_to_ir(&regex_frontend::parse("a").unwrap());
+        let mut ctx = mlir_lite::Context::new();
+        ctx.register_dialect(crate::dialect());
+        let report = pm.run(&mut ir, &ctx).unwrap();
         assert_eq!(
-            pipeline_names(&options),
+            report.passes.iter().map(|pass| pass.name).collect::<Vec<_>>(),
             vec![
                 "regex-shortest-match-reduction",
                 "regex-shortest-match-leading-reduction",

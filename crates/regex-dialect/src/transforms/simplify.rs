@@ -30,7 +30,7 @@ impl Pass for CanonicalizePass {
         let patterns: [&dyn RewritePattern; 3] =
             [&UnwrapTrivialSubRegex, &MergeSubRegexQuantifier, &SimplifyGroup];
         let stats = apply_patterns_greedily(root, &patterns, RewriteConfig::default());
-        if stats.hit_iteration_cap {
+        if stats.hit_rewrite_cap {
             return Err(PassError::new("canonicalization did not converge"));
         }
         Ok(())
@@ -118,17 +118,13 @@ impl RewritePattern for SimplifyGroup {
         if !op.is(names::GROUP) {
             return Rewrite::Unchanged(op);
         }
-        let bits = op
+        let set = op
             .attr(crate::ops::attrs::TARGET_CHARS)
-            .and_then(mlir_lite::Attribute::as_bool_array)
+            .and_then(mlir_lite::Attribute::as_byte_set)
             .expect("verified group");
-        let count = bits.iter().filter(|b| **b).count();
-        match count {
+        match set.len() {
             256 => Rewrite::Replace(vec![ops::match_any_char()]),
-            1 => {
-                let c = bits.iter().position(|b| *b).expect("count == 1") as u8;
-                Rewrite::Replace(vec![ops::match_char(c)])
-            }
+            1 => Rewrite::Replace(vec![ops::match_char(set.iter().next().expect("count == 1"))]),
             _ => Rewrite::Unchanged(op),
         }
     }
@@ -183,7 +179,7 @@ mod tests {
             true,
             true,
             vec![crate::ops::concatenation(vec![crate::ops::piece(
-                crate::ops::group(vec![true; 256]),
+                crate::ops::group(mlir_lite::ByteSet::FULL),
                 None,
             )])],
         );

@@ -149,6 +149,9 @@ pub type RunHook = Arc<dyn Fn(usize) + Send + Sync>;
 /// What every handle onto one runtime shares.
 struct Shared {
     options: RuntimeOptions,
+    /// Compiles every cache miss: built once, with its dialects and pass
+    /// pipelines, rather than once per miss.
+    compiler: Compiler,
     jobs: usize,
     cache: ProgramCache,
     host: HostCache,
@@ -204,6 +207,7 @@ impl Runtime {
         };
         Runtime {
             shared: Arc::new(Shared {
+                compiler: Compiler::with_options(options.compiler),
                 jobs,
                 cache: ProgramCache::new(options.cache_capacity),
                 host: HostCache::new(options.cache_capacity),
@@ -358,8 +362,7 @@ impl Runtime {
         let mut report: Option<PipelineReport> = None;
         let result: Result<(Arc<Program>, bool), CompileError> =
             self.shared.cache.get_or_insert_with(key, || {
-                let (program, passes) =
-                    build(&Compiler::with_options(self.shared.options.compiler))?;
+                let (program, passes) = build(&self.shared.compiler)?;
                 report = Some(passes);
                 Ok(program)
             });

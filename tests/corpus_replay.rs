@@ -128,3 +128,20 @@ fn the_host_backend_corpus_cases_cover_every_engine_tier() {
     let dots = cicero::compiler::compile("....").unwrap().into_program();
     assert_eq!(HostProgram::compile(&dots).prefilter_stop_bytes(), None);
 }
+
+/// The expected-error cases stay committed and pass: the pattern that
+/// multiplies to a million instructions, the one a single nest past the
+/// address space (code generation's wall) and 251 nested groups are each
+/// refused, with the named error, by the new compiler and the legacy one.
+#[test]
+fn the_refused_inputs_are_committed_and_refused_by_both_compilers() {
+    let replayed = replay_all();
+    let nested = format!("{}a{}", "(".repeat(251), ")".repeat(251));
+    for pattern in ["(a{1024}){1024}", "(a{1024}){9}", nested.as_str()] {
+        let (case, outcome) = replayed
+            .iter()
+            .find(|(case, _)| case.pattern == pattern && case.refusal.is_some())
+            .unwrap_or_else(|| panic!("missing the expected-error case for {pattern:.20}…"));
+        assert_eq!(*outcome, difftest::Outcome::Pass, "corpus case `{}`", case.name);
+    }
+}

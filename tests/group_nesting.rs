@@ -4,11 +4,13 @@
 //! the largest:
 //! - the parser's group-nesting limit: the deepest pattern it admits, in
 //!   each shape a group takes (plain, an alternative, starred, optional),
-//!   compiles, lowers to the host engine and runs, and one level deeper is
-//!   a parse error in both front-ends;
+//!   compiles, lowers to the host engine and runs, also around a long
+//!   body, and one level deeper is a parse error in both front-ends;
 //! - the ISA's 8,192-instruction wall: patterns whose counted quantifiers
 //!   expand up to it compile, lower and run, and ones that multiply far
-//!   past it are refused with an error while they are lowered.
+//!   past it are refused with an error while they are lowered;
+//! - the old compiler emits the same programs in loops, recursing only per
+//!   group nesting, so it meets both limits on the same thread.
 
 use cicero::compiler::{compile, Compiler};
 use cicero::frontend::parser::MAX_GROUP_NESTING;
@@ -29,16 +31,22 @@ const SHAPES: [(&str, &str); 4] = [("(", ")"), ("(b|", ")"), ("(", ")*"), ("(", 
 
 #[test]
 fn the_deepest_admitted_groups_compile_on_a_2_mib_thread() {
-    for (open, close) in SHAPES {
-        let pattern = nested(MAX_GROUP_NESTING, open, close);
-        let run = on_a_2_mib_thread(move || {
-            let program = compile(&pattern).expect("the deepest nesting compiles").into_program();
-            let set = Compiler::new().compile_set(&[pattern.as_str(), "zz"]).expect("as a set");
-            let host = HostProgram::compile(set.program());
-            (HostProgram::compile(&program).run(b"xxaxx").accepted, host.run_all(b"xazz"))
-        });
-        assert!(run.0, "{open}…{close}");
-        assert_eq!(run.1.matched_ids, [0, 1], "{open}…{close}");
+    // Around the long body, each unwrapped level re-offers the body's 200
+    // pieces to the rewrite patterns; the budget counts the unwraps.
+    for body in ["a".to_owned(), "a".repeat(200)] {
+        for (open, close) in SHAPES {
+            let pattern = nested(MAX_GROUP_NESTING, open, close).replacen('a', &body, 1);
+            let (one, both) = (format!("xx{body}xx"), format!("x{body}zz"));
+            let run = on_a_2_mib_thread(move || {
+                let program = compile(&pattern).expect("the deepest nesting compiles");
+                let set = Compiler::new().compile_set(&[pattern.as_str(), "zz"]).expect("as a set");
+                let host = HostProgram::compile(set.program());
+                let accepted = HostProgram::compile(&program.into_program()).run(one.as_bytes());
+                (accepted.accepted, host.run_all(both.as_bytes()))
+            });
+            assert!(run.0, "{open}…{close}, {} a", body.len());
+            assert_eq!(run.1.matched_ids, [0, 1], "{open}…{close}, {} a", body.len());
+        }
     }
 }
 
@@ -92,4 +100,23 @@ fn patterns_multiplying_past_the_instruction_wall_are_refused_on_a_2_mib_thread(
             assert!(error.contains("8192-instruction address space"), "{pattern}: {error}");
         }
     }
+}
+
+#[test]
+fn the_old_compiler_emits_up_to_the_wall_and_the_deepest_groups_on_a_2_mib_thread() {
+    let mut patterns = vec!["(a{1024}){7}".to_owned(), "((ab){1024}){3}".to_owned()];
+    patterns.extend(SHAPES.map(|(open, close)| nested(MAX_GROUP_NESTING, open, close)));
+    for pattern in patterns {
+        let shown = pattern.chars().take(40).collect::<String>();
+        let sizes = on_a_2_mib_thread(move || {
+            [false, true].map(|optimize| {
+                let program = cicero::legacy::LegacyCompiler::new(optimize).compile(&pattern);
+                program.expect("the old compiler emits it").len()
+            })
+        });
+        assert!(sizes.iter().all(|&len| len <= 8_192), "{shown}: {sizes:?}");
+    }
+    let witness = "a".repeat(7_168);
+    let program = cicero::legacy::LegacyCompiler::new(false).compile("(a{1024}){7}").unwrap();
+    assert!(cicero::isa::accepts(&program, witness.as_bytes()));
 }
