@@ -143,8 +143,6 @@ pub struct CompilerOptions {
     /// paper's canonicalize → factorize → shortest-match). A tunable —
     /// `cicero tune` searches all six permutations.
     pub pass_order: regex_dialect::transforms::PassOrder,
-    /// Verify the IR after every pass (slower; invaluable in tests).
-    pub verify_each: bool,
 }
 
 impl CompilerOptions {
@@ -159,7 +157,6 @@ impl CompilerOptions {
             shortest_match_leading: false,
             jump_simplification: true,
             pass_order: regex_dialect::transforms::PassOrder::default(),
-            verify_each: false,
         }
     }
 
@@ -173,7 +170,6 @@ impl CompilerOptions {
             shortest_match_leading: false,
             jump_simplification: false,
             pass_order: regex_dialect::transforms::PassOrder::default(),
-            verify_each: false,
         }
     }
 
@@ -371,7 +367,7 @@ impl Compiler {
         let mut low_level = PassManager::new();
         cicero_dialect::build_pipeline(&mut low_level, &low);
         for pm in [&mut high_level, &mut low_level] {
-            pm.verify_each(options.verify_each);
+            pm.verify_each(false);
         }
         Compiler { options, ctx, high_level, low_level, telemetry: None }
     }

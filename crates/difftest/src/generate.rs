@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use regex_frontend::{
-    Alternation, Atom, ClassSet, Concatenation, Piece, Quantifier, RegexAst, Span,
+    Alternation, Atom, ByteSet, Concatenation, Piece, Quantifier, RegexAst, Span,
 };
 
 /// The literal alphabet patterns are mostly drawn from; inputs reuse it so
@@ -174,7 +174,7 @@ impl Generator {
     }
 
     fn class(&mut self) -> Atom {
-        let mut set = ClassSet::empty();
+        let mut set = ByteSet::EMPTY;
         for _ in 0..self.rng.random_range(1usize..=3) {
             if self.rng.random_bool(0.4) {
                 let lo = self.literal_byte();
@@ -253,7 +253,7 @@ impl Generator {
             Atom::Char(c) => out.push(*c),
             Atom::Any => out.push(*pick(&mut self.rng, LITERALS)),
             Atom::Class { negated, set } => {
-                let effective = if *negated { set.complement() } else { set.clone() };
+                let effective = if *negated { ByteSet::FULL.difference(*set) } else { *set };
                 let members: Vec<u8> = effective.iter().take(16).collect();
                 if members.is_empty() {
                     return false; // class accepts nothing; no witness exists
@@ -308,7 +308,7 @@ fn collect_alternation(alt: &Alternation, out: &mut Vec<u8>) {
                 Atom::Class { set, .. } => {
                     out.extend(set.iter().take(4));
                     // One byte just outside the written set.
-                    out.extend(set.complement().iter().take(1));
+                    out.extend(ByteSet::FULL.difference(*set).iter().take(1));
                 }
                 Atom::Group(inner) => collect_alternation(inner, out),
             }

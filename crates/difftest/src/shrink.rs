@@ -16,7 +16,7 @@
 //!
 //! [`check_all`]: crate::harness::check_all
 
-use regex_frontend::{Alternation, Atom, Concatenation, Piece, Quantifier, RegexAst};
+use regex_frontend::{Alternation, Atom, ByteSet, Concatenation, Piece, Quantifier, RegexAst};
 
 /// Predicate deciding whether a candidate reproducer still exhibits the
 /// failure under minimization.
@@ -249,7 +249,7 @@ fn piece_variants(piece: &Piece) -> Vec<Piece> {
         // Collapse a class to one of its members (or, when negated, to one
         // byte it rejects as a literal probe of the complement lowering).
         Atom::Class { negated, set } => {
-            let member = if *negated { set.complement() } else { set.clone() };
+            let member = if *negated { ByteSet::FULL.difference(*set) } else { *set };
             let first = member.iter().next();
             if let Some(b) = first {
                 out.push(Piece { atom: Atom::Char(b), ..piece.clone() });

@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use mlir_lite::ByteSet;
+
 /// A byte range into the original pattern text, for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Span {
@@ -117,98 +119,6 @@ impl fmt::Display for Quantifier {
     }
 }
 
-/// A 256-entry character membership set (the `GroupOp` bitmap).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct ClassSet {
-    bits: [u64; 4],
-}
-
-impl ClassSet {
-    /// The empty set.
-    pub fn empty() -> ClassSet {
-        ClassSet { bits: [0; 4] }
-    }
-
-    /// A set containing exactly the given bytes.
-    pub fn of(bytes: &[u8]) -> ClassSet {
-        let mut s = ClassSet::empty();
-        for b in bytes {
-            s.insert(*b);
-        }
-        s
-    }
-
-    /// Insert one byte.
-    pub fn insert(&mut self, byte: u8) {
-        self.bits[usize::from(byte >> 6)] |= 1u64 << (byte & 63);
-    }
-
-    /// Insert the inclusive range `lo..=hi`.
-    pub fn insert_range(&mut self, lo: u8, hi: u8) {
-        for b in lo..=hi {
-            self.insert(b);
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, byte: u8) -> bool {
-        self.bits[usize::from(byte >> 6)] & (1u64 << (byte & 63)) != 0
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether no byte is a member.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|w| *w == 0)
-    }
-
-    /// Iterate over members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..=255u8).filter(|b| self.contains(*b))
-    }
-
-    /// The complement set.
-    pub fn complement(&self) -> ClassSet {
-        ClassSet { bits: [!self.bits[0], !self.bits[1], !self.bits[2], !self.bits[3]] }
-    }
-
-    /// The membership bitmap as four 64-bit words, byte `b` at bit
-    /// `b % 64` of word `b / 64` (the layout of the `GroupOp` byte set).
-    pub fn words(&self) -> [u64; 4] {
-        self.bits
-    }
-
-    /// Build from [`ClassSet::words`]' layout.
-    pub fn from_words(bits: [u64; 4]) -> ClassSet {
-        ClassSet { bits }
-    }
-}
-
-impl fmt::Debug for ClassSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ClassSet[")?;
-        let mut first = true;
-        for b in self.iter().take(16) {
-            if !first {
-                write!(f, " ")?;
-            }
-            first = false;
-            if b.is_ascii_graphic() {
-                write!(f, "{}", b as char)?;
-            } else {
-                write!(f, "\\x{b:02x}")?;
-            }
-        }
-        if self.len() > 16 {
-            write!(f, " …+{}", self.len() - 16)?;
-        }
-        write!(f, "]")
-    }
-}
-
 /// The leaf constructs of a pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Atom {
@@ -223,7 +133,7 @@ pub enum Atom {
         /// Whether the class was written negated (`[^...]`).
         negated: bool,
         /// The (un-complemented) member set as written.
-        set: ClassSet,
+        set: ByteSet,
     },
     /// A parenthesized sub-expression (maps to `SubRegexOp`).
     Group(Box<Alternation>),
@@ -306,36 +216,6 @@ fn escape_class_member(c: u8) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn class_set_basics() {
-        let mut s = ClassSet::empty();
-        assert!(s.is_empty());
-        s.insert(b'a');
-        s.insert_range(b'x', b'z');
-        assert!(s.contains(b'a'));
-        assert!(s.contains(b'y'));
-        assert!(!s.contains(b'b'));
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![b'a', b'x', b'y', b'z']);
-    }
-
-    #[test]
-    fn class_set_complement() {
-        let s = ClassSet::of(b"ab");
-        let c = s.complement();
-        assert!(!c.contains(b'a'));
-        assert!(c.contains(b'c'));
-        assert_eq!(c.len(), 254);
-    }
-
-    #[test]
-    fn class_set_bitmap_roundtrip() {
-        let s = ClassSet::of(b"ac\xff");
-        let words = s.words();
-        assert_eq!(words, [0, 1 << (b'a' - 64) | 1 << (b'c' - 64), 0, 1 << 63]);
-        assert_eq!(ClassSet::from_words(words), s);
-    }
 
     #[test]
     fn quantifier_display() {

@@ -36,5 +36,6 @@
 pub mod ast;
 pub mod parser;
 
-pub use ast::{Alternation, Atom, ClassSet, Concatenation, Piece, Quantifier, RegexAst, Span};
+pub use ast::{Alternation, Atom, Concatenation, Piece, Quantifier, RegexAst, Span};
+pub use mlir_lite::ByteSet;
 pub use parser::{parse, ParseRegexError};

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-use crate::ast::{Alternation, Atom, ClassSet, Concatenation, Piece, Quantifier, RegexAst, Span};
+use mlir_lite::ByteSet;
+
+use crate::ast::{Alternation, Atom, Concatenation, Piece, Quantifier, RegexAst, Span};
 
 /// Upper bound on counted-repetition bounds, guarding against quantifier
 /// explosion in instruction memory (programs are capped at 8192 entries).
@@ -181,13 +183,13 @@ impl<'a> Parser<'a> {
     /// byte or a character-class set (for `\d`-style sugar). `in_class`
     /// rejects the class sugar inside `[...]` nests where the original
     /// grammar does not allow it.
-    fn parse_escape(&mut self, in_class: bool) -> Result<(ClassSet, Option<u8>), ParseRegexError> {
+    fn parse_escape(&mut self, in_class: bool) -> Result<(ByteSet, Option<u8>), ParseRegexError> {
         let start = self.pos;
         debug_assert_eq!(self.peek(), Some(b'\\'));
         self.pos += 1;
         let c = self.peek().ok_or_else(|| self.err_span(start, "dangling `\\`"))?;
         self.pos += 1;
-        let single = |c: u8| Ok((ClassSet::empty(), Some(c)));
+        let single = |c: u8| Ok((ByteSet::EMPTY, Some(c)));
         match c {
             b'n' => single(b'\n'),
             b't' => single(b'\t'),
@@ -211,7 +213,7 @@ impl<'a> Parser<'a> {
                         self.err_span(start, "perl classes are not supported inside `[...]`")
                     );
                 }
-                let mut set = ClassSet::empty();
+                let mut set = ByteSet::EMPTY;
                 match c.to_ascii_lowercase() {
                     b'd' => set.insert_range(b'0', b'9'),
                     b'w' => {
@@ -227,7 +229,7 @@ impl<'a> Parser<'a> {
                     }
                 }
                 if c.is_ascii_uppercase() {
-                    set = set.complement();
+                    set = ByteSet::FULL.difference(set);
                 }
                 Ok((set, None))
             }
@@ -248,7 +250,7 @@ impl<'a> Parser<'a> {
         } else {
             false
         };
-        let mut set = ClassSet::empty();
+        let mut set = ByteSet::EMPTY;
         loop {
             let item_start = self.pos;
             let lo = match self.peek() {

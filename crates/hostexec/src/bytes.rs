@@ -77,7 +77,7 @@ pub(crate) mod tests {
                 let lo = rng.random_range(b'A'..=b'z');
                 let hi = rng.random_range(lo..=b'z');
                 let mut set = ByteSet::EMPTY;
-                (lo..=hi).for_each(|b| set.insert(b));
+                set.insert_range(lo, hi);
                 set
             }
             2 => (0..rng.random_range(1..4))

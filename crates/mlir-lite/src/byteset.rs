@@ -1,7 +1,8 @@
-//! A 256-bit byte set: the `regex.group` character class, carried as an
-//! [`Attribute::ByteSet`](crate::Attribute::ByteSet), and the byte
-//! predicate of the host engine's automaton (`cicero-hostexec` uses this
-//! type, so there is one definition).
+//! A 256-bit byte set: the frontend's character class, the `regex.group`
+//! byte set carried as an [`Attribute::ByteSet`](crate::Attribute::ByteSet),
+//! and the byte predicate of the host engine's automaton
+//! (`regex-frontend` and `cicero-hostexec` use this type, so there is one
+//! definition).
 
 /// A set of byte values, stored as four 64-bit words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,6 +25,13 @@ impl ByteSet {
     #[inline]
     pub fn insert(&mut self, b: u8) {
         self.0[usize::from(b >> 6)] |= 1u64 << (b & 63);
+    }
+
+    /// Add every byte in `lo..=hi` to the set.
+    pub fn insert_range(&mut self, lo: u8, hi: u8) {
+        for b in lo..=hi {
+            self.insert(b);
+        }
     }
 
     /// The set without `b`.
@@ -91,5 +99,22 @@ impl ByteSet {
     /// Members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
         (0u16..256).map(|b| b as u8).filter(|&b| self.contains(b))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ByteSet;
+
+    #[test]
+    fn ranges_land_in_the_word_layout() {
+        let mut set = ByteSet::single(b'a');
+        set.insert_range(b'x', b'z');
+        set.insert_range(0xff, 0xff);
+        assert_eq!(set.iter().collect::<Vec<_>>(), vec![b'a', b'x', b'y', b'z', 0xff]);
+        // Byte `b` is bit `b % 64` of word `b / 64`.
+        let letters = 1 << (b'a' - 64) | 0b111 << (b'x' - 64);
+        assert_eq!(set, ByteSet([0, letters, 0, 1 << 63]));
+        assert_eq!(ByteSet::FULL.difference(set).len(), 251);
     }
 }

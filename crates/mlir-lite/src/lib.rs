@@ -61,4 +61,6 @@ pub use dialect::{AttrKind, AttrSpec, Context, Dialect, OpDefinition, VerifyErro
 pub use op::{Ident, Name, Operation, Region};
 pub use parser::{parse, ParseError};
 pub use pass::{Pass, PassError, PassManager, PassReport, PipelineReport};
-pub use rewrite::{apply_patterns_greedily, Rewrite, RewriteConfig, RewritePattern, RewriteStats};
+pub use rewrite::{
+    apply_patterns_greedily, Rewrite, RewritePattern, RewriteStats, MAX_REWRITES_PER_OP,
+};

@@ -44,19 +44,9 @@ pub trait RewritePattern {
     fn apply(&self, op: Operation) -> Rewrite;
 }
 
-/// Driver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RewriteConfig {
-    /// The driver's work bound: it applies patterns at most this many
-    /// times as often as the tree holds ops when it starts.
-    pub max_rewrites_per_op: usize,
-}
-
-impl Default for RewriteConfig {
-    fn default() -> RewriteConfig {
-        RewriteConfig { max_rewrites_per_op: 64 }
-    }
-}
+/// The driver's work bound: it applies patterns at most this many times
+/// as often as the tree holds ops when it starts.
+pub const MAX_REWRITES_PER_OP: usize = 64;
 
 /// Statistics from one driver run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -79,9 +69,8 @@ pub struct RewriteStats {
 pub fn apply_patterns_greedily(
     root: &mut Operation,
     patterns: &[&dyn RewritePattern],
-    config: RewriteConfig,
 ) -> RewriteStats {
-    let budget = config.max_rewrites_per_op.saturating_mul(root.subtree_size() - 1);
+    let budget = MAX_REWRITES_PER_OP.saturating_mul(root.subtree_size() - 1);
     let mut driver = Driver { patterns, budget, stats: RewriteStats::default() };
     for region in root.regions_mut() {
         driver.rewrite_region(region);
@@ -242,8 +231,7 @@ mod tests {
             Operation::new("t.pair"),
             Operation::new("t.keep"),
         ]);
-        let stats =
-            apply_patterns_greedily(&mut m, &[&SplitPair, &EraseNop], RewriteConfig::default());
+        let stats = apply_patterns_greedily(&mut m, &[&SplitPair, &EraseNop]);
         let names: Vec<&str> = m.regions()[0].ops.iter().map(|o| o.name().as_str()).collect();
         assert_eq!(names, vec!["t.one", "t.one", "t.keep"]);
         assert_eq!(stats.applications["split-pair"], 1);
@@ -255,7 +243,7 @@ mod tests {
     fn nested_regions_are_rewritten() {
         let inner = module(vec![Operation::new("t.pair")]);
         let mut m = module(vec![inner]);
-        apply_patterns_greedily(&mut m, &[&SplitPair], RewriteConfig::default());
+        apply_patterns_greedily(&mut m, &[&SplitPair]);
         let inner = &m.regions()[0].ops[0];
         assert_eq!(inner.regions()[0].len(), 2);
     }
@@ -263,7 +251,7 @@ mod tests {
     #[test]
     fn convergent_self_rewrite_reaches_fixpoint() {
         let mut m = module(vec![Operation::new(COUNT).with_attr(N, 5i64)]);
-        let stats = apply_patterns_greedily(&mut m, &[&CountDown], RewriteConfig::default());
+        let stats = apply_patterns_greedily(&mut m, &[&CountDown]);
         assert_eq!(stats.applications["count-down"], 5);
         assert!(!stats.hit_rewrite_cap);
         assert_eq!(m.regions()[0].ops[0].attr(N), Some(&Attribute::Int(0)));
@@ -272,18 +260,17 @@ mod tests {
     #[test]
     fn divergent_pattern_hits_cap() {
         let mut m = module(vec![Operation::new("t.loop")]);
-        let config = RewriteConfig { max_rewrites_per_op: 8 };
-        let stats = apply_patterns_greedily(&mut m, &[&Diverge], config);
+        let stats = apply_patterns_greedily(&mut m, &[&Diverge]);
         assert!(stats.hit_rewrite_cap);
-        // Eight rewrites inside the budget; the ninth stops the run.
-        assert_eq!(stats.applications["diverge"], 9);
+        // One op's budget of rewrites; the next one stops the run.
+        assert_eq!(stats.applications["diverge"], MAX_REWRITES_PER_OP + 1);
     }
 
     #[test]
     fn no_patterns_is_a_noop() {
         let mut m = module(vec![Operation::new("t.keep")]);
         let before = m.clone();
-        let stats = apply_patterns_greedily(&mut m, &[], RewriteConfig::default());
+        let stats = apply_patterns_greedily(&mut m, &[]);
         assert_eq!(m, before);
         assert_eq!(stats.applications.values().sum::<usize>(), 0);
         assert_eq!(stats.offers, 1);
@@ -313,8 +300,7 @@ mod tests {
         let inner = Operation::new(WRAP).with_region(Region::with_ops(vec![keep()]));
         let outer = Operation::new(WRAP).with_region(Region::with_ops(vec![inner]));
         let mut m = module(vec![outer]);
-        let stats =
-            apply_patterns_greedily(&mut m, &[&Unwrap, &SplitPair], RewriteConfig::default());
+        let stats = apply_patterns_greedily(&mut m, &[&Unwrap, &SplitPair]);
         assert_eq!(m, module(vec![keep()]));
         // keep, the inner wrap, keep, the outer wrap, keep.
         assert_eq!(stats.offers, 5);
@@ -323,20 +309,22 @@ mod tests {
 
     #[test]
     fn replacements_are_offered_again_without_their_regions() {
-        // Fifty wraps around fifty ops: each unwrap re-offers the fifty
-        // settled ops it splices in, not what they hold, and the budget
-        // counts the fifty rewrites, not the offers.
+        // 200 wraps around 200 modules of one op each: each unwrap
+        // re-offers the 200 settled modules it splices in, not what they
+        // hold, and the budget counts the 200 rewrites, not the offers,
+        // which outnumber the budget of MAX_REWRITES_PER_OP per op.
+        const N: usize = 200;
         let leaf = || module(vec![Operation::new("t.keep")]);
-        let mut body = (0..50).map(|_| leaf()).collect();
-        for _ in 0..50 {
+        let mut body = (0..N).map(|_| leaf()).collect();
+        for _ in 0..N {
             body = vec![Operation::new(WRAP).with_region(Region::with_ops(body))];
         }
         let mut m = module(body);
-        let config = RewriteConfig { max_rewrites_per_op: 1 };
-        let stats = apply_patterns_greedily(&mut m, &[&Unwrap], config);
+        let stats = apply_patterns_greedily(&mut m, &[&Unwrap]);
         assert!(!stats.hit_rewrite_cap);
-        assert_eq!(m, module((0..50).map(|_| leaf()).collect()));
-        assert_eq!(stats.applications["unwrap"], 50);
-        assert_eq!(stats.offers, 100 + 50 * 51);
+        assert_eq!(m, module((0..N).map(|_| leaf()).collect()));
+        assert_eq!(stats.applications["unwrap"], N);
+        assert_eq!(stats.offers, 2 * N + N * (N + 1));
+        assert!(stats.offers > MAX_REWRITES_PER_OP * 3 * N);
     }
 }

@@ -1,6 +1,6 @@
 //! Thompson NFA construction from the front-end AST.
 
-use regex_frontend::{Alternation, Atom, ClassSet, Piece, Quantifier, RegexAst};
+use regex_frontend::{Alternation, Atom, ByteSet, Piece, Quantifier, RegexAst};
 
 /// Index of a state in the NFA's state vector.
 pub type StateId = u32;
@@ -16,7 +16,7 @@ pub enum ByteTest {
     /// Exactly this byte.
     Char(u8),
     /// Membership in a 256-bit set (negation already resolved).
-    Set(ClassSet),
+    Set(ByteSet),
 }
 
 impl ByteTest {
@@ -265,7 +265,7 @@ impl Builder {
             Atom::Char(c) => self.byte(ByteTest::Char(*c)),
             Atom::Any => self.byte(ByteTest::Any),
             Atom::Class { negated, set } => {
-                let set = if *negated { set.complement() } else { set.clone() };
+                let set = if *negated { ByteSet::FULL.difference(*set) } else { *set };
                 self.byte(ByteTest::Set(set))
             }
             Atom::Group(alt) => self.alternation(alt),

@@ -52,7 +52,7 @@ pub struct ConnectionModel {
     pub requests: Vec<bool>,
     /// Work permits.
     pub workers: usize,
-    /// Open-connection cap (`workers + queue_depth`).
+    /// Open-connection cap (the server's `workers + QUEUE_DEPTH`).
     pub capacity: usize,
     /// Idle read timeouts each connection may take before the drain flag
     /// is set. Bounds the exploration; once the flag is set, timeouts

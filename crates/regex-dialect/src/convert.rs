@@ -36,8 +36,7 @@ fn convert_atom(atom: &Atom) -> Operation {
         Atom::Char(c) => ops::match_char(*c),
         Atom::Any => ops::match_any_char(),
         Atom::Class { negated, set } => {
-            let set = if *negated { set.complement() } else { set.clone() };
-            ops::group(ByteSet(set.words()))
+            ops::group(if *negated { ByteSet::FULL.difference(*set) } else { *set })
         }
         Atom::Group(alt) => ops::sub_regex(convert_alternatives(alt)),
     }
@@ -87,7 +86,7 @@ fn op_to_concatenation(concat: &Operation) -> Concatenation {
 fn op_to_piece(piece: &Operation) -> Piece {
     use crate::ops::{attrs, names, piece_parts, quantifier_bounds};
     use mlir_lite::Attribute;
-    use regex_frontend::{ClassSet, Quantifier};
+    use regex_frontend::Quantifier;
     let (atom_op, quant_op) = piece_parts(piece);
     let atom = if atom_op.is(names::MATCH_CHAR) {
         Atom::Char(atom_op.attr(attrs::TARGET_CHAR).and_then(Attribute::as_char).expect("verified"))
@@ -95,7 +94,7 @@ fn op_to_piece(piece: &Operation) -> Piece {
         Atom::Any
     } else if atom_op.is(names::GROUP) {
         let set = atom_op.attr(attrs::TARGET_CHARS).and_then(Attribute::as_byte_set);
-        Atom::Class { negated: false, set: ClassSet::from_words(set.expect("verified").0) }
+        Atom::Class { negated: false, set: set.expect("verified") }
     } else if atom_op.is(names::SUB_REGEX) {
         Atom::Group(Box::new(region_to_alternation(&atom_op.only_region().ops)))
     } else {

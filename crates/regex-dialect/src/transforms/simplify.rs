@@ -9,8 +9,7 @@
 //! * `(a{2,3}){4,7}` is preserved (`a{8,21}` would wrongly accept 9 `a`s).
 
 use mlir_lite::{
-    apply_patterns_greedily, Context, Operation, Pass, PassError, Rewrite, RewriteConfig,
-    RewritePattern,
+    apply_patterns_greedily, Context, Operation, Pass, PassError, Rewrite, RewritePattern,
 };
 
 use crate::ops::{self, names, piece_parts};
@@ -29,7 +28,7 @@ impl Pass for CanonicalizePass {
     fn run(&self, root: &mut Operation, _ctx: &Context) -> Result<(), PassError> {
         let patterns: [&dyn RewritePattern; 3] =
             [&UnwrapTrivialSubRegex, &MergeSubRegexQuantifier, &SimplifyGroup];
-        let stats = apply_patterns_greedily(root, &patterns, RewriteConfig::default());
+        let stats = apply_patterns_greedily(root, &patterns);
         if stats.hit_rewrite_cap {
             return Err(PassError::new("canonicalization did not converge"));
         }

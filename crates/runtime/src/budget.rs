@@ -983,7 +983,7 @@ mod tests {
 
     fn host_runtime(jobs: usize) -> Runtime {
         let compiler = cicero_core::CompilerOptions::optimized().with_backend(Backend::Host);
-        Runtime::new(RuntimeOptions { jobs, compiler, ..RuntimeOptions::default() })
+        Runtime::new(RuntimeOptions { jobs, compiler })
     }
 
     #[test]

@@ -67,27 +67,24 @@ use cicero_core::{
 use cicero_isa::Program;
 use cicero_telemetry::{Telemetry, TraceContext, TraceSpan};
 
+/// Entries in the compiled-program cache and in the host-lowering memo.
+const CACHE_CAPACITY: usize = 128;
+
 /// Bounded memoization of host-engine lowerings, keyed by the program's
 /// address so a hit compares instructions instead of hashing them all.
 /// A freed program's address can be reused, so a hit also checks that
 /// the stored clone equals `program`. Lowering runs outside the lock (a
-/// racing duplicate is merely wasted work); at capacity the map is
-/// flushed wholesale — a rebuild costs about 0.25 ms for a four-rule
-/// BRILL set and 0.4 ms for a 350-state PROTOMATA set (2-vCPU Xeon), and
-/// the working set of distinct programs is small.
+/// racing duplicate is merely wasted work); at [`CACHE_CAPACITY`] the map
+/// is flushed wholesale — a rebuild costs 194 µs for the 16-pattern
+/// PROTOMATA set and 755 µs for the 16-pattern BRILL set (the `lower_us`
+/// set rows of `crates/bench/BENCH_host.json`), and the working set of
+/// distinct programs is small.
+#[derive(Default)]
 struct HostCache {
     map: std::sync::Mutex<std::collections::HashMap<usize, (Program, Arc<HostProgram>)>>,
-    capacity: usize,
 }
 
 impl HostCache {
-    fn new(capacity: usize) -> HostCache {
-        HostCache {
-            map: std::sync::Mutex::new(std::collections::HashMap::new()),
-            capacity: capacity.max(1),
-        }
-    }
-
     /// The lowering of `program`; a miss lowers it under the span `span`
     /// opens (`None` when untraced), annotated with the engine built.
     fn get_or_lower(
@@ -112,7 +109,7 @@ impl HostCache {
             span.annotate("host.table_bytes", lowered.table_bytes());
         }
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        if map.len() >= self.capacity {
+        if map.len() >= CACHE_CAPACITY {
             map.clear();
         }
         map.insert(address, (program.clone(), Arc::clone(&lowered)));
@@ -127,8 +124,6 @@ pub struct RuntimeOptions {
     /// `jobs − 1` persistent helpers; `0` resolves to the host's available
     /// parallelism.
     pub jobs: usize,
-    /// Maximum entries in the compiled-program cache.
-    pub cache_capacity: usize,
     /// Compiler configuration used for every compilation (and part of
     /// every cache key).
     pub compiler: CompilerOptions,
@@ -136,7 +131,7 @@ pub struct RuntimeOptions {
 
 impl Default for RuntimeOptions {
     fn default() -> RuntimeOptions {
-        RuntimeOptions { jobs: 0, cache_capacity: 128, compiler: CompilerOptions::optimized() }
+        RuntimeOptions { jobs: 0, compiler: CompilerOptions::optimized() }
     }
 }
 
@@ -209,8 +204,8 @@ impl Runtime {
             shared: Arc::new(Shared {
                 compiler: Compiler::with_options(options.compiler),
                 jobs,
-                cache: ProgramCache::new(options.cache_capacity),
-                host: HostCache::new(options.cache_capacity),
+                cache: ProgramCache::new(CACHE_CAPACITY),
+                host: HostCache::default(),
                 pool: pool::Pool::new(jobs),
                 options,
             }),

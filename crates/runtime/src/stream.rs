@@ -383,7 +383,7 @@ mod tests {
     fn host_runtime() -> Runtime {
         let compiler =
             cicero_core::CompilerOptions::optimized().with_backend(cicero_core::Backend::Host);
-        Runtime::new(RuntimeOptions { jobs: 1, compiler, ..RuntimeOptions::default() })
+        Runtime::new(RuntimeOptions { jobs: 1, compiler })
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   one of `workers` work permits. A read never holds a permit, so an
 //!   idle or slow client costs only its own thread.
 //! * **Admission control** — open connections, idle ones included, are
-//!   capped at `workers + queue_depth` ([`ServerOptions::queue_depth`]),
-//!   so at most `queue_depth` connection threads wait beyond the permit
-//!   holders. Beyond the cap a new connection is answered `503` and
+//!   capped at `workers + QUEUE_DEPTH` ([`QUEUE_DEPTH`] is 64), so at
+//!   most that many connection threads wait beyond the permit holders.
+//!   Beyond the cap a new connection is answered `503` and
 //!   closed immediately, with a `Retry-After` hint scaled from the
 //!   observed `server.queue_wait_ms` p50: overload sheds load at the
 //!   front door instead of piling up latency, and a rejected client
@@ -41,8 +41,8 @@
 //!   `POST /shutdown`) sets a flag and wakes the acceptor, which closes
 //!   the listener. A connection closes only once a read that began after
 //!   it saw the flag times out idle, so a request already written is
-//!   answered; [`Server::run`] waits for every connection to close under
-//!   [`ServerOptions::drain_timeout`]. The protocol is model-checked by
+//!   answered; [`Server::run`] waits up to [`DRAIN_TIMEOUT`] (5 s) for
+//!   every connection to close. The protocol is model-checked by
 //!   `cicero-permute`'s `ConnectionModel`; the [`DrainReport`] says
 //!   whether the drain completed.
 //! * **Telemetry** — `server.*` metrics (requests by endpoint and status,
@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 use cicero_core::{Backend, CompilerOptions};
 use cicero_runtime::{Runtime, RuntimeOptions};
 use cicero_sim::ArchConfig;
-use cicero_telemetry::{FlightRecorder, FlightRecorderOptions, Telemetry, TraceContext};
+use cicero_telemetry::{FlightRecorder, Telemetry, TraceContext};
 
 pub use cicero_runtime::Budget;
 
@@ -81,6 +81,15 @@ pub use cicero_runtime::Budget;
 /// request (the connection is then closed), and it is the idle tick on
 /// which a connection thread checks the drain flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
+
+/// Open connections admitted beyond `workers`, idle ones included;
+/// beyond `workers + QUEUE_DEPTH`, new connections are rejected with
+/// `503`.
+pub const QUEUE_DEPTH: usize = 64;
+
+/// How long shutdown waits for written requests to be answered and every
+/// connection to close.
+pub const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Ceiling on the scaled `Retry-After` admission hint, in seconds.
 const MAX_RETRY_AFTER_SECS: u64 = 30;
@@ -98,22 +107,12 @@ pub struct ServerOptions {
     /// Work permits: how many requests are handled at once. Reading a
     /// request holds no permit, so idle connections cost none.
     pub workers: usize,
-    /// Open connections beyond `workers`. Total open connections, idle
-    /// ones included, are capped at `workers + queue_depth`; beyond
-    /// that, new connections are rejected with `503`.
-    pub queue_depth: usize,
-    /// How long shutdown waits for written requests to be answered and
-    /// every connection to close.
-    pub drain_timeout: Duration,
     /// Options for the inner matching [`Runtime`]. The default serves
     /// with the host-native backend ([`Backend::Host`]); a request can
     /// pick the cycle-level simulator with `X-Cicero-Backend: sim`.
     pub runtime: RuntimeOptions,
     /// Architecture simulated when a request does not name one.
     pub config: ArchConfig,
-    /// Flight-recorder sizing and slow-trace policy (served at
-    /// `GET /debug/traces`).
-    pub recorder: FlightRecorderOptions,
     /// When set, the retained traces are dumped to this path as Chrome
     /// `trace_event` JSON on graceful drain.
     pub trace_dump: Option<std::path::PathBuf>,
@@ -130,14 +129,11 @@ impl Default for ServerOptions {
         ServerOptions {
             addr: "127.0.0.1:8787".to_owned(),
             workers: 4,
-            queue_depth: 64,
-            drain_timeout: Duration::from_millis(5000),
             runtime: RuntimeOptions {
                 compiler: CompilerOptions::optimized().with_backend(Backend::Host),
                 ..RuntimeOptions::default()
             },
             config: ArchConfig::new_organization(16, 1),
-            recorder: FlightRecorderOptions::default(),
             trace_dump: None,
             ruleset_dir: None,
             tenants: tenants::TenantPolicy::unlimited(),
@@ -149,7 +145,7 @@ impl Default for ServerOptions {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DrainReport {
     /// Whether every connection closed (written requests all answered)
-    /// before [`ServerOptions::drain_timeout`].
+    /// within [`DRAIN_TIMEOUT`].
     pub drained: bool,
     /// Wall-clock time the drain took.
     pub wall: Duration,
@@ -335,7 +331,7 @@ impl Server {
         let shared = Arc::new(Shared {
             runtime,
             telemetry,
-            recorder: FlightRecorder::new(options.recorder),
+            recorder: FlightRecorder::new(),
             registry,
             tenants,
             config: options.config.clone(),
@@ -392,7 +388,7 @@ impl Server {
     pub fn run(self) -> std::io::Result<DrainReport> {
         // Past this many open connections, idle ones included, admission
         // rejects.
-        let capacity = self.options.workers.max(1) + self.options.queue_depth.max(1);
+        let capacity = self.options.workers.max(1) + QUEUE_DEPTH;
         // Live connection threads, at most `capacity`: joined once the
         // drain has closed them, so their resources are gone by the time
         // `run` returns.
@@ -427,7 +423,7 @@ impl Server {
         // thread to answer what was written and close.
         drop(self.listener);
         let drain_start = Instant::now();
-        let deadline = drain_start + self.options.drain_timeout;
+        let deadline = drain_start + DRAIN_TIMEOUT;
         while self.shared.open.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -700,8 +696,6 @@ mod tests {
         ServerOptions {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
-            queue_depth: 8,
-            drain_timeout: Duration::from_millis(3000),
             // Inherit the server's default compiler options (host
             // backend) so the test fleet exercises the served default.
             runtime: RuntimeOptions { jobs: 1, ..ServerOptions::default().runtime },
@@ -955,7 +949,6 @@ mod tests {
             runtime: RuntimeOptions {
                 jobs: 2,
                 compiler: CompilerOptions::optimized().with_backend(Backend::Sim),
-                ..RuntimeOptions::default()
             },
             ..options()
         });
@@ -1175,15 +1168,14 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_with_503_and_a_retry_hint() {
-        let (addr, handle, join) = start(ServerOptions { workers: 1, queue_depth: 1, ..options() });
-        // Two silent connections fill the open-connection budget
-        // (workers + queue_depth = 2); each holds a connection thread but
-        // no work permit.
-        let idle = TcpStream::connect(addr).unwrap();
+        let (addr, handle, join) = start(ServerOptions { workers: 1, ..options() });
+        // Silent connections fill the open-connection budget
+        // (workers + QUEUE_DEPTH); each holds a connection thread but no
+        // work permit.
+        let idle: Vec<TcpStream> =
+            (0..1 + QUEUE_DEPTH).map(|_| TcpStream::connect(addr).unwrap()).collect();
         std::thread::sleep(Duration::from_millis(100));
-        let queued = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        // The third connection must be rejected at admission, instantly.
+        // The next connection must be rejected at admission, instantly.
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.set_read_timeout(Some(Duration::from_millis(2000))).unwrap();
         let mut raw = String::new();
@@ -1196,7 +1188,6 @@ mod tests {
         assert!(body.contains("capacity"), "{body}");
         // Free the connection slots, then drain.
         drop(idle);
-        drop(queued);
         handle.shutdown();
         let report = join.join().unwrap();
         assert!(report.drained);
@@ -1208,7 +1199,7 @@ mod tests {
         // One work permit, but a pile of idle connections: a live
         // request must still be served promptly because an idle
         // connection's thread waits in a read, which holds no permit.
-        let (addr, handle, join) = start(ServerOptions { workers: 1, queue_depth: 8, ..options() });
+        let (addr, handle, join) = start(ServerOptions { workers: 1, ..options() });
         let idlers: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
         std::thread::sleep(Duration::from_millis(100));
         let (status, body) = roundtrip(addr, &get("/healthz"));

@@ -81,7 +81,7 @@ use std::sync::Arc;
 
 pub use json::{escape_json, JsonObject, Value};
 pub use metrics::{Exemplar, HistogramSnapshot, Metric, MetricsRegistry};
-pub use recorder::{FlightRecorder, FlightRecorderOptions};
+pub use recorder::FlightRecorder;
 pub use trace::{render_chrome_trace, RequestTrace, TraceContext, TraceSpan, TraceSpanRecord};
 
 /// A clonable handle to one telemetry collector.

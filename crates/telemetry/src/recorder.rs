@@ -1,9 +1,10 @@
 //! The flight recorder: a fixed-size ring buffer of finished request
 //! traces.
 //!
-//! Two rings: `recent` keeps the last N complete traces regardless of
-//! latency; `slow` separately retains any trace whose total duration
-//! crossed the slow-request threshold, so a burst of fast requests can't
+//! Two rings: `recent` keeps the last [`RECENT_CAPACITY`] complete traces
+//! regardless of latency; `slow` separately retains the last
+//! [`SLOW_CAPACITY`] traces whose total duration reached
+//! [`SLOW_THRESHOLD`], so a burst of fast requests can't
 //! evict the one slow outlier you need for a post-mortem. The recorder
 //! is dumped on graceful drain and served live at `GET /debug/traces`.
 
@@ -14,29 +15,18 @@ use std::time::Duration;
 use crate::json::JsonObject;
 use crate::trace::{render_chrome_trace, RequestTrace};
 
-/// Flight-recorder sizing and slow-trace policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlightRecorderOptions {
-    /// How many most-recent traces to retain.
-    pub capacity: usize,
-    /// How many slow traces to retain (in addition to `capacity`).
-    pub slow_capacity: usize,
-    /// Traces at or above this total duration are retained as slow.
-    pub slow_threshold: Duration,
-}
+/// How many most-recent traces the recorder retains.
+pub const RECENT_CAPACITY: usize = 64;
 
-impl Default for FlightRecorderOptions {
-    fn default() -> FlightRecorderOptions {
-        FlightRecorderOptions {
-            capacity: 64,
-            slow_capacity: 32,
-            slow_threshold: Duration::from_millis(250),
-        }
-    }
-}
+/// How many slow traces the recorder retains, in addition to
+/// [`RECENT_CAPACITY`].
+pub const SLOW_CAPACITY: usize = 32;
 
+/// Traces at or above this total duration are retained as slow.
+pub const SLOW_THRESHOLD: Duration = Duration::from_millis(250);
+
+#[derive(Default)]
 struct RecorderInner {
-    options: FlightRecorderOptions,
     recent: VecDeque<Arc<RequestTrace>>,
     slow: VecDeque<Arc<RequestTrace>>,
     recorded: u64,
@@ -44,7 +34,7 @@ struct RecorderInner {
 }
 
 /// A clonable handle to one flight recorder.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<RecorderInner>>,
 }
@@ -60,60 +50,37 @@ impl std::fmt::Debug for FlightRecorder {
     }
 }
 
-impl Default for FlightRecorder {
-    fn default() -> FlightRecorder {
-        FlightRecorder::new(FlightRecorderOptions::default())
-    }
-}
-
 impl FlightRecorder {
     /// A fresh, empty recorder.
-    pub fn new(options: FlightRecorderOptions) -> FlightRecorder {
-        FlightRecorder {
-            inner: Arc::new(Mutex::new(RecorderInner {
-                options,
-                recent: VecDeque::with_capacity(options.capacity.min(1024)),
-                slow: VecDeque::with_capacity(options.slow_capacity.min(1024)),
-                recorded: 0,
-                slow_recorded: 0,
-            })),
-        }
+    pub fn new() -> FlightRecorder {
+        FlightRecorder::default()
     }
 
     fn lock(&self) -> MutexGuard<'_, RecorderInner> {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The recorder's configuration.
-    pub fn options(&self) -> FlightRecorderOptions {
-        self.lock().options
-    }
-
-    /// Whether `trace` qualifies as slow under the recorder's threshold.
+    /// Whether `trace` qualifies as slow under [`SLOW_THRESHOLD`].
     pub fn is_slow(&self, trace: &RequestTrace) -> bool {
-        trace.total() >= self.lock().options.slow_threshold
+        trace.total() >= SLOW_THRESHOLD
     }
 
     /// Retain a finished trace; returns whether it was classified slow.
     pub fn record(&self, trace: RequestTrace) -> bool {
         let trace = Arc::new(trace);
+        let slow = self.is_slow(&trace);
         let mut inner = self.lock();
-        let slow = trace.total() >= inner.options.slow_threshold;
         inner.recorded += 1;
-        if inner.options.capacity > 0 {
-            if inner.recent.len() == inner.options.capacity {
-                inner.recent.pop_front();
-            }
-            inner.recent.push_back(Arc::clone(&trace));
+        if inner.recent.len() == RECENT_CAPACITY {
+            inner.recent.pop_front();
         }
+        inner.recent.push_back(Arc::clone(&trace));
         if slow {
             inner.slow_recorded += 1;
-            if inner.options.slow_capacity > 0 {
-                if inner.slow.len() == inner.options.slow_capacity {
-                    inner.slow.pop_front();
-                }
-                inner.slow.push_back(trace);
+            if inner.slow.len() == SLOW_CAPACITY {
+                inner.slow.pop_front();
             }
+            inner.slow.push_back(trace);
         }
         slow
     }
@@ -169,9 +136,9 @@ impl FlightRecorder {
     /// JSON index of retained traces (newest last).
     pub fn render_index_json(&self) -> String {
         let traces = self.traces();
-        let (recorded, slow_recorded, threshold) = {
+        let (recorded, slow_recorded) = {
             let inner = self.lock();
-            (inner.recorded, inner.slow_recorded, inner.options.slow_threshold)
+            (inner.recorded, inner.slow_recorded)
         };
         let mut rows = String::from("[");
         for (i, trace) in traces.iter().enumerate() {
@@ -183,7 +150,7 @@ impl FlightRecorder {
                     .field("request_id", trace.request_id.as_str())
                     .field("total_us", (trace.total().as_secs_f64() * 1e9).round() / 1e3)
                     .field("span_count", trace.spans.len())
-                    .field("slow", trace.total() >= threshold)
+                    .field("slow", self.is_slow(trace))
                     .finish(),
             );
         }
@@ -192,7 +159,7 @@ impl FlightRecorder {
             .field("recorded", recorded)
             .field("slow_recorded", slow_recorded)
             .field("retained", traces.len())
-            .field("slow_threshold_ms", threshold.as_secs_f64() * 1e3)
+            .field("slow_threshold_ms", SLOW_THRESHOLD.as_secs_f64() * 1e3)
             .field_raw("traces", &rows)
             .finish()
     }
@@ -222,41 +189,55 @@ mod tests {
 
     #[test]
     fn recent_ring_evicts_oldest() {
-        let recorder = FlightRecorder::new(FlightRecorderOptions {
-            capacity: 2,
-            slow_capacity: 2,
-            slow_threshold: Duration::from_secs(1),
-        });
-        for i in 0..3 {
+        let recorder = FlightRecorder::new();
+        for i in 0..=RECENT_CAPACITY {
             recorder.record(trace_with_total(&format!("req-{i}"), 10));
         }
         assert!(recorder.get("req-0").is_none());
         assert!(recorder.get("req-1").is_some());
-        assert!(recorder.get("req-2").is_some());
-        assert_eq!(recorder.recorded(), 3);
-        assert_eq!(recorder.len(), 2);
+        assert!(recorder.get(&format!("req-{RECENT_CAPACITY}")).is_some());
+        assert_eq!(recorder.recorded(), RECENT_CAPACITY as u64 + 1);
+        assert_eq!(recorder.len(), RECENT_CAPACITY);
     }
 
     #[test]
     fn slow_traces_survive_recent_eviction() {
-        let recorder = FlightRecorder::new(FlightRecorderOptions {
-            capacity: 1,
-            slow_capacity: 4,
-            slow_threshold: Duration::from_micros(100),
-        });
-        assert!(recorder.record(trace_with_total("slow-1", 500)));
-        assert!(!recorder.record(trace_with_total("fast-1", 10)));
-        assert!(!recorder.record(trace_with_total("fast-2", 10)));
+        let threshold_us = SLOW_THRESHOLD.as_micros() as u64;
+        let recorder = FlightRecorder::new();
+        assert!(recorder.record(trace_with_total("slow-1", threshold_us)));
+        assert!(!recorder.record(trace_with_total("just-under", threshold_us - 1)));
+        for i in 0..RECENT_CAPACITY {
+            assert!(!recorder.record(trace_with_total(&format!("fast-{i}"), 10)));
+        }
         // Evicted from recent, retained as slow.
         assert!(recorder.get("slow-1").is_some());
         assert_eq!(recorder.slow_recorded(), 1);
+        assert_eq!(recorder.len(), RECENT_CAPACITY + 1);
         let index = recorder.render_index_json();
         assert!(index.contains("\"slow\":true"), "{index}");
+        assert!(index.contains("\"slow_threshold_ms\":250"), "{index}");
+    }
+
+    #[test]
+    fn slow_ring_evicts_oldest() {
+        let recorder = FlightRecorder::new();
+        for i in 0..=SLOW_CAPACITY {
+            assert!(recorder.record(trace_with_total(&format!("slow-{i}"), 300_000)));
+        }
+        for i in 0..RECENT_CAPACITY {
+            recorder.record(trace_with_total(&format!("fast-{i}"), 10));
+        }
+        // Every slow trace left the recent ring; the slow ring kept the
+        // newest SLOW_CAPACITY of them.
+        assert!(recorder.get("slow-0").is_none());
+        assert!(recorder.get("slow-1").is_some());
+        assert_eq!(recorder.slow_recorded(), SLOW_CAPACITY as u64 + 1);
+        assert_eq!(recorder.len(), RECENT_CAPACITY + SLOW_CAPACITY);
     }
 
     #[test]
     fn index_and_chrome_renderings_are_json() {
-        let recorder = FlightRecorder::default();
+        let recorder = FlightRecorder::new();
         recorder.record(trace_with_total("req-a", 42));
         let index = recorder.render_index_json();
         assert!(index.starts_with('{') && index.ends_with('}'), "{index}");

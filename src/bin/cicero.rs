@@ -7,11 +7,9 @@
 //! cicero scan    <pattern>... (--text STR | --input FILE) [--config NxM] [--jobs N]
 //!                [--backend sim|host] [--stream] [--chunk-size N] [--fuel N]
 //!                [--deadline-ms N]
-//! cicero serve   [--addr HOST:PORT] [--workers N] [--queue-depth N]
-//!                [--drain-timeout-ms N] [--config NxM] [--jobs N] [--backend sim|host]
-//!                [--trace-dump PATH] [--slow-trace-ms N] [--trace-capacity N]
-//!                [--ruleset-dir PATH] [--tenant-quota N] [--tenant-rate R]
-//!                [--tenant-burst B]
+//! cicero serve   [--addr HOST:PORT] [--workers N] [--config NxM] [--jobs N]
+//!                [--backend sim|host] [--trace-dump PATH] [--ruleset-dir PATH]
+//!                [--tenant-quota N] [--tenant-rate R] [--tenant-burst B]
 //! cicero ruleset put <id> <p1> <p2> ... [--addr HOST:PORT]
 //! cicero ruleset get|rm <id> [--addr HOST:PORT]
 //! cicero ruleset list [--addr HOST:PORT]
@@ -55,7 +53,8 @@
 //! `PUT/GET/DELETE /rulesets/{id}` registry, and `POST /shutdown` for a
 //! graceful drain. It prints one `listening on ADDR` line at startup
 //! (so `--addr host:0` ephemeral ports are discoverable), and exits `0`
-//! only when the drain completed within `--drain-timeout-ms`.
+//! only when the drain completed within 5 s; open connections beyond
+//! `--workers` + 64 are answered `503`.
 //! `--ruleset-dir` persists installed rulesets and restores them on the
 //! next start; `--tenant-quota`/`--tenant-rate`/`--tenant-burst` turn
 //! on per-`X-Cicero-Tenant` admission limits.
@@ -134,12 +133,10 @@ USAGE:
                    [--deadline-ms N]
     cicero scan    --ruleset ID (--text STR | --input FILE) [--addr HOST:PORT]
                    [--backend sim|host] [--chunk-size N] [--fuel N] [--deadline-ms N]
-    cicero serve   [--addr HOST:PORT] [--workers N] [--queue-depth N]
-                   [--drain-timeout-ms N] [--config NxM] [--jobs N] [--backend sim|host]
-                   [--metrics PATH] [--metrics-format FORMAT]
-                   [--trace-dump PATH] [--slow-trace-ms N] [--trace-capacity N]
-                   [--ruleset-dir PATH] [--tenant-quota N] [--tenant-rate R]
-                   [--tenant-burst B]
+    cicero serve   [--addr HOST:PORT] [--workers N] [--config NxM] [--jobs N]
+                   [--backend sim|host] [--metrics PATH] [--metrics-format FORMAT]
+                   [--trace-dump PATH] [--ruleset-dir PATH] [--tenant-quota N]
+                   [--tenant-rate R] [--tenant-burst B]
     cicero ruleset put <id> <p1> <p2> ... [--addr HOST:PORT]
     cicero ruleset get|rm <id> [--addr HOST:PORT]
     cicero ruleset list [--addr HOST:PORT]
@@ -208,21 +205,12 @@ OPTIONS:
                       freshly idle tenant may send (clamped to >= 1 when
                       --tenant-rate is on)
     --workers N       serve: requests handled at once (default 4); each open
-                      connection has its own thread, and reads hold no worker
-    --queue-depth N   serve: open connections allowed beyond --workers, idle
-                      ones included; beyond workers + N new connections get
-                      503 + Retry-After (default 64)
-    --drain-timeout-ms N
-                      serve: how long shutdown waits for written requests to
-                      be answered and connections to close (default 5000)
+                      connection has its own thread, and reads hold no worker;
+                      beyond workers + 64 open connections, idle ones
+                      included, new connections get 503 + Retry-After
     --trace-dump PATH serve: on graceful drain, dump the flight recorder's
                       retained request traces to PATH as Chrome trace_event
                       JSON (loadable in Perfetto / chrome://tracing)
-    --slow-trace-ms N serve: requests at or above N ms are retained in the
-                      recorder's separate slow ring (default 250)
-    --trace-capacity N
-                      serve: how many recent request traces the flight
-                      recorder retains (default 64)
     --export KIND     trace: rendering — `tree` (indented text, default),
                       `json` (span-tree JSON), or `chrome` (trace_event JSON
                       for Perfetto); `-o FILE` writes it to a file
@@ -672,13 +660,9 @@ fn run_batch_mode(
     let telemetry = Telemetry::new();
     let chunks = workloads::chunk_input(input);
     let o0 = flags.has("O0");
-    let runtime = Runtime::new(RuntimeOptions {
-        jobs,
-        compiler: compiler_base(tuned, o0),
-        ..RuntimeOptions::default()
-    })
-    .with_telemetry(telemetry.clone())
-    .with_backend(backend);
+    let runtime = Runtime::new(RuntimeOptions { jobs, compiler: compiler_base(tuned, o0) })
+        .with_telemetry(telemetry.clone())
+        .with_backend(backend);
     let batch = if flags.has("old") {
         // The legacy compiler is outside the runtime's cache; compile once
         // here and hand the program straight to the pool.
@@ -840,12 +824,8 @@ fn scan_batch_mode(
     tuned: Option<&cicero::tune::TuneFile>,
 ) -> Result<(), String> {
     let chunks = workloads::chunk_input(input);
-    let runtime = Runtime::new(RuntimeOptions {
-        jobs,
-        compiler: compiler_base(tuned, false),
-        ..RuntimeOptions::default()
-    })
-    .with_backend(backend);
+    let runtime = Runtime::new(RuntimeOptions { jobs, compiler: compiler_base(tuned, false) })
+        .with_backend(backend);
     let program = runtime.compile_set(patterns).map_err(|e| e.to_string())?;
     let batch = runtime.run_batch_guarded(&program, &chunks, config, &Budget::UNLIMITED);
     let summary = match backend {
@@ -1131,16 +1111,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         &[
             "addr",
             "workers",
-            "queue-depth",
-            "drain-timeout-ms",
             "config",
             "jobs",
             "backend",
             "metrics",
             "metrics-format",
             "trace-dump",
-            "slow-trace-ms",
-            "trace-capacity",
             "ruleset-dir",
             "tenant-quota",
             "tenant-rate",
@@ -1176,17 +1152,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             _ => return Err(format!("--workers `{value}` is not a positive number")),
         };
     }
-    if let Some(value) = flags.value("queue-depth") {
-        options.queue_depth = match value.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("--queue-depth `{value}` is not a positive number")),
-        };
-    }
-    if let Some(value) = flags.value("drain-timeout-ms") {
-        let ms: u64 =
-            value.parse().map_err(|_| format!("--drain-timeout-ms `{value}` is not a number"))?;
-        options.drain_timeout = std::time::Duration::from_millis(ms);
-    }
     if let Some(value) = flags.value("jobs") {
         options.runtime.jobs = parse_jobs(value)?;
     }
@@ -1198,16 +1163,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if let Some(path) = flags.value("trace-dump") {
         options.trace_dump = Some(std::path::PathBuf::from(path));
-    }
-    if let Some(value) = flags.value("slow-trace-ms") {
-        let ms: u64 =
-            value.parse().map_err(|_| format!("--slow-trace-ms `{value}` is not a number"))?;
-        options.recorder.slow_threshold = std::time::Duration::from_millis(ms);
-    }
-    if let Some(value) = flags.value("trace-capacity") {
-        options.recorder.capacity = value
-            .parse::<usize>()
-            .map_err(|_| format!("--trace-capacity `{value}` is not a number"))?;
     }
     if let Some(path) = flags.value("ruleset-dir") {
         options.ruleset_dir = Some(std::path::PathBuf::from(path));

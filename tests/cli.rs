@@ -591,6 +591,20 @@ fn serve_tenant_flags_are_validated() {
         assert!(!output.status.success(), "{flag} {value} must be rejected");
         assert!(stderr(&output).contains(flag), "{}", stderr(&output));
     }
+    // The admission, drain and flight-recorder settings are constants,
+    // not flags: each is refused before a listener binds.
+    for (flag, value) in [
+        ("--queue-depth", "4"),
+        ("--drain-timeout-ms", "10"),
+        ("--trace-capacity", "8"),
+        ("--slow-trace-ms", "1"),
+    ] {
+        let output = cicero(&["serve", flag, value]);
+        assert!(!output.status.success(), "{flag} {value} must be rejected");
+        let err = stderr(&output);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(!stdout(&output).contains("listening on"), "{}", stdout(&output));
+    }
 }
 
 /// Satellite of the tuning issue: a value-taking flag given twice is a

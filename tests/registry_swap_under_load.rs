@@ -61,7 +61,6 @@ fn live_swaps_drop_nothing_and_never_serve_a_retired_version() {
     let server = Server::bind(ServerOptions {
         addr: "127.0.0.1:0".to_owned(),
         workers: CLIENTS,
-        drain_timeout: Duration::from_secs(10),
         ..ServerOptions::default()
     })
     .expect("bind");

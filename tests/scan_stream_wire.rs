@@ -27,7 +27,6 @@ fn server_addr() -> SocketAddr {
             let options = ServerOptions {
                 addr: "127.0.0.1:0".to_owned(),
                 workers: 2,
-                queue_depth: 16,
                 runtime: cicero::runtime::RuntimeOptions {
                     jobs: 1,
                     ..ServerOptions::default().runtime

@@ -24,7 +24,7 @@ impl ServeProcess {
     /// `listening on ADDR` line to discover the ephemeral port.
     fn start(extra_args: &[&str]) -> ServeProcess {
         let mut child = Command::new(env!("CARGO_BIN_EXE_cicero"))
-            .args(["serve", "--addr", "127.0.0.1:0", "--drain-timeout-ms", "10000"])
+            .args(["serve", "--addr", "127.0.0.1:0"])
             .args(extra_args)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
@@ -86,7 +86,7 @@ impl ServeProcess {
 
 #[test]
 fn serve_answers_every_endpoint_and_drains_cleanly() {
-    let server = ServeProcess::start(&["--workers", "2", "--queue-depth", "16"]);
+    let server = ServeProcess::start(&["--workers", "2"]);
 
     let (status, _, body) = server.request("GET", "/healthz", "", &[]);
     assert_eq!(status, 200, "{body}");
@@ -150,7 +150,7 @@ fn raw_roundtrip(addr: &str, method: &str, path: &str, body: &str) -> u16 {
 /// cleanly afterwards.
 #[test]
 fn multi_worker_serve_answers_concurrent_clients_and_drains() {
-    let server = ServeProcess::start(&["--workers", "4", "--queue-depth", "32"]);
+    let server = ServeProcess::start(&["--workers", "4"]);
     let mut clients = Vec::new();
     for client in 0..4 {
         let addr = server.addr.clone();
