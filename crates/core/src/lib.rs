@@ -8,6 +8,12 @@
 //!   ──jump-simplification──▶ cicero dialect ──codegen──▶ ISA program
 //! ```
 //!
+//! A compiler that targets [`Backend::Host`] also lowers the optimized
+//! `regex` IR a second way, to the host engine's position automaton
+//! ([`HostProgram::from_pattern`], [`HostProgram::from_set`]): a sibling
+//! of the `cicero` lowering, so the compiled program carries its engine
+//! ([`HostLowering`]) and nothing un-lowers the ISA to run it.
+//!
 //! High-level (architecture-agnostic) optimizations run on the `regex`
 //! dialect; the back-end Jump Simplification runs on the `cicero` dialect,
 //! after basic blocks have been mapped to instruction memory — avoiding
@@ -31,9 +37,11 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cicero_dialect::CodegenError;
+pub use cicero_hostexec::HostProgram;
 use cicero_isa::Program;
 use cicero_telemetry::{Telemetry, TraceSpan, Value};
 use mlir_lite::{Context, Operation, PassError, PassManager};
@@ -66,16 +74,16 @@ pub fn record_pass_spans(span: &TraceSpan, report: &PipelineReport) {
 
 /// Execution target for a compiled program.
 ///
-/// Compilation itself is backend-agnostic — both targets execute the same
-/// validated ISA [`Program`] — so this selects *how* the program runs, not
-/// what is produced:
+/// Both targets execute the same validated ISA [`Program`]; this selects
+/// *how* the program runs:
 ///
 /// - [`Backend::Sim`] runs the cycle-level simulator, the architecture
 ///   oracle for the paper's hardware (cycle counts, icache behavior,
-///   engine-transfer stats).
+///   engine-transfer stats). The compile is exactly the paper's pipeline.
 /// - [`Backend::Host`] runs the bit-parallel host-native engine
 ///   (`cicero-hostexec`): same match semantics, no microarchitectural
-///   model, three orders of magnitude faster.
+///   model, three orders of magnitude faster. The compile also lowers the
+///   optimized `regex` IR to that engine ([`HostLowering`]).
 ///
 /// The default is `Host` — the serving path wants throughput; simulation
 /// is opt-in where architecture numbers matter.
@@ -211,12 +219,32 @@ impl CompileStats {
     }
 }
 
+/// A program's host engine, lowered from the optimized `regex` IR it was
+/// compiled from, when the compiler targets [`Backend::Host`].
+#[derive(Debug, Clone)]
+pub struct HostLowering {
+    /// The engine.
+    pub engine: Arc<HostProgram>,
+    /// Wall time of the lowering: the position automaton, factoring and
+    /// the engine build.
+    pub duration: Duration,
+}
+
+impl HostLowering {
+    fn time(lower: impl FnOnce() -> HostProgram) -> HostLowering {
+        let start = Instant::now();
+        let engine = Arc::new(lower());
+        HostLowering { engine, duration: start.elapsed() }
+    }
+}
+
 /// A compiled regular expression: the binary program plus compile metadata.
 #[derive(Debug, Clone)]
 pub struct CompiledRegex {
     program: Program,
     stats: CompileStats,
     pass_report: PipelineReport,
+    host: Option<HostLowering>,
 }
 
 impl CompiledRegex {
@@ -250,6 +278,11 @@ impl CompiledRegex {
     /// Its `Display` renders an aligned timing table.
     pub fn pass_report(&self) -> &PipelineReport {
         &self.pass_report
+    }
+
+    /// The host engine, when the compiler targets [`Backend::Host`].
+    pub fn host(&self) -> Option<&HostLowering> {
+        self.host.as_ref()
     }
 }
 
@@ -442,14 +475,22 @@ impl Compiler {
         let program = cicero_dialect::codegen(&cicero_ir)?;
         stats.codegen = start.elapsed();
 
+        let host = self
+            .targets_host()
+            .then(|| HostLowering::time(|| HostProgram::from_pattern(&regex_ir, &program)));
         Ok(CompilationArtifacts {
             canonical_pattern: ast.to_pattern(),
             regex_ir_initial,
             regex_ir_optimized: regex_ir,
             cicero_ir_initial,
             cicero_ir_optimized: cicero_ir,
-            compiled: CompiledRegex { program, stats, pass_report },
+            compiled: CompiledRegex { program, stats, pass_report, host },
         })
+    }
+
+    /// Whether compiles also lower to the host engine.
+    fn targets_host(&self) -> bool {
+        self.options.backend == Backend::Host
     }
 
     /// The front half's optimizer, once per pattern: the high-level
@@ -504,6 +545,7 @@ pub struct CompiledSet {
     program: Program,
     patterns: Vec<String>,
     pass_report: PipelineReport,
+    host: Option<HostLowering>,
 }
 
 impl CompiledSet {
@@ -516,6 +558,11 @@ impl CompiledSet {
     /// passes, in member order, then the set's one low-level pipeline.
     pub fn pass_report(&self) -> &PipelineReport {
         &self.pass_report
+    }
+
+    /// The host engine, when the compiler targets [`Backend::Host`].
+    pub fn host(&self) -> Option<&HostLowering> {
+        self.host.as_ref()
     }
 
     /// The pattern with the given identifier (as reported in
@@ -542,7 +589,8 @@ impl Compiler {
     /// high-level pipeline); then the set is lowered together around a
     /// single shared scan loop with identified acceptances, and that one
     /// program goes through the back half (the low-level pipeline and
-    /// codegen) once.
+    /// codegen) once. A compiler that targets [`Backend::Host`] then
+    /// lowers the members' optimized IR to the set's host engine.
     ///
     /// # Errors
     ///
@@ -571,10 +619,14 @@ impl Compiler {
             cicero_dialect::lower_multi(&members).map_err(CompileError::Lowering)?;
         self.low_level(&mut cicero_ir, &mut pass_report)?;
         let program = cicero_dialect::codegen(&cicero_ir)?;
+        let host = self
+            .targets_host()
+            .then(|| HostLowering::time(|| HostProgram::from_set(&members, &program)));
         Ok(CompiledSet {
             program,
             patterns: patterns.iter().map(|p| p.as_ref().to_owned()).collect(),
             pass_report,
+            host,
         })
     }
 }

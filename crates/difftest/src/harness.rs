@@ -10,9 +10,11 @@
 //!   (all optimizations off) and `O2` (all on) — must reproduce both the
 //!   verdict and the earliest end exactly;
 //! * the host-native engines ([`cicero_hostexec::HostProgram`]) — each
-//!   program lowered onto both ([`HostProgram::every_engine`]), so
-//!   `bit-wide` and the interpreter fallback each see every program they
-//!   can run — must reproduce the verdict and the earliest end exactly
+//!   program's ISA un-lowered onto both ([`HostProgram::every_engine`]),
+//!   so `bit-wide` and the interpreter fallback each see every program
+//!   they can run, plus the engine the compile lowers straight from the
+//!   pattern's `regex` IR (the `direct-*` cells, the one serving runs) —
+//!   must reproduce the verdict and the earliest end exactly
 //!   (they implement the interpreter's earliest-match-end rule), and
 //!   their all-matches `run_all` must report the same id set as
 //!   [`cicero_isa::run_all`];
@@ -39,7 +41,9 @@
 //!   caller-provided split vectors (randomized ones from the fuzzer,
 //!   committed ones from the corpus).
 
-use cicero_core::{CompileError, Compiler, CompilerOptions};
+use std::sync::Arc;
+
+use cicero_core::{Backend, CompileError, Compiler, CompilerOptions};
 use cicero_hostexec::HostProgram;
 use cicero_isa::Program;
 use cicero_runtime::{Budget, MatchOutcome, Runtime, RuntimeOptions};
@@ -112,10 +116,10 @@ pub struct PatternUnderTest {
     pub oracle: Oracle,
     /// `("O0"|"O2", program)` pairs.
     pub programs: Vec<(&'static str, Program)>,
-    /// Each program lowered onto every host engine it fits, in the same
-    /// order (lowered once per pattern, reused across every input and
-    /// split).
-    pub hosts: Vec<Vec<HostProgram>>,
+    /// Each program's host engines, in the same order (lowered once per
+    /// pattern, reused across every input and split): its ISA un-lowered
+    /// onto every engine it fits, then the compile's direct lowering.
+    pub hosts: Vec<Vec<Arc<HostProgram>>>,
 }
 
 impl PatternUnderTest {
@@ -132,11 +136,20 @@ impl PatternUnderTest {
             .map_err(|e| Outcome::Skip(format!("unparseable pattern: {e}")))?;
         let oracle = Oracle::from_ast(&ast);
         let mut programs = Vec::with_capacity(2);
+        let mut hosts = Vec::with_capacity(2);
         for (level, options) in
             [("O0", CompilerOptions::unoptimized()), ("O2", CompilerOptions::optimized())]
         {
-            match Compiler::with_options(options).compile(pattern) {
-                Ok(compiled) => programs.push((level, compiled.into_program())),
+            match Compiler::with_options(options.with_backend(Backend::Host)).compile(pattern) {
+                Ok(compiled) => {
+                    let direct = compiled.host().map(|host| Arc::clone(&host.engine));
+                    let program = compiled.into_program();
+                    let mut engines: Vec<Arc<HostProgram>> =
+                        HostProgram::every_engine(&program).into_iter().map(Arc::new).collect();
+                    engines.extend(direct);
+                    hosts.push(engines);
+                    programs.push((level, program));
+                }
                 Err(CompileError::Codegen(e)) => {
                     return Err(Outcome::Skip(format!("{level} exceeds capacity: {e}")))
                 }
@@ -148,9 +161,16 @@ impl PatternUnderTest {
                 }
             }
         }
-        let hosts =
-            programs.iter().map(|(_, program)| HostProgram::every_engine(program)).collect();
         Ok(PatternUnderTest { pattern: pattern.to_owned(), oracle, programs, hosts })
+    }
+}
+
+/// A host engine's cell name: its engine, `direct-` first for the one
+/// lowered from `regex` IR.
+fn host_cell(host: &HostProgram) -> String {
+    match host.lowering() {
+        Some(_) => format!("direct-{}", host.engine_kind()),
+        None => host.engine_kind().to_string(),
     }
 }
 
@@ -189,7 +209,7 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
             let host_out = matcher.feed(input).unwrap_or_else(|| matcher.finish());
             if host_out.accepted != want {
                 return diverged(
-                    format!("host/{level}/{}", host.engine_kind()),
+                    format!("host/{level}/{}", host_cell(host)),
                     format!("is_match = {}, oracle says {want}", host_out.accepted),
                     put,
                     input,
@@ -197,7 +217,7 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
             }
             if host_out.match_position != want_end {
                 return diverged(
-                    format!("host/{level}/{}", host.engine_kind()),
+                    format!("host/{level}/{}", host_cell(host)),
                     format!("match_end = {:?}, oracle says {want_end:?}", host_out.match_position),
                     put,
                     input,
@@ -208,7 +228,7 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
             let host_all = host.run_all(input);
             if host_all.matched_ids != interp_all.matched_ids {
                 return diverged(
-                    format!("host-all/{level}/{}", host.engine_kind()),
+                    format!("host-all/{level}/{}", host_cell(host)),
                     format!(
                         "run_all ids = {:?}, interpreter says {:?}",
                         host_all.matched_ids, interp_all.matched_ids
@@ -219,7 +239,7 @@ pub fn check_case(put: &PatternUnderTest, input: &[u8]) -> Outcome {
             }
             if host_all.first != host_out || host_all.examined != matcher.position() {
                 return diverged(
-                    format!("host-all/{level}/{}", host.engine_kind()),
+                    format!("host-all/{level}/{}", host_cell(host)),
                     format!(
                         "run_all first stop = {:?} after {} bytes, run says {host_out:?} after {}",
                         host_all.first,
@@ -315,7 +335,7 @@ pub fn check_stream_case(put: &PatternUnderTest, input: &[u8], splits: &[usize])
             let host_streamed = cicero_hostexec::run_chunked(host, borrowed());
             if host_streamed != host_whole {
                 return diverged(
-                    format!("stream/host/{level}/{}", host.engine_kind()),
+                    format!("stream/host/{level}/{}", host_cell(host)),
                     format!(
                         "streamed at {splits:?} gives {host_streamed:?}, whole input gives {host_whole:?}"
                     ),
@@ -497,7 +517,7 @@ mod tests {
         let put = PatternUnderTest {
             pattern: "ab".to_owned(),
             oracle: Oracle::new("ab").unwrap(),
-            hosts: vec![HostProgram::every_engine(&program)],
+            hosts: vec![HostProgram::every_engine(&program).into_iter().map(Arc::new).collect()],
             programs: vec![("O2", program)],
         };
         let outcome = check_case(&put, b"zzabzz");
@@ -518,7 +538,7 @@ mod tests {
             pattern: "ab".to_owned(),
             oracle: Oracle::new("ab").unwrap(),
             programs: vec![("O2", good)],
-            hosts: vec![HostProgram::every_engine(&bad)],
+            hosts: vec![HostProgram::every_engine(&bad).into_iter().map(Arc::new).collect()],
         };
         let outcome = check_case(&put, b"zzabzz");
         match outcome {

@@ -18,7 +18,6 @@
 
 use std::path::{Path, PathBuf};
 
-use cicero_hostexec::HostProgram;
 use cicero_runtime::Runtime;
 use cicero_server::registry::{RegistryError, RulesetRegistry};
 use cicero_telemetry::Telemetry;
@@ -96,8 +95,9 @@ pub fn check_registry_case(
         });
     }
 
+    // The engine a served scan of the reloaded ruleset runs on.
     let program = pin.program();
-    let host = HostProgram::compile(program);
+    let host = runtime.host_program(program);
     for input in inputs {
         let expected: Vec<u16> = oracles
             .iter()

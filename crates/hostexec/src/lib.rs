@@ -1,28 +1,36 @@
-//! Host-native execution backend for `cicero` ISA programs.
+//! Host-native execution backend for `cicero` programs.
 //!
 //! The cycle-level simulator is the *architecture oracle*: it answers
 //! "what would the paper's hardware do, cycle by cycle". This crate
 //! answers a different question — "what is the match result, as fast as
-//! this CPU can produce it" — by lowering the same validated [`Program`]
-//! one step further, onto the host:
+//! this CPU can produce it" — by lowering the same pattern one step
+//! further, onto the host:
 //!
-//! 1. **Epsilon elimination** (`nfa.rs`): `Split`/`Jump`/`NotMatch` paths
-//!    are folded away into a byte-predicate NFA whose states are
-//!    `(pc, predicate)` pairs, restoring the Glushkov property (every
-//!    entry into a state agrees on its byte predicate).
+//! 1. **The position automaton** (`positions.rs`), built straight from
+//!    the optimized `regex`-dialect IR a program was compiled from
+//!    ([`HostProgram::from_pattern`], [`HostProgram::from_set`]): one
+//!    state per atom occurrence, entered on the op's own byte set, with
+//!    first, last and follow sets from one bottom-up walk. This is a
+//!    sibling of the `cicero` lowering, as MLIR's `vector`, `gpu` and
+//!    `llvm` targets sit side by side. A program with no `regex` IR (a
+//!    hand-built or legacy-compiled one) goes through
+//!    [`HostProgram::compile`] instead, which un-lowers the ISA
+//!    (`nfa.rs`): `Split`/`Jump`/`NotMatch` paths are folded away into
+//!    `(pc, predicate)` states under a closure budget.
 //! 2. **Prefix factoring**: provably co-active states merge, folding the
-//!    duplicated scan loops and shared literal prefixes of
-//!    `compile_set` programs into one spine; sibling states (the members
-//!    of a character class: same sources, successors and arms) merge
+//!    duplicated scan loops and shared literal prefixes of sets into one
+//!    spine; sibling states (same sources, successors and arms, such as
+//!    the members of a class the ISA spells as a `Split` chain) merge
 //!    into one state whose predicate is the union of theirs. States stay
 //!    in program order.
 //! 3. **Engine selection**: every automaton of at most 8,192 states runs
 //!    bit-parallel over a mask of as many `u64` words as it needs
 //!    (`wide.rs`): a shift for chain edges, a carry for gap runs and
 //!    dense rows for the rest, byte-class compressed and generic over the
-//!    mask's word count. A pathological program that blows the lowering
-//!    budget, or lowers to more than that cap, falls back to the
-//!    reference interpreter — slower, never wrong.
+//!    mask's word count. An automaton over that cap or over
+//!    [`MAX_FOLLOW_EDGES`] follow edges, or an ISA program whose
+//!    un-lowering trips its closure budget, falls back to the reference
+//!    interpreter — slower, never wrong.
 //! 4. **Prefilter** (`prefilter.rs`): a memchr-style skip loop read off
 //!    the automaton's steady scan state, exact by construction.
 //!
@@ -48,17 +56,20 @@
 
 mod bytes;
 mod nfa;
+mod positions;
 mod prefilter;
 mod wide;
 
 pub use bytes::ByteSet;
+pub use positions::{Lowering, MAX_FOLLOW_EDGES};
 
 use cicero_isa::Program;
+use mlir_lite::Operation;
 use wide::{WideEngine, WideMatcher};
 
 /// The most states the multi-word engine steps (128 mask words, the
-/// ISA's 8,192-instruction address space); [`HostProgram::compile`]
-/// lowers a larger automaton to the interpreter fallback.
+/// ISA's 8,192-instruction address space); a larger automaton runs on the
+/// interpreter fallback.
 pub const MAX_WIDE_STATES: usize = wide::MAX_STATES;
 
 /// The mask widths, in `u64` words, the multi-word engine's step is
@@ -106,13 +117,13 @@ pub struct HostAllOutcome {
     pub matched_ids: Vec<u16>,
 }
 
-/// Which execution strategy [`HostProgram::compile`] selected.
+/// Which execution strategy a lowering selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Bit-parallel, a state mask of one or more `u64` words (at most
     /// [`MAX_WIDE_STATES`] states).
     BitWide,
-    /// Reference-interpreter fallback (lowering budget or state cap
+    /// Reference-interpreter fallback (a lowering budget or the state cap
     /// exceeded).
     Interp,
 }
@@ -136,6 +147,8 @@ enum Repr {
 /// mutable state lives in [`HostMatcher`].
 pub struct HostProgram {
     repr: Repr,
+    /// What the direct lowering did; `None` for an un-lowered ISA program.
+    lowering: Option<Lowering>,
 }
 
 impl std::fmt::Debug for HostProgram {
@@ -149,10 +162,37 @@ impl std::fmt::Debug for HostProgram {
 }
 
 impl HostProgram {
-    /// Lower `program` to the bit-parallel engine. Infallible: a program
-    /// the lowering cannot handle within budget, or whose automaton is
-    /// over [`MAX_WIDE_STATES`], degrades to the reference interpreter
-    /// rather than failing.
+    /// The engine of `program`, compiled from the one pattern whose
+    /// optimized, verified `regex.root` is `root`: its position automaton,
+    /// factored, on the bit-parallel engine. An automaton over
+    /// [`MAX_WIDE_STATES`] states or [`MAX_FOLLOW_EDGES`] follow edges runs
+    /// on the reference interpreter over `program` instead.
+    pub fn from_pattern(root: &Operation, program: &Program) -> HostProgram {
+        HostProgram::from_regex(&[root], false, program)
+    }
+
+    /// [`from_pattern`](HostProgram::from_pattern) for a program compiled
+    /// from a set: member `i` (a `regex.root`) accepts with identifier `i`.
+    pub fn from_set(members: &[&Operation], program: &Program) -> HostProgram {
+        HostProgram::from_regex(members, true, program)
+    }
+
+    fn from_regex(members: &[&Operation], ids: bool, program: &Program) -> HostProgram {
+        let (repr, lowering) = match positions::lower(members, ids) {
+            Ok((mut nfa, lowering)) => {
+                nfa::factor(&mut nfa);
+                (Repr::Wide(Box::new(WideEngine::build(&nfa))), lowering)
+            }
+            Err(lowering) => (Repr::Interp(program.clone()), lowering),
+        };
+        HostProgram { repr, lowering: Some(lowering) }
+    }
+
+    /// Lower `program`, which has no `regex` IR to lower from, by
+    /// un-lowering its ISA onto the bit-parallel engine. Infallible: a
+    /// program the un-lowering cannot handle within its closure budget,
+    /// or whose automaton is over [`MAX_WIDE_STATES`], degrades to the
+    /// reference interpreter rather than failing.
     pub fn compile(program: &Program) -> HostProgram {
         let repr = match lower(program) {
             Some(nfa) if nfa.preds.len() <= MAX_WIDE_STATES => {
@@ -160,7 +200,13 @@ impl HostProgram {
             }
             _ => Repr::Interp(program.clone()),
         };
-        HostProgram { repr }
+        HostProgram { repr, lowering: None }
+    }
+
+    /// What the direct lowering from `regex` IR counted, or `None` for an
+    /// engine [`compile`](HostProgram::compile)d from the ISA.
+    pub fn lowering(&self) -> Option<&Lowering> {
+        self.lowering.as_ref()
     }
 
     /// `program` lowered onto the bit-parallel engine, when it fits, then
@@ -171,7 +217,10 @@ impl HostProgram {
     pub fn every_engine(program: &Program) -> Vec<HostProgram> {
         let compiled = HostProgram::compile(program);
         match compiled.repr {
-            Repr::Wide(_) => vec![compiled, HostProgram { repr: Repr::Interp(program.clone()) }],
+            Repr::Wide(_) => {
+                let interp = HostProgram { repr: Repr::Interp(program.clone()), lowering: None };
+                vec![compiled, interp]
+            }
             Repr::Interp(_) => vec![compiled],
         }
     }
@@ -911,6 +960,87 @@ mod tests {
         for input in inputs() {
             assert_agrees(&p, &input);
         }
+    }
+
+    /// The engine lowered from `pattern`'s optimized `regex` IR, and its
+    /// program.
+    fn direct(pattern: &str) -> (HostProgram, Program) {
+        let artifacts = cicero_core::Compiler::new().compile_with_artifacts(pattern).unwrap();
+        let program = artifacts.compiled.into_program();
+        (HostProgram::from_pattern(&artifacts.regex_ir_optimized, &program), program)
+    }
+
+    /// The engine lowered from the members' optimized `regex` IR, and the
+    /// set's program.
+    fn direct_set(patterns: &[&str]) -> (HostProgram, Program) {
+        let compiler = cicero_core::Compiler::new();
+        let members: Vec<Operation> = patterns
+            .iter()
+            .map(|p| compiler.compile_with_artifacts(p).unwrap().regex_ir_optimized)
+            .collect();
+        let program = compiler.compile_set(patterns).unwrap().program().clone();
+        let members: Vec<&Operation> = members.iter().collect();
+        (HostProgram::from_set(&members, &program), program)
+    }
+
+    #[test]
+    fn the_direct_lowering_agrees_with_the_interpreter() {
+        let mut inputs = inputs();
+        for input in ["xay", "xbzzc", "aaaac", "abab", "xab", "ab\n", "GET /x", "zzzzab"] {
+            inputs.push(input.as_bytes().to_vec());
+        }
+        for pattern in [
+            "ab|cd",
+            "^ab$",
+            "^a*$",
+            "ab|",
+            "(a|b)*c",
+            "[^ab]c",
+            "a{2,4}b?",
+            "x(a?|a*)y",
+            "x.{2,4}[ab]c",
+            "(a?){6}c",
+            "^(ab)+",
+            "b$",
+        ] {
+            let (host, program) = direct(pattern);
+            assert!(host.lowering().is_some(), "{pattern}");
+            for input in &inputs {
+                assert_host_agrees(&host, &program, input);
+            }
+        }
+        for set in [&["abcd", "abce", "zz"][..], &["x[ab]y", "xaz", "xbz"], &["a*", "b"]] {
+            let (host, program) = direct_set(set);
+            for input in &inputs {
+                assert_host_agrees(&host, &program, input);
+            }
+        }
+    }
+
+    #[test]
+    fn a_class_is_one_position_and_a_dollar_accepts_at_end_of_input() {
+        // `x[abc]y`: start, scan loop, `x`, the class, `y`.
+        let (host, _) = direct("x[abc]y");
+        assert_eq!(host.lowering().unwrap().states, 5);
+        assert_eq!(host.state_count(), 5);
+        // A hand-built `regex.dollar` mid-pattern: `a$b` accepts `a` at end
+        // of input only, and `b` is unreachable.
+        use regex_dialect::ops as rx;
+        let root = rx::root(
+            true,
+            true,
+            vec![rx::concatenation(vec![
+                rx::piece(rx::match_char(b'a'), None),
+                rx::piece(Operation::new(rx::names::DOLLAR), None),
+                rx::piece(rx::match_char(b'b'), None),
+            ])],
+        );
+        let program = program(vec![Split(3), MatchAny, Jump(0), Match(b'a'), Accept]);
+        let host = HostProgram::from_pattern(&root, &program);
+        for input in [&b"xa"[..], b"ab", b"xab", b"a", b""] {
+            assert_host_agrees(&host, &program, input);
+        }
+        assert_eq!(host.state_count(), 3, "start, scan loop, `a`");
     }
 
     #[test]

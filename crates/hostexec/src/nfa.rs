@@ -1,4 +1,10 @@
-//! Epsilon elimination: `cicero` ISA programs to a byte-predicate NFA.
+//! Epsilon elimination: `cicero` ISA programs to a byte-predicate NFA,
+//! and prefix factoring, which every lowering shares.
+//!
+//! Un-lowering the ISA is for programs with no `regex` IR to lower from
+//! (hand-built ones, the legacy compiler's, the benchmark ledger's
+//! `hostexec.lower` probe): a compiled program's engine comes from its
+//! position automaton (`positions.rs`), which needs no closure walk.
 //!
 //! The lowering walks every non-consuming path (`Split`, `Jump`,
 //! `NotMatch`) of the program once per entry PC, accumulating the byte
@@ -234,7 +240,7 @@ impl Builder<'_> {
 /// Merge arms that report the same identifier: union the byte conditions,
 /// OR the EOI flags. One arm per identifier keeps the engines' per-arm
 /// bookkeeping proportional to the pattern-set size, not the path count.
-fn merge_arms(arms: Vec<AcceptArm>) -> Vec<AcceptArm> {
+pub(crate) fn merge_arms(arms: Vec<AcceptArm>) -> Vec<AcceptArm> {
     let mut merged: Vec<AcceptArm> = Vec::new();
     for arm in arms {
         if let Some(existing) = merged.iter_mut().find(|a| a.id == arm.id) {
@@ -273,10 +279,16 @@ fn merge_arms(arms: Vec<AcceptArm>) -> Vec<AcceptArm> {
 /// successors.
 ///
 /// Unreachable states are pruned on the way. Runs to fixpoint: each round
-/// either merges/prunes something (state count strictly drops) or stops.
+/// either merges/prunes something (state count strictly drops) or stops,
+/// and every round leaves an equivalent automaton, so the rounds stop
+/// early, unfinished, once they have walked [`FACTOR_BUDGET`] edges.
 /// Kept states keep their relative order, so program order survives.
 pub(crate) fn factor(nfa: &mut Nfa) {
+    let mut budget = FACTOR_BUDGET;
     loop {
+        let edges: usize = nfa.follow.iter().map(Vec::len).sum();
+        let Some(left) = budget.checked_sub(edges) else { return };
+        budget = left;
         let n = nfa.preds.len();
         // Incoming sources of every state, flat: state `t` owns
         // `incoming[start[t]..start[t + 1]]`. Follow lists are sorted and
@@ -387,6 +399,13 @@ pub(crate) fn factor(nfa: &mut Nfa) {
         }
     }
 }
+
+/// The follow edges factoring may walk, summed over its rounds: four
+/// rounds over the densest automaton the direct lowering admits
+/// (`positions::MAX_FOLLOW_EDGES`). Real automata finish in a handful of
+/// rounds over a few hundred edges; a dense one such as `(.?){400}c`'s,
+/// which merges a few states a round, stops here.
+const FACTOR_BUDGET: usize = 1 << 20;
 
 /// Sort `states` by `key` and pair each state with the first (lowest)
 /// state of its run of equal keys: `(representative, state)` for every

@@ -50,11 +50,15 @@
 //! against `ceil(states / 64)` pairs of 16.
 //!
 //! **The state cap**: [`MAX_STATES`] is 8,192 states (128 words), the
-//! ISA's address space. [`HostProgram::compile`](crate::HostProgram::compile)
-//! lowers a larger automaton to the reference interpreter instead, as it
-//! does when the lowering's closure budget trips, so the engine's tables
-//! are bounded: at most 1 KiB of row per residual source and 2 KiB of
-//! entry and acceptance masks per byte class.
+//! ISA's address space. A larger automaton runs on the reference
+//! interpreter instead, as one does whose position automaton passes
+//! [`MAX_FOLLOW_EDGES`](crate::MAX_FOLLOW_EDGES) or whose ISA un-lowering
+//! trips its closure budget, so the engine's tables are bounded: at most
+//! 1 KiB of row per residual source and 2 KiB of entry and acceptance
+//! masks per byte class. Each residual source costs `W` ORs per byte it
+//! is active, so a dense automaton under those caps (`(a?){512}c`: 515
+//! states, every `a` a residual source over 10 words) can cost up to
+//! `states × W` word operations per byte.
 //!
 //! Acceptance is checked before the byte is consumed and once more at
 //! end of input (which reproduces the reference interpreter's

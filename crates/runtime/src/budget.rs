@@ -907,47 +907,68 @@ mod tests {
     }
 
     #[test]
-    fn a_traced_lowering_miss_opens_a_span_and_a_hit_none() {
+    fn a_traced_compile_miss_lowers_under_compile_and_scans_lower_nothing() {
         use crate::StreamOptions;
-        use cicero_telemetry::{TraceContext, TraceSpanRecord};
+        use cicero_telemetry::{RequestTrace, TraceContext};
         let config = ArchConfig::new_organization(8, 1);
-        let runtime = host_runtime(1);
-        // The `hostexec.lower` spans of one traced request.
-        let lower_spans = |request: &dyn Fn(&Runtime)| -> Vec<TraceSpanRecord> {
+        let telemetry = Telemetry::new();
+        let runtime = host_runtime(1).with_telemetry(telemetry.clone());
+        // The trace of one request.
+        let traced = |request: &dyn Fn(&Runtime)| -> RequestTrace {
             let ctx = TraceContext::new("trace-lower");
             let root = ctx.root_span("request");
             request(&runtime.with_trace(&root));
             drop(root);
-            let trace = ctx.finish();
-            trace.spans.into_iter().filter(|span| span.name == "hostexec.lower").collect()
+            ctx.finish()
         };
+        let lowerings =
+            |trace: RequestTrace| trace.spans.iter().filter(|s| s.name == "hostexec.lower").count();
 
-        let batched = runtime.compile_set(&["abcd", "zzz"]).unwrap();
-        let batch = |traced: &Runtime| {
-            traced.run_batch_guarded(&batched, &chunks(), &config, &Budget::UNLIMITED);
-        };
-        let miss = lower_spans(&batch);
-        assert_eq!(miss.len(), 1, "a batch's lowering miss opens one span");
-        assert_eq!(miss[0].parent, Some(0), "under the request span");
-        let lowered = runtime.host_program(&batched);
+        let patterns = ["abcd", "zzz"];
+        let trace = traced(&|r| {
+            r.compile_set(&patterns).unwrap();
+        });
+        let compile = trace.span("compile").expect("compile span");
+        let lower = trace.span("hostexec.lower").expect("a compile miss lowers to the host");
+        assert_eq!(lower.parent, Some(compile.id), "under the compile span");
+        let program = runtime.compile_set(&patterns).unwrap();
+        let engine = runtime.host_program(&program);
+        assert!(engine.lowering().is_some(), "lowered from regex IR");
         for (key, want) in [
-            ("host.tier", lowered.engine_kind().to_string()),
-            ("host.states", lowered.state_count().to_string()),
-            ("host.byte_classes", lowered.byte_class_count().to_string()),
-            ("host.table_bytes", lowered.table_bytes().to_string()),
+            ("host.tier", engine.engine_kind().to_string()),
+            ("host.states", engine.state_count().to_string()),
+            ("host.byte_classes", engine.byte_class_count().to_string()),
+            ("host.table_bytes", engine.table_bytes().to_string()),
         ] {
-            let got = miss[0].attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.to_string());
+            let got = lower.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.to_string());
             assert_eq!(got, Some(want), "{key}");
         }
-        assert!(lower_spans(&batch).is_empty(), "a memo hit opens no span");
 
-        let streamed = runtime.compile_set(&["xyz", "abc"]).unwrap();
-        let stream = |traced: &Runtime| {
-            let input = &b"..abc..xyz.."[..];
-            traced.scan_stream(&streamed, input, &config, &StreamOptions::default()).unwrap();
-        };
-        assert_eq!(lower_spans(&stream).len(), 1, "a stream's lowering miss opens one span");
-        assert!(lower_spans(&stream).is_empty(), "a memo hit opens no span");
+        // A cache hit, a batch and a stream lower nothing.
+        let hit = traced(&|r| {
+            r.compile_set(&patterns).unwrap();
+        });
+        assert_eq!(lowerings(hit), 0, "a cache hit");
+        let batch = traced(&|r| {
+            r.run_batch_guarded(&program, &chunks(), &config, &Budget::UNLIMITED);
+        });
+        assert_eq!(lowerings(batch), 0, "a batch");
+        let stream = traced(&|r| {
+            let input = &b"..abcd..zzz.."[..];
+            r.scan_stream(&program, input, &config, &StreamOptions::default()).unwrap();
+        });
+        assert_eq!(lowerings(stream), 0, "a stream");
+        assert_eq!(telemetry.counter("runtime.isa_lowerings"), 0);
+
+        // A program the runtime did not compile has no IR: each batch
+        // un-lowers its ISA under its own span, and counts it.
+        let foreign = cicero_core::compile("ab|cd").unwrap().into_program();
+        let batch = traced(&|r| {
+            r.run_batch_guarded(&foreign, &chunks(), &config, &Budget::UNLIMITED);
+        });
+        assert_eq!(lowerings(batch), 1);
+        assert_eq!(runtime.host_program(&foreign).lowering(), None);
+        assert_eq!(telemetry.counter("runtime.isa_lowerings"), 2);
     }
 
     #[test]

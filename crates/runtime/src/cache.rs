@@ -226,6 +226,8 @@ impl ProgramCache {
     }
 
     /// Look up `key`, or compile it with `build` and insert the result.
+    /// `build` hands over the shared program itself, so whatever the
+    /// caller keys by its address is in place before any waiter sees it.
     ///
     /// Returns the program and whether the lookup was a hit (a lookup
     /// that coalesced onto another thread's in-flight compile counts as a
@@ -239,7 +241,7 @@ impl ProgramCache {
     pub fn get_or_insert_with<E>(
         &self,
         key: CacheKey,
-        build: impl FnOnce() -> Result<Program, E>,
+        build: impl FnOnce() -> Result<Arc<Program>, E>,
     ) -> Result<(Arc<Program>, bool), E> {
         let mut build = Some(build);
         loop {
@@ -259,7 +261,6 @@ impl ProgramCache {
                     inner.in_flight.remove(&key);
                     match built {
                         Ok(program) => {
-                            let program = Arc::new(program);
                             if inner.entries.len() >= inner.capacity {
                                 let oldest = inner
                                     .entries
@@ -314,8 +315,9 @@ mod tests {
     use super::*;
     use cicero_isa::Instruction;
 
-    fn tiny_program(ch: u8) -> Program {
-        Program::from_instructions(vec![Instruction::Match(ch), Instruction::Accept]).unwrap()
+    fn tiny_program(ch: u8) -> Arc<Program> {
+        let program = Program::from_instructions(vec![Instruction::Match(ch), Instruction::Accept]);
+        Arc::new(program.unwrap())
     }
 
     fn key(pattern: &str) -> CacheKey {
@@ -436,7 +438,7 @@ mod tests {
         let compile = || {
             cicero_core::Compiler::with_options(CompilerOptions::optimized())
                 .compile(pattern)
-                .map(|c| c.into_program())
+                .map(|c| Arc::new(c.into_program()))
                 .map_err(|e| e.to_string())
         };
         cache.get_or_insert_with(key(pattern), compile).unwrap();
@@ -444,7 +446,7 @@ mod tests {
             cache.get_or_insert_with::<String>(key(pattern), || panic!("cached")).unwrap();
         assert!(hit);
         let fresh = compile().unwrap();
-        assert_eq!(*cached, fresh, "instruction streams must be equal");
+        assert_eq!(cached, fresh, "instruction streams must be equal");
         assert_eq!(cached.instructions(), fresh.instructions());
         assert_eq!(
             cicero_isa::EncodedProgram::from_program(&cached).to_bytes(),

@@ -20,7 +20,10 @@
 //! whole multi-dialect pass pipeline and go straight to execution. This is
 //! MLIR's own argument applied to serving: the compiler layers produce
 //! reusable, cached artifacts that feed a parallel execution substrate,
-//! rather than being re-run per request.
+//! rather than being re-run per request. Every compile also lowers the
+//! pattern's `regex` IR to its host engine, and the runtime keeps that
+//! engine beside the program for as long as the program is alive, so no
+//! scan lowers anything.
 //!
 //! # Example
 //!
@@ -53,7 +56,9 @@ mod pool;
 mod session;
 mod stream;
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
 pub use budget::{Budget, BudgetKind, GuardedBatch, MatchOutcome, WorkerStats};
 pub use cache::{CacheKey, CacheStats, ProgramCache};
@@ -62,59 +67,56 @@ pub use handle::{PinGuard, SetHandle};
 pub use stream::{StreamError, StreamOptions, StreamReport};
 
 use cicero_core::{
-    record_pass_spans, Backend, CompileError, Compiler, CompilerOptions, PipelineReport,
+    record_pass_spans, Backend, CompileError, Compiler, CompilerOptions, HostLowering,
+    PipelineReport,
 };
 use cicero_isa::Program;
-use cicero_telemetry::{Telemetry, TraceContext, TraceSpan};
+use cicero_telemetry::{Telemetry, TraceContext, TraceSpan, Value};
 
-/// Entries in the compiled-program cache and in the host-lowering memo.
+/// Entries in the compiled-program cache.
 const CACHE_CAPACITY: usize = 128;
 
-/// Bounded memoization of host-engine lowerings, keyed by the program's
-/// address so a hit compares instructions instead of hashing them all.
-/// A freed program's address can be reused, so a hit also checks that
-/// the stored clone equals `program`. Lowering runs outside the lock (a
-/// racing duplicate is merely wasted work); at [`CACHE_CAPACITY`] the map
-/// is flushed wholesale — a rebuild costs 194 µs for the 16-pattern
-/// PROTOMATA set and 755 µs for the 16-pattern BRILL set (the `lower_us`
-/// set rows of `crates/bench/BENCH_host.json`), and the working set of
-/// distinct programs is small.
+/// The host engine of every program this runtime compiled, for as long as
+/// the program is alive, keyed by the program's address inside its
+/// [`Arc`] beside a [`Weak`] to it. The `Weak` keeps that allocation from
+/// being reused while the entry exists, so a live entry's address is its
+/// program's and a lookup is one hash probe, with no program compare.
+/// Each insert (a compile) first drops the entries of dead programs, so
+/// the map holds the live programs' engines and no more.
 #[derive(Default)]
-struct HostCache {
-    map: std::sync::Mutex<std::collections::HashMap<usize, (Program, Arc<HostProgram>)>>,
+struct Engines {
+    map: Mutex<EngineMap>,
 }
 
-impl HostCache {
-    /// The lowering of `program`; a miss lowers it under the span `span`
-    /// opens (`None` when untraced), annotated with the engine built.
-    fn get_or_lower(
-        &self,
-        program: &Program,
-        span: impl FnOnce() -> Option<TraceSpan>,
-    ) -> Arc<HostProgram> {
-        let address = std::ptr::from_ref(program) as usize;
-        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((stored, hit)) = map.get(&address) {
-            if stored == program {
-                return Arc::clone(hit);
-            }
-        }
-        drop(map);
-        let span = span();
-        let lowered = Arc::new(HostProgram::compile(program));
-        if let Some(span) = span {
-            span.annotate("host.tier", lowered.engine_kind().to_string());
-            span.annotate("host.states", lowered.state_count());
-            span.annotate("host.byte_classes", lowered.byte_class_count());
-            span.annotate("host.table_bytes", lowered.table_bytes());
-        }
+/// Program address → the program and its engine.
+type EngineMap = HashMap<usize, (Weak<Program>, Arc<HostProgram>)>;
+
+impl Engines {
+    fn insert(&self, program: &Arc<Program>, engine: Arc<HostProgram>) {
         let mut map = self.map.lock().unwrap_or_else(|p| p.into_inner());
-        if map.len() >= CACHE_CAPACITY {
-            map.clear();
-        }
-        map.insert(address, (program.clone(), Arc::clone(&lowered)));
-        lowered
+        map.retain(|_, (program, _)| program.strong_count() > 0);
+        map.insert(Arc::as_ptr(program) as usize, (Arc::downgrade(program), engine));
     }
+
+    fn get(&self, program: &Program) -> Option<Arc<HostProgram>> {
+        let map = self.map.lock().unwrap_or_else(|p| p.into_inner());
+        let (weak, engine) = map.get(&(std::ptr::from_ref(program) as usize))?;
+        (weak.strong_count() > 0).then(|| Arc::clone(engine))
+    }
+}
+
+/// What a cache miss compiles: the program, its pass report and its host
+/// engine.
+type Compiled = (Program, PipelineReport, Option<HostLowering>);
+
+/// The `host.*` attributes naming `engine` on a span.
+fn engine_attrs(engine: &HostProgram) -> Vec<(String, Value)> {
+    vec![
+        ("host.tier".to_owned(), Value::from(engine.engine_kind().to_string())),
+        ("host.states".to_owned(), Value::from(engine.state_count())),
+        ("host.byte_classes".to_owned(), Value::from(engine.byte_class_count())),
+        ("host.table_bytes".to_owned(), Value::from(engine.table_bytes())),
+    ]
 }
 
 /// Construction-time knobs for a [`Runtime`].
@@ -125,7 +127,8 @@ pub struct RuntimeOptions {
     /// parallelism.
     pub jobs: usize,
     /// Compiler configuration used for every compilation (and part of
-    /// every cache key).
+    /// every cache key). The runtime compiles for the host whatever its
+    /// `backend`, so every program carries its host engine.
     pub compiler: CompilerOptions,
 }
 
@@ -149,14 +152,14 @@ struct Shared {
     compiler: Compiler,
     jobs: usize,
     cache: ProgramCache,
-    host: HostCache,
+    engines: Engines,
     pool: pool::Pool,
 }
 
 /// A batch-matching runtime: worker pool + compiled-program cache.
 ///
-/// A `Runtime` is a cheap handle: the cache, the host-lowering memo and
-/// the options live behind one [`Arc`], and [`Runtime::with_backend`] /
+/// A `Runtime` is a cheap handle: the cache, the host engines and the
+/// options live behind one [`Arc`], and [`Runtime::with_backend`] /
 /// [`Runtime::with_trace`] return a handle scoped to one request that
 /// shares them. Batches from concurrent front-end threads interleave
 /// freely.
@@ -202,10 +205,10 @@ impl Runtime {
         };
         Runtime {
             shared: Arc::new(Shared {
-                compiler: Compiler::with_options(options.compiler),
+                compiler: Compiler::with_options(options.compiler.with_backend(Backend::Host)),
                 jobs,
                 cache: ProgramCache::new(CACHE_CAPACITY),
-                host: HostCache::default(),
+                engines: Engines::default(),
                 pool: pool::Pool::new(jobs),
                 options,
             }),
@@ -272,13 +275,29 @@ impl Runtime {
         self.backend
     }
 
-    /// The host-engine lowering of `program`, memoized per runtime. Use
-    /// this to inspect engine selection or to run host-only entry points
-    /// like [`HostProgram::run_all`] directly. Under
-    /// [`Runtime::with_trace`], a memo miss lowers under a
-    /// `hostexec.lower` span naming the engine built.
+    /// The host engine of `program`. Use this to inspect engine selection
+    /// or to run host-only entry points like [`HostProgram::run_all`]
+    /// directly. A program this runtime compiled (and that is still
+    /// alive) comes with the engine its compile lowered from `regex` IR.
+    /// Any other program has no IR to lower from: it is un-lowered from
+    /// its ISA ([`HostProgram::compile`]) on every call, counted in
+    /// `runtime.isa_lowerings` and, under [`Runtime::with_trace`],
+    /// traced as a `hostexec.lower` span naming the engine built.
     pub fn host_program(&self, program: &Program) -> Arc<HostProgram> {
-        self.shared.host.get_or_lower(program, || self.trace_child("hostexec.lower"))
+        if let Some(engine) = self.shared.engines.get(program) {
+            return engine;
+        }
+        let span = self.trace_child("hostexec.lower");
+        let engine = Arc::new(HostProgram::compile(program));
+        if let Some(telemetry) = &self.telemetry {
+            telemetry.counter_add("runtime.isa_lowerings", 1);
+        }
+        if let Some(span) = span {
+            for (key, value) in engine_attrs(&engine) {
+                span.annotate(key, value);
+            }
+        }
+        engine
     }
 
     /// Open a child of the scoped request span (`None` when untraced).
@@ -302,8 +321,8 @@ impl Runtime {
         let key = CacheKey::pattern(pattern, self.cache_key_options());
         self.lookup(key, None, |compiler| {
             let compiled = compiler.compile(pattern)?;
-            let report = compiled.pass_report().clone();
-            Ok((compiled.into_program(), report))
+            let (report, host) = (compiled.pass_report().clone(), compiled.host().cloned());
+            Ok((compiled.into_program(), report, host))
         })
     }
 
@@ -331,7 +350,7 @@ impl Runtime {
         let key = CacheKey::set(patterns, self.cache_key_options());
         self.lookup(key, Some(patterns.len()), |compiler| {
             let set = compiler.compile_set(patterns)?;
-            Ok((set.program().clone(), set.pass_report().clone()))
+            Ok((set.program().clone(), set.pass_report().clone(), set.host().cloned()))
         })
     }
 
@@ -342,23 +361,29 @@ impl Runtime {
     }
 
     /// One cache lookup under a `compile` trace span; `build` runs the
-    /// pass pipeline on a miss, and its per-pass timings become the
-    /// span's children.
+    /// pass pipeline and the host lowering on a miss, the engine is kept
+    /// beside the program before any other caller sees the program, and
+    /// the per-pass timings and the lowering become the span's children.
     fn lookup(
         &self,
         key: CacheKey,
         set_size: Option<usize>,
-        build: impl FnOnce(&Compiler) -> Result<(Program, PipelineReport), CompileError>,
+        build: impl FnOnce(&Compiler) -> Result<Compiled, CompileError>,
     ) -> Result<(Arc<Program>, bool), CompileError> {
+        let opened = Instant::now();
         let span = self.trace_child("compile");
         if let (Some(span), Some(patterns)) = (&span, set_size) {
             span.annotate("patterns", patterns);
         }
-        let mut report: Option<PipelineReport> = None;
+        let mut report: Option<(PipelineReport, Option<HostLowering>)> = None;
         let result: Result<(Arc<Program>, bool), CompileError> =
             self.shared.cache.get_or_insert_with(key, || {
-                let (program, passes) = build(&self.shared.compiler)?;
-                report = Some(passes);
+                let (program, passes, host) = build(&self.shared.compiler)?;
+                let program = Arc::new(program);
+                if let Some(host) = &host {
+                    self.shared.engines.insert(&program, Arc::clone(&host.engine));
+                }
+                report = Some((passes, host));
                 Ok(program)
             });
         if let Ok((_, hit)) = &result {
@@ -370,9 +395,16 @@ impl Runtime {
                 span.annotate("cache_hit", *hit);
             }
         }
-        if let (Some(span), Some(report)) = (&span, &report) {
-            span.annotate("passes", report.passes.len());
-            record_pass_spans(span, report);
+        if let (Some(span), Some((passes, host))) = (&span, &report) {
+            span.annotate("passes", passes.passes.len());
+            record_pass_spans(span, passes);
+            // The lowering ran last, just before the lookup returned.
+            if let Some(host) = host {
+                let start = span.start_offset() + opened.elapsed().saturating_sub(host.duration);
+                let attrs = engine_attrs(&host.engine);
+                let ctx = span.context();
+                ctx.record_complete(Some(span.id()), "hostexec.lower", start, host.duration, attrs);
+            }
         }
         result
     }
@@ -422,28 +454,35 @@ mod tests {
         assert_eq!(runtime.cache().stats().hits, 1);
     }
 
-    /// The host memo is keyed by a program's address: programs dropped
-    /// and re-created in a loop land on reused addresses, and every
-    /// lookup must still return the lowering of the program it was given.
+    /// Engines are kept by program address: sets compiled past the
+    /// cache's capacity are evicted and dropped, their entries pruned and
+    /// their addresses reused, and every lookup must still return the
+    /// engine the program's own compile lowered, never an ISA lowering.
     #[test]
-    fn host_memo_lowers_the_program_at_a_reused_address() {
-        let runtime = runtime(1);
-        let patterns = ["ab", "a[bc]d+", "(abcd|bcda|cdab|dabc)", "x{2,5}y|z", "q"];
-        let inputs: [&[u8]; 4] = [b"xxabyy", b"zacddq", b"xxxy", b"bcdab"];
+    fn every_compiled_program_keeps_its_engine_through_churn() {
+        let telemetry = Telemetry::new();
+        let runtime = runtime(1).with_telemetry(telemetry.clone());
+        let inputs: [&[u8]; 4] = [b"xxa7byy", b"zxyyzq", b"a12b", b"xzy"];
+        let rounds = 3 * CACHE_CAPACITY;
         let mut addresses = std::collections::HashSet::new();
-        for round in 0..40 {
-            let pattern = patterns[round % patterns.len()];
-            let program = Box::new(cicero_core::compile(pattern).unwrap().into_program());
-            addresses.insert(std::ptr::from_ref::<Program>(&program) as usize);
-            let memo = runtime.host_program(&program);
-            let fresh = HostProgram::compile(&program);
-            assert_eq!(memo.engine_kind(), fresh.engine_kind(), "{pattern}");
-            assert_eq!(memo.state_count(), fresh.state_count(), "{pattern}");
+        for round in 0..rounds {
+            let patterns = [format!("a{round}b"), "x[yz]+".to_owned()];
+            let program = runtime.compile_set(&patterns).unwrap();
+            addresses.insert(Arc::as_ptr(&program) as usize);
+            let engine = runtime.host_program(&program);
+            assert!(engine.lowering().is_some(), "round {round}: the compile's engine");
+            let isa = HostProgram::compile(&program);
             for input in inputs {
-                assert_eq!(memo.run_all(input), fresh.run_all(input), "{pattern} on {input:?}");
+                assert_eq!(engine.run_all(input), isa.run_all(input), "round {round} {input:?}");
             }
+            let kept = runtime.shared.engines.map.lock().unwrap().len();
+            assert!(kept <= CACHE_CAPACITY + 1, "round {round}: {kept} engines kept");
         }
-        assert!(addresses.len() < 40, "the allocator reused no address; the test proves nothing");
+        assert_eq!(telemetry.counter("runtime.isa_lowerings"), 0);
+        assert!(
+            addresses.len() < rounds,
+            "the allocator reused no address; the test proves nothing"
+        );
     }
 
     #[test]

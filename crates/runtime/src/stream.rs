@@ -105,8 +105,8 @@ impl Runtime {
         if options.chunk_size == 0 {
             return Err(StreamError::Options("chunk size must be at least 1 byte".to_owned()));
         }
-        // A lowering miss is its own `hostexec.lower` span, before the
-        // scan's, as it is before a batch's `execute`.
+        // The program's compile lowered its engine; only a program from
+        // elsewhere is un-lowered here, under its own span.
         let host = (self.backend == Backend::Host).then(|| self.host_program(program));
         let trace_span = self.trace_child("stream.execute").inspect(|span| {
             span.annotate("chunk_size", options.chunk_size);

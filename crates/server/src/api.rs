@@ -550,7 +550,7 @@ fn registry_error_response(error: &RegistryError) -> Response {
     let status = match error {
         RegistryError::InvalidId(_) | RegistryError::Compile(_) => 400,
         RegistryError::NotFound(_) => 404,
-        RegistryError::Io(_) | RegistryError::Corrupt(_) => 500,
+        RegistryError::Io(_) | RegistryError::Corrupt(_) | RegistryError::Stale(_) => 500,
     };
     error_response(status, &error.to_string())
 }

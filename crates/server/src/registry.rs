@@ -29,7 +29,10 @@
 //!   progressive-lowering argument: the *compiled*, backend-independent
 //!   program is the stored unit, not the source patterns alone) — via a
 //!   write-then-rename so readers never see a torn file. `load_dir`
-//!   restores them at startup, verifying the content hash.
+//!   restores them at startup, verifying the content hash, and serves
+//!   the runtime's own compile of the patterns (which carries its host
+//!   engine) once that compile is the stored program; an artifact it is
+//!   not is refused as stale.
 
 use std::collections::HashMap;
 use std::io;
@@ -61,6 +64,11 @@ pub enum RegistryError {
     Io(io::Error),
     /// A persisted artifact was malformed or failed its hash check.
     Corrupt(String),
+    /// A persisted artifact's program is not what the runtime compiles
+    /// its patterns to (another compiler version or configuration wrote
+    /// it): serving it would mean un-lowering its ISA for the host
+    /// engine, so it is refused; put the ruleset again to replace it.
+    Stale(String),
 }
 
 impl std::fmt::Display for RegistryError {
@@ -74,6 +82,7 @@ impl std::fmt::Display for RegistryError {
             RegistryError::NotFound(id) => write!(f, "no ruleset {id:?}"),
             RegistryError::Io(e) => write!(f, "ruleset store i/o: {e}"),
             RegistryError::Corrupt(m) => write!(f, "corrupt ruleset artifact: {m}"),
+            RegistryError::Stale(m) => write!(f, "stale ruleset artifact: {m}"),
         }
     }
 }
@@ -253,12 +262,15 @@ impl RulesetRegistry {
     }
 
     /// Restore every `*.ruleset` artifact in the persist directory,
-    /// verifying each content hash. Returns the ids loaded (sorted).
-    /// A registry with no persist directory loads nothing.
+    /// verifying each content hash. Each ruleset serves the program
+    /// `runtime` compiles its patterns to, which carries its host engine,
+    /// after checking it equals the stored one. Returns the ids loaded
+    /// (sorted). A registry with no persist directory loads nothing.
     ///
     /// # Errors
     ///
-    /// The first I/O, decode, or hash-mismatch failure; rulesets loaded
+    /// The first I/O, decode, hash-mismatch, compile or
+    /// [stale-artifact](RegistryError::Stale) failure; rulesets loaded
     /// before the failure stay installed.
     pub fn load_dir(&self, runtime: &Runtime) -> Result<Vec<String>, RegistryError> {
         let Some(dir) = self.persist_dir.clone() else {
@@ -280,11 +292,17 @@ impl RulesetRegistry {
                 })?;
             validate_id(&id)?;
             let (version, patterns, program) = load_artifact(&path)?;
-            // Warm the runtime cache so the first scan after a restart
-            // hits it (and both backends share the entry), then install
-            // the *persisted* program — the artifact is the contract.
-            let _ = runtime.compile_set(&patterns);
-            let handle = Arc::new(SetHandle::new(version, patterns, Arc::new(program)));
+            // The artifact is the contract: serve the runtime's compile
+            // (cached, so the first scan after a restart hits it, and
+            // carrying its host engine) only as the stored program.
+            let compiled = runtime.compile_set(&patterns).map_err(RegistryError::Compile)?;
+            if *compiled != program {
+                return Err(RegistryError::Stale(format!(
+                    "{}: the stored program is not the one these patterns compile to",
+                    path.display()
+                )));
+            }
+            let handle = Arc::new(SetHandle::new(version, patterns, compiled));
             let mut entries = self.entries.lock().unwrap_or_else(|p| p.into_inner());
             if let Some(old) = entries.insert(id.clone(), handle) {
                 drop(entries);
@@ -581,9 +599,12 @@ mod tests {
         let info = registry.get("web").unwrap();
         assert_eq!(info.version, version);
         assert_eq!(info.patterns, patterns);
-        // The restored program actually matches.
+        // The restored program actually matches, and it is the runtime's
+        // own compile, whose host engine came from `regex` IR.
         let pinned = registry.pin("web").unwrap();
         assert_eq!(cicero_isa::run_all(pinned.program(), b"GET /x").matched_ids, vec![0]);
+        assert!(Arc::ptr_eq(pinned.program(), &runtime.compile_set(&patterns).unwrap()));
+        assert!(runtime.host_program(pinned.program()).lowering().is_some());
         drop(pinned);
         // Delete unlinks the artifact.
         registry.delete("web").unwrap();
@@ -611,6 +632,29 @@ mod tests {
         let err = fresh.load_dir(&runtime).unwrap_err();
         assert!(matches!(err, RegistryError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("hash mismatch"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_artifact_another_configuration_wrote_is_refused_as_stale() {
+        // Jump Simplification off writes a longer program for `ab|cd`
+        // than a runtime with every optimization on compiles.
+        let dir = temp_dir("stale");
+        let patterns = vec!["ab|cd".to_owned(), "x+y".to_owned()];
+        let unoptimized = Runtime::new(RuntimeOptions {
+            jobs: 1,
+            compiler: cicero_core::CompilerOptions::unoptimized(),
+        });
+        let writer = RulesetRegistry::new(Some(dir.clone()), Telemetry::new());
+        writer.put(&unoptimized, "r", patterns.clone()).unwrap();
+
+        let reader = RulesetRegistry::new(Some(dir.clone()), Telemetry::new());
+        let err = reader.load_dir(&runtime()).unwrap_err();
+        assert!(matches!(err, RegistryError::Stale(_)), "{err}");
+        assert!(err.to_string().starts_with("stale ruleset artifact: "), "{err}");
+        assert!(reader.get("r").is_none(), "a stale artifact is not installed");
+        // The configuration that wrote it still loads it.
+        assert_eq!(reader.load_dir(&unoptimized).unwrap(), vec!["r".to_owned()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -83,6 +83,7 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use cicero::compiler::record_pass_spans;
 use cicero::prelude::*;
@@ -372,25 +373,31 @@ fn resolve_config(
 /// the legacy single-IR compiler has no pass pipeline, so it returns
 /// `None`. `options` is the multi-dialect baseline (usually
 /// [`compiler_base`]); `--old`/`-O0` still take precedence.
+/// One compiled pattern: the program, the new compiler's pass report, and
+/// its host engine when `options` target the host.
+type CompiledOne = (Program, Option<cicero::mlir::PipelineReport>, Option<Arc<HostProgram>>);
+
 fn compile_one(
     pattern: &str,
     old: bool,
     o0: bool,
     options: CompilerOptions,
     telemetry: Option<&Telemetry>,
-) -> Result<(Program, Option<cicero::mlir::PipelineReport>), String> {
+) -> Result<CompiledOne, String> {
     if old {
         let program = LegacyCompiler::new(!o0).compile(pattern).map_err(|e| e.to_string())?;
-        Ok((program, None))
+        Ok((program, None, None))
     } else {
-        let options = if o0 { CompilerOptions::unoptimized() } else { options };
+        let options =
+            if o0 { CompilerOptions::unoptimized().with_backend(options.backend) } else { options };
         let mut compiler = Compiler::with_options(options);
         if let Some(telemetry) = telemetry {
             compiler = compiler.with_telemetry(telemetry.clone());
         }
         let compiled = compiler.compile(pattern).map_err(|e| e.to_string())?;
         let report = compiled.pass_report().clone();
-        Ok((compiled.into_program(), Some(report)))
+        let host = compiled.host().map(|host| Arc::clone(&host.engine));
+        Ok((compiled.into_program(), Some(report), host))
     }
 }
 
@@ -461,7 +468,7 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
     };
     match emit {
         "asm" | "bin" => {
-            let (program, pass_report) =
+            let (program, pass_report, _) =
                 compile_one(pattern, old, o0, CompilerOptions::optimized(), None)?;
             if emit == "asm" {
                 output(program.to_asm().as_bytes())?;
@@ -565,8 +572,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let pass_report = {
         let root = ctx.root_span("run");
         let compile = root.child("compile");
-        let base = compiler_base(tuned.as_ref(), flags.has("O0"));
-        let (program, pass_report) =
+        let base = compiler_base(tuned.as_ref(), flags.has("O0")).with_backend(backend);
+        let (program, pass_report, host) =
             compile_one(pattern, flags.has("old"), flags.has("O0"), base, Some(&telemetry))?;
         if let Some(report) = &pass_report {
             record_pass_spans(&compile, report);
@@ -576,7 +583,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         execute.annotate("input_len", input.len());
         match backend {
             Backend::Sim => run_sim_mode(pattern, &program, &input, &config, &telemetry, &execute),
-            Backend::Host => run_host_mode(pattern, &program, &input, &execute),
+            Backend::Host => run_host_mode(pattern, &program, host, &input, &execute),
         }
         pass_report
     };
@@ -619,9 +626,17 @@ fn run_sim_mode(
 /// `run --backend host` (sequential): one pass over the whole input on
 /// the host-native engine — same verdict and match position as the
 /// simulator, but no cycle model, so the summary reports wall-clock
-/// throughput and which engine tier the lowering picked.
-fn run_host_mode(pattern: &str, program: &Program, input: &[u8], execute: &TraceSpan) {
-    let host = HostProgram::compile(program);
+/// throughput and which engine tier the lowering picked. The engine is the
+/// one the compile lowered from `regex` IR; the legacy compiler's program
+/// (`--old`) has none, so its ISA is un-lowered instead.
+fn run_host_mode(
+    pattern: &str,
+    program: &Program,
+    host: Option<Arc<HostProgram>>,
+    input: &[u8],
+    execute: &TraceSpan,
+) {
+    let host = host.unwrap_or_else(|| Arc::new(HostProgram::compile(program)));
     let start = std::time::Instant::now();
     let outcome = host.run(input);
     let wall = start.elapsed();
@@ -774,15 +789,14 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
             tuned.as_ref(),
         );
     }
-    let base = compiler_base(tuned.as_ref(), false);
+    let base = compiler_base(tuned.as_ref(), false).with_backend(backend);
     let set =
         Compiler::with_options(base).compile_set(&flags.positional).map_err(|e| e.to_string())?;
-    if backend == Backend::Host {
-        // One all-matches pass on the host engine: every set member that
-        // fires is reported, like the sim path below, minus the cycle
+    if let Some(host) = set.host() {
+        // One all-matches pass on the set's host engine: every set member
+        // that fires is reported, like the sim path below, minus the cycle
         // count (the host engine has no cycle model).
-        let host = HostProgram::compile(set.program());
-        let all = host.run_all(&input);
+        let all = host.engine.run_all(&input);
         if all.matched_ids.is_empty() {
             println!("no match in {} bytes", input.len());
         } else {
@@ -888,10 +902,12 @@ fn scan_stream_mode(
         options.budget.deadline = Some(std::time::Duration::from_millis(ms));
     }
 
-    // The set keeps the id -> pattern mapping for the verdict line; the
-    // runtime only needs the compiled program.
-    let base = compiler_base(tuned, false);
-    let set = Compiler::with_options(base).compile_set(patterns).map_err(|e| e.to_string())?;
+    // Compiled through the runtime, so the program carries its host engine.
+    let runtime = Runtime::new(RuntimeOptions {
+        compiler: compiler_base(tuned, false).with_backend(backend),
+        ..RuntimeOptions::default()
+    });
+    let program = runtime.compile_set(patterns).map_err(|e| e.to_string())?;
     let source: Box<dyn std::io::Read + Send> = match (flags.value("text"), flags.value("input")) {
         (Some(text), None) => Box::new(std::io::Cursor::new(text.as_bytes().to_vec())),
         (None, Some(path)) => {
@@ -900,12 +916,8 @@ fn scan_stream_mode(
         }
         _ => return Err("provide exactly one of --text STR or --input FILE".to_owned()),
     };
-    let runtime = Runtime::new(RuntimeOptions {
-        compiler: base.with_backend(backend),
-        ..RuntimeOptions::default()
-    });
     let report =
-        runtime.scan_stream(set.program(), source, config, &options).map_err(|e| e.to_string())?;
+        runtime.scan_stream(&program, source, config, &options).map_err(|e| e.to_string())?;
     // The host engine has no cycle model: its reports count bytes
     // examined where the simulator counts cycles.
     let unit = match backend {
@@ -926,7 +938,7 @@ fn scan_stream_mode(
                 Some(id) => println!(
                     "verdict    : MATCH: pattern {} ({:?}) in {} {unit}",
                     id,
-                    set.pattern(id).unwrap_or("?"),
+                    patterns.get(usize::from(id)).map_or("?", String::as_str),
                     exec.cycles
                 ),
                 None => println!("verdict    : no match in {} {unit}", exec.cycles),

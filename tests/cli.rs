@@ -498,6 +498,23 @@ fn run_backend_host_agrees_with_sim_on_verdict_and_position() {
     assert!(!host.contains("cycles"), "the host engine has no cycle model: {host}");
 }
 
+/// `run --backend host` runs the engine its compile lowered from `regex`
+/// IR: a nullable repeat whose ISA un-lowering passes its closure budget
+/// (and ran on the interpreter) is on `bit-wide`, and so is `scan`'s.
+#[test]
+fn a_dense_nullable_repeat_runs_on_bit_wide_from_the_cli() {
+    let run = cicero(&["run", "(a?){512}c", "--text", "xaac", "--backend", "host"]);
+    assert!(run.status.success(), "stderr: {}", stderr(&run));
+    let run = stdout(&run);
+    assert!(run.contains("backend    : host (bit-wide, 515 state(s)"), "{run}");
+    assert!(run.contains("match ends : 4"), "{run}");
+    let scan = cicero(&["scan", "(a?){512}c", "zz", "--text", "xaaczz", "--backend", "host"]);
+    assert!(scan.status.success(), "stderr: {}", stderr(&scan));
+    let scan = stdout(&scan);
+    assert!(scan.contains("MATCH: pattern 0 (\"(a?){512}c\") [host]"), "{scan}");
+    assert!(scan.contains("MATCH: pattern 1 (\"zz\") [host]"), "{scan}");
+}
+
 /// `scan --jobs --backend host` reports the same per-pattern counts as
 /// the sim path, through the guarded host worker pool.
 #[test]

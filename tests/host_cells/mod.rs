@@ -1,7 +1,9 @@
 //! The pattern sets the host-lowering pins fingerprint, and the
 //! fingerprint itself, shared by `tests/host_lowering_pinned.rs` (engine
-//! shape and outcomes) and `tests/host_outcomes_pinned.rs` (outcomes
-//! only).
+//! shape and outcomes of the ISA un-lowering) and
+//! `tests/host_outcomes_pinned.rs` (outcomes only, held for both the ISA
+//! un-lowering and the engine the compile lowers from `regex` IR, which
+//! must also be no larger than the other in every cell).
 //!
 //! The cells are the served benchmark's three suites (`registry-small`,
 //! `bulk-scan`, `dsa-sim`, suite seed 7), every multi-pattern case of the
@@ -11,7 +13,7 @@
 //! member's witness planted.
 
 use cicero::difftest;
-use cicero_core::{Compiler, CompilerOptions};
+use cicero_core::{Backend, Compiler, CompilerOptions};
 use cicero_hostexec::{EngineKind, HostProgram};
 use cicero_isa::EncodedProgram;
 use rand::rngs::StdRng;
@@ -41,17 +43,30 @@ fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The fingerprint of `cell` (all optimizations off, then on) and the
-/// engine its optimized program lowers to. Each program contributes its
-/// encoding, then — with `shape` — the engine, its state and byte-class
-/// counts and prefilter stop bytes, then `run_all` on every chunk: first
-/// stop, bytes examined, id set.
-pub fn fingerprint(cell: &Cell, shape: bool) -> (u64, EngineKind) {
+/// engine its optimized program lowers to: the compile's direct lowering
+/// from `regex` IR when `direct`, else its ISA un-lowered. Each program
+/// contributes its encoding, then — with `shape` — the engine, its state
+/// and byte-class counts and prefilter stop bytes, then `run_all` on
+/// every chunk: first stop, bytes examined, id set.
+pub fn fingerprint(cell: &Cell, shape: bool, direct: bool) -> (u64, EngineKind) {
     let mut hash = 0xcbf2_9ce4_8422_2325;
     let mut kind = EngineKind::Interp;
     for options in [CompilerOptions::unoptimized(), CompilerOptions::optimized()] {
-        let set = Compiler::with_options(options).compile_set(&cell.patterns).unwrap();
+        let compiler = Compiler::with_options(options.with_backend(Backend::Host));
+        let set = compiler.compile_set(&cell.patterns).unwrap();
         hash = fnv1a64(hash, &EncodedProgram::from_program(set.program()).to_bytes());
-        let host = HostProgram::compile(set.program());
+        let isa = HostProgram::compile(set.program());
+        let lowered = &set.host().expect("a host compile lowers").engine;
+        assert!(
+            lowered.state_count() <= isa.state_count() && lowered.mask_words() <= isa.mask_words(),
+            "{}: the direct engine ({} states, {} words) is larger than the ISA path's ({}, {})",
+            cell.name,
+            lowered.state_count(),
+            lowered.mask_words(),
+            isa.state_count(),
+            isa.mask_words()
+        );
+        let host = if direct { lowered } else { &isa };
         kind = host.engine_kind();
         if shape {
             let shape = format!(
@@ -119,22 +134,34 @@ pub fn inline_cells() -> Vec<Cell> {
 }
 
 /// Fingerprint every cell and hold each to its `pinned` hash; the cells'
-/// names must be `pinned`'s, in order. Returns the engines the cells
-/// lower to.
+/// names must be `pinned`'s, in order. With `shape` the engine is the ISA
+/// un-lowering's; without it, the outcomes of both engines are held to
+/// the one hash. Returns the engines the cells' ISA un-lowers to.
 pub fn assert_pinned(cells: &[Cell], pinned: &[(&str, u64)], shape: bool) -> Vec<EngineKind> {
-    let (all, kinds): (Vec<(&str, u64)>, Vec<EngineKind>) = cells
-        .iter()
-        .map(|cell| {
-            let (hash, kind) = fingerprint(cell, shape);
-            ((cell.name.as_str(), hash), kind)
-        })
-        .unzip();
-    let what = if shape { "host lowering" } else { "host outcomes" };
-    let names: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
-    let pinned_names: Vec<&str> = pinned.iter().map(|(name, _)| *name).collect();
-    assert_eq!(names, pinned_names, "every cell is pinned; all: {all:#018x?}");
-    for ((name, got), (_, want)) in all.iter().zip(pinned) {
-        assert_eq!(got, want, "{name}: {what} changed; all cells: {all:#018x?}");
+    let engines: &[bool] = if shape { &[false] } else { &[false, true] };
+    let mut kinds = Vec::new();
+    for &direct in engines {
+        let (all, engine_kinds): (Vec<(&str, u64)>, Vec<EngineKind>) = cells
+            .iter()
+            .map(|cell| {
+                let (hash, kind) = fingerprint(cell, shape, direct);
+                ((cell.name.as_str(), hash), kind)
+            })
+            .unzip();
+        let what = match (shape, direct) {
+            (true, _) => "host lowering",
+            (false, false) => "host outcomes",
+            (false, true) => "direct host outcomes",
+        };
+        let names: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+        let pinned_names: Vec<&str> = pinned.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, pinned_names, "every cell is pinned; all: {all:#018x?}");
+        for ((name, got), (_, want)) in all.iter().zip(pinned) {
+            assert_eq!(got, want, "{name}: {what} changed; all cells: {all:#018x?}");
+        }
+        if !direct {
+            kinds = engine_kinds;
+        }
     }
     kinds
 }
