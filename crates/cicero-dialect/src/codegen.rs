@@ -1,9 +1,11 @@
 //! Code generation: `cicero.program` → binary-ready [`cicero_isa::Program`].
 //!
 //! Thanks to the dialect's one-to-one mapping onto the ISA (§3.3), code
-//! generation is a single linear walk: assign each op its address (its
-//! position), resolve symbols ([`crate::ops::resolve_targets`]), and
-//! translate op-for-instruction. "The one-to-one mapping reduces the
+//! generation is a single linear walk. The program's region holds its
+//! blocks in layout order, so an op's address is its position, a block's
+//! address is its start (the sum of the lengths of the blocks before it),
+//! and each branch is patched with its successor's start as the walk
+//! translates op-for-instruction. "The one-to-one mapping reduces the
 //! complexity of the code generation step."
 
 use std::fmt;
@@ -11,7 +13,7 @@ use std::fmt;
 use cicero_isa::{Instruction, Program, ProgramError};
 use mlir_lite::{Attribute, Operation};
 
-use crate::ops::{attrs, names, resolve_targets};
+use crate::ops::{attrs, names};
 
 /// Code-generation failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,14 +23,8 @@ pub enum CodegenError {
         /// The op name found instead.
         found: String,
     },
-    /// A `split`/`jump` referenced a symbol no op defines.
-    UndefinedSymbol {
-        /// The dangling symbol.
-        symbol: String,
-        /// Index of the referencing op.
-        index: usize,
-    },
-    /// An op was not translatable (wrong dialect, missing attributes).
+    /// An op was not translatable (wrong dialect, missing attributes, a
+    /// branch without a successor block of the program).
     MalformedOp {
         /// Index of the offending op.
         index: usize,
@@ -45,9 +41,6 @@ impl fmt::Display for CodegenError {
         match self {
             CodegenError::NotAProgram { found } => {
                 write!(f, "expected cicero.program, found {found}")
-            }
-            CodegenError::UndefinedSymbol { symbol, index } => {
-                write!(f, "op {index} references undefined symbol `{symbol}`")
             }
             CodegenError::MalformedOp { index, message } => {
                 write!(f, "op {index} is malformed: {message}")
@@ -71,19 +64,27 @@ impl From<ProgramError> for CodegenError {
 ///
 /// See [`CodegenError`]. IR that passed
 /// [`mlir_lite::Context::verify`] against [`crate::dialect`] can only fail
-/// with [`CodegenError::Invalid`] (address-space overflow).
+/// with [`CodegenError::Invalid`] (address-space overflow, or a branch to
+/// an empty last block).
 pub fn codegen(program: &Operation) -> Result<Program, CodegenError> {
     if !program.is(names::PROGRAM) {
         return Err(CodegenError::NotAProgram { found: program.name().as_str().to_owned() });
     }
-    let body = &program.only_region().ops;
-    let targets = resolve_targets(body).map_err(|(index, symbol)| {
-        CodegenError::UndefinedSymbol { symbol: symbol.to_owned(), index }
-    })?;
+    let body = program.only_region();
     let too_long = || CodegenError::Invalid(ProgramError::TooLong { len: body.len() });
     let mut instructions = Vec::with_capacity(body.len());
-    for (index, (op, target)) in body.iter().zip(targets).enumerate() {
-        let target = target.map(|t| u16::try_from(t).map_err(|_| too_long())).transpose()?;
+    for (index, op) in body.ops.iter().enumerate() {
+        let target = match op.successors() {
+            [] => None,
+            &[block] if (block as usize) < body.block_count() => {
+                let address = body.block_range(block as usize).start;
+                Some(u16::try_from(address).map_err(|_| too_long())?)
+            }
+            _ => {
+                let message = "expected one successor block of the program";
+                return Err(CodegenError::MalformedOp { index, message: message.to_owned() });
+            }
+        };
         instructions.push(translate(op, index, target)?);
     }
     Ok(Program::from_instructions(instructions)?)
@@ -101,7 +102,7 @@ fn translate(
             .and_then(Attribute::as_char)
             .ok_or_else(|| malformed("missing target_char"))
     };
-    let target = || target.ok_or_else(|| malformed("missing target symbol"));
+    let target = || target.ok_or_else(|| malformed("missing successor block"));
     Ok(if op.is(names::ACCEPT) {
         Instruction::Accept
     } else if op.is(names::ACCEPT_PARTIAL) {
@@ -128,39 +129,29 @@ fn translate(
 mod tests {
     use super::*;
     use crate::ops;
-    use mlir_lite::Attribute;
-
-    fn labeled(mut op: Operation, sym: &str) -> Operation {
-        op.set_attr(attrs::SYM_NAME, Attribute::Str(sym.into()));
-        op
-    }
+    use mlir_lite::Region;
 
     #[test]
     fn translates_every_op_kind() {
-        let program = ops::program(vec![
-            labeled(ops::split("end"), "start"),
-            ops::match_char(b'a'),
-            ops::not_match_char(b'b'),
-            ops::match_any(),
-            ops::jump("start"),
-            labeled(ops::accept_partial(), "end"),
-            ops::accept(),
-        ]);
+        let program = ops::program(Region::from_blocks([
+            vec![ops::split(1), ops::match_char(b'a'), ops::not_match_char(b'b')],
+            vec![],
+            vec![ops::match_any(), ops::jump(0)],
+            vec![ops::accept_partial(), ops::accept()],
+        ]));
         let compiled = codegen(&program).unwrap();
         use Instruction::*;
         assert_eq!(
             compiled.instructions(),
-            &[Split(5), Match(b'a'), NotMatch(b'b'), MatchAny, Jump(0), AcceptPartial, Accept,]
+            &[Split(3), Match(b'a'), NotMatch(b'b'), MatchAny, Jump(0), AcceptPartial, Accept]
         );
     }
 
     #[test]
-    fn undefined_symbol_reported() {
-        let program = ops::program(vec![ops::jump("ghost"), ops::accept()]);
-        assert_eq!(
-            codegen(&program),
-            Err(CodegenError::UndefinedSymbol { symbol: "ghost".to_owned(), index: 0 })
-        );
+    fn a_branch_past_the_last_block_is_malformed() {
+        let program = ops::program(Region::with_ops(vec![ops::jump(1), ops::accept()]));
+        let err = codegen(&program).unwrap_err();
+        assert!(matches!(err, CodegenError::MalformedOp { index: 0, .. }), "{err}");
     }
 
     #[test]
@@ -171,7 +162,7 @@ mod tests {
 
     #[test]
     fn fall_off_end_rejected_via_isa_validation() {
-        let program = ops::program(vec![ops::match_char(b'a')]);
+        let program = ops::program(Region::with_ops(vec![ops::match_char(b'a')]));
         assert!(matches!(codegen(&program), Err(CodegenError::Invalid(_))));
     }
 }

@@ -9,19 +9,21 @@
 //! |----------------|--------------------------|--------------------|
 //! | Accept         | `cicero.accept`          | —                  |
 //! | Accept Partial | `cicero.accept_partial`  | —                  |
-//! | Split          | `cicero.split`           | `target` symbol    |
-//! | Jump           | `cicero.jump`            | `target` symbol    |
+//! | Split          | `cicero.split`           | successor block    |
+//! | Jump           | `cicero.jump`            | successor block    |
 //! | MatchAny       | `cicero.match_any`       | —                  |
 //! | Match          | `cicero.match_char`      | `target_char`      |
 //! | NotMatch       | `cicero.not_match_char`  | `target_char`      |
 //!
-//! A containing `cicero.program` op holds the flat instruction list in a
-//! single region — this is where "the process maps basic blocks to
-//! instruction memory" (§3): emission order *is* the memory layout. Control
-//! flow references use symbols (an optional `sym_name` string attribute on
-//! any op), resolved to absolute addresses only at code generation, so the
-//! Jump Simplification rewrites never re-patch addresses — the premature-
-//! lowering pain of the old compiler that §2.1 describes.
+//! A containing `cicero.program` op holds the instructions in the blocks
+//! of its one region, in layout order — this is where "the process maps
+//! basic blocks to instruction memory" (§3): the layout *is* the memory
+//! image. A block starts where a branch lands, execution falls through
+//! from one block to the next, and a `split` or `jump` names the block it
+//! branches to by its index in the region. Blocks become addresses only at
+//! code generation, so the Jump Simplification rewrites never re-patch
+//! addresses — the premature-lowering pain of the old compiler that §2.1
+//! describes.
 //!
 //! # Lowering
 //!

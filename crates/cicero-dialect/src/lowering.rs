@@ -7,13 +7,17 @@
 //! which the parser's group-nesting limit bounds. The layout discipline
 //! reproduces the paper's Listing 2 exactly:
 //!
-//! * the implicit `.*` prefix becomes `L: SPLIT @body; MATCH_ANY; JMP @L`;
+//! * the implicit `.*` prefix becomes `^loop: SPLIT ^body; MATCH_ANY; JMP
+//!   ^loop`;
 //! * the root alternation emits its first branch, then the **shared
 //!   acceptance op**, then the remaining branches, each ending in a jump
 //!   back to it; a nested alternation emits all its branches, each ending
 //!   in a jump to the join after the last one;
 //! * every quantifier expands by copy (`min` mandatory copies, then a
-//!   star/plus loop or a chain of optionals sharing one exit label).
+//!   star/plus loop or a chain of optionals sharing one exit block).
+//!
+//! A label starts a block of the program's one region, and an op falls
+//! through to the next in layout order, across a block boundary too.
 //!
 //! Character classes pick the cheaper of the two encodings of §3.3: a
 //! split-tree of `MatchCharOp`s for the member set, or a
@@ -24,12 +28,10 @@
 //! whose counted quantifiers multiply past the ISA's address space is
 //! refused after a bounded amount of work, not expanded in full first.
 
-use std::sync::Arc;
-
-use mlir_lite::{Attribute, Ident, Operation};
+use mlir_lite::{Attribute, Ident, Operation, Region};
 use regex_dialect::ops as rx;
 
-use crate::ops::{self, attrs, names};
+use crate::ops::{self, names};
 
 /// The ISA's address space: the most instructions a program may hold.
 const ADDRESS_SPACE: usize = cicero_isa::MAX_OPERAND as usize + 1;
@@ -141,34 +143,33 @@ pub fn lower_multi(roots: &[&Operation]) -> Result<Operation, String> {
     Ok(e.finish())
 }
 
-/// A label: an index into [`Emitter::label_at`], printed `L<index>`.
-type Label = usize;
+/// A label: an index into [`Emitter::label_block`].
+type Label = u32;
 
-/// Instruction emitter with pending-label bookkeeping. Labels are indices
-/// until [`Emitter::finish`], which writes each labeled op's `sym_name`
-/// and every branch's `target` from one shared string per label.
+/// Instruction emitter. Blocks are numbered in layout order, and a branch
+/// is often emitted before the block it targets, so a branch holds its
+/// label as its successor until [`Emitter::finish`] replaces every label
+/// with its block, in one walk.
 #[derive(Default)]
 struct Emitter {
-    body: Vec<Operation>,
-    /// Per label, the op it landed on (`usize::MAX` until emitted).
-    label_at: Vec<usize>,
-    /// Labels waiting to be attached to the next emitted op.
-    pending: Vec<Label>,
-    /// Each labeled op and the first label attached to it, which names it.
-    named: Vec<(usize, Label)>,
-    /// Each branch op and the label it targets.
-    branches: Vec<(usize, Label)>,
+    body: Region,
+    /// Per label, the block it starts (`u32::MAX` until defined).
+    label_block: Vec<u32>,
 }
 
 impl Emitter {
     fn fresh(&mut self) -> Label {
-        self.label_at.push(usize::MAX);
-        self.label_at.len() - 1
+        self.label_block.push(u32::MAX);
+        (self.label_block.len() - 1) as Label
     }
 
-    /// Attach `label` to the next emitted op.
+    /// Start a block at the next emitted op and name it `label`; labels
+    /// defined with no op between them name one block.
     fn define_label(&mut self, label: Label) {
-        self.pending.push(label);
+        let last = self.body.block_count() - 1;
+        let block =
+            if self.body.block(last).is_empty() { last as u32 } else { self.body.push_block() };
+        self.label_block[label as usize] = block;
     }
 
     fn emit(&mut self, op: Operation) -> Lowered {
@@ -178,23 +179,17 @@ impl Emitter {
                  its lowering passed {MAX_LOWERED_OPS} ops"
             ));
         }
-        if let Some(&first) = self.pending.first() {
-            self.named.push((self.body.len(), first));
-            for label in self.pending.drain(..) {
-                self.label_at[label] = self.body.len();
-            }
-        }
-        self.body.push(op);
+        self.body.ops.push(op);
         Ok(())
     }
 
     /// Emit a `split` or `jump` to `target`.
     fn branch(&mut self, name: &'static Ident, target: Label) -> Lowered {
-        self.branches.push((self.body.len(), target));
-        self.emit(Operation::new(name))
+        self.emit(Operation::new(name).with_successor(target))
     }
 
-    /// The implicit `.*` prefix: `L: SPLIT @body; MATCH_ANY; JMP @L; body:`.
+    /// The implicit `.*` prefix: `^loop: SPLIT ^body; MATCH_ANY; JMP ^loop;
+    /// ^body:`.
     fn scan_loop(&mut self) -> Lowered {
         let loop_label = self.fresh();
         let body = self.fresh();
@@ -207,16 +202,10 @@ impl Emitter {
     }
 
     fn finish(mut self) -> Operation {
-        assert!(self.pending.is_empty(), "labels defined past the end of the program");
-        let mut names: Vec<Option<Arc<str>>> = vec![None; self.body.len()];
-        for (at, label) in self.named {
-            let name: Arc<str> = format!("L{label}").into();
-            self.body[at].set_attr(attrs::SYM_NAME, Attribute::Str(name.clone()));
-            names[at] = Some(name);
-        }
-        for (at, label) in self.branches {
-            let name = names[self.label_at[label]].clone().expect("a branch target is labeled");
-            self.body[at].set_attr(attrs::TARGET, Attribute::Symbol(name));
+        let last = self.body.block_count() - 1;
+        assert!(!self.body.block(last).is_empty(), "labels defined past the end of the program");
+        for successor in self.body.ops.iter_mut().flat_map(Operation::successors_mut) {
+            *successor = self.label_block[*successor as usize];
         }
         ops::program(self.body)
     }
@@ -290,7 +279,7 @@ fn lower_quantified(e: &mut Emitter, atom: &Operation, min: u32, max: Option<u32
         lower_atom(e, atom)?;
     }
     match max {
-        // `X+` gets the tight two-op form: `L: X; SPLIT @L` with the split
+        // `X+` gets the tight two-op form: `^l: X; SPLIT ^l` with the split
         // falling through to what follows.
         None if min > 0 => {
             let back = e.fresh();
@@ -298,7 +287,7 @@ fn lower_quantified(e: &mut Emitter, atom: &Operation, min: u32, max: Option<u32
             lower_atom(e, atom)?;
             e.branch(names::SPLIT, back)?;
         }
-        // `X*`: `L: SPLIT @exit; X; JMP @L; exit:`.
+        // `X*`: `^head: SPLIT ^exit; X; JMP ^head; ^exit:`.
         None => {
             let head = e.fresh();
             let exit = e.fresh();
@@ -308,7 +297,7 @@ fn lower_quantified(e: &mut Emitter, atom: &Operation, min: u32, max: Option<u32
             e.branch(names::JUMP, head)?;
             e.define_label(exit);
         }
-        // `X{0,k}`: a chain of optionals sharing one exit label.
+        // `X{0,k}`: a chain of optionals sharing one exit block.
         Some(max) if max > min => {
             let exit = e.fresh();
             for _ in min..max {
@@ -416,9 +405,9 @@ mod tests {
     #[test]
     fn star_and_plus_forms() {
         use Instruction::*;
-        // `^a*$`: L: SPLIT @exit; MATCH a; JMP @L; exit: ACCEPT.
+        // `^a*$`: ^head: SPLIT ^exit; MATCH a; JMP ^head; ^exit: ACCEPT.
         assert_eq!(asm("^a*$"), vec![Split(3), Match(b'a'), Jump(0), Accept]);
-        // `^a+$`: L: MATCH a; SPLIT @L; ACCEPT.
+        // `^a+$`: ^l: MATCH a; SPLIT ^l; ACCEPT.
         assert_eq!(asm("^a+$"), vec![Match(b'a'), Split(0), Accept]);
     }
 

@@ -1,14 +1,13 @@
 //! Operation definitions and verifiers for the `cicero` dialect.
 
-use std::sync::Arc;
-
-use mlir_lite::{AttrKind, AttrSpec, Attribute, Dialect, OpDefinition, Operation};
+use mlir_lite::{AttrKind, AttrSpec, Attribute, Dialect, OpDefinition, Operation, Region};
 
 /// Fully-qualified operation names.
 pub mod names {
     use mlir_lite::Ident;
 
-    /// The container: a flat instruction list in one region.
+    /// The container: the instruction blocks in layout order, in one
+    /// region.
     pub static PROGRAM: &Ident = &Ident::new("cicero.program");
     /// Accept iff at end of input.
     pub static ACCEPT: &Ident = &Ident::new("cicero.accept");
@@ -17,9 +16,9 @@ pub mod names {
     /// Accept anywhere and report the matched RE's identifier (the
     /// Future-Work multi-matching extension).
     pub static ACCEPT_PARTIAL_ID: &Ident = &Ident::new("cicero.accept_partial_id");
-    /// Fork: fall through and jump to `target`.
+    /// Fork: fall through and branch to the successor block.
     pub static SPLIT: &Ident = &Ident::new("cicero.split");
-    /// Unconditional jump to `target`.
+    /// Unconditional branch to the successor block.
     pub static JUMP: &Ident = &Ident::new("cicero.jump");
     /// Consume any character.
     pub static MATCH_ANY: &Ident = &Ident::new("cicero.match_any");
@@ -33,10 +32,6 @@ pub mod names {
 pub mod attrs {
     use mlir_lite::Ident;
 
-    /// Optional label defining a symbol at this op.
-    pub static SYM_NAME: &Ident = &Ident::new("sym_name");
-    /// `cicero.split`/`cicero.jump`: the referenced symbol.
-    pub static TARGET: &Ident = &Ident::new("target");
     /// `cicero.match_char`/`cicero.not_match_char`: the character (the
     /// `regex` dialect's key: a name is declared once).
     pub use regex_dialect::ops::attrs::TARGET_CHAR;
@@ -46,34 +41,22 @@ pub mod attrs {
 
 /// Build the `cicero` dialect with all op definitions and verifiers.
 pub fn dialect() -> Dialect {
-    let sym = || AttrSpec::optional(attrs::SYM_NAME, AttrKind::Str);
     let mut d = Dialect::new("cicero");
     d.register_op(OpDefinition {
-        name: names::PROGRAM,
-        attrs: vec![],
-        regions: 1,
         verifier: Some(verify_program),
+        ..OpDefinition::simple(names::PROGRAM, 1)
     });
     for simple in [names::ACCEPT, names::ACCEPT_PARTIAL, names::MATCH_ANY] {
-        d.register_op(OpDefinition {
-            name: simple,
-            attrs: vec![sym()],
-            regions: 0,
-            verifier: None,
-        });
+        d.register_op(OpDefinition::simple(simple, 0));
     }
     for branch in [names::SPLIT, names::JUMP] {
-        d.register_op(OpDefinition {
-            name: branch,
-            attrs: vec![sym(), AttrSpec::required(attrs::TARGET, AttrKind::Symbol)],
-            regions: 0,
-            verifier: None,
-        });
+        d.register_op(OpDefinition { successors: 1, ..OpDefinition::simple(branch, 0) });
     }
     d.register_op(OpDefinition {
         name: names::ACCEPT_PARTIAL_ID,
-        attrs: vec![sym(), AttrSpec::required(attrs::ID, AttrKind::Int)],
+        attrs: vec![AttrSpec::required(attrs::ID, AttrKind::Int)],
         regions: 0,
+        successors: 0,
         verifier: Some(|op| {
             let id = op.attr(attrs::ID).and_then(Attribute::as_int).expect("declared");
             if (0..=i64::from(cicero_isa::MAX_OPERAND)).contains(&id) {
@@ -85,20 +68,17 @@ pub fn dialect() -> Dialect {
     });
     for matcher in [names::MATCH_CHAR, names::NOT_MATCH_CHAR] {
         d.register_op(OpDefinition {
-            name: matcher,
-            attrs: vec![sym(), AttrSpec::required(attrs::TARGET_CHAR, AttrKind::Char)],
-            regions: 0,
-            verifier: None,
+            attrs: vec![AttrSpec::required(attrs::TARGET_CHAR, AttrKind::Char)],
+            ..OpDefinition::simple(matcher, 0)
         });
     }
     d
 }
 
-/// `cicero.program` verifier: children are instruction ops, symbols are
-/// unique, and every `target` reference resolves.
+/// `cicero.program` verifier: children are instruction ops. (The generic
+/// verifier checks that every branch names a block of the program.)
 fn verify_program(op: &Operation) -> Result<(), String> {
-    let body = &op.only_region().ops;
-    for (index, child) in body.iter().enumerate() {
+    for (index, child) in op.only_region().ops.iter().enumerate() {
         if child.name().dialect() != "cicero" || child.is(names::PROGRAM) {
             return Err(format!("op {index} ({}) is not a cicero instruction", child.name()));
         }
@@ -106,58 +86,7 @@ fn verify_program(op: &Operation) -> Result<(), String> {
             return Err(format!("instruction op {index} must not have regions"));
         }
     }
-    let mut symbols: Vec<&str> = body.iter().filter_map(sym_name).collect();
-    symbols.sort_unstable();
-    if let Some(pair) = symbols.windows(2).find(|pair| pair[0] == pair[1]) {
-        return Err(format!("symbol `{}` defined more than once", pair[0]));
-    }
-    match resolve_targets(body) {
-        Ok(_) => Ok(()),
-        Err((index, target)) => Err(format!("op {index} references undefined symbol `{target}`")),
-    }
-}
-
-/// Resolve every branch of a program body to the index of the op whose
-/// `sym_name` it names, once: per op, its target's index, `None` for an
-/// op that does not branch. Jump Simplification and code generation then
-/// work on indices, not symbols. The labels are sorted once and each
-/// branch is a binary search among them. A symbol defined twice resolves
-/// to its last definition (the verifier refuses it).
-///
-/// # Errors
-///
-/// The index and symbol of the first branch to a symbol no op defines.
-pub fn resolve_targets(body: &[Operation]) -> Result<Vec<Option<usize>>, (usize, &str)> {
-    let mut defined: Vec<(&str, usize)> =
-        body.iter().enumerate().filter_map(|(i, op)| Some((sym_name(op)?, i))).collect();
-    defined.sort_unstable();
-    let resolve = |(index, op)| {
-        let Some(symbol) = branch_target(op) else { return Ok(None) };
-        let at = defined.partition_point(|&(sym, _)| sym <= symbol);
-        match at.checked_sub(1).map(|at| defined[at]) {
-            Some((sym, target)) if sym == symbol => Ok(Some(target)),
-            _ => Err((index, symbol)),
-        }
-    };
-    body.iter().enumerate().map(resolve).collect()
-}
-
-/// The shared text of an op's `sym_name`, for a branch to reference.
-pub fn label(op: &Operation) -> Option<Arc<str>> {
-    match op.attr(attrs::SYM_NAME)? {
-        Attribute::Str(label) => Some(label.clone()),
-        _ => None,
-    }
-}
-
-/// The `sym_name` of an op, if labeled.
-pub fn sym_name(op: &Operation) -> Option<&str> {
-    op.attr(attrs::SYM_NAME).and_then(Attribute::as_str)
-}
-
-/// The `target` symbol of a `split`/`jump`, if applicable.
-pub fn branch_target(op: &Operation) -> Option<&str> {
-    op.attr(attrs::TARGET).and_then(Attribute::as_symbol)
+    Ok(())
 }
 
 /// Whether the op is an acceptance (`accept`, `accept_partial`, or the
@@ -175,11 +104,9 @@ pub fn falls_through(op: &Operation) -> bool {
 
 // ---- construction helpers -------------------------------------------------
 
-use mlir_lite::Region;
-
-/// Build `cicero.program` from a flat instruction list.
-pub fn program(body: Vec<Operation>) -> Operation {
-    Operation::new(names::PROGRAM).with_region(Region::with_ops(body))
+/// Build `cicero.program` from its instruction blocks.
+pub fn program(body: Region) -> Operation {
+    Operation::new(names::PROGRAM).with_region(body)
 }
 
 /// Build `cicero.accept`.
@@ -197,14 +124,14 @@ pub fn accept_partial_id(id: u16) -> Operation {
     Operation::new(names::ACCEPT_PARTIAL_ID).with_attr(attrs::ID, i64::from(id))
 }
 
-/// Build `cicero.split` targeting `symbol`.
-pub fn split(symbol: impl Into<Arc<str>>) -> Operation {
-    Operation::new(names::SPLIT).with_attr(attrs::TARGET, Attribute::Symbol(symbol.into()))
+/// Build `cicero.split` forking to block `successor`.
+pub fn split(successor: u32) -> Operation {
+    Operation::new(names::SPLIT).with_successor(successor)
 }
 
-/// Build `cicero.jump` targeting `symbol`.
-pub fn jump(symbol: impl Into<Arc<str>>) -> Operation {
-    Operation::new(names::JUMP).with_attr(attrs::TARGET, Attribute::Symbol(symbol.into()))
+/// Build `cicero.jump` to block `successor`.
+pub fn jump(successor: u32) -> Operation {
+    Operation::new(names::JUMP).with_successor(successor)
 }
 
 /// Build `cicero.match_any`.
@@ -233,40 +160,33 @@ mod tests {
         c
     }
 
-    fn labeled(mut op: Operation, sym: &str) -> Operation {
-        op.set_attr(attrs::SYM_NAME, sym);
-        op
-    }
-
     #[test]
     fn valid_program_verifies() {
-        let p = program(vec![
-            labeled(split("body"), "loop"),
-            match_any(),
-            jump("loop"),
-            labeled(match_char(b'a'), "body"),
-            accept_partial(),
-        ]);
+        let p = program(Region::from_blocks([
+            vec![split(1), match_any(), jump(0)],
+            vec![match_char(b'a'), accept_partial()],
+        ]));
         ctx().verify(&p).unwrap();
     }
 
     #[test]
-    fn undefined_symbol_rejected() {
-        let p = program(vec![jump("nowhere"), accept()]);
+    fn a_branch_past_the_last_block_is_rejected() {
+        let p = program(Region::from_blocks([vec![jump(2)], vec![accept()]]));
         let err = ctx().verify(&p).unwrap_err();
-        assert!(err.message.contains("undefined symbol `nowhere`"), "{err}");
+        assert!(err.message.contains("successor ^bb2 is out of range"), "{err}");
     }
 
     #[test]
-    fn duplicate_symbol_rejected() {
-        let p = program(vec![labeled(match_any(), "x"), labeled(accept(), "x")]);
+    fn a_branch_names_exactly_one_block() {
+        let p = program(Region::with_ops(vec![Operation::new(names::JUMP), accept()]));
         let err = ctx().verify(&p).unwrap_err();
-        assert!(err.message.contains("defined more than once"), "{err}");
+        assert!(err.message.contains("expected 1 successor(s), found 0"), "{err}");
     }
 
     #[test]
     fn foreign_ops_rejected() {
-        let p = program(vec![Operation::new(regex_dialect::names::MATCH_ANY_CHAR)]);
+        let p =
+            program(Region::with_ops(vec![Operation::new(regex_dialect::names::MATCH_ANY_CHAR)]));
         let err = ctx().verify(&p).unwrap_err();
         assert!(err.message.contains("not a cicero instruction"), "{err}");
     }
@@ -276,18 +196,11 @@ mod tests {
         assert!(falls_through(&match_any()));
         assert!(falls_through(&match_char(b'a')));
         assert!(falls_through(&not_match_char(b'a')));
-        assert!(falls_through(&split("x")));
-        assert!(!falls_through(&jump("x")));
+        assert!(falls_through(&split(0)));
+        assert!(!falls_through(&jump(0)));
         assert!(!falls_through(&accept()));
         assert!(!falls_through(&accept_partial()));
-    }
-
-    #[test]
-    fn accessors() {
-        assert_eq!(branch_target(&jump("next")), Some("next"));
-        assert_eq!(branch_target(&match_any()), None);
-        assert_eq!(sym_name(&labeled(accept(), "end")), Some("end"));
         assert!(is_acceptance(&accept_partial()));
-        assert!(!is_acceptance(&jump("x")));
+        assert!(!is_acceptance(&jump(0)));
     }
 }

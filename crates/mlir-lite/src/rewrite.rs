@@ -23,6 +23,9 @@ use crate::op::{Ident, Operation, Region};
 pub enum Rewrite {
     /// The pattern did not apply; the operation is returned unchanged.
     Unchanged(Operation),
+    /// The pattern changed the operation in place (MLIR's
+    /// `modifyOpInPlace`), or replaced it with this one op.
+    Modified(Operation),
     /// Replace the operation with the given sequence (empty = erase).
     Replace(Vec<Operation>),
 }
@@ -30,8 +33,9 @@ pub enum Rewrite {
 /// A local rewrite on one operation.
 ///
 /// Patterns consume the matched op and either hand it back
-/// ([`Rewrite::Unchanged`]) or produce replacement ops spliced into the
-/// parent region in its place ([`Rewrite::Replace`]). Patterns must be
+/// ([`Rewrite::Unchanged`]), hand back a changed op
+/// ([`Rewrite::Modified`]), or produce replacement ops spliced into the
+/// op's block in its place ([`Rewrite::Replace`]). Patterns must be
 /// *terminating*: a pattern whose output it would itself rewrite again
 /// forever exhausts the driver's budget. The replacement's regions are
 /// not offered again, so they may hold only ops taken from the offered
@@ -40,12 +44,20 @@ pub trait RewritePattern {
     /// Stable diagnostic name, reported in [`RewriteStats`].
     fn name(&self) -> &'static str;
 
+    /// Whether the pattern may rewrite `op`, looking only (the match half
+    /// of MLIR's match-and-rewrite): the driver offers a pattern only the
+    /// ops it matches, and moves an op that no pattern matches nowhere.
+    /// The default matches every op.
+    fn matches(&self, _op: &Operation) -> bool {
+        true
+    }
+
     /// Offer `op` to the pattern.
     fn apply(&self, op: Operation) -> Rewrite;
 }
 
 /// The driver's work bound: it applies patterns at most this many times
-/// as often as the tree holds ops when it starts.
+/// as often as it has met ops of the tree it started with.
 pub const MAX_REWRITES_PER_OP: usize = 64;
 
 /// Statistics from one driver run.
@@ -70,8 +82,7 @@ pub fn apply_patterns_greedily(
     root: &mut Operation,
     patterns: &[&dyn RewritePattern],
 ) -> RewriteStats {
-    let budget = MAX_REWRITES_PER_OP.saturating_mul(root.subtree_size() - 1);
-    let mut driver = Driver { patterns, budget, stats: RewriteStats::default() };
+    let mut driver = Driver { patterns, budget: 0, stats: RewriteStats::default() };
     for region in root.regions_mut() {
         driver.rewrite_region(region);
     }
@@ -83,7 +94,8 @@ static VACANT: &Ident = &Ident::new("rewrite.vacant");
 
 struct Driver<'p> {
     patterns: &'p [&'p dyn RewritePattern],
-    /// Pattern applications left before the run gives up.
+    /// Pattern applications left before the run gives up: the ops of the
+    /// starting tree met so far earn [`MAX_REWRITES_PER_OP`] each.
     budget: usize,
     stats: RewriteStats,
 }
@@ -101,6 +113,7 @@ impl Driver<'_> {
                 for child in region.ops[index].regions_mut() {
                     self.rewrite_region(child);
                 }
+                self.budget = self.budget.saturating_add(MAX_REWRITES_PER_OP);
             } else {
                 replacements -= 1;
             }
@@ -108,33 +121,45 @@ impl Driver<'_> {
                 return;
             }
             self.stats.offers += 1;
+            if !self.patterns.iter().any(|pattern| pattern.matches(&region.ops[index])) {
+                index += 1;
+                continue;
+            }
             let op = std::mem::replace(&mut region.ops[index], Operation::new(VACANT));
             match self.offer(op) {
                 Rewrite::Unchanged(op) => {
                     region.ops[index] = op;
                     index += 1;
+                    continue;
+                }
+                Rewrite::Modified(op) => {
+                    replacements += 1;
+                    region.ops[index] = op;
                 }
                 Rewrite::Replace(ops) => {
                     replacements += ops.len();
-                    drop(region.ops.splice(index..=index, ops));
-                    if self.budget == 0 {
-                        self.stats.hit_rewrite_cap = true;
-                        return;
-                    }
-                    self.budget -= 1;
+                    region.splice_op(index, ops);
                 }
             }
+            if self.budget == 0 {
+                self.stats.hit_rewrite_cap = true;
+                return;
+            }
+            self.budget -= 1;
         }
     }
 
     /// Offer `op` to the patterns in order; the first that applies wins.
     fn offer(&mut self, mut op: Operation) -> Rewrite {
         for pattern in self.patterns {
+            if !pattern.matches(&op) {
+                continue;
+            }
             match pattern.apply(op) {
                 Rewrite::Unchanged(back) => op = back,
-                Rewrite::Replace(ops) => {
+                rewritten => {
                     *self.stats.applications.entry(pattern.name()).or_insert(0) += 1;
-                    return Rewrite::Replace(ops);
+                    return rewritten;
                 }
             }
         }
@@ -326,5 +351,46 @@ mod tests {
         assert_eq!(stats.applications["unwrap"], N);
         assert_eq!(stats.offers, 2 * N + N * (N + 1));
         assert!(stats.offers > MAX_REWRITES_PER_OP * 3 * N);
+    }
+
+    static BR: &Ident = &Ident::new("t.br");
+
+    /// Retargets a `t.br` naming block 1 to block 0, in place.
+    struct Retarget;
+    impl RewritePattern for Retarget {
+        fn name(&self) -> &'static str {
+            "retarget"
+        }
+        fn apply(&self, mut op: Operation) -> Rewrite {
+            if op.is(BR) && op.successors() == [1] {
+                op.successors_mut()[0] = 0;
+                Rewrite::Modified(op)
+            } else {
+                Rewrite::Unchanged(op)
+            }
+        }
+    }
+
+    #[test]
+    fn a_modified_op_is_offered_again_in_place() {
+        let region = Region::from_blocks([vec![Operation::new(BR).with_successor(1)], vec![]]);
+        let mut m = Operation::new("t.module").with_region(region);
+        let stats = apply_patterns_greedily(&mut m, &[&Retarget]);
+        assert_eq!(m.regions()[0].ops[0].successors(), &[0]);
+        assert_eq!((stats.offers, stats.applications["retarget"]), (2, 1));
+    }
+
+    #[test]
+    fn replacements_stay_in_their_block() {
+        let region = Region::from_blocks([
+            vec![Operation::new(PAIR)],
+            vec![],
+            vec![Operation::new(NOP), Operation::new("t.keep")],
+        ]);
+        let mut m = Operation::new("t.module").with_region(region);
+        apply_patterns_greedily(&mut m, &[&SplitPair, &EraseNop]);
+        let lengths: Vec<usize> = m.regions()[0].blocks().map(<[Operation]>::len).collect();
+        assert_eq!(lengths, [2, 0, 1]);
+        assert_eq!(m.regions()[0].block(2)[0].name().as_str(), "t.keep");
     }
 }

@@ -60,18 +60,21 @@ pub fn dialect() -> Dialect {
             AttrSpec::required(attrs::HAS_SUFFIX, AttrKind::Bool),
         ],
         regions: 1,
+        successors: 0,
         verifier: Some(verify_alternation_container),
     });
     d.register_op(OpDefinition {
         name: names::CONCATENATION,
         attrs: vec![],
         regions: 1,
+        successors: 0,
         verifier: Some(verify_concatenation),
     });
     d.register_op(OpDefinition {
         name: names::PIECE,
         attrs: vec![],
         regions: 1,
+        successors: 0,
         verifier: Some(verify_piece),
     });
     d.register_op(OpDefinition {
@@ -81,12 +84,14 @@ pub fn dialect() -> Dialect {
             AttrSpec::required(attrs::MAX, AttrKind::Int),
         ],
         regions: 0,
+        successors: 0,
         verifier: Some(verify_quantifier),
     });
     d.register_op(OpDefinition {
         name: names::MATCH_CHAR,
         attrs: vec![AttrSpec::required(attrs::TARGET_CHAR, AttrKind::Char)],
         regions: 0,
+        successors: 0,
         verifier: None,
     });
     d.register_op(OpDefinition::simple(names::MATCH_ANY_CHAR, 0));
@@ -94,12 +99,14 @@ pub fn dialect() -> Dialect {
         name: names::GROUP,
         attrs: vec![AttrSpec::required(attrs::TARGET_CHARS, AttrKind::ByteSet)],
         regions: 0,
+        successors: 0,
         verifier: Some(verify_group),
     });
     d.register_op(OpDefinition {
         name: names::SUB_REGEX,
         attrs: vec![],
         regions: 1,
+        successors: 0,
         verifier: Some(verify_alternation_container),
     });
     d.register_op(OpDefinition::simple(names::DOLLAR, 0));
