@@ -10,11 +10,9 @@ use crate::ByteSet;
 /// The variants cover the argument types used by the paper's two dialects
 /// (Tables 3 and 4): booleans (`$hasPrefix`), 64-bit integers (quantifier
 /// bounds, where `-1` encodes "unbounded"), 8-bit characters
-/// (`$targetChar`), byte sets (the `GroupOp` character bitmap) and
-/// symbols (`SplitOp`/`JumpOp` targets). Strings are provided for
-/// diagnostics and tooling. Strings and symbols are shared (`Arc<str>`),
-/// so a label defined once and referenced by many branches is one
-/// allocation.
+/// (`$targetChar`) and byte sets (the `GroupOp` character bitmap).
+/// Strings are provided for diagnostics and tooling. (`SplitOp`/`JumpOp`
+/// targets are not attributes: a branch names its successor blocks.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Attribute {
     /// A boolean, e.g. `regex.root`'s `hasPrefix`.
@@ -23,10 +21,8 @@ pub enum Attribute {
     Int(i64),
     /// An 8-bit character, e.g. `match_char`'s target.
     Char(u8),
-    /// A string (diagnostics, symbol definitions via `sym_name`).
+    /// A string, for diagnostics and tooling.
     Str(Arc<str>),
-    /// A reference to a symbol defined elsewhere, printed `@name`.
-    Symbol(Arc<str>),
     /// A set of bytes, e.g. the `GroupOp` character class, printed as its
     /// 256-entry bitmap.
     ByteSet(ByteSet),
@@ -41,7 +37,6 @@ impl Attribute {
             Attribute::Int(_) => AttrKind::Int,
             Attribute::Char(_) => AttrKind::Char,
             Attribute::Str(_) => AttrKind::Str,
-            Attribute::Symbol(_) => AttrKind::Symbol,
             Attribute::ByteSet(_) => AttrKind::ByteSet,
         }
     }
@@ -74,14 +69,6 @@ impl Attribute {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Attribute::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Extract a symbol name, if that is the variant.
-    pub fn as_symbol(&self) -> Option<&str> {
-        match self {
-            Attribute::Symbol(s) => Some(s),
             _ => None,
         }
     }
@@ -127,14 +114,13 @@ impl From<ByteSet> for Attribute {
 
 impl fmt::Display for Attribute {
     /// Textual form used by the IR printer:
-    /// `true`, `42`, `'a'` / `'\x07'`, `"str"`, `@sym`, `bits"0101"`.
+    /// `true`, `42`, `'a'` / `'\x07'`, `"str"`, `bits"0101"`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Attribute::Bool(b) => write!(f, "{b}"),
             Attribute::Int(i) => write!(f, "{i}"),
             Attribute::Char(c) => write!(f, "'{}'", escape_char(*c)),
             Attribute::Str(s) => write!(f, "\"{}\"", escape_str(s)),
-            Attribute::Symbol(s) => write!(f, "@{s}"),
             Attribute::ByteSet(set) => {
                 let bits: String =
                     (0..=255).map(|b| if set.contains(b) { '1' } else { '0' }).collect();
@@ -178,7 +164,6 @@ mod tests {
         assert_eq!(Attribute::Int(-1).as_int(), Some(-1));
         assert_eq!(Attribute::Char(b'x').as_char(), Some(b'x'));
         assert_eq!(Attribute::Str("hi".into()).as_str(), Some("hi"));
-        assert_eq!(Attribute::Symbol("L0".into()).as_symbol(), Some("L0"));
         assert_eq!(Attribute::ByteSet(ByteSet::single(3)).as_byte_set(), Some(ByteSet::single(3)));
         assert_eq!(Attribute::Bool(true).as_int(), None);
         assert_eq!(Attribute::Int(3).as_char(), None);
@@ -192,7 +177,6 @@ mod tests {
         assert_eq!(Attribute::Char(0x07).to_string(), "'\\x07'");
         assert_eq!(Attribute::Char(b'\'').to_string(), "'\\''");
         assert_eq!(Attribute::Str("a\"b".into()).to_string(), "\"a\\\"b\"");
-        assert_eq!(Attribute::Symbol("alt_1".into()).to_string(), "@alt_1");
         let bits = Attribute::ByteSet(ByteSet::single(1).union(ByteSet::single(2))).to_string();
         assert_eq!(bits, format!("bits\"011{}\"", "0".repeat(253)));
     }

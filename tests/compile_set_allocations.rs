@@ -1,7 +1,7 @@
 //! Compiling a pattern set allocates a bounded amount: the compile is the
 //! request path of every inline-set cache miss, and its IR bookkeeping
-//! (uniqued names, attributes in a small vector, one shared string per
-//! label, pipelines built once per compiler) is what keeps it cheap.
+//! (uniqued names, attributes in a small vector, successor blocks held in
+//! the op, pipelines built once per compiler) is what keeps it cheap.
 //!
 //! This file holds exactly one test because the counting allocator is
 //! process-global: a second test running on another thread would be
