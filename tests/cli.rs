@@ -878,3 +878,30 @@ fn both_compilers_refuse_a_pattern_past_the_address_space() {
     let err = stderr(&cicero(&["compile", "(a{1024}){1024}"]));
     assert!(err.contains("lowering error"), "{err}");
 }
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `explain` and `--emit regex-ir|cicero-ir` (with and without `-O0`)
+/// print exactly these bytes: each pin is the FNV-1a digest and byte
+/// length of the whole stdout, so how the compiler keeps its intermediate
+/// IR cannot change what the tooling prints.
+#[test]
+fn ir_dumps_are_pinned() {
+    let cells: [(&[&str], u64, usize); 5] = [
+        (&["explain", "ab|cd"], 0xc491_e56f_1c69_3c7c, 2254),
+        (&["compile", "th(is|at|ose)", "--emit", "regex-ir"], 0xcfb8_713f_6ca3_cfbc, 1895),
+        (&["compile", "th(is|at|ose)", "--emit", "regex-ir", "-O0"], 0xcfb8_713f_6ca3_cfbc, 1895),
+        (&["compile", "th(is|at|ose)", "--emit", "cicero-ir"], 0xdd05_620c_1755_32b7, 623),
+        (&["compile", "th(is|at|ose)", "--emit", "cicero-ir", "-O0"], 0x3670_9c07_0e0c_33b6, 642),
+    ];
+    for (args, digest, len) in cells {
+        let output = cicero(args);
+        assert!(output.status.success(), "{args:?}: {}", stderr(&output));
+        let got = (fnv1a64(&output.stdout), output.stdout.len());
+        assert_eq!(got, (digest, len), "{args:?} printed:\n{}", stdout(&output));
+    }
+}
