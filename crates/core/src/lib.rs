@@ -20,9 +20,12 @@
 //! the *premature lowering* of the original single-IR compiler (§2.1).
 //!
 //! Every optimization is individually toggleable via [`CompilerOptions`],
-//! matching the paper's per-transformation compiler flags, and every stage
-//! is timed ([`CompileStats`]) to support the Figure 9 compile-time
-//! experiments.
+//! matching the paper's per-transformation compiler flags, and every pass
+//! is timed ([`PipelineReport`]) to support the Figure 9 compile-time
+//! experiments. One driver runs the pipeline for a pattern
+//! ([`Compiler::compile`]) and for a set ([`Compiler::compile_set`]), and
+//! both return a [`Compiled`]; [`Compiler::compile_with_artifacts`] is
+//! the same driver keeping a copy of the IR at each stage boundary.
 //!
 //! # Example
 //!
@@ -195,30 +198,6 @@ impl Default for CompilerOptions {
     }
 }
 
-/// Per-stage wall-clock timings for one compilation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompileStats {
-    /// Parsing (ANTLR-equivalent front-end).
-    pub parse: Duration,
-    /// AST → `regex` dialect conversion.
-    pub convert: Duration,
-    /// High-level `regex` dialect passes.
-    pub high_level: Duration,
-    /// `regex` → `cicero` lowering (basic-block mapping + control insts).
-    pub lowering: Duration,
-    /// Low-level `cicero` dialect passes (Jump Simplification).
-    pub low_level: Duration,
-    /// Code generation to the binary ISA format.
-    pub codegen: Duration,
-}
-
-impl CompileStats {
-    /// End-to-end compile time.
-    pub fn total(&self) -> Duration {
-        self.parse + self.convert + self.high_level + self.lowering + self.low_level + self.codegen
-    }
-}
-
 /// A program's host engine, lowered from the optimized `regex` IR it was
 /// compiled from, when the compiler targets [`Backend::Host`].
 #[derive(Debug, Clone)]
@@ -238,16 +217,18 @@ impl HostLowering {
     }
 }
 
-/// A compiled regular expression: the binary program plus compile metadata.
+/// A compiled pattern or pattern set: the binary program plus compile
+/// metadata. A set's program reports *which* member matched via
+/// `AcceptPartialId` (the paper's Future Work ISA extension).
 #[derive(Debug, Clone)]
-pub struct CompiledRegex {
+pub struct Compiled {
     program: Program,
-    stats: CompileStats,
+    patterns: Vec<String>,
     pass_report: PipelineReport,
     host: Option<HostLowering>,
 }
 
-impl CompiledRegex {
+impl Compiled {
     /// The executable Cicero program.
     pub fn program(&self) -> &Program {
         &self.program
@@ -268,14 +249,10 @@ impl CompiledRegex {
         self.program.total_jump_offset()
     }
 
-    /// Per-stage compile timings (the Figure 9 metric).
-    pub fn stats(&self) -> &CompileStats {
-        &self.stats
-    }
-
-    /// Per-pass timing and op-count report across both dialect pipelines
-    /// (high-level `regex` passes followed by low-level `cicero` passes).
-    /// Its `Display` renders an aligned timing table.
+    /// Per-pass timing and op-count report (the Figure 9 metric): each
+    /// pattern's high-level `regex` passes, in pattern order, then the
+    /// program's one low-level `cicero` pipeline. Its `Display` renders
+    /// an aligned timing table.
     pub fn pass_report(&self) -> &PipelineReport {
         &self.pass_report
     }
@@ -284,13 +261,28 @@ impl CompiledRegex {
     pub fn host(&self) -> Option<&HostLowering> {
         self.host.as_ref()
     }
+
+    /// The pattern with the given identifier (as reported in
+    /// [`cicero_isa::ExecOutcome::matched_id`]; a single pattern is 0).
+    pub fn pattern(&self, id: u16) -> Option<&str> {
+        self.patterns.get(usize::from(id)).map(String::as_str)
+    }
+
+    /// Number of patterns compiled.
+    pub fn len(&self) -> usize {
+        self.patterns.len()
+    }
+
+    /// Whether no pattern was compiled (never true).
+    pub fn is_empty(&self) -> bool {
+        self.patterns.is_empty()
+    }
 }
 
-/// Intermediate artifacts of one compilation, for tooling and debugging.
+/// The IR of one compilation at each stage boundary, for tooling and
+/// debugging.
 #[derive(Debug, Clone)]
 pub struct CompilationArtifacts {
-    /// The parsed AST, rendered back to canonical pattern syntax.
-    pub canonical_pattern: String,
     /// `regex` dialect IR right after conversion.
     pub regex_ir_initial: Operation,
     /// `regex` dialect IR after the enabled high-level transforms.
@@ -300,7 +292,7 @@ pub struct CompilationArtifacts {
     /// `cicero` dialect IR after Jump Simplification (if enabled).
     pub cicero_ir_optimized: Operation,
     /// The final compiled program.
-    pub compiled: CompiledRegex,
+    pub compiled: Compiled,
 }
 
 /// Compilation failure.
@@ -426,11 +418,32 @@ impl Compiler {
     /// # Errors
     ///
     /// See [`CompileError`].
-    pub fn compile(&self, pattern: &str) -> Result<CompiledRegex, CompileError> {
-        Ok(self.compile_with_artifacts(pattern)?.compiled)
+    pub fn compile(&self, pattern: &str) -> Result<Compiled, CompileError> {
+        self.record(self.drive(&[pattern], false, None))
     }
 
-    /// Compile, retaining every intermediate representation.
+    /// Compile a set of patterns into one multi-matching program.
+    ///
+    /// Each pattern goes through the front half (parse, convert, the
+    /// high-level pipeline); then the set is lowered together around a
+    /// single shared scan loop with identified acceptances, and that one
+    /// program goes through the back half (the low-level pipeline and
+    /// codegen) once. A compiler that targets [`Backend::Host`] then
+    /// lowers the members' optimized IR to the set's host engine.
+    ///
+    /// # Errors
+    ///
+    /// Fails like [`Compiler::compile`], and additionally for an empty
+    /// set ([`CompileError::EmptySet`]) and for anchored patterns
+    /// (`^`/`$`), which cannot participate in a combined scan.
+    pub fn compile_set<S: AsRef<str>>(&self, patterns: &[S]) -> Result<Compiled, CompileError> {
+        if patterns.is_empty() {
+            return Err(CompileError::EmptySet);
+        }
+        self.record(self.drive(patterns, true, None))
+    }
+
+    /// Compile, keeping a copy of the IR at each stage boundary.
     ///
     /// # Errors
     ///
@@ -439,70 +452,73 @@ impl Compiler {
         &self,
         pattern: &str,
     ) -> Result<CompilationArtifacts, CompileError> {
-        let artifacts = self.build_artifacts(pattern);
-        self.record(artifacts.as_ref().map(|a| &a.compiled.program));
-        artifacts
+        let mut stages = Vec::with_capacity(4);
+        let compiled = self.record(self.drive(&[pattern], false, Some(&mut stages)))?;
+        let [regex_ir_initial, regex_ir_optimized, cicero_ir_initial, cicero_ir_optimized] =
+            <[Operation; 4]>::try_from(stages).expect("one copy per stage boundary");
+        Ok(CompilationArtifacts {
+            regex_ir_initial,
+            regex_ir_optimized,
+            cicero_ir_initial,
+            cicero_ir_optimized,
+            compiled,
+        })
     }
 
-    fn build_artifacts(&self, pattern: &str) -> Result<CompilationArtifacts, CompileError> {
-        let mut stats = CompileStats::default();
+    /// The compile driver: parse, convert and run the high-level pipeline
+    /// on each pattern; lower them (`lower_multi` for a `set`, else
+    /// `lower_to_cicero`); run the low-level pipeline and codegen; lower
+    /// the host engine from the same optimized `regex` IR. With `stages`,
+    /// it pushes a copy of each pattern's `regex` IR after conversion and
+    /// after the high-level pipeline, then of the `cicero` IR after
+    /// lowering and after the low-level pipeline; without, it copies no IR.
+    fn drive<S: AsRef<str>>(
+        &self,
+        patterns: &[S],
+        set: bool,
+        mut stages: Option<&mut Vec<Operation>>,
+    ) -> Result<Compiled, CompileError> {
+        let mut snapshot = |ir: &Operation| {
+            if let Some(stages) = stages.as_deref_mut() {
+                stages.push(ir.clone());
+            }
+        };
         let mut pass_report = PipelineReport::default();
-
-        let start = Instant::now();
-        let ast = regex_frontend::parse(pattern)?;
-        stats.parse = start.elapsed();
-
-        let start = Instant::now();
-        let regex_ir_initial = regex_dialect::ast_to_ir(&ast);
-        stats.convert = start.elapsed();
-
-        let mut regex_ir = regex_ir_initial.clone();
-        let start = Instant::now();
-        self.high_level(&mut regex_ir, &mut pass_report)?;
-        stats.high_level = start.elapsed();
-
-        let start = Instant::now();
-        let cicero_ir_initial =
-            cicero_dialect::lower_to_cicero(&regex_ir).map_err(CompileError::Lowering)?;
-        stats.lowering = start.elapsed();
-
-        let mut cicero_ir = cicero_ir_initial.clone();
-        let start = Instant::now();
-        self.low_level(&mut cicero_ir, &mut pass_report)?;
-        stats.low_level = start.elapsed();
-
-        let start = Instant::now();
+        let mut optimized = Vec::with_capacity(patterns.len());
+        for pattern in patterns {
+            let mut ir = regex_dialect::ast_to_ir(&regex_frontend::parse(pattern.as_ref())?);
+            snapshot(&ir);
+            self.run_pipeline(&self.high_level, &mut ir, &mut pass_report)?;
+            snapshot(&ir);
+            optimized.push(ir);
+        }
+        let members: Vec<&Operation> = optimized.iter().collect();
+        let lowered = if set {
+            cicero_dialect::lower_multi(&members)
+        } else {
+            cicero_dialect::lower_to_cicero(members[0])
+        };
+        let mut cicero_ir = lowered.map_err(CompileError::Lowering)?;
+        snapshot(&cicero_ir);
+        self.run_pipeline(&self.low_level, &mut cicero_ir, &mut pass_report)?;
+        snapshot(&cicero_ir);
         let program = cicero_dialect::codegen(&cicero_ir)?;
-        stats.codegen = start.elapsed();
-
-        let host = self
-            .targets_host()
-            .then(|| HostLowering::time(|| HostProgram::from_pattern(&regex_ir, &program)));
-        Ok(CompilationArtifacts {
-            canonical_pattern: ast.to_pattern(),
-            regex_ir_initial,
-            regex_ir_optimized: regex_ir,
-            cicero_ir_initial,
-            cicero_ir_optimized: cicero_ir,
-            compiled: CompiledRegex { program, stats, pass_report, host },
-        })
+        let host = self.targets_host().then(|| {
+            HostLowering::time(|| {
+                if set {
+                    HostProgram::from_set(&members, &program)
+                } else {
+                    HostProgram::from_pattern(members[0], &program)
+                }
+            })
+        });
+        let patterns = patterns.iter().map(|p| p.as_ref().to_owned()).collect();
+        Ok(Compiled { program, patterns, pass_report, host })
     }
 
     /// Whether compiles also lower to the host engine.
     fn targets_host(&self) -> bool {
         self.options.backend == Backend::Host
-    }
-
-    /// The front half's optimizer, once per pattern: the high-level
-    /// pipeline on the converted `regex` IR, in place.
-    fn high_level(&self, ir: &mut Operation, report: &mut PipelineReport) -> Result<(), PassError> {
-        self.run_pipeline(&self.high_level, ir, report)
-    }
-
-    /// The back half's optimizer, once per program (one pattern or a whole
-    /// set): the low-level pipeline on the lowered `cicero` IR, in place.
-    fn low_level(&self, ir: &mut Operation, report: &mut PipelineReport) -> Result<(), PassError> {
-        self.run_pipeline(&self.low_level, ir, report)
     }
 
     /// Run `pm` on `ir`, append its passes to `report`, and count them in
@@ -527,107 +543,15 @@ impl Compiler {
 
     /// Count one finished compilation and, if it produced a program, set
     /// the code-size and `D_offset` gauges from it.
-    fn record(&self, program: Result<&Program, &CompileError>) {
-        let Some(t) = &self.telemetry else { return };
-        t.counter_add("compiler.compilations", 1);
-        if let Ok(program) = program {
-            t.gauge_set("compiler.code_size", program.len() as f64);
-            t.gauge_set("compiler.d_offset", program.total_jump_offset() as f64);
+    fn record(&self, compiled: Result<Compiled, CompileError>) -> Result<Compiled, CompileError> {
+        if let Some(t) = &self.telemetry {
+            t.counter_add("compiler.compilations", 1);
+            if let Ok(compiled) = &compiled {
+                t.gauge_set("compiler.code_size", compiled.code_size() as f64);
+                t.gauge_set("compiler.d_offset", compiled.d_offset() as f64);
+            }
         }
-    }
-}
-
-/// A multi-matching set compiled into one program (the paper's Future
-/// Work ISA extension): the engine scans once and reports *which* RE
-/// matched via `AcceptPartialId`.
-#[derive(Debug, Clone)]
-pub struct CompiledSet {
-    program: Program,
-    patterns: Vec<String>,
-    pass_report: PipelineReport,
-    host: Option<HostLowering>,
-}
-
-impl CompiledSet {
-    /// The combined executable program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Per-pass timing and op-count report: every member's high-level
-    /// passes, in member order, then the set's one low-level pipeline.
-    pub fn pass_report(&self) -> &PipelineReport {
-        &self.pass_report
-    }
-
-    /// The host engine, when the compiler targets [`Backend::Host`].
-    pub fn host(&self) -> Option<&HostLowering> {
-        self.host.as_ref()
-    }
-
-    /// The pattern with the given identifier (as reported in
-    /// [`cicero_isa::ExecOutcome::matched_id`]).
-    pub fn pattern(&self, id: u16) -> Option<&str> {
-        self.patterns.get(usize::from(id)).map(String::as_str)
-    }
-
-    /// Number of patterns in the set.
-    pub fn len(&self) -> usize {
-        self.patterns.len()
-    }
-
-    /// Whether the set is empty (never true for a compiled set).
-    pub fn is_empty(&self) -> bool {
-        self.patterns.is_empty()
-    }
-}
-
-impl Compiler {
-    /// Compile a set of patterns into one multi-matching program.
-    ///
-    /// Each pattern goes through the front half (parse, convert, the
-    /// high-level pipeline); then the set is lowered together around a
-    /// single shared scan loop with identified acceptances, and that one
-    /// program goes through the back half (the low-level pipeline and
-    /// codegen) once. A compiler that targets [`Backend::Host`] then
-    /// lowers the members' optimized IR to the set's host engine.
-    ///
-    /// # Errors
-    ///
-    /// Fails like [`Compiler::compile`], and additionally for an empty
-    /// set ([`CompileError::EmptySet`]) and for anchored patterns
-    /// (`^`/`$`), which cannot participate in a combined scan.
-    pub fn compile_set<S: AsRef<str>>(&self, patterns: &[S]) -> Result<CompiledSet, CompileError> {
-        if patterns.is_empty() {
-            return Err(CompileError::EmptySet);
-        }
-        let set = self.build_set(patterns);
-        self.record(set.as_ref().map(|s| &s.program));
-        set
-    }
-
-    fn build_set<S: AsRef<str>>(&self, patterns: &[S]) -> Result<CompiledSet, CompileError> {
-        let mut pass_report = PipelineReport::default();
-        let mut optimized = Vec::with_capacity(patterns.len());
-        for pattern in patterns {
-            let mut ir = regex_dialect::ast_to_ir(&regex_frontend::parse(pattern.as_ref())?);
-            self.high_level(&mut ir, &mut pass_report)?;
-            optimized.push(ir);
-        }
-        let members: Vec<&Operation> = optimized.iter().collect();
-        let mut cicero_ir =
-            cicero_dialect::lower_multi(&members).map_err(CompileError::Lowering)?;
-        self.low_level(&mut cicero_ir, &mut pass_report)?;
-        let program = cicero_dialect::codegen(&cicero_ir)?;
-        let host = self
-            .targets_host()
-            .then(|| HostLowering::time(|| HostProgram::from_set(&members, &program)));
-        Ok(CompiledSet {
-            program,
-            patterns: patterns.iter().map(|p| p.as_ref().to_owned()).collect(),
-            pass_report,
-            host,
-        })
+        compiled
     }
 }
 
@@ -636,7 +560,7 @@ impl Compiler {
 /// # Errors
 ///
 /// See [`CompileError`].
-pub fn compile(pattern: &str) -> Result<CompiledRegex, CompileError> {
+pub fn compile(pattern: &str) -> Result<Compiled, CompileError> {
     Compiler::new().compile(pattern)
 }
 
@@ -697,7 +621,7 @@ mod tests {
     #[test]
     fn artifacts_capture_all_stages() {
         let artifacts = Compiler::new().compile_with_artifacts("ab|cd").unwrap();
-        assert_eq!(artifacts.canonical_pattern, "ab|cd");
+        assert_eq!(regex_dialect::ir_to_pattern(&artifacts.regex_ir_initial), "ab|cd");
         assert!(artifacts.regex_ir_initial.is(regex_dialect::names::ROOT));
         assert!(artifacts.cicero_ir_initial.is(cicero_dialect::names::PROGRAM));
         assert!(
@@ -709,12 +633,6 @@ mod tests {
     #[test]
     fn parse_errors_surface() {
         assert!(matches!(compile("("), Err(CompileError::Parse(_))));
-    }
-
-    #[test]
-    fn stats_are_populated() {
-        let compiled = compile("a(b|c)*d").unwrap();
-        assert!(compiled.stats().total() > Duration::ZERO);
     }
 
     #[test]

@@ -20,10 +20,12 @@
 //!   `mlir::verify`, and checks that every successor names a block);
 //! * a textual printer/parser pair for the generic operation form (round-
 //!   trippable, used for FileCheck-style tests and the IR-dump facilities);
-//! * [`RewritePattern`]s applied by a greedy driver that walks the tree
-//!   once, offers a pattern only the ops it matches, and re-offers only
-//!   what a pattern replaced (the moral equivalent of
-//!   `applyPatternsAndFoldGreedily`, which backs MLIR canonicalization);
+//! * [`RewritePattern`]s, each split as in MLIR into a match half that
+//!   declines and a rewrite half that always rewrites, applied by a greedy
+//!   driver that walks the tree once, offers a pattern only the ops it
+//!   matches, and re-offers only what a pattern replaced (the moral
+//!   equivalent of `applyPatternsAndFoldGreedily`, which backs MLIR
+//!   canonicalization);
 //! * a [`PassManager`] running [`Pass`]es
 //!   with optional inter-pass verification and per-pass timing (the paper
 //!   reports per-stage compile times in Figure 9).

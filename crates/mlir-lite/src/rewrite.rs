@@ -18,11 +18,9 @@ use std::collections::BTreeMap;
 
 use crate::op::{Ident, Operation, Region};
 
-/// The outcome of offering an operation to a pattern.
+/// What a pattern makes of an operation it matched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rewrite {
-    /// The pattern did not apply; the operation is returned unchanged.
-    Unchanged(Operation),
     /// The pattern changed the operation in place (MLIR's
     /// `modifyOpInPlace`), or replaced it with this one op.
     Modified(Operation),
@@ -30,12 +28,13 @@ pub enum Rewrite {
     Replace(Vec<Operation>),
 }
 
-/// A local rewrite on one operation.
-///
-/// Patterns consume the matched op and either hand it back
-/// ([`Rewrite::Unchanged`]), hand back a changed op
-/// ([`Rewrite::Modified`]), or produce replacement ops spliced into the
-/// op's block in its place ([`Rewrite::Replace`]). Patterns must be
+/// A local rewrite on one operation, split as in MLIR into a match half
+/// ([`matches`](RewritePattern::matches)), which only looks and is where a
+/// pattern declines, and a rewrite half
+/// ([`apply`](RewritePattern::apply)), which consumes the matched op and
+/// always rewrites it: it hands back a changed op ([`Rewrite::Modified`])
+/// or produces replacement ops spliced into the op's block in its place
+/// ([`Rewrite::Replace`]). Patterns must be
 /// *terminating*: a pattern whose output it would itself rewrite again
 /// forever exhausts the driver's budget. The replacement's regions are
 /// not offered again, so they may hold only ops taken from the offered
@@ -44,15 +43,11 @@ pub trait RewritePattern {
     /// Stable diagnostic name, reported in [`RewriteStats`].
     fn name(&self) -> &'static str;
 
-    /// Whether the pattern may rewrite `op`, looking only (the match half
-    /// of MLIR's match-and-rewrite): the driver offers a pattern only the
-    /// ops it matches, and moves an op that no pattern matches nowhere.
-    /// The default matches every op.
-    fn matches(&self, _op: &Operation) -> bool {
-        true
-    }
+    /// Whether the pattern rewrites `op`, looking only: the driver moves
+    /// an op that no pattern matches nowhere.
+    fn matches(&self, op: &Operation) -> bool;
 
-    /// Offer `op` to the pattern.
+    /// Rewrite `op`, which [`matches`](RewritePattern::matches) accepted.
     fn apply(&self, op: Operation) -> Rewrite;
 }
 
@@ -77,7 +72,7 @@ pub struct RewriteStats {
 ///
 /// The root operation itself is never replaced — like MLIR, the driver
 /// anchors at a module-like op. Patterns are tried in order and the first
-/// that applies wins.
+/// that matches rewrites the op.
 pub fn apply_patterns_greedily(
     root: &mut Operation,
     patterns: &[&dyn RewritePattern],
@@ -121,17 +116,14 @@ impl Driver<'_> {
                 return;
             }
             self.stats.offers += 1;
-            if !self.patterns.iter().any(|pattern| pattern.matches(&region.ops[index])) {
+            let op = &region.ops[index];
+            let Some(pattern) = self.patterns.iter().find(|pattern| pattern.matches(op)) else {
                 index += 1;
                 continue;
-            }
+            };
+            *self.stats.applications.entry(pattern.name()).or_insert(0) += 1;
             let op = std::mem::replace(&mut region.ops[index], Operation::new(VACANT));
-            match self.offer(op) {
-                Rewrite::Unchanged(op) => {
-                    region.ops[index] = op;
-                    index += 1;
-                    continue;
-                }
+            match pattern.apply(op) {
                 Rewrite::Modified(op) => {
                     replacements += 1;
                     region.ops[index] = op;
@@ -147,23 +139,6 @@ impl Driver<'_> {
             }
             self.budget -= 1;
         }
-    }
-
-    /// Offer `op` to the patterns in order; the first that applies wins.
-    fn offer(&mut self, mut op: Operation) -> Rewrite {
-        for pattern in self.patterns {
-            if !pattern.matches(&op) {
-                continue;
-            }
-            match pattern.apply(op) {
-                Rewrite::Unchanged(back) => op = back,
-                rewritten => {
-                    *self.stats.applications.entry(pattern.name()).or_insert(0) += 1;
-                    return rewritten;
-                }
-            }
-        }
-        Rewrite::Unchanged(op)
     }
 }
 
@@ -186,12 +161,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "split-pair"
         }
-        fn apply(&self, op: Operation) -> Rewrite {
-            if op.is(PAIR) {
-                Rewrite::Replace(vec![Operation::new(ONE), Operation::new(ONE)])
-            } else {
-                Rewrite::Unchanged(op)
-            }
+        fn matches(&self, op: &Operation) -> bool {
+            op.is(PAIR)
+        }
+        fn apply(&self, _op: Operation) -> Rewrite {
+            Rewrite::Replace(vec![Operation::new(ONE), Operation::new(ONE)])
         }
     }
 
@@ -201,12 +175,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "erase-nop"
         }
-        fn apply(&self, op: Operation) -> Rewrite {
-            if op.is(NOP) {
-                Rewrite::Replace(vec![])
-            } else {
-                Rewrite::Unchanged(op)
-            }
+        fn matches(&self, op: &Operation) -> bool {
+            op.is(NOP)
+        }
+        fn apply(&self, _op: Operation) -> Rewrite {
+            Rewrite::Replace(vec![])
         }
     }
 
@@ -217,17 +190,16 @@ mod tests {
         fn name(&self) -> &'static str {
             "count-down"
         }
-        fn apply(&self, op: Operation) -> Rewrite {
-            if !op.is(COUNT) {
-                return Rewrite::Unchanged(op);
-            }
-            let n = op.attr(N).and_then(Attribute::as_int).unwrap_or(0);
-            if n <= 0 {
-                Rewrite::Unchanged(op)
-            } else {
-                Rewrite::Replace(vec![Operation::new(COUNT).with_attr(N, n - 1)])
-            }
+        fn matches(&self, op: &Operation) -> bool {
+            op.is(COUNT) && count(op) > 0
         }
+        fn apply(&self, op: Operation) -> Rewrite {
+            Rewrite::Replace(vec![Operation::new(COUNT).with_attr(N, count(&op) - 1)])
+        }
+    }
+
+    fn count(op: &Operation) -> i64 {
+        op.attr(N).and_then(Attribute::as_int).unwrap_or(0)
     }
 
     /// Always rewrites `t.loop` to itself: non-terminating.
@@ -236,12 +208,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "diverge"
         }
-        fn apply(&self, op: Operation) -> Rewrite {
-            if op.is(LOOP) {
-                Rewrite::Replace(vec![Operation::new(LOOP)])
-            } else {
-                Rewrite::Unchanged(op)
-            }
+        fn matches(&self, op: &Operation) -> bool {
+            op.is(LOOP)
+        }
+        fn apply(&self, _op: Operation) -> Rewrite {
+            Rewrite::Replace(vec![Operation::new(LOOP)])
         }
     }
 
@@ -307,12 +278,11 @@ mod tests {
         fn name(&self) -> &'static str {
             "unwrap"
         }
+        fn matches(&self, op: &Operation) -> bool {
+            op.is(WRAP)
+        }
         fn apply(&self, mut op: Operation) -> Rewrite {
-            if op.is(WRAP) {
-                Rewrite::Replace(std::mem::take(&mut op.only_region_mut().ops))
-            } else {
-                Rewrite::Unchanged(op)
-            }
+            Rewrite::Replace(std::mem::take(&mut op.only_region_mut().ops))
         }
     }
 
@@ -361,13 +331,12 @@ mod tests {
         fn name(&self) -> &'static str {
             "retarget"
         }
+        fn matches(&self, op: &Operation) -> bool {
+            op.is(BR) && op.successors() == [1]
+        }
         fn apply(&self, mut op: Operation) -> Rewrite {
-            if op.is(BR) && op.successors() == [1] {
-                op.successors_mut()[0] = 0;
-                Rewrite::Modified(op)
-            } else {
-                Rewrite::Unchanged(op)
-            }
+            op.successors_mut()[0] = 0;
+            Rewrite::Modified(op)
         }
     }
 

@@ -46,18 +46,14 @@ impl RewritePattern for UnwrapTrivialSubRegex {
         "unwrap-trivial-sub-regex"
     }
 
-    fn apply(&self, op: Operation) -> Rewrite {
-        if !op.is(names::PIECE) {
-            return Rewrite::Unchanged(op);
+    fn matches(&self, op: &Operation) -> bool {
+        op.is(names::PIECE) && {
+            let (atom, quant) = piece_parts(op);
+            quant.is_none() && atom.is(names::SUB_REGEX) && atom.only_region().len() == 1
         }
-        {
-            let (atom, quant) = piece_parts(&op);
-            let single_alternative = atom.is(names::SUB_REGEX) && atom.only_region().len() == 1;
-            if !(single_alternative && quant.is_none()) {
-                return Rewrite::Unchanged(op);
-            }
-        }
-        let mut op = op;
+    }
+
+    fn apply(&self, mut op: Operation) -> Rewrite {
         let mut sub = op.only_region_mut().ops.remove(0);
         let mut concat = sub.only_region_mut().ops.remove(0);
         Rewrite::Replace(std::mem::take(&mut concat.only_region_mut().ops))
@@ -75,12 +71,9 @@ impl RewritePattern for MergeSubRegexQuantifier {
         "merge-sub-regex-quantifier"
     }
 
-    fn apply(&self, op: Operation) -> Rewrite {
-        if !op.is(names::PIECE) {
-            return Rewrite::Unchanged(op);
-        }
-        let applicable = {
-            let (atom, quant) = piece_parts(&op);
+    fn matches(&self, op: &Operation) -> bool {
+        op.is(names::PIECE) && {
+            let (atom, quant) = piece_parts(op);
             quant.is_some() && atom.is(names::SUB_REGEX) && atom.only_region().len() == 1 && {
                 let concat = &atom.only_region().ops[0];
                 concat.only_region().len() == 1 && {
@@ -88,11 +81,10 @@ impl RewritePattern for MergeSubRegexQuantifier {
                     inner_quant.is_none()
                 }
             }
-        };
-        if !applicable {
-            return Rewrite::Unchanged(op);
         }
-        let mut op = op;
+    }
+
+    fn apply(&self, mut op: Operation) -> Rewrite {
         let pieces = &mut op.only_region_mut().ops;
         let outer_quant = pieces.pop().expect("quantifier present");
         let mut sub = pieces.pop().expect("sub-regex present");
@@ -113,20 +105,25 @@ impl RewritePattern for SimplifyGroup {
         "simplify-group"
     }
 
-    fn apply(&self, op: Operation) -> Rewrite {
-        if !op.is(names::GROUP) {
-            return Rewrite::Unchanged(op);
-        }
-        let set = op
-            .attr(crate::ops::attrs::TARGET_CHARS)
-            .and_then(mlir_lite::Attribute::as_byte_set)
-            .expect("verified group");
-        match set.len() {
-            256 => Rewrite::Replace(vec![ops::match_any_char()]),
-            1 => Rewrite::Replace(vec![ops::match_char(set.iter().next().expect("count == 1"))]),
-            _ => Rewrite::Unchanged(op),
-        }
+    fn matches(&self, op: &Operation) -> bool {
+        op.is(names::GROUP) && matches!(group_chars(op).len(), 1 | 256)
     }
+
+    fn apply(&self, op: Operation) -> Rewrite {
+        let set = group_chars(&op);
+        Rewrite::Replace(vec![if set.len() == 256 {
+            ops::match_any_char()
+        } else {
+            ops::match_char(set.iter().next().expect("one char"))
+        }])
+    }
+}
+
+/// The bytes a verified `regex.group` accepts.
+fn group_chars(op: &Operation) -> mlir_lite::ByteSet {
+    op.attr(crate::ops::attrs::TARGET_CHARS)
+        .and_then(mlir_lite::Attribute::as_byte_set)
+        .expect("verified group")
 }
 
 #[cfg(test)]

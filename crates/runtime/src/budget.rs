@@ -394,15 +394,17 @@ impl Runtime {
             telemetry.counter_add("runtime.worker_restarts", batch.worker_restarts);
             telemetry.counter_add("runtime.budget_exceeded", batch.budget_exceeded() as u64);
             telemetry.counter_add("runtime.faults", batch.faults() as u64);
-            for outcome in &batch.outcomes {
-                if let Some(report) = outcome.report() {
+            // A host run's report counts bytes, not cycles: only simulator
+            // runs fold into the sim.* series.
+            if self.backend == Backend::Sim {
+                for report in batch.outcomes.iter().filter_map(MatchOutcome::report) {
                     report.record_into(telemetry);
                 }
-            }
-            let run_time = Duration::from_nanos(run_ns.into_inner());
-            if self.backend == Backend::Sim && !run_time.is_zero() {
-                let cycles = batch.workers.iter().map(|w| w.cycles).sum();
-                cicero_sim::stats::record_host_time(telemetry, cycles, run_time);
+                let run_time = Duration::from_nanos(run_ns.into_inner());
+                if !run_time.is_zero() {
+                    let cycles = batch.workers.iter().map(|w| w.cycles).sum();
+                    cicero_sim::stats::record_host_time(telemetry, cycles, run_time);
+                }
             }
         }
         if let Some(span) = exec_span {

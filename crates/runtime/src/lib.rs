@@ -67,7 +67,7 @@ pub use handle::{PinGuard, SetHandle};
 pub use stream::{StreamError, StreamOptions, StreamReport};
 
 use cicero_core::{
-    record_pass_spans, Backend, CompileError, Compiler, CompilerOptions, HostLowering,
+    record_pass_spans, Backend, CompileError, Compiled, Compiler, CompilerOptions, HostLowering,
     PipelineReport,
 };
 use cicero_isa::Program;
@@ -104,10 +104,6 @@ impl Engines {
         (weak.strong_count() > 0).then(|| Arc::clone(engine))
     }
 }
-
-/// What a cache miss compiles: the program, its pass report and its host
-/// engine.
-type Compiled = (Program, PipelineReport, Option<HostLowering>);
 
 /// The `host.*` attributes naming `engine` on a span.
 fn engine_attrs(engine: &HostProgram) -> Vec<(String, Value)> {
@@ -319,11 +315,7 @@ impl Runtime {
         pattern: &str,
     ) -> Result<(Arc<Program>, bool), CompileError> {
         let key = CacheKey::pattern(pattern, self.cache_key_options());
-        self.lookup(key, None, |compiler| {
-            let compiled = compiler.compile(pattern)?;
-            let (report, host) = (compiled.pass_report().clone(), compiled.host().cloned());
-            Ok((compiled.into_program(), report, host))
-        })
+        self.lookup(key, None, |compiler| compiler.compile(pattern))
     }
 
     /// Compile a multi-matching set through the cache (see
@@ -348,10 +340,7 @@ impl Runtime {
         patterns: &[S],
     ) -> Result<(Arc<Program>, bool), CompileError> {
         let key = CacheKey::set(patterns, self.cache_key_options());
-        self.lookup(key, Some(patterns.len()), |compiler| {
-            let set = compiler.compile_set(patterns)?;
-            Ok((set.program().clone(), set.pass_report().clone(), set.host().cloned()))
-        })
+        self.lookup(key, Some(patterns.len()), |compiler| compiler.compile_set(patterns))
     }
 
     /// Compilation is backend-agnostic, so the backend is normalized out
@@ -378,8 +367,9 @@ impl Runtime {
         let mut report: Option<(PipelineReport, Option<HostLowering>)> = None;
         let result: Result<(Arc<Program>, bool), CompileError> =
             self.shared.cache.get_or_insert_with(key, || {
-                let (program, passes, host) = build(&self.shared.compiler)?;
-                let program = Arc::new(program);
+                let compiled = build(&self.shared.compiler)?;
+                let (passes, host) = (compiled.pass_report().clone(), compiled.host().cloned());
+                let program = Arc::new(compiled.into_program());
                 if let Some(host) = &host {
                     self.shared.engines.insert(&program, Arc::clone(&host.engine));
                 }
@@ -533,6 +523,23 @@ mod tests {
         assert_eq!(telemetry.histogram("sim.cycles").unwrap().count, 14);
         // ...and what each batch's cycles cost the host.
         assert_eq!(telemetry.histogram("sim.host_ns_per_cycle").unwrap().count, 2);
+    }
+
+    #[test]
+    fn host_runs_leave_the_sim_series_alone() {
+        let telemetry = Telemetry::new();
+        let runtime = runtime(2).with_telemetry(telemetry.clone()).with_backend(Backend::Host);
+        let config = ArchConfig::old_organization(1);
+        runtime.match_batch_guarded(PATTERN, &chunks(), &config, &Budget::UNLIMITED).unwrap();
+        let program = runtime.compile(PATTERN).unwrap();
+        let input = std::io::Cursor::new(vec![b'x'; 2048]);
+        runtime.scan_stream(&program, input, &config, &StreamOptions::default()).unwrap();
+        assert_eq!(telemetry.counter("runtime.inputs"), 7);
+        assert_eq!(telemetry.counter("stream.sessions"), 1);
+        // A host run's report counts bytes: it is no simulator execution.
+        assert_eq!(telemetry.counter("sim.runs"), 0);
+        assert!(telemetry.histogram("sim.cycles").is_none());
+        assert!(telemetry.histogram("sim.host_ns_per_cycle").is_none());
     }
 
     #[test]

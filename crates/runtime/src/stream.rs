@@ -165,9 +165,9 @@ impl Runtime {
             if matches!(report.outcome, MatchOutcome::Budget { .. }) {
                 telemetry.counter_add("stream.budget_exceeded", 1);
             }
-            // The concluded run folds into the sim.* series like batch
-            // runs do.
-            if let Some(exec) = report.outcome.report() {
+            // A concluded simulator run folds into the sim.* series like
+            // a batch's simulator runs do.
+            if let Some(exec) = report.outcome.report().filter(|_| self.backend == Backend::Sim) {
                 exec.record_into(telemetry);
             }
         }

@@ -56,7 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n== per-pass timing =================================================");
     print!("{}", artifacts.compiled.pass_report());
-
-    println!("\nper-stage compile time: {:?}", artifacts.compiled.stats());
+    println!("\npasses ran in {:?}", artifacts.compiled.pass_report().total_duration());
     Ok(())
 }

@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("pattern   : {pattern}");
     println!("code size : {} instructions", compiled.code_size());
     println!("D_offset  : {} (code-locality proxy; lower is better)", compiled.d_offset());
-    println!("compiled in {:?}\n", compiled.stats().total());
+    println!("passes ran in {:?}\n", compiled.pass_report().total_duration());
 
     // 2. Inspect the generated assembly.
     println!("assembly:\n{}", compiled.program().to_asm());

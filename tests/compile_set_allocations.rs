@@ -1,5 +1,5 @@
-//! Compiling a pattern set allocates a bounded amount: the compile is the
-//! request path of every inline-set cache miss, and its IR bookkeeping
+//! Compiling a pattern or a pattern set allocates a bounded amount: a set
+//! compile is the request path of every inline-set cache miss, and its IR bookkeeping
 //! (uniqued names, attributes in a small vector, successor blocks held in
 //! the op, pipelines built once per compiler) is what keeps it cheap.
 //!
@@ -41,31 +41,47 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Sets compiled: 256 BRILL rules drawn at seed 7, in sets of four (the
-/// shape `inline-churn` compiles on every cache miss).
-const SETS: usize = 64;
+/// Patterns compiled: 256 BRILL rules drawn at seed 7, one at a time and
+/// in sets of four (the shape `inline-churn` compiles on every cache miss).
+const PATTERNS: usize = 256;
 
 /// Allocations per set: the compile measured 1,078 per set (206 KB) when
 /// this bound was set, and the bound allows 25 % more.
 const MAX_ALLOCATIONS_PER_SET: u64 = 1_347;
 
-#[test]
-fn compiling_a_four_pattern_set_stays_under_its_allocation_bound() {
-    let patterns = Benchmark::brill(7, 4 * SETS, 0).patterns;
-    let compiler = Compiler::new();
-    // The first compile may fill lazily initialized state; count the rest.
-    compiler.compile_set(&patterns[..4]).unwrap();
+/// Allocations per single-pattern compile: the compile measured 180 per
+/// pattern (36 KB) when this bound was set, and the bound allows 25 % more.
+const MAX_ALLOCATIONS_PER_PATTERN: u64 = 225;
 
+/// Allocations and bytes per item of `compile` run on each item, counted
+/// after a first compile that may fill lazily initialized state.
+fn per_item<T>(items: &[T], compile: impl Fn(&T)) -> (u64, u64) {
+    compile(&items[0]);
     let (allocations, bytes) = (ALLOCATIONS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
-    for set in patterns.chunks(4) {
-        compiler.compile_set(set).unwrap();
-    }
-    let per_set = (ALLOCATIONS.load(Ordering::Relaxed) - allocations) / SETS as u64;
-    let bytes_per_set = (BYTES.load(Ordering::Relaxed) - bytes) / SETS as u64;
+    items.iter().for_each(&compile);
+    let n = items.len() as u64;
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
+    (allocations / n, (BYTES.load(Ordering::Relaxed) - bytes) / n)
+}
+
+#[test]
+fn compiles_stay_under_their_allocation_bounds() {
+    let patterns = Benchmark::brill(7, PATTERNS, 0).patterns;
+    let compiler = Compiler::new();
+    let sets: Vec<&[String]> = patterns.chunks(4).collect();
+    let (per_set, bytes_per_set) = per_item(&sets, |set| drop(compiler.compile_set(set).unwrap()));
+    let (per_pattern, bytes_per_pattern) =
+        per_item(&patterns, |pattern| drop(compiler.compile(pattern).unwrap()));
     println!("{per_set} allocations, {bytes_per_set} bytes per set");
+    println!("{per_pattern} allocations, {bytes_per_pattern} bytes per pattern");
     assert!(
         per_set <= MAX_ALLOCATIONS_PER_SET,
         "{per_set} allocations ({bytes_per_set} bytes) per four-pattern set; the bound is \
          {MAX_ALLOCATIONS_PER_SET}"
+    );
+    assert!(
+        per_pattern <= MAX_ALLOCATIONS_PER_PATTERN,
+        "{per_pattern} allocations ({bytes_per_pattern} bytes) per pattern; the bound is \
+         {MAX_ALLOCATIONS_PER_PATTERN}"
     );
 }
