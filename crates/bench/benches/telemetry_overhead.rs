@@ -1,15 +1,14 @@
-//! **Telemetry overhead** — hot-path cost of the sharded metrics
-//! collector versus a no-op loop, exported to `BENCH_obs.json`.
+//! **Telemetry overhead** — hot-path cost of the metrics collector
+//! versus a no-op loop, exported to `BENCH_obs.json`.
 //!
-//! The observability tentpole moved `counter_add`/`observe` off the
-//! global collector mutex onto per-thread shards (lock-free relaxed
-//! atomics after first touch). This bench pins that property: it times
-//! the identical loop body with and without telemetry, single-threaded
-//! and with 4 threads hammering the *same* metric names on one
-//! collector, and **fails (nonzero exit) if the per-iteration overhead
-//! exceeds the bound** — so a regression that re-introduces a shared
-//! lock on the hot path turns the CI job red instead of silently
-//! shipping.
+//! A collector is one name → cell map: after a name's first write,
+//! `counter_add`/`observe` take the map's read lock and update the cell
+//! with relaxed atomics. This bench times the identical loop body with
+//! and without telemetry, single-threaded and with 4 threads hammering
+//! the *same* metric names on one collector, and **fails (nonzero exit)
+//! if the per-iteration overhead exceeds the bound** — so a regression
+//! that puts an exclusive lock or an allocation on the hot path turns
+//! the CI job red instead of silently shipping.
 //!
 //! Each iteration is one `counter_add` plus one bounded `observe`
 //! (two metric ops). The bound ([`BOUND_NS`]) is deliberately generous:
@@ -50,7 +49,7 @@ fn hot_loop(telemetry: &Telemetry, iters: u64) {
 
 fn main() {
     let scale = scale_from_env();
-    banner("Telemetry", "sharded-collector hot-path overhead vs a no-op loop", scale);
+    banner("Telemetry", "metrics-collector hot-path overhead vs a no-op loop", scale);
     let iters = iterations(scale);
 
     // Baseline: the same loop shape with the telemetry calls replaced by
@@ -70,7 +69,7 @@ fn main() {
     let single = start.elapsed();
 
     // Contended: THREADS writers, one collector, the *same* metric
-    // names — the exact pattern that serialized on the old global mutex.
+    // names, so every write shares the map's lock word and the cells.
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
@@ -80,12 +79,12 @@ fn main() {
     });
     let contended = start.elapsed();
 
-    // Merge-on-read correctness doubles as the sanity check that every
-    // recorded op survived the shard merge.
-    let merge_start = Instant::now();
+    // The read doubles as the sanity check that every recorded op
+    // landed in the shared counter.
+    let read_start = Instant::now();
     let total_ops = telemetry.counter("bench.ops");
-    let merge = merge_start.elapsed();
-    assert_eq!(total_ops, iters * (THREADS as u64 + 1), "shard merge lost counter increments");
+    let read = read_start.elapsed();
+    assert_eq!(total_ops, iters * (THREADS as u64 + 1), "the collector lost counter increments");
 
     let baseline_ns = ns_per_iter(baseline, iters);
     let single_ns = ns_per_iter(single, iters);
@@ -101,13 +100,17 @@ fn main() {
         f2(contended_ns),
         f2(contended_overhead)
     );
-    println!("  merge read : {:.3} ms for {} ops", merge.as_secs_f64() * 1e3, total_ops);
+    println!(
+        "  read       : {:.3} ms for a counter of {} ops",
+        read.as_secs_f64() * 1e3,
+        total_ops
+    );
 
     Envelope::new(
         "telemetry_overhead",
         "obs",
         scale,
-        "per-iteration cost of one counter_add + one bounded observe on the sharded collector, \
+        "per-iteration cost of one counter_add + one bounded observe on the metrics collector, \
          against a relaxed-atomic no-op loop; the contended row hammers the same metric names \
          from all threads; the run exits nonzero when overhead exceeds bound_ns",
     )
@@ -118,7 +121,7 @@ fn main() {
     .field("contended_ns_per_iter", rounded(contended_ns, 1))
     .field("single_overhead_ns", rounded(single_overhead, 1))
     .field("contended_overhead_ns", rounded(contended_overhead, 1))
-    .field("merge_read_ms", rounded(merge.as_secs_f64() * 1e3, 3))
+    .field("counter_read_ms", rounded(read.as_secs_f64() * 1e3, 3))
     .field("bound_ns", BOUND_NS)
     .write();
 

@@ -84,11 +84,6 @@ impl LegacyCompiler {
         LegacyCompiler { optimize }
     }
 
-    /// Whether Code Restructuring is enabled.
-    pub fn optimizing(&self) -> bool {
-        self.optimize
-    }
-
     /// Compile a pattern.
     ///
     /// # Errors

@@ -849,11 +849,6 @@ impl<'p> Machine<'p> {
             self.base += 1;
         }
     }
-
-    /// Whether any core holds in-flight work (used by tests).
-    pub fn pipelines_empty(&self) -> bool {
-        self.engines.iter().all(|e| e.cores.iter().all(|core| core.occupancy() == 0))
-    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use cicero_isa::Program;
 
 use crate::config::ArchConfig;
 use crate::machine::simulate_batch;
-use crate::resources::{clock_mhz, resource_usage};
+use crate::resources::clock_mhz;
 
 /// Static + processing-system baseline, in watts.
 const P_STATIC: f64 = 2.0046;
@@ -37,26 +37,6 @@ pub fn power_watts(config: &ArchConfig) -> f64 {
         + config.engines as f64 * P_ENGINE;
     let clock_scale = clock_mhz(config) / 150.0;
     P_STATIC + dynamic * clock_scale
-}
-
-/// Convenience bundle: power, clock, and resource usage for reports.
-#[derive(Debug, Clone, Copy)]
-pub struct PlatformFigures {
-    /// Total on-chip power in watts.
-    pub watts: f64,
-    /// Operating clock in MHz.
-    pub clock_mhz: f64,
-    /// Resource usage on the XCZU3EG.
-    pub resources: crate::resources::ResourceUsage,
-}
-
-/// Compute all platform figures for a configuration.
-pub fn platform_figures(config: &ArchConfig) -> PlatformFigures {
-    PlatformFigures {
-        watts: power_watts(config),
-        clock_mhz: clock_mhz(config),
-        resources: resource_usage(config),
-    }
 }
 
 /// Aggregate measurement of one (program set, architecture) pair.

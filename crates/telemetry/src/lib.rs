@@ -73,7 +73,6 @@
 pub mod json;
 pub mod metrics;
 pub mod recorder;
-pub(crate) mod shard;
 pub mod sink;
 pub mod trace;
 
@@ -87,9 +86,9 @@ pub use trace::{render_chrome_trace, RequestTrace, TraceContext, TraceSpan, Trac
 /// A clonable handle to one telemetry collector.
 #[derive(Clone)]
 pub struct Telemetry {
-    /// Counters / gauges / histograms: per-thread shards, lock-free on
-    /// the hot path, merged on read (see [`mod@shard`]).
-    metrics: Arc<shard::ShardedMetrics>,
+    /// Counters / gauges / histograms: one map of shared atomic cells,
+    /// shared by every clone (see [`mod@metrics`]).
+    metrics: Arc<metrics::Cells>,
 }
 
 impl Default for Telemetry {
@@ -107,14 +106,14 @@ impl std::fmt::Debug for Telemetry {
 impl Telemetry {
     /// A fresh, empty collector.
     pub fn new() -> Telemetry {
-        Telemetry { metrics: shard::ShardedMetrics::new() }
+        Telemetry { metrics: Arc::default() }
     }
 
     // -- metrics -----------------------------------------------------------
     //
-    // All writes land in the calling thread's shard: after the first
-    // touch of a name, `counter_add` / `observe` are a thread-local map
-    // lookup plus relaxed atomics — no global mutex on the hot path.
+    // After the first write of a name, `counter_add` / `observe` take the
+    // map's read lock, look the name up and update its cell with relaxed
+    // atomics; only a name's first write takes the write lock.
 
     /// Add `delta` to a (auto-registered) counter.
     pub fn counter_add(&self, name: &str, delta: u64) {
@@ -129,43 +128,51 @@ impl Telemetry {
     /// Record one observation into a histogram with default power-of-ten
     /// buckets (see [`metrics::DEFAULT_BUCKETS`]).
     pub fn observe(&self, name: &str, value: f64) {
-        self.metrics.observe(name, value, metrics::DEFAULT_BUCKETS);
+        self.metrics.observe(name, value, metrics::DEFAULT_BUCKETS, None);
     }
 
     /// Record one observation into a histogram with explicit fixed bucket
     /// upper bounds (used on first registration; later calls reuse the
     /// registered bounds).
     pub fn observe_with(&self, name: &str, value: f64, bounds: &[f64]) {
-        self.metrics.observe(name, value, bounds);
+        self.metrics.observe(name, value, bounds, None);
     }
 
     /// Record one observation and pin `label` (conventionally a request
     /// id) as the latest exemplar of the bucket it lands in, linking
     /// e.g. a p99 latency bucket back to the request that populated it.
     pub fn observe_with_exemplar(&self, name: &str, value: f64, bounds: &[f64], label: &str) {
-        self.metrics.observe_with_exemplar(name, value, bounds, label);
+        self.metrics.observe(name, value, bounds, Some(label));
     }
 
     /// Snapshot of one counter (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.merged_metrics().counter(name)
+        match self.metrics.get(name) {
+            Some(Metric::Counter(total)) => total,
+            _ => 0,
+        }
     }
 
     /// Snapshot of one gauge.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.merged_metrics().gauge(name)
+        match self.metrics.get(name) {
+            Some(Metric::Gauge(value)) => Some(value),
+            _ => None,
+        }
     }
 
     /// Snapshot of one histogram.
     pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.merged_metrics().histogram(name)
+        match self.metrics.get(name) {
+            Some(Metric::Histogram(histogram)) => Some(histogram),
+            _ => None,
+        }
     }
 
-    /// Deterministically merge every thread's shard into one registry
-    /// (counters sum; gauges and exemplars resolve last-write-wins by a
-    /// global stamp; histogram buckets sum).
+    /// Snapshot of every metric, in name order (a gauge and an exemplar
+    /// hold their latest write, whichever thread made it).
     pub fn merged_metrics(&self) -> MetricsRegistry {
-        self.metrics.merged()
+        self.metrics.snapshot()
     }
 
     // -- sinks -------------------------------------------------------------

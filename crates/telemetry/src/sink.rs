@@ -23,9 +23,7 @@ pub fn render_summary(telemetry: &Telemetry) -> String {
                 Metric::Gauge(value) => {
                     let _ = writeln!(out, "  {name:<name_width$}  gauge      {value}");
                 }
-                Metric::Histogram(_) => {
-                    // Re-borrow through the snapshot API for the derived stats.
-                    let h = metrics.histogram(name).expect("histogram exists");
+                Metric::Histogram(h) => {
                     let _ = writeln!(
                         out,
                         "  {name:<name_width$}  histogram  count={} min={} mean={:.1} max={}",
@@ -63,8 +61,7 @@ pub fn render_jsonl(telemetry: &Telemetry) -> String {
                 .field("name", name)
                 .field("value", *value)
                 .finish(),
-            Metric::Histogram(_) => {
-                let h = metrics.histogram(name).expect("histogram exists");
+            Metric::Histogram(h) => {
                 let mut buckets = String::from("[");
                 for (i, count) in h.bucket_counts.iter().enumerate() {
                     if i > 0 {
@@ -158,8 +155,7 @@ pub fn render_prometheus(metrics: &MetricsRegistry) -> String {
                 let _ = writeln!(out, "# TYPE {pname} gauge");
                 let _ = writeln!(out, "{pname} {}", prometheus_number(*value));
             }
-            Metric::Histogram(_) => {
-                let h = metrics.histogram(name).expect("histogram exists");
+            Metric::Histogram(h) => {
                 let _ = writeln!(out, "# TYPE {pname} histogram");
                 let mut cumulative = 0u64;
                 for (i, count) in h.bucket_counts.iter().enumerate() {

@@ -16,8 +16,8 @@
 //!   tree / Chrome `trace_event` renderers (the latter loads directly in
 //!   Perfetto or `chrome://tracing`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use crate::json::JsonObject;
@@ -26,18 +26,6 @@ use crate::Value;
 fn micros(d: Duration) -> f64 {
     // Round to nanosecond granularity so exported floats stay compact.
     (d.as_secs_f64() * 1e9).round() / 1e3
-}
-
-/// Stable per-thread ordinal: Chrome trace viewers lay spans out on one
-/// row per (pid, tid), which keeps parallel workers visually separate.
-static NEXT_THREAD_ORDINAL: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static THREAD_ORDINAL: u64 = NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed);
-}
-
-fn thread_ordinal() -> u64 {
-    THREAD_ORDINAL.with(|ordinal| *ordinal)
 }
 
 /// One span in a request trace.
@@ -53,7 +41,8 @@ pub struct TraceSpanRecord {
     pub start: Duration,
     /// Wall-clock duration (zero until the span closes).
     pub duration: Duration,
-    /// Ordinal of the thread that opened the span.
+    /// Ordinal of the thread that opened the span within the trace,
+    /// from 1 in the order threads first opened a span.
     pub tid: u64,
     /// Whether the span closed before the trace finished.
     pub closed: bool,
@@ -64,7 +53,32 @@ pub struct TraceSpanRecord {
 struct TraceInner {
     request_id: String,
     epoch: Instant,
-    spans: Mutex<Vec<TraceSpanRecord>>,
+    spans: Mutex<Spans>,
+}
+
+#[derive(Default)]
+struct Spans {
+    records: Vec<TraceSpanRecord>,
+    /// Threads that opened a span, in first-open order. Chrome trace
+    /// viewers lay spans out on one row per (pid, tid), which keeps
+    /// parallel workers visually separate.
+    threads: Vec<ThreadId>,
+}
+
+impl Spans {
+    fn next_id(&self) -> u32 {
+        u32::try_from(self.records.len()).expect("span count fits u32")
+    }
+
+    /// The calling thread's `tid` in this trace.
+    fn thread_ordinal(&mut self) -> u64 {
+        let id = std::thread::current().id();
+        let index = self.threads.iter().position(|thread| *thread == id).unwrap_or_else(|| {
+            self.threads.push(id);
+            self.threads.len() - 1
+        });
+        index as u64 + 1
+    }
 }
 
 /// A clonable handle to one request's trace. Clones share state, so the
@@ -78,7 +92,7 @@ impl std::fmt::Debug for TraceContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceContext")
             .field("request_id", &self.inner.request_id)
-            .field("spans", &self.lock_spans().len())
+            .field("spans", &self.lock_spans().records.len())
             .finish()
     }
 }
@@ -96,7 +110,7 @@ impl TraceContext {
             inner: Arc::new(TraceInner {
                 request_id: request_id.into(),
                 epoch,
-                spans: Mutex::new(Vec::new()),
+                spans: Mutex::default(),
             }),
         }
     }
@@ -106,7 +120,7 @@ impl TraceContext {
         &self.inner.request_id
     }
 
-    fn lock_spans(&self) -> MutexGuard<'_, Vec<TraceSpanRecord>> {
+    fn lock_spans(&self) -> MutexGuard<'_, Spans> {
         self.inner.spans.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
@@ -114,14 +128,14 @@ impl TraceContext {
         let start = start_at.saturating_duration_since(self.inner.epoch);
         let id = {
             let mut spans = self.lock_spans();
-            let id = u32::try_from(spans.len()).expect("span count fits u32");
-            spans.push(TraceSpanRecord {
+            let (id, tid) = (spans.next_id(), spans.thread_ordinal());
+            spans.records.push(TraceSpanRecord {
                 id,
                 parent,
                 name,
                 start,
                 duration: Duration::ZERO,
-                tid: thread_ordinal(),
+                tid,
                 closed: false,
                 attrs: Vec::new(),
             });
@@ -155,14 +169,14 @@ impl TraceContext {
         attrs: Vec<(String, Value)>,
     ) -> u32 {
         let mut spans = self.lock_spans();
-        let id = u32::try_from(spans.len()).expect("span count fits u32");
-        spans.push(TraceSpanRecord {
+        let (id, tid) = (spans.next_id(), spans.thread_ordinal());
+        spans.records.push(TraceSpanRecord {
             id,
             parent,
             name: name.into(),
             start,
             duration,
-            tid: thread_ordinal(),
+            tid,
             closed: true,
             attrs,
         });
@@ -172,7 +186,7 @@ impl TraceContext {
     /// Snapshot the trace into an immutable [`RequestTrace`]. Open spans
     /// are retained with `closed: false` and zero duration.
     pub fn finish(&self) -> RequestTrace {
-        let spans = self.lock_spans().clone();
+        let spans = self.lock_spans().records.clone();
         let total =
             spans.iter().map(|span| span.start + span.duration).max().unwrap_or(Duration::ZERO);
         RequestTrace { request_id: self.inner.request_id.clone(), spans, total }
@@ -211,7 +225,7 @@ impl TraceSpan {
     /// Attach a key/value annotation.
     pub fn annotate(&self, key: impl Into<String>, value: impl Into<Value>) {
         let mut spans = self.ctx.lock_spans();
-        spans[self.id as usize].attrs.push((key.into(), value.into()));
+        spans.records[self.id as usize].attrs.push((key.into(), value.into()));
     }
 
     /// Close the span now (equivalent to dropping it).
@@ -222,7 +236,7 @@ impl Drop for TraceSpan {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
         let mut spans = self.ctx.lock_spans();
-        let record = &mut spans[self.id as usize];
+        let record = &mut spans.records[self.id as usize];
         record.duration = elapsed;
         record.closed = true;
     }
@@ -447,6 +461,10 @@ mod tests {
         let workers = trace.spans_with_prefix("sim.worker-");
         assert_eq!(workers.len(), 2);
         assert!(workers.iter().all(|w| w.parent == Some(root_id)));
+        // Thread ordinals count within the trace, from the root's thread.
+        let mut tids: Vec<u64> = trace.spans.iter().map(|span| span.tid).collect();
+        tids.sort_unstable();
+        assert_eq!(tids, [1, 2, 3]);
     }
 
     #[test]
