@@ -829,6 +829,32 @@ fn bad_tuned_config_refuses_to_run() {
     std::fs::remove_file(&bad_path).ok();
 }
 
+/// An `[arch]` section passes the same shape check as `--config NxM`:
+/// each out-of-bounds field is refused with an error naming it before any
+/// machine is built, never with a panic or an oversized allocation.
+#[test]
+fn tuned_config_machine_shapes_out_of_bounds_are_refused_naming_the_field() {
+    let golden = include_str!("../crates/tune/testdata/golden.toml");
+    let bad_path = temp_file("bounds-tune.toml");
+    // `cc_id_bits = 0` comes first: without the check it panics the run,
+    // so the oversized machines of the later cases are never built.
+    for (key, bad, field) in [
+        ("cc_id_bits = 3", "cc_id_bits = 0", "cc_id_bits"),
+        ("cc_id_bits = 3", "cc_id_bits = 40", "cc_id_bits"),
+        ("engines = 8", "engines = 1000000", "engines"),
+        ("cache_lines = 8", "cache_lines = 2048", "cache_lines"),
+    ] {
+        std::fs::write(&bad_path, golden.replace(key, bad)).unwrap();
+        let output =
+            cicero(&["run", "ab", "--text", "xxab", "--tuned-config", bad_path.to_str().unwrap()]);
+        let err = stderr(&output);
+        assert!(!output.status.success(), "`{bad}` must be refused");
+        assert_ne!(output.status.code(), Some(101), "`{bad}` must not panic: {err}");
+        assert!(err.contains(field), "`{bad}`: the error must name `{field}`: {err}");
+    }
+    std::fs::remove_file(&bad_path).ok();
+}
+
 /// A format-v1 file (with the `[host]`/`[runtime]` knobs no evaluation
 /// ever observed) is refused as an unsupported version — by `run`, and by
 /// `serve` before the listener binds — and says how to get a current one.
