@@ -16,8 +16,7 @@
 //!
 //! The packs are the paper bench's default-scale suites whatever
 //! `CICERO_BENCH_SCALE` says (it only picks the artifact name); the sweep
-//! is 288 evaluations per suite, in index order, so the rows do not depend
-//! on a seed.
+//! is 288 evaluations per suite, in index order.
 
 use std::time::Instant;
 
@@ -26,10 +25,6 @@ use cicero_sim::{measure, ArchConfig};
 use cicero_telemetry::JsonObject;
 use cicero_tune::{pack, tune, Budget, SearchSpace, TuneConfig};
 use workloads::Benchmark;
-
-/// Recorded in the export for parity with `tune.toml`; an exhaustive
-/// sweep never draws from it.
-const SEED: u64 = 42;
 
 /// The registry-style suite: a shared member plus version-specific
 /// patterns, the shape of a ruleset that is hot-swapped under load.
@@ -57,8 +52,8 @@ fn describe(config: &TuneConfig) -> String {
     format!(
         "{} / icache {}x{} / {} / leading {}",
         config.arch.name(),
-        config.arch.cache_lines,
-        config.arch.cache_line_size,
+        config.arch.cache.lines,
+        config.arch.cache.line_size,
         config.compiler.pass_order.to_token_string(),
         if config.compiler.shortest_match_leading { "on" } else { "off" }
     )
@@ -69,8 +64,7 @@ fn main() {
     // The banner states what runs: the packs are default-scale suites.
     banner("tune", "autotuned vs default configuration", Scale::DEFAULT);
     let space = SearchSpace::full();
-    let budget = space.size();
-    println!("  sweeping all {budget} points per suite\n");
+    println!("  sweeping all {} points per suite\n", space.size());
 
     let mut workloads: Vec<Benchmark> = ["protomata", "brill", "protomata4", "brill4"]
         .map(|name| pack(name).expect("a built-in pack"))
@@ -92,13 +86,13 @@ fn main() {
     let mut regressions = 0usize;
     for workload in &workloads {
         let started = Instant::now();
-        let outcome = tune(workload, &space, Budget::Evals(budget), SEED, None)
+        let outcome = tune(workload, &space, Budget::Evals(space.size()), None)
             .expect("tuning must succeed on the committed suites");
         let sweep_s = started.elapsed().as_secs_f64();
-        assert_eq!(outcome.strategy, "exhaustive");
+        assert_eq!(outcome.evals, space.size());
         let figures = figures_best(workload);
         let figures_org = format!("{:?}", figures.organization).to_uppercase();
-        let agrees = outcome.best.arch.to_arch_config().organization == figures.organization;
+        let agrees = outcome.best.arch.organization == figures.organization;
         let suite = workload.name;
         let beats = outcome.best_report.cost <= outcome.default_report.cost;
         regressions += usize::from(!beats);
@@ -128,7 +122,6 @@ fn main() {
                 .field("d_offset", report.d_offset);
             rows.push(if tuned {
                 row.field("evals", outcome.evals)
-                    .field("strategy", outcome.strategy)
                     .field("winner", winner)
                     .field("beats_or_matches_default", beats)
                     .field("figures_best", figures_org.as_str())
@@ -150,16 +143,13 @@ fn main() {
          cicero_sim::measure (the paper grid's measure; energy reported beside it), on the four \
          paper packs at the default scale (16 patterns x 4 chunks, whatever the bench scale) and \
          the registry ruleset; each suite row pair shares a workload; the search is the \
-         exhaustive index-order sweep of all space_points, so winners are optima and do not \
-         depend on the seed; asserted: tuned cost <= default cost on every suite; reported, not \
+         exhaustive index-order sweep of all space_points, so winners are optima; asserted: tuned cost <= default cost on every suite; reported, not \
          gated: figures_best is the organization of the faster of the new compiler's OLD 1x9 \
          and NEW 16x1 cells (Table 6's right column) and agrees says whether the winner's \
          organization matches it; sweep_s is wall-clock; D_offset is the paper's \
          speculation-depth metric",
     )
     .field("objective", "avg_time_us")
-    .field("seed", SEED)
-    .field("budget_evals", budget)
     .field("space_points", space.size())
     .rows("rows", rows)
     .field("regressions", regressions)

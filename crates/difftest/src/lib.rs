@@ -227,7 +227,7 @@ fn minimize(
     }
 }
 
-/// Mix a worker index into the base seed (SplitMix64 increment) so
+/// Mix a worker index into the base seed (the golden-ratio increment) so
 /// workers explore disjoint pattern streams.
 fn worker_seed(base: u64, worker: u64) -> u64 {
     base ^ worker.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(worker)

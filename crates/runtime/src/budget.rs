@@ -102,6 +102,17 @@ pub enum BudgetKind {
     Deadline,
 }
 
+/// `fuel` / `deadline`: the spelling of CLI errors and of the server's
+/// `"kind"` fields.
+impl std::fmt::Display for BudgetKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            BudgetKind::Fuel => "fuel",
+            BudgetKind::Deadline => "deadline",
+        })
+    }
+}
+
 /// The result of one guarded input.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MatchOutcome {

@@ -191,13 +191,6 @@ fn parse_scan_body(shared: &Shared, request: &Request) -> Result<ScanBody, Respo
     Ok(ScanBody { patterns, input, config })
 }
 
-fn budget_kind_name(kind: BudgetKind) -> &'static str {
-    match kind {
-        BudgetKind::Fuel => "fuel",
-        BudgetKind::Deadline => "deadline",
-    }
-}
-
 /// Wrap per-row JSON objects and top-level summary fields into the final
 /// response, downgrading the status to `429` on a tripped budget (the
 /// partial rows still ship) or `500` on a worker fault.
@@ -219,7 +212,7 @@ fn finish_with_budget(
 ) -> Response {
     object = object.field("budget_exceeded", budget_kind.is_some());
     if let Some(kind) = budget_kind {
-        object = object.field("kind", budget_kind_name(kind));
+        object = object.field("kind", kind.to_string());
     }
     if faults > 0 {
         object = object.field("faults", faults as u64);
@@ -281,7 +274,7 @@ fn handle_match(shared: &Shared, request: &Request, root: &TraceSpan) -> Respons
                 row = row
                     .field("verdict", "budget")
                     .field("matched", false)
-                    .field("kind", budget_kind_name(*kind));
+                    .field("kind", kind.to_string());
                 if let Some(partial) = partial {
                     row = row.field("partial_cycles", partial.cycles);
                 }

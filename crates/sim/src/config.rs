@@ -136,16 +136,89 @@ impl fmt::Display for ArchConfig {
     }
 }
 
-/// Largest `cores × engines` product a parsed spec may name. The biggest
-/// shape the paper evaluates is `32x9` (288 cores); a spec arrives from the
-/// command line or the network and the simulator allocates per core, so
-/// the product is bounded before anything is built.
+/// Largest `cores × engines` product a machine may have. The biggest
+/// shape the paper evaluates is `32x9` (288 cores); a shape arrives from
+/// the command line, the network or a `tune.toml` and the simulator
+/// allocates per core, so the product is bounded before anything is built.
 const MAX_TOTAL_CORES: usize = 512;
+
+/// Largest `CC_ID`. Each engine allocates `2^CC_ID` window slots and
+/// FIFOs; 9 is the new organization's widest window under the core cap
+/// (512 cores on one engine), and the old organization gets the same bound.
+const MAX_CC_ID_BITS: u32 = 9;
+
+/// Instructions in the 13-bit instruction address space: no icache is
+/// larger than the memory it caches.
+const ADDRESS_SPACE: usize = cicero_isa::MAX_OPERAND as usize + 1;
+
+impl ArchConfig {
+    /// Check the shape before a machine is built, so a bad one is an error
+    /// naming its field instead of a panic or an oversized allocation.
+    /// `"NxM".parse()` and `tune.toml`'s `[arch]` both pass through it.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let cores = self.cores_per_engine;
+        match self.organization {
+            Organization::Old if cores != 1 => {
+                return Err(format!("cores_per_engine {cores} must be 1 in the old organization"))
+            }
+            Organization::New if !cores.is_power_of_two() || cores < 2 => {
+                return Err(format!(
+                    "cores_per_engine {cores} must be a power of two >= 2 in the new organization"
+                ))
+            }
+            _ => {}
+        }
+        if self.engines == 0 {
+            return Err("engines must be at least 1".to_owned());
+        }
+        if self.engines > MAX_TOTAL_CORES / cores {
+            return Err(format!(
+                "engines {} gives more than {MAX_TOTAL_CORES} cores (cores_per_engine x engines)",
+                self.engines
+            ));
+        }
+        if !(1..=MAX_CC_ID_BITS).contains(&self.cc_id_bits) {
+            return Err(format!(
+                "cc_id_bits {} is outside 1..={MAX_CC_ID_BITS} (the window holds \
+                 2^cc_id_bits characters)",
+                self.cc_id_bits
+            ));
+        }
+        if self.organization == Organization::New && cores != self.window() {
+            return Err(format!(
+                "cc_id_bits {} must be log2(cores_per_engine) in the new organization, which \
+                 pairs one core with each FIFO",
+                self.cc_id_bits
+            ));
+        }
+        if self.cache.lines == 0 {
+            return Err("cache_lines must be at least 1".to_owned());
+        }
+        if !self.cache.line_size.is_power_of_two() {
+            return Err(format!("cache_line_size {} must be a power of two", self.cache.line_size));
+        }
+        if self.cache.lines.saturating_mul(self.cache.line_size) > ADDRESS_SPACE {
+            return Err(format!(
+                "cache_lines x cache_line_size = {} x {} exceeds the {ADDRESS_SPACE}-instruction \
+                 address space",
+                self.cache.lines, self.cache.line_size
+            ));
+        }
+        if self.lb_latency == 0 {
+            return Err("lb_latency must be at least 1".to_owned());
+        }
+        Ok(())
+    }
+}
 
 /// The paper's `NxM` naming as the CLI's `--config` and the server's
 /// `"config"` / `X-Cicero-Config` spell it: `1xM` is the old organization
-/// with `M` engines, `NxM` with `N` a power of two ≥ 2 the new one; at
-/// least one engine, at most 512 cores in total.
+/// with `M` engines, `NxM` with `N` a power of two ≥ 2 the new one; the
+/// shape must pass [`ArchConfig::validate`].
 impl FromStr for ArchConfig {
     type Err = String;
 
@@ -155,24 +228,17 @@ impl FromStr for ArchConfig {
             .ok_or_else(|| format!("config {spec:?} is not of the form NxM"))?;
         let cores: usize = n.parse().map_err(|_| format!("bad core count in {spec:?}"))?;
         let engines: usize = m.parse().map_err(|_| format!("bad engine count in {spec:?}"))?;
-        if !cores.is_power_of_two() {
-            return Err(format!(
-                "core count {cores} must be 1 (old organization) or a power of two"
-            ));
+        // The presets assert what `validate` reports, so the shape is
+        // assembled field by field and checked before it is returned.
+        let mut config = ArchConfig::old_organization(1);
+        config.engines = engines;
+        if cores != 1 {
+            config.organization = Organization::New;
+            config.cores_per_engine = cores;
+            config.cc_id_bits = cores.trailing_zeros();
         }
-        if engines == 0 {
-            return Err(format!("config {spec:?} needs at least one engine"));
-        }
-        if engines > MAX_TOTAL_CORES / cores {
-            return Err(format!(
-                "config {spec:?} has more than {MAX_TOTAL_CORES} cores (cores x engines)"
-            ));
-        }
-        Ok(if cores == 1 {
-            ArchConfig::old_organization(engines)
-        } else {
-            ArchConfig::new_organization(cores, engines)
-        })
+        config.validate().map_err(|e| format!("config {spec:?}: {e}"))?;
+        Ok(config)
     }
 }
 
@@ -206,6 +272,28 @@ mod tests {
         for bad in bad.split(' ').chain([""]) {
             assert!(bad.parse::<ArchConfig>().is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let check = |edit: fn(&mut ArchConfig)| {
+            let mut config = ArchConfig::old_organization(8);
+            edit(&mut config);
+            config.validate().unwrap_err()
+        };
+        assert!(check(|c| c.cc_id_bits = 0).starts_with("cc_id_bits"));
+        assert!(check(|c| c.cc_id_bits = MAX_CC_ID_BITS + 1).starts_with("cc_id_bits"));
+        assert!(check(|c| c.cache.lines = 0).starts_with("cache_lines"));
+        assert!(check(|c| c.cache.line_size = 3).starts_with("cache_line_size"));
+        assert!(check(|c| c.cache.lines = ADDRESS_SPACE).starts_with("cache_lines x"));
+        assert!(check(|c| c.lb_latency = 0).starts_with("lb_latency"));
+        let mut new = ArchConfig::new_organization(16, 1);
+        new.cc_id_bits = 5;
+        assert!(new.validate().unwrap_err().contains("log2(cores_per_engine)"));
+        assert_eq!(ArchConfig::old_organization(9).validate(), Ok(()));
+        let mut widest = ArchConfig::new_organization(32, 9);
+        widest.cache.lines = ADDRESS_SPACE / widest.cache.line_size;
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     #[test]

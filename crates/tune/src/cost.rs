@@ -12,7 +12,7 @@ use workloads::Benchmark;
 use crate::config::TuneConfig;
 use crate::TuneError;
 
-/// Everything one evaluation measured. `cost` is the scalar the searcher
+/// Everything one evaluation measured. `cost` is the scalar the sweep
 /// minimizes; the rest is reporting (benches, `tune.toml` score section).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostReport {
@@ -34,8 +34,8 @@ const CYCLE_LIMIT_COST: f64 = 1e30;
 /// Score `config` on `workload`: compile every pattern under the
 /// candidate's compiler options and [`measure`] the programs over every
 /// chunk on the candidate's machine. A pure function of its inputs —
-/// identical on every host — which is what makes the search memoizable
-/// and `cicero tune` reproducible. It reads every field of [`TuneConfig`];
+/// identical on every host — which is what makes `cicero tune`
+/// reproducible. It reads every field of [`TuneConfig`];
 /// a knob it cannot see does not belong in the search space.
 ///
 /// # Errors
@@ -55,7 +55,7 @@ pub fn evaluate(workload: &Benchmark, config: &TuneConfig) -> Result<CostReport,
         code_size += compiled.code_size();
         programs.push(compiled.into_program());
     }
-    let measurement = measure(&programs, &workload.chunks, &config.arch.to_arch_config());
+    let measurement = measure(&programs, &workload.chunks, &config.arch);
     let cost = if measurement.hit_cycle_limit { CYCLE_LIMIT_COST } else { measurement.avg_time_us };
     Ok(CostReport { cost, measurement, d_offset, code_size })
 }
@@ -85,8 +85,8 @@ mod tests {
         let workload = tiny_workload();
         let default = evaluate(&workload, &TuneConfig::default()).unwrap();
         let mut small = TuneConfig::default();
-        small.arch.cache_lines = 1;
-        small.arch.cache_line_size = 1;
+        small.arch.cache.lines = 1;
+        small.arch.cache.line_size = 1;
         let starved = evaluate(&workload, &small).unwrap();
         // A one-line icache cannot beat the default geometry.
         assert!(starved.measurement.icache_hit_rate <= default.measurement.icache_hit_rate);

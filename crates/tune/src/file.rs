@@ -2,25 +2,26 @@
 //!
 //! Hand-rolled on purpose (the workspace is offline; no TOML dependency):
 //! the renderer emits a fixed key order with no timestamps, so identical
-//! tuning runs produce **byte-identical** files — the determinism
-//! contract `--seed` promises. The parser is strict: unknown sections or
-//! keys, duplicated keys, missing keys, malformed values, and files from
-//! a future version all fail loudly rather than being silently ignored —
-//! a config that steers production serving must not half-load.
+//! tuning runs produce **byte-identical** files. The parser is strict:
+//! unknown sections or keys, duplicated keys, missing keys, malformed
+//! values, machine shapes [`ArchConfig::validate`] refuses, and files from
+//! another version all fail loudly rather than being silently ignored — a
+//! config that steers production serving must not half-load.
 
 use std::path::Path;
+use std::str::FromStr;
 
 use cicero_core::CompilerOptions;
-use cicero_sim::ArchConfig;
+use cicero_sim::{ArchConfig, CacheConfig, Organization};
 use regex_dialect::transforms::PassOrder;
 use workloads::Benchmark;
 
-use crate::config::{ArchParams, OrganizationKind, TuneConfig};
+use crate::config::TuneConfig;
 use crate::search::TuneOutcome;
 use crate::TuneError;
 
 /// The format version this build writes and the only one it accepts.
-pub const TUNE_FILE_VERSION: u64 = 2;
+pub const TUNE_FILE_VERSION: u64 = 3;
 
 /// A parsed (or about-to-be-written) `tune.toml`.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,10 +30,6 @@ pub struct TuneFile {
     pub workload: String,
     /// The workload's identity fingerprint at tuning time.
     pub fingerprint: u64,
-    /// Search seed.
-    pub seed: u64,
-    /// `exhaustive` or `random-mutation`.
-    pub strategy: String,
     /// Cost evaluations spent.
     pub evals: u64,
     /// Baseline simulated cycles ([`cicero_sim::Measurement::cycles`]).
@@ -49,18 +46,16 @@ pub struct TuneFile {
 
 impl TuneFile {
     /// Package a search result for persistence.
-    pub fn from_outcome(workload: &Benchmark, outcome: &TuneOutcome, seed: u64) -> TuneFile {
+    pub fn from_outcome(workload: &Benchmark, outcome: &TuneOutcome) -> TuneFile {
         TuneFile {
             workload: workload.name.to_lowercase(),
             fingerprint: fingerprint(workload),
-            seed,
-            strategy: outcome.strategy.to_owned(),
             evals: outcome.evals as u64,
             default_cycles: outcome.default_report.measurement.cycles,
             tuned_cycles: outcome.best_report.measurement.cycles,
             default_d_offset: outcome.default_report.d_offset,
             tuned_d_offset: outcome.best_report.d_offset,
-            config: outcome.best,
+            config: outcome.best.clone(),
         }
     }
 
@@ -71,7 +66,7 @@ impl TuneFile {
 
     /// The winner's simulated machine.
     pub fn arch_config(&self) -> ArchConfig {
-        self.config.arch.to_arch_config()
+        self.config.arch.clone()
     }
 
     /// Render to the canonical byte-deterministic text form.
@@ -85,8 +80,6 @@ impl TuneFile {
              [meta]\n\
              workload = \"{workload}\"\n\
              fingerprint = \"{fingerprint:016x}\"\n\
-             seed = {seed}\n\
-             strategy = \"{strategy}\"\n\
              evals = {evals}\n\
              \n\
              [score]\n\
@@ -114,8 +107,6 @@ impl TuneFile {
             version = TUNE_FILE_VERSION,
             workload = self.workload,
             fingerprint = self.fingerprint,
-            seed = self.seed,
-            strategy = self.strategy,
             evals = self.evals,
             default_cycles = self.default_cycles,
             tuned_cycles = self.tuned_cycles,
@@ -127,13 +118,16 @@ impl TuneFile {
             shortest_match_leading = c.shortest_match_leading,
             jump_simplification = c.jump_simplification,
             pass_order = c.pass_order.to_token_string(),
-            organization = a.organization.token(),
+            organization = match a.organization {
+                Organization::Old => "old",
+                Organization::New => "new",
+            },
             cores_per_engine = a.cores_per_engine,
             engines = a.engines,
             cc_id_bits = a.cc_id_bits,
-            cache_lines = a.cache_lines,
-            cache_line_size = a.cache_line_size,
-            cache_miss_penalty = a.cache_miss_penalty,
+            cache_lines = a.cache.lines,
+            cache_line_size = a.cache.line_size,
+            cache_miss_penalty = a.cache.miss_penalty,
         )
     }
 
@@ -141,12 +135,12 @@ impl TuneFile {
     ///
     /// # Errors
     ///
-    /// [`TuneError::Parse`] naming the offending line for every rejected
-    /// input.
+    /// [`TuneError::Parse`] naming the offending line or key for every
+    /// rejected input.
     pub fn parse(text: &str) -> Result<TuneFile, TuneError> {
         let mut section = String::new();
         let mut seen: Vec<String> = Vec::new();
-        let mut values: Vec<(String, String)> = Vec::new();
+        let mut values = Values(Vec::new());
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -176,7 +170,8 @@ impl TuneFile {
                 if section.is_empty() { key.to_owned() } else { format!("{section}.{key}") };
             if qualified == "version" && value != TUNE_FILE_VERSION.to_string() {
                 // Checked the moment it is read: what an older file calls
-                // its retired sections must not be the error it dies on.
+                // its retired keys and sections must not be the error it
+                // dies on.
                 return Err(fail(format!(
                     "unsupported tune.toml version {value} (this build reads \
                      v{TUNE_FILE_VERSION}); regenerate with `cicero tune`"
@@ -185,85 +180,58 @@ impl TuneFile {
             if !KEYS.contains(&qualified.as_str()) {
                 return Err(fail(format!("unknown key `{qualified}`")));
             }
-            if values.iter().any(|(k, _)| *k == qualified) {
+            if values.0.iter().any(|(k, _)| *k == qualified) {
                 return Err(fail(format!("duplicate key `{qualified}`")));
             }
-            values.push((qualified, value.to_owned()));
+            values.0.push((qualified, value.to_owned()));
         }
 
-        let get = |key: &str| -> Result<&str, TuneError> {
-            values
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| TuneError::Parse(format!("missing key `{key}`")))
-        };
-        let get_u64 = |key: &str| -> Result<u64, TuneError> {
-            get(key)?
-                .parse::<u64>()
-                .map_err(|_| TuneError::Parse(format!("key `{key}` is not an integer")))
-        };
-        let get_bool = |key: &str| -> Result<bool, TuneError> {
-            match get(key)? {
-                "true" => Ok(true),
-                "false" => Ok(false),
-                other => {
-                    Err(TuneError::Parse(format!("key `{key}` is not a boolean (got `{other}`)")))
-                }
-            }
-        };
-        let get_str = |key: &str| -> Result<String, TuneError> {
-            let raw = get(key)?;
-            raw.strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .map(str::to_owned)
-                .ok_or_else(|| TuneError::Parse(format!("key `{key}` is not a quoted string")))
-        };
+        values.get("version")?; // present; its value was checked as it was read
 
-        get("version")?; // present; its value was checked as it was read
-
-        let fingerprint_hex = get_str("meta.fingerprint")?;
+        let fingerprint_hex = values.string("meta.fingerprint")?;
         let fingerprint = u64::from_str_radix(&fingerprint_hex, 16).map_err(|_| {
             TuneError::Parse(format!("meta.fingerprint `{fingerprint_hex}` is not 16-digit hex"))
         })?;
-        let pass_order_text = get_str("compiler.pass_order")?;
+        let pass_order_text = values.string("compiler.pass_order")?;
         let pass_order = PassOrder::parse(&pass_order_text).map_err(TuneError::Parse)?;
-        let organization_text = get_str("arch.organization")?;
-        let organization = OrganizationKind::from_token(&organization_text).ok_or_else(|| {
-            TuneError::Parse(format!(
-                "arch.organization `{organization_text}` is neither `old` nor `new`"
-            ))
-        })?;
 
         let mut compiler = CompilerOptions::optimized();
-        compiler.canonicalize = get_bool("compiler.canonicalize")?;
-        compiler.factorize = get_bool("compiler.factorize")?;
-        compiler.shortest_match = get_bool("compiler.shortest_match")?;
-        compiler.shortest_match_leading = get_bool("compiler.shortest_match_leading")?;
-        compiler.jump_simplification = get_bool("compiler.jump_simplification")?;
+        compiler.canonicalize = values.bool("compiler.canonicalize")?;
+        compiler.factorize = values.bool("compiler.factorize")?;
+        compiler.shortest_match = values.bool("compiler.shortest_match")?;
+        compiler.shortest_match_leading = values.bool("compiler.shortest_match_leading")?;
+        compiler.jump_simplification = values.bool("compiler.jump_simplification")?;
         compiler.pass_order = pass_order;
 
-        let arch = ArchParams {
-            organization,
-            cores_per_engine: get_u64("arch.cores_per_engine")? as usize,
-            engines: get_u64("arch.engines")? as usize,
-            cc_id_bits: get_u64("arch.cc_id_bits")? as u32,
-            cache_lines: get_u64("arch.cache_lines")? as usize,
-            cache_line_size: get_u64("arch.cache_line_size")? as usize,
-            cache_miss_penalty: get_u64("arch.cache_miss_penalty")?,
+        // The preset supplies the fields `tune.toml` does not carry; every
+        // carried one is overwritten and the whole shape checked.
+        let mut arch = match values.string("arch.organization")?.as_str() {
+            "old" => ArchConfig::old_organization(1),
+            "new" => ArchConfig::new_organization(2, 1),
+            other => {
+                return Err(TuneError::Parse(format!(
+                    "arch.organization `{other}` is neither `old` nor `new`"
+                )))
+            }
         };
-        validate_arch(&arch)?;
+        arch.cores_per_engine = values.int("arch.cores_per_engine")?;
+        arch.engines = values.int("arch.engines")?;
+        arch.cc_id_bits = values.int("arch.cc_id_bits")?;
+        arch.cache = CacheConfig {
+            lines: values.int("arch.cache_lines")?,
+            line_size: values.int("arch.cache_line_size")?,
+            miss_penalty: values.int("arch.cache_miss_penalty")?,
+        };
+        arch.validate().map_err(|e| TuneError::Parse(format!("arch: {e}")))?;
 
         Ok(TuneFile {
-            workload: get_str("meta.workload")?,
+            workload: values.string("meta.workload")?,
             fingerprint,
-            seed: get_u64("meta.seed")?,
-            strategy: get_str("meta.strategy")?,
-            evals: get_u64("meta.evals")?,
-            default_cycles: get_u64("score.default_cycles")?,
-            tuned_cycles: get_u64("score.tuned_cycles")?,
-            default_d_offset: get_u64("score.default_d_offset")?,
-            tuned_d_offset: get_u64("score.tuned_d_offset")?,
+            evals: values.int("meta.evals")?,
+            default_cycles: values.int("score.default_cycles")?,
+            tuned_cycles: values.int("score.tuned_cycles")?,
+            default_d_offset: values.int("score.default_d_offset")?,
+            tuned_d_offset: values.int("score.tuned_d_offset")?,
             config: TuneConfig { compiler, arch },
         })
     }
@@ -301,6 +269,42 @@ impl TuneFile {
     }
 }
 
+/// The parsed `key = value` pairs, section-qualified, in file order.
+struct Values(Vec<(String, String)>);
+
+impl Values {
+    fn get(&self, key: &str) -> Result<&str, TuneError> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+            .ok_or_else(|| TuneError::Parse(format!("missing key `{key}`")))
+    }
+
+    /// An unsigned integer that fits the field it fills.
+    fn int<T: FromStr>(&self, key: &str) -> Result<T, TuneError> {
+        self.get(key)?.parse().map_err(|_| {
+            TuneError::Parse(format!("key `{key}` is not an integer in the field's range"))
+        })
+    }
+
+    fn bool(&self, key: &str) -> Result<bool, TuneError> {
+        match self.get(key)? {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            other => Err(TuneError::Parse(format!("key `{key}` is not a boolean (got `{other}`)"))),
+        }
+    }
+
+    fn string(&self, key: &str) -> Result<String, TuneError> {
+        self.get(key)?
+            .strip_prefix('"')
+            .and_then(|s| s.strip_suffix('"'))
+            .map(str::to_owned)
+            .ok_or_else(|| TuneError::Parse(format!("key `{key}` is not a quoted string")))
+    }
+}
+
 /// Identity fingerprint over a workload's patterns and chunks (FNV-1a 64).
 /// Recorded in `tune.toml`, so a stale file is detectable when the
 /// workload generators change.
@@ -325,12 +329,10 @@ pub fn fingerprint(workload: &Benchmark) -> u64 {
 
 const SECTIONS: [&str; 4] = ["meta", "score", "compiler", "arch"];
 
-const KEYS: [&str; 23] = [
+const KEYS: [&str; 21] = [
     "version",
     "meta.workload",
     "meta.fingerprint",
-    "meta.seed",
-    "meta.strategy",
     "meta.evals",
     "score.default_cycles",
     "score.tuned_cycles",
@@ -351,33 +353,6 @@ const KEYS: [&str; 23] = [
     "arch.cache_miss_penalty",
 ];
 
-/// Reject machine shapes the simulator's constructors would panic on —
-/// a parse error names the problem; a panic deep in serving would not.
-fn validate_arch(arch: &ArchParams) -> Result<(), TuneError> {
-    match arch.organization {
-        OrganizationKind::Old if arch.cores_per_engine != 1 => {
-            Err(TuneError::Parse("arch: old organization requires cores_per_engine = 1".to_owned()))
-        }
-        OrganizationKind::New
-            if !arch.cores_per_engine.is_power_of_two() || arch.cores_per_engine < 2 =>
-        {
-            Err(TuneError::Parse(
-                "arch: new organization requires cores_per_engine to be a power of two >= 2"
-                    .to_owned(),
-            ))
-        }
-        _ if arch.engines == 0 => {
-            Err(TuneError::Parse("arch: engines must be at least 1".to_owned()))
-        }
-        _ if arch.cache_lines == 0 || !arch.cache_line_size.is_power_of_two() => {
-            Err(TuneError::Parse(
-                "arch: cache_lines must be >= 1 and cache_line_size a power of two".to_owned(),
-            ))
-        }
-        _ => Ok(()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,8 +361,6 @@ mod tests {
         TuneFile {
             workload: "protomata".to_owned(),
             fingerprint: 0x0123_4567_89ab_cdef,
-            seed: 42,
-            strategy: "exhaustive".to_owned(),
             evals: 12,
             default_cycles: 1000,
             tuned_cycles: 900,
@@ -417,14 +390,14 @@ mod tests {
 
     #[test]
     fn other_versions_fail_loudly() {
-        let text = sample().render().replace("version = 2", "version = 3");
+        let text = sample().render().replace("version = 3", "version = 4");
         let err = TuneFile::parse(&text).unwrap_err();
         assert!(matches!(err, TuneError::Parse(ref m) if m.contains("unsupported")), "{err}");
         // A v1 file dies on its version, not on the `[host]`/`[runtime]`
         // sections this build no longer knows.
         let v1 = format!(
             "{}\n[host]\nbit64_max = 64\nbit128_max = 128\n\n[runtime]\njobs = 4\n",
-            sample().render().replace("version = 2", "version = 1")
+            sample().render().replace("version = 3", "version = 1")
         );
         let err = TuneFile::parse(&v1).unwrap_err();
         assert!(
@@ -445,7 +418,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_rejected() {
-        let text = sample().render().replace("seed = 42", "seed = 42\nseed = 43");
+        let text = sample().render().replace("evals = 12", "evals = 12\nevals = 13");
         let err = TuneFile::parse(&text).unwrap_err();
         assert!(matches!(err, TuneError::Parse(ref m) if m.contains("duplicate")), "{err}");
     }
@@ -499,8 +472,7 @@ mod tests {
         let file = TuneFile::parse(text).expect("the committed golden file must parse");
         assert_eq!(file.render(), text, "parse → render must reproduce the golden bytes");
         assert_eq!(file.workload, "protomata");
-        assert_eq!(file.seed, 42);
-        assert_eq!(file.strategy, "exhaustive");
+        assert_eq!(file.evals, 288);
         assert_eq!(file.config.arch.name(), "OLD 1x8 CORES");
         assert_eq!(file.config.compiler, CompilerOptions::optimized());
     }

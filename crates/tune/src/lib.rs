@@ -10,11 +10,9 @@
 //! The moving parts:
 //!
 //! * [`TuneConfig`] — one point in the search space: compiler toggles +
-//!   pass order and simulated architecture parameters. `Copy + Hash +
-//!   Eq`, so it keys the memoization table directly.
+//!   pass order and the simulated [`cicero_sim::ArchConfig`].
 //! * [`SearchSpace`] — the axes and their candidate values, enumerable by
-//!   index (mixed-radix), so exhaustive sweeps and seeded sampling draw
-//!   from the same deterministic ordering.
+//!   index (mixed-radix), defaults first, so index 0 is the default.
 //! * [`cost::evaluate`] — the one cost function: average µs per RE from
 //!   [`cicero_sim::measure`], the measure the paper's tables read, so the
 //!   tuner's winner is the figures' fastest cell. A pure function of
@@ -22,14 +20,14 @@
 //!   cannot see is not an axis.
 //! * [`pack`] — the built-in workloads: the paper bench's default-scale
 //!   suites, the same generator call, so a pack is what the figures run.
-//! * [`tune`] — the searcher: exhaustive when the budget covers the
-//!   space (the default), seeded random + greedy mutation under a
-//!   tighter cap, memoized by config. Deterministic given a seed: the
-//!   RNG is a [`rng::SplitMix64`] and the default config is always
-//!   candidate zero, so the winner never loses to the baseline.
+//! * [`tune`] — the sweep: every point in index order, the default first,
+//!   the incumbent replaced only on strictly lower cost, until the budget
+//!   runs out. A budget that covers the space (the default) finds the
+//!   optimum; a smaller one sweeps a deterministic prefix.
 //! * [`TuneFile`] — the versioned `tune.toml` serialization: strict
-//!   parser (unknown keys, duplicates, corruption, and future versions
-//!   all fail loudly), byte-deterministic renderer (no timestamps).
+//!   parser (unknown keys, duplicates, corruption, machine shapes the
+//!   simulator refuses, and other versions all fail loudly),
+//!   byte-deterministic renderer (no timestamps).
 //!
 //! Telemetry lands under the `tune.*` namespace (see
 //! `docs/OBSERVABILITY.md`).
@@ -37,11 +35,10 @@
 pub mod config;
 pub mod cost;
 pub mod file;
-pub mod rng;
 pub mod search;
 pub mod space;
 
-pub use config::{ArchParams, OrganizationKind, TuneConfig};
+pub use config::TuneConfig;
 pub use cost::CostReport;
 pub use file::TuneFile;
 pub use search::{tune, Budget, TuneOutcome};

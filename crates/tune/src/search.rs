@@ -1,7 +1,6 @@
-//! The searcher: exhaustive when the budget covers the space, seeded
-//! random + greedy mutation under a tighter cap, memoized by config.
+//! The sweep: every point of the space in index order, the default first,
+//! until the budget runs out.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use cicero_telemetry::Telemetry;
@@ -9,20 +8,19 @@ use workloads::Benchmark;
 
 use crate::config::TuneConfig;
 use crate::cost::{evaluate, CostReport};
-use crate::rng::SplitMix64;
 use crate::space::SearchSpace;
 use crate::TuneError;
 
-/// How much searching to do.
+/// How much of the space to sweep. Either way the sweep visits a prefix
+/// of the same index order, so a budget only decides where it stops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Budget {
-    /// At most this many cost evaluations (memo hits are free).
-    /// This is the deterministic budget: identical seed + workload +
-    /// budget visit identical candidates.
+    /// At most this many cost evaluations. This is the deterministic
+    /// budget: identical workload + budget visit identical candidates.
     Evals(usize),
-    /// Stop proposing new candidates once this much wall-clock has
-    /// elapsed. Inherently machine-dependent; reproducibility is only
-    /// promised for [`Budget::Evals`].
+    /// Stop once this much wall-clock has elapsed. Inherently
+    /// machine-dependent; reproducibility is only promised for
+    /// [`Budget::Evals`].
     TimeMs(u64),
 }
 
@@ -39,23 +37,17 @@ pub struct TuneOutcome {
     pub default_report: CostReport,
     /// Cost evaluations actually performed.
     pub evals: usize,
-    /// Proposals answered from the memo table instead of re-evaluated.
-    pub memo_hits: usize,
-    /// `exhaustive` or `random-mutation`.
-    pub strategy: &'static str,
 }
 
-/// Search `space` for the lowest-cost config on `workload`.
+/// Sweep `space` in index order for the lowest-cost config on `workload`.
 ///
-/// Strategy selection: if an eval budget covers the whole space the sweep
-/// is exhaustive (in index order, so deterministic regardless of seed, and
-/// ties resolve to the lowest index — the most-default config);
-/// otherwise seeded random sampling interleaved with greedy single-axis
-/// mutations of the incumbent. Either way the default config is evaluated
-/// first and ties never dethrone it.
+/// Index 0 is the default config, evaluated first; each later index
+/// replaces the incumbent only on strictly lower cost, so ties resolve to
+/// the lowest index — the most-default config. A budget that covers the
+/// space makes the winner an optimum; a smaller one a deterministic prefix.
 ///
-/// Telemetry (when given): `tune.evals` / `tune.memo_hits` counters and
-/// a `tune.best_cost` gauge.
+/// Telemetry (when given): a `tune.evals` counter and `tune.best_cost` /
+/// `tune.default_cost` gauges.
 ///
 /// # Errors
 ///
@@ -67,7 +59,6 @@ pub fn tune(
     workload: &Benchmark,
     space: &SearchSpace,
     budget: Budget,
-    seed: u64,
     telemetry: Option<&Telemetry>,
 ) -> Result<TuneOutcome, TuneError> {
     if workload.patterns.is_empty() {
@@ -76,117 +67,41 @@ pub fn tune(
     if workload.chunks.is_empty() {
         return Err(TuneError::Invalid("workload has no input chunks".to_owned()));
     }
-    match budget {
-        Budget::Evals(0) => {
-            return Err(TuneError::Invalid("budget must allow at least one eval".to_owned()))
-        }
-        Budget::Evals(_) | Budget::TimeMs(_) => {}
+    if budget == Budget::Evals(0) {
+        return Err(TuneError::Invalid("budget must allow at least one eval".to_owned()));
     }
     let started = Instant::now();
-    // The baseline is always candidate zero — and its failure is the
-    // run's failure: a tuner that cannot score the default has nothing
-    // sound to compare against.
-    let default_config = TuneConfig::default();
-    let default_report = evaluate(workload, &default_config)?;
-    let mut memo: HashMap<TuneConfig, CostReport> =
-        HashMap::from([(default_config, default_report)]);
-    let mut evals = 1usize;
-    let mut memo_hits = 0usize;
-
-    // One evaluation, through the memo table. `None` = candidate failed
-    // to compile (disqualified, budget still charged).
-    let mut score = |config: &TuneConfig,
-                     evals: &mut usize,
-                     memo_hits: &mut usize|
-     -> Result<Option<CostReport>, TuneError> {
-        if let Some(report) = memo.get(config) {
-            *memo_hits += 1;
-            return Ok(Some(*report));
-        }
-        *evals += 1;
-        match evaluate(workload, config) {
-            Ok(report) => {
-                memo.insert(*config, report);
-                Ok(Some(report))
-            }
-            Err(TuneError::Compile(_)) => Ok(None),
-            Err(e) => Err(e),
-        }
-    };
-
     let exhausted = |evals: usize| match budget {
         Budget::Evals(max) => evals >= max,
         Budget::TimeMs(ms) => started.elapsed().as_millis() >= u128::from(ms),
     };
-
-    let mut best = default_config;
-    let mut best_report = default_report;
-    let mut best_indices: Vec<usize> = vec![0; space.axis_sizes().len()];
-
-    let exhaustive = matches!(budget, Budget::Evals(max) if space.size() <= max);
-    let strategy = if exhaustive { "exhaustive" } else { "random-mutation" };
-
-    if exhaustive {
-        // Index 0 is the default config — already evaluated above.
-        for index in 1..space.size() {
-            if exhausted(evals) {
-                break;
-            }
-            let config = space.config_at(index);
-            if let Some(report) = score(&config, &mut evals, &mut memo_hits)? {
-                if report.cost < best_report.cost {
-                    best = config;
-                    best_report = report;
-                }
-            }
+    // The baseline is always candidate zero — and its failure is the
+    // run's failure: a tuner that cannot score the default has nothing
+    // sound to compare against.
+    let default_report = evaluate(workload, &TuneConfig::default())?;
+    let (mut best, mut best_report) = (TuneConfig::default(), default_report);
+    let mut evals = 1usize;
+    for index in 1..space.size() {
+        if exhausted(evals) {
+            break;
         }
-    } else {
-        let mut rng = SplitMix64::new(seed);
-        let sizes = space.axis_sizes();
-        // Cap total proposals so a fully-memoized neighborhood cannot
-        // spin forever on free memo hits.
-        let proposal_cap = match budget {
-            Budget::Evals(max) => max.saturating_mul(10),
-            Budget::TimeMs(_) => usize::MAX,
-        };
-        let mut proposals = 0usize;
-        while !exhausted(evals) && proposals < proposal_cap {
-            proposals += 1;
-            // Alternate exploration (fresh uniform draw) with
-            // exploitation (mutate one axis of the incumbent).
-            let indices: Vec<usize> = if proposals.is_multiple_of(2) {
-                sizes.iter().map(|&size| rng.below(size)).collect()
-            } else {
-                let mut indices = best_indices.clone();
-                // Pick an axis with at least two candidates.
-                let mutable: Vec<usize> = (0..sizes.len()).filter(|&a| sizes[a] > 1).collect();
-                if mutable.is_empty() {
-                    break; // single-point space: nothing to search
-                }
-                let axis = mutable[rng.below(mutable.len())];
-                let bump = 1 + rng.below(sizes[axis] - 1);
-                indices[axis] = (indices[axis] + bump) % sizes[axis];
-                indices
-            };
-            let config = space.config_from_indices(&indices);
-            if let Some(report) = score(&config, &mut evals, &mut memo_hits)? {
-                if report.cost < best_report.cost {
-                    best = config;
-                    best_report = report;
-                    best_indices = indices;
-                }
-            }
+        let config = space.config_at(index);
+        evals += 1;
+        match evaluate(workload, &config) {
+            Ok(report) if report.cost < best_report.cost => (best, best_report) = (config, report),
+            // A candidate that fails to compile is disqualified.
+            Ok(_) | Err(TuneError::Compile(_)) => {}
+            Err(e) => return Err(e),
         }
     }
 
     if let Some(t) = telemetry {
         t.counter_add("tune.evals", evals as u64);
-        t.counter_add("tune.memo_hits", memo_hits as u64);
         t.gauge_set("tune.best_cost", best_report.cost);
         t.gauge_set("tune.default_cost", default_report.cost);
     }
     debug_assert!(best_report.cost <= default_report.cost, "tuned can never lose to default");
-    Ok(TuneOutcome { best, best_report, default_report, evals, memo_hits, strategy })
+    Ok(TuneOutcome { best, best_report, default_report, evals })
 }
 
 #[cfg(test)]
@@ -198,51 +113,24 @@ mod tests {
     }
 
     #[test]
-    fn small_space_goes_exhaustive_and_beats_or_matches_default() {
+    fn a_covering_budget_sweeps_the_space_and_beats_or_matches_default() {
         let workload = workload();
         let space = SearchSpace::compiler_only();
-        let outcome = tune(&workload, &space, Budget::Evals(100), 42, None).unwrap();
-        assert_eq!(outcome.strategy, "exhaustive");
-        assert!(outcome.evals <= space.size());
+        let outcome = tune(&workload, &space, Budget::Evals(100), None).unwrap();
+        assert_eq!(outcome.evals, space.size());
         assert!(outcome.best_report.cost <= outcome.default_report.cost);
     }
 
     #[test]
-    fn large_space_uses_seeded_search_deterministically() {
+    fn an_eval_budget_sweeps_a_prefix_of_the_index_order() {
         let workload = workload();
         let space = SearchSpace::full();
-        let a = tune(&workload, &space, Budget::Evals(12), 42, None).unwrap();
-        let b = tune(&workload, &space, Budget::Evals(12), 42, None).unwrap();
-        assert_eq!(a.strategy, "random-mutation");
-        assert_eq!(a.best, b.best, "same seed, same winner");
-        assert_eq!(a.evals, b.evals);
-        assert!(a.best_report.cost <= a.default_report.cost);
-    }
-
-    #[test]
-    fn different_seeds_may_visit_different_candidates_but_never_regress() {
-        let workload = workload();
-        let space = SearchSpace::full();
-        for seed in [1u64, 7, 99] {
-            let outcome = tune(&workload, &space, Budget::Evals(8), seed, None).unwrap();
-            assert!(outcome.best_report.cost <= outcome.default_report.cost, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn memo_answers_repeat_proposals() {
-        let workload = workload();
-        // A 12-point space with a 100-eval budget sweeps exhaustively
-        // with no repeats; force the sampling path instead, where the
-        // proposal stream revisits configs.
-        let space = SearchSpace::full();
-        let outcome = tune(&workload, &space, Budget::Evals(40), 3, None).unwrap();
-        // 40 evals over 288 points rarely collide, but mutation
-        // re-proposes neighbors of the incumbent constantly; at least
-        // one memo hit is effectively guaranteed. If this ever flakes,
-        // the seed is pinned, so it cannot: the run is deterministic.
-        assert!(outcome.memo_hits > 0, "memo must absorb repeat proposals");
-        assert_eq!(outcome.evals, 40);
+        let outcome = tune(&workload, &space, Budget::Evals(12), None).unwrap();
+        assert_eq!(outcome.evals, 12);
+        let prefix_best = (0..12)
+            .map(|i| evaluate(&workload, &space.config_at(i)).unwrap().cost)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(outcome.best_report.cost, prefix_best);
     }
 
     #[test]
@@ -250,7 +138,7 @@ mod tests {
         let workload = workload();
         let telemetry = Telemetry::new();
         let space = SearchSpace::compiler_only();
-        tune(&workload, &space, Budget::Evals(20), 1, Some(&telemetry)).unwrap();
+        tune(&workload, &space, Budget::Evals(20), Some(&telemetry)).unwrap();
         let summary = telemetry.render_summary();
         assert!(summary.contains("tune.evals"), "{summary}");
         assert!(summary.contains("tune.best_cost"), "{summary}");
@@ -260,21 +148,18 @@ mod tests {
     fn zero_budget_and_empty_workloads_are_rejected() {
         let space = SearchSpace::compiler_only();
         assert!(matches!(
-            tune(&workload(), &space, Budget::Evals(0), 1, None),
+            tune(&workload(), &space, Budget::Evals(0), None),
             Err(TuneError::Invalid(_))
         ));
         let empty = Benchmark { name: "EMPTY", patterns: vec![], chunks: vec![] };
-        assert!(matches!(
-            tune(&empty, &space, Budget::Evals(5), 1, None),
-            Err(TuneError::Invalid(_))
-        ));
+        assert!(matches!(tune(&empty, &space, Budget::Evals(5), None), Err(TuneError::Invalid(_))));
     }
 
     #[test]
     fn a_workload_without_chunks_is_rejected() {
         let no_input =
             Benchmark { name: "NO-INPUT", patterns: vec!["ab".to_owned()], chunks: vec![] };
-        let err = tune(&no_input, &SearchSpace::compiler_only(), Budget::Evals(5), 1, None);
+        let err = tune(&no_input, &SearchSpace::compiler_only(), Budget::Evals(5), None);
         assert!(matches!(err, Err(TuneError::Invalid(ref m)) if m.contains("chunks")), "{err:?}");
     }
 
@@ -282,7 +167,7 @@ mod tests {
     fn time_budget_terminates() {
         let workload = workload();
         let space = SearchSpace::full();
-        let outcome = tune(&workload, &space, Budget::TimeMs(50), 5, None).unwrap();
+        let outcome = tune(&workload, &space, Budget::TimeMs(50), None).unwrap();
         assert!(outcome.evals >= 1, "at least the default is evaluated");
     }
 }

@@ -2,37 +2,29 @@
 //!
 //! Every axis lists its built-in default value *first*, so index 0 of the
 //! whole space is exactly [`TuneConfig::default`] — exhaustive sweeps
-//! always cover the baseline, and the searcher's "default is candidate
-//! zero" guarantee falls out of the layout rather than a special case.
+//! always cover the baseline, and the sweep's "default is candidate zero"
+//! guarantee falls out of the layout rather than a special case.
 
+use cicero_sim::{ArchConfig, CacheConfig};
 use regex_dialect::transforms::PassOrder;
 
-use crate::config::{ArchParams, OrganizationKind, TuneConfig};
-
-/// One candidate machine shape (organization × cores × engines × CC_ID).
-/// Pre-combined into a single axis because the dimensions are coupled:
-/// the new organization pairs one core per FIFO, so its `CC_ID` is fixed
-/// by the core count, while the old organization can vary `CC_ID` freely.
-#[derive(Debug, Clone, Copy)]
-struct ArchShape {
-    organization: OrganizationKind,
-    cores_per_engine: usize,
-    engines: usize,
-    cc_id_bits: u32,
-}
+use crate::config::TuneConfig;
 
 /// The axes of the compiler × architecture space.
 ///
 /// [`SearchSpace::full`] is the standard space (288 points): pass order
 /// (6) × leading reduction (2) × machine shape (6) × icache geometry (4).
-/// Every axis is one `cost::evaluate` reads; `tests/tune_axes.rs` fails
-/// when one is added that it does not.
+/// A shape combines organization, cores, engines and `CC_ID` in one axis
+/// because they are coupled: the new organization pairs one core with each
+/// FIFO, so its `CC_ID` is fixed by the core count. Every axis is one
+/// `cost::evaluate` reads; `tests/tune_axes.rs` fails when one is added
+/// that it does not.
 #[derive(Debug, Clone)]
 pub struct SearchSpace {
     pass_orders: Vec<PassOrder>,
     leading: Vec<bool>,
-    shapes: Vec<ArchShape>,
-    caches: Vec<(usize, usize, u64)>,
+    shapes: Vec<ArchConfig>,
+    caches: Vec<CacheConfig>,
 }
 
 impl Default for SearchSpace {
@@ -45,49 +37,20 @@ impl SearchSpace {
     /// The standard search space. Defaults-first per axis (see the module
     /// docs).
     pub fn full() -> SearchSpace {
+        let cache = |lines, line_size| CacheConfig { lines, line_size, miss_penalty: 4 };
         SearchSpace {
             pass_orders: PassOrder::all().to_vec(),
             leading: vec![false, true],
             shapes: vec![
                 // The CLI/default machine first.
-                ArchShape {
-                    organization: OrganizationKind::New,
-                    cores_per_engine: 16,
-                    engines: 1,
-                    cc_id_bits: 4,
-                },
-                ArchShape {
-                    organization: OrganizationKind::New,
-                    cores_per_engine: 8,
-                    engines: 1,
-                    cc_id_bits: 3,
-                },
-                ArchShape {
-                    organization: OrganizationKind::New,
-                    cores_per_engine: 8,
-                    engines: 2,
-                    cc_id_bits: 3,
-                },
-                ArchShape {
-                    organization: OrganizationKind::New,
-                    cores_per_engine: 4,
-                    engines: 2,
-                    cc_id_bits: 2,
-                },
-                ArchShape {
-                    organization: OrganizationKind::Old,
-                    cores_per_engine: 1,
-                    engines: 4,
-                    cc_id_bits: 3,
-                },
-                ArchShape {
-                    organization: OrganizationKind::Old,
-                    cores_per_engine: 1,
-                    engines: 8,
-                    cc_id_bits: 3,
-                },
+                ArchConfig::new_organization(16, 1),
+                ArchConfig::new_organization(8, 1),
+                ArchConfig::new_organization(8, 2),
+                ArchConfig::new_organization(4, 2),
+                ArchConfig::old_organization(4),
+                ArchConfig::old_organization(8),
             ],
-            caches: vec![(8, 4, 4), (4, 4, 4), (16, 4, 4), (8, 8, 4)],
+            caches: vec![cache(8, 4), cache(4, 4), cache(16, 4), cache(8, 8)],
         }
     }
 
@@ -126,24 +89,15 @@ impl SearchSpace {
         self.config_from_indices(&indices)
     }
 
-    /// The config for explicit per-axis indices (the searcher's working
-    /// representation — mutation flips one slot).
+    /// The config for explicit per-axis indices.
     pub fn config_from_indices(&self, indices: &[usize]) -> TuneConfig {
         assert_eq!(indices.len(), self.axis_sizes().len(), "one index per axis");
-        let shape = self.shapes[indices[2]];
-        let (lines, line_size, miss_penalty) = self.caches[indices[3]];
-        let mut config = TuneConfig::default();
+        let mut config = TuneConfig {
+            arch: ArchConfig { cache: self.caches[indices[3]], ..self.shapes[indices[2]].clone() },
+            ..TuneConfig::default()
+        };
         config.compiler.pass_order = self.pass_orders[indices[0]];
         config.compiler.shortest_match_leading = self.leading[indices[1]];
-        config.arch = ArchParams {
-            organization: shape.organization,
-            cores_per_engine: shape.cores_per_engine,
-            engines: shape.engines,
-            cc_id_bits: shape.cc_id_bits,
-            cache_lines: lines,
-            cache_line_size: line_size,
-            cache_miss_penalty: miss_penalty,
-        };
         config
     }
 }
@@ -162,8 +116,8 @@ mod tests {
     fn size_matches_axis_product_and_every_index_is_reachable() {
         for (space, points) in [(SearchSpace::compiler_only(), 12), (SearchSpace::full(), 288)] {
             assert_eq!(space.size(), points);
-            let seen: std::collections::HashSet<_> =
-                (0..space.size()).map(|i| space.config_at(i)).collect();
+            let seen: std::collections::HashSet<String> =
+                (0..space.size()).map(|i| format!("{:?}", space.config_at(i))).collect();
             assert_eq!(seen.len(), points, "every index yields a distinct config");
         }
     }
@@ -171,12 +125,8 @@ mod tests {
     #[test]
     fn full_space_expands_to_valid_machines() {
         let space = SearchSpace::full();
-        // Every expansion must satisfy the simulator's constructor
-        // invariants (power-of-two cores…).
         for i in 0..space.size() {
-            let config = space.config_at(i);
-            let arch = config.arch.to_arch_config();
-            assert!(arch.engines >= 1);
+            assert_eq!(space.config_at(i).arch.validate(), Ok(()), "index {i}");
         }
     }
 

@@ -15,7 +15,7 @@
 //! cicero ruleset list [--addr HOST:PORT]
 //! cicero trace   <pattern>... (--text STR | --input FILE) [--config NxM] [--jobs N]
 //!                [--export tree|json|chrome] [-o FILE] [--request-id ID]
-//! cicero tune    (--workload PACK | <pattern>...) [--budget N|Nms] [--seed N]
+//! cicero tune    (--workload PACK | <pattern>...) [--budget N|Nms]
 //!                [--out FILE] [--space full|compiler]
 //! cicero explain <pattern>
 //! cicero configs
@@ -65,7 +65,7 @@
 //! --ruleset ID` ships the input to the server (`POST /scan/stream`) so
 //! the CLI matches against exactly the version the server is serving.
 //!
-//! `tune` searches pass orderings × architecture parameters for the
+//! `tune` sweeps pass orderings × architecture parameters for the
 //! lowest-cost configuration on a workload (docs/TUNING.md) and
 //! writes the winner to a strictly-validated `tune.toml`; `run`, `scan`,
 //! and `serve` load one via `--tuned-config` (explicit flags still win,
@@ -144,7 +144,7 @@ USAGE:
     cicero trace   <p1> <p2> ... (--text STR | --input FILE) [--config NxM]
                    [--jobs N] [--export tree|json|chrome] [-o|--output FILE]
                    [--request-id ID] [--fuel N] [--deadline-ms N]
-    cicero tune    (--workload PACK | <p1> <p2> ...) [--budget N|Nms] [--seed N]
+    cicero tune    (--workload PACK | <p1> <p2> ...) [--budget N|Nms]
                    [--out FILE] [--space full|compiler]
                    [--metrics PATH] [--metrics-format FORMAT]
     cicero explain <pattern>
@@ -220,9 +220,10 @@ OPTIONS:
     --workload PACK   tune: a named workload pack (protomata, brill,
                       protomata4, brill4); positional patterns build a custom
                       workload with synthesized inputs instead
-    --budget SPEC     tune: `N` caps cost evaluations (deterministic); `Nms`
-                      caps wall-clock milliseconds (machine-dependent);
-                      default: the size of the space, i.e. an exhaustive sweep
+    --budget SPEC     tune: `N` sweeps the first N points of the space's index
+                      order (deterministic); `Nms` stops after N wall-clock
+                      milliseconds (machine-dependent); default: the size of
+                      the space, i.e. an exhaustive sweep
     --out FILE        tune: where the winning config is written
                       (default tune.toml)
     --space KIND      tune: `full` searches pass orders x leading reduction x
@@ -870,6 +871,21 @@ fn scan_batch_mode(
     Ok(())
 }
 
+/// The `--fuel N` / `--deadline-ms N` budget of `scan --stream` and
+/// `trace`; either flag absent leaves that axis unbounded.
+fn parse_budget(flags: &Flags) -> Result<Budget, String> {
+    let number = |flag: &str| -> Result<Option<u64>, String> {
+        flags
+            .value(flag)
+            .map(|value| value.parse().map_err(|_| format!("--{flag} `{value}` is not a number")))
+            .transpose()
+    };
+    Ok(Budget {
+        fuel: number("fuel")?,
+        deadline: number("deadline-ms")?.map(std::time::Duration::from_millis),
+    })
+}
+
 /// `scan --stream`: feed the input through the bounded-memory streaming
 /// runtime, with optional fuel / deadline budgets. `--backend host`
 /// drives the same session on the host engine (fuel becomes a byte
@@ -881,7 +897,7 @@ fn scan_stream_mode(
     tuned: Option<&cicero::tune::TuneFile>,
     flags: &Flags,
 ) -> Result<(), String> {
-    use cicero::runtime::{BudgetKind, MatchOutcome, StreamOptions};
+    use cicero::runtime::{MatchOutcome, StreamOptions};
 
     let mut options = StreamOptions::default();
     if let Some(value) = flags.value("chunk-size") {
@@ -892,15 +908,7 @@ fn scan_stream_mode(
         }
         options.chunk_size = chunk;
     }
-    if let Some(value) = flags.value("fuel") {
-        let fuel: u64 = value.parse().map_err(|_| format!("--fuel `{value}` is not a number"))?;
-        options.budget.fuel = Some(fuel);
-    }
-    if let Some(value) = flags.value("deadline-ms") {
-        let ms: u64 =
-            value.parse().map_err(|_| format!("--deadline-ms `{value}` is not a number"))?;
-        options.budget.deadline = Some(std::time::Duration::from_millis(ms));
-    }
+    options.budget = parse_budget(flags)?;
 
     // Compiled through the runtime, so the program carries its host engine.
     let runtime = Runtime::new(RuntimeOptions {
@@ -946,10 +954,6 @@ fn scan_stream_mode(
             Ok(())
         }
         MatchOutcome::Budget { kind, partial } => {
-            let kind = match kind {
-                BudgetKind::Fuel => "fuel",
-                BudgetKind::Deadline => "deadline",
-            };
             if let Some(partial) = partial {
                 println!("partial    : {} {unit} before the cut-off", partial.cycles);
             }
@@ -1248,15 +1252,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         Some(value) => parse_jobs(value)?,
         None => 1,
     };
-    let mut budget = Budget::default();
-    if let Some(value) = flags.value("fuel") {
-        budget.fuel = Some(value.parse().map_err(|_| format!("--fuel `{value}` is not a number"))?);
-    }
-    if let Some(value) = flags.value("deadline-ms") {
-        let ms: u64 =
-            value.parse().map_err(|_| format!("--deadline-ms `{value}` is not a number"))?;
-        budget.deadline = Some(std::time::Duration::from_millis(ms));
-    }
+    let budget = parse_budget(&flags)?;
     let request_id = flags.value("request-id").unwrap_or("cli-trace");
 
     let runtime = Runtime::new(RuntimeOptions { jobs, ..RuntimeOptions::default() });
@@ -1299,15 +1295,15 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// lowest-cost configuration on a workload and persist the winner to a
 /// `tune.toml` that `run`/`scan`/`serve` load via `--tuned-config`.
 ///
-/// Without `--budget` the sweep is exhaustive and the result depends on
-/// the workload alone; with `--budget N` (an eval count) the same seed,
-/// workload, and budget produce a byte-identical `tune.toml`.
+/// The sweep visits the space in index order, so the result depends on
+/// the workload and the budget alone: without `--budget` it covers the
+/// space, and `--budget N` (an eval count) sweeps the first `N` points.
 fn cmd_tune(args: &[String]) -> Result<(), String> {
     use cicero::tune::{pack, tune, Budget as TuneBudget, SearchSpace, TuneFile};
 
     let flags = parse_flags(
         args,
-        &["workload", "budget", "seed", "out", "space", "metrics", "metrics-format"],
+        &["workload", "budget", "out", "space", "metrics", "metrics-format"],
         &[],
     )?;
     let workload = if !flags.positional.is_empty() {
@@ -1323,10 +1319,6 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
              more positional patterns"
                 .to_owned(),
         );
-    };
-    let seed: u64 = match flags.value("seed") {
-        Some(v) => v.parse().map_err(|_| format!("--seed `{v}` is not a number"))?,
-        None => 42,
     };
     let out = flags.value("out").unwrap_or("tune.toml");
     let space = match flags.value("space").unwrap_or("full") {
@@ -1352,12 +1344,11 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     let outcome = {
         let search = ctx.root_span("tune.search");
         let outcome =
-            tune(&workload, &space, budget, seed, Some(&telemetry)).map_err(|e| e.to_string())?;
-        search.annotate("strategy", outcome.strategy);
+            tune(&workload, &space, budget, Some(&telemetry)).map_err(|e| e.to_string())?;
         search.annotate("evals", outcome.evals);
         outcome
     };
-    let file = TuneFile::from_outcome(&workload, &outcome, seed);
+    let file = TuneFile::from_outcome(&workload, &outcome);
 
     println!(
         "workload   : {} ({} pattern(s) x {} chunk(s))",
@@ -1365,8 +1356,8 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
         workload.patterns.len(),
         workload.chunks.len()
     );
-    println!("space      : {} point(s), strategy {}", space.size(), outcome.strategy);
-    println!("evals      : {} ({} memo hit(s))", outcome.evals, outcome.memo_hits);
+    println!("space      : {} point(s), swept in index order", space.size());
+    println!("evals      : {}", outcome.evals);
     for (label, report) in [("default", &outcome.default_report), ("tuned", &outcome.best_report)] {
         let m = &report.measurement;
         println!(
@@ -1391,8 +1382,8 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
     println!(
         "machine    : {}, icache {} line(s) x {}",
         file.config.arch.name(),
-        file.config.arch.cache_lines,
-        file.config.arch.cache_line_size
+        file.config.arch.cache.lines,
+        file.config.arch.cache.line_size
     );
     file.save(out).map_err(|e| e.to_string())?;
     println!("wrote      : {out}");

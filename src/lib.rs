@@ -27,8 +27,8 @@
 //!   runtime: admission control, per-request budgets, graceful draining;
 //! * [`telemetry`] — metrics, span traces, and summary/JSON-lines sinks
 //!   shared by the compiler, simulator, CLI, and benchmark drivers;
-//! * [`tune`] — the autotuner: seeded search over pass orderings and
-//!   architecture parameters, persisting winners to `tune.toml`;
+//! * [`tune`] — the autotuner: an index-order sweep over pass orderings
+//!   and architecture parameters, persisting winners to `tune.toml`;
 //! * [`oracle`] — the reference Pike-VM matcher (ground truth);
 //! * [`difftest`] — the differential fuzzing subsystem: oracle-vs-compiler
 //!   equivalence over a configuration matrix, divergence minimization, and

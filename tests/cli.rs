@@ -709,16 +709,16 @@ fn tune_once(tag: &str, args: &[&str]) -> (Vec<u8>, String) {
     (bytes, stdout(&output))
 }
 
-/// `cicero tune --seed N` is reproducible: the same seed, workload, and
-/// eval budget write byte-identical tune.toml files (the issue's
-/// acceptance criterion).
+/// A budgeted sweep is a prefix of the space's index order, so the same
+/// workload and eval budget write byte-identical tune.toml files.
 #[test]
-fn tune_is_deterministic_given_a_seed() {
-    let args = ["--budget", "8", "--seed", "7", "--", "ab+c", "th(is|at)"];
-    let (a, summary) = tune_once("seeded-a", &args);
-    let (b, _) = tune_once("seeded-b", &args);
-    assert_eq!(a, b, "same seed + workload + budget must write identical bytes");
-    assert!(summary.contains("strategy random-mutation"), "{summary}");
+fn tune_with_an_eval_budget_is_deterministic() {
+    let args = ["--budget", "8", "--", "ab+c", "th(is|at)"];
+    let (a, summary) = tune_once("budget-a", &args);
+    let (b, _) = tune_once("budget-b", &args);
+    assert_eq!(a, b, "same workload + budget must write identical bytes");
+    assert!(summary.contains("evals      : 8\n"), "{summary}");
+    assert!(String::from_utf8(a).unwrap().contains("evals = 8\n"));
 }
 
 /// With no `--budget` the sweep covers the space: exhaustive, and so
@@ -729,15 +729,17 @@ fn tune_without_a_budget_sweeps_the_space_and_writes_only_searched_knobs() {
     let (a, summary) = tune_once("exhaustive-a", &["--", "ab+c"]);
     let (b, _) = tune_once("exhaustive-b", &["--", "ab+c"]);
     assert_eq!(a, b, "an exhaustive sweep must write identical bytes");
-    assert!(summary.contains("288 point(s), strategy exhaustive"), "{summary}");
+    assert!(summary.contains("288 point(s), swept in index order"), "{summary}");
     assert!(summary.contains("evals      : 288"), "{summary}");
     assert!(!summary.contains("host tiers"), "retired knobs must not be reported: {summary}");
 
     let text = String::from_utf8(a).unwrap();
     let sections: Vec<&str> = text.lines().filter(|line| line.starts_with('[')).collect();
     assert_eq!(sections, ["[meta]", "[score]", "[compiler]", "[arch]"], "{text}");
-    assert!(text.contains("version = 2"), "{text}");
-    assert!(!text.contains("cost_model"), "{text}");
+    assert!(text.contains("version = 3"), "{text}");
+    for retired in ["cost_model", "seed", "strategy"] {
+        assert!(!text.contains(retired), "{text}");
+    }
 }
 
 /// There is one cost function; `--cost` is not a flag any more.
@@ -747,6 +749,15 @@ fn tune_rejects_the_retired_cost_flag() {
     assert!(!output.status.success());
     assert!(stderr(&output).contains("unknown flag"), "{}", stderr(&output));
     assert!(stderr(&output).contains("--cost"), "{}", stderr(&output));
+}
+
+/// The sweep draws nothing at random; `--seed` is not a `tune` flag.
+#[test]
+fn tune_rejects_the_retired_seed_flag() {
+    let output = cicero(&["tune", "--seed", "7", "--", "ab"]);
+    assert!(!output.status.success());
+    assert!(stderr(&output).contains("unknown flag"), "{}", stderr(&output));
+    assert!(stderr(&output).contains("--seed"), "{}", stderr(&output));
 }
 
 /// `--tuned-config` supplies the defaults; explicit flags still win.
@@ -855,23 +866,39 @@ fn tuned_config_machine_shapes_out_of_bounds_are_refused_naming_the_field() {
     std::fs::remove_file(&bad_path).ok();
 }
 
-/// A format-v1 file (with the `[host]`/`[runtime]` knobs no evaluation
-/// ever observed) is refused as an unsupported version — by `run`, and by
-/// `serve` before the listener binds — and says how to get a current one.
-#[test]
-fn v1_tuned_config_is_refused_with_a_regenerate_hint() {
-    let v1_path = temp_file("v1-tune.toml");
-    std::fs::write(&v1_path, GOLDEN_V1).unwrap();
-    let run = cicero(&["run", "ab", "--text", "ab", "--tuned-config", v1_path.to_str().unwrap()]);
-    let serve = cicero(&["serve", "--tuned-config", v1_path.to_str().unwrap()]);
+/// `run` and `serve` refuse a tune.toml of another format version before
+/// the listener binds, naming the version and how to get a current file.
+fn assert_refused_with_a_regenerate_hint(tag: &str, text: &str, version: u64) {
+    let path = temp_file(tag);
+    std::fs::write(&path, text).unwrap();
+    let run = cicero(&["run", "ab", "--text", "ab", "--tuned-config", path.to_str().unwrap()]);
+    let serve = cicero(&["serve", "--tuned-config", path.to_str().unwrap()]);
     for output in [&run, &serve] {
         assert!(!output.status.success());
         let err = stderr(output);
-        assert!(err.contains("unsupported tune.toml version 1"), "{err}");
+        assert!(err.contains(&format!("unsupported tune.toml version {version}")), "{err}");
         assert!(err.contains("regenerate with `cicero tune`"), "{err}");
     }
     assert!(!stdout(&serve).contains("listening on"), "{}", stdout(&serve));
-    std::fs::remove_file(&v1_path).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+/// A format-v1 file (with the `[host]`/`[runtime]` knobs no evaluation
+/// ever observed) is refused as an unsupported version.
+#[test]
+fn v1_tuned_config_is_refused_with_a_regenerate_hint() {
+    assert_refused_with_a_regenerate_hint("v1-tune.toml", GOLDEN_V1, 1);
+}
+
+/// A format-v2 file (v3 plus the sampled search's `meta.seed` and
+/// `meta.strategy`) is refused as an unsupported version.
+#[test]
+fn v2_tuned_config_is_refused_with_a_regenerate_hint() {
+    let v2 = include_str!("../crates/tune/testdata/golden.toml")
+        .replace("format v3", "format v2")
+        .replace("version = 3", "version = 2")
+        .replace("evals = 288", "seed = 42\nstrategy = \"exhaustive\"\nevals = 288");
+    assert_refused_with_a_regenerate_hint("v2-tune.toml", &v2, 2);
 }
 
 /// `--tuned-config` tunes local execution; remote `scan --ruleset`
