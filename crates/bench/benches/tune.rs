@@ -143,8 +143,8 @@ fn main() {
          cicero_sim::measure (the paper grid's measure; energy reported beside it), on the four \
          paper packs at the default scale (16 patterns x 4 chunks, whatever the bench scale) and \
          the registry ruleset; each suite row pair shares a workload; the search is the \
-         exhaustive index-order sweep of all space_points, so winners are optima; asserted: tuned cost <= default cost on every suite; reported, not \
-         gated: figures_best is the organization of the faster of the new compiler's OLD 1x9 \
+         exhaustive index-order sweep of all space_points, so winners are optima; asserted: \
+         tuned cost <= default cost on every suite; reported, not gated: figures_best is the organization of the faster of the new compiler's OLD 1x9 \
          and NEW 16x1 cells (Table 6's right column) and agrees says whether the winner's \
          organization matches it; sweep_s is wall-clock; D_offset is the paper's \
          speculation-depth metric",

@@ -208,8 +208,13 @@ impl ArchConfig {
                 self.cache.lines, self.cache.line_size
             ));
         }
-        if self.lb_latency == 0 {
-            return Err("lb_latency must be at least 1".to_owned());
+        // The stall is scheduled as `cycle + 1 + miss_penalty` with `cycle`
+        // below `max_cycles`, so this bound keeps that sum from overflowing.
+        if self.cache.miss_penalty > self.max_cycles {
+            return Err(format!(
+                "cache_miss_penalty {} exceeds the {}-cycle run limit",
+                self.cache.miss_penalty, self.max_cycles
+            ));
         }
         Ok(())
     }
@@ -286,7 +291,7 @@ mod tests {
         assert!(check(|c| c.cache.lines = 0).starts_with("cache_lines"));
         assert!(check(|c| c.cache.line_size = 3).starts_with("cache_line_size"));
         assert!(check(|c| c.cache.lines = ADDRESS_SPACE).starts_with("cache_lines x"));
-        assert!(check(|c| c.lb_latency = 0).starts_with("lb_latency"));
+        assert!(check(|c| c.cache.miss_penalty = u64::MAX).starts_with("cache_miss_penalty"));
         let mut new = ArchConfig::new_organization(16, 1);
         new.cc_id_bits = 5;
         assert!(new.validate().unwrap_err().contains("log2(cores_per_engine)"));

@@ -59,16 +59,6 @@ impl TuneFile {
         }
     }
 
-    /// The winner's compiler options.
-    pub fn compiler_options(&self) -> CompilerOptions {
-        self.config.compiler
-    }
-
-    /// The winner's simulated machine.
-    pub fn arch_config(&self) -> ArchConfig {
-        self.config.arch.clone()
-    }
-
     /// Render to the canonical byte-deterministic text form.
     pub fn render(&self) -> String {
         let c = &self.config.compiler;

@@ -352,7 +352,7 @@ fn compiler_base(tuned: Option<&cicero::tune::TuneFile>, o0: bool) -> CompilerOp
     if o0 {
         CompilerOptions::unoptimized()
     } else {
-        tuned.map_or_else(CompilerOptions::optimized, |t| t.compiler_options())
+        tuned.map_or_else(CompilerOptions::optimized, |t| t.config.compiler)
     }
 }
 
@@ -363,7 +363,7 @@ fn resolve_config(
     tuned: Option<&cicero::tune::TuneFile>,
 ) -> Result<ArchConfig, String> {
     match (flags.value("config"), tuned) {
-        (None, Some(t)) => Ok(t.arch_config()),
+        (None, Some(t)) => Ok(t.config.arch.clone()),
         (spec, _) => arch_config(spec),
     }
 }
@@ -1152,12 +1152,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // it cannot trust.
     if let Some(tuned) = load_tuned(&flags)? {
         if flags.value("config").is_none() {
-            options.config = tuned.arch_config();
+            options.config = tuned.config.arch.clone();
         }
         // tune.toml does not carry a backend; keep the server's default
         // (host) unless `--backend` says otherwise below.
         let backend = options.runtime.compiler.backend;
-        options.runtime.compiler = tuned.compiler_options().with_backend(backend);
+        options.runtime.compiler = tuned.config.compiler.with_backend(backend);
     }
     if let Some(addr) = flags.value("addr") {
         options.addr = addr.to_owned();

@@ -854,6 +854,11 @@ fn tuned_config_machine_shapes_out_of_bounds_are_refused_naming_the_field() {
         ("cc_id_bits = 3", "cc_id_bits = 40", "cc_id_bits"),
         ("engines = 8", "engines = 1000000", "engines"),
         ("cache_lines = 8", "cache_lines = 2048", "cache_lines"),
+        (
+            "cache_miss_penalty = 4",
+            "cache_miss_penalty = 18446744073709551615",
+            "cache_miss_penalty",
+        ),
     ] {
         std::fs::write(&bad_path, golden.replace(key, bad)).unwrap();
         let output =
